@@ -5,10 +5,24 @@ The minus class number is evaluated analytically as
 
     Q * w * product over odd characters of (-1/2 * B_1(chi)),
 
-with the product taken one Galois orbit at a time as an exact integer norm
-(the determinant of the multiplication matrix of the Bernoulli value in the
-cyclotomic field of the character order).  No floating point is involved
-anywhere; non-integral output signals a bug, not rounding error.
+with the product taken one Galois orbit at a time as an exact integer norm.
+Characters are exponent vectors on one generator per odd prime power (and
+-1, 5 at powers of two), so parity, conductor and primitive values are read
+off prime by prime, without a search.
+
+The norm of P = sum_t c_t zeta_d^t is the product of the values of P at the
+phi(d) primitive d-th roots of unity.  It is computed modulo primes
+l = 1 (mod d) just below 2^62, where those roots exist, and recovered by the
+Chinese remainder theorem once the product M of the primes satisfies
+M^2 > 4 B^2 for the bound
+
+    |N|^2 * d^(2 phi(d)) * phi(d)^phi(d) <= (d * sum_t q_t^2)^phi(d),
+    q_t = d c_t - sum_s c_s,  d > 1,
+
+which follows from P(zeta) = (1/d) sum_t q_t zeta^t (the roots sum to
+zero), Parseval over all d-th roots of unity, and the AM-GM inequality.  No
+floating point is involved anywhere; non-integral output signals a bug, not
+rounding error.
 """
 
 from __future__ import annotations
@@ -16,11 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from itertools import count, product
+from math import gcd, lcm
+from operator import itemgetter, mul
 
 from sympy import factorint, isprime, primitive_root
 
-from .abelian import FinAbGroup, IntMatrix
+from .abelian import FinAbGroup
 from .residue import InternalConsistencyError, cyclotomic_int
 
 
@@ -40,70 +56,94 @@ def odd_part(x):
 
 @lru_cache(maxsize=None)
 def _unit_group(m):
-    """Generators (with orders) of (Z/m)^x and a discrete-log table."""
-    m = int(m)
-    gens = []
-    for p, e in sorted(factorint(m).items()):
+    """The local factors of (Z/m)^x, one (p, e, gens, logs) per p^e || m.
+
+    ``gens`` lists (generator, order) for (Z/p^e)^x: a primitive root for
+    odd p, 3 at 4, and -1, 5 at 2^e with e >= 3, so the first generator of
+    every nontrivial factor is the one carrying -1.  ``logs`` maps each unit
+    residue mod p^e to its exponents on ``gens``.
+    """
+    factors = []
+    for p, e in sorted(factorint(int(m)).items()):
         p, e = int(p), int(e)
         q = p ** e
-        rest = m // q
         if p == 2:
-            local = []
-            if e == 2:
-                local = [(3, 2)]
-            elif e >= 3:
-                local = [(q - 1, 2), (5, 2 ** (e - 2))]
+            gens = [] if e == 1 else [(3, 2)] if e == 2 else \
+                [(q - 1, 2), (5, q // 4)]
         else:
-            local = [(int(primitive_root(q)), (p - 1) * p ** (e - 1))]
-        for g_local, order in local:
-            # CRT lift: g_local mod q, 1 mod the rest
-            if rest == 1:
-                lift = g_local % m
-            else:
-                inv_q = pow(q, -1, rest)
-                lift = (g_local + q * ((1 - g_local) * inv_q % rest)) % m
-            gens.append((lift, order))
-    # exhaustive discrete logs over the generator exponents
-    table = {}
-    def fill(prefix, value):
-        i = len(prefix)
-        if i == len(gens):
-            table[value] = tuple(prefix)
-            return
-        g, order = gens[i]
-        acc = value
-        for k in range(order):
-            fill(prefix + [k], acc)
-            acc = (acc * g) % m
-    fill([], 1 % m)
-    expected = sum(1 for a in range(m) if gcd(a, m) == 1) if m > 1 else 1
-    if len(table) != prod(o for _, o in gens) or len(table) != expected:
-        raise InternalConsistencyError("unit group enumeration mismatch")
-    return tuple(gens), table
+            gens = [(int(primitive_root(q)), q - q // p)]
+        logs = {}
+        for ks in product(*(range(o) for _, o in gens)):
+            value = 1
+            for (g, _), k in zip(gens, ks):
+                value = value * pow(g, k, q) % q
+            logs[value] = ks
+        if len(logs) != q - q // p:
+            raise InternalConsistencyError("unit group enumeration mismatch")
+        factors.append((p, e, tuple(gens), logs))
+    return tuple(factors)
+
+
+def _generator_orders(m):
+    return [o for *_, gens, _ in _unit_group(m) for _, o in gens]
+
+
+def _valuation(k, p):
+    v = 0
+    while k % p == 0:
+        k //= p
+        v += 1
+    return v
+
+
+def _local_conductor(p, e, ks):
+    """Conductor of the nontrivial character of (Z/p^e)^x with exponents
+    ``ks`` on the generators of ``_unit_group``.
+
+    A unit is 1 mod p^j (j >= 1, and j >= 2 at p = 2) exactly when it is a
+    power of g^((p-1) p^(j-1)), respectively of 5^(2^(j-2)).
+    """
+    if p == 2:
+        if e >= 3 and ks[1]:
+            return 2 ** (e - _valuation(ks[1], 2))
+        return 4
+    return p ** (e - min(_valuation(ks[0], p), e - 1))
 
 
 class DirichletCharacter:
     """A character of (Z/m)^x, stored as exponents on fixed generators.
 
-    chi(g_i) = exp(2 pi i * exps[i] / order_i).  Values are returned as
-    exponents of a primitive (order of chi)-th root of unity.
+    chi(g_i) = exp(2 pi i * exps[i] / order_i), the generators being those
+    of the prime-power factors of m in increasing order of p.  Values are
+    returned as exponents of a primitive (order of chi)-th root of unity.
     """
 
-    __slots__ = ("modulus", "exps", "order", "conductor", "parity")
+    __slots__ = ("modulus", "exps", "order", "conductor", "parity", "_local")
 
     def __init__(self, modulus, exps):
-        gens, _ = _unit_group(modulus)
-        exps = tuple(e % o for e, (_, o) in zip(exps, gens))
-        if len(exps) != len(gens):
+        factors = _unit_group(modulus)
+        orders = _generator_orders(modulus)
+        if len(exps) != len(orders):
             raise ValueError("exponent vector does not match the generators")
+        exps = tuple(int(k) % o for k, o in zip(exps, orders))
+        order = lcm(*(o // gcd(o, k) for k, o in zip(exps, orders)))
+        conductor, minus_one, local, i = 1, 0, [], 0
+        for p, e, gens, logs in factors:
+            ks = exps[i:i + len(gens)]
+            i += len(gens)
+            if any(ks):
+                conductor *= _local_conductor(p, e, ks)
+                minus_one += ks[0]
+                weights = tuple(k * order // o for k, (_, o) in zip(ks, gens))
+                local.append((p ** e, weights, logs))
         object.__setattr__(self, "modulus", int(modulus))
         object.__setattr__(self, "exps", exps)
-        order = 1
-        for e, (_, o) in zip(exps, gens):
-            order = lcm(order, o // gcd(o, e))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "conductor", self._conductor())
-        object.__setattr__(self, "parity", 1 if self.value_exponent(-1) == 0 else -1)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "parity", -1 if minus_one % 2 else 1)
+        # (p^e, value exponent per generator exponent, logs) of the
+        # nontrivial local factors: these alone determine the values
+        object.__setattr__(self, "_local", tuple(local))
 
     def __setattr__(self, name, value):
         raise AttributeError("DirichletCharacter is immutable")
@@ -111,49 +151,29 @@ class DirichletCharacter:
     def is_principal(self):
         return self.order == 1
 
+    def _exponent(self, a):
+        t = 0
+        for q, weights, logs in self._local:
+            for w, k in zip(weights, logs[a % q]):
+                t += w * k
+        return t % self.order
+
     def value_exponent(self, a):
         """t with chi(a) = zeta_order^t, or None when gcd(a, m) > 1."""
-        m = self.modulus
-        a = a % m if m > 1 else 0
-        gens, table = _unit_group(m)
-        if m == 1:
-            return 0
-        logs = table.get(a)
-        if logs is None:
+        if gcd(a, self.modulus) != 1:
             return None
-        big = lcm(*(o for _, o in gens)) if gens else 1
-        t = 0
-        for e, k, (_, o) in zip(self.exps, logs, gens):
-            t += e * k * (big // o)
-        t %= big
-        step = big // self.order
-        if t % step:
-            raise InternalConsistencyError("character value has wrong order")
-        return (t // step) % self.order
-
-    def _conductor(self):
-        m = self.modulus
-        for f in sorted(_divisors(m)):
-            ok = True
-            for a in range(1, m + 1):
-                if gcd(a, m) == 1 and a % f == 1 % f:
-                    if self.value_exponent(a) != 0:
-                        ok = False
-                        break
-            if ok:
-                return f
-        raise InternalConsistencyError("no conductor found")
+        return self._exponent(a)
 
     def primitive_value_exponent(self, a):
-        """Value exponent of the primitive character of the same conductor."""
-        f = self.conductor
-        if gcd(a, f) != 1:
+        """Value exponent of the primitive character of the same conductor.
+
+        Each nontrivial local factor depends only on a mod its own
+        conductor, so a unit mod the conductor is read in the local logs
+        directly, with no lift to a unit mod m.
+        """
+        if gcd(a, self.conductor) != 1:
             return None
-        a %= f
-        # lift a to a residue coprime to the full modulus
-        while gcd(a, self.modulus) != 1:
-            a += f
-        return self.value_exponent(a)
+        return self._exponent(a)
 
     def power(self, s):
         return DirichletCharacter(self.modulus,
@@ -170,29 +190,13 @@ class DirichletCharacter:
         return f"DirichletCharacter(mod {self.modulus}, exps={self.exps})"
 
 
-def _divisors(m):
-    divs = [1]
-    for p, e in factorint(m).items():
-        divs = [d * int(p) ** k for d in divs for k in range(e + 1)]
-    return divs
-
-
 def characters(m):
     """All phi(m) Dirichlet characters modulo m."""
     m = int(m)
     if m < 1:
         raise ValueError("modulus must be positive")
-    gens, _ = _unit_group(m)
-    out = []
-    def build(prefix):
-        i = len(prefix)
-        if i == len(gens):
-            out.append(DirichletCharacter(m, tuple(prefix)))
-            return
-        for e in range(gens[i][1]):
-            build(prefix + [e])
-    build([])
-    return out
+    return [DirichletCharacter(m, exps)
+            for exps in product(*(range(o) for o in _generator_orders(m)))]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +237,7 @@ class CycNumber:
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def norm(self):
-        """Field norm down to Q, as the determinant of multiplication."""
+        """Field norm down to Q."""
         n = len(self.coeffs)
         if n == 0:
             return Fraction(1)
@@ -252,29 +256,72 @@ class CycNumber:
         return f"CycNumber(level={self.level}, coeffs={self.coeffs})"
 
 
-def _cyclotomic_norm_int(coeffs, d):
-    """Norm of an integer combination of powers of zeta_d, exactly."""
-    phi_poly = [int(c) for c in cyclotomic_int(d)]
-    n = len(phi_poly) - 1
-    work = list(coeffs) + [0] * max(0, n - len(coeffs))
-    for k in range(len(work) - 1, n - 1, -1):
-        c = work[k]
-        if c:
-            for j in range(n):
-                work[k - n + j] -= c * phi_poly[j]
-            work[k] = 0
-    base = work[:n]
-    cols = []
-    current = list(base)
-    for _ in range(n):
-        cols.append(list(current))
-        # multiply by zeta: shift and reduce the top coefficient
-        top = current[-1]
-        current = [0] + current[:-1]
-        if top:
-            for j in range(n):
-                current[j] -= top * phi_poly[j]
-    return IntMatrix.from_columns(cols, rows=n).det()
+@lru_cache(maxsize=None)
+def _crt_prime(exponent, index):
+    """The index-th prime l below 2^62 with l = 1 (mod exponent), counting
+    down from 2^62, and an element of order exponent modulo l."""
+    top = 2 ** 62 if index == 0 else _crt_prime(exponent, index - 1)[0]
+    k = (top - 2) // exponent
+    while not isprime(k * exponent + 1):
+        k -= 1
+    ell = k * exponent + 1
+    primes = factorint(exponent)
+    for x in count(2):
+        root = pow(x, (ell - 1) // exponent, ell)
+        if all(pow(root, exponent // r, ell) != 1 for r in primes):
+            return ell, root
+
+
+def _cyclotomic_norm_int(coeffs, d, exponent=None):
+    """Norm down to Q of sum_i coeffs[i] * zeta_d^i, for integer coeffs.
+
+    Multimodular: the residues modulo primes l = 1 (mod exponent) are
+    combined by CRT under the bound in the module docstring.  ``exponent``
+    is a multiple of d (default d); callers with many levels d dividing one
+    exponent share its primes.
+    """
+    d = int(d)
+    exponent = d if exponent is None else int(exponent)
+    if exponent % d:
+        raise ValueError("exponent must be a multiple of the level")
+    folded = [0] * d
+    for i, c in enumerate(coeffs):
+        folded[i % d] += int(c)
+    if d == 1:
+        return folded[0]
+    units = [j for j in range(1, d) if gcd(j, d) == 1]
+    phi = len(units)
+    total = sum(folded)
+    bound_sq = 4 * (d * sum((d * c - total) ** 2 for c in folded)) ** phi
+    scale = d ** (2 * phi) * phi ** phi
+    # pick j reorders the powers of zeta into zeta^(j t), t = 0..d-1
+    picks = [itemgetter(*[j * t % d for t in range(d)]) for j in units]
+    residue, modulus, index = 0, 1, 0
+    while modulus * modulus * scale <= bound_sq:
+        ell, root = _crt_prime(exponent, index)
+        index += 1
+        zeta = pow(root, exponent // d, ell)
+        powers = [1] * d
+        for t in range(1, d):
+            powers[t] = powers[t - 1] * zeta % ell
+        value = 1
+        for pick in picks:
+            value = value * sum(map(mul, folded, pick(powers))) % ell
+        residue += modulus * ((value - residue) * pow(modulus, -1, ell) % ell)
+        modulus *= ell
+    return residue - modulus if 2 * residue > modulus else residue
+
+
+def _bernoulli_sums(chi):
+    """(f, sums): the conductor, and for each t the sum of the a in [1, f)
+    at which the primitive character takes the value zeta_order^t."""
+    f = chi.conductor
+    sums = [0] * chi.order
+    for a in range(1, f):
+        t = chi.primitive_value_exponent(a)
+        if t is not None:
+            sums[t] += a
+    return f, sums
 
 
 def b1(chi):
@@ -282,15 +329,8 @@ def b1(chi):
     as an exact element of Q(zeta_order)."""
     if chi.is_principal():
         raise ValueError("principal characters are not accepted")
-    f = chi.conductor
-    d = chi.order
-    sums = [0] * d
-    for a in range(1, f):
-        if gcd(a, f) != 1:
-            continue
-        t = chi.primitive_value_exponent(a)
-        sums[t] += a
-    return CycNumber(d, [Fraction(s, f) for s in sums])
+    f, sums = _bernoulli_sums(chi)
+    return CycNumber(chi.order, [Fraction(s, f) for s in sums])
 
 
 # ---------------------------------------------------------------------------
@@ -310,34 +350,28 @@ def hminus(m):
 
     The modulus is normalised so that m = 2 mod 4 coincides with m/2 (the
     fields agree).  Q is 1 for prime powers and 2 otherwise; w counts the
-    roots of unity of the field.
+    roots of unity of the field.  Every character order divides the
+    exponent of (Z/m)^x, so all orbit norms share its CRT primes.
     """
     m = _normalize_modulus(m)
     if m <= 2:
         return 1
-    q_factor = 1 if len(factorint(m)) == 1 else 2
+    q_factor = 1 if len(_unit_group(m)) == 1 else 2
     w = 2 * m if m % 2 else m
+    exponent = lcm(*_generator_orders(m))
 
-    odd_chars = [c for c in characters(m) if c.parity == -1]
     total = Fraction(q_factor * w)
-    remaining = set(odd_chars)
+    remaining = {c for c in characters(m) if c.parity == -1}
     while remaining:
         chi = remaining.pop()
         d = chi.order
-        orbit = {chi.power(s) for s in range(1, d) if gcd(s, d) == 1}
-        orbit.add(chi)
-        if not orbit <= remaining | {chi}:
+        orbit = {chi.power(s) for s in range(2, d) if gcd(s, d) == 1}
+        if not orbit <= remaining:
             raise InternalConsistencyError("orbit left the odd characters")
         remaining -= orbit
-        phi_d = len(orbit)
-
-        f = chi.conductor
-        sums = [0] * d
-        for a in range(1, f):
-            if gcd(a, f) != 1:
-                continue
-            sums[chi.primitive_value_exponent(a)] += a
-        norm = _cyclotomic_norm_int(sums, d)
+        phi_d = len(orbit) + 1
+        f, sums = _bernoulli_sums(chi)
+        norm = _cyclotomic_norm_int(sums, d, exponent)
         total *= Fraction((-1) ** phi_d * norm, (2 * f) ** phi_d)
 
     if total.denominator != 1 or total <= 0:

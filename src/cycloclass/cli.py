@@ -117,9 +117,13 @@ class _Cache:
                     data = json.load(handle)
             except (OSError, ValueError):
                 data = {}
-            if data.get("schema") == SCHEMA_VERSION and \
-                    data.get("tool_version") == __version__:
-                self.entries = data.get("entries", {})
+            # a file of any other shape is treated as an empty cache
+            if isinstance(data, dict) and \
+                    data.get("schema") == SCHEMA_VERSION and \
+                    data.get("tool_version") == __version__ and \
+                    isinstance(data.get("entries"), dict):
+                self.entries = {k: v for k, v in data["entries"].items()
+                                if isinstance(v, str)}
 
     def get(self, key):
         return self.entries.get(key)
@@ -212,6 +216,9 @@ def _execute(args):
         return _report_text(report)
 
     if cmd == "sweep":
+        if args.m_min > args.m_max:
+            raise _UsageError(f"--m-min {args.m_min} exceeds "
+                              f"--m-max {args.m_max}")
         reports = sweep(args.n, range(args.m_min, args.m_max + 1))
         if fmt == "json":
             payload = [r.to_json_dict() if not isinstance(r, tuple)
@@ -299,7 +306,7 @@ def run(argv):
     except InternalConsistencyError as err:
         print(f"internal consistency failure: {err}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError) as err:
+    except (_UsageError, ValueError, ZeroDivisionError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
 

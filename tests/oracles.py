@@ -2,12 +2,19 @@
 
 These deliberately avoid Smith normal form: subgroup structure is read off
 from element-order statistics, so they provide an independent check on the
-matrix route.
+matrix route.  The minus class number is recomputed the slow way: conductors
+by search, primitive values by lifting to a unit mod m, and orbit norms as
+Bareiss determinants of multiplication matrices.
 """
 
+from fractions import Fraction
 from math import gcd, prod
 
+from sympy import divisors, factorint
+
 from cycloclass.abelian import AbHom, FinAbGroup, IntMatrix
+from cycloclass.classnumber import characters
+from cycloclass.residue import cyclotomic_int
 
 
 def add(g, x, y):
@@ -155,3 +162,86 @@ def random_involution(rng, group):
     signs = [rng.choice([1, -1]) for _ in range(group.rank)]
     s = AbHom(group, group, IntMatrix.diagonal(signs))
     return p @ s @ p_inv
+
+
+# ---------------------------------------------------------------------------
+# minus class numbers, the slow way
+
+
+def search_conductor(chi):
+    """The least f | m with chi trivial on the units that are 1 mod f."""
+    m = chi.modulus
+    for f in divisors(m):
+        if all(chi.value_exponent(a) == 0 for a in range(1, m + 1)
+               if gcd(a, m) == 1 and a % f == 1 % f):
+            return f
+    raise AssertionError("no conductor found")
+
+
+def search_parity(chi):
+    return 1 if chi.value_exponent(-1) == 0 else -1
+
+
+def lifted_primitive_value_exponent(chi, f, a):
+    """chi*(a) for the primitive character of conductor f, by lifting a to
+    a unit mod m."""
+    if gcd(a, f) != 1:
+        return None
+    a %= f
+    while gcd(a, chi.modulus) != 1:
+        a += f
+    return chi.value_exponent(a)
+
+
+def bareiss_cyclotomic_norm(coeffs, d):
+    """Norm of sum_i coeffs[i] zeta_d^i as the determinant of the matrix of
+    multiplication on the power basis, reduced modulo Phi_d."""
+    phi_poly = [int(c) for c in cyclotomic_int(d)]
+    n = len(phi_poly) - 1
+    work = list(coeffs) + [0] * max(0, n - len(coeffs))
+    for k in range(len(work) - 1, n - 1, -1):
+        c = work[k]
+        if c:
+            for j in range(n):
+                work[k - n + j] -= c * phi_poly[j]
+            work[k] = 0
+    cols = []
+    current = work[:n]
+    for _ in range(n):
+        cols.append(list(current))
+        # multiply by zeta: shift and reduce the top coefficient
+        top = current[-1]
+        current = [0] + current[:-1]
+        if top:
+            for j in range(n):
+                current[j] -= top * phi_poly[j]
+    return IntMatrix.from_columns(cols, rows=n).det()
+
+
+def bareiss_hminus(m):
+    """Q * w * product over odd characters of (-B_1(chi)/2), one Galois
+    orbit at a time, with every ingredient computed the slow way."""
+    m = m // 2 if m % 4 == 2 else m
+    if m <= 2:
+        return 1
+    q_factor = 1 if len(factorint(m)) == 1 else 2
+    w = 2 * m if m % 2 else m
+    total = Fraction(q_factor * w)
+    remaining = {c for c in characters(m) if search_parity(c) == -1}
+    while remaining:
+        chi = remaining.pop()
+        d = chi.order
+        orbit = {chi.power(s) for s in range(2, d) if gcd(s, d) == 1}
+        remaining -= orbit
+        f = search_conductor(chi)
+        sums = [0] * d
+        for a in range(1, f):
+            t = lifted_primitive_value_exponent(chi, f, a)
+            if t is not None:
+                sums[t] += a
+        phi_d = len(orbit) + 1
+        total *= Fraction((-1) ** phi_d * bareiss_cyclotomic_norm(sums, d),
+                          (2 * f) ** phi_d)
+    assert total.denominator == 1
+    return int(total)
+

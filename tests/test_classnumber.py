@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from cycloclass.abelian import FinAbGroup
 from cycloclass.classnumber import (
     HMINUS_ONE,
     CycNumber,
+    _cyclotomic_norm_int,
     b1,
     characters,
     class_record,
@@ -58,6 +61,20 @@ class TestCharacters:
                     assert c.conductor == m  # prime-power faithful cases
                     break
 
+    def test_conductor_and_parity_against_search(self):
+        for m in range(1, 101):
+            for chi in characters(m):
+                assert chi.conductor == oracles.search_conductor(chi), chi
+                assert chi.parity == oracles.search_parity(chi), chi
+
+    def test_primitive_values_against_lift(self):
+        for m in (8, 16, 24, 45, 63, 80, 100):
+            for chi in characters(m):
+                f = chi.conductor
+                for a in range(1, f):
+                    assert chi.primitive_value_exponent(a) == \
+                        oracles.lifted_primitive_value_exponent(chi, f, a)
+
 
 class TestB1:
     def test_mod4(self):
@@ -99,13 +116,48 @@ class TestCycNumber:
         assert not CycNumber(4, [0, 1]).is_rational()
 
 
+@st.composite
+def _level_and_coeffs(draw):
+    d = draw(st.integers(1, 60))
+    coeffs = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=2 * d + 3))
+    return d, coeffs
+
+
+class TestCyclotomicNorm:
+    @settings(max_examples=80, deadline=None)
+    @given(_level_and_coeffs())
+    @example((1, []))
+    @example((7, [0] * 7))
+    @example((12, [3] * 12))
+    @example((9, [5, -4, 0, 2, 1, -1, 7, 0, 0, 3, -8, 6, 2]))
+    @example((60, [10 ** 6] * 61))
+    def test_matches_bareiss(self, case):
+        d, coeffs = case
+        assert _cyclotomic_norm_int(coeffs, d) == \
+            oracles.bareiss_cyclotomic_norm(coeffs, d)
+
+    def test_shared_exponent(self):
+        # levels dividing a common exponent reuse its primes
+        coeffs = [5, -1, 2, 0, 7, 1]
+        for d in (2, 3, 6):
+            assert _cyclotomic_norm_int(coeffs, d, 12) == \
+                oracles.bareiss_cyclotomic_norm(coeffs, d)
+        with pytest.raises(ValueError):
+            _cyclotomic_norm_int(coeffs, 5, 12)
+
+
 class TestHminus:
     @pytest.mark.parametrize("m,expected", [
         (1, 1), (2, 1), (3, 1), (4, 1), (12, 1), (23, 3),
         (29, 8), (39, 2), (65, 64),
+        (401, 43605015130536489003338082919559801839979434025811736050075208031224695089275733787630863462455142655169),
     ])
     def test_spot_values(self, m, expected):
         assert hminus(m) == expected
+
+    def test_against_bareiss_oracle(self):
+        for m in range(1, 201):
+            assert hminus(m) == oracles.bareiss_hminus(m), m
 
     def test_two_mod_four_pairing(self):
         for m in (3, 5, 15, 29, 39, 65):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cycloclass import __version__
 from cycloclass.cli import run
 
 
@@ -107,6 +108,13 @@ class TestExitCodes:
         code, _, err = capture(["vtilde", "--m", "105"])
         assert code == 2
 
+    def test_empty_sweep_range(self, capture):
+        code, out, err = capture(["sweep", "--n", "4", "--m-min", "5",
+                                  "--m-max", "2"])
+        assert code == 1 and out == ""
+        assert "--m-min 5 exceeds --m-max 2" in err
+        assert "Traceback" not in err
+
 
 class TestSweepText:
     def test_columns(self, capture):
@@ -158,3 +166,21 @@ class TestCache:
         _, json_out, _ = capture(base + ["--format", "json"])
         assert text_out.strip() == "Z/4"
         assert json.loads(json_out)["invariant_factors"] == [4]
+
+    @pytest.mark.parametrize("content", [
+        "[]",
+        '"x"',
+        "7",
+        "null",
+        json.dumps({"schema": 1, "tool_version": __version__, "entries": []}),
+        json.dumps({"schema": 1, "tool_version": __version__,
+                    "entries": {"k": 5}}),
+    ])
+    def test_wrong_shape_treated_as_empty(self, capture, tmp_path, content):
+        cache_file = tmp_path / "cache.json"
+        cache_file.write_text(content)
+        code, out, err = capture(["cbound", "--m", "58",
+                                  "--cache", str(cache_file)])
+        assert code == 0 and out.strip() == "565" and err == ""
+        data = json.loads(cache_file.read_text())
+        assert list(data["entries"].values()) == ["565"]
