@@ -7,7 +7,7 @@ The layers, bottom up:
 - ``abelian``: finite abelian groups presented by integer matrices, Smith
   normal form, kernels/cokernels/subgroups, all exact.
 - ``involutive``: groups with involution and their C2 Tate cohomology.
-- ``residue``: unit groups of F_p[zeta_n] and F_p[lambda_n], the
+- ``residue``: unit groups of F_p[zeta_n] and their norm-one tori, the
   reduction-of-units presentations, their cokernels and divisor bounds.
 - ``classnumber``: Dirichlet characters, generalized Bernoulli values,
   exact minus class numbers, stored parity and class-group facts.
@@ -31,12 +31,10 @@ from .abelian import (
 from .involutive import InvModule, Sign, direct_sum, eigen_set, \
     norm_image_set, swap_square, tate
 from .residue import (
-    LambdaUnits,
     ResidueRingUnits,
     UnitQuotient,
     UnsupportedModulusError,
     c_bound,
-    lambda_units,
     psi_plus_presentation,
     residue_units,
     unit_quotient,

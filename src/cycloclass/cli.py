@@ -6,7 +6,10 @@ is plain text by default or JSON with --format json; the JSON field names
 are frozen (n, m, mhs, mhcob, mhs_hcob, a2k_order, ingredients,
 provenance for reports).  Identical invocations produce identical output
 bytes, which is what makes the optional result cache sound: entries are
-keyed by subcommand and canonical arguments and replayed verbatim.
+keyed by subcommand and canonical arguments, stored with the SHA-256 digest
+of their output, and replayed verbatim only while the digest matches.  The
+digest is unkeyed: it catches a corrupted or hand-edited entry, not one
+whose editor also rewrote the digest.
 
 Exit codes: 0 success, 1 usage error, 2 scope error (odd n, unsupported
 modulus), 3 internal consistency failure.
@@ -15,6 +18,7 @@ modulus), 3 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -29,7 +33,7 @@ from .manifoldset import a2k_order, classify, sweep, verify
 from .residue import InternalConsistencyError, UnsupportedModulusError, \
     c_bound, vtilde
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CACHE_ENV_VAR = "CYCLOCLASS_CACHE"
 
 
@@ -107,6 +111,10 @@ def _canonical_key(args):
     return json.dumps(payload, sort_keys=True)
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class _Cache:
     def __init__(self, path):
         self.path = path
@@ -122,16 +130,26 @@ class _Cache:
                     data.get("schema") == SCHEMA_VERSION and \
                     data.get("tool_version") == __version__ and \
                     isinstance(data.get("entries"), dict):
-                self.entries = {k: v for k, v in data["entries"].items()
-                                if isinstance(v, str)}
+                self.entries = {
+                    k: v for k, v in data["entries"].items()
+                    if isinstance(v, dict) and isinstance(v.get("output"), str)
+                    and isinstance(v.get("sha256"), str)}
 
     def get(self, key):
-        return self.entries.get(key)
+        """The stored output, or None; an entry whose digest does not match
+        its output is dropped."""
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        if _digest(entry["output"]) != entry["sha256"]:
+            del self.entries[key]
+            return None
+        return entry["output"]
 
     def put(self, key, value):
         if not self.path:
             return
-        self.entries[key] = value
+        self.entries[key] = {"output": value, "sha256": _digest(value)}
         payload = {"schema": SCHEMA_VERSION, "tool_version": __version__,
                    "entries": self.entries}
         directory = os.path.dirname(os.path.abspath(self.path)) or "."
@@ -298,6 +316,12 @@ def run(argv):
         print(cached)
         return 0
 
+    # torus orders of supported moduli can have more digits than Python's
+    # default limit on int-to-str conversion (4300); interpreters older than
+    # 3.10.7 have no such limit
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
         output = _execute(args)
     except (ScopeError, UnsupportedModulusError) as err:
@@ -309,6 +333,9 @@ def run(argv):
     except (_UsageError, ValueError, ZeroDivisionError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
     cache.put(key, output)
     print(output)

@@ -100,12 +100,16 @@ def eigen_set(module, sign):
     return kernel(shifted)
 
 
+def _norm_map(module, sign):
+    """The endomorphism x -> x + sign * xbar."""
+    g = module.group
+    return AbHom(g, g, IntMatrix.identity(g.rank)) + \
+        AbHom(g, g, module.involution.matrix.scale(int(sign)))
+
+
 def norm_image_set(module, sign):
     """The subgroup {x + sign * xbar : x in the module}, with its inclusion."""
-    g = module.group
-    norm = AbHom(g, g, IntMatrix.identity(g.rank)) + \
-        AbHom(g, g, module.involution.matrix.scale(int(sign)))
-    return subgroup_generated(g, norm.matrix)
+    return subgroup_generated(module.group, _norm_map(module, sign).matrix)
 
 
 def tate(module, n):
@@ -116,10 +120,7 @@ def tate(module, n):
     """
     sign = Sign.for_degree(n)
     eigen, incl = eigen_set(module, sign)
-    g = module.group
-    norm = AbHom(g, g, IntMatrix.identity(g.rank)) + \
-        AbHom(g, g, module.involution.matrix.scale(int(sign)))
-    into_eigen = factor_through(norm, incl)
+    into_eigen = factor_through(_norm_map(module, sign), incl)
     quotient_group, _ = cokernel(into_eigen)
     return quotient_group
 

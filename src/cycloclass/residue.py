@@ -1,41 +1,42 @@
-"""Unit groups of the residue rings F_p[zeta_n] and F_p[lambda_n].
+"""Unit groups of the residue rings F_p[zeta_n] and the unit cokernel vtilde.
 
 F_p[zeta_n] means F_p tensor Z[zeta_n], a product of finite fields: one
 copy of F_{p^f} for each irreducible factor of the n-th cyclotomic
 polynomial mod p, where f is the multiplicative order of p mod n.
-F_p[lambda_n] is the subring generated by lambda_n = zeta_n + zeta_n^(-1).
+Conjugation zeta -> zeta^(-1) acts on it, and its fixed ring is
+F_p[lambda_n], lambda_n = zeta_n + zeta_n^(-1).
 
-On top of those rings this module builds the reduction-of-units maps whose
-cokernels control kernel groups: the presentation of the map sending
-zeta_m and the distinguished non-real unit 1 - zeta into the sum of
-quotients F_p[zeta_{m/p}]^x / F_p[lambda_{m/p}]^x, its cokernel, and the
-derived divisibility bounds.
+The quotient F_p[zeta_n]^x / F_p[lambda_n]^x is not built as a quotient.
+By Hilbert 90, u -> u/ubar identifies it with the norm-one torus
+{t : t tbar = 1}.  Conjugation permutes the factor fields.  A
+self-conjugate factor (f = 2 f+, where f+ is the order of p in
+(Z/n)^x/{+-1}) gives its elements of norm one over F_{p^(f/2)}, a cyclic
+group of order p^(f/2) + 1; a pair of conjugate factors gives one copy of
+F_{p^f}^x, cyclic of order p^f - 1.  For n <= 2 conjugation is trivial and
+so is the torus.
 
-Unit groups are handled multiplicatively through discrete logarithms
-(Pohlig-Hellman over the factored group order, baby-step giant-step in
-each prime-order piece), after which everything becomes exact additive
-linear algebra over the integers.
+The reduction map of this module sends zeta_m and the non-real unit
+1 - zeta into the sum of these tori at the primes of m.  On the tori,
+zeta^e becomes zeta^(2e) and 1 - zeta^a becomes -zeta^a: in every factor
+field, powers of a generator of the cyclic group <zeta, -1>, whose order
+divides 2m.  Their coordinates are therefore read off without any discrete
+logarithm.  The part of each torus of order prime to 2m, which no image
+reaches, passes into the cokernel vtilde(m) whole through the Smith normal
+form, and no torus order is factored.  Conjugation inverts every element
+of a norm-one torus, so the involution it induces on vtilde(m) is negation.
 """
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 from sympy import factorint, isprime, totient
 from sympy.abc import x as _sym_x
 from sympy.polys.specialpolys import cyclotomic_poly
 
-from .abelian import (
-    AbHom,
-    FinAbGroup,
-    IntMatrix,
-    cokernel,
-    direct_sum,
-    quotient,
-    subgroup_generated,
-)
+from .abelian import AbHom, FinAbGroup, IntMatrix, cokernel, direct_sum
+from .involutive import InvModule
 
 
 class UnsupportedModulusError(ValueError):
@@ -47,111 +48,6 @@ class InternalConsistencyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p: tuples of coefficients, lowest degree first
-
-
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def pnormal(c, p):
-    return _trim(v % p for v in c)
-
-
-def padd(a, b, p):
-    n = max(len(a), len(b))
-    return _trim((( (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p)
-                 for i in range(n))
-
-
-def psub(a, b, p):
-    n = max(len(a), len(b))
-    return _trim((( (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p)
-                 for i in range(n))
-
-
-def pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(v % p for v in out)
-
-
-def pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    rem = list(a)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        coef = (rem[k + len(b) - 1] * inv_lead) % p
-        if coef:
-            quo[k] = coef
-            for j, bj in enumerate(b):
-                rem[k + j] = (rem[k + j] - coef * bj) % p
-    return _trim(quo), _trim(rem)
-
-
-def pmod(a, b, p):
-    return pdivmod(a, b, p)[1]
-
-
-def pmulmod(a, b, mod, p):
-    return pmod(pmul(a, b, p), mod, p)
-
-
-def ppowmod(a, e, mod, p):
-    result = (1,)
-    a = pmod(a, mod, p)
-    while e:
-        if e & 1:
-            result = pmulmod(result, a, mod, p)
-        a = pmulmod(a, a, mod, p)
-        e >>= 1
-    return result
-
-
-def pgcd(a, b, p):
-    while b:
-        a, b = b, pmod(a, b, p)
-    if a:
-        inv_lead = pow(a[-1], -1, p)
-        a = _trim((v * inv_lead) % p for v in a)
-    return a
-
-
-def pinvmod(a, mod, p):
-    # extended Euclid in F_p[x]
-    r0, r1 = pmod(a, mod, p), mod
-    s0, s1 = (1,), ()
-    while r1:
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(s0, pmul(q, s1, p), p)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    c = pow(r0[0], -1, p)
-    return _trim((v * c) % p for v in pmod(s0, mod, p))
-
-
-def pcompose_mod(a, b, mod, p):
-    """a(b(x)) mod (mod, p), by Horner."""
-    result = ()
-    for coef in reversed(a):
-        result = pmulmod(result, b, mod, p)
-        if coef % p:
-            result = padd(result, (coef % p,), p)
-    return result
-
-
-# ---------------------------------------------------------------------------
 # integer polynomials for the cyclotomic data
 
 
@@ -160,36 +56,6 @@ def cyclotomic_int(n):
     """Coefficients of the n-th cyclotomic polynomial, lowest degree first."""
     coeffs = cyclotomic_poly(n, _sym_x).as_poly(_sym_x).all_coeffs()
     return tuple(int(c) for c in reversed(coeffs))
-
-
-@lru_cache(maxsize=None)
-def lambda_min_poly_int(n):
-    """Minimal polynomial over Z of lambda_n = zeta_n + zeta_n^(-1), n >= 3.
-
-    Uses the palindromic structure of the cyclotomic polynomial:
-    Phi_n(x) / x^(phi(n)/2) rewritten through x^k + x^(-k).
-    """
-    if n < 3:
-        raise ValueError("lambda_n needs n >= 3")
-    phi = cyclotomic_int(n)
-    if phi != tuple(reversed(phi)):
-        raise AssertionError("cyclotomic polynomial is not palindromic")
-    d = (len(phi) - 1) // 2
-    # v_k(y) represents x^k + x^(-k); v_0 = 2, v_1 = y, v_{k+1} = y v_k - v_{k-1}
-    v_prev, v_cur = (2,), (0, 1)
-    out = [0] * (d + 1)
-    out[0] = phi[d]
-    for k in range(1, d + 1):
-        for i, c in enumerate(v_cur):
-            out[i] += phi[d - k] * c
-        if k < d:
-            shifted = (0,) + v_cur  # y * v_k
-            v_next = tuple(a - (v_prev[i] if i < len(v_prev) else 0)
-                           for i, a in enumerate(shifted))
-            v_prev, v_cur = v_cur, v_next
-    if out[-1] != 1:
-        raise AssertionError("lambda minimal polynomial is not monic")
-    return tuple(out)
 
 
 def order_mod(a, n):
@@ -217,214 +83,11 @@ def order_mod_signed(a, n):
 
 
 # ---------------------------------------------------------------------------
-# equal-degree factorisation (all irreducible factors share degree f)
-
-
-def equal_degree_factor(poly, f, p, rng):
-    """Split a squarefree monic polynomial into its degree-f irreducibles."""
-    target = (len(poly) - 1) // f
-    work = [poly]
-    done = []
-    q = p ** f
-    while work:
-        g = work.pop()
-        if len(g) - 1 == f:
-            done.append(g)
-            continue
-        while True:
-            a = _trim(tuple(rng.randrange(p) for _ in range(len(g) - 1)))
-            if len(a) == 0 or len(a) - 1 == 0:
-                continue
-            d = pgcd(a, g, p)
-            if 0 < len(d) - 1 < len(g) - 1:
-                break
-            if p == 2:
-                t = a
-                acc = a
-                for _ in range(f - 1):
-                    acc = pmulmod(acc, acc, g, p)
-                    t = padd(t, acc, p)
-                d = pgcd(t, g, p)
-            else:
-                b = ppowmod(a, (q - 1) // 2, g, p)
-                d = pgcd(psub(b, (1,), p), g, p)
-            if 0 < len(d) - 1 < len(g) - 1:
-                break
-        work.append(d)
-        work.append(pdivmod(g, d, p)[0])
-    if len(done) != target:
-        raise AssertionError("equal-degree splitting produced a wrong count")
-    return sorted(done)
-
-
-# ---------------------------------------------------------------------------
-# one finite-field factor of a residue ring
-
-
-def _poly_to_int(c):
-    out = 0
-    for i, v in enumerate(c):
-        if v:
-            out |= 1 << i
-    return out
-
-
-def _int_to_poly(v):
-    out = []
-    i = 0
-    while v:
-        out.append(v & 1)
-        v >>= 1
-        i += 1
-    return tuple(out)
-
-
-class FactorField:
-    """F_p[x]/(g) for one irreducible factor g of the cyclotomic modulus.
-
-    Elements are coefficient tuples for odd p and bitmask integers for
-    p = 2.  The unit group is cyclic of order p^deg(g) - 1 with a stored
-    generator; dlog() is Pohlig-Hellman with baby-step giant-step in each
-    prime-order subgroup.
-    """
-
-    def __init__(self, p, modulus, rng):
-        self.p = p
-        self.modulus = modulus
-        self.degree = len(modulus) - 1
-        self.unit_order = p ** self.degree - 1
-        self._order_factors = {int(q): int(e)
-                               for q, e in factorint(self.unit_order).items()}
-        if p == 2:
-            self._mod_int = _poly_to_int(modulus)
-        self.generator = self._find_generator(rng)
-        self._baby_tables = {}
-
-    # -- raw arithmetic ----------------------------------------------------
-
-    def embed(self, poly):
-        """Reduce an F_p[x] coefficient tuple into this factor."""
-        r = pmod(pnormal(poly, self.p), self.modulus, self.p)
-        return _poly_to_int(r) if self.p == 2 else r
-
-    def to_poly(self, a):
-        return _int_to_poly(a) if self.p == 2 else a
-
-    def one(self):
-        return 1 if self.p == 2 else (1,)
-
-    def is_zero(self, a):
-        return (a == 0) if self.p == 2 else (len(a) == 0)
-
-    def mul(self, a, b):
-        if self.p != 2:
-            return pmulmod(a, b, self.modulus, self.p)
-        # carry-less multiply, then reduce
-        acc = 0
-        aa, bb = a, b
-        while bb:
-            if bb & 1:
-                acc ^= aa
-            aa <<= 1
-            bb >>= 1
-        m, dm = self._mod_int, self.degree
-        top = acc.bit_length() - 1
-        while top >= dm:
-            acc ^= m << (top - dm)
-            top = acc.bit_length() - 1
-        return acc
-
-    def pow(self, a, e):
-        e %= self.unit_order
-        result = self.one()
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
-
-    def inv(self, a):
-        if self.p != 2:
-            return pinvmod(a, self.modulus, self.p)
-        return self.pow(a, self.unit_order - 1)
-
-    # -- the cyclic unit group ---------------------------------------------
-
-    def _find_generator(self, rng):
-        checks = [self.unit_order // q for q in self._order_factors]
-        while True:
-            cand = _trim(tuple(rng.randrange(self.p)
-                               for _ in range(self.degree)))
-            if not cand:
-                continue
-            a = _poly_to_int(cand) if self.p == 2 else cand
-            if all(self.pow(a, e) != self.one() for e in checks):
-                return a
-
-    def _baby_table(self, base, ell):
-        key = (base, ell)
-        table = self._baby_tables.get(key)
-        if table is None:
-            m = isqrt(ell - 1) + 1
-            table = {}
-            v = self.one()
-            for j in range(m):
-                table.setdefault(v, j)
-                v = self.mul(v, base)
-            self._baby_tables[key] = (m, table)
-        return self._baby_tables[key]
-
-    def _dlog_prime_order(self, base, y, ell):
-        """log_base(y) where base has prime order ell."""
-        m, table = self._baby_table(base, ell)
-        giant = self.pow(self.inv(base), m)
-        v = y
-        for i in range(m + 1):
-            j = table.get(v)
-            if j is not None:
-                return (i * m + j) % ell
-            v = self.mul(v, giant)
-        raise InternalConsistencyError("discrete log failed in a factor field")
-
-    def dlog(self, y):
-        """log of y with respect to the stored generator, in Z/(unit order)."""
-        if self.is_zero(y):
-            raise ZeroDivisionError("dlog of a non-unit")
-        n = self.unit_order
-        residues = []
-        moduli = []
-        for q, e in self._order_factors.items():
-            qe = q ** e
-            g_q = self.pow(self.generator, n // qe)
-            y_q = self.pow(y, n // qe)
-            # lift digit by digit through the q-power tower
-            g_prime = self.pow(g_q, qe // q)  # order q
-            value = 0
-            for k in range(e):
-                t = self.pow(self.mul(y_q, self.inv(self.pow(g_q, value))),
-                             qe // (q ** (k + 1)))
-                digit = self._dlog_prime_order(g_prime, t, q)
-                value += digit * (q ** k)
-            residues.append(value)
-            moduli.append(qe)
-        # CRT
-        result, modulus = 0, 1
-        for r, m in zip(residues, moduli):
-            delta = ((r - result) * pow(modulus, -1, m)) % m
-            result += modulus * delta
-            modulus *= m
-        if self.pow(self.generator, result) != y:
-            raise InternalConsistencyError("discrete log verification failed")
-        return result
-
-
-# ---------------------------------------------------------------------------
-# the full residue rings
+# the unit groups and their norm-one tori
 
 
 class ResidueRingUnits:
-    """The unit group of F_p[zeta_n] as a product of cyclic factor fields."""
+    """The unit group of F_p[zeta_n]: phi(n)/f cyclic factors F_{p^f}^x."""
 
     def __init__(self, p, n):
         p, n = int(p), int(n)
@@ -439,183 +102,64 @@ class ResidueRingUnits:
         if phi % self.field_degree:
             raise InternalConsistencyError("field degree does not divide phi(n)")
         self.factor_count = phi // self.field_degree
-        self.cyclotomic = pnormal(cyclotomic_int(n), p)
-
-        rng = random.Random(1_000_003 * p + n)
-        if self.factor_count == 1:
-            polys = [self.cyclotomic]
-        else:
-            polys = equal_degree_factor(self.cyclotomic, self.field_degree, p, rng)
-        self.factors = tuple(FactorField(p, g, rng) for g in polys)
-        unit_order = self.factors[0].unit_order
+        unit_order = p ** self.field_degree - 1
         # F_2[zeta_1] has a trivial unit group; everything else is honest
         self.group = FinAbGroup([unit_order] * self.factor_count
                                 if unit_order > 1 else [])
-        self._idempotents = None
 
     @property
     def order(self):
         return self.group.order
-
-    def project(self, coeffs):
-        """Map an integer polynomial in zeta_n to unit-group coordinates."""
-        poly = tuple(int(c) for c in coeffs)
-        logs = []
-        for field in self.factors:
-            a = field.embed(poly)
-            if field.is_zero(a):
-                raise ZeroDivisionError("element is not a unit in the residue ring")
-            logs.append(field.dlog(a))
-        return tuple(logs) if self.group.rank else ()
-
-    def element_polys(self, coords):
-        """Factorwise field elements for the given unit coordinates."""
-        return [field.pow(field.generator, k % field.unit_order)
-                for field, k in zip(self.factors, coords)]
-
-    def _crt_idempotents(self):
-        if self._idempotents is None:
-            p, big = self.p, self.cyclotomic
-            idems = []
-            for field in self.factors:
-                h = pdivmod(big, field.modulus, p)[0]
-                w = pinvmod(pmod(h, field.modulus, p), field.modulus, p)
-                idems.append(pmod(pmul(h, w, p), big, p))
-            self._idempotents = tuple(idems)
-        return self._idempotents
-
-    def combine(self, factor_elements):
-        """CRT the per-factor elements into one polynomial mod Phi_n."""
-        p, big = self.p, self.cyclotomic
-        out = ()
-        for field, a, e in zip(self.factors, factor_elements,
-                               self._crt_idempotents()):
-            out = padd(out, pmul(field.to_poly(a), e, p), p)
-        return pmod(out, big, p)
-
-    def conjugation(self):
-        """The involution of the unit group induced by zeta -> zeta^(-1)."""
-        p, big = self.p, self.cyclotomic
-        x_inv = pmod(tuple([0] * (self.n - 1) + [1]), big, p) if self.n > 1 else (1,)
-        cols = []
-        for k in range(self.factor_count):
-            coords = [0] * self.factor_count
-            coords[k] = 1
-            combined = self.combine(self.element_polys(coords))
-            conjugated = pcompose_mod(combined, x_inv, big, p)
-            cols.append([f2.dlog(f2.embed(conjugated)) for f2 in self.factors])
-        return AbHom(self.group, self.group,
-                     IntMatrix.from_columns(cols, rows=self.factor_count))
 
     def __repr__(self):
         return (f"ResidueRingUnits(p={self.p}, n={self.n}, "
                 f"f={self.field_degree}, factors={self.factor_count})")
 
 
-class LambdaUnits:
-    """The unit group of the real subring F_p[lambda_n], embedded in the
-    unit group of F_p[zeta_n]."""
-
-    def __init__(self, p, n):
-        self.p, self.n = int(p), int(n)
-        self.ring = residue_units(p, n)
-        p, n = self.p, self.n
-        if n <= 2:
-            # lambda is rational; the subring is everything
-            self.field_degree = self.ring.field_degree
-            self.factor_count = self.ring.factor_count
-            self.group = self.ring.group
-            self.embedding = AbHom.identity(self.group)
-            return
-        self.field_degree = order_mod_signed(p, n)
-        half_phi = int(totient(n)) // 2
-        if half_phi % self.field_degree:
-            raise InternalConsistencyError(
-                "real field degree does not divide phi(n)/2")
-        self.factor_count = half_phi // self.field_degree
-
-        psi = pnormal(lambda_min_poly_int(n), p)
-        rng = random.Random(2_000_003 * p + n)
-        if self.factor_count == 1:
-            polys = [psi]
-        else:
-            polys = equal_degree_factor(psi, self.field_degree, p, rng)
-        sub_fields = [FactorField(p, h, rng) for h in polys]
-        if sub_fields[0].unit_order == 1:
-            # the real subring meets the units trivially (e.g. F_2[lambda_3])
-            self.group = FinAbGroup()
-            self.embedding = AbHom(
-                self.group, self.ring.group,
-                IntMatrix.zero(self.ring.group.rank, 0))
-            return
-        self.group = FinAbGroup([sub_fields[0].unit_order] * self.factor_count)
-
-        # CRT generators of the subring's unit group, written as
-        # polynomials in lambda, then evaluated at lambda inside each
-        # factor of the big ring and discrete-logged.
-        lam_polys = []
-        for field in self.ring.factors:
-            x_elt = field.embed((0, 1))
-            lam = padd(field.to_poly(x_elt), field.to_poly(field.inv(x_elt)), p)
-            lam_polys.append(lam)
-
-        cols = []
-        for h, kf in zip(polys, sub_fields):
-            big_h = pdivmod(psi, h, p)[0]
-            w = pinvmod(pmod(big_h, h, p), h, p)
-            idem = pmod(pmul(big_h, w, p), psi, p)
-            gen_poly = kf.to_poly(kf.generator)
-            # 1 + idem * (generator - 1), equal to the generator in this
-            # factor of the subring and 1 in the others
-            c = padd((1,), pmul(idem, psub(gen_poly, (1,), p), p), p)
-            c = pmod(c, psi, p)
-            col = []
-            for field, lam in zip(self.ring.factors, lam_polys):
-                val = pcompose_mod(c, lam, field.modulus, p)
-                col.append(field.dlog(field.embed(val)))
-            cols.append(col)
-        self.embedding = AbHom(self.group, self.ring.group,
-                               IntMatrix.from_columns(
-                                   cols, rows=self.ring.factor_count))
-        img, _ = subgroup_generated(self.ring.group, self.embedding.matrix)
-        if img.order != self.group.order:
-            raise InternalConsistencyError(
-                "lambda-unit embedding is not injective")
-
-    @property
-    def order(self):
-        return self.group.order
-
-    def __repr__(self):
-        return (f"LambdaUnits(p={self.p}, n={self.n}, "
-                f"f={self.field_degree}, factors={self.factor_count})")
-
-
 class UnitQuotient:
-    """F_p[zeta_n]^x / F_p[lambda_n]^x with its projection map."""
+    """F_p[zeta_n]^x / F_p[lambda_n]^x as the norm-one torus {t : t tbar = 1}:
+    one cyclic factor per self-conjugate factor field or conjugate pair."""
 
     def __init__(self, p, n):
         self.p, self.n = int(p), int(n)
-        self.units = residue_units(p, n)
-        self.lam = lambda_units(p, n)
-        pres = quotient(self.units.group, self.lam.embedding.matrix)
-        self.group = pres.group
-        self.projection = pres.project_hom(
-            self.units.group, IntMatrix.identity(self.units.group.rank))
-        self._pres = pres
-        expected = self.units.order // self.lam.order
-        if self.group.order != expected:
-            raise InternalConsistencyError("unit quotient has the wrong order")
+        units = residue_units(p, n)
+        if self.n <= 2:
+            self.group = FinAbGroup()
+            return
+        f, count = units.field_degree, units.factor_count
+        if 2 * order_mod_signed(self.p, self.n) == f:
+            self.group = FinAbGroup([self.p ** (f // 2) + 1] * count)
+        else:
+            self.group = FinAbGroup([self.p ** f - 1] * (count // 2))
 
-    def project(self, coeffs):
-        """Class of an integer polynomial in zeta_n, in quotient coordinates."""
-        return self.projection(self.units.project(coeffs))
+    def images(self, e, a):
+        """Torus coordinates of the classes of zeta_n^e and 1 - zeta_n^a.
 
-    def conjugation(self):
-        """Involution on the quotient induced by zeta -> zeta^(-1)."""
-        conj = self.units.conjugation()
-        mat = self.projection.matrix @ conj.matrix @ self._pres.lift
-        return AbHom(self.group, self.group, mat)
+        u -> u/ubar sends them to zeta^(2e) and -zeta^a.  In a factor field,
+        zeta and -1 generate a cyclic group <w> of order L dividing 2n, with
+        zeta = w or zeta = -w.  Its elements in the torus Z/N are the powers
+        of w^(L/g), g = gcd(L, N), and w^(L/g) -> N/g embeds them.  Another
+        embedding differs by a unit of Z/N, which changes no cokernel, and
+        every factor field gives the same coordinates because zeta is a
+        primitive n-th root of unity in each.
+        """
+        if a % self.n == 0:
+            raise InternalConsistencyError("1 - zeta^0 is not a unit")
+        if self.group.is_trivial():
+            return (), ()
+        n, order = self.n, self.group.exponent
+        cyclic = n if self.p == 2 or n % 2 == 0 else 2 * n
+        zeta_log = 1 if cyclic == n else n + 1
+        minus_one_log = 0 if self.p == 2 else cyclic // 2
+        g = gcd(cyclic, order)
+        coords = []
+        for log in (2 * e * zeta_log, minus_one_log + a * zeta_log):
+            log %= cyclic
+            if log % (cyclic // g):
+                raise InternalConsistencyError(
+                    "a unit image lies outside the norm-one torus")
+            coords.append(log // (cyclic // g) * (order // g))
+        return tuple((c,) * self.group.rank for c in coords)
 
     def __repr__(self):
         return f"UnitQuotient(p={self.p}, n={self.n}, group={self.group})"
@@ -624,11 +168,6 @@ class UnitQuotient:
 @lru_cache(maxsize=None)
 def residue_units(p, n):
     return ResidueRingUnits(p, n)
-
-
-@lru_cache(maxsize=None)
-def lambda_units(p, n):
-    return LambdaUnits(p, n)
 
 
 @lru_cache(maxsize=None)
@@ -693,28 +232,12 @@ def psi_plus_presentation(m):
     for q, uq, inj in zip(primes, quots, injections):
         k = m // q
         beta = pow(q, -1, k)
-        zeta_exp = beta % k
-        u_exp = (beta * (m // r)) % k
-        zeta_local = uq.project(_monomial(zeta_exp))
-        u_local = uq.project(_one_minus_monomial(u_exp))
+        zeta_local, u_local = uq.images(beta % k, (beta * (m // r)) % k)
         zeta_vec = target.reduce(_addvec(zeta_vec, inj(zeta_local)))
         u_vec = target.reduce(_addvec(u_vec, inj(u_local)))
     source = FinAbGroup([m, 2 * m])
     matrix = IntMatrix.from_columns([zeta_vec, u_vec], rows=target.rank)
     return AbHom(source, target, matrix)
-
-
-def _monomial(e):
-    return tuple([0] * e + [1])
-
-
-def _one_minus_monomial(e):
-    if e == 0:
-        raise InternalConsistencyError("1 - zeta^0 is not a unit")
-    c = [0] * (e + 1)
-    c[0] = 1
-    c[e] = -1
-    return tuple(c)
 
 
 def _addvec(a, b):
@@ -735,27 +258,10 @@ def vtilde(m):
     return group
 
 
-@lru_cache(maxsize=None)
 def vtilde_module(m):
-    """vtilde(m) as an involutive module, with the involution induced by
-    conjugation on the residue rings (it works out to negation)."""
-    from .involutive import InvModule
-
-    m = int(m)
-    if m >= 2 and isprime(m):
-        return InvModule.with_trivial(FinAbGroup())
-    hom = psi_plus_presentation(m)
-    primes, _ = _decompose(m)
-    quots = [unit_quotient(q, m // q) for q in primes]
-    target, injections, projections = direct_sum([uq.group for uq in quots])
-    block = None
-    for uq, inj, proj in zip(quots, injections, projections):
-        piece = inj @ uq.conjugation() @ proj
-        block = piece if block is None else block + piece
-    pres = quotient(target, hom.matrix)
-    coker = pres.group
-    inv = AbHom(coker, coker, pres.pi @ block.matrix @ pres.lift)
-    return InvModule(coker, inv)
+    """vtilde(m) as an involutive module: conjugation inverts the norm-one
+    tori, so the involution is negation."""
+    return InvModule.with_negation(vtilde(m))
 
 
 #: the one bound whose printed source value cannot be recovered by direct

@@ -1,9 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from cycloclass import __version__
-from cycloclass.cli import run
+from cycloclass.cli import SCHEMA_VERSION, run
 
 
 @pytest.fixture
@@ -31,6 +32,24 @@ class TestBasicCommands:
     def test_a2k(self, capture):
         code, out, _ = capture(["a2k", "--k", "2", "--m", "5"])
         assert code == 0 and out.strip() == "40"
+
+    def test_a2k_large_modulus(self, capture):
+        code, out, _ = capture(["a2k", "--k", "2", "--m", "100000000"])
+        assert code == 0 and out.strip() == "1600000000"
+
+    def test_vtilde_past_int_str_digit_limit(self, capture):
+        # 2 has order 100002 mod 100003, so vtilde(2 * 100003) is cyclic of
+        # order (2^50001 + 1) / 100003, which has 15048 digits: more than
+        # the interpreter's default limit of 4300 on int-to-str conversion
+        limit = sys.get_int_max_str_digits()
+        code, out, err = capture(["vtilde", "--m", "200006"])
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"Z/{(2 ** 50001 + 1) // 100003}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_tate_km(self, capture):
         code, out, _ = capture(["tate", "--km", "4", "--degree", "1"])
@@ -138,7 +157,7 @@ class TestCache:
         assert code1 == code2 == code3 == 0
         assert out1 == out2 == out3
         data = json.loads(cache_file.read_text())
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert len(data["entries"]) == 1
 
     def test_version_mismatch_invalidates(self, capture, tmp_path):
@@ -175,6 +194,14 @@ class TestCache:
         json.dumps({"schema": 1, "tool_version": __version__, "entries": []}),
         json.dumps({"schema": 1, "tool_version": __version__,
                     "entries": {"k": 5}}),
+        json.dumps({"schema": SCHEMA_VERSION, "tool_version": __version__,
+                    "entries": []}),
+        json.dumps({"schema": SCHEMA_VERSION, "tool_version": __version__,
+                    "entries": {"k": 5}}),
+        json.dumps({"schema": SCHEMA_VERSION, "tool_version": __version__,
+                    "entries": {"k": "565"}}),
+        json.dumps({"schema": SCHEMA_VERSION, "tool_version": __version__,
+                    "entries": {"k": {"output": "565"}}}),
     ])
     def test_wrong_shape_treated_as_empty(self, capture, tmp_path, content):
         cache_file = tmp_path / "cache.json"
@@ -183,4 +210,18 @@ class TestCache:
                                   "--cache", str(cache_file)])
         assert code == 0 and out.strip() == "565" and err == ""
         data = json.loads(cache_file.read_text())
-        assert list(data["entries"].values()) == ["565"]
+        assert [entry["output"] for entry in data["entries"].values()] \
+            == ["565"]
+
+    def test_tampered_entry_is_recomputed(self, capture, tmp_path):
+        cache_file = tmp_path / "cache.json"
+        args = ["hminus", "--m", "39", "--cache", str(cache_file)]
+        assert capture(args)[:2] == (0, "2\n")
+        data = json.loads(cache_file.read_text())
+        (entry,) = data["entries"].values()
+        entry["output"] = "999"
+        cache_file.write_text(json.dumps(data))
+        code, out, err = capture(args)
+        assert code == 0 and out == "2\n" and err == ""
+        (entry,) = json.loads(cache_file.read_text())["entries"].values()
+        assert entry["output"] == "2"

@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from cycloclass.ktheory import ScopeError, squarefree
 from cycloclass.manifoldset import (
     MHCOB_TRIVIAL,
@@ -26,6 +27,14 @@ class TestA2kOrder:
         for k in (2, 3, 4):
             for m in range(2, 101):
                 assert a2k_order(k, m) < 2 * m * m
+
+    def test_matches_loop_oracle(self):
+        for k in range(1, 13):
+            for m in range(2, 600):
+                assert a2k_order(k, m) == oracles.loop_a2k_order(k, m), (k, m)
+
+    def test_large_modulus(self):
+        assert a2k_order(2, 10 ** 8) == 1_600_000_000
 
 
 class TestClassify:

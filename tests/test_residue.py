@@ -1,25 +1,34 @@
+from functools import lru_cache
 from math import gcd
 
 import pytest
+from sympy import factorint
 
 from cycloclass.abelian import FinAbGroup, image
-from cycloclass.involutive import Sign, eigen_set
+from cycloclass.involutive import InvModule, Sign, eigen_set
 from cycloclass.residue import (
     UnsupportedModulusError,
     c_bound,
     cyclotomic_int,
-    lambda_min_poly_int,
-    lambda_units,
-    pgcd,
-    pnormal,
     psi_plus_presentation,
     residue_units,
     unit_quotient,
     vtilde,
     vtilde_module,
 )
+from oracles import (
+    lambda_min_poly_int,
+    oracle_lambda_units,
+    oracle_residue_units,
+    oracle_unit_quotient,
+    oracle_vtilde,
+    oracle_vtilde_module,
+    pgcd,
+    pnormal,
+)
 
 
+@lru_cache(maxsize=None)
 def brute_force_unit_count(p, n):
     """Count invertible elements of F_p[x]/Phi_n(x) by enumeration."""
     phi = pnormal(cyclotomic_int(n), p)
@@ -83,23 +92,23 @@ class TestResidueRingUnits:
         assert checked >= 60
 
     def test_dlog_round_trip(self):
-        u = residue_units(3, 7)  # one factor of order 728
+        u = oracle_residue_units(3, 7)  # one factor of order 728
         field = u.factors[0]
         for k in range(0, 728, 7):
             assert field.dlog(field.pow(field.generator, k)) == k
-        u2 = residue_units(2, 11)
+        u2 = oracle_residue_units(2, 11)
         field2 = u2.factors[0]
         for k in (0, 1, 17, 512, 1022):
             assert field2.dlog(field2.pow(field2.generator, k)) == k
 
     def test_project_non_unit_rejected(self):
-        u = residue_units(3, 7)
+        u = oracle_residue_units(3, 7)
         with pytest.raises(ZeroDivisionError):
             u.project((0,))
 
     def test_conjugation_is_involution(self):
         for p, n in [(7, 3), (3, 7), (2, 11), (3, 5), (2, 15)]:
-            u = residue_units(p, n)
+            u = oracle_residue_units(p, n)
             conj = u.conjugation()
             assert (conj @ conj).is_identity()
             # conjugation fixes the projection of any rational integer
@@ -110,19 +119,19 @@ class TestResidueRingUnits:
 
 class TestLambdaUnits:
     def test_f7_lambda3_is_prime_field(self):
-        l = lambda_units(7, 3)
+        l = oracle_lambda_units(7, 3)
         assert l.group == FinAbGroup([6])
         img, _ = image(l.embedding)
         assert img.order == 6
 
     def test_f2_lambda13(self):
         # the order of 2 in (Z/13)^x/{+-1} is 6
-        l = lambda_units(2, 13)
+        l = oracle_lambda_units(2, 13)
         assert l.group == FinAbGroup([63])
 
     def test_f3_lambda7(self):
         # the order of 3 in (Z/7)^x/{+-1} is 3
-        l = lambda_units(3, 7)
+        l = oracle_lambda_units(3, 7)
         assert l.group == FinAbGroup([26])
 
     def test_lambda_poly_values(self):
@@ -132,7 +141,7 @@ class TestLambdaUnits:
 
     def test_embedding_injective(self):
         for p, n in [(3, 5), (5, 3), (2, 15), (3, 11), (7, 5)]:
-            l = lambda_units(p, n)
+            l = oracle_lambda_units(p, n)
             img, _ = image(l.embedding)
             assert img.order == l.group.order
 
@@ -151,12 +160,52 @@ class TestUnitQuotient:
 
     def test_quotient_order_is_exact_ratio(self):
         for p, n in [(3, 7), (2, 13), (5, 7), (2, 29)]:
-            q = unit_quotient(p, n)
-            assert q.group.order * lambda_units(p, n).order == \
-                residue_units(p, n).order
+            q = oracle_unit_quotient(p, n)
+            assert q.group.order * oracle_lambda_units(p, n).order == \
+                oracle_residue_units(p, n).order
+
+    def test_torus_matches_oracle_quotient(self):
+        # every pair of the enumeration range, against the quotient of the
+        # discrete-log coordinates by the embedded lambda-units
+        checked = 0
+        for p in SMALL_PRIMES:
+            for n in range(1, 41):
+                if gcd(p, n) != 1:
+                    continue
+                from cycloclass.residue import order_mod
+                from sympy import totient
+                f = order_mod(p, n)
+                if p ** f > 2 ** 16 or p ** int(totient(n)) > 2 ** 18:
+                    continue
+                assert unit_quotient(p, n).group == \
+                    oracle_unit_quotient(p, n).group, (p, n)
+                checked += 1
+        assert checked >= 60
+
+    def test_images_embed_the_field_elements(self):
+        # The coordinates of zeta^(2e) and -zeta^a satisfy exactly the
+        # relations that the field elements satisfy, in every factor field.
+        for p, n in [(3, 7), (7, 3), (2, 11), (3, 5), (2, 15), (5, 12),
+                     (13, 14), (11, 10), (2, 9)]:
+            uq = unit_quotient(p, n)
+            order = uq.group.exponent
+            fields = oracle_residue_units(p, n).factors
+            for e, a in [(1, 1), (2, n - 2), (n - 1, n - 1)]:
+                zeta_coords, u_coords = uq.images(e, a)
+                assert len(set(zeta_coords)) == len(set(u_coords)) == 1
+                cz, cu = zeta_coords[0], u_coords[0]
+                for field in fields:
+                    x = field.embed((0, 1))
+                    yz = field.pow(x, 2 * e)
+                    yu = field.mul(field.embed((-1,)), field.pow(x, a))
+                    for s in range(2 * n):
+                        for t in range(2 * n):
+                            y = field.mul(field.pow(yz, s), field.pow(yu, t))
+                            assert ((s * cz + t * cu) % order == 0) == \
+                                (y == field.one()), (p, n, e, a, s, t)
 
     def test_projection_kills_lambda_units(self):
-        q = unit_quotient(7, 3)
+        q = oracle_unit_quotient(7, 3)
         # -1 and any rational integer are real, so they die
         assert q.project((3,)) == q.group.zero()
         assert q.project((-1,)) == q.group.zero()
@@ -178,7 +227,7 @@ class TestPsiPlusPresentation:
         # Z/6 quotient, i.e. it is "-1" up to the orientation of the
         # isomorphism.  Invariantly: it has order 6 and its double is the
         # class of zeta_3, because (1 - zeta_3)^2 = -3 zeta_3 with -3 real.
-        q = unit_quotient(7, 3)
+        q = oracle_unit_quotient(7, 3)
         one_minus_zeta = q.project((1, -1))
         zeta = q.project((0, 1))
         assert _element_order(q.group, one_minus_zeta) == 6
@@ -231,6 +280,28 @@ class TestVtilde:
     def test_unsupported(self):
         with pytest.raises(UnsupportedModulusError):
             vtilde(165)
+
+    def test_matches_oracle(self):
+        checked = 0
+        for m in range(2, 101):
+            primes = factorint(m)
+            if any(e > 1 for e in primes.values()) or not (
+                    len(primes) == 2 or (len(primes) == 3 and 2 in primes)):
+                continue
+            assert vtilde(m) == oracle_vtilde(m), m
+            assert oracle_vtilde_module(m) == \
+                InvModule.with_negation(vtilde(m)), m
+            checked += 1
+        assert checked == 35
+
+    def test_large_moduli(self):
+        # 2,141,993,519,227 divides 17^22 - 1: the discrete-log oracle took
+        # about six minutes over its baby-step tables for vtilde(391).  The
+        # value at 667 was checked by discrete logs in the factor fields,
+        # restricted to the subgroups of order dividing 2m.
+        assert vtilde(391) == FinAbGroup([3432053666666696059134])
+        assert vtilde(667) == FinAbGroup([117407774,
+                                          903056654444493507063028])
 
 
 class TestCBound:
