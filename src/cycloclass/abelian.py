@@ -9,8 +9,10 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd, lcm, prod
 import itertools
+
+from .arith import isprime
 
 
 class IntMatrix:
@@ -339,30 +341,31 @@ class FinAbGroup:
 
     @classmethod
     def from_cyclic_factors(cls, factors):
-        """Normalise an arbitrary product of cyclic groups.
+        """Normalise an arbitrary product of cyclic groups, factoring nothing.
+
+        Z/a + Z/d = Z/gcd(a, d) + Z/lcm(a, d), so each factor is merged into
+        the chain from the top down, carrying the gcd until it becomes 1; a
+        multiple of the top just extends the chain.
 
         >>> FinAbGroup.from_cyclic_factors([2, 3]) == FinAbGroup([6])
         True
         """
-        by_prime = {}
+        chain = []
         for d in factors:
             d = int(d)
-            if d == 1:
-                continue
             if d < 1:
                 raise ValueError("cyclic factors must be positive")
-            for p, e in _factorint(d).items():
-                by_prime.setdefault(p, []).append(e)
-        depth = max((len(v) for v in by_prime.values()), default=0)
-        invariants = []
-        for k in range(depth):
-            d = 1
-            for p, exps in by_prime.items():
-                exps = sorted(exps, reverse=True)
-                if k < len(exps):
-                    d *= p ** exps[k]
-            invariants.append(d)
-        return cls(reversed(invariants))
+            if not chain or d % chain[-1] == 0:
+                if d > 1:
+                    chain.append(d)
+                continue
+            for i in reversed(range(len(chain))):
+                chain[i], d = lcm(chain[i], d), gcd(chain[i], d)
+                if d == 1:
+                    break
+            else:
+                chain.insert(0, d)
+        return cls(chain)
 
     @property
     def rank(self):
@@ -407,11 +410,6 @@ class FinAbGroup:
         if not self.invariant_factors:
             return "0"
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
-
-
-def _factorint(n):
-    from sympy import factorint as _f
-    return {int(p): int(e) for p, e in _f(int(n)).items()}
 
 
 def iso_eq(g, h):
@@ -649,7 +647,6 @@ def primary_part(group, p):
     True
     """
     p = int(p)
-    from sympy import isprime
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     invariants = []

@@ -23,6 +23,10 @@ which follows from P(zeta) = (1/d) sum_t q_t zeta^t (the roots sum to
 zero), Parseval over all d-th roots of unity, and the AM-GM inequality.  No
 floating point is involved anywhere; non-integral output signals a bug, not
 rounding error.
+
+The primes l are found by the stdlib Miller-Rabin test of ``arith``, which
+is deterministic below 2^64, and the primitive roots behind the characters'
+generators come from the same module.
 """
 
 from __future__ import annotations
@@ -34,10 +38,9 @@ from itertools import count, product
 from math import gcd, lcm
 from operator import itemgetter, mul
 
-from sympy import factorint, isprime, primitive_root
-
 from .abelian import FinAbGroup
-from .residue import InternalConsistencyError, cyclotomic_int
+from .arith import cyclotomic_int, factorint, isprime, primitive_root
+from .residue import InternalConsistencyError
 
 
 def odd_part(x):
@@ -64,14 +67,13 @@ def _unit_group(m):
     residue mod p^e to its exponents on ``gens``.
     """
     factors = []
-    for p, e in sorted(factorint(int(m)).items()):
-        p, e = int(p), int(e)
+    for p, e in factorint(int(m)).items():
         q = p ** e
         if p == 2:
             gens = [] if e == 1 else [(3, 2)] if e == 2 else \
                 [(q - 1, 2), (5, q // 4)]
         else:
-            gens = [(int(primitive_root(q)), q - q // p)]
+            gens = [(primitive_root(q), q - q // p)]
         logs = {}
         for ks in product(*(range(o) for _, o in gens)):
             value = 1

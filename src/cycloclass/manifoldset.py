@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from sympy import factorint
-
 from . import classnumber
+from .arith import factorint
 from .classnumber import hminus, odd_part
 from .ktheory import (
     ScopeError,
@@ -49,7 +48,6 @@ def a2k_order(k, m):
         raise ValueError("need k >= 1 and m >= 2")
     roots, minus_one_is_power = 1, True
     for p, e in factorint(m).items():
-        p, e = int(p), int(e)
         if p == 2:
             # (Z/2^e)^x is <-1> x <5> for e >= 3 and <-1> for e = 2, so -1
             # is a k-th power iff k is odd (or e = 1, where -1 = 1)

@@ -24,6 +24,10 @@ logarithm.  The part of each torus of order prime to 2m, which no image
 reaches, passes into the cokernel vtilde(m) whole through the Smith normal
 form, and no torus order is factored.  Conjugation inverts every element
 of a norm-one torus, so the involution it induces on vtilde(m) is negation.
+
+The integer arithmetic (factorisation of m, primality, Euler's phi and the
+cyclotomic polynomials, re-exported here as ``cyclotomic_int``) comes from
+the stdlib module ``arith``.
 """
 
 from __future__ import annotations
@@ -31,11 +35,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, prod
 
-from sympy import factorint, isprime, totient
-from sympy.abc import x as _sym_x
-from sympy.polys.specialpolys import cyclotomic_poly
-
 from .abelian import AbHom, FinAbGroup, IntMatrix, cokernel, direct_sum
+from .arith import cyclotomic_int  # noqa: F401  (re-exported)
+from .arith import factorint, isprime, totient
 from .involutive import InvModule
 
 
@@ -48,14 +50,7 @@ class InternalConsistencyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials for the cyclotomic data
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_int(n):
-    """Coefficients of the n-th cyclotomic polynomial, lowest degree first."""
-    coeffs = cyclotomic_poly(n, _sym_x).as_poly(_sym_x).all_coeffs()
-    return tuple(int(c) for c in reversed(coeffs))
+# multiplicative orders
 
 
 def order_mod(a, n):
@@ -98,7 +93,7 @@ class ResidueRingUnits:
         self.p = p
         self.n = n
         self.field_degree = order_mod(p, n)
-        phi = int(totient(n))
+        phi = totient(n)
         if phi % self.field_degree:
             raise InternalConsistencyError("field degree does not divide phi(n)")
         self.factor_count = phi // self.field_degree
@@ -181,12 +176,15 @@ def unit_quotient(p, n):
 
 def _decompose(m):
     m = int(m)
+    if m < 2:
+        raise UnsupportedModulusError(
+            f"m = {m}: the cyclic order must be at least 2")
     fact = factorint(m)
     if any(e > 1 for e in fact.values()):
         raise UnsupportedModulusError(
             f"m = {m} is not square-free; the unit reduction applies to "
             "square-free moduli only")
-    primes = sorted(int(q) for q in fact)
+    primes = list(fact)
     odd = [q for q in primes if q != 2]
     if len(primes) == 2 and 2 not in primes:
         return primes, "pq"

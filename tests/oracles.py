@@ -104,6 +104,27 @@ def quotient_statistics(g, sub_elements, n_values):
     return out
 
 
+def factored_cyclic_factors(factors):
+    """Invariant factors of a product of cyclic groups, the factoring way:
+    each factor's prime powers are sorted into place prime by prime."""
+    by_prime = {}
+    for d in factors:
+        if d < 1:
+            raise ValueError("cyclic factors must be positive")
+        for p, e in factorint(d).items():
+            by_prime.setdefault(p, []).append(e)
+    depth = max((len(v) for v in by_prime.values()), default=0)
+    invariants = []
+    for k in range(depth):
+        d = 1
+        for p, exps in by_prime.items():
+            exps = sorted(exps, reverse=True)
+            if k < len(exps):
+                d *= p ** exps[k]
+        invariants.append(d)
+    return FinAbGroup(reversed(invariants))
+
+
 def random_group(rng, max_order=4096, max_rank=4):
     """A random nontrivial-or-trivial group of bounded order."""
     while True:

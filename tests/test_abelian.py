@@ -104,6 +104,20 @@ class TestFinAbGroup:
         assert FinAbGroup.from_cyclic_factors([12, 60]) == FinAbGroup([12, 60])
         assert FinAbGroup.from_cyclic_factors([4, 6]) == FinAbGroup([2, 12])
 
+    def test_normalisation_matches_factoring_oracle(self):
+        rng = random.Random(5000)
+        small = [1, 2, 3, 4, 6, 8, 9, 12, 16, 25, 27, 30, 36, 60, 64, 97, 210]
+        for _ in range(5000):
+            factors = [rng.choice(small + [rng.randint(1, 10 ** 6)])
+                       for _ in range(rng.randint(0, 8))]
+            assert FinAbGroup.from_cyclic_factors(factors) == \
+                oracles.factored_cyclic_factors(factors), factors
+
+    def test_normalisation_rejects_non_positive(self):
+        for factors in ([0], [2, -3], [4, 1, 0]):
+            with pytest.raises(ValueError, match="must be positive"):
+                FinAbGroup.from_cyclic_factors(factors)
+
     def test_trivial(self):
         t = FinAbGroup()
         assert t.is_trivial() and t.order == 1 and t.rank == 0

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
+import cycloclass
 from cycloclass import __version__
 from cycloclass.cli import SCHEMA_VERSION, run
 
@@ -66,6 +70,13 @@ class TestBasicCommands:
                                 "--involution", "1,0;0,3", "--degree", "1"])
         assert code == 0 and out.strip() == "Z/2 x Z/2"
 
+    def test_tate_large_invariant_answers_at_once(self):
+        # a 59-digit semiprime: normalising the invariants used to factor it
+        semiprime = "30000000000000000000000000096400000000000000000000000002233"
+        proc = _run_cli(["tate", "--invariants", semiprime, "--degree", "1"],
+                        timeout=20)
+        assert proc.returncode == 0 and proc.stdout == "0\n"
+
     def test_am(self, capture):
         code, out, _ = capture(["am", "--m", "29"])
         assert code == 0 and "Z/2 x Z/2 x Z/2" in out
@@ -126,6 +137,24 @@ class TestExitCodes:
     def test_scope_error_unsupported_modulus(self, capture):
         code, _, err = capture(["vtilde", "--m", "105"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["am", "--m", "0"], ["am", "--m", "1"], ["am", "--m", "-4"],
+        ["vtilde", "--m", "-6"], ["vtilde", "--m", "0"], ["vtilde", "--m", "1"],
+        ["cbound", "--m", "0"], ["cbound", "--m", "1"],
+        ["cbound", "--m", "-30"],
+    ])
+    def test_scope_error_order_below_two(self, capture, argv):
+        code, out, err = capture(argv)
+        assert code == 2 and out == ""
+        assert "the cyclic order must be at least 2" in err
+
+    @pytest.mark.parametrize("level", ["10", "40"])
+    def test_scope_error_km_above_ceiling(self, capture, level):
+        code, out, err = capture(["tate", "--km", level, "--degree", "1"])
+        assert code == 2 and out == ""
+        assert "levels above 9 are not built" in err
+        assert "Traceback" not in err
 
     def test_empty_sweep_range(self, capture):
         code, out, err = capture(["sweep", "--n", "4", "--m-min", "5",
@@ -225,3 +254,38 @@ class TestCache:
         assert code == 0 and out == "2\n" and err == ""
         (entry,) = json.loads(cache_file.read_text())["entries"].values()
         assert entry["output"] == "2"
+
+
+def _child_env():
+    src = os.path.dirname(os.path.dirname(cycloclass.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def _run_cli(argv, timeout):
+    return subprocess.run([sys.executable, "-m", "cycloclass.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=_child_env())
+
+
+def test_cli_families_run_without_sympy():
+    # sympy is imported only past the stdlib fast path of cycloclass.arith
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import cycloclass, cycloclass.cli
+        assert "sympy" not in sys.modules, "sympy imported at start-up"
+        for argv in (["hminus", "--m", "39"], ["cbound", "--m", "58"],
+                     ["vtilde", "--m", "21"], ["am", "--m", "29"],
+                     ["a2k", "--k", "2", "--m", "12"],
+                     ["tate", "--km", "5", "--degree", "1"],
+                     ["classify", "--n", "4", "--m", "30"],
+                     ["verify", "--n", "4", "--m", "21"],
+                     ["sweep", "--n", "4", "--m-min", "2", "--m-max", "11"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cycloclass.cli.run(argv) == 0, argv
+            assert "sympy" not in sys.modules, argv
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,9 @@ import pytest
 from cycloclass.abelian import FinAbGroup
 from cycloclass.involutive import tate
 from cycloclass.ktheory import (
+    KM_LEVEL_CEILING,
     ScopeError,
+    _km_order,
     a_m,
     d_divisibility_bound,
     k0_description,
@@ -44,6 +46,17 @@ class TestKmModule:
         m = km_v_module(5)
         x = tuple(1 for _ in range(m.group.rank))
         assert m.conjugate(x) == m.group.reduce(tuple(-v for v in x))
+
+    def test_ceiling(self):
+        top = km_v_module(KM_LEVEL_CEILING)
+        assert top.group.rank == 2 ** (KM_LEVEL_CEILING - 2) - 1
+        for n in (KM_LEVEL_CEILING + 1, 40):
+            with pytest.raises(ScopeError):
+                km_v_module(n)
+
+    def test_closed_form_order(self):
+        for n in range(KM_LEVEL_CEILING + 1):
+            assert _km_order(n) == km_v_module(n).order, n
 
     def test_tate_orders(self):
         for n in range(3, 9):
@@ -225,12 +238,12 @@ class TestWhStructure:
         # the same divisibility across all square-free m <= 200 whose unit
         # cokernels stay at desk scale (factor fields of order <= 2^28)
         from cycloclass.classnumber import hminus, odd_part
-        from cycloclass.ktheory import _divisors
+        from cycloclass.arith import divisors
         from cycloclass.residue import order_mod
         from sympy import factorint, isprime
 
         def desk_scale(m):
-            for d in _divisors(m):
+            for d in divisors(m):
                 if d <= 2 or isprime(d):
                     continue
                 primes = [int(p) for p in factorint(d)]
