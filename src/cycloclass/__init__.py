@@ -27,6 +27,7 @@ from .abelian import (
     primary_part,
     snf,
     subgroup_generated,
+    subquotient,
 )
 from .involutive import InvModule, Sign, direct_sum, eigen_set, \
     norm_image_set, swap_square, tate

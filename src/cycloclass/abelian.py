@@ -2,9 +2,11 @@
 
 Everything in this module is exact.  Matrices carry arbitrary-precision
 integer entries, groups are normalised to invariant-factor form the moment
-they are constructed, and every structural computation (kernels, cokernels,
-subgroups, quotients) reduces to Smith normal form.  All values are
-immutable after construction and safe to share between threads.
+they are constructed, and every structural computation reduces to Smith
+normal form: kernels, images and generated subgroups are instances of one
+subquotient <top> / <bottom> (``subquotient``), and cokernels present the
+target modulo the image (``present``).  All values are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -170,24 +172,29 @@ def _srem(a, b):
 def snf(m):
     """Smith normal form of an integer matrix.
 
-    Returns ``(s, u, v)`` with ``u @ m @ v == s``, where ``u`` and ``v``
-    are unimodular and ``s`` is diagonal with non-negative entries
-    satisfying s1 | s2 | ... .  Pivots are chosen by minimal absolute
-    value and rows/columns are fully reduced at each step, which keeps
-    intermediate entries small at the sizes used here.
+    Returns ``(s, u, v, u_inv)`` with ``u @ m @ v == s``, where ``u`` and
+    ``v`` are unimodular, ``u_inv`` is the inverse of ``u``, and ``s`` is
+    diagonal with non-negative entries satisfying s1 | s2 | ... .  Each row
+    operation on ``u`` is matched by the inverse column operation on
+    ``u_inv``.  Pivots are chosen by minimal absolute value and rows/columns
+    are fully reduced at each step, which keeps intermediate entries small
+    at the sizes used here.
     """
     R, C = m.rows, m.cols
     a = [list(r) for r in m.data]
     u = [[int(i == j) for j in range(R)] for i in range(R)]
     v = [[int(i == j) for j in range(C)] for i in range(C)]
+    u_inv = [[int(i == j) for j in range(R)] for i in range(R)]
 
-    def row_add(i, j, q):  # row i += q * row j
+    def row_add(i, j, q):  # row i += q * row j; col j -= q * col i of u_inv
         ai, aj = a[i], a[j]
         for k in range(C):
             ai[k] += q * aj[k]
         ui, uj = u[i], u[j]
         for k in range(R):
             ui[k] += q * uj[k]
+        for r in u_inv:
+            r[j] -= q * r[i]
 
     def col_add(i, j, q):  # col i += q * col j
         for r in a:
@@ -198,6 +205,8 @@ def snf(m):
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for r in u_inv:
+            r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
         for r in a:
@@ -208,6 +217,8 @@ def snf(m):
     def row_neg(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        for r in u_inv:
+            r[i] = -r[i]
 
     for t in range(min(R, C)):
         while True:
@@ -259,12 +270,13 @@ def snf(m):
         if a[t][t] < 0:
             row_neg(t)
 
-    return (IntMatrix(a, R, C), IntMatrix(u, R, R), IntMatrix(v, C, C))
+    return (IntMatrix(a, R, C), IntMatrix(u, R, R), IntMatrix(v, C, C),
+            IntMatrix(u_inv, R, R))
 
 
 def kernel_basis(m):
     """A basis, as matrix columns, of the integer kernel lattice of m."""
-    s, u, v = snf(m)
+    s, _, v, _ = snf(m)
     rank = sum(1 for i in range(min(m.rows, m.cols)) if s[i, i])
     cols = [v.column(j) for j in range(rank, m.cols)]
     return IntMatrix.from_columns(cols, rows=m.cols)
@@ -280,7 +292,7 @@ class _SnfSolver:
 
     def __init__(self, m):
         self.m = m
-        self.s, self.u, self.v = snf(m)
+        self.s, self.u, self.v, _ = snf(m)
         self.rank = sum(1 for i in range(min(m.rows, m.cols)) if self.s[i, i])
 
     def solve(self, b):
@@ -295,26 +307,6 @@ class _SnfSolver:
             elif c[i]:
                 return None
         return self.v @ tuple(y)
-
-
-def solve_many(m, b):
-    """Integral X with m @ X == b; raises ValueError if any column fails."""
-    solver = _SnfSolver(m)
-    cols = []
-    for j in range(b.cols):
-        x = solver.solve(b.column(j))
-        if x is None:
-            raise ValueError("system has no integral solution")
-        cols.append(x)
-    return IntMatrix.from_columns(cols, rows=m.cols)
-
-
-def inverse_unimodular(m):
-    """Exact inverse of a unimodular integer matrix."""
-    s, u, v = snf(m)
-    if s != IntMatrix.identity(m.rows):
-        raise ValueError("matrix is not unimodular")
-    return v @ u
 
 
 class FinAbGroup:
@@ -511,80 +503,70 @@ class Presentation:
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
 
-    def project_hom(self, source, ambient_matrix):
-        """Turn an ambient-coordinate matrix into an AbHom into ``group``."""
-        return AbHom(source, self.group, self.pi @ ambient_matrix)
-
 
 def present(n_ambient, relation_columns):
     """Normalise the quotient Z^n / (column lattice), which must be finite."""
-    if n_ambient == 0:
-        z = IntMatrix.zero(0, 0)
-        return Presentation(FinAbGroup(), z, z)
-    s, u, v = snf(relation_columns)
+    s, u, _, u_inv = snf(relation_columns)
     diag = [s[i, i] for i in range(min(s.rows, s.cols))]
-    if len(diag) < n_ambient or any(d == 0 for d in diag):
+    if len(diag) < n_ambient or 0 in diag:
         raise ValueError("presented quotient is infinite")
     keep = [i for i in range(n_ambient) if diag[i] != 1]
     group = FinAbGroup([diag[i] for i in keep])
     pi = IntMatrix(tuple(u.row(i) for i in keep), len(keep), n_ambient)
-    u_inv = inverse_unimodular(u)
     lift = IntMatrix.from_columns([u_inv.column(i) for i in keep], rows=n_ambient)
     return Presentation(group, pi, lift)
 
 
-def quotient(group, columns):
-    """The quotient of ``group`` by the subgroup generated by ``columns``.
+def subquotient(group, top, bottom):
+    """The subquotient <top> / <bottom> of ``group``: (quotient, lift).
 
-    Returns a Presentation whose ambient coordinates are those of ``group``;
-    its ``pi`` row space is taken modulo the quotient orders when wrapped in
-    an AbHom via ``projection``.
+    ``top`` and ``bottom`` hold generators as columns in the coordinates of
+    ``group``; column j of ``lift`` is a representative in <top> of the
+    j-th generator of the quotient.  With D the relations of ``group``, one
+    Smith normal form u @ [top | D] @ v == s gives the basis u_inv[:, i] *
+    s_i of the lattice over <top>.  In that basis the lattice over <bottom>
+    is u @ [bottom | D] with row i divided by s_i; a remainder means that
+    <bottom> is not contained in <top>, and raises ValueError.
+
+    >>> g = FinAbGroup([4, 4])
+    >>> subquotient(g, IntMatrix([[1, 0], [1, 2]]), IntMatrix([[2], [2]]))
+    (FinAbGroup([2, 2]), IntMatrix([[1, 0], [1, 2]]))
     """
-    rel = columns.hstack(IntMatrix.diagonal(group.invariant_factors))
-    return present(group.rank, rel)
+    n = group.rank
+    rel = IntMatrix.diagonal(group.invariant_factors)
+    s, u, _, u_inv = snf(top.hstack(rel))
+    scales = [s[i, i] for i in range(n)]
+    coords = []
+    for d, row in zip(scales, (u @ bottom.hstack(rel)).data):
+        if any(x % d for x in row):
+            raise ValueError("the bottom subgroup is not inside the top one")
+        coords.append([x // d for x in row])
+    pres = present(n, IntMatrix(coords, n, bottom.cols + n))
+    basis = IntMatrix([[x * d for x, d in zip(r, scales)] for r in u_inv.data],
+                      n, n)
+    lift = basis @ pres.lift
+    return pres.group, IntMatrix.from_columns(
+        [group.reduce(c) for c in lift.columns()], rows=n)
 
 
 def cokernel(f):
     """Cokernel of a homomorphism: (group, projection from f.target)."""
-    pres = quotient(f.target, f.matrix)
-    proj = pres.project_hom(f.target, IntMatrix.identity(f.target.rank))
-    return pres.group, proj
+    rel = f.matrix.hstack(IntMatrix.diagonal(f.target.invariant_factors))
+    pres = present(f.target.rank, rel)
+    return pres.group, AbHom(f.target, pres.group, pres.pi)
 
 
-def _lattice_members_as_group(group, basis):
-    """Normalise lattice/relations data into (subgroup, inclusion).
-
-    ``basis`` holds ambient-coordinate columns spanning a lattice L with
-    relations the ambient lattice of ``group``; returns L modulo relations.
-    """
-    n = group.rank
-    t = basis.cols
-    if t == 0 or n == 0:
-        sub = FinAbGroup()
-        return sub, AbHom(sub, group, IntMatrix.zero(n, 0))
-    rel = solve_many(basis, IntMatrix.diagonal(group.invariant_factors))
-    s, u, v = snf(rel)
-    diag = [s[i, i] for i in range(min(s.rows, s.cols))]
-    keep = [i for i in range(t) if i < len(diag) and diag[i] != 1]
-    sub = FinAbGroup([diag[i] for i in keep])
-    u_inv = inverse_unimodular(u)
-    gens = basis @ u_inv
-    incl = IntMatrix.from_columns([gens.column(i) for i in keep], rows=n)
-    return sub, AbHom(sub, group, incl)
+def kernel_lattice(f):
+    """Columns spanning the lattice of source coordinates that f sends to 0."""
+    r = f.source.rank
+    basis = kernel_basis(
+        f.matrix.hstack(IntMatrix.diagonal(f.target.invariant_factors)))
+    return IntMatrix(basis.data[:r], r, basis.cols)
 
 
 def kernel(f):
     """Kernel of a homomorphism: (group, inclusion into f.source)."""
-    r, s = f.source.rank, f.target.rank
-    if r == 0:
-        k = FinAbGroup()
-        return k, AbHom(k, f.source, IntMatrix.zero(0, 0))
-    if s == 0:
-        return f.source, AbHom.identity(f.source)
-    aug = f.matrix.hstack(IntMatrix.diagonal(f.target.invariant_factors))
-    kb = kernel_basis(aug)
-    basis = IntMatrix(tuple(kb.row(i) for i in range(r)), r, kb.cols)
-    return _lattice_members_as_group(f.source, basis)
+    return subgroup_generated(f.source, kernel_lattice(f))
 
 
 def subgroup_generated(group, columns):
@@ -592,21 +574,8 @@ def subgroup_generated(group, columns):
 
     Returns (subgroup, inclusion).
     """
-    n = group.rank
-    if n == 0 or columns.cols == 0:
-        sub = FinAbGroup()
-        return sub, AbHom(sub, group, IntMatrix.zero(n, 0))
-    aug = columns.hstack(IntMatrix.diagonal(group.invariant_factors))
-    s, u, v = snf(aug)
-    u_inv = inverse_unimodular(u)
-    cols = []
-    for i in range(n):
-        d = s[i, i]
-        if d == 0:
-            raise AssertionError("subgroup lattice lost full rank")
-        cols.append(tuple(d * x for x in u_inv.column(i)))
-    basis = IntMatrix.from_columns(cols, rows=n)
-    return _lattice_members_as_group(group, basis)
+    sub, lift = subquotient(group, columns, IntMatrix.zero(group.rank, 0))
+    return sub, AbHom(sub, group, lift)
 
 
 def image(f):
@@ -671,8 +640,7 @@ def direct_sum(groups):
     groups = list(groups)
     n = sum(g.rank for g in groups)
     all_factors = [d for g in groups for d in g.invariant_factors]
-    pres = present(n, IntMatrix.diagonal(all_factors)) if n else \
-        Presentation(FinAbGroup(), IntMatrix.zero(0, 0), IntMatrix.zero(0, 0))
+    pres = present(n, IntMatrix.diagonal(all_factors))
     total = pres.group
     injections = []
     projections = []

@@ -39,8 +39,8 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .abelian import FinAbGroup
-from .arith import cyclotomic_int, factorint, isprime, primitive_root
-from .residue import InternalConsistencyError
+from .arith import cyclotomic_int, factorint, isprime, primitive_root, totient
+from .residue import InternalConsistencyError, UnsupportedModulusError
 
 
 def odd_part(x):
@@ -346,6 +346,14 @@ def _normalize_modulus(m):
     return m // 2 if m % 4 == 2 else m
 
 
+#: the largest phi(m), for m normalised, that hminus evaluates.  The cost
+#: follows the largest Galois orbit of odd characters, of size phi(p - 1)
+#: at a prime p: on a 2-core x86-64 host (Python 3.11) the prime 1553, the
+#: costliest modulus measured below the ceiling, takes 29 s, and the prime
+#: 2039, with phi(p - 1) = (p - 3) / 2, takes 70 s
+HMINUS_PHI_CEILING = 1600
+
+
 @lru_cache(maxsize=None)
 def hminus(m):
     """|C(Z[zeta_m])^-|, evaluated exactly.
@@ -353,11 +361,18 @@ def hminus(m):
     The modulus is normalised so that m = 2 mod 4 coincides with m/2 (the
     fields agree).  Q is 1 for prime powers and 2 otherwise; w counts the
     roots of unity of the field.  Every character order divides the
-    exponent of (Z/m)^x, so all orbit norms share its CRT primes.
+    exponent of (Z/m)^x, so all orbit norms share its CRT primes.  Moduli
+    with phi(m) above HMINUS_PHI_CEILING raise UnsupportedModulusError
+    before any character is built.
     """
     m = _normalize_modulus(m)
     if m <= 2:
         return 1
+    phi = totient(m)
+    if phi > HMINUS_PHI_CEILING:
+        raise UnsupportedModulusError(
+            f"m = {m}: phi(m) = {phi} is above {HMINUS_PHI_CEILING}, "
+            "the largest degree whose minus class number is evaluated")
     q_factor = 1 if len(_unit_group(m)) == 1 else 2
     w = 2 * m if m % 2 else m
     exponent = lcm(*_generator_orders(m))

@@ -11,8 +11,15 @@ of their output, and replayed verbatim only while the digest matches.  The
 digest is unkeyed: it catches a corrupted or hand-edited entry, not one
 whose editor also rewrote the digest.
 
-Exit codes: 0 success, 1 usage error, 2 scope error (odd n, unsupported
-modulus), 3 internal consistency failure.
+Exit codes: 0 success, 1 usage error, 2 scope error, 3 internal
+consistency failure.  Usage errors are malformed command lines and
+arguments no subcommand defines (hminus with m <= 0, a2k with k < 1 or
+m < 2, tate invariants or involutions that are not a valid module).  Scope
+errors are classify/verify with n odd or below 4, m < 2 where a cyclic
+group is needed, moduli outside the implemented unit reductions, tate
+--km above KM_LEVEL_CEILING, and hminus at phi(m) above
+HMINUS_PHI_CEILING.  hminus --m 1 prints 1, and sweep reports a per-m
+scope error as a row of its table.
 """
 
 from __future__ import annotations

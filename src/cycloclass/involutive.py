@@ -15,12 +15,13 @@ import enum
 from .abelian import (
     AbHom,
     IntMatrix,
-    cokernel,
     direct_sum as group_direct_sum,
     factor_through,
     kernel,
+    kernel_lattice,
     primary_part,
     subgroup_generated,
+    subquotient,
 )
 
 
@@ -90,14 +91,18 @@ class InvModule:
         return f"InvModule({self.group!r}, {self.involution.matrix!r})"
 
 
+def _shifted_map(module, sign):
+    """The endomorphism x -> xbar - sign * x."""
+    g = module.group
+    return module.involution - AbHom(g, g, IntMatrix.identity(g.rank).scale(int(sign)))
+
+
 def eigen_set(module, sign):
     """The subgroup {x : xbar = sign * x}, with its inclusion.
 
     This is the kernel of (involution - sign * id).
     """
-    g = module.group
-    shifted = module.involution - AbHom(g, g, IntMatrix.identity(g.rank).scale(int(sign)))
-    return kernel(shifted)
+    return kernel(_shifted_map(module, sign))
 
 
 def _norm_map(module, sign):
@@ -115,14 +120,16 @@ def norm_image_set(module, sign):
 def tate(module, n):
     """Tate cohomology of C2 acting through the involution, in degree n.
 
-    The result is eigen_set(module, (-1)^n) / norm_image_set(module, (-1)^n)
-    and depends only on n mod 2.
+    The result is eigen_set(module, (-1)^n) / norm_image_set(module, (-1)^n),
+    taken in one step as the subquotient of the kernel lattice of
+    (involution - sign) by the columns of (1 + sign * involution); it
+    depends only on n mod 2.
     """
     sign = Sign.for_degree(n)
-    eigen, incl = eigen_set(module, sign)
-    into_eigen = factor_through(_norm_map(module, sign), incl)
-    quotient_group, _ = cokernel(into_eigen)
-    return quotient_group
+    quotient, _ = subquotient(module.group,
+                              kernel_lattice(_shifted_map(module, sign)),
+                              _norm_map(module, sign).matrix)
+    return quotient
 
 
 def direct_sum(m1, m2):

@@ -23,10 +23,13 @@ from cycloclass.abelian import (
     IntMatrix,
     cokernel,
     direct_sum,
-    quotient,
+    factor_through,
+    present,
+    snf,
     subgroup_generated,
 )
 from cycloclass.classnumber import characters
+from cycloclass.involutive import Sign, _norm_map, eigen_set
 from cycloclass.residue import (
     InternalConsistencyError,
     _decompose,
@@ -203,6 +206,31 @@ def random_involution(rng, group):
     signs = [rng.choice([1, -1]) for _ in range(group.rank)]
     s = AbHom(group, group, IntMatrix.diagonal(signs))
     return p @ s @ p_inv
+
+
+def inverse_unimodular(m):
+    """Exact inverse of a unimodular integer matrix, from its own SNF."""
+    s, u, v, _ = snf(m)
+    if s != IntMatrix.identity(m.rows):
+        raise ValueError("matrix is not unimodular")
+    return v @ u
+
+
+def quotient(group, columns):
+    """The quotient of ``group`` by the subgroup generated by ``columns``,
+    as a Presentation in the coordinates of ``group``."""
+    rel = columns.hstack(IntMatrix.diagonal(group.invariant_factors))
+    return present(group.rank, rel)
+
+
+def oracle_tate(module, n):
+    """Tate cohomology in three steps: the eigen-set, the norm map
+    corestricted into it, and the cokernel of that corestriction."""
+    sign = Sign.for_degree(n)
+    eigen, incl = eigen_set(module, sign)
+    into_eigen = factor_through(_norm_map(module, sign), incl)
+    quotient_group, _ = cokernel(into_eigen)
+    return quotient_group
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +837,7 @@ class UnitQuotient:
         self.lam = oracle_lambda_units(p, n)
         pres = quotient(self.units.group, self.lam.embedding.matrix)
         self.group = pres.group
-        self.projection = pres.project_hom(
-            self.units.group, IntMatrix.identity(self.units.group.rank))
+        self.projection = AbHom(self.units.group, pres.group, pres.pi)
         self._pres = pres
         expected = self.units.order // self.lam.order
         if self.group.order != expected:

@@ -10,7 +10,6 @@ from cycloclass.abelian import (
     direct_sum,
     factor_through,
     image,
-    inverse_unimodular,
     iso_eq,
     kernel,
     kernel_basis,
@@ -18,6 +17,7 @@ from cycloclass.abelian import (
     snf,
     solve,
     subgroup_generated,
+    subquotient,
 )
 
 import oracles
@@ -30,25 +30,26 @@ def diag_of(s):
 class TestSnf:
     def test_identity(self):
         m = IntMatrix.identity(2)
-        s, u, v = snf(m)
-        assert s == m and u == m and v == m
+        s, u, v, u_inv = snf(m)
+        assert s == m and u == m and v == m and u_inv == m
 
     def test_coprime_diagonal(self):
-        s, u, v = snf(IntMatrix.diagonal([2, 3]))
+        s, _, _, _ = snf(IntMatrix.diagonal([2, 3]))
         assert diag_of(s) == [1, 6]
 
     def test_worked_two_by_two(self):
         # reduced by hand with elementary row/column operations
         m = IntMatrix([[4, 6], [2, 2]])
-        s, u, v = snf(m)
+        s, u, v, _ = snf(m)
         assert diag_of(s) == [2, 2]
         assert u @ m @ v == s
 
     def test_empty_matrices(self):
         for r, c in [(0, 0), (0, 3), (3, 0)]:
             m = IntMatrix.zero(r, c)
-            s, u, v = snf(m)
+            s, u, v, u_inv = snf(m)
             assert u @ m @ v == s
+            assert u @ u_inv == IntMatrix.identity(r)
             assert (s.rows, s.cols) == (r, c)
 
     def test_random_matrices(self):
@@ -58,8 +59,10 @@ class TestSnf:
             c = rng.randint(0, 5)
             m = IntMatrix([[rng.randint(-50, 50) for _ in range(c)]
                            for _ in range(r)], r, c)
-            s, u, v = snf(m)
+            s, u, v, u_inv = snf(m)
             assert u @ m @ v == s
+            assert u @ u_inv == IntMatrix.identity(r)
+            assert u_inv == oracles.inverse_unimodular(u)
             assert abs(u.det()) == 1
             assert abs(v.det()) == 1
             d = diag_of(s)
@@ -86,10 +89,11 @@ class TestSnf:
         assert solve(m, (1, 0)) is None
 
     def test_inverse_unimodular(self):
+        # the oracle test_random_matrices checks u_inv against
         m = IntMatrix([[2, 1], [1, 1]])
-        assert m @ inverse_unimodular(m) == IntMatrix.identity(2)
+        assert m @ oracles.inverse_unimodular(m) == IntMatrix.identity(2)
         with pytest.raises(ValueError):
-            inverse_unimodular(IntMatrix([[2, 0], [0, 1]]))
+            oracles.inverse_unimodular(IntMatrix([[2, 0], [0, 1]]))
 
 
 class TestFinAbGroup:
@@ -226,6 +230,57 @@ class TestAgainstEnumeration:
             n_values = [n for n in range(1, b.exponent + 1) if b.exponent % n == 0]
             assert oracles.quotient_statistics(b, image_elements, n_values) == \
                 oracles.expected_statistics(q, b.exponent)
+
+
+class TestSubquotient:
+    """subquotient against element enumeration on small random groups."""
+
+    @staticmethod
+    def random_columns(rng, g, count):
+        return IntMatrix.from_columns(
+            [[rng.randrange(d) for d in g.invariant_factors]
+             for _ in range(count)], rows=g.rank)
+
+    def test_random_against_enumeration(self):
+        rng = random.Random(31)
+        inside = outside = 0
+        for _ in range(300):
+            g = oracles.random_group(rng, max_order=512, max_rank=3)
+            top = self.random_columns(rng, g, rng.randint(0, 3))
+            if rng.random() < 0.7:
+                # combinations of the top generators stay inside <top>
+                k = rng.randint(0, 3)
+                mix = IntMatrix([[rng.randint(-3, 3) for _ in range(k)]
+                                 for _ in range(top.cols)], top.cols, k)
+                bottom = top @ mix
+            else:
+                bottom = self.random_columns(rng, g, rng.randint(1, 2))
+            top_elements = oracles.subgroup_closure(
+                g, [g.reduce(c) for c in top.columns()])
+            bottom_elements = oracles.subgroup_closure(
+                g, [g.reduce(c) for c in bottom.columns()])
+            if not bottom_elements <= top_elements:
+                outside += 1
+                with pytest.raises(ValueError):
+                    subquotient(g, top, bottom)
+                continue
+            inside += 1
+            q, lift = subquotient(g, top, bottom)
+            assert q.order * len(bottom_elements) == len(top_elements)
+            assert all(c in top_elements for c in lift.columns())
+            # |{y in <top> : n*y in <bottom>}| / |<bottom>| is the count of
+            # elements of order dividing n in the quotient
+            stats = {n: sum(1 for y in top_elements
+                            if oracles.scale(g, n, y) in bottom_elements)
+                     // len(bottom_elements)
+                     for n in oracles.expected_statistics(q, g.exponent)}
+            assert stats == oracles.expected_statistics(q, g.exponent)
+        assert inside >= 150 and outside >= 20
+
+    def test_rank_zero(self):
+        g = FinAbGroup()
+        q, lift = subquotient(g, IntMatrix.zero(0, 2), IntMatrix.zero(0, 0))
+        assert q.is_trivial() and lift.cols == 0
 
 
 class TestSubgroupsAndParts:

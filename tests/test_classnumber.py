@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import oracles
 from cycloclass.abelian import FinAbGroup
 from cycloclass.classnumber import (
     HMINUS_ONE,
+    HMINUS_PHI_CEILING,
     CycNumber,
     _cyclotomic_norm_int,
     b1,
@@ -17,6 +19,7 @@ from cycloclass.classnumber import (
     hp_is_odd,
     odd_part,
 )
+from cycloclass.residue import UnsupportedModulusError
 
 
 class TestCharacters:
@@ -154,6 +157,19 @@ class TestHminus:
     ])
     def test_spot_values(self, m, expected):
         assert hminus(m) == expected
+
+    def test_value_inside_phi_ceiling(self):
+        # phi(1009) = 1008; the 358-digit value is pinned by its digest
+        value = str(hminus(1009))
+        assert len(value) == 358
+        assert hashlib.sha256(value.encode()).hexdigest() == \
+            "aa5cc30f460e7b5fb288d1d96ca5638303d4153d9f7e72f7b129957f7c3c85ef"
+
+    @pytest.mark.parametrize("m", [1607, 2 * 1607, 4 * 1607, 10007])
+    def test_phi_ceiling(self, m):
+        assert HMINUS_PHI_CEILING == 1600
+        with pytest.raises(UnsupportedModulusError, match="above 1600"):
+            hminus(m)
 
     def test_against_bareiss_oracle(self):
         for m in range(1, 201):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,11 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cycloclass
 from cycloclass import __version__
+from cycloclass.classnumber import HMINUS_PHI_CEILING
 from cycloclass.cli import SCHEMA_VERSION, run
 
 
@@ -156,6 +160,25 @@ class TestExitCodes:
         assert "levels above 9 are not built" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,code", [
+        (["hminus", "--m", "1"], 0),
+        (["hminus", "--m", "2"], 0),
+        (["hminus", "--m", "0"], 1),
+        (["hminus", "--m", "-4"], 1),
+        (["a2k", "--k", "2", "--m", "1"], 1),
+        (["a2k", "--k", "0", "--m", "5"], 1),
+        (["classify", "--n", "2", "--m", "5"], 2),
+        (["classify", "--n", "0", "--m", "5"], 2),
+        (["classify", "--n", "-3", "--m", "5"], 2),
+        (["verify", "--n", "2", "--m", "5"], 2),
+        (["classify", "--n", "4", "--m", "1"], 2),
+        (["tate", "--km", "2", "--degree", "1"], 0),
+        (["tate", "--invariants", "4", "--involution", "2", "--degree", "1"],
+         1),
+    ])
+    def test_documented_exit_codes(self, capture, argv, code):
+        assert capture(argv)[0] == code
+
     def test_empty_sweep_range(self, capture):
         code, out, err = capture(["sweep", "--n", "4", "--m-min", "5",
                                   "--m-max", "2"])
@@ -289,3 +312,71 @@ def test_cli_families_run_without_sympy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60, env=_child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("exponent", [30, 40])
+def test_classify_large_power_of_two(exponent):
+    # the kernel-group ladder at 2^e has order 2^(2^(e-1) - 1 - e(e-1)/2);
+    # only its exponent is built
+    proc = _run_cli(["classify", "--n", "4", "--m", str(2 ** exponent)],
+                    timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "homotopy types modulo s.h.e. and h-cobordism:  finite" \
+        in proc.stdout
+
+
+def test_hminus_above_phi_ceiling_fails_fast():
+    proc = _run_cli(["hminus", "--m", "10007"], timeout=5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"is above {HMINUS_PHI_CEILING}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@st.composite
+def _argv(draw):
+    """Any subcommand with small, often invalid arguments."""
+    def number(low, high):
+        return str(draw(st.integers(low, high)))
+
+    csv = st.one_of(
+        st.lists(st.integers(-3, 16).map(str), max_size=4).map(",".join),
+        st.text(alphabet="0123456789,;- x", max_size=10))
+    matrix = st.one_of(
+        st.lists(st.lists(st.integers(-3, 5).map(str), max_size=4)
+                 .map(",".join), max_size=4).map(";".join),
+        st.text(alphabet="0123456789,;- x", max_size=12))
+    command = draw(st.sampled_from(["classify", "sweep", "verify", "hminus",
+                                    "cbound", "vtilde", "am", "a2k", "tate"]))
+    argv = [command]
+    if command in ("classify", "sweep", "verify"):
+        argv += ["--n", number(-3, 10)]
+    if command == "sweep":
+        argv += ["--m-min", number(-5, 150), "--m-max", number(-5, 150)]
+    elif command == "a2k":
+        argv += ["--k", number(-2, 8), "--m", number(-5, 150)]
+    elif command == "tate":
+        argv += ["--degree", number(-3, 5)]
+        if draw(st.booleans()):
+            argv += ["--km", number(-2, 7)]
+        else:
+            argv += ["--invariants", draw(csv)]
+            if draw(st.booleans()):
+                argv += ["--involution", draw(matrix)]
+    else:
+        argv += ["--m", number(-5, 150)]
+    if command == "classify" and draw(st.booleans()):
+        argv.append("--deep")
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_exit_code_contract_for_any_argv(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

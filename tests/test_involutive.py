@@ -13,6 +13,7 @@ from cycloclass.involutive import (
     swap_square,
     tate,
 )
+from cycloclass.ktheory import km_v_module
 
 import oracles
 
@@ -139,6 +140,19 @@ class TestTate:
                 nrm = enumerate_norm_image(m, sign)
                 t = tate(m, n)
                 assert t.order * len(nrm) == len(eig)
+
+    def test_matches_oracle_tate(self):
+        # the one-step subquotient against the three-step pipeline it
+        # replaced: eigen-set, norm map corestricted into it, cokernel
+        rng = random.Random(424243)
+        for _ in range(1000):
+            m = random_module(rng, max_order=4096)
+            for n in (0, 1):
+                assert tate(m, n) == oracles.oracle_tate(m, n)
+        for level in range(3, 9):
+            m = km_v_module(level)
+            for n in (0, 1):
+                assert tate(m, n) == oracles.oracle_tate(m, n), level
 
     def test_two_part_carries_everything(self):
         rng = random.Random(12)

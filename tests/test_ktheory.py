@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from cycloclass.abelian import FinAbGroup
@@ -6,6 +8,7 @@ from cycloclass.ktheory import (
     KM_LEVEL_CEILING,
     ScopeError,
     _km_order,
+    _two_power_d_exponent,
     a_m,
     d_divisibility_bound,
     k0_description,
@@ -92,6 +95,12 @@ class TestStoredDGroups:
         from cycloclass.residue import vtilde
         assert stored_d_group(15).order == vtilde(15).order
         assert stored_d_group(21).order == vtilde(21).order
+
+    def test_ladder_exponent_closed_form(self):
+        # log2 of the product of the Kervaire-Murthy orders below 2^e
+        for e in range(2, 21):
+            order = prod(_km_order(k - 1) for k in range(2, e + 1))
+            assert 2 ** _two_power_d_exponent(e) == order, e
 
     def test_two_power_ladder(self):
         assert stored_d_group(4).module.group.is_trivial()
