@@ -22,15 +22,13 @@ from .abelian import (
     IntMatrix,
     cokernel,
     image,
-    iso_eq,
     kernel,
-    primary_part,
     snf,
     subgroup_generated,
     subquotient,
 )
 from .involutive import InvModule, Sign, direct_sum, eigen_set, \
-    norm_image_set, swap_square, tate
+    norm_image_set, tate
 from .residue import (
     ResidueRingUnits,
     UnitQuotient,

@@ -14,8 +14,6 @@ from __future__ import annotations
 from math import gcd, lcm, prod
 import itertools
 
-from .arith import isprime
-
 
 class IntMatrix:
     """An immutable integer matrix.  Empty shapes (0 x n, n x 0) are legal."""
@@ -83,11 +81,6 @@ class IntMatrix:
         return IntMatrix(tuple(a + b for a, b in zip(self.data, other.data)),
                          self.rows, self.cols + other.cols)
 
-    def submatrix(self, row_idx, col_idx):
-        row_idx, col_idx = list(row_idx), list(col_idx)
-        return IntMatrix(tuple(tuple(self.data[i][j] for j in col_idx) for i in row_idx),
-                         len(row_idx), len(col_idx))
-
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
@@ -124,31 +117,6 @@ class IntMatrix:
 
     def is_zero(self):
         return all(all(a == 0 for a in r) for r in self.data)
-
-    def det(self):
-        """Exact determinant by fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -282,33 +250,6 @@ def kernel_basis(m):
     return IntMatrix.from_columns(cols, rows=m.cols)
 
 
-def solve(m, b):
-    """One integral solution x of m @ x == b, or None if there is none."""
-    return _SnfSolver(m).solve(b)
-
-
-class _SnfSolver:
-    """Reusable solver for m @ x = b with a fixed matrix m."""
-
-    def __init__(self, m):
-        self.m = m
-        self.s, self.u, self.v, _ = snf(m)
-        self.rank = sum(1 for i in range(min(m.rows, m.cols)) if self.s[i, i])
-
-    def solve(self, b):
-        c = self.u @ tuple(b)
-        y = [0] * self.m.cols
-        for i in range(self.m.rows):
-            si = self.s[i, i] if i < min(self.m.rows, self.m.cols) else 0
-            if i < self.rank:
-                if c[i] % si:
-                    return None
-                y[i] = c[i] // si
-            elif c[i]:
-                return None
-        return self.v @ tuple(y)
-
-
 class FinAbGroup:
     """Z/d1 x ... x Z/dr in invariant-factor form, d1 | d2 | ... | dr, di >= 2.
 
@@ -384,10 +325,6 @@ class FinAbGroup:
         """Iterate over all elements.  Meant for small groups and oracles."""
         return itertools.product(*(range(d) for d in self.invariant_factors))
 
-    def count_order_dividing(self, n):
-        """|{x : n*x = 0}|, computable without enumeration."""
-        return prod(gcd(d, n) for d in self.invariant_factors)
-
     def __eq__(self, other):
         return (isinstance(other, FinAbGroup)
                 and self.invariant_factors == other.invariant_factors)
@@ -402,11 +339,6 @@ class FinAbGroup:
         if not self.invariant_factors:
             return "0"
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
-
-
-def iso_eq(g, h):
-    """Isomorphism test; in invariant-factor form this is list equality."""
-    return g.invariant_factors == h.invariant_factors
 
 
 class AbHom:
@@ -581,58 +513,6 @@ def subgroup_generated(group, columns):
 def image(f):
     """Image of a homomorphism: (group, inclusion into f.target)."""
     return subgroup_generated(f.target, f.matrix)
-
-
-def factor_through(f, inclusion):
-    """Corestrict f to a subgroup containing its image.
-
-    Given f : A -> B and an inclusion S -> B with im(f) contained in S,
-    returns the unique g : A -> S with inclusion . g == f.
-    """
-    if f.target != inclusion.target:
-        raise ValueError("targets do not match")
-    s_rank = inclusion.source.rank
-    n = f.target.rank
-    if s_rank == 0:
-        if not f.is_zero():
-            raise ValueError("image is not contained in the subgroup")
-        return AbHom.zero(f.source, inclusion.source)
-    aug = inclusion.matrix.hstack(IntMatrix.diagonal(f.target.invariant_factors))
-    solver = _SnfSolver(aug)
-    cols = []
-    for j in range(f.source.rank):
-        z = solver.solve(f.matrix.column(j))
-        if z is None:
-            raise ValueError("image is not contained in the subgroup")
-        cols.append(z[:s_rank])
-    return AbHom(f.source, inclusion.source,
-                 IntMatrix.from_columns(cols, rows=s_rank))
-
-
-def primary_part(group, p):
-    """The p-primary component, with its inclusion.
-
-    >>> primary_part(FinAbGroup([12]), 2)[0] == FinAbGroup([4])
-    True
-    """
-    p = int(p)
-    if not isprime(p):
-        raise ValueError(f"{p} is not prime")
-    invariants = []
-    cols = []
-    for j, d in enumerate(group.invariant_factors):
-        q = 1
-        while d % p == 0:
-            d //= p
-            q *= p
-        if q > 1:
-            invariants.append(q)
-            col = [0] * group.rank
-            col[j] = d  # d is now prime to p, so d * e_j has exact order q
-            cols.append(col)
-    part = FinAbGroup(invariants)
-    incl = AbHom(part, group, IntMatrix.from_columns(cols, rows=group.rank))
-    return part, incl
 
 
 def direct_sum(groups):

@@ -14,12 +14,12 @@ whose editor also rewrote the digest.
 Exit codes: 0 success, 1 usage error, 2 scope error, 3 internal
 consistency failure.  Usage errors are malformed command lines and
 arguments no subcommand defines (hminus with m <= 0, a2k with k < 1 or
-m < 2, tate invariants or involutions that are not a valid module).  Scope
-errors are classify/verify with n odd or below 4, m < 2 where a cyclic
-group is needed, moduli outside the implemented unit reductions, tate
---km above KM_LEVEL_CEILING, and hminus at phi(m) above
+m < 2, tate --km below 0, tate invariants or involutions that are not a
+valid module).  Scope errors are classify/verify with n odd or below 4,
+m < 2 where a cyclic group is needed, moduli outside the implemented unit
+reductions, tate --km above KM_LEVEL_CEILING, and hminus at phi(m) above
 HMINUS_PHI_CEILING.  hminus --m 1 prints 1, and sweep reports a per-m
-scope error as a row of its table.
+scope error, its h- column's included, as a row of its table.
 """
 
 from __future__ import annotations
@@ -209,7 +209,11 @@ def _sweep_text(n, reports):
             rows.append(f"{m:6d}  error: {err}")
             continue
         m = entry.m
-        h = hminus(m)
+        try:
+            h = hminus(m)
+        except UnsupportedModulusError as err:
+            rows.append(f"{m:6d}  error: {err}")
+            continue
         rows.append(
             f"{m:6d}  {str(squarefree(m)).lower():6s}  {h:6d}  {odd_part(h):7d}"
             f"  {entry.mhs.verdict:9s}  {entry.mhcob.verdict:9s}"

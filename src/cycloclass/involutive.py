@@ -3,9 +3,10 @@
 An involutive module packages a finite abelian group with a homomorphic
 involution x -> xbar.  The operations here compute the eigen-subgroups
 {x : xbar = e*x}, the norm-image subgroups {x + e*xbar}, and their quotient
-(the Tate cohomology in the parity matching e), all by Smith normal form on
-augmented relation matrices.  Element enumeration is never used outside the
-test oracles.
+(the Tate cohomology in the parity matching e).  When the involution is +1
+or -1 times the identity the Tate group is read off the invariant factors;
+every other involution goes through Smith normal form on augmented relation
+matrices.  Element enumeration is never used outside the test oracles.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ import enum
 
 from .abelian import (
     AbHom,
+    FinAbGroup,
     IntMatrix,
     direct_sum as group_direct_sum,
-    factor_through,
     kernel,
     kernel_lattice,
-    primary_part,
     subgroup_generated,
     subquotient,
 )
@@ -40,15 +40,29 @@ class Sign(enum.IntEnum):
         """(-1)^n."""
         return cls.PLUS if n % 2 == 0 else cls.MINUS
 
-    def flip(self):
-        return Sign.MINUS if self is Sign.PLUS else Sign.PLUS
+
+def _scalar_sign(group, involution):
+    """The sign s with involution == s * id, or None when there is none.
+
+    Reads the normalised matrix directly: zero off the diagonal and s mod
+    d_i on it.  On an elementary abelian 2-group both signs fit, and PLUS
+    is returned.
+    """
+    data = involution.matrix.data
+    for sign in Sign:
+        if all(x == (sign % d if i == j else 0)
+               for i, (row, d) in enumerate(zip(data, group.invariant_factors))
+               for j, x in enumerate(row)):
+            return sign
+    return None
 
 
 class InvModule:
     """A finite abelian group with a homomorphic involution.
 
     The involution is validated eagerly: it must be a self-map squaring to
-    the identity (hence an automorphism).
+    the identity (hence an automorphism).  A scalar involution +-id squares
+    to the identity by itself, so only other involutions are squared.
     """
 
     __slots__ = ("group", "involution")
@@ -56,7 +70,8 @@ class InvModule:
     def __init__(self, group, involution):
         if involution.source != group or involution.target != group:
             raise ValueError("involution must be an endomorphism of the group")
-        if not (involution @ involution).is_identity():
+        if _scalar_sign(group, involution) is None and \
+                not (involution @ involution).is_identity():
             raise ValueError("involution squared is not the identity")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "involution", involution)
@@ -120,11 +135,20 @@ def norm_image_set(module, sign):
 def tate(module, n):
     """Tate cohomology of C2 acting through the involution, in degree n.
 
-    The result is eigen_set(module, (-1)^n) / norm_image_set(module, (-1)^n),
-    taken in one step as the subquotient of the kernel lattice of
-    (involution - sign) by the columns of (1 + sign * involution); it
-    depends only on n mod 2.
+    The result is eigen_set(module, (-1)^n) / norm_image_set(module, (-1)^n)
+    and depends only on n mod 2.  For an involution s * id with s = +-1 it
+    is G/2G or the 2-torsion of G, so (Z/2)^k in both degrees, k the number
+    of even invariant factors.  Any other involution takes one subquotient
+    of the kernel lattice of (involution - sign) by the columns of
+    (1 + sign * involution).
+
+    >>> m = InvModule.with_negation(FinAbGroup([3, 12, 24]))
+    >>> tate(m, 0), tate(m, 1)
+    (FinAbGroup([2, 2]), FinAbGroup([2, 2]))
     """
+    if _scalar_sign(module.group, module.involution) is not None:
+        return FinAbGroup([2] * sum(1 for d in module.group.invariant_factors
+                                    if d % 2 == 0))
     sign = Sign.for_degree(n)
     quotient, _ = subquotient(module.group,
                               kernel_lattice(_shifted_map(module, sign)),
@@ -138,22 +162,3 @@ def direct_sum(m1, m2):
     t1 = i1 @ m1.involution @ p1
     t2 = i2 @ m2.involution @ p2
     return InvModule(total, t1 + t2)
-
-
-def swap_square(module):
-    """The square of a module with the swap-and-conjugate involution.
-
-    On A + A the involution is (x, y) -> (ybar, xbar).  Its eigen-set for
-    either sign is isomorphic to A via x -> (x, sign * xbar) and coincides
-    with the norm-image set, so all Tate groups of the square vanish.
-    """
-    total, (i1, i2), (p1, p2) = group_direct_sum([module.group, module.group])
-    t = (i1 @ module.involution @ p2) + (i2 @ module.involution @ p1)
-    return InvModule(total, t)
-
-
-def primary_part_module(module, p):
-    """The p-primary component with the restricted involution."""
-    part, incl = primary_part(module.group, p)
-    restricted = factor_through(module.involution @ incl, incl)
-    return InvModule(part, restricted)

@@ -349,12 +349,13 @@ def verify(n, m):
 def sweep(n, m_values, deep=False):
     """classify() across a range of m, deterministically ordered.
 
-    Per-m scope errors are captured as entries rather than aborting.
+    Per-m scope errors, an unsupported modulus among them, are captured as
+    (m, error) entries rather than aborting.
     """
     reports = []
     for m in sorted(set(int(v) for v in m_values)):
         try:
             reports.append(classify(n, m, deep=deep))
-        except ScopeError as err:
+        except (ScopeError, UnsupportedModulusError) as err:
             reports.append((m, err))
     return reports

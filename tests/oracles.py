@@ -7,7 +7,9 @@ way: conductors by search, primitive values by lifting to a unit mod m, and
 orbit norms as Bareiss determinants of multiplication matrices.  The unit
 cokernel vtilde is recomputed the slow way too: discrete logs in every
 factor field of F_p[zeta_n], the units of F_p[lambda_n] from CRT
-generators, and the conjugation worked out as a matrix.
+generators, and the conjugation worked out as a matrix.  The determinant,
+the Smith-normal-form solver, corestriction, primary parts and the swap
+square live here as well: only the tests use them.
 """
 
 import random
@@ -23,13 +25,12 @@ from cycloclass.abelian import (
     IntMatrix,
     cokernel,
     direct_sum,
-    factor_through,
     present,
     snf,
     subgroup_generated,
 )
 from cycloclass.classnumber import characters
-from cycloclass.involutive import Sign, _norm_map, eigen_set
+from cycloclass.involutive import InvModule, Sign, _norm_map, eigen_set
 from cycloclass.residue import (
     InternalConsistencyError,
     _decompose,
@@ -234,6 +235,139 @@ def oracle_tate(module, n):
 
 
 # ---------------------------------------------------------------------------
+# linear algebra and module constructions only the tests use
+
+
+def det(m):
+    """Exact determinant by fraction-free Bareiss elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def solve(m, b):
+    """One integral solution x of m @ x == b, or None if there is none."""
+    return _SnfSolver(m).solve(b)
+
+
+class _SnfSolver:
+    """Reusable solver for m @ x = b with a fixed matrix m."""
+
+    def __init__(self, m):
+        self.m = m
+        self.s, self.u, self.v, _ = snf(m)
+        self.rank = sum(1 for i in range(min(m.rows, m.cols)) if self.s[i, i])
+
+    def solve(self, b):
+        c = self.u @ tuple(b)
+        y = [0] * self.m.cols
+        for i in range(self.m.rows):
+            si = self.s[i, i] if i < min(self.m.rows, self.m.cols) else 0
+            if i < self.rank:
+                if c[i] % si:
+                    return None
+                y[i] = c[i] // si
+            elif c[i]:
+                return None
+        return self.v @ tuple(y)
+
+
+def iso_eq(g, h):
+    """Isomorphism test; in invariant-factor form this is list equality."""
+    return g.invariant_factors == h.invariant_factors
+
+
+def factor_through(f, inclusion):
+    """Corestrict f to a subgroup containing its image.
+
+    Given f : A -> B and an inclusion S -> B with im(f) contained in S,
+    returns the unique g : A -> S with inclusion . g == f.
+    """
+    if f.target != inclusion.target:
+        raise ValueError("targets do not match")
+    s_rank = inclusion.source.rank
+    n = f.target.rank
+    if s_rank == 0:
+        if not f.is_zero():
+            raise ValueError("image is not contained in the subgroup")
+        return AbHom.zero(f.source, inclusion.source)
+    aug = inclusion.matrix.hstack(IntMatrix.diagonal(f.target.invariant_factors))
+    solver = _SnfSolver(aug)
+    cols = []
+    for j in range(f.source.rank):
+        z = solver.solve(f.matrix.column(j))
+        if z is None:
+            raise ValueError("image is not contained in the subgroup")
+        cols.append(z[:s_rank])
+    return AbHom(f.source, inclusion.source,
+                 IntMatrix.from_columns(cols, rows=s_rank))
+
+
+def primary_part(group, p):
+    """The p-primary component, with its inclusion.
+
+    >>> primary_part(FinAbGroup([12]), 2)[0] == FinAbGroup([4])
+    True
+    """
+    p = int(p)
+    if not isprime(p):
+        raise ValueError(f"{p} is not prime")
+    invariants = []
+    cols = []
+    for j, d in enumerate(group.invariant_factors):
+        q = 1
+        while d % p == 0:
+            d //= p
+            q *= p
+        if q > 1:
+            invariants.append(q)
+            col = [0] * group.rank
+            col[j] = d  # d is now prime to p, so d * e_j has exact order q
+            cols.append(col)
+    part = FinAbGroup(invariants)
+    incl = AbHom(part, group, IntMatrix.from_columns(cols, rows=group.rank))
+    return part, incl
+
+
+def primary_part_module(module, p):
+    """The p-primary component with the restricted involution."""
+    part, incl = primary_part(module.group, p)
+    restricted = factor_through(module.involution @ incl, incl)
+    return InvModule(part, restricted)
+
+
+def swap_square(module):
+    """The square of a module with the swap-and-conjugate involution.
+
+    On A + A the involution is (x, y) -> (ybar, xbar).  Its eigen-set for
+    either sign is isomorphic to A via x -> (x, sign * xbar) and coincides
+    with the norm-image set, so all Tate groups of the square vanish.
+    """
+    total, (i1, i2), (p1, p2) = direct_sum([module.group, module.group])
+    t = (i1 @ module.involution @ p2) + (i2 @ module.involution @ p1)
+    return InvModule(total, t)
+
+
+# ---------------------------------------------------------------------------
 # minus class numbers, the slow way
 
 
@@ -284,7 +418,7 @@ def bareiss_cyclotomic_norm(coeffs, d):
         if top:
             for j in range(n):
                 current[j] -= top * phi_poly[j]
-    return IntMatrix.from_columns(cols, rows=n).det()
+    return det(IntMatrix.from_columns(cols, rows=n))
 
 
 def bareiss_hminus(m):
@@ -937,8 +1071,6 @@ def oracle_vtilde(m):
 def oracle_vtilde_module(m):
     """vtilde(m) as an involutive module, with the involution induced by
     conjugation on the residue rings (it works out to negation)."""
-    from cycloclass.involutive import InvModule
-
     m = int(m)
     if m >= 2 and isprime(m):
         return InvModule.with_trivial(FinAbGroup())

@@ -68,6 +68,14 @@ class TestBasicCommands:
                                 "--involution", "3", "--degree", "1"])
         assert code == 0 and out.strip() == "Z/2"
 
+    def test_tate_explicit_negation_is_the_default(self, capture):
+        for degree in ("0", "1"):
+            explicit = capture(["tate", "--invariants", "4", "--involution",
+                                "3", "--degree", degree])
+            default = capture(["tate", "--invariants", "4",
+                               "--degree", degree])
+            assert explicit == default and explicit[0] == 0
+
     def test_tate_two_generators(self, capture):
         # trivial action on the Z/2 part, negation on the Z/4 part
         code, out, _ = capture(["tate", "--invariants", "2,4",
@@ -175,6 +183,9 @@ class TestExitCodes:
         (["tate", "--km", "2", "--degree", "1"], 0),
         (["tate", "--invariants", "4", "--involution", "2", "--degree", "1"],
          1),
+        (["tate", "--km", "-1", "--degree", "1"], 1),
+        (["tate", "--km", "-3", "--degree", "1"], 1),
+        (["tate", "--km", "0", "--degree", "1"], 0),
     ])
     def test_documented_exit_codes(self, capture, argv, code):
         assert capture(argv)[0] == code
@@ -188,6 +199,16 @@ class TestExitCodes:
 
 
 class TestSweepText:
+    def test_hminus_beyond_ceiling_is_an_error_row(self, capture):
+        # phi(2041) = 1872 and phi(2045) = 1632 exceed HMINUS_PHI_CEILING
+        code, out, err = capture(["sweep", "--n", "4", "--m-min", "2040",
+                                  "--m-max", "2045"])
+        assert code == 0 and err == ""
+        rows = out.strip().splitlines()[1:]
+        assert [int(r.split()[0]) for r in rows] == list(range(2040, 2046))
+        errors = [int(r.split()[0]) for r in rows if " error: " in r]
+        assert errors == [2041, 2045]
+
     def test_columns(self, capture):
         code, out, _ = capture(["sweep", "--n", "4", "--m-min", "2",
                                 "--m-max", "20"])

@@ -2,20 +2,21 @@ import random
 
 import pytest
 
+from cycloclass import abelian
 from cycloclass.abelian import AbHom, FinAbGroup, IntMatrix
 from cycloclass.involutive import (
     InvModule,
     Sign,
+    _scalar_sign,
     direct_sum,
     eigen_set,
     norm_image_set,
-    primary_part_module,
-    swap_square,
     tate,
 )
 from cycloclass.ktheory import km_v_module
 
 import oracles
+from oracles import primary_part_module, swap_square
 
 
 def enumerate_eigen(module, sign):
@@ -46,7 +47,6 @@ class TestConstruction:
         assert Sign.for_degree(0) is Sign.PLUS
         assert Sign.for_degree(7) is Sign.MINUS
         assert int(Sign.MINUS) == -1
-        assert Sign.PLUS.flip() is Sign.MINUS
 
 
 class TestEigenSet:
@@ -149,7 +149,7 @@ class TestTate:
             m = random_module(rng, max_order=4096)
             for n in (0, 1):
                 assert tate(m, n) == oracles.oracle_tate(m, n)
-        for level in range(3, 9):
+        for level in range(3, 10):
             m = km_v_module(level)
             for n in (0, 1):
                 assert tate(m, n) == oracles.oracle_tate(m, n), level
@@ -161,6 +161,92 @@ class TestTate:
             m2 = primary_part_module(m, 2)
             for n in (0, 1):
                 assert tate(m, n) == tate(m2, n)
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Record every Smith normal form the program computes."""
+    calls = []
+    real = abelian.snf
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(abelian, "snf", counting)
+    return calls
+
+
+def signed_module(group, sign):
+    """``group`` with the involution sign * id."""
+    return (InvModule.with_trivial(group) if sign is Sign.PLUS
+            else InvModule.with_negation(group))
+
+
+class TestScalarInvolution:
+    """The closed form for involutions +-id against the three-step oracle:
+    (Z/2)^k in both degrees, k the number of even invariant factors."""
+
+    def test_random_signed_modules(self):
+        rng = random.Random(7071)
+        for _ in range(1000):
+            g = oracles.random_group(rng, max_order=4096)
+            m = signed_module(g, rng.choice(list(Sign)))
+            assert _scalar_sign(g, m.involution) is not None
+            for n in (0, 1):
+                assert tate(m, n) == oracles.oracle_tate(m, n)
+
+    def test_odd_factors(self):
+        rng = random.Random(7072)
+        for _ in range(200):
+            g = FinAbGroup.from_cyclic_factors(
+                [rng.choice([1, 2, 4, 8]) * rng.choice([1, 3, 5, 9, 15, 49])
+                 for _ in range(rng.randint(1, 4))])
+            for sign in Sign:
+                m = signed_module(g, sign)
+                for n in (0, 1):
+                    assert tate(m, n) == oracles.oracle_tate(m, n)
+
+    def test_direct_sum_of_equal_signs(self):
+        rng = random.Random(7073)
+        for _ in range(60):
+            sign = rng.choice(list(Sign))
+            s = direct_sum(
+                signed_module(oracles.random_group(rng, 256, 3), sign),
+                signed_module(oracles.random_group(rng, 256, 3), sign))
+            assert _scalar_sign(s.group, s.involution) is not None
+            for n in (0, 1):
+                assert tate(s, n) == oracles.oracle_tate(s, n)
+
+    def test_km_ladder_computes_no_snf(self, snf_calls):
+        m = km_v_module(9)
+        for n in (0, 1):
+            assert tate(m, n) == FinAbGroup([2] * 127)
+        assert snf_calls == []
+
+    def test_z2_signs_coincide(self):
+        g = FinAbGroup([2])
+        m = InvModule.with_negation(g)
+        assert m == InvModule.with_trivial(g)
+        assert _scalar_sign(g, m.involution) is Sign.PLUS
+        for n in (0, 1):
+            assert tate(m, n) == oracles.oracle_tate(m, n) == g
+
+    def test_trivial_group(self):
+        m = InvModule.with_negation(FinAbGroup())
+        assert _scalar_sign(m.group, m.involution) is not None
+        for n in (0, 1):
+            assert tate(m, n) == oracles.oracle_tate(m, n) == FinAbGroup()
+
+    def test_non_scalar_takes_the_subquotient(self, snf_calls):
+        g = FinAbGroup([4, 4])
+        m = InvModule(g, AbHom(g, g, IntMatrix.diagonal([1, -1])))
+        assert _scalar_sign(g, m.involution) is None
+        for n in (0, 1):
+            snf_calls.clear()
+            assert tate(m, n) == FinAbGroup([2, 2])
+            assert snf_calls
+            assert oracles.oracle_tate(m, n) == FinAbGroup([2, 2])
 
 
 class TestDirectSum:

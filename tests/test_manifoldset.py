@@ -10,6 +10,7 @@ from cycloclass.manifoldset import (
     sweep,
     verify,
 )
+from cycloclass.residue import UnsupportedModulusError
 
 
 class TestA2kOrder:
@@ -106,6 +107,12 @@ class TestSweep:
 
     def test_empty(self):
         assert sweep(4, []) == []
+
+    def test_unsupported_modulus_is_an_entry(self):
+        # the deep pass needs hminus(2041) at phi = 1872, above the ceiling
+        [(m, err)] = sweep(4, [2041], deep=True)
+        assert m == 2041 and isinstance(err, UnsupportedModulusError)
+        assert "phi(m) = 1872 is above 1600" in str(err)
 
     def test_list_d(self):
         reports = sweep(6, range(2, 31))
