@@ -40,9 +40,7 @@ from .residue import (
     vtilde,
 )
 from .classnumber import (
-    CycNumber,
     DirichletCharacter,
-    b1,
     characters,
     class_record,
     hminus,

@@ -3,26 +3,35 @@ part of cyclotomic class numbers.
 
 The minus class number is evaluated analytically as
 
-    Q * w * product over odd characters of (-1/2 * B_1(chi)),
+    h^- = Q * w * product over odd characters chi of (-1/2 * B_1(chi)),
+    B_1(chi) = (1/f) * sum_t c_t zeta_d^t,
 
-with the product taken one Galois orbit at a time as an exact integer norm.
-Characters are exponent vectors on one generator per odd prime power (and
--1, 5 at powers of two), so parity, conductor and primitive values are read
-off prime by prime, without a search.
+d the order and f the conductor of chi, c_t the sum of the a in [1, f) with
+chi(a) = zeta_d^t.  Characters are exponent vectors on one generator per
+odd prime power (and -1, 5 at powers of two), so parity, conductor and
+primitive values are read off prime by prime, without a search.
 
-The norm of P = sum_t c_t zeta_d^t is the product of the values of P at the
-phi(d) primitive d-th roots of unity.  It is computed modulo primes
-l = 1 (mod d) just below 2^62, where those roots exist, and recovered by the
-Chinese remainder theorem once the product M of the primes satisfies
-M^2 > 4 B^2 for the bound
+A Galois orbit of odd characters shares d, f and the c_t, and its members
+put zeta_d at the phi(d) primitive d-th roots of unity.  So h^- is computed
+modulo primes l = 1 (mod lambda(m)) just below 2^62, at which every such
+root exists, as the product over the orbits of the values at those roots,
+the factor -1/(2f) taken modulo l.  The residues are combined once by the
+Chinese remainder theorem.  An orbit's norm N of sum_t c_t zeta^t obeys
 
     |N|^2 * d^(2 phi(d)) * phi(d)^phi(d) <= (d * sum_t q_t^2)^phi(d),
     q_t = d c_t - sum_s c_s,  d > 1,
 
-which follows from P(zeta) = (1/d) sum_t q_t zeta^t (the roots sum to
-zero), Parseval over all d-th roots of unity, and the AM-GM inequality.  No
-floating point is involved anywhere; non-integral output signals a bug, not
-rounding error.
+by P(zeta) = (1/d) sum_t q_t zeta^t (the roots sum to zero), Parseval over
+all d-th roots of unity, and the AM-GM inequality.  The orbit contributes
+(-1)^phi(d) N / (2f)^phi(d), so primes are added until their product M has
+
+    M^2 * prod (2 d f)^(2 phi(d)) phi(d)^phi(d)
+        > 4 (Q w)^2 * prod (d * sum_t q_t^2)^phi(d),
+
+the products over the orbits; the residue of least absolute value mod M is
+then h^-.  One further prime checks it.  No floating point is involved
+anywhere: a failed check, or a value that is not positive, signals a bug,
+not rounding error.
 
 The primes l are found by the stdlib Miller-Rabin test of ``arith``, which
 is deterministic below 2^64, and the primitive roots behind the characters'
@@ -32,14 +41,13 @@ generators come from the same module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
 from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .abelian import FinAbGroup
-from .arith import cyclotomic_int, factorint, isprime, primitive_root, totient
+from .arith import factorint, isprime, primitive_root, totient
 from .residue import InternalConsistencyError, UnsupportedModulusError
 
 
@@ -150,21 +158,12 @@ class DirichletCharacter:
     def __setattr__(self, name, value):
         raise AttributeError("DirichletCharacter is immutable")
 
-    def is_principal(self):
-        return self.order == 1
-
     def _exponent(self, a):
         t = 0
         for q, weights, logs in self._local:
             for w, k in zip(weights, logs[a % q]):
                 t += w * k
         return t % self.order
-
-    def value_exponent(self, a):
-        """t with chi(a) = zeta_order^t, or None when gcd(a, m) > 1."""
-        if gcd(a, self.modulus) != 1:
-            return None
-        return self._exponent(a)
 
     def primitive_value_exponent(self, a):
         """Value exponent of the primitive character of the same conductor.
@@ -202,60 +201,26 @@ def characters(m):
 
 
 # ---------------------------------------------------------------------------
-# exact cyclotomic numbers (just enough for Bernoulli values)
+# the minus class number
 
 
-class CycNumber:
-    """An element of Q(zeta_d): rational coefficients on 1, zeta, ...,
-    zeta^(phi(d)-1), i.e. reduced modulo the d-th cyclotomic polynomial."""
+def _bernoulli_sums(chi):
+    """(f, sums): the conductor, and for each t the sum of the a in [1, f)
+    at which the primitive character takes the value zeta_order^t."""
+    f = chi.conductor
+    sums = [0] * chi.order
+    for a in range(1, f):
+        t = chi.primitive_value_exponent(a)
+        if t is not None:
+            sums[t] += a
+    return f, sums
 
-    __slots__ = ("level", "coeffs")
 
-    def __init__(self, level, coeffs):
-        level = int(level)
-        phi_poly = cyclotomic_int(level)
-        deg = len(phi_poly) - 1
-        work = [Fraction(c) for c in coeffs]
-        # exact reduction modulo the monic cyclotomic polynomial
-        for k in range(len(work) - 1, deg - 1, -1):
-            c = work[k]
-            if c:
-                for j in range(len(phi_poly) - 1):
-                    work[k - deg + j] -= c * phi_poly[j]
-                work[k] = Fraction(0)
-        work = work[:deg] + [Fraction(0)] * (deg - len(work))
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", tuple(work[:deg]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycNumber is immutable")
-
-    def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("value is irrational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def norm(self):
-        """Field norm down to Q."""
-        n = len(self.coeffs)
-        if n == 0:
-            return Fraction(1)
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        return Fraction(_cyclotomic_norm_int(ints, self.level), den ** n)
-
-    def __eq__(self, other):
-        return (isinstance(other, CycNumber) and self.level == other.level
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.level, self.coeffs))
-
-    def __repr__(self):
-        return f"CycNumber(level={self.level}, coeffs={self.coeffs})"
+def _normalize_modulus(m):
+    m = int(m)
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    return m // 2 if m % 4 == 2 else m
 
 
 @lru_cache(maxsize=None)
@@ -274,83 +239,12 @@ def _crt_prime(exponent, index):
             return ell, root
 
 
-def _cyclotomic_norm_int(coeffs, d, exponent=None):
-    """Norm down to Q of sum_i coeffs[i] * zeta_d^i, for integer coeffs.
-
-    Multimodular: the residues modulo primes l = 1 (mod exponent) are
-    combined by CRT under the bound in the module docstring.  ``exponent``
-    is a multiple of d (default d); callers with many levels d dividing one
-    exponent share its primes.
-    """
-    d = int(d)
-    exponent = d if exponent is None else int(exponent)
-    if exponent % d:
-        raise ValueError("exponent must be a multiple of the level")
-    folded = [0] * d
-    for i, c in enumerate(coeffs):
-        folded[i % d] += int(c)
-    if d == 1:
-        return folded[0]
-    units = [j for j in range(1, d) if gcd(j, d) == 1]
-    phi = len(units)
-    total = sum(folded)
-    bound_sq = 4 * (d * sum((d * c - total) ** 2 for c in folded)) ** phi
-    scale = d ** (2 * phi) * phi ** phi
-    # pick j reorders the powers of zeta into zeta^(j t), t = 0..d-1
-    picks = [itemgetter(*[j * t % d for t in range(d)]) for j in units]
-    residue, modulus, index = 0, 1, 0
-    while modulus * modulus * scale <= bound_sq:
-        ell, root = _crt_prime(exponent, index)
-        index += 1
-        zeta = pow(root, exponent // d, ell)
-        powers = [1] * d
-        for t in range(1, d):
-            powers[t] = powers[t - 1] * zeta % ell
-        value = 1
-        for pick in picks:
-            value = value * sum(map(mul, folded, pick(powers))) % ell
-        residue += modulus * ((value - residue) * pow(modulus, -1, ell) % ell)
-        modulus *= ell
-    return residue - modulus if 2 * residue > modulus else residue
-
-
-def _bernoulli_sums(chi):
-    """(f, sums): the conductor, and for each t the sum of the a in [1, f)
-    at which the primitive character takes the value zeta_order^t."""
-    f = chi.conductor
-    sums = [0] * chi.order
-    for a in range(1, f):
-        t = chi.primitive_value_exponent(a)
-        if t is not None:
-            sums[t] += a
-    return f, sums
-
-
-def b1(chi):
-    """The first generalized Bernoulli value of a non-principal character,
-    as an exact element of Q(zeta_order)."""
-    if chi.is_principal():
-        raise ValueError("principal characters are not accepted")
-    f, sums = _bernoulli_sums(chi)
-    return CycNumber(chi.order, [Fraction(s, f) for s in sums])
-
-
-# ---------------------------------------------------------------------------
-# the minus class number
-
-
-def _normalize_modulus(m):
-    m = int(m)
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    return m // 2 if m % 4 == 2 else m
-
-
-#: the largest phi(m), for m normalised, that hminus evaluates.  The cost
-#: follows the largest Galois orbit of odd characters, of size phi(p - 1)
-#: at a prime p: on a 2-core x86-64 host (Python 3.11) the prime 1553, the
-#: costliest modulus measured below the ceiling, takes 29 s, and the prime
-#: 2039, with phi(p - 1) = (p - 3) / 2, takes 70 s
+#: the largest phi(m), for m normalised, that hminus evaluates.  A CRT
+#: prime costs phi(d) dot products of length d per orbit of order d, at
+#: most phi(m) * lambda(m) / 2 products, and the number of primes grows
+#: with the digits of h^-: on a 2-core x86-64 host (Python 3.11) the prime
+#: 1553, the costliest modulus measured below the ceiling, takes 5.5 s (38
+#: primes and the check), and the prime 2039 takes 14 s (53 and the check)
 HMINUS_PHI_CEILING = 1600
 
 
@@ -361,9 +255,9 @@ def hminus(m):
     The modulus is normalised so that m = 2 mod 4 coincides with m/2 (the
     fields agree).  Q is 1 for prime powers and 2 otherwise; w counts the
     roots of unity of the field.  Every character order divides the
-    exponent of (Z/m)^x, so all orbit norms share its CRT primes.  Moduli
-    with phi(m) above HMINUS_PHI_CEILING raise UnsupportedModulusError
-    before any character is built.
+    exponent of (Z/m)^x, so one run of CRT primes serves every orbit.
+    Moduli with phi(m) above HMINUS_PHI_CEILING raise
+    UnsupportedModulusError before any character is built.
     """
     m = _normalize_modulus(m)
     if m <= 2:
@@ -373,29 +267,61 @@ def hminus(m):
         raise UnsupportedModulusError(
             f"m = {m}: phi(m) = {phi} is above {HMINUS_PHI_CEILING}, "
             "the largest degree whose minus class number is evaluated")
-    q_factor = 1 if len(_unit_group(m)) == 1 else 2
-    w = 2 * m if m % 2 else m
+    qw = (1 if len(_unit_group(m)) == 1 else 2) * (2 * m if m % 2 else m)
     exponent = lcm(*_generator_orders(m))
 
-    total = Fraction(q_factor * w)
+    # one (d, f, sums) per Galois orbit of odd characters, and per order d
+    # the picks that reorder the powers of zeta into zeta^(j t), j a unit
+    orbits, picks = [], {}
+    bound_sq, scale = 4 * qw * qw, 1
     remaining = {c for c in characters(m) if c.parity == -1}
     while remaining:
         chi = remaining.pop()
         d = chi.order
-        orbit = {chi.power(s) for s in range(2, d) if gcd(s, d) == 1}
+        units = [j for j in range(1, d) if gcd(j, d) == 1]
+        orbit = {chi.power(j) for j in units[1:]}
         if not orbit <= remaining:
             raise InternalConsistencyError("orbit left the odd characters")
         remaining -= orbit
-        phi_d = len(orbit) + 1
         f, sums = _bernoulli_sums(chi)
-        norm = _cyclotomic_norm_int(sums, d, exponent)
-        total *= Fraction((-1) ** phi_d * norm, (2 * f) ** phi_d)
+        total, phi_d = sum(sums), len(units)
+        bound_sq *= (d * sum((d * c - total) ** 2 for c in sums)) ** phi_d
+        scale *= (2 * d * f) ** (2 * phi_d) * phi_d ** phi_d
+        orbits.append((d, f, sums))
+        if d not in picks:
+            picks[d] = [itemgetter(*[j * t % d for t in range(d)])
+                        for j in units]
 
-    if total.denominator != 1 or total <= 0:
+    def residue(ell, root):
+        """h^- mod ell, given an element root of order exponent mod ell."""
+        powers = {}
+        for d in picks:
+            zeta, row = pow(root, exponent // d, ell), [1] * d
+            for t in range(1, d):
+                row[t] = row[t - 1] * zeta % ell
+            powers[d] = row
+        value = qw
+        for d, f, sums in orbits:
+            factor, row = -pow(2 * f, -1, ell), powers[d]
+            for pick in picks[d]:
+                value = value * factor * sum(map(mul, sums, pick(row))) % ell
+        return value
+
+    h, modulus, index = 0, 1, 0
+    while modulus * modulus * scale <= bound_sq:
+        ell, root = _crt_prime(exponent, index)
+        index += 1
+        h += modulus * ((residue(ell, root) - h) * pow(modulus, -1, ell) % ell)
+        modulus *= ell
+    if 2 * h > modulus:
+        h -= modulus
+    ell, root = _crt_prime(exponent, index)
+    if h <= 0 or residue(ell, root) != h % ell:
         raise InternalConsistencyError(
-            f"analytic minus class number for m={m} is not a positive "
-            f"integer: {total}")
-    return int(total)
+            f"analytic minus class number for m={m} fails its check: the "
+            f"CRT value is not positive or disagrees modulo the check prime "
+            f"{ell}")
+    return h
 
 
 # ---------------------------------------------------------------------------

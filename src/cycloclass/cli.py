@@ -14,12 +14,14 @@ whose editor also rewrote the digest.
 Exit codes: 0 success, 1 usage error, 2 scope error, 3 internal
 consistency failure.  Usage errors are malformed command lines and
 arguments no subcommand defines (hminus with m <= 0, a2k with k < 1 or
-m < 2, tate --km below 0, tate invariants or involutions that are not a
-valid module).  Scope errors are classify/verify with n odd or below 4,
-m < 2 where a cyclic group is needed, moduli outside the implemented unit
-reductions, tate --km above KM_LEVEL_CEILING, and hminus at phi(m) above
-HMINUS_PHI_CEILING.  hminus --m 1 prints 1, and sweep reports a per-m
-scope error, its h- column's included, as a row of its table.
+m < 2, tate --km below 0 or with --involution, tate invariants or
+involutions that are not a valid module).  Scope errors are classify/verify
+with n odd or below 4, m < 2 where a cyclic group is needed, moduli outside
+the implemented unit reductions, tate --km above KM_LEVEL_CEILING, and
+hminus at phi(m) above HMINUS_PHI_CEILING.  hminus --m 1 prints 1.  sweep
+reports a per-m scope error as an error row of its table, and an h- above
+HMINUS_PHI_CEILING as "-" in the h- columns of a row that keeps its
+verdicts.
 """
 
 from __future__ import annotations
@@ -211,11 +213,13 @@ def _sweep_text(n, reports):
         m = entry.m
         try:
             h = hminus(m)
-        except UnsupportedModulusError as err:
-            rows.append(f"{m:6d}  error: {err}")
-            continue
+        except UnsupportedModulusError:
+            # the verdicts need no class number; only its columns are blank
+            h = odd = "-"
+        else:
+            odd = odd_part(h)
         rows.append(
-            f"{m:6d}  {str(squarefree(m)).lower():6s}  {h:6d}  {odd_part(h):7d}"
+            f"{m:6d}  {str(squarefree(m)).lower():6s}  {h:>6}  {odd:>7}"
             f"  {entry.mhs.verdict:9s}  {entry.mhcob.verdict:9s}"
             f"  {entry.mhs_hcob.verdict}")
     return "\n".join(rows)
@@ -223,6 +227,9 @@ def _sweep_text(n, reports):
 
 def _tate_module(args):
     if args.km is not None:
+        if args.involution is not None:
+            raise _UsageError("--involution applies to --invariants, "
+                              "not to --km")
         return km_v_module(args.km)
     factors = [int(v) for v in args.invariants.split(",") if v.strip()]
     group = FinAbGroup.from_cyclic_factors(factors)

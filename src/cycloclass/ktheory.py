@@ -70,11 +70,6 @@ def km_v_module(n):
     return InvModule.with_negation(FinAbGroup.from_cyclic_factors(factors))
 
 
-def _km_order(n):
-    """The order of km_v_module(n), without building it."""
-    return 2 ** sum(i * 2 ** (n - i - 2) for i in range(1, n - 1))
-
-
 # ---------------------------------------------------------------------------
 # tri-state knowledge about groups
 

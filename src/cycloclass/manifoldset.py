@@ -86,12 +86,6 @@ class SetVerdict:
             out["note"] = self.note
         return out
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(verdict=data["verdict"], lower=data.get("lower"),
-                   upper=data.get("upper"), witness=data.get("witness"),
-                   note=data.get("note", ""))
-
 
 @dataclass(frozen=True)
 class ManifoldSetReport:

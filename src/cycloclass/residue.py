@@ -38,7 +38,6 @@ from math import gcd, prod
 from .abelian import AbHom, FinAbGroup, IntMatrix, cokernel, direct_sum
 from .arith import cyclotomic_int  # noqa: F401  (re-exported)
 from .arith import factorint, isprime, totient
-from .involutive import InvModule
 
 
 class UnsupportedModulusError(ValueError):
@@ -254,12 +253,6 @@ def vtilde(m):
         return FinAbGroup()
     group, _ = cokernel(psi_plus_presentation(m))
     return group
-
-
-def vtilde_module(m):
-    """vtilde(m) as an involutive module: conjugation inverts the norm-one
-    tori, so the involution is negation."""
-    return InvModule.with_negation(vtilde(m))
 
 
 #: the one bound whose printed source value cannot be recovered by direct

@@ -3,8 +3,12 @@
 The group oracles deliberately avoid Smith normal form: subgroup structure
 is read off from element-order statistics, so they provide an independent
 check on the matrix route.  The minus class number is recomputed the slow
-way: conductors by search, primitive values by lifting to a unit mod m, and
-orbit norms as Bareiss determinants of multiplication matrices.  The unit
+way twice: once with conductors by search, primitive values by lifting to
+a unit mod m, and orbit norms as Bareiss determinants of multiplication
+matrices; once orbit by orbit, each orbit with its own multimodular norm
+and its own CRT primes, the factors multiplied as fractions.  The exact
+cyclotomic numbers and Bernoulli values that the orbit products stand for
+are here too.  The unit
 cokernel vtilde is recomputed the slow way too: discrete logs in every
 factor field of F_p[zeta_n], the units of F_p[lambda_n] from CRT
 generators, and the conjugation worked out as a matrix.  The determinant,
@@ -15,7 +19,8 @@ square live here as well: only the tests use them.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
+from operator import itemgetter, mul
 
 from sympy import divisors, factorint, isprime, totient
 
@@ -29,7 +34,14 @@ from cycloclass.abelian import (
     snf,
     subgroup_generated,
 )
-from cycloclass.classnumber import characters
+from cycloclass.classnumber import (
+    _bernoulli_sums,
+    _crt_prime,
+    _generator_orders,
+    _normalize_modulus,
+    _unit_group,
+    characters,
+)
 from cycloclass.involutive import InvModule, Sign, _norm_map, eigen_set
 from cycloclass.residue import (
     InternalConsistencyError,
@@ -38,6 +50,7 @@ from cycloclass.residue import (
     cyclotomic_int,
     order_mod,
     order_mod_signed,
+    vtilde,
 )
 
 
@@ -371,18 +384,25 @@ def swap_square(module):
 # minus class numbers, the slow way
 
 
+def value_exponent(chi, a):
+    """t with chi(a) = zeta_order^t, or None when gcd(a, m) > 1."""
+    if gcd(a, chi.modulus) != 1:
+        return None
+    return chi._exponent(a)
+
+
 def search_conductor(chi):
     """The least f | m with chi trivial on the units that are 1 mod f."""
     m = chi.modulus
     for f in divisors(m):
-        if all(chi.value_exponent(a) == 0 for a in range(1, m + 1)
+        if all(value_exponent(chi, a) == 0 for a in range(1, m + 1)
                if gcd(a, m) == 1 and a % f == 1 % f):
             return f
     raise AssertionError("no conductor found")
 
 
 def search_parity(chi):
-    return 1 if chi.value_exponent(-1) == 0 else -1
+    return 1 if value_exponent(chi, -1) == 0 else -1
 
 
 def lifted_primitive_value_exponent(chi, f, a):
@@ -393,7 +413,7 @@ def lifted_primitive_value_exponent(chi, f, a):
     a %= f
     while gcd(a, chi.modulus) != 1:
         a += f
-    return chi.value_exponent(a)
+    return value_exponent(chi, a)
 
 
 def bareiss_cyclotomic_norm(coeffs, d):
@@ -446,6 +466,145 @@ def bareiss_hminus(m):
         total *= Fraction((-1) ** phi_d * bareiss_cyclotomic_norm(sums, d),
                           (2 * f) ** phi_d)
     assert total.denominator == 1
+    return int(total)
+
+
+class CycNumber:
+    """An element of Q(zeta_d): rational coefficients on 1, zeta, ...,
+    zeta^(phi(d)-1), i.e. reduced modulo the d-th cyclotomic polynomial."""
+
+    __slots__ = ("level", "coeffs")
+
+    def __init__(self, level, coeffs):
+        level = int(level)
+        phi_poly = cyclotomic_int(level)
+        deg = len(phi_poly) - 1
+        work = [Fraction(c) for c in coeffs]
+        # exact reduction modulo the monic cyclotomic polynomial
+        for k in range(len(work) - 1, deg - 1, -1):
+            c = work[k]
+            if c:
+                for j in range(len(phi_poly) - 1):
+                    work[k - deg + j] -= c * phi_poly[j]
+                work[k] = Fraction(0)
+        work = work[:deg] + [Fraction(0)] * (deg - len(work))
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "coeffs", tuple(work[:deg]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CycNumber is immutable")
+
+    def is_rational(self):
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def rational_value(self):
+        if not self.is_rational():
+            raise ValueError("value is irrational")
+        return self.coeffs[0] if self.coeffs else Fraction(0)
+
+    def norm(self):
+        """Field norm down to Q."""
+        n = len(self.coeffs)
+        if n == 0:
+            return Fraction(1)
+        den = lcm(*(c.denominator for c in self.coeffs))
+        ints = [int(c * den) for c in self.coeffs]
+        return Fraction(cyclotomic_norm_int(ints, self.level), den ** n)
+
+    def __eq__(self, other):
+        return (isinstance(other, CycNumber) and self.level == other.level
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.level, self.coeffs))
+
+    def __repr__(self):
+        return f"CycNumber(level={self.level}, coeffs={self.coeffs})"
+
+
+def b1(chi):
+    """The first generalized Bernoulli value of a non-principal character,
+    as an exact element of Q(zeta_order)."""
+    if chi.order == 1:
+        raise ValueError("principal characters are not accepted")
+    f, sums = _bernoulli_sums(chi)
+    return CycNumber(chi.order, [Fraction(s, f) for s in sums])
+
+
+def cyclotomic_norm_int(coeffs, d, exponent=None):
+    """Norm down to Q of sum_i coeffs[i] * zeta_d^i, for integer coeffs.
+
+    Multimodular: the residues modulo primes l = 1 (mod exponent) are
+    combined by CRT once the product M of the primes satisfies
+    M^2 > 4 B^2 for the bound
+
+        |N|^2 * d^(2 phi(d)) * phi(d)^phi(d) <= (d * sum_t q_t^2)^phi(d),
+        q_t = d c_t - sum_s c_s,  d > 1.
+
+    ``exponent`` is a multiple of d (default d); callers with many levels d
+    dividing one exponent share its primes.
+    """
+    d = int(d)
+    exponent = d if exponent is None else int(exponent)
+    if exponent % d:
+        raise ValueError("exponent must be a multiple of the level")
+    folded = [0] * d
+    for i, c in enumerate(coeffs):
+        folded[i % d] += int(c)
+    if d == 1:
+        return folded[0]
+    units = [j for j in range(1, d) if gcd(j, d) == 1]
+    phi = len(units)
+    total = sum(folded)
+    bound_sq = 4 * (d * sum((d * c - total) ** 2 for c in folded)) ** phi
+    scale = d ** (2 * phi) * phi ** phi
+    # pick j reorders the powers of zeta into zeta^(j t), t = 0..d-1
+    picks = [itemgetter(*[j * t % d for t in range(d)]) for j in units]
+    residue, modulus, index = 0, 1, 0
+    while modulus * modulus * scale <= bound_sq:
+        ell, root = _crt_prime(exponent, index)
+        index += 1
+        zeta = pow(root, exponent // d, ell)
+        powers = [1] * d
+        for t in range(1, d):
+            powers[t] = powers[t - 1] * zeta % ell
+        value = 1
+        for pick in picks:
+            value = value * sum(map(mul, folded, pick(powers))) % ell
+        residue += modulus * ((value - residue) * pow(modulus, -1, ell) % ell)
+        modulus *= ell
+    return residue - modulus if 2 * residue > modulus else residue
+
+
+def orbit_hminus(m):
+    """Q * w * product over odd characters of (-B_1(chi)/2), one Galois
+    orbit at a time: each orbit's norm is an exact integer with its own run
+    of CRT primes, and the factors are multiplied as fractions."""
+    m = _normalize_modulus(m)
+    if m <= 2:
+        return 1
+    q_factor = 1 if len(_unit_group(m)) == 1 else 2
+    w = 2 * m if m % 2 else m
+    exponent = lcm(*_generator_orders(m))
+
+    total = Fraction(q_factor * w)
+    remaining = {c for c in characters(m) if c.parity == -1}
+    while remaining:
+        chi = remaining.pop()
+        d = chi.order
+        orbit = {chi.power(s) for s in range(2, d) if gcd(s, d) == 1}
+        if not orbit <= remaining:
+            raise InternalConsistencyError("orbit left the odd characters")
+        remaining -= orbit
+        phi_d = len(orbit) + 1
+        f, sums = _bernoulli_sums(chi)
+        norm = cyclotomic_norm_int(sums, d, exponent)
+        total *= Fraction((-1) ** phi_d * norm, (2 * f) ** phi_d)
+
+    if total.denominator != 1 or total <= 0:
+        raise InternalConsistencyError(
+            f"analytic minus class number for m={m} is not a positive "
+            f"integer: {total}")
     return int(total)
 
 
@@ -1067,6 +1226,12 @@ def oracle_vtilde(m):
     return group
 
 
+def vtilde_module(m):
+    """vtilde(m) as an involutive module: conjugation inverts the norm-one
+    tori, so the involution is negation."""
+    return InvModule.with_negation(vtilde(m))
+
+
 @lru_cache(maxsize=None)
 def oracle_vtilde_module(m):
     """vtilde(m) as an involutive module, with the involution induced by
@@ -1096,3 +1261,12 @@ def loop_a2k_order(k, m):
     """2 m #{c in (Z/m)^x : c^k = +-1}, testing every c."""
     return 2 * m * sum(1 for c in range(1, m)
                        if gcd(c, m) == 1 and pow(c, k, m) in (1 % m, m - 1))
+
+
+# ---------------------------------------------------------------------------
+# Kervaire-Murthy orders
+
+
+def km_order(n):
+    """The order of km_v_module(n), without building it."""
+    return 2 ** sum(i * 2 ** (n - i - 2) for i in range(1, n - 1))

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from cycloclass import classnumber
 from cycloclass.abelian import FinAbGroup
 from cycloclass.classnumber import (
     HMINUS_ONE,
     HMINUS_PHI_CEILING,
-    CycNumber,
-    _cyclotomic_norm_int,
-    b1,
     characters,
     class_record,
     hminus,
@@ -19,7 +17,9 @@ from cycloclass.classnumber import (
     hp_is_odd,
     odd_part,
 )
-from cycloclass.residue import UnsupportedModulusError
+from cycloclass.cli import run
+from cycloclass.residue import InternalConsistencyError, \
+    UnsupportedModulusError
 
 
 class TestCharacters:
@@ -37,7 +37,7 @@ class TestCharacters:
 
     def test_principal_only_for_m1(self):
         (chi,) = characters(1)
-        assert chi.is_principal()
+        assert chi.order == 1
         assert chi.parity == 1
 
     def test_multiplicativity(self):
@@ -46,8 +46,9 @@ class TestCharacters:
                 d = chi.order
                 for a in range(1, m):
                     for b in range(1, m):
-                        va, vb = chi.value_exponent(a), chi.value_exponent(b)
-                        vab = chi.value_exponent(a * b)
+                        va = oracles.value_exponent(chi, a)
+                        vb = oracles.value_exponent(chi, b)
+                        vab = oracles.value_exponent(chi, a * b)
                         if va is None or vb is None:
                             assert vab is None
                         else:
@@ -60,7 +61,7 @@ class TestCharacters:
         assert conductors == [1, 4, 8, 8]
         for m in (5, 7, 9):
             for c in characters(m):
-                if not c.is_principal():
+                if c.order != 1:
                     assert c.conductor == m  # prime-power faithful cases
                     break
 
@@ -82,16 +83,16 @@ class TestCharacters:
 class TestB1:
     def test_mod4(self):
         chi = next(c for c in characters(4) if c.parity == -1)
-        assert b1(chi).rational_value() == Fraction(-1, 2)
+        assert oracles.b1(chi).rational_value() == Fraction(-1, 2)
 
     def test_mod3(self):
         chi = next(c for c in characters(3) if c.parity == -1)
-        assert b1(chi).rational_value() == Fraction(-1, 3)
+        assert oracles.b1(chi).rational_value() == Fraction(-1, 3)
 
     def test_principal_rejected(self):
-        chi = next(c for c in characters(5) if c.is_principal())
+        chi = next(c for c in characters(5) if c.order == 1)
         with pytest.raises(ValueError):
-            b1(chi)
+            oracles.b1(chi)
 
     def test_even_character_symmetric_sum(self):
         # for an even character the weighted sum is symmetric under
@@ -99,24 +100,24 @@ class TestB1:
         # number never consumes these values
         for m in (5, 7, 8):
             for chi in characters(m):
-                if chi.parity == 1 and not chi.is_principal():
-                    v = b1(chi)
-                    assert isinstance(v, CycNumber)
+                if chi.parity == 1 and chi.order != 1:
+                    v = oracles.b1(chi)
+                    assert isinstance(v, oracles.CycNumber)
 
 
 class TestCycNumber:
     def test_reduction(self):
         # 1 + zeta + zeta^2 = 0 in Q(zeta_3)
-        assert CycNumber(3, [1, 1, 1]).rational_value() == 0
+        assert oracles.CycNumber(3, [1, 1, 1]).rational_value() == 0
 
     def test_norm(self):
         # N(1 - zeta_5) = Phi_5(1) = 5
-        val = CycNumber(5, [1, -1])
+        val = oracles.CycNumber(5, [1, -1])
         assert val.norm() == 5
 
     def test_rationality(self):
-        assert CycNumber(4, [Fraction(1, 2)]).is_rational()
-        assert not CycNumber(4, [0, 1]).is_rational()
+        assert oracles.CycNumber(4, [Fraction(1, 2)]).is_rational()
+        assert not oracles.CycNumber(4, [0, 1]).is_rational()
 
 
 @st.composite
@@ -136,17 +137,49 @@ class TestCyclotomicNorm:
     @example((60, [10 ** 6] * 61))
     def test_matches_bareiss(self, case):
         d, coeffs = case
-        assert _cyclotomic_norm_int(coeffs, d) == \
+        assert oracles.cyclotomic_norm_int(coeffs, d) == \
             oracles.bareiss_cyclotomic_norm(coeffs, d)
 
     def test_shared_exponent(self):
         # levels dividing a common exponent reuse its primes
         coeffs = [5, -1, 2, 0, 7, 1]
         for d in (2, 3, 6):
-            assert _cyclotomic_norm_int(coeffs, d, 12) == \
+            assert oracles.cyclotomic_norm_int(coeffs, d, 12) == \
                 oracles.bareiss_cyclotomic_norm(coeffs, d)
         with pytest.raises(ValueError):
-            _cyclotomic_norm_int(coeffs, 5, 12)
+            oracles.cyclotomic_norm_int(coeffs, 5, 12)
+
+
+@pytest.fixture
+def corrupt_check_prime(monkeypatch):
+    """corrupt(m) makes the check prime of hminus(m) come with the root 1.
+
+    A root of another primitive order would not do: the product runs over
+    whole Galois orbits and comes out the same.
+    """
+    original = classnumber._crt_prime
+
+    def corrupt(m):
+        used = []
+
+        def record(exponent, index):
+            used.append(index)
+            return original(exponent, index)
+
+        monkeypatch.setattr(classnumber, "_crt_prime", record)
+        hminus.cache_clear()
+        hminus(m)
+        check = max(used)
+
+        def wrong_root(exponent, index):
+            ell, root = original(exponent, index)
+            return (ell, 1) if index == check else (ell, root)
+
+        monkeypatch.setattr(classnumber, "_crt_prime", wrong_root)
+        hminus.cache_clear()
+
+    yield corrupt
+    hminus.cache_clear()
 
 
 class TestHminus:
@@ -174,6 +207,27 @@ class TestHminus:
     def test_against_bareiss_oracle(self):
         for m in range(1, 201):
             assert hminus(m) == oracles.bareiss_hminus(m), m
+
+    def test_against_orbit_oracle(self):
+        for m in range(1, 261):
+            assert hminus(m) == oracles.orbit_hminus(m), m
+
+    @pytest.mark.parametrize("m", [23, 39, 401])
+    def test_corrupt_check_prime_is_an_internal_error(self, m,
+                                                      corrupt_check_prime):
+        corrupt_check_prime(m)
+        with pytest.raises(InternalConsistencyError, match="check prime"):
+            hminus(m)
+
+    def test_corrupt_check_prime_exits_3(self, corrupt_check_prime, capsys,
+                                         monkeypatch):
+        monkeypatch.delenv("CYCLOCLASS_CACHE", raising=False)
+        corrupt_check_prime(39)
+        assert run(["hminus", "--m", "39"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal consistency failure: analytic minus")
+        assert "Traceback" not in err
 
     def test_two_mod_four_pairing(self):
         for m in (3, 5, 15, 29, 39, 65):

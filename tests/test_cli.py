@@ -186,6 +186,7 @@ class TestExitCodes:
         (["tate", "--km", "-1", "--degree", "1"], 1),
         (["tate", "--km", "-3", "--degree", "1"], 1),
         (["tate", "--km", "0", "--degree", "1"], 0),
+        (["tate", "--km", "3", "--degree", "1", "--involution", "1"], 1),
     ])
     def test_documented_exit_codes(self, capture, argv, code):
         assert capture(argv)[0] == code
@@ -199,15 +200,30 @@ class TestExitCodes:
 
 
 class TestSweepText:
-    def test_hminus_beyond_ceiling_is_an_error_row(self, capture):
-        # phi(2041) = 1872 and phi(2045) = 1632 exceed HMINUS_PHI_CEILING
+    def test_hminus_beyond_ceiling_keeps_the_verdicts(self, capture):
+        # phi(2041) = 1872 and phi(2045) = 1632 exceed HMINUS_PHI_CEILING:
+        # those rows leave the h- columns blank and keep their verdicts
         code, out, err = capture(["sweep", "--n", "4", "--m-min", "2040",
                                   "--m-max", "2045"])
         assert code == 0 and err == ""
+        rows = [r.split() for r in out.strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(2040, 2046))
+        assert not any("error:" in r for r in rows)
+        blank = {int(r[0]): r[4:] for r in rows if r[2:4] == ["-", "-"]}
+        assert blank == {2041: ["finite"] * 3, 2045: ["finite"] * 3}
+        _, json_out, _ = capture(["sweep", "--n", "4", "--m-min", "2040",
+                                  "--m-max", "2045", "--format", "json"])
+        assert [[r[k]["verdict"] for k in ("mhs", "mhcob", "mhs_hcob")]
+                for r in json.loads(json_out)] == [r[4:] for r in rows]
+
+    def test_scope_error_is_still_an_error_row(self, capture):
+        # m = 1 has no cyclic group of order at least 2
+        code, out, _ = capture(["sweep", "--n", "4", "--m-min", "1",
+                                "--m-max", "2"])
+        assert code == 0
         rows = out.strip().splitlines()[1:]
-        assert [int(r.split()[0]) for r in rows] == list(range(2040, 2046))
-        errors = [int(r.split()[0]) for r in rows if " error: " in r]
-        assert errors == [2041, 2045]
+        assert rows[0].startswith("     1  error: m = 1:")
+        assert rows[1].split()[2:] == ["1", "1"] + ["trivial"] * 3
 
     def test_columns(self, capture):
         code, out, _ = capture(["sweep", "--n", "4", "--m-min", "2",

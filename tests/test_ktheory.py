@@ -7,7 +7,6 @@ from cycloclass.involutive import tate
 from cycloclass.ktheory import (
     KM_LEVEL_CEILING,
     ScopeError,
-    _km_order,
     _two_power_d_exponent,
     a_m,
     d_divisibility_bound,
@@ -20,6 +19,8 @@ from cycloclass.ktheory import (
     wh_structure,
 )
 from cycloclass.residue import UnsupportedModulusError
+
+import oracles
 
 
 class TestWhRank:
@@ -59,7 +60,7 @@ class TestKmModule:
 
     def test_closed_form_order(self):
         for n in range(KM_LEVEL_CEILING + 1):
-            assert _km_order(n) == km_v_module(n).order, n
+            assert oracles.km_order(n) == km_v_module(n).order, n
 
     def test_tate_orders(self):
         for n in range(3, 9):
@@ -99,7 +100,7 @@ class TestStoredDGroups:
     def test_ladder_exponent_closed_form(self):
         # log2 of the product of the Kervaire-Murthy orders below 2^e
         for e in range(2, 21):
-            order = prod(_km_order(k - 1) for k in range(2, e + 1))
+            order = prod(oracles.km_order(k - 1) for k in range(2, e + 1))
             assert 2 ** _two_power_d_exponent(e) == order, e
 
     def test_two_power_ladder(self):

@@ -14,7 +14,6 @@ from cycloclass.residue import (
     residue_units,
     unit_quotient,
     vtilde,
-    vtilde_module,
 )
 from oracles import (
     lambda_min_poly_int,
@@ -25,6 +24,7 @@ from oracles import (
     oracle_vtilde_module,
     pgcd,
     pnormal,
+    vtilde_module,
 )
 
 
