@@ -15,15 +15,21 @@ A Galois orbit of odd characters shares d, f and the c_t, and its members
 put zeta_d at the phi(d) primitive d-th roots of unity.  So h^- is computed
 modulo primes l = 1 (mod lambda(m)) just below 2^62, at which every such
 root exists, as the product over the orbits of the values at those roots,
-the factor -1/(2f) taken modulo l.  The residues are combined once by the
-Chinese remainder theorem.  An orbit's norm N of sum_t c_t zeta^t obeys
+the factor -1/(2f) taken modulo l.  An odd character has d even and
+zeta_d^(d/2) = -1, so each value is a sum of half the length,
+
+    sum_t c_t zeta^t = sum_(t < d/2) (c_t - c_(t + d/2)) zeta^t.
+
+The residues are combined once by the Chinese remainder theorem.  An
+orbit's norm N of sum_t c_t zeta^t obeys
 
     |N|^2 * d^(2 phi(d)) * phi(d)^phi(d) <= (d * sum_t q_t^2)^phi(d),
     q_t = d c_t - sum_s c_s,  d > 1,
 
 by P(zeta) = (1/d) sum_t q_t zeta^t (the roots sum to zero), Parseval over
-all d-th roots of unity, and the AM-GM inequality.  The orbit contributes
-(-1)^phi(d) N / (2f)^phi(d), so primes are added until their product M has
+all d-th roots of unity, and the AM-GM inequality, on the full-length c_t.
+The orbit contributes (-1)^phi(d) N / (2f)^phi(d), so primes are added
+until their product M has
 
     M^2 * prod (2 d f)^(2 phi(d)) phi(d)^phi(d)
         > 4 (Q w)^2 * prod (d * sum_t q_t^2)^phi(d),
@@ -32,6 +38,15 @@ the products over the orbits; the residue of least absolute value mod M is
 then h^-.  One further prime checks it.  No floating point is involved
 anywhere: a failed check, or a value that is not positive, signals a bug,
 not rounding error.
+
+The orbits are found by walking the exponent tuples of the characters: a
+tuple is odd when its exponents on the generators carrying -1 have an odd
+sum, and the powers chi^j, j a unit mod d, of the first odd tuple not yet
+seen are marked as tuples.  Only that first member becomes a
+DirichletCharacter, for d, f and its local weights.  Its c_t come from one
+walk over the units mod f, each put together by CRT from units mod the
+local conductors and read in the local log tables.  The orbits must cover
+the phi(m)/2 odd characters, each once.
 
 The primes l are found by the stdlib Miller-Rabin test of ``arith``, which
 is deterministic below 2^64, and the primitive roots behind the characters'
@@ -43,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
 from .abelian import FinAbGroup
@@ -124,8 +139,9 @@ class DirichletCharacter:
     """A character of (Z/m)^x, stored as exponents on fixed generators.
 
     chi(g_i) = exp(2 pi i * exps[i] / order_i), the generators being those
-    of the prime-power factors of m in increasing order of p.  Values are
-    returned as exponents of a primitive (order of chi)-th root of unity.
+    of the prime-power factors of m in increasing order of p.  The local
+    weights give the values as exponents of a primitive (order of chi)-th
+    root of unity.
     """
 
     __slots__ = ("modulus", "exps", "order", "conductor", "parity", "_local")
@@ -158,28 +174,6 @@ class DirichletCharacter:
     def __setattr__(self, name, value):
         raise AttributeError("DirichletCharacter is immutable")
 
-    def _exponent(self, a):
-        t = 0
-        for q, weights, logs in self._local:
-            for w, k in zip(weights, logs[a % q]):
-                t += w * k
-        return t % self.order
-
-    def primitive_value_exponent(self, a):
-        """Value exponent of the primitive character of the same conductor.
-
-        Each nontrivial local factor depends only on a mod its own
-        conductor, so a unit mod the conductor is read in the local logs
-        directly, with no lift to a unit mod m.
-        """
-        if gcd(a, self.conductor) != 1:
-            return None
-        return self._exponent(a)
-
-    def power(self, s):
-        return DirichletCharacter(self.modulus,
-                                  tuple(e * s for e in self.exps))
-
     def __eq__(self, other):
         return (isinstance(other, DirichletCharacter)
                 and self.modulus == other.modulus and self.exps == other.exps)
@@ -206,14 +200,68 @@ def characters(m):
 
 def _bernoulli_sums(chi):
     """(f, sums): the conductor, and for each t the sum of the a in [1, f)
-    at which the primitive character takes the value zeta_order^t."""
-    f = chi.conductor
-    sums = [0] * chi.order
-    for a in range(1, f):
-        t = chi.primitive_value_exponent(a)
-        if t is not None:
-            sums[t] += a
+    at which the primitive character takes the value zeta_order^t.
+
+    The units a mod f are walked once, each assembled by the Chinese
+    remainder theorem from units r modulo the local conductors
+    f_p = gcd(f, p^e).  Such an r is a unit mod p^e as well, and the local
+    factor of chi only sees r mod f_p, so its value exponent is read from
+    the local log table directly.
+    """
+    f, d = chi.conductor, chi.order
+    walk = [(0, 0)]
+    for q, weights, logs in chi._local:
+        fq = gcd(f, q)
+        rest = f // fq
+        lift = rest * pow(rest, -1, fq)  # 1 mod fq, 0 mod the rest of f
+        local = [(r * lift, sum(map(mul, weights, ks)))
+                 for r, ks in logs.items() if r < fq]
+        walk = [(a + b, s + t) for a, s in walk for b, t in local]
+    sums = [0] * d
+    for a, t in walk:
+        sums[t % d] += a % f
     return f, sums
+
+
+def _odd_orbits(m):
+    """One (d, f, sums) per Galois orbit of odd characters modulo m.
+
+    The characters are walked as exponent tuples on the generators of
+    ``_unit_group``; a character is odd when its exponents on the
+    generators carrying -1 have an odd sum.  The orbit {chi^j : j a unit
+    mod d} of a character of order d is marked as plain tuples, and only
+    its first member is built as a DirichletCharacter, for its order,
+    conductor and local weights.  The orbits must cover the phi(m)/2 odd
+    characters, each once.
+    """
+    orders = _generator_orders(m)
+    signs, i = [], 0
+    for *_, gens, _ in _unit_group(m):
+        if gens:
+            signs.append(i)
+        i += len(gens)
+
+    def odd(exps):
+        return sum(exps[i] for i in signs) % 2 == 1
+
+    seen, orbits = set(), []
+    for exps in product(*(range(o) for o in orders)):
+        if exps in seen or not odd(exps):
+            continue
+        chi = DirichletCharacter(m, exps)
+        d = chi.order
+        units = [j for j in range(1, d) if gcd(j, d) == 1]
+        orbit = {tuple(j * k % o for k, o in zip(exps, orders))
+                 for j in units}
+        if len(orbit) != len(units) or not seen.isdisjoint(orbit) \
+                or not all(map(odd, orbit)):
+            raise InternalConsistencyError("orbit left the odd characters")
+        seen |= orbit
+        orbits.append((d, *_bernoulli_sums(chi)))
+    if 2 * len(seen) != prod(orders):
+        raise InternalConsistencyError(
+            "the orbits do not cover half of the characters")
+    return orbits
 
 
 def _normalize_modulus(m):
@@ -240,11 +288,12 @@ def _crt_prime(exponent, index):
 
 
 #: the largest phi(m), for m normalised, that hminus evaluates.  A CRT
-#: prime costs phi(d) dot products of length d per orbit of order d, at
-#: most phi(m) * lambda(m) / 2 products, and the number of primes grows
-#: with the digits of h^-: on a 2-core x86-64 host (Python 3.11) the prime
-#: 1553, the costliest modulus measured below the ceiling, takes 5.5 s (38
-#: primes and the check), and the prime 2039 takes 14 s (53 and the check)
+#: prime costs phi(d) dot products of length d/2 per orbit of order d, at
+#: most phi(m) * lambda(m) / 4 multiplications, and the number of primes
+#: grows with the digits of h^-: on a 2-core x86-64 host (Python 3.11) the
+#: primes 1553 and 1523, the costliest moduli measured below the ceiling,
+#: take 3.5-4.2 s cold (38 and 37 primes and the check), and the prime
+#: 2039 takes 9.1 s (53 and the check)
 HMINUS_PHI_CEILING = 1600
 
 
@@ -257,11 +306,17 @@ def hminus(m):
     roots of unity of the field.  Every character order divides the
     exponent of (Z/m)^x, so one run of CRT primes serves every orbit.
     Moduli with phi(m) above HMINUS_PHI_CEILING raise
-    UnsupportedModulusError before any character is built.
+    UnsupportedModulusError before any character is built, and moduli
+    above 2 * HMINUS_PHI_CEILING^2 before m is factored.
     """
     m = _normalize_modulus(m)
     if m <= 2:
         return 1
+    if m > 2 * HMINUS_PHI_CEILING ** 2:
+        # phi(m) >= sqrt(m / 2) for every m
+        raise UnsupportedModulusError(
+            f"m = {m}: phi(m) >= sqrt(m/2) is above {HMINUS_PHI_CEILING}, "
+            "the largest degree whose minus class number is evaluated")
     phi = totient(m)
     if phi > HMINUS_PHI_CEILING:
         raise UnsupportedModulusError(
@@ -270,27 +325,21 @@ def hminus(m):
     qw = (1 if len(_unit_group(m)) == 1 else 2) * (2 * m if m % 2 else m)
     exponent = lcm(*_generator_orders(m))
 
-    # one (d, f, sums) per Galois orbit of odd characters, and per order d
-    # the picks that reorder the powers of zeta into zeta^(j t), j a unit
-    orbits, picks = [], {}
-    bound_sq, scale = 4 * qw * qw, 1
-    remaining = {c for c in characters(m) if c.parity == -1}
-    while remaining:
-        chi = remaining.pop()
-        d = chi.order
-        units = [j for j in range(1, d) if gcd(j, d) == 1]
-        orbit = {chi.power(j) for j in units[1:]}
-        if not orbit <= remaining:
-            raise InternalConsistencyError("orbit left the odd characters")
-        remaining -= orbit
-        f, sums = _bernoulli_sums(chi)
-        total, phi_d = sum(sums), len(units)
+    # per orbit the folded sums c_t - c_(t+d/2), and per order d the picks
+    # that read zeta^(j t), t < d/2, off the powers of zeta, j a unit mod d
+    folds, picks = [], {}
+    bound_sq, scale, denominator = 4 * qw * qw, 1, 1
+    for d, f, sums in _odd_orbits(m):
+        half = d // 2
+        if d not in picks:
+            units = [j for j in range(2, d) if gcd(j, d) == 1]
+            picks[d] = [itemgetter(slice(half))] + [
+                itemgetter(*[j * t % d for t in range(half)]) for j in units]
+        total, phi_d = sum(sums), len(picks[d])
         bound_sq *= (d * sum((d * c - total) ** 2 for c in sums)) ** phi_d
         scale *= (2 * d * f) ** (2 * phi_d) * phi_d ** phi_d
-        orbits.append((d, f, sums))
-        if d not in picks:
-            picks[d] = [itemgetter(*[j * t % d for t in range(d)])
-                        for j in units]
+        denominator *= (-2 * f) ** phi_d
+        folds.append((d, [a - b for a, b in zip(sums, sums[half:])]))
 
     def residue(ell, root):
         """h^- mod ell, given an element root of order exponent mod ell."""
@@ -300,11 +349,11 @@ def hminus(m):
             for t in range(1, d):
                 row[t] = row[t - 1] * zeta % ell
             powers[d] = row
-        value = qw
-        for d, f, sums in orbits:
-            factor, row = -pow(2 * f, -1, ell), powers[d]
+        value = qw * pow(denominator, -1, ell)
+        for d, folded in folds:
+            row = powers[d]
             for pick in picks[d]:
-                value = value * factor * sum(map(mul, sums, pick(row))) % ell
+                value = value * sum(map(mul, folded, pick(row))) % ell
         return value
 
     h, modulus, index = 0, 1, 0

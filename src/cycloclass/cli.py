@@ -18,7 +18,8 @@ m < 2, tate --km below 0 or with --involution, tate invariants or
 involutions that are not a valid module).  Scope errors are classify/verify
 with n odd or below 4, m < 2 where a cyclic group is needed, moduli outside
 the implemented unit reductions, tate --km above KM_LEVEL_CEILING, and
-hminus at phi(m) above HMINUS_PHI_CEILING.  hminus --m 1 prints 1.  sweep
+hminus at phi(m) above HMINUS_PHI_CEILING (above 2 * HMINUS_PHI_CEILING^2,
+before m is factored).  hminus --m 1 prints 1.  sweep
 reports a per-m scope error as an error row of its table, and an h- above
 HMINUS_PHI_CEILING as "-" in the h- columns of a row that keeps its
 verdicts.

@@ -6,9 +6,11 @@ check on the matrix route.  The minus class number is recomputed the slow
 way twice: once with conductors by search, primitive values by lifting to
 a unit mod m, and orbit norms as Bareiss determinants of multiplication
 matrices; once orbit by orbit, each orbit with its own multimodular norm
-and its own CRT primes, the factors multiplied as fractions.  The exact
-cyclotomic numbers and Bernoulli values that the orbit products stand for
-are here too.  The unit
+and its own CRT primes, the factors multiplied as fractions.  Both take
+every odd character from ``characters``, its Galois orbit as its powers,
+and its Bernoulli sums value by value over [1, f).  The exact cyclotomic
+numbers and Bernoulli values that the orbit products stand for are here
+too.  The unit
 cokernel vtilde is recomputed the slow way too: discrete logs in every
 factor field of F_p[zeta_n], the units of F_p[lambda_n] from CRT
 generators, and the conjugation worked out as a matrix.  The determinant,
@@ -35,7 +37,7 @@ from cycloclass.abelian import (
     subgroup_generated,
 )
 from cycloclass.classnumber import (
-    _bernoulli_sums,
+    DirichletCharacter,
     _crt_prime,
     _generator_orders,
     _normalize_modulus,
@@ -384,11 +386,48 @@ def swap_square(module):
 # minus class numbers, the slow way
 
 
+def character_exponent(chi, a):
+    """t with chi(a) = zeta_order^t, for a unit a mod m."""
+    t = 0
+    for q, weights, logs in chi._local:
+        for w, k in zip(weights, logs[a % q]):
+            t += w * k
+    return t % chi.order
+
+
 def value_exponent(chi, a):
     """t with chi(a) = zeta_order^t, or None when gcd(a, m) > 1."""
     if gcd(a, chi.modulus) != 1:
         return None
-    return chi._exponent(a)
+    return character_exponent(chi, a)
+
+
+def primitive_value_exponent(chi, a):
+    """Value exponent of the primitive character of the same conductor.
+
+    Each nontrivial local factor depends only on a mod its own
+    conductor, so a unit mod the conductor is read in the local logs
+    directly, with no lift to a unit mod m.
+    """
+    if gcd(a, chi.conductor) != 1:
+        return None
+    return character_exponent(chi, a)
+
+
+def power(chi, s):
+    return DirichletCharacter(chi.modulus, tuple(e * s for e in chi.exps))
+
+
+def bernoulli_sums(chi):
+    """(f, sums): the conductor, and for each t the sum of the a in [1, f)
+    at which the primitive character takes the value zeta_order^t."""
+    f = chi.conductor
+    sums = [0] * chi.order
+    for a in range(1, f):
+        t = primitive_value_exponent(chi, a)
+        if t is not None:
+            sums[t] += a
+    return f, sums
 
 
 def search_conductor(chi):
@@ -454,7 +493,7 @@ def bareiss_hminus(m):
     while remaining:
         chi = remaining.pop()
         d = chi.order
-        orbit = {chi.power(s) for s in range(2, d) if gcd(s, d) == 1}
+        orbit = {power(chi, s) for s in range(2, d) if gcd(s, d) == 1}
         remaining -= orbit
         f = search_conductor(chi)
         sums = [0] * d
@@ -527,7 +566,7 @@ def b1(chi):
     as an exact element of Q(zeta_order)."""
     if chi.order == 1:
         raise ValueError("principal characters are not accepted")
-    f, sums = _bernoulli_sums(chi)
+    f, sums = bernoulli_sums(chi)
     return CycNumber(chi.order, [Fraction(s, f) for s in sums])
 
 
@@ -592,12 +631,12 @@ def orbit_hminus(m):
     while remaining:
         chi = remaining.pop()
         d = chi.order
-        orbit = {chi.power(s) for s in range(2, d) if gcd(s, d) == 1}
+        orbit = {power(chi, s) for s in range(2, d) if gcd(s, d) == 1}
         if not orbit <= remaining:
             raise InternalConsistencyError("orbit left the odd characters")
         remaining -= orbit
         phi_d = len(orbit) + 1
-        f, sums = _bernoulli_sums(chi)
+        f, sums = bernoulli_sums(chi)
         norm = cyclotomic_norm_int(sums, d, exponent)
         total *= Fraction((-1) ** phi_d * norm, (2 * f) ** phi_d)
 

@@ -1,11 +1,13 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from cycloclass import classnumber
+from cycloclass import arith, classnumber
 from cycloclass.abelian import FinAbGroup
 from cycloclass.classnumber import (
     HMINUS_ONE,
@@ -76,7 +78,7 @@ class TestCharacters:
             for chi in characters(m):
                 f = chi.conductor
                 for a in range(1, f):
-                    assert chi.primitive_value_exponent(a) == \
+                    assert oracles.primitive_value_exponent(chi, a) == \
                         oracles.lifted_primitive_value_exponent(chi, f, a)
 
 
@@ -150,6 +152,62 @@ class TestCyclotomicNorm:
             oracles.cyclotomic_norm_int(coeffs, 5, 12)
 
 
+def _oracle_orbits(m):
+    """(d, f, sums, counts) per Galois orbit of odd characters, the first
+    character of each orbit in ``characters`` order as its representative,
+    with counts[t] the number of units a in [1, f) at which the primitive
+    character takes the value zeta_d^t."""
+    covered, orbits = set(), []
+    for chi in characters(m):
+        if chi.parity == 1 or chi in covered:
+            continue
+        d = chi.order
+        covered |= {oracles.power(chi, j) for j in range(1, d)
+                    if gcd(j, d) == 1}
+        f, sums = oracles.bernoulli_sums(chi)
+        counts = Counter(oracles.primitive_value_exponent(chi, a)
+                         for a in range(1, f))
+        orbits.append((d, f, sums, [counts[t] for t in range(d)]))
+    return orbits
+
+
+class TestOddOrbits:
+    def test_against_characters(self):
+        for m in range(3, 301):
+            new = Counter((d, f, tuple(sums))
+                          for d, f, sums in classnumber._odd_orbits(m))
+            old = Counter((d, f, tuple(sums))
+                          for d, f, sums, _ in _oracle_orbits(m))
+            assert new == old, m
+
+    def test_fold_identity(self):
+        # a -> f - a moves the value zeta^t of an odd character to
+        # zeta^(t + d/2), so c_(t + d/2) = f n_t - c_t
+        for m in range(3, 151):
+            counts = {(d, f, tuple(sums)): n
+                      for d, f, sums, n in _oracle_orbits(m)}
+            for d, f, sums in classnumber._odd_orbits(m):
+                n = counts[d, f, tuple(sums)]
+                for t in range(d // 2):
+                    assert sums[t + d // 2] == f * n[t] - sums[t], (m, d, t)
+
+    @pytest.mark.parametrize("m", [257, 255])
+    def test_one_character_per_orbit(self, m, monkeypatch):
+        orbits, built = len(_oracle_orbits(m)), []
+
+        class Counting(classnumber.DirichletCharacter):
+            __slots__ = ()
+
+            def __init__(self, modulus, exps):
+                built.append(exps)
+                super().__init__(modulus, exps)
+
+        monkeypatch.setattr(classnumber, "DirichletCharacter", Counting)
+        hminus.cache_clear()
+        hminus(m)
+        assert 0 < len(built) <= orbits
+
+
 @pytest.fixture
 def corrupt_check_prime(monkeypatch):
     """corrupt(m) makes the check prime of hminus(m) come with the root 1.
@@ -204,12 +262,31 @@ class TestHminus:
         with pytest.raises(UnsupportedModulusError, match="above 1600"):
             hminus(m)
 
+    def test_huge_modulus_is_refused_before_factoring(self, monkeypatch):
+        # phi(m) >= sqrt(m/2), so above 2 * 1600^2 no factoring is needed
+        calls, original = [], arith.factorint
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(arith, "factorint", counting)
+        monkeypatch.setattr(classnumber, "factorint", counting)
+        with pytest.raises(UnsupportedModulusError, match="above 1600"):
+            hminus(2 * 1600 ** 2 + 1)
+        assert calls == []
+
     def test_against_bareiss_oracle(self):
         for m in range(1, 201):
             assert hminus(m) == oracles.bareiss_hminus(m), m
 
     def test_against_orbit_oracle(self):
         for m in range(1, 261):
+            assert hminus(m) == oracles.orbit_hminus(m), m
+
+    @pytest.mark.slow
+    def test_against_orbit_oracle_beyond_260(self):
+        for m in [*range(261, 701), 1009, 1553]:
             assert hminus(m) == oracles.orbit_hminus(m), m
 
     @pytest.mark.parametrize("m", [23, 39, 401])
@@ -277,7 +354,7 @@ class TestHminus:
                 for a in range(1, f):
                     if gcd(a, f) != 1:
                         continue
-                    t = chi.primitive_value_exponent(a)
+                    t = oracles.primitive_value_exponent(chi, a)
                     total += a * cmath.exp(2j * cmath.pi * t / chi.order)
                 value *= -total / (2 * f)
             q_factor = 2 if m in (39,) else 1

@@ -369,6 +369,15 @@ def test_hminus_above_phi_ceiling_fails_fast():
     assert "Traceback" not in proc.stderr
 
 
+def test_hminus_of_a_huge_semiprime_fails_fast():
+    # two 31-digit primes: refused before any attempt to factor m
+    m = "3000000000000000000000000000262000000000000000000000000005187"
+    proc = _run_cli(["hminus", "--m", m], timeout=5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"is above {HMINUS_PHI_CEILING}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @st.composite
 def _argv(draw):
     """Any subcommand with small, often invalid arguments."""
