@@ -12,32 +12,33 @@ odd prime power (and -1, 5 at powers of two), so parity, conductor and
 primitive values are read off prime by prime, without a search.
 
 A Galois orbit of odd characters shares d, f and the c_t, and its members
-put zeta_d at the phi(d) primitive d-th roots of unity.  So h^- is computed
-modulo primes l = 1 (mod lambda(m)) just below 2^62, at which every such
-root exists, as the product over the orbits of the values at those roots,
-the factor -1/(2f) taken modulo l.  An odd character has d even and
+put zeta_d at the phi(d) primitive d-th roots of unity.  So h^- is the
+product over the orbits of the values at those roots, times -1/(2f) each,
+taken mod l^k for one prime l = 1 (mod lambda(m)) just below 2^62, at the
+Teichmueller lift r^(l^(k-1)) of an r of order lambda(m) mod l (Washington,
+GTM 83, 5.1): the lift has the same order, and each Phi_d, d | lambda(m),
+splits mod l^k at its powers.  An odd character has d even and
 zeta_d^(d/2) = -1, so each value is a sum of half the length,
 
     sum_t c_t zeta^t = sum_(t < d/2) (c_t - c_(t + d/2)) zeta^t.
 
-The residues are combined once by the Chinese remainder theorem.  An
-orbit's norm N of sum_t c_t zeta^t obeys
+An orbit's norm N of sum_t c_t zeta^t obeys
 
     |N|^2 * d^(2 phi(d)) * phi(d)^phi(d) <= (d * sum_t q_t^2)^phi(d),
     q_t = d c_t - sum_s c_s,  d > 1,
 
 by P(zeta) = (1/d) sum_t q_t zeta^t (the roots sum to zero), Parseval over
 all d-th roots of unity, and the AM-GM inequality, on the full-length c_t.
-The orbit contributes (-1)^phi(d) N / (2f)^phi(d), so primes are added
-until their product M has
+The orbit contributes (-1)^phi(d) N / (2f)^phi(d), so k is the least
+exponent with
 
-    M^2 * prod (2 d f)^(2 phi(d)) phi(d)^phi(d)
+    l^(2k) * prod (2 d f)^(2 phi(d)) phi(d)^phi(d)
         > 4 (Q w)^2 * prod (d * sum_t q_t^2)^phi(d),
 
-the products over the orbits; the residue of least absolute value mod M is
-then h^-.  One further prime checks it.  No floating point is involved
-anywhere: a failed check, or a value that is not positive, signals a bug,
-not rounding error.
+the products over the orbits; the residue of least absolute value mod l^k
+is then h^-.  A second such prime l' checks it in the same pass, taken mod
+l^k * l'.  No floating point is involved anywhere: a failed check, or a
+value that is not positive, signals a bug, not rounding error.
 
 The orbits are found by walking the exponent tuples of the characters: a
 tuple is odd when its exponents on the generators carrying -1 have an odd
@@ -48,9 +49,9 @@ walk over the units mod f, each put together by CRT from units mod the
 local conductors and read in the local log tables.  The orbits must cover
 the phi(m)/2 odd characters, each once.
 
-The primes l are found by the stdlib Miller-Rabin test of ``arith``, which
-is deterministic below 2^64, and the primitive roots behind the characters'
-generators come from the same module.
+The primes l and l' are found by the stdlib Miller-Rabin test of
+``arith``, which is deterministic below 2^64, and the primitive roots
+behind the characters' generators come from the same module.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count, product
 from math import gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import mul
 
 from .abelian import FinAbGroup
 from .arith import factorint, isprime, primitive_root, totient
@@ -287,14 +288,12 @@ def _crt_prime(exponent, index):
             return ell, root
 
 
-#: the largest phi(m), for m normalised, that hminus evaluates.  A CRT
-#: prime costs phi(d) dot products of length d/2 per orbit of order d, at
-#: most phi(m) * lambda(m) / 4 multiplications, and the number of primes
-#: grows with the digits of h^-: on a 2-core x86-64 host (Python 3.11) the
-#: primes 1553 and 1523, the costliest moduli measured below the ceiling,
-#: take 3.5-4.2 s cold (38 and 37 primes and the check), and the prime
-#: 2039 takes 9.1 s (53 and the check)
-HMINUS_PHI_CEILING = 1600
+#: the largest phi(m), for m normalised, that hminus evaluates.  The pass
+#: takes phi(d) dot products of length d/2 per orbit of order d with
+#: residues mod l^k, k growing with the digits of h^-; the safe primes cost
+#: most: on a 2-core x86-64 host (Python 3.11) 3947 and 3863 take 5-6 s
+#: cold, the prime square 3721 3.8-4.8 s, 3 * 1999 and 4 * 1999 3.4-4.6 s
+HMINUS_PHI_CEILING = 4000
 
 
 @lru_cache(maxsize=None)
@@ -304,7 +303,7 @@ def hminus(m):
     The modulus is normalised so that m = 2 mod 4 coincides with m/2 (the
     fields agree).  Q is 1 for prime powers and 2 otherwise; w counts the
     roots of unity of the field.  Every character order divides the
-    exponent of (Z/m)^x, so one run of CRT primes serves every orbit.
+    exponent of (Z/m)^x, so one root of that order serves every orbit.
     Moduli with phi(m) above HMINUS_PHI_CEILING raise
     UnsupportedModulusError before any character is built, and moduli
     above 2 * HMINUS_PHI_CEILING^2 before m is factored.
@@ -325,51 +324,51 @@ def hminus(m):
     qw = (1 if len(_unit_group(m)) == 1 else 2) * (2 * m if m % 2 else m)
     exponent = lcm(*_generator_orders(m))
 
-    # per orbit the folded sums c_t - c_(t+d/2), and per order d the picks
-    # that read zeta^(j t), t < d/2, off the powers of zeta, j a unit mod d
-    folds, picks = [], {}
+    # per order d the units j mod d, and the folded sums c_t - c_(t+d/2)
+    # of the orbits of order d
+    units, folds = {}, {}
     bound_sq, scale, denominator = 4 * qw * qw, 1, 1
     for d, f, sums in _odd_orbits(m):
-        half = d // 2
-        if d not in picks:
-            units = [j for j in range(2, d) if gcd(j, d) == 1]
-            picks[d] = [itemgetter(slice(half))] + [
-                itemgetter(*[j * t % d for t in range(half)]) for j in units]
-        total, phi_d = sum(sums), len(picks[d])
+        if d not in units:
+            units[d] = [j for j in range(1, d) if gcd(j, d) == 1]
+        total, phi_d = sum(sums), len(units[d])
         bound_sq *= (d * sum((d * c - total) ** 2 for c in sums)) ** phi_d
         scale *= (2 * d * f) ** (2 * phi_d) * phi_d ** phi_d
         denominator *= (-2 * f) ** phi_d
-        folds.append((d, [a - b for a, b in zip(sums, sums[half:])]))
+        folds.setdefault(d, []).append(
+            [a - b for a, b in zip(sums, sums[d // 2:])])
 
-    def residue(ell, root):
-        """h^- mod ell, given an element root of order exponent mod ell."""
-        powers = {}
-        for d in picks:
-            zeta, row = pow(root, exponent // d, ell), [1] * d
+    def residue(modulus, root):
+        """h^- mod modulus, at a root of order exponent splitting Phi_d."""
+        value = qw * pow(denominator, -1, modulus)
+        for d, orbits in folds.items():
+            zeta, row = pow(root, exponent // d, modulus), [1] * d
             for t in range(1, d):
-                row[t] = row[t - 1] * zeta % ell
-            powers[d] = row
-        value = qw * pow(denominator, -1, ell)
-        for d, folded in folds:
-            row = powers[d]
-            for pick in picks[d]:
-                value = value * sum(map(mul, folded, pick(row))) % ell
+                row[t] = row[t - 1] * zeta % modulus
+            for j in units[d]:
+                # zeta^(j t) for t < d/2, shared by the orbits of order d
+                pick = [row[j * t % d] for t in range(d // 2)]
+                for folded in orbits:
+                    value = value * sum(map(mul, folded, pick)) % modulus
         return value
 
-    h, modulus, index = 0, 1, 0
-    while modulus * modulus * scale <= bound_sq:
-        ell, root = _crt_prime(exponent, index)
-        index += 1
-        h += modulus * ((residue(ell, root) - h) * pow(modulus, -1, ell) % ell)
-        modulus *= ell
-    if 2 * h > modulus:
-        h -= modulus
-    ell, root = _crt_prime(exponent, index)
-    if h <= 0 or residue(ell, root) != h % ell:
+    ell, root = _crt_prime(exponent, 0)
+    check, check_root = _crt_prime(exponent, 1)
+    power = ell
+    while power * power * scale <= bound_sq:
+        power *= ell
+    # the Teichmueller lift of root, joined by CRT with the check root
+    lift = pow(root, power // ell, power)
+    lift += power * ((check_root - lift) * pow(power, -1, check) % check)
+    value = residue(power * check, lift)
+    h = value % power
+    if 2 * h > power:
+        h -= power
+    if h <= 0 or value % check != h % check:
         raise InternalConsistencyError(
             f"analytic minus class number for m={m} fails its check: the "
             f"CRT value is not positive or disagrees modulo the check prime "
-            f"{ell}")
+            f"{check}")
     return h
 
 

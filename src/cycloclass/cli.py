@@ -17,7 +17,8 @@ arguments no subcommand defines (hminus with m <= 0, a2k with k < 1 or
 m < 2, tate --km below 0 or with --involution, tate invariants or
 involutions that are not a valid module).  Scope errors are classify/verify
 with n odd or below 4, m < 2 where a cyclic group is needed, moduli outside
-the implemented unit reductions, tate --km above KM_LEVEL_CEILING, and
+the implemented unit reductions or not factored within the Pollard-Brent
+budget of arith, tate --km above KM_LEVEL_CEILING, and
 hminus at phi(m) above HMINUS_PHI_CEILING (above 2 * HMINUS_PHI_CEILING^2,
 before m is factored).  hminus --m 1 prints 1.  sweep
 reports a per-m scope error as an error row of its table, and an h- above

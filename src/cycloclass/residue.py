@@ -27,7 +27,9 @@ of a norm-one torus, so the involution it induces on vtilde(m) is negation.
 
 The integer arithmetic (factorisation of m, primality, Euler's phi and the
 cyclotomic polynomials, re-exported here as ``cyclotomic_int``) comes from
-the stdlib module ``arith``.
+the stdlib module ``arith``, and so does ``UnsupportedModulusError``,
+re-exported here, which it raises for a modulus it cannot factor within its
+budget.
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ from math import gcd, prod
 
 from .abelian import AbHom, FinAbGroup, IntMatrix, cokernel, direct_sum
 from .arith import cyclotomic_int  # noqa: F401  (re-exported)
-from .arith import factorint, isprime, totient
-
-
-class UnsupportedModulusError(ValueError):
-    """Raised for moduli outside the implemented unit-index reductions."""
+from .arith import UnsupportedModulusError, factorint, isprime, totient
 
 
 class InternalConsistencyError(RuntimeError):

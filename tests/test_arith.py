@@ -80,6 +80,20 @@ class TestFactorint:
     def test_random(self, n):
         assert arith.factorint(n) == sympy.factorint(n)
 
+    def test_rho_budget_exhausted(self, monkeypatch):
+        # the smaller factor 2^31 - 1 needs tens of thousands of rho steps
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 1000)
+        n = 3 * (2 ** 31 - 1) * (2 ** 61 - 1)
+        with pytest.raises(arith.UnsupportedModulusError,
+                           match=f"cannot factor {n}"):
+            arith.factorint(n)
+
+    def test_unsupported_modulus_error_is_re_exported(self):
+        from cycloclass import residue
+        assert residue.UnsupportedModulusError is \
+            arith.UnsupportedModulusError
+        assert issubclass(arith.UnsupportedModulusError, ValueError)
+
     @pytest.mark.parametrize("n", [0, -1, -12])
     def test_non_positive_rejected(self, n):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -256,14 +256,47 @@ class TestHminus:
         assert hashlib.sha256(value.encode()).hexdigest() == \
             "aa5cc30f460e7b5fb288d1d96ca5638303d4153d9f7e72f7b129957f7c3c85ef"
 
-    @pytest.mark.parametrize("m", [1607, 2 * 1607, 4 * 1607, 10007])
+    def test_value_above_the_old_ceiling(self):
+        # phi(2039) = 2038; the 877-digit value is pinned by the digest of
+        # oracles.orbit_hminus(2039)
+        value = str(hminus(2039))
+        assert len(value) == 877
+        assert hashlib.sha256(value.encode()).hexdigest() == \
+            "29ef480c7b33b95f923641e587e6222556985278f3a262e0e54f66220f1481eb"
+
+    @pytest.mark.parametrize("m", [3, 23, 39, 255, 257, 1009, 1553])
+    def test_teichmueller_lift_keeps_the_order(self, m):
+        # root^(l^(k-1)) mod l^k has order exactly lambda(m), as root mod l
+        exponent = lcm(*classnumber._generator_orders(m))
+        ell, root = classnumber._crt_prime(exponent, 0)
+        for k in range(1, 8):
+            lift = pow(root, ell ** (k - 1), ell ** k)
+            assert lift % ell == root
+            assert pow(lift, exponent, ell ** k) == 1
+            assert all(pow(lift, exponent // r, ell ** k) != 1
+                       for r in arith.factorint(exponent))
+
+    @pytest.mark.parametrize("m", [23, 257, 1009])
+    def test_one_prime_power_and_one_check_prime(self, m, monkeypatch):
+        used, original = [], classnumber._crt_prime
+
+        def record(exponent, index):
+            used.append(index)
+            return original(exponent, index)
+
+        monkeypatch.setattr(classnumber, "_crt_prime", record)
+        hminus.cache_clear()
+        hminus(m)
+        assert set(used) == {0, 1}
+
+    @pytest.mark.parametrize("m", [4003, 2 * 4003, 4 * 4003, 10007])
     def test_phi_ceiling(self, m):
-        assert HMINUS_PHI_CEILING == 1600
-        with pytest.raises(UnsupportedModulusError, match="above 1600"):
+        assert HMINUS_PHI_CEILING == 4000
+        with pytest.raises(UnsupportedModulusError, match="above 4000"):
             hminus(m)
 
     def test_huge_modulus_is_refused_before_factoring(self, monkeypatch):
-        # phi(m) >= sqrt(m/2), so above 2 * 1600^2 no factoring is needed
+        # phi(m) >= sqrt(m/2), so above 2 * 4000^2 no factoring is needed
         calls, original = [], arith.factorint
 
         def counting(n):
@@ -272,8 +305,8 @@ class TestHminus:
 
         monkeypatch.setattr(arith, "factorint", counting)
         monkeypatch.setattr(classnumber, "factorint", counting)
-        with pytest.raises(UnsupportedModulusError, match="above 1600"):
-            hminus(2 * 1600 ** 2 + 1)
+        with pytest.raises(UnsupportedModulusError, match="above 4000"):
+            hminus(2 * 4000 ** 2 + 1)
         assert calls == []
 
     def test_against_bareiss_oracle(self):
@@ -286,7 +319,7 @@ class TestHminus:
 
     @pytest.mark.slow
     def test_against_orbit_oracle_beyond_260(self):
-        for m in [*range(261, 701), 1009, 1553]:
+        for m in [*range(261, 701), 1009, 1553, 2039]:
             assert hminus(m) == oracles.orbit_hminus(m), m
 
     @pytest.mark.parametrize("m", [23, 39, 401])

@@ -201,18 +201,19 @@ class TestExitCodes:
 
 class TestSweepText:
     def test_hminus_beyond_ceiling_keeps_the_verdicts(self, capture):
-        # phi(2041) = 1872 and phi(2045) = 1632 exceed HMINUS_PHI_CEILING:
-        # those rows leave the h- columns blank and keep their verdicts
-        code, out, err = capture(["sweep", "--n", "4", "--m-min", "2040",
-                                  "--m-max", "2045"])
+        # phi(m) exceeds HMINUS_PHI_CEILING at every m but 9840 and 9842
+        # (phi 2560 and 3888): those rows leave the h- columns blank and
+        # keep their verdicts
+        code, out, err = capture(["sweep", "--n", "4", "--m-min", "9838",
+                                  "--m-max", "9843"])
         assert code == 0 and err == ""
         rows = [r.split() for r in out.strip().splitlines()[1:]]
-        assert [int(r[0]) for r in rows] == list(range(2040, 2046))
+        assert [int(r[0]) for r in rows] == list(range(9838, 9844))
         assert not any("error:" in r for r in rows)
         blank = {int(r[0]): r[4:] for r in rows if r[2:4] == ["-", "-"]}
-        assert blank == {2041: ["finite"] * 3, 2045: ["finite"] * 3}
-        _, json_out, _ = capture(["sweep", "--n", "4", "--m-min", "2040",
-                                  "--m-max", "2045", "--format", "json"])
+        assert blank == {m: ["finite"] * 3 for m in (9838, 9839, 9841, 9843)}
+        _, json_out, _ = capture(["sweep", "--n", "4", "--m-min", "9838",
+                                  "--m-max", "9843", "--format", "json"])
         assert [[r[k]["verdict"] for k in ("mhs", "mhcob", "mhs_hcob")]
                 for r in json.loads(json_out)] == [r[4:] for r in rows]
 
@@ -375,6 +376,18 @@ def test_hminus_of_a_huge_semiprime_fails_fast():
     proc = _run_cli(["hminus", "--m", m], timeout=5)
     assert proc.returncode == 2 and proc.stdout == ""
     assert f"is above {HMINUS_PHI_CEILING}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "4"], ["am"], ["verify", "--n", "4"], ["vtilde"],
+    ["cbound"], ["a2k", "--k", "2"]])
+def test_unfactored_modulus_fails_fast(argv):
+    # two 31-digit primes: Pollard-Brent rho gives up within its budget
+    m = "3000000000000000000000000000262000000000000000000000000005187"
+    proc = _run_cli([*argv, "--m", m], timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"cannot factor {m}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -109,10 +109,10 @@ class TestSweep:
         assert sweep(4, []) == []
 
     def test_unsupported_modulus_is_an_entry(self):
-        # the deep pass needs hminus(2041) at phi = 1872, above the ceiling
-        [(m, err)] = sweep(4, [2041], deep=True)
-        assert m == 2041 and isinstance(err, UnsupportedModulusError)
-        assert "phi(m) = 1872 is above 1600" in str(err)
+        # the deep pass needs hminus(4003) at phi = 4002, above the ceiling
+        [(m, err)] = sweep(4, [4003], deep=True)
+        assert m == 4003 and isinstance(err, UnsupportedModulusError)
+        assert "phi(m) = 4002 is above 4000" in str(err)
 
     def test_list_d(self):
         reports = sweep(6, range(2, 31))
