@@ -4,6 +4,7 @@ products of a circle with a lens space.
 
 The layers, bottom up:
 
+- ``record``: the base of the immutable value records of the layers above.
 - ``abelian``: finite abelian groups presented by integer matrices, Smith
   normal form, kernels/cokernels/subgroups, all exact.
 - ``involutive``: groups with involution and their C2 Tate cohomology.

@@ -52,10 +52,22 @@ def _sieve(limit):
     return tuple(compress(range(limit), flags))
 
 
-_SMALL_PRIMES = _sieve(_TRIAL_BOUND)
 # isprime divides by the primes below 100 before Miller-Rabin, which rejects
 # most composites for less than one strong test costs
-_SCREEN_PRIMES = _SMALL_PRIMES[:25]
+_SCREEN_PRIMES = _sieve(100)
+
+# the primes below _sieved, grown by _grow_sieve: sieving all of them up to
+# _TRIAL_BOUND at import would cost a cold query more than its moduli need
+_small_primes, _sieved = _SCREEN_PRIMES, 100
+
+
+def _grow_sieve(n):
+    """Extend _small_primes past isqrt(n), to a power of two, or to
+    _TRIAL_BOUND when that is smaller."""
+    global _small_primes, _sieved
+    if _sieved < _TRIAL_BOUND:
+        _sieved = min(_TRIAL_BOUND, 1 << isqrt(n).bit_length())
+        _small_primes = _sieve(_sieved)
 
 
 def _strong_probable_prime(n, base, odd, twos):
@@ -99,7 +111,9 @@ def factorint(n):
     if n < 1:
         raise ValueError(f"factorint needs a positive integer, got {n}")
     factors, original = {}, n
-    for p in _SMALL_PRIMES:
+    if n >= _sieved * _sieved:
+        _grow_sieve(n)
+    for p in _small_primes:
         if p * p > n:
             break
         if n % p == 0:
@@ -109,8 +123,9 @@ def factorint(n):
                 e += 1
             factors[p] = e
     else:
-        # no prime factor below the bound is left in n; n is prime when
-        # below the bound's square, and otherwise unless isprime says so
+        # no prime below the sieve's bound divides n; that bound exceeds
+        # isqrt(n) or is _TRIAL_BOUND, so n is prime when below the
+        # bound's square, and otherwise unless isprime says so
         if n >= _TRIAL_BOUND ** 2 and not isprime(n):
             large, budget, pending = {}, _RHO_BUDGET, [n]
             while pending:

@@ -56,7 +56,6 @@ behind the characters' generators come from the same module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count, product
 from math import gcd, lcm, prod
@@ -64,6 +63,7 @@ from operator import mul
 
 from .abelian import FinAbGroup
 from .arith import factorint, isprime, primitive_root, totient
+from .record import Record
 from .residue import InternalConsistencyError, UnsupportedModulusError
 
 
@@ -438,16 +438,24 @@ _KNOWN_CLASS_GROUPS = {
 _KNOWN_PLUS_TRIVIAL = frozenset(_KNOWN_CLASS_GROUPS)
 
 
-@dataclass(frozen=True)
-class ClassRecord:
-    """Everything this artifact knows about C(Z[zeta_m])."""
+class ClassRecord(Record):
+    """Everything this artifact knows about C(Z[zeta_m]).
 
-    m: int
-    hminus: int
-    hminus_odd_part: int
-    known_class_group: FinAbGroup | None = None
-    known_plus_trivial: bool | None = None
-    sources: dict = field(default_factory=dict)
+    ``sources`` names where each field came from, a fresh empty dict when
+    not given.
+    """
+
+    __slots__ = ("m", "hminus", "hminus_odd_part", "known_class_group",
+                 "known_plus_trivial", "sources")
+
+    def __init__(self, m, hminus, hminus_odd_part, known_class_group=None,
+                 known_plus_trivial=None, sources=None):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "hminus", hminus)
+        object.__setattr__(self, "hminus_odd_part", hminus_odd_part)
+        object.__setattr__(self, "known_class_group", known_class_group)
+        object.__setattr__(self, "known_plus_trivial", known_plus_trivial)
+        object.__setattr__(self, "sources", {} if sources is None else sources)
 
 
 def class_record(m, compute=True):

@@ -9,7 +9,11 @@ bytes, which is what makes the optional result cache sound: entries are
 keyed by subcommand and canonical arguments, stored with the SHA-256 digest
 of their output, and replayed verbatim only while the digest matches.  The
 digest is unkeyed: it catches a corrupted or hand-edited entry, not one
-whose editor also rewrote the digest.
+whose editor also rewrote the digest.  The file also records a SHA-256 of
+the package's source files, and a file written by other code counts as
+empty.  A cache path that cannot be written costs only the reuse: the
+answer is printed as without a cache, stderr gets one line "cache not
+written: <reason>", and the exit code stays 0.
 
 Exit codes: 0 success, 1 usage error, 2 scope error, 3 internal
 consistency failure.  Usage errors are malformed command lines and
@@ -29,13 +33,9 @@ verdicts.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
-import tempfile
 
-from . import __version__
 from .abelian import AbHom, FinAbGroup, IntMatrix
 from .classnumber import hminus, odd_part
 from .involutive import InvModule, tate
@@ -116,30 +116,54 @@ def _build_parser():
     return parser
 
 
+# json, hashlib and tempfile serve only the cache and the JSON format, so
+# they are imported where used: a text answer without a cache loads none of
+# them
+
+
 def _canonical_key(args):
+    import json
     payload = {k: v for k, v in sorted(vars(args).items())
                if k not in ("cache",)}
     return json.dumps(payload, sort_keys=True)
 
 
 def _digest(text):
+    import hashlib
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _code_digest():
+    """SHA-256 over the package's *.py files, by name and content, in
+    sorted order of name: a cache written by other code is not replayed."""
+    import hashlib
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as handle:
+                data = handle.read()
+            digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 class _Cache:
     def __init__(self, path):
+        import json
         self.path = path
+        self.code = _code_digest()
         self.entries = {}
-        if path and os.path.exists(path):
+        if os.path.exists(path):
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     data = json.load(handle)
             except (OSError, ValueError):
                 data = {}
-            # a file of any other shape is treated as an empty cache
+            # a file of any other shape, or written by other code, is
+            # treated as an empty cache
             if isinstance(data, dict) and \
                     data.get("schema") == SCHEMA_VERSION and \
-                    data.get("tool_version") == __version__ and \
+                    data.get("code_sha256") == self.code and \
                     isinstance(data.get("entries"), dict):
                 self.entries = {
                     k: v for k, v in data["entries"].items()
@@ -158,10 +182,12 @@ class _Cache:
         return entry["output"]
 
     def put(self, key, value):
-        if not self.path:
-            return
+        """Store an entry by an atomic rewrite of the file; OSError when the
+        path cannot be written."""
+        import json
+        import tempfile
         self.entries[key] = {"output": value, "sha256": _digest(value)}
-        payload = {"schema": SCHEMA_VERSION, "tool_version": __version__,
+        payload = {"schema": SCHEMA_VERSION, "code_sha256": self.code,
                    "entries": self.entries}
         directory = os.path.dirname(os.path.abspath(self.path)) or "."
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -246,6 +272,8 @@ def _execute(args):
     """Compute the output text for a parsed invocation."""
     fmt = args.format
     cmd = args.command
+    if fmt == "json":
+        import json
 
     if cmd == "classify":
         report = classify(args.n, args.m, deep=args.deep)
@@ -329,12 +357,13 @@ def run(argv):
         return 1
 
     cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
-    cache = _Cache(cache_path)
-    key = _canonical_key(args)
-    cached = cache.get(key)
-    if cached is not None:
-        print(cached)
-        return 0
+    cache = _Cache(cache_path) if cache_path else None
+    if cache is not None:
+        key = _canonical_key(args)
+        cached = cache.get(key)
+        if cached is not None:
+            print(cached)
+            return 0
 
     # torus orders of supported moduli can have more digits than Python's
     # default limit on int-to-str conversion (4300); interpreters older than
@@ -357,7 +386,12 @@ def run(argv):
         if digit_limit:
             sys.set_int_max_str_digits(digit_limit)
 
-    cache.put(key, output)
+    if cache is not None:
+        try:
+            cache.put(key, output)
+        except OSError as err:
+            # like an unreadable cache, an unwritable one only costs reuse
+            print(f"cache not written: {err}", file=sys.stderr)
     print(output)
     return 0
 

@@ -9,7 +9,6 @@ Nothing is ever silently coerced to a number the sources do not support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .abelian import FinAbGroup
@@ -17,6 +16,7 @@ from .arith import divisors, factorint, isprime
 from .involutive import InvModule, Sign, eigen_set, norm_image_set, tate
 from . import classnumber
 from .classnumber import hminus, hp_is_odd, odd_part
+from .record import Record
 from .residue import UnsupportedModulusError, vtilde
 
 
@@ -74,16 +74,24 @@ def km_v_module(n):
 # tri-state knowledge about groups
 
 
-@dataclass(frozen=True)
-class Knowledge:
-    """What is known about one finite (or not) abelian group."""
+class Knowledge(Record):
+    """What is known about one finite (or not) abelian group.
 
-    status: str                     # "exact" | "bound" | "infinite" | "unknown"
-    group: FinAbGroup | None = None
-    module: InvModule | None = None
-    divisor: int | None = None      # a proven divisor of the order
-    constraint: str | None = None
-    source: str = ""
+    ``status`` is "exact", "bound", "infinite" or "unknown"; ``divisor`` is
+    a proven divisor of the order.
+    """
+
+    __slots__ = ("status", "group", "module", "divisor", "constraint",
+                 "source")
+
+    def __init__(self, status, group=None, module=None, divisor=None,
+                 constraint=None, source=""):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "constraint", constraint)
+        object.__setattr__(self, "source", source)
 
     @classmethod
     def exact(cls, group, source, module=None):
@@ -129,15 +137,22 @@ class Knowledge:
 # stored kernel-group facts
 
 
-@dataclass(frozen=True)
-class DGroupFact:
-    """Stored knowledge about the kernel group of one cyclic group ring."""
+class DGroupFact(Record):
+    """Stored knowledge about the kernel group of one cyclic group ring.
 
-    kind: str                       # "exact" | "order"
-    module: InvModule | None = None
-    two_exponent: int | None = None  # a known order 2^two_exponent
-    parity_odd: bool | None = None
-    source: str = ""
+    ``kind`` is "exact" or "order"; ``two_exponent`` gives a known order
+    2^two_exponent.
+    """
+
+    __slots__ = ("kind", "module", "two_exponent", "parity_odd", "source")
+
+    def __init__(self, kind, module=None, two_exponent=None, parity_odd=None,
+                 source=""):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "two_exponent", two_exponent)
+        object.__setattr__(self, "parity_odd", parity_odd)
+        object.__setattr__(self, "source", source)
 
     @property
     def order(self):
@@ -236,15 +251,22 @@ def d_divisibility_bound(m):
 # per-m description of the reduced projective class group
 
 
-@dataclass(frozen=True)
-class K0Description:
-    """Tri-state description of the class-group data entering K-theory."""
+class K0Description(Record):
+    """Tri-state description of the class-group data entering K-theory.
 
-    m: int
-    h_minus_is_one: bool | None
-    h_odd: bool | None               # parity of the class number
-    d_fact: DGroupFact | None
-    class_parts: dict = field(default_factory=dict)  # divisor -> Knowledge
+    ``h_odd`` is the parity of the class number; ``class_parts`` maps each
+    divisor to its Knowledge, a fresh empty dict when not given.
+    """
+
+    __slots__ = ("m", "h_minus_is_one", "h_odd", "d_fact", "class_parts")
+
+    def __init__(self, m, h_minus_is_one, h_odd, d_fact, class_parts=None):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "h_minus_is_one", h_minus_is_one)
+        object.__setattr__(self, "h_odd", h_odd)
+        object.__setattr__(self, "d_fact", d_fact)
+        object.__setattr__(self, "class_parts",
+                           {} if class_parts is None else class_parts)
 
     def all_class_parts_exact(self):
         return all(k.status == "exact" for k in self.class_parts.values())
@@ -361,18 +383,22 @@ def _a_m_from(m, data):
 # the Whitehead-group structure over the circle
 
 
-@dataclass(frozen=True)
-class WhStructure:
+class WhStructure(Record):
     """The involutive structure of the Whitehead group of the product of
     the infinite cyclic group with a cyclic group, in even degrees."""
 
-    m: int
-    n: int
-    free_rank: int
-    nk1_zero: bool
-    j_group: Knowledge
-    i_group: Knowledge
-    tate_group: Knowledge
+    __slots__ = ("m", "n", "free_rank", "nk1_zero", "j_group", "i_group",
+                 "tate_group")
+
+    def __init__(self, m, n, free_rank, nk1_zero, j_group, i_group,
+                 tate_group):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "nk1_zero", nk1_zero)
+        object.__setattr__(self, "j_group", j_group)
+        object.__setattr__(self, "i_group", i_group)
+        object.__setattr__(self, "tate_group", tate_group)
 
     def to_dict(self):
         return {

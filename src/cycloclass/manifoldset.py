@@ -11,7 +11,6 @@ contradiction between the two is reported, never silently resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
 from . import classnumber
@@ -26,6 +25,7 @@ from .ktheory import (
     squarefree,
     wh_structure,
 )
+from .record import Record
 from .residue import UnsupportedModulusError, c_bound, vtilde
 
 
@@ -64,15 +64,23 @@ def a2k_order(k, m):
     return 2 * m * count
 
 
-@dataclass(frozen=True)
-class SetVerdict:
-    """Verdict for one manifold set, with optional cardinality data."""
+class SetVerdict(Record):
+    """Verdict for one manifold set, with optional cardinality data.
 
-    verdict: str                 # "trivial" | "finite" | "infinite"
-    lower: int | None = None     # bounds on the cardinality when present
-    upper: int | None = None
-    witness: int | None = None   # divisor of the controlling group order
-    note: str = ""
+    ``verdict`` is "trivial", "finite" or "infinite"; ``lower`` and
+    ``upper`` bound the cardinality when present, and ``witness`` divides
+    the order of the controlling group.
+    """
+
+    __slots__ = ("verdict", "lower", "upper", "witness", "note")
+
+    def __init__(self, verdict, lower=None, upper=None, witness=None,
+                 note=""):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "note", note)
 
     def to_dict(self):
         out = {"verdict": self.verdict}
@@ -87,17 +95,23 @@ class SetVerdict:
         return out
 
 
-@dataclass(frozen=True)
-class ManifoldSetReport:
-    n: int
-    k: int
-    m: int
-    mhs: SetVerdict
-    mhcob: SetVerdict
-    mhs_hcob: SetVerdict
-    a2k_order: int
-    ingredients: WhStructure
-    provenance: str
+class ManifoldSetReport(Record):
+    """The verdicts for the three manifold sets at (n = 2k, m)."""
+
+    __slots__ = ("n", "k", "m", "mhs", "mhcob", "mhs_hcob", "a2k_order",
+                 "ingredients", "provenance")
+
+    def __init__(self, n, k, m, mhs, mhcob, mhs_hcob, a2k_order, ingredients,
+                 provenance):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "mhs", mhs)
+        object.__setattr__(self, "mhcob", mhcob)
+        object.__setattr__(self, "mhs_hcob", mhs_hcob)
+        object.__setattr__(self, "a2k_order", a2k_order)
+        object.__setattr__(self, "ingredients", ingredients)
+        object.__setattr__(self, "provenance", provenance)
 
     def to_json_dict(self):
         return {
@@ -185,12 +199,17 @@ def classify(n, m, deep=False):
 # the independent verification channel
 
 
-@dataclass(frozen=True)
-class ConsistencyRecord:
-    n: int
-    m: int
-    consistent: bool
-    checks: tuple
+class ConsistencyRecord(Record):
+    """The outcome of verify(n, m): each check as a tuple of
+    (key, value) pairs."""
+
+    __slots__ = ("n", "m", "consistent", "checks")
+
+    def __init__(self, n, m, consistent, checks):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "checks", checks)
 
     def to_dict(self):
         return {"n": self.n, "m": self.m, "consistent": self.consistent,

@@ -60,6 +60,19 @@ class TestFactorint:
             assert arith.totient(n) == sympy.totient(n), n
             assert arith.divisors(n) == sympy.divisors(n), n
 
+    def test_sieve_grows_on_demand(self, monkeypatch):
+        # from the primes below 100, as at import: each square of a prime
+        # just past a power of two needs the sieve grown past that prime,
+        # or its leftover would be taken for a prime
+        monkeypatch.setattr(arith, "_small_primes", arith._SCREEN_PRIMES)
+        monkeypatch.setattr(arith, "_sieved", 100)
+        for bits in range(7, 18):
+            p = sympy.nextprime(2 ** bits)
+            q = sympy.nextprime(p)
+            for n in (q, p * p, p * q):
+                assert arith.factorint(n) == sympy.factorint(n), n
+        assert arith._sieved == 2 ** 16
+
     @pytest.mark.parametrize("n", [
         65537 * 4294967311,             # composite cofactor past 2^16
         2 ** 5 * 3 * 65537 * 65539,     # the same after small primes

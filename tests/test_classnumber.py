@@ -352,9 +352,10 @@ class TestHminus:
             assert hminus_is_one(m) == (hminus(m) == 1)
 
     def test_parity_matches_hp_table(self):
+        # every prime the stored table covers, up to 509
         from sympy import primerange
-        for p in primerange(3, 61):
-            assert (hminus(p) % 2 == 1) == hp_is_odd(p)
+        for p in primerange(2, 510):
+            assert (hminus(p) % 2 == 1) == hp_is_odd(p), p
 
     def test_growth_spot_check(self):
         from sympy import primerange

@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -12,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 import cycloclass
 from cycloclass import __version__
 from cycloclass.classnumber import HMINUS_PHI_CEILING
-from cycloclass.cli import SCHEMA_VERSION, run
+from cycloclass.cli import SCHEMA_VERSION, _code_digest, run
+
+CODE = _code_digest()
 
 
 @pytest.fixture
@@ -286,11 +290,13 @@ class TestCache:
                     "entries": {"k": 5}}),
         json.dumps({"schema": SCHEMA_VERSION, "tool_version": __version__,
                     "entries": []}),
-        json.dumps({"schema": SCHEMA_VERSION, "tool_version": __version__,
+        json.dumps({"schema": SCHEMA_VERSION, "code_sha256": CODE,
+                    "entries": []}),
+        json.dumps({"schema": SCHEMA_VERSION, "code_sha256": CODE,
                     "entries": {"k": 5}}),
-        json.dumps({"schema": SCHEMA_VERSION, "tool_version": __version__,
+        json.dumps({"schema": SCHEMA_VERSION, "code_sha256": CODE,
                     "entries": {"k": "565"}}),
-        json.dumps({"schema": SCHEMA_VERSION, "tool_version": __version__,
+        json.dumps({"schema": SCHEMA_VERSION, "code_sha256": CODE,
                     "entries": {"k": {"output": "565"}}}),
     ])
     def test_wrong_shape_treated_as_empty(self, capture, tmp_path, content):
@@ -315,6 +321,54 @@ class TestCache:
         assert code == 0 and out == "2\n" and err == ""
         (entry,) = json.loads(cache_file.read_text())["entries"].values()
         assert entry["output"] == "2"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/cache.json"])
+def test_unwritable_cache_costs_only_the_reuse(tmp_path, target):
+    (tmp_path / "directory").mkdir()
+    plain = _run_cli(["hminus", "--m", "39"], timeout=30)
+    proc = _run_cli(["--cache", str(tmp_path / target), "hminus", "--m", "39"],
+                    timeout=30)
+    assert proc.returncode == 0 and proc.stdout == plain.stdout == "2\n"
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("cache not written: ")
+    assert list((tmp_path / "directory").iterdir()) == []
+
+
+def test_cache_of_other_code_is_not_replayed(tmp_path):
+    package = tmp_path / "copy" / "cycloclass"
+    shutil.copytree(os.path.dirname(cycloclass.__file__), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cache_file = tmp_path / "cache.json"
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    env.pop("CYCLOCLASS_CACHE", None)
+
+    def hminus_39():
+        proc = subprocess.run(
+            [sys.executable, "-m", "cycloclass.cli", "hminus", "--m", "39",
+             "--cache", str(cache_file)],
+            capture_output=True, text=True, timeout=30, env=env)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        return proc.stdout
+
+    assert hminus_39() == "2\n"
+    # a wrong answer stored with a matching digest is replayed by the same
+    # code, which shows that the next call could replay it
+    data = json.loads(cache_file.read_text())
+    (entry,) = data["entries"].values()
+    entry["output"] = "999"
+    entry["sha256"] = hashlib.sha256(b"999").hexdigest()
+    cache_file.write_text(json.dumps(data))
+    assert hminus_39() == "999\n"
+
+    source = package / "arith.py"
+    source.write_text(source.read_text().replace(
+        "#: trial division stops at this bound",
+        "#: trial division stops at this bound, 2^16", 1))
+    assert hminus_39() == "2\n"
+    assert json.loads(cache_file.read_text())["code_sha256"] \
+        != data["code_sha256"]
 
 
 def _child_env():
