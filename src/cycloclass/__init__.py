@@ -4,7 +4,8 @@ products of a circle with a lens space.
 
 The layers, bottom up:
 
-- ``record``: the base of the immutable value records of the layers above.
+- ``record``: the base of every immutable value of the layers above, from
+  the matrices and groups of ``abelian`` to the reports of ``manifoldset``.
 - ``abelian``: finite abelian groups presented by integer matrices, Smith
   normal form, kernels/cokernels/subgroups, all exact.
 - ``involutive``: groups with involution and their C2 Tate cohomology.

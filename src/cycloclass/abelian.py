@@ -14,11 +14,13 @@ from __future__ import annotations
 from math import gcd, lcm, prod
 import itertools
 
+from .record import Record
 
-class IntMatrix:
+
+class IntMatrix(Record):
     """An immutable integer matrix.  Empty shapes (0 x n, n x 0) are legal."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("data", "rows", "cols")
 
     def __init__(self, data, rows=None, cols=None):
         data = tuple(tuple(int(x) for x in row) for row in data)
@@ -28,12 +30,7 @@ class IntMatrix:
             cols = len(data[0]) if data else 0
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError("ragged or mis-sized matrix data")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+        super().__init__(data, rows, cols)
 
     @classmethod
     def identity(cls, n):
@@ -117,13 +114,6 @@ class IntMatrix:
 
     def is_zero(self):
         return all(all(a == 0 for a in r) for r in self.data)
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r})"
@@ -250,7 +240,7 @@ def kernel_basis(m):
     return IntMatrix.from_columns(cols, rows=m.cols)
 
 
-class FinAbGroup:
+class FinAbGroup(Record):
     """Z/d1 x ... x Z/dr in invariant-factor form, d1 | d2 | ... | dr, di >= 2.
 
     The trivial group is ``FinAbGroup()``.  Generators are the canonical
@@ -267,10 +257,7 @@ class FinAbGroup:
         for a, b in itertools.pairwise(fs):
             if b % a:
                 raise ValueError(f"{fs} is not a divisibility chain")
-        object.__setattr__(self, "invariant_factors", fs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinAbGroup is immutable")
+        super().__init__(fs)
 
     @classmethod
     def from_cyclic_factors(cls, factors):
@@ -325,13 +312,6 @@ class FinAbGroup:
         """Iterate over all elements.  Meant for small groups and oracles."""
         return itertools.product(*(range(d) for d in self.invariant_factors))
 
-    def __eq__(self, other):
-        return (isinstance(other, FinAbGroup)
-                and self.invariant_factors == other.invariant_factors)
-
-    def __hash__(self):
-        return hash(self.invariant_factors)
-
     def __repr__(self):
         return f"FinAbGroup({list(self.invariant_factors)!r})"
 
@@ -341,7 +321,7 @@ class FinAbGroup:
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
-class AbHom:
+class AbHom(Record):
     """A homomorphism between finite abelian groups.
 
     Column j of ``matrix`` is the image of the j-th source generator in
@@ -364,12 +344,8 @@ class AbHom:
                     raise ValueError("matrix does not respect generator orders")
                 row.append(x)
             norm.append(row)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", IntMatrix(norm, target.rank, source.rank))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AbHom is immutable")
+        super().__init__(source, target,
+                         IntMatrix(norm, target.rank, source.rank))
 
     @classmethod
     def identity(cls, group):
@@ -406,18 +382,11 @@ class AbHom:
         return (self.source == self.target
                 and self == AbHom.identity(self.source))
 
-    def __eq__(self, other):
-        return (isinstance(other, AbHom) and self.source == other.source
-                and self.target == other.target and self.matrix == other.matrix)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
-
     def __repr__(self):
         return f"AbHom({self.source!r} -> {self.target!r}, {self.matrix!r})"
 
 
-class Presentation:
+class Presentation(Record):
     """A quotient Z^n / L in normal form, remembering the change of basis.
 
     ``group`` is the quotient in invariant-factor form, ``pi`` maps ambient
@@ -426,14 +395,6 @@ class Presentation:
     """
 
     __slots__ = ("group", "pi", "lift")
-
-    def __init__(self, group, pi, lift):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "lift", lift)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Presentation is immutable")
 
 
 def present(n_ambient, relation_columns):

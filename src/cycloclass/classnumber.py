@@ -136,7 +136,7 @@ def _local_conductor(p, e, ks):
     return p ** (e - min(_valuation(ks[0], p), e - 1))
 
 
-class DirichletCharacter:
+class DirichletCharacter(Record):
     """A character of (Z/m)^x, stored as exponents on fixed generators.
 
     chi(g_i) = exp(2 pi i * exps[i] / order_i), the generators being those
@@ -163,17 +163,10 @@ class DirichletCharacter:
                 minus_one += ks[0]
                 weights = tuple(k * order // o for k, (_, o) in zip(ks, gens))
                 local.append((p ** e, weights, logs))
-        object.__setattr__(self, "modulus", int(modulus))
-        object.__setattr__(self, "exps", exps)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "parity", -1 if minus_one % 2 else 1)
-        # (p^e, value exponent per generator exponent, logs) of the
-        # nontrivial local factors: these alone determine the values
-        object.__setattr__(self, "_local", tuple(local))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DirichletCharacter is immutable")
+        # _local: (p^e, value exponent per generator exponent, logs) of
+        # the nontrivial local factors, which alone determine the values
+        super().__init__(int(modulus), exps, order, conductor,
+                         -1 if minus_one % 2 else 1, tuple(local))
 
     def __eq__(self, other):
         return (isinstance(other, DirichletCharacter)
@@ -450,12 +443,9 @@ class ClassRecord(Record):
 
     def __init__(self, m, hminus, hminus_odd_part, known_class_group=None,
                  known_plus_trivial=None, sources=None):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "hminus", hminus)
-        object.__setattr__(self, "hminus_odd_part", hminus_odd_part)
-        object.__setattr__(self, "known_class_group", known_class_group)
-        object.__setattr__(self, "known_plus_trivial", known_plus_trivial)
-        object.__setattr__(self, "sources", {} if sources is None else sources)
+        super().__init__(m, hminus, hminus_odd_part, known_class_group,
+                         known_plus_trivial,
+                         {} if sources is None else sources)
 
 
 def class_record(m, compute=True):

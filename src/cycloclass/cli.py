@@ -201,10 +201,6 @@ class _Cache:
             raise
 
 
-def _group_text(group):
-    return str(group)
-
-
 def _verdict_text(v):
     parts = [v.verdict]
     if v.lower is not None and v.upper is not None:
@@ -231,7 +227,7 @@ def _report_text(report):
     return "\n".join(lines)
 
 
-def _sweep_text(n, reports):
+def _sweep_text(reports):
     rows = ["     m  sqfree      h-  odd(h-)  mhs        mhcob      mhs_hcob"]
     for entry in reports:
         if isinstance(entry, tuple):
@@ -290,7 +286,7 @@ def _execute(args):
             payload = [r.to_json_dict() if not isinstance(r, tuple)
                        else {"m": r[0], "error": str(r[1])} for r in reports]
             return json.dumps(payload, sort_keys=True)
-        return _sweep_text(args.n, reports)
+        return _sweep_text(reports)
 
     if cmd == "verify":
         record = verify(args.n, args.m)
@@ -318,7 +314,7 @@ def _execute(args):
             return json.dumps({"m": args.m,
                                "invariant_factors": list(group.invariant_factors),
                                "order": group.order}, sort_keys=True)
-        return _group_text(group)
+        return str(group)
 
     if cmd == "am":
         knowledge = a_m(args.m, compute=True)
@@ -326,7 +322,7 @@ def _execute(args):
             return json.dumps({"m": args.m, **knowledge.to_dict()},
                               sort_keys=True)
         if knowledge.status == "exact":
-            return f"exact: {_group_text(knowledge.group)}"
+            return f"exact: {knowledge.group}"
         detail = knowledge.constraint or knowledge.source
         return f"{knowledge.status}" + (f": {detail}" if detail else "")
 
@@ -342,7 +338,7 @@ def _execute(args):
             return json.dumps({"degree": args.degree,
                                "invariant_factors": list(group.invariant_factors),
                                "order": group.order}, sort_keys=True)
-        return _group_text(group)
+        return str(group)
 
     raise _UsageError(f"unknown command {cmd!r}")
 

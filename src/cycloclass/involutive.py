@@ -23,6 +23,7 @@ from .abelian import (
     subgroup_generated,
     subquotient,
 )
+from .record import Record
 
 
 class Sign(enum.IntEnum):
@@ -57,7 +58,7 @@ def _scalar_sign(group, involution):
     return None
 
 
-class InvModule:
+class InvModule(Record):
     """A finite abelian group with a homomorphic involution.
 
     The involution is validated eagerly: it must be a self-map squaring to
@@ -73,11 +74,7 @@ class InvModule:
         if _scalar_sign(group, involution) is None and \
                 not (involution @ involution).is_identity():
             raise ValueError("involution squared is not the identity")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "involution", involution)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvModule is immutable")
+        super().__init__(group, involution)
 
     @classmethod
     def with_trivial(cls, group):
@@ -94,13 +91,6 @@ class InvModule:
 
     def conjugate(self, element):
         return self.involution(element)
-
-    def __eq__(self, other):
-        return (isinstance(other, InvModule) and self.group == other.group
-                and self.involution == other.involution)
-
-    def __hash__(self):
-        return hash((self.group, self.involution))
 
     def __repr__(self):
         return f"InvModule({self.group!r}, {self.involution.matrix!r})"

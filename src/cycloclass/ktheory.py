@@ -86,21 +86,11 @@ class Knowledge(Record):
 
     def __init__(self, status, group=None, module=None, divisor=None,
                  constraint=None, source=""):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "divisor", divisor)
-        object.__setattr__(self, "constraint", constraint)
-        object.__setattr__(self, "source", source)
+        super().__init__(status, group, module, divisor, constraint, source)
 
     @classmethod
     def exact(cls, group, source, module=None):
         return cls(status="exact", group=group, module=module, source=source)
-
-    @classmethod
-    def exact_module(cls, module, source):
-        return cls(status="exact", group=module.group, module=module,
-                   source=source)
 
     @classmethod
     def bound(cls, divisor, source, constraint=None):
@@ -148,11 +138,7 @@ class DGroupFact(Record):
 
     def __init__(self, kind, module=None, two_exponent=None, parity_odd=None,
                  source=""):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "two_exponent", two_exponent)
-        object.__setattr__(self, "parity_odd", parity_odd)
-        object.__setattr__(self, "source", source)
+        super().__init__(kind, module, two_exponent, parity_odd, source)
 
     @property
     def order(self):
@@ -261,12 +247,8 @@ class K0Description(Record):
     __slots__ = ("m", "h_minus_is_one", "h_odd", "d_fact", "class_parts")
 
     def __init__(self, m, h_minus_is_one, h_odd, d_fact, class_parts=None):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "h_minus_is_one", h_minus_is_one)
-        object.__setattr__(self, "h_odd", h_odd)
-        object.__setattr__(self, "d_fact", d_fact)
-        object.__setattr__(self, "class_parts",
-                           {} if class_parts is None else class_parts)
+        super().__init__(m, h_minus_is_one, h_odd, d_fact,
+                         {} if class_parts is None else class_parts)
 
     def all_class_parts_exact(self):
         return all(k.status == "exact" for k in self.class_parts.values())
@@ -279,8 +261,7 @@ def _h_parity(m, compute):
         return True
     if m in classnumber.ODD_HMINUS_ONE:
         return False           # minus part a nontrivial power of two
-    key = m // 2 if m % 4 == 2 else m
-    fact = factorint(key)
+    fact = factorint(classnumber._normalize_modulus(m))
     if len(fact) == 1:
         (p, e), = fact.items()
         if p <= 509:
@@ -294,14 +275,16 @@ def _class_part(d, compute):
     """Knowledge about the ideal class group at one divisor, with involution."""
     d = int(d)
     if d <= 2 or classnumber.hminus_is_one(d):
-        return Knowledge.exact_module(
-            InvModule.with_trivial(FinAbGroup()),
-            "class number one" if d > 2 else "rational field")
+        module = InvModule.with_trivial(FinAbGroup())
+        return Knowledge.exact(
+            module.group, "class number one" if d > 2 else "rational field",
+            module=module)
     rec = classnumber.class_record(d, compute=False)
     if rec.known_class_group is not None and rec.known_plus_trivial:
         module = InvModule.with_negation(rec.known_class_group)
-        return Knowledge.exact_module(
-            module, "published class group, all of it in the minus part")
+        return Knowledge.exact(
+            module.group, "published class group, all of it in the minus part",
+            module=module)
     if compute:
         return Knowledge.bound(odd_part(hminus(d)),
                                "odd part of the computed minus class number")
@@ -334,28 +317,22 @@ def _a2_constraint(m):
     return None
 
 
-def a_m(m, data=None, compute=False):
+def a_m(m, compute=False):
     """Tate cohomology (degree one) of the reduced projective class group.
 
     Branches: trivial when both the class number and the kernel-group
     order are odd; computed from the kernel group alone when the class
     number is odd; from the class groups alone when the kernel group has
     odd order; unknown (with any applicable order constraints) otherwise.
-    ``data`` overrides the assembled description of the class-group input.
     """
     if int(m) < 2:
         raise ScopeError(f"m = {m}: the cyclic order must be at least 2")
-    if data is None:
-        return _a_m_cached(int(m), bool(compute))
-    return _a_m_from(int(m), data)
+    return _a_m_cached(int(m), bool(compute))
 
 
 @lru_cache(maxsize=None)
 def _a_m_cached(m, compute):
-    return _a_m_from(m, k0_description(m, compute=compute))
-
-
-def _a_m_from(m, data):
+    data = k0_description(m, compute=compute)
     d_fact = data.d_fact
     d_parity = d_fact.parity_odd if d_fact is not None else None
 
@@ -392,13 +369,8 @@ class WhStructure(Record):
 
     def __init__(self, m, n, free_rank, nk1_zero, j_group, i_group,
                  tate_group):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "nk1_zero", nk1_zero)
-        object.__setattr__(self, "j_group", j_group)
-        object.__setattr__(self, "i_group", i_group)
-        object.__setattr__(self, "tate_group", tate_group)
+        super().__init__(m, n, free_rank, nk1_zero, j_group, i_group,
+                         tate_group)
 
     def to_dict(self):
         return {

@@ -76,11 +76,7 @@ class SetVerdict(Record):
 
     def __init__(self, verdict, lower=None, upper=None, witness=None,
                  note=""):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "note", note)
+        super().__init__(verdict, lower, upper, witness, note)
 
     def to_dict(self):
         out = {"verdict": self.verdict}
@@ -103,15 +99,8 @@ class ManifoldSetReport(Record):
 
     def __init__(self, n, k, m, mhs, mhcob, mhs_hcob, a2k_order, ingredients,
                  provenance):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "mhs", mhs)
-        object.__setattr__(self, "mhcob", mhcob)
-        object.__setattr__(self, "mhs_hcob", mhs_hcob)
-        object.__setattr__(self, "a2k_order", a2k_order)
-        object.__setattr__(self, "ingredients", ingredients)
-        object.__setattr__(self, "provenance", provenance)
+        super().__init__(n, k, m, mhs, mhcob, mhs_hcob, a2k_order, ingredients,
+                         provenance)
 
     def to_json_dict(self):
         return {
@@ -206,10 +195,7 @@ class ConsistencyRecord(Record):
     __slots__ = ("n", "m", "consistent", "checks")
 
     def __init__(self, n, m, consistent, checks):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "consistent", consistent)
-        object.__setattr__(self, "checks", checks)
+        super().__init__(n, m, consistent, checks)
 
     def to_dict(self):
         return {"n": self.n, "m": self.m, "consistent": self.consistent,

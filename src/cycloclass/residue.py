@@ -40,6 +40,7 @@ from math import gcd, prod
 from .abelian import AbHom, FinAbGroup, IntMatrix, cokernel, direct_sum
 from .arith import cyclotomic_int  # noqa: F401  (re-exported)
 from .arith import UnsupportedModulusError, factorint, isprime, totient
+from .record import Record
 
 
 class InternalConsistencyError(RuntimeError):
@@ -78,8 +79,10 @@ def order_mod_signed(a, n):
 # the unit groups and their norm-one tori
 
 
-class ResidueRingUnits:
+class ResidueRingUnits(Record):
     """The unit group of F_p[zeta_n]: phi(n)/f cyclic factors F_{p^f}^x."""
+
+    __slots__ = ("p", "n", "field_degree", "factor_count", "group")
 
     def __init__(self, p, n):
         p, n = int(p), int(n)
@@ -87,17 +90,13 @@ class ResidueRingUnits:
             raise ValueError(f"{p} is not prime")
         if n < 1 or gcd(p, n) != 1:
             raise ValueError(f"need gcd(p, n) = 1, got p={p}, n={n}")
-        self.p = p
-        self.n = n
-        self.field_degree = order_mod(p, n)
-        phi = totient(n)
-        if phi % self.field_degree:
+        f, phi = order_mod(p, n), totient(n)
+        if phi % f:
             raise InternalConsistencyError("field degree does not divide phi(n)")
-        self.factor_count = phi // self.field_degree
-        unit_order = p ** self.field_degree - 1
+        count, unit_order = phi // f, p ** f - 1
         # F_2[zeta_1] has a trivial unit group; everything else is honest
-        self.group = FinAbGroup([unit_order] * self.factor_count
-                                if unit_order > 1 else [])
+        super().__init__(p, n, f, count, FinAbGroup(
+            [unit_order] * count if unit_order > 1 else []))
 
     @property
     def order(self):
@@ -108,21 +107,23 @@ class ResidueRingUnits:
                 f"f={self.field_degree}, factors={self.factor_count})")
 
 
-class UnitQuotient:
+class UnitQuotient(Record):
     """F_p[zeta_n]^x / F_p[lambda_n]^x as the norm-one torus {t : t tbar = 1}:
     one cyclic factor per self-conjugate factor field or conjugate pair."""
 
+    __slots__ = ("p", "n", "group")
+
     def __init__(self, p, n):
-        self.p, self.n = int(p), int(n)
+        p, n = int(p), int(n)
         units = residue_units(p, n)
-        if self.n <= 2:
-            self.group = FinAbGroup()
-            return
         f, count = units.field_degree, units.factor_count
-        if 2 * order_mod_signed(self.p, self.n) == f:
-            self.group = FinAbGroup([self.p ** (f // 2) + 1] * count)
+        if n <= 2:
+            group = FinAbGroup()
+        elif 2 * order_mod_signed(p, n) == f:
+            group = FinAbGroup([p ** (f // 2) + 1] * count)
         else:
-            self.group = FinAbGroup([self.p ** f - 1] * (count // 2))
+            group = FinAbGroup([p ** f - 1] * (count // 2))
+        super().__init__(p, n, group)
 
     def images(self, e, a):
         """Torus coordinates of the classes of zeta_n^e and 1 - zeta_n^a.

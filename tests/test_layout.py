@@ -5,6 +5,8 @@ somewhere in the package source (re-exports in ``__init__`` included) or by
 the acceptance tests; code that only other tests need belongs in
 ``oracles``.  Dunder methods are called by the language and are exempt, and
 so is ``cli._Parser.error``, which argparse calls.
+
+Immutability has one mechanism: only ``record.Record`` refuses assignment.
 """
 
 import ast
@@ -43,3 +45,14 @@ def test_no_definition_is_used_only_by_tests():
               if not name.startswith("__") and name not in used
               and qualified not in CALLED_BY_LIBRARIES]
     assert not unused
+
+
+def test_only_record_refuses_assignment():
+    guards = [f"{path.stem}.{node.name}.{method.name}"
+              for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ClassDef)
+              for method in node.body
+              if isinstance(method, ast.FunctionDef)
+              and method.name in ("__setattr__", "__delattr__")]
+    assert guards == ["record.Record.__setattr__", "record.Record.__delattr__"]

@@ -1,11 +1,23 @@
 """The immutable records keep the semantics of frozen dataclasses:
 constructor defaults, equality within one class only, the hash of the field
-tuple, refusal of assignment, and the ``Name(field=value, ...)`` repr."""
+tuple, refusal of assignment and deletion, and the ``Name(field=value,
+...)`` repr, or the class's own printed form where it has one."""
 
 import pytest
 
-from cycloclass.abelian import FinAbGroup
-from cycloclass.classnumber import ClassRecord, class_record
+from cycloclass.abelian import (
+    AbHom,
+    FinAbGroup,
+    IntMatrix,
+    Presentation,
+    present,
+)
+from cycloclass.classnumber import (
+    ClassRecord,
+    DirichletCharacter,
+    class_record,
+)
+from cycloclass.involutive import InvModule
 from cycloclass.ktheory import (
     DGroupFact,
     K0Description,
@@ -15,10 +27,25 @@ from cycloclass.ktheory import (
     wh_structure,
 )
 from cycloclass.manifoldset import SetVerdict, classify, verify
+from cycloclass.residue import (
+    ResidueRingUnits,
+    UnitQuotient,
+    c_bound,
+    residue_units,
+    unit_quotient,
+    vtilde,
+)
 
 
 # one instance of each record class
 RECORDS = [
+    IntMatrix([[1, 2], [3, 4]]),
+    FinAbGroup([2, 4]),
+    AbHom(FinAbGroup([4]), FinAbGroup([2]), IntMatrix([[1]])),
+    present(2, IntMatrix([[2, 0], [0, 3]])),
+    InvModule.with_negation(FinAbGroup([4, 12])),
+    residue_units(7, 3),
+    unit_quotient(7, 3),
     Knowledge.bound(5, "odd part"),
     stored_d_group(21),
     k0_description(29),
@@ -29,11 +56,28 @@ RECORDS = [
     class_record(29, compute=False),
 ]
 
+#: the constructor arguments of the records whose remaining fields are
+#: derived; every other record is built again from its fields
+CONSTRUCTOR_ARGS = {
+    ResidueRingUnits: lambda r: (r.p, r.n),
+    UnitQuotient: lambda r: (r.p, r.n),
+}
+
+
+def _fields(record):
+    return tuple(getattr(record, name) for name in record.__slots__)
+
+
+def _twin(record):
+    args = CONSTRUCTOR_ARGS.get(type(record), _fields)(record)
+    return type(record)(*args)
+
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
 def test_equal_within_one_class_only(record):
-    fields = tuple(getattr(record, name) for name in record.__slots__)
-    twin = type(record)(*fields)
+    fields = _fields(record)
+    twin = _twin(record)
+    assert twin is not record
     assert twin == record and not twin != record
     assert record != fields and fields != record
     others = [r for r in RECORDS if type(r) is not type(record)]
@@ -42,13 +86,13 @@ def test_equal_within_one_class_only(record):
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
 def test_hash_is_that_of_the_field_tuple(record):
-    fields = tuple(getattr(record, name) for name in record.__slots__)
+    fields = _fields(record)
     if any(isinstance(value, dict) for value in fields):
         # a dict field makes the record unhashable, as it did the dataclass
         with pytest.raises(TypeError):
             hash(record)
         return
-    assert hash(record) == hash(fields) == hash(type(record)(*fields))
+    assert hash(record) == hash(fields) == hash(_twin(record))
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -98,3 +142,65 @@ def test_dict_fields_are_fresh():
     assert first.class_parts is not second.class_parts
     assert ClassRecord(7, 1, 1).sources is not ClassRecord(7, 1, 1).sources
 
+
+def test_own_reprs_are_unchanged():
+    # pinned from the hand-written classes these records replace; the
+    # text and JSON answers embed them
+    assert repr(FinAbGroup([2, 2])) == "FinAbGroup([2, 2])"
+    assert repr(FinAbGroup()) == "FinAbGroup([])"
+    assert (str(FinAbGroup([2, 2])), str(FinAbGroup())) == ("Z/2 x Z/2", "0")
+    assert repr(IntMatrix([[1, 2], [3, 4]])) == "IntMatrix([[1, 2], [3, 4]])"
+    assert repr(IntMatrix.zero(2, 0)) == "IntMatrix([[], []])"
+    assert repr(AbHom(FinAbGroup([4]), FinAbGroup([2]), IntMatrix([[1]]))) \
+        == "AbHom(FinAbGroup([4]) -> FinAbGroup([2]), IntMatrix([[1]]))"
+    assert repr(InvModule.with_negation(FinAbGroup([4, 12]))) == (
+        "InvModule(FinAbGroup([4, 12]), IntMatrix([[3, 0], [0, 11]]))")
+    assert repr(residue_units(7, 3)) == \
+        "ResidueRingUnits(p=7, n=3, f=1, factors=2)"
+    assert repr(unit_quotient(7, 3)) == "UnitQuotient(p=7, n=3, group=Z/6)"
+    assert repr(DirichletCharacter(15, (1, 2))) == \
+        "DirichletCharacter(mod 15, exps=(1, 2))"
+
+
+def test_character_compares_modulus_and_exponents():
+    chi = DirichletCharacter(15, (1, 2))
+    assert chi == DirichletCharacter(15, (3, 6))  # exponents reduced
+    assert chi != DirichletCharacter(15, (1, 1))
+    assert hash(chi) == hash((15, (1, 2)))
+    with pytest.raises(AttributeError):
+        chi.order = 1
+    with pytest.raises(AttributeError):
+        del chi.exps
+    assert (chi.order, chi.exps) == (2, (1, 2))
+
+
+def test_subclass_with_empty_slots_keeps_the_fields():
+    class Counted(SetVerdict):
+        __slots__ = ()
+
+    verdict = Counted("finite", lower=3)
+    assert verdict == Counted("finite", lower=3)
+    assert verdict != SetVerdict("finite", lower=3)
+    assert hash(verdict) == hash(("finite", 3, None, None, ""))
+    assert repr(verdict) == ("test_subclass_with_empty_slots_keeps_the_fields."
+                             "<locals>.Counted(verdict='finite', lower=3, "
+                             "upper=None, witness=None, note='')")
+    with pytest.raises(AttributeError):
+        verdict.note = "x"
+
+
+def test_positional_fields_must_all_be_given():
+    with pytest.raises(ValueError):
+        Presentation(FinAbGroup([2]), IntMatrix([[1]]))
+
+
+def test_cached_values_cannot_be_changed():
+    # a cached group or unit quotient is shared by every later query, so a
+    # change to one would corrupt vtilde and c_bound for the whole process
+    group, bound = vtilde(21), c_bound(21)
+    with pytest.raises(AttributeError):
+        del group.invariant_factors
+    with pytest.raises(AttributeError):
+        unit_quotient(7, 3).group = FinAbGroup([5])
+    assert str(vtilde(21)) == "Z/4"
+    assert c_bound(21) == bound
