@@ -1,12 +1,13 @@
 """Integer arithmetic on the small numbers of this package, in the stdlib.
 
-Moduli, character orders and field degrees stay far below 2^32, and the
-only large numbers tested for primality are the CRT primes just below
-2^62.  Both are handled here without sympy: trial division by the primes
-below 2^16, and for n < 2^64 the deterministic Miller-Rabin test with the
-seven bases 2, 325, 9375, 28178, 450775, 9780504 and 1795265022, which no
-composite below 2^64 passes.  At or above 2^64 sympy is imported lazily to
-test primality.  A composite cofactor with no prime factor below 2^16 is
+Moduli, character orders and field degrees stay far below 2^32, and so do
+the CRT primes of ``classnumber``, just below 2^31.  Both are handled here
+without sympy: trial division by the primes below 2^16, and the
+deterministic Miller-Rabin test: with the bases 2, 7 and 61 for
+n < 4759123141 (Jaeschke, Math. Comp. 61 (1993)), and with the seven bases
+2, 325, 9375, 28178, 450775, 9780504 and 1795265022, which no composite
+below 2^64 passes, above that.  At or above 2^64 sympy is imported lazily
+to test primality.  A composite cofactor with no prime factor below 2^16 is
 split by Pollard's rho in Brent's variant (Brent, BIT 20 (1980)) under a
 fixed budget of steps; a number it cannot split within the budget raises
 UnsupportedModulusError, so every answer is exact and none takes long.
@@ -23,6 +24,11 @@ from operator import index
 _TRIAL_BOUND = 2 ** 16
 
 _MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+#: below this bound the bases 2, 7 and 61 suffice; 4759123141 itself is the
+#: least strong pseudoprime to all three (Jaeschke, Math. Comp. 61 (1993))
+_MR_BOUND_3 = 4_759_123_141
+_MR_BASES_3 = (2, 7, 61)
 
 #: the steps of Pollard-Brent rho that one factorint call may take.  rho
 #: finds a prime factor p after about sqrt(p) steps, so the budget splits
@@ -99,6 +105,10 @@ def isprime(n):
     while odd % 2 == 0:
         odd //= 2
         twos += 1
+    if n < _MR_BOUND_3:
+        # n > 97^2 here, so no base is a multiple of n
+        return all(_strong_probable_prime(n, a, odd, twos)
+                   for a in _MR_BASES_3)
     # a base divisible by n says nothing and is skipped
     return all(_strong_probable_prime(n, a, odd, twos)
                for a in _MR_BASES_64 if a % n)

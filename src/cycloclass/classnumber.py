@@ -14,7 +14,7 @@ primitive values are read off prime by prime, without a search.
 A Galois orbit of odd characters shares d, f and the c_t, and its members
 put zeta_d at the phi(d) primitive d-th roots of unity.  So h^- is the
 product over the orbits of the values at those roots, times -1/(2f) each,
-taken mod l^k for one prime l = 1 (mod lambda(m)) just below 2^62, at the
+taken mod l^k for one prime l = 1 (mod lambda(m)) below 2^31, at the
 Teichmueller lift r^(l^(k-1)) of an r of order lambda(m) mod l (Washington,
 GTM 83, 5.1): the lift has the same order, and each Phi_d, d | lambda(m),
 splits mod l^k at its powers.  An odd character has d even and
@@ -36,22 +36,26 @@ exponent with
         > 4 (Q w)^2 * prod (d * sum_t q_t^2)^phi(d),
 
 the products over the orbits; the residue of least absolute value mod l^k
-is then h^-.  A second such prime l' checks it in the same pass, taken mod
-l^k * l'.  No floating point is involved anywhere: a failed check, or a
+is then h^-.  Two more such primes l' and l'' check it in the same pass,
+taken mod l^k * l' * l'': their product, of about 2^62, is the check
+modulus.  No floating point is involved anywhere: a failed check, or a
 value that is not positive, signals a bug, not rounding error.
 
-The orbits are found by walking the exponent tuples of the characters: a
-tuple is odd when its exponents on the generators carrying -1 have an odd
-sum, and the powers chi^j, j a unit mod d, of the first odd tuple not yet
-seen are marked as tuples.  Only that first member becomes a
-DirichletCharacter, for d, f and its local weights.  Its c_t come from one
-walk over the units mod f, each put together by CRT from units mod the
-local conductors and read in the local log tables.  The orbits must cover
-the phi(m)/2 odd characters, each once.
+The orbits are never walked character by character.  The orbit of chi is
+the set of generators of the cyclic group <chi>, so the orbits are the
+products of one cyclic subgroup of each Sylow l-part of the character
+group, and the parity of chi is that of its 2-part.  The cyclic subgroups
+of each l-part are listed by a normal form of their generators, those of
+the 2-part kept when odd.  The c_t of an orbit come from a table of the
+units mod f in the order of their logarithms on the generators, built once
+per conductor f in each hminus call: along its longest axis the value
+exponent grows by a fixed step, so the c_t are sums of strided slices of
+its rows.  The orbits must cover the phi(m)/2 odd characters.
 
-The primes l and l' are found by the stdlib Miller-Rabin test of
-``arith``, which is deterministic below 2^64, and the primitive roots
-behind the characters' generators come from the same module.
+The primes l, l' and l'' are found by the stdlib Miller-Rabin test of
+``arith``, which is deterministic below 2^64 and takes three bases below
+4759123141, and the primitive roots behind the characters' generators
+come from the same module.
 """
 
 from __future__ import annotations
@@ -192,67 +196,130 @@ def characters(m):
 # the minus class number
 
 
-def _bernoulli_sums(chi):
-    """(f, sums): the conductor, and for each t the sum of the a in [1, f)
-    at which the primitive character takes the value zeta_order^t.
+def _cyclic_subgroups(ell, sizes):
+    """(l^b, xs) per cyclic subgroup of the l-group of the Z/l^(a_i), sizes
+    the l^(a_i): l^b is its order, and xs the one generator whose first
+    coordinate i of largest order l^b is l^(a_i - b).
 
-    The units a mod f are walked once, each assembled by the Chinese
-    remainder theorem from units r modulo the local conductors
-    f_p = gcd(f, p^e).  Such an r is a unit mod p^e as well, and the local
-    factor of chi only sees r mod f_p, so its value exponent is read from
-    the local log table directly.
+    A unit u mod l^b fixing that coordinate is 1 mod l^(a_i - v(x_i)) =
+    l^b, so the generator is unique: coordinates before i have orders
+    below l^b, those after it at most l^b.
     """
-    f, d = chi.conductor, chi.order
-    walk = [(0, 0)]
-    for q, weights, logs in chi._local:
-        fq = gcd(f, q)
-        rest = f // fq
-        lift = rest * pow(rest, -1, fq)  # 1 mod fq, 0 mod the rest of f
-        local = [(r * lift, sum(map(mul, weights, ks)))
-                 for r, ks in logs.items() if r < fq]
-        walk = [(a + b, s + t) for a, s in walk for b, t in local]
-    sums = [0] * d
-    for a, t in walk:
-        sums[t % d] += a % f
-    return f, sums
+    yield 1, (0,) * len(sizes)
+    for b in range(1, _valuation(max(sizes), ell) + 1):
+        order = ell ** b
+        for i, size in enumerate(sizes):
+            if size < order:
+                continue
+            # multiples of s / l^(b - 1) before i and of s / l^b after it,
+            # in a factor Z/s; of 1 where s is the smaller
+            choices = [range(0, s, max(1, s * ell // order))
+                       for s in sizes[:i]]
+            choices.append((size // order,))
+            choices += [range(0, s, max(1, s // order))
+                        for s in sizes[i + 1:]]
+            for xs in product(*choices):
+                yield order, xs
+
+
+def _unit_table(m, f):
+    """(table, axes): the units a in [1, f) ordered by their logarithms on
+    the generators of ``_unit_group(m)`` reduced mod f, and the axes as
+    (generator index, order mod f), in the order of the table.
+
+    The local factor whose last axis is longest comes last, so that the
+    table is a run of rows along that axis: the fewest rows, each summed
+    in strided slices.
+    """
+    blocks, i = [], 0
+    for p, e, gens, _ in _unit_group(m):
+        fp = gcd(f, p ** e)
+        if fp > 1:
+            # -1 keeps order 2 mod fp >= 4, 5 has order fp / 4 there
+            orders = [fp - fp // p] if p > 2 else [2] if e == 2 else \
+                [2, fp // 4]
+            residues = [1]
+            for (g, _), o in zip(gens, orders):
+                powers = [1]
+                for _ in range(o - 1):
+                    powers.append(powers[-1] * g % fp)
+                residues = [r * s % fp for r in residues for s in powers]
+            rest = f // fp
+            lift = rest * pow(rest, -1, fp)  # 1 mod fp, 0 mod the rest of f
+            blocks.append(([*zip(range(i, i + len(gens)), orders)],
+                           [r * lift for r in residues]))
+        i += len(gens)
+    blocks.sort(key=lambda block: block[0][-1][1])
+    table = [0]
+    for _, block in blocks:
+        table = [a + b for a in table for b in block]
+    return [a % f for a in table], [axis for axes, _ in blocks
+                                    for axis in axes]
 
 
 def _odd_orbits(m):
     """One (d, f, sums) per Galois orbit of odd characters modulo m.
 
-    The characters are walked as exponent tuples on the generators of
-    ``_unit_group``; a character is odd when its exponents on the
-    generators carrying -1 have an odd sum.  The orbit {chi^j : j a unit
-    mod d} of a character of order d is marked as plain tuples, and only
-    its first member is built as a DirichletCharacter, for its order,
-    conductor and local weights.  The orbits must cover the phi(m)/2 odd
-    characters, each once.
+    The orbit {chi^j : j a unit mod d} of a character chi of order d is the
+    set of generators of the cyclic group it generates, so the orbits are
+    the products of one cyclic subgroup of each Sylow l-part of the
+    character group, and the parity is that of the 2-part alone: the
+    exponents on the generators carrying -1 have an odd sum.  An l-part is
+    taken in exponents x_i mod l^(a_i) on the generators, the exponent of
+    a generator of order o being x_i * o / l^(a_i).
+
+    A character's sums c_t add the units a of its conductor f along one
+    row of ``_unit_table(m, f)`` at a time: on a row, the value exponent
+    grows by the weight w of the last axis at each step, so the entries
+    s, s + d', s + 2d', ... of a row, d' = d / gcd(w, d), share it.  The
+    orbits must cover the phi(m)/2 odd characters.
     """
+    factors = _unit_group(m)
     orders = _generator_orders(m)
     signs, i = [], 0
-    for *_, gens, _ in _unit_group(m):
+    for *_, gens, _ in factors:
         if gens:
             signs.append(i)
         i += len(gens)
 
-    def odd(exps):
-        return sum(exps[i] for i in signs) % 2 == 1
+    parts = []
+    for ell in factorint(lcm(*orders)):
+        sizes = [ell ** _valuation(o, ell) for o in orders]
+        part = []
+        for order, xs in _cyclic_subgroups(ell, sizes):
+            exps = [x * o // s for x, o, s in zip(xs, orders, sizes)]
+            if ell == 2 and sum(exps[i] for i in signs) % 2 == 0:
+                continue
+            part.append((order, order - order // ell, exps))
+        parts.append(part)
 
-    seen, orbits = set(), []
-    for exps in product(*(range(o) for o in orders)):
-        if exps in seen or not odd(exps):
-            continue
-        chi = DirichletCharacter(m, exps)
-        d = chi.order
-        units = [j for j in range(1, d) if gcd(j, d) == 1]
-        orbit = {tuple(j * k % o for k, o in zip(exps, orders))
-                 for j in units}
-        if len(orbit) != len(units) or not seen.isdisjoint(orbit) \
-                or not all(map(odd, orbit)):
-            raise InternalConsistencyError("orbit left the odd characters")
-        seen |= orbit
-        orbits.append((d, *_bernoulli_sums(chi)))
-    if 2 * len(seen) != prod(orders):
+    tables, orbits, covered = {}, [], 0
+    for combination in product(*parts):
+        d = prod(order for order, _, _ in combination)
+        exps = [sum(ks) % o for *ks, o in
+                zip(*(part_exps for *_, part_exps in combination), orders)]
+        f, i = 1, 0
+        for p, e, gens, _ in factors:
+            ks = exps[i:i + len(gens)]
+            if any(ks):
+                f *= _local_conductor(p, e, ks)
+            i += len(gens)
+        if f not in tables:
+            tables[f] = _unit_table(m, f)
+        table, axes = tables[f]
+        weights = [exps[i] * d // orders[i] for i, _ in axes]
+        *rows, (_, size) = axes
+        *row_weights, w = weights
+        starts = [0]
+        for (_, o), weight in zip(rows, row_weights):
+            starts = [t + weight * k for t in starts for k in range(o)]
+        step, sums = d // gcd(w, d), [0] * d
+        for row, t in zip(range(0, len(table), size), starts):
+            for s in range(step):
+                sums[(t + w * s) % d] += sum(table[row + s:row + size:step])
+        orbits.append((d, f, sums))
+        covered += prod(phi for _, phi, _ in combination)
+    if 2 * covered != prod(orders):
         raise InternalConsistencyError(
             "the orbits do not cover half of the characters")
     return orbits
@@ -267,9 +334,15 @@ def _normalize_modulus(m):
 
 @lru_cache(maxsize=None)
 def _crt_prime(exponent, index):
-    """The index-th prime l below 2^62 with l = 1 (mod exponent), counting
-    down from 2^62, and an element of order exponent modulo l."""
-    top = 2 ** 62 if index == 0 else _crt_prime(exponent, index - 1)[0]
+    """The index-th prime l below 2^31 with l = 1 (mod exponent), counting
+    down from 2^31, and an element of order exponent modulo l.
+
+    Below 2^31 the Miller-Rabin test of ``arith`` takes three bases, not
+    seven, on numbers of half the size; hminus evaluates modulo a power of
+    the first prime and checks modulo the product of the next two, of
+    about 2^62.
+    """
+    top = 2 ** 31 if index == 0 else _crt_prime(exponent, index - 1)[0]
     k = (top - 2) // exponent
     while not isprime(k * exponent + 1):
         k -= 1
@@ -283,9 +356,10 @@ def _crt_prime(exponent, index):
 
 #: the largest phi(m), for m normalised, that hminus evaluates.  The pass
 #: takes phi(d) dot products of length d/2 per orbit of order d with
-#: residues mod l^k, k growing with the digits of h^-; the safe primes cost
-#: most: on a 2-core x86-64 host (Python 3.11) 3947 and 3863 take 5-6 s
-#: cold, the prime square 3721 3.8-4.8 s, 3 * 1999 and 4 * 1999 3.4-4.6 s
+#: residues mod l^k, k growing with the digits of h^-, and the orbits and
+#: CRT primes take a few ms of it; the safe primes cost most: on a 2-core
+#: x86-64 host (Python 3.11) 3947 and 3863 take 6-7 s cold, the prime
+#: square 3721 4.5 s, 3 * 1999 and 4 * 1999 3.8-4.4 s
 HMINUS_PHI_CEILING = 4000
 
 
@@ -346,22 +420,26 @@ def hminus(m):
         return value
 
     ell, root = _crt_prime(exponent, 0)
-    check, check_root = _crt_prime(exponent, 1)
     power = ell
     while power * power * scale <= bound_sq:
         power *= ell
-    # the Teichmueller lift of root, joined by CRT with the check root
-    lift = pow(root, power // ell, power)
-    lift += power * ((check_root - lift) * pow(power, -1, check) % check)
-    value = residue(power * check, lift)
+    # the Teichmueller lift of root, joined by CRT with the check roots
+    modulus, lift = power, pow(root, power // ell, power)
+    for index in (1, 2):
+        prime, prime_root = _crt_prime(exponent, index)
+        lift += modulus * ((prime_root - lift) * pow(modulus, -1, prime)
+                           % prime)
+        modulus *= prime
+    check = modulus // power
+    value = residue(modulus, lift)
     h = value % power
     if 2 * h > power:
         h -= power
     if h <= 0 or value % check != h % check:
         raise InternalConsistencyError(
             f"analytic minus class number for m={m} fails its check: the "
-            f"CRT value is not positive or disagrees modulo the check prime "
-            f"{check}")
+            f"CRT value is not positive or disagrees modulo the product "
+            f"{check} of the check primes")
     return h
 
 

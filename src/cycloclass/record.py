@@ -21,7 +21,8 @@ arguments: the unit counts and group of ``ResidueRingUnits`` and
 the same effect, since the arguments determine them; ``DirichletCharacter``
 compares and hashes ``(modulus, exps)`` alone, because its local tables
 hold dicts.  Classes with a printed form of their own override
-``__repr__``.
+``__repr__``.  ``copy``, ``deepcopy`` and ``pickle`` rebuild a record from
+its field tuple, as assignment would be refused.
 """
 
 from operator import attrgetter
@@ -73,3 +74,17 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
                            for name in self._names)
         return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild a record from its field tuple,
+        # since assignment is refused and a subclass __init__ may take
+        # other arguments than the fields
+        return _rebuild, (type(self), self._fields(self))
+
+
+def _rebuild(cls, fields):
+    """A record of class ``cls`` with the field tuple ``fields``, set
+    through the slot setters without the class's own ``__init__``."""
+    record = object.__new__(cls)
+    Record.__init__(record, *fields)
+    return record

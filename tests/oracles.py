@@ -6,9 +6,11 @@ check on the matrix route.  The minus class number is recomputed the slow
 way twice: once with conductors by search, primitive values by lifting to
 a unit mod m, and orbit norms as Bareiss determinants of multiplication
 matrices; once orbit by orbit, each orbit with its own multimodular norm
-and its own CRT primes, the factors multiplied as fractions.  Both take
-every odd character from ``characters``, its Galois orbit as its powers,
-and its Bernoulli sums value by value over [1, f).  The exact cyclotomic
+and its own CRT primes below 2^62, the factors multiplied as fractions.
+Both take every odd character from ``characters``, its Galois orbit as its
+powers, and its Bernoulli sums value by value over [1, f).  The Galois
+orbits of odd characters are also walked as exponent tuples, one
+character built per orbit.  The exact cyclotomic
 numbers and Bernoulli values that the orbit products stand for are here
 too.  The unit
 cokernel vtilde is recomputed the slow way too: discrete logs in every
@@ -21,6 +23,7 @@ square live here as well: only the tests use them.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, product
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
 
@@ -38,7 +41,6 @@ from cycloclass.abelian import (
 )
 from cycloclass.classnumber import (
     DirichletCharacter,
-    _crt_prime,
     _generator_orders,
     _normalize_modulus,
     _unit_group,
@@ -430,6 +432,47 @@ def bernoulli_sums(chi):
     return f, sums
 
 
+def odd_orbits(m):
+    """One (chi, f, sums) per Galois orbit of odd characters modulo m, with
+    f and sums from ``bernoulli_sums``.
+
+    The characters are walked as exponent tuples in ``characters`` order; a
+    tuple is odd when its exponents on the generators carrying -1 have an
+    odd sum.  The orbit {chi^j : j a unit mod d} of the first odd tuple not
+    yet seen is marked as plain tuples, and only that first member is built
+    as a DirichletCharacter.  The orbits must cover the phi(m)/2 odd
+    characters, each once.
+    """
+    orders = _generator_orders(m)
+    signs, i = [], 0
+    for *_, gens, _ in _unit_group(m):
+        if gens:
+            signs.append(i)
+        i += len(gens)
+
+    def odd(exps):
+        return sum(exps[i] for i in signs) % 2 == 1
+
+    seen, orbits = set(), []
+    for exps in product(*(range(o) for o in orders)):
+        if exps in seen or not odd(exps):
+            continue
+        chi = DirichletCharacter(m, exps)
+        d = chi.order
+        units = [j for j in range(1, d) if gcd(j, d) == 1]
+        orbit = {tuple(j * k % o for k, o in zip(exps, orders))
+                 for j in units}
+        if len(orbit) != len(units) or not seen.isdisjoint(orbit) \
+                or not all(map(odd, orbit)):
+            raise InternalConsistencyError("orbit left the odd characters")
+        seen |= orbit
+        orbits.append((chi, *bernoulli_sums(chi)))
+    if 2 * len(seen) != prod(orders):
+        raise InternalConsistencyError(
+            "the orbits do not cover half of the characters")
+    return orbits
+
+
 def search_conductor(chi):
     """The least f | m with chi trivial on the units that are 1 mod f."""
     m = chi.modulus
@@ -570,6 +613,23 @@ def b1(chi):
     return CycNumber(chi.order, [Fraction(s, f) for s in sums])
 
 
+@lru_cache(maxsize=None)
+def crt_prime(exponent, index):
+    """The index-th prime l below 2^62 with l = 1 (mod exponent), counting
+    down from 2^62, and an element of order exponent modulo l: primes of
+    another size than those of ``classnumber.hminus``, found by sympy."""
+    top = 2 ** 62 if index == 0 else crt_prime(exponent, index - 1)[0]
+    k = (top - 2) // exponent
+    while not isprime(k * exponent + 1):
+        k -= 1
+    ell = k * exponent + 1
+    primes = factorint(exponent)
+    for x in count(2):
+        root = pow(x, (ell - 1) // exponent, ell)
+        if all(pow(root, exponent // r, ell) != 1 for r in primes):
+            return ell, root
+
+
 def cyclotomic_norm_int(coeffs, d, exponent=None):
     """Norm down to Q of sum_i coeffs[i] * zeta_d^i, for integer coeffs.
 
@@ -601,7 +661,7 @@ def cyclotomic_norm_int(coeffs, d, exponent=None):
     picks = [itemgetter(*[j * t % d for t in range(d)]) for j in units]
     residue, modulus, index = 0, 1, 0
     while modulus * modulus * scale <= bound_sq:
-        ell, root = _crt_prime(exponent, index)
+        ell, root = crt_prime(exponent, index)
         index += 1
         zeta = pow(root, exponent // d, ell)
         powers = [1] * d

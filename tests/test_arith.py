@@ -18,13 +18,26 @@ class TestIsprime:
     def test_below_two_to_the_64(self, n):
         assert arith.isprime(n) == sympy.isprime(n)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=2, max_value=2 ** 33))
+    def test_below_two_to_the_33(self, n):
+        # the three-base test below 4759123141 and the seven-base test above
+        assert arith.isprime(n) == sympy.isprime(n)
+
     def test_around_two_to_the_64(self):
         # both sides of the switch from Miller-Rabin to sympy
         for n in range(2 ** 64 - 400, 2 ** 64 + 400):
             assert arith.isprime(n) == sympy.isprime(n), n
 
+    def test_around_the_three_base_bound(self):
+        # both sides of the switch from three bases to seven
+        assert arith._MR_BOUND_3 == 4759123141
+        for n in range(4759123141 - 400, 4759123141 + 400):
+            assert arith.isprime(n) == sympy.isprime(n), n
+
     @pytest.mark.parametrize("n", [
-        2047, 3215031751, 3825123056546413051, 318665857834031151167461])
+        2047, 3215031751, 4759123141, 3825123056546413051,
+        318665857834031151167461])
     def test_strong_pseudoprimes(self, n):
         # each passes the strong test to base 2 (and to further prime bases)
         odd, twos = n - 1, 0
@@ -32,6 +45,21 @@ class TestIsprime:
             odd, twos = odd // 2, twos + 1
         assert arith._strong_probable_prime(n, 2, odd, twos)
         assert not arith.isprime(n)
+
+    def test_three_base_pseudoprimes(self):
+        # 3215031751 passes bases 2 and 7, and only 61 rejects it;
+        # 4759123141 = 48781 * 97561, the least strong pseudoprime to all
+        # three, is where the three-base test stops
+        def passes(n, base):
+            odd, twos = n - 1, 0
+            while odd % 2 == 0:
+                odd, twos = odd // 2, twos + 1
+            return arith._strong_probable_prime(n, base, odd, twos)
+
+        assert [passes(3215031751, a) for a in (2, 7, 61)] == \
+            [True, True, False]
+        assert 48781 * 97561 == 4759123141
+        assert all(passes(4759123141, a) for a in (2, 7, 61))
 
     @pytest.mark.parametrize("n", [
         561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
@@ -43,14 +71,16 @@ class TestIsprime:
         assert not arith.isprime(n)
 
     def test_crt_primes(self):
-        # the largest primes below 2^62 of the shape k * 2520 + 1
-        k = (2 ** 62 - 2) // 2520
-        found = 0
-        while found < 3:
-            n = k * 2520 + 1
-            assert arith.isprime(n) == sympy.isprime(n), n
-            found += arith.isprime(n)
-            k -= 1
+        # the largest primes below 2^31 (hminus) and below 2^62 (its
+        # oracle) of the shape k * 2520 + 1
+        for bits in (31, 62):
+            k = (2 ** bits - 2) // 2520
+            found = 0
+            while found < 3:
+                n = k * 2520 + 1
+                assert arith.isprime(n) == sympy.isprime(n), n
+                found += arith.isprime(n)
+                k -= 1
 
 
 class TestFactorint:

@@ -152,11 +152,10 @@ class TestCyclotomicNorm:
             oracles.cyclotomic_norm_int(coeffs, 5, 12)
 
 
-def _oracle_orbits(m):
-    """(d, f, sums, counts) per Galois orbit of odd characters, the first
+def _character_orbits(m):
+    """(chi, f, sums) per Galois orbit of odd characters, the first
     character of each orbit in ``characters`` order as its representative,
-    with counts[t] the number of units a in [1, f) at which the primitive
-    character takes the value zeta_d^t."""
+    its orbit marked as its powers."""
     covered, orbits = set(), []
     for chi in characters(m):
         if chi.parity == 1 or chi in covered:
@@ -164,48 +163,94 @@ def _oracle_orbits(m):
         d = chi.order
         covered |= {oracles.power(chi, j) for j in range(1, d)
                     if gcd(j, d) == 1}
-        f, sums = oracles.bernoulli_sums(chi)
-        counts = Counter(oracles.primitive_value_exponent(chi, a)
-                         for a in range(1, f))
-        orbits.append((d, f, sums, [counts[t] for t in range(d)]))
+        orbits.append((chi, *oracles.bernoulli_sums(chi)))
     return orbits
+
+
+def _canonical(d, values, *others):
+    """The Galois relabelling t -> j t, j a unit mod d, of ``values`` that
+    is lexicographically least, and ``others`` relabelled by the same j.
+
+    chi^j takes the value zeta^(j t) where chi takes zeta^t, so the members
+    of an orbit have the sums of any one of them, relabelled.
+    """
+    def relabel(row, j):
+        out = [0] * d
+        for t, value in enumerate(row):
+            out[j * t % d] = value
+        return tuple(out)
+
+    j = min((j for j in range(1, d) if gcd(j, d) == 1),
+            key=lambda j: relabel(values, j))
+    return relabel(values, j), *(relabel(row, j) for row in others)
+
+
+def _assert_orbits_match_the_oracles(m):
+    """_odd_orbits(m) against the orbits from ``characters`` and against
+    the walk of ``oracles.odd_orbits``, each orbit in canonical form."""
+    new = Counter((d, f, _canonical(d, sums))
+                  for d, f, sums in classnumber._odd_orbits(m))
+    for oracle in (_character_orbits, oracles.odd_orbits):
+        old = Counter((chi.order, f, _canonical(chi.order, sums))
+                      for chi, f, sums in oracle(m))
+        assert new == old, (m, oracle.__name__)
 
 
 class TestOddOrbits:
     def test_against_characters(self):
         for m in range(3, 301):
-            new = Counter((d, f, tuple(sums))
-                          for d, f, sums in classnumber._odd_orbits(m))
-            old = Counter((d, f, tuple(sums))
-                          for d, f, sums, _ in _oracle_orbits(m))
-            assert new == old, m
+            _assert_orbits_match_the_oracles(m)
+
+    @pytest.mark.slow
+    def test_against_characters_up_to_degree_1000(self):
+        # phi(m) > 1000 for every m >= 10^4, by the lower bound
+        # phi(m) > m / (e^gamma log log m + 3 / log log m) of Rosser and
+        # Schoenfeld (1962)
+        for m in range(3, 10 ** 4):
+            if m % 4 != 2 and arith.totient(m) <= 1000:
+                _assert_orbits_match_the_oracles(m)
 
     def test_fold_identity(self):
         # a -> f - a moves the value zeta^t of an odd character to
-        # zeta^(t + d/2), so c_(t + d/2) = f n_t - c_t
+        # zeta^(t + d/2), so c_(t + d/2) = f n_t - c_t, n_t counting the a
+        # with that value; n is relabelled with the sums
         for m in range(3, 151):
-            counts = {(d, f, tuple(sums)): n
-                      for d, f, sums, n in _oracle_orbits(m)}
+            counts = {}
+            for chi, f, sums in _character_orbits(m):
+                d = chi.order
+                n = Counter(oracles.primitive_value_exponent(chi, a)
+                            for a in range(1, f))
+                sums, n = _canonical(d, sums, [n[t] for t in range(d)])
+                counts[d, f, sums] = n
             for d, f, sums in classnumber._odd_orbits(m):
-                n = counts[d, f, tuple(sums)]
+                (sums,) = _canonical(d, sums)
+                n = counts[d, f, sums]
                 for t in range(d // 2):
                     assert sums[t + d // 2] == f * n[t] - sums[t], (m, d, t)
 
     @pytest.mark.parametrize("m", [257, 255])
-    def test_one_character_per_orbit(self, m, monkeypatch):
-        orbits, built = len(_oracle_orbits(m)), []
+    def test_no_character_is_built(self, m, monkeypatch):
+        built, orbits = [], []
+        original_init = classnumber.DirichletCharacter.__init__
+        original_orbits = classnumber._odd_orbits
 
-        class Counting(classnumber.DirichletCharacter):
-            __slots__ = ()
+        def counting_init(self, modulus, exps):
+            built.append(exps)
+            original_init(self, modulus, exps)
 
-            def __init__(self, modulus, exps):
-                built.append(exps)
-                super().__init__(modulus, exps)
+        def recording_orbits(n):
+            orbits.extend(original_orbits(n))
+            return orbits
 
-        monkeypatch.setattr(classnumber, "DirichletCharacter", Counting)
-        hminus.cache_clear()
+        monkeypatch.setattr(classnumber.DirichletCharacter, "__init__",
+                            counting_init)
+        monkeypatch.setattr(classnumber, "_odd_orbits", recording_orbits)
+        for cached in (hminus, classnumber._unit_group,
+                       classnumber._crt_prime):
+            cached.cache_clear()
         hminus(m)
-        assert 0 < len(built) <= orbits
+        assert built == []
+        assert len(orbits) == len(oracles.odd_orbits(m))
 
 
 @pytest.fixture
@@ -278,16 +323,21 @@ class TestHminus:
 
     @pytest.mark.parametrize("m", [23, 257, 1009])
     def test_one_prime_power_and_one_check_prime(self, m, monkeypatch):
-        used, original = [], classnumber._crt_prime
+        # the check modulus is the product of the primes 1 and 2, distinct
+        # primes below 2^31 whose product exceeds 2^60
+        used, original = {}, classnumber._crt_prime
 
         def record(exponent, index):
-            used.append(index)
+            used[index] = original(exponent, index)[0]
             return original(exponent, index)
 
         monkeypatch.setattr(classnumber, "_crt_prime", record)
         hminus.cache_clear()
         hminus(m)
-        assert set(used) == {0, 1}
+        assert set(used) == {0, 1, 2}
+        assert all(ell < 2 ** 31 and arith.isprime(ell)
+                   for ell in used.values())
+        assert used[1] != used[2] and used[1] * used[2] > 2 ** 60
 
     @pytest.mark.parametrize("m", [4003, 2 * 4003, 4 * 4003, 10007])
     def test_phi_ceiling(self, m):

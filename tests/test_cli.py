@@ -290,14 +290,22 @@ class TestCache:
                     "entries": {"k": 5}}),
         json.dumps({"schema": SCHEMA_VERSION, "tool_version": __version__,
                     "entries": []}),
-        json.dumps({"schema": SCHEMA_VERSION, "code_sha256": CODE,
-                    "entries": []}),
-        json.dumps({"schema": SCHEMA_VERSION, "code_sha256": CODE,
-                    "entries": {"k": 5}}),
-        json.dumps({"schema": SCHEMA_VERSION, "code_sha256": CODE,
-                    "entries": {"k": "565"}}),
-        json.dumps({"schema": SCHEMA_VERSION, "code_sha256": CODE,
-                    "entries": {"k": {"output": "565"}}}),
+        # the code digest changes with every edit of the package, so these
+        # parameters carry fixed ids
+        pytest.param(json.dumps({"schema": SCHEMA_VERSION,
+                                 "code_sha256": CODE, "entries": []}),
+                     id="current-code-entries-list"),
+        pytest.param(json.dumps({"schema": SCHEMA_VERSION,
+                                 "code_sha256": CODE, "entries": {"k": 5}}),
+                     id="current-code-entry-int"),
+        pytest.param(json.dumps({"schema": SCHEMA_VERSION,
+                                 "code_sha256": CODE,
+                                 "entries": {"k": "565"}}),
+                     id="current-code-entry-str"),
+        pytest.param(json.dumps({"schema": SCHEMA_VERSION,
+                                 "code_sha256": CODE,
+                                 "entries": {"k": {"output": "565"}}}),
+                     id="current-code-entry-without-digest"),
     ])
     def test_wrong_shape_treated_as_empty(self, capture, tmp_path, content):
         cache_file = tmp_path / "cache.json"

@@ -3,6 +3,9 @@ constructor defaults, equality within one class only, the hash of the field
 tuple, refusal of assignment and deletion, and the ``Name(field=value,
 ...)`` repr, or the class's own printed form where it has one."""
 
+import copy
+import pickle
+
 import pytest
 
 from cycloclass.abelian import (
@@ -93,6 +96,17 @@ def test_hash_is_that_of_the_field_tuple(record):
             hash(record)
         return
     assert hash(record) == hash(fields) == hash(_twin(record))
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles(record, clone):
+    twin = clone(record)
+    assert type(twin) is type(record) and twin == record
+    if not any(isinstance(value, dict) for value in _fields(record)):
+        assert hash(twin) == hash(record)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
