@@ -11,8 +11,8 @@ The layers, bottom up:
 - ``involutive``: groups with involution and their C2 Tate cohomology.
 - ``residue``: unit groups of F_p[zeta_n] and their norm-one tori, the
   reduction-of-units presentations, their cokernels and divisor bounds.
-- ``classnumber``: Dirichlet characters, generalized Bernoulli values,
-  exact minus class numbers, stored parity and class-group facts.
+- ``classnumber``: exact minus class numbers from the Galois orbits of odd
+  Dirichlet characters, stored parity and class-group facts.
 - ``ktheory``: tri-state assembly of the involutive class-group data.
 - ``manifoldset``: the classifier and its independent verification pass.
 - ``cli``: the ``cycloclass`` command-line tool.
@@ -41,14 +41,7 @@ from .residue import (
     unit_quotient,
     vtilde,
 )
-from .classnumber import (
-    DirichletCharacter,
-    characters,
-    class_record,
-    hminus,
-    hp_is_odd,
-    odd_part,
-)
+from .classnumber import class_record, hminus, hp_is_odd, odd_part
 from .ktheory import (
     K0Description,
     Knowledge,

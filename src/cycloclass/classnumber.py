@@ -1,5 +1,6 @@
-"""Dirichlet characters, generalized Bernoulli values, and the exact minus
-part of cyclotomic class numbers.
+"""The exact minus part of cyclotomic class numbers, from the generalized
+Bernoulli values of the odd Dirichlet characters, and stored class-group
+facts.
 
 The minus class number is evaluated analytically as
 
@@ -17,10 +18,19 @@ product over the orbits of the values at those roots, times -1/(2f) each,
 taken mod l^k for one prime l = 1 (mod lambda(m)) below 2^31, at the
 Teichmueller lift r^(l^(k-1)) of an r of order lambda(m) mod l (Washington,
 GTM 83, 5.1): the lift has the same order, and each Phi_d, d | lambda(m),
-splits mod l^k at its powers.  An odd character has d even and
-zeta_d^(d/2) = -1, so each value is a sum of half the length,
+splits mod l^k at its powers.  The lift is the root of x^lambda(m) = 1
+over r, which Newton's iteration finds in log_2 k steps, doubling the
+precision from l (Hensel's lemma: l does not divide lambda(m)).  An odd
+character has d even and zeta_d^(d/2) = -1, so each value is a sum of half
+the length,
 
     sum_t c_t zeta^t = sum_(t < d/2) (c_t - c_(t + d/2)) zeta^t.
+
+When 4 | d, j and j + d/2 are both units mod d, and zeta^((j + d/2) t) =
+(-1)^t zeta^(j t).  With E and O the parts of the sum at the powers of
+zeta^j with even and odd t < d/2, the values at zeta^j and zeta^(j + d/2)
+are E + O and E - O, so the pair contributes E^2 - O^2: half the picks of
+the powers and half the multiply-adds.
 
 An orbit's norm N of sum_t c_t zeta^t obeys
 
@@ -54,8 +64,11 @@ its rows.  The orbits must cover the phi(m)/2 odd characters.
 
 The primes l, l' and l'' are found by the stdlib Miller-Rabin test of
 ``arith``, which is deterministic below 2^64 and takes three bases below
-4759123141, and the primitive roots behind the characters' generators
-come from the same module.
+4759123141.  The root r of each is a product of one element of order
+s^a per s^a || lambda(m), s prime, each the first x^((l-1)/s^a), x >= 2,
+whose (s^(a-1))-th power is not 1.  The primitive roots behind the
+characters' generators come from the same module, and the order of each
+generator is checked by powering.
 """
 
 from __future__ import annotations
@@ -82,17 +95,17 @@ def odd_part(x):
 
 
 # ---------------------------------------------------------------------------
-# the unit group (Z/m)^x and its characters
+# the unit group (Z/m)^x
 
 
 @lru_cache(maxsize=None)
 def _unit_group(m):
-    """The local factors of (Z/m)^x, one (p, e, gens, logs) per p^e || m.
+    """The local factors of (Z/m)^x, one (p, e, gens) per p^e || m.
 
     ``gens`` lists (generator, order) for (Z/p^e)^x: a primitive root for
     odd p, 3 at 4, and -1, 5 at 2^e with e >= 3, so the first generator of
-    every nontrivial factor is the one carrying -1.  ``logs`` maps each unit
-    residue mod p^e to its exponents on ``gens``.
+    every nontrivial factor is the one carrying -1.  Each generator g of
+    order o must have g^o = 1 and g^(o/r) != 1 for every prime r | o.
     """
     factors = []
     for p, e in factorint(int(m)).items():
@@ -102,20 +115,18 @@ def _unit_group(m):
                 [(q - 1, 2), (5, q // 4)]
         else:
             gens = [(primitive_root(q), q - q // p)]
-        logs = {}
-        for ks in product(*(range(o) for _, o in gens)):
-            value = 1
-            for (g, _), k in zip(gens, ks):
-                value = value * pow(g, k, q) % q
-            logs[value] = ks
-        if len(logs) != q - q // p:
-            raise InternalConsistencyError("unit group enumeration mismatch")
-        factors.append((p, e, tuple(gens), logs))
+        for g, o in gens:
+            if pow(g, o, q) != 1 or any(pow(g, o // r, q) == 1
+                                        for r in factorint(o)):
+                raise InternalConsistencyError(
+                    f"unit group generator {g} does not have order {o} "
+                    f"modulo {q}")
+        factors.append((p, e, tuple(gens)))
     return tuple(factors)
 
 
 def _generator_orders(m):
-    return [o for *_, gens, _ in _unit_group(m) for _, o in gens]
+    return [o for *_, gens in _unit_group(m) for _, o in gens]
 
 
 def _valuation(k, p):
@@ -138,58 +149,6 @@ def _local_conductor(p, e, ks):
             return 2 ** (e - _valuation(ks[1], 2))
         return 4
     return p ** (e - min(_valuation(ks[0], p), e - 1))
-
-
-class DirichletCharacter(Record):
-    """A character of (Z/m)^x, stored as exponents on fixed generators.
-
-    chi(g_i) = exp(2 pi i * exps[i] / order_i), the generators being those
-    of the prime-power factors of m in increasing order of p.  The local
-    weights give the values as exponents of a primitive (order of chi)-th
-    root of unity.
-    """
-
-    __slots__ = ("modulus", "exps", "order", "conductor", "parity", "_local")
-
-    def __init__(self, modulus, exps):
-        factors = _unit_group(modulus)
-        orders = _generator_orders(modulus)
-        if len(exps) != len(orders):
-            raise ValueError("exponent vector does not match the generators")
-        exps = tuple(int(k) % o for k, o in zip(exps, orders))
-        order = lcm(*(o // gcd(o, k) for k, o in zip(exps, orders)))
-        conductor, minus_one, local, i = 1, 0, [], 0
-        for p, e, gens, logs in factors:
-            ks = exps[i:i + len(gens)]
-            i += len(gens)
-            if any(ks):
-                conductor *= _local_conductor(p, e, ks)
-                minus_one += ks[0]
-                weights = tuple(k * order // o for k, (_, o) in zip(ks, gens))
-                local.append((p ** e, weights, logs))
-        # _local: (p^e, value exponent per generator exponent, logs) of
-        # the nontrivial local factors, which alone determine the values
-        super().__init__(int(modulus), exps, order, conductor,
-                         -1 if minus_one % 2 else 1, tuple(local))
-
-    def __eq__(self, other):
-        return (isinstance(other, DirichletCharacter)
-                and self.modulus == other.modulus and self.exps == other.exps)
-
-    def __hash__(self):
-        return hash((self.modulus, self.exps))
-
-    def __repr__(self):
-        return f"DirichletCharacter(mod {self.modulus}, exps={self.exps})"
-
-
-def characters(m):
-    """All phi(m) Dirichlet characters modulo m."""
-    m = int(m)
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    return [DirichletCharacter(m, exps)
-            for exps in product(*(range(o) for o in _generator_orders(m)))]
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +191,7 @@ def _unit_table(m, f):
     in strided slices.
     """
     blocks, i = [], 0
-    for p, e, gens, _ in _unit_group(m):
+    for p, e, gens in _unit_group(m):
         fp = gcd(f, p ** e)
         if fp > 1:
             # -1 keeps order 2 mod fp >= 4, 5 has order fp / 4 there
@@ -277,7 +236,7 @@ def _odd_orbits(m):
     factors = _unit_group(m)
     orders = _generator_orders(m)
     signs, i = [], 0
-    for *_, gens, _ in factors:
+    for *_, gens in factors:
         if gens:
             signs.append(i)
         i += len(gens)
@@ -299,7 +258,7 @@ def _odd_orbits(m):
         exps = [sum(ks) % o for *ks, o in
                 zip(*(part_exps for *_, part_exps in combination), orders)]
         f, i = 1, 0
-        for p, e, gens, _ in factors:
+        for p, e, gens in factors:
             ks = exps[i:i + len(gens)]
             if any(ks):
                 f *= _local_conductor(p, e, ks)
@@ -340,26 +299,45 @@ def _crt_prime(exponent, index):
     Below 2^31 the Miller-Rabin test of ``arith`` takes three bases, not
     seven, on numbers of half the size; hminus evaluates modulo a power of
     the first prime and checks modulo the product of the next two, of
-    about 2^62.
+    about 2^62.  The element is a product of one z of order r^a per
+    r^a || exponent: z = x^((l-1)/r^a) for the first x >= 2 with
+    z^(r^(a-1)) != 1.
     """
     top = 2 ** 31 if index == 0 else _crt_prime(exponent, index - 1)[0]
     k = (top - 2) // exponent
     while not isprime(k * exponent + 1):
         k -= 1
-    ell = k * exponent + 1
-    primes = factorint(exponent)
-    for x in count(2):
-        root = pow(x, (ell - 1) // exponent, ell)
-        if all(pow(root, exponent // r, ell) != 1 for r in primes):
-            return ell, root
+    ell, root = k * exponent + 1, 1
+    for r, a in factorint(exponent).items():
+        part = r ** a
+        for x in count(2):
+            z = pow(x, (ell - 1) // part, ell)
+            if pow(z, part // r, ell) != 1:
+                root = root * z % ell
+                break
+    return ell, root
+
+
+def _teichmueller_lift(root, exponent, ell, power):
+    """The x = root (mod l) with x^exponent = 1 modulo power = l^k, which
+    is root^(l^(k-1)) (Hensel's lemma, l not dividing exponent), by
+    Newton's iteration x <- x - (x^exponent - 1) x / exponent, the
+    precision doubling from l."""
+    lift, precision = root, ell
+    while precision < power:
+        precision = min(precision * precision, power)
+        lift = (lift - (pow(lift, exponent, precision) - 1) * lift
+                * pow(exponent, -1, precision)) % precision
+    return lift
 
 
 #: the largest phi(m), for m normalised, that hminus evaluates.  The pass
-#: takes phi(d) dot products of length d/2 per orbit of order d with
-#: residues mod l^k, k growing with the digits of h^-, and the orbits and
-#: CRT primes take a few ms of it; the safe primes cost most: on a 2-core
-#: x86-64 host (Python 3.11) 3947 and 3863 take 6-7 s cold, the prime
-#: square 3721 4.5 s, 3 * 1999 and 4 * 1999 3.8-4.4 s
+#: takes phi(d) dot products of length d/2 per orbit of order d (phi(d)/2
+#: pairs of half-length ones when 4 | d) with residues mod l^k, k growing
+#: with the digits of h^-, and the orbits, CRT primes and the lift take a
+#: few ms of it; the safe primes cost most: on a 2-core x86-64 host
+#: (Python 3.11) 3947 and 3863 take 4.9-5.8 s cold, the prime square 3721
+#: 2.8-3.0 s, 3 * 1999 and 4 * 1999 2.6-3.4 s
 HMINUS_PHI_CEILING = 4000
 
 
@@ -392,7 +370,7 @@ def hminus(m):
     exponent = lcm(*_generator_orders(m))
 
     # per order d the units j mod d, and the folded sums c_t - c_(t+d/2)
-    # of the orbits of order d
+    # of the orbits of order d, split at even and odd t when 4 | d
     units, folds = {}, {}
     bound_sq, scale, denominator = 4 * qw * qw, 1, 1
     for d, f, sums in _odd_orbits(m):
@@ -402,8 +380,9 @@ def hminus(m):
         bound_sq *= (d * sum((d * c - total) ** 2 for c in sums)) ** phi_d
         scale *= (2 * d * f) ** (2 * phi_d) * phi_d ** phi_d
         denominator *= (-2 * f) ** phi_d
+        folded = [a - b for a, b in zip(sums, sums[d // 2:])]
         folds.setdefault(d, []).append(
-            [a - b for a, b in zip(sums, sums[d // 2:])])
+            (folded[0::2], folded[1::2]) if d % 4 == 0 else folded)
 
     def residue(modulus, root):
         """h^- mod modulus, at a root of order exponent splitting Phi_d."""
@@ -412,11 +391,25 @@ def hminus(m):
             zeta, row = pow(root, exponent // d, modulus), [1] * d
             for t in range(1, d):
                 row[t] = row[t - 1] * zeta % modulus
-            for j in units[d]:
-                # zeta^(j t) for t < d/2, shared by the orbits of order d
-                pick = [row[j * t % d] for t in range(d // 2)]
-                for folded in orbits:
-                    value = value * sum(map(mul, folded, pick)) % modulus
+            half = d // 2
+            if d % 4:
+                for j in units[d]:
+                    # zeta^(j t) for t < d/2, shared by the orbits of order d
+                    pick = [row[i % d] for i in range(0, j * half, j)]
+                    for folded in orbits:
+                        value = value * sum(map(mul, folded, pick)) % modulus
+            else:
+                # the unit j + d/2 puts zeta^(j t) (-1)^t where j puts
+                # zeta^(j t), so the pair gives (E + O)(E - O), E and O the
+                # sums over the even and the odd t: only the j < d/2 are
+                # picked
+                for j in units[d][:len(units[d]) // 2]:
+                    even = [row[i % d] for i in range(0, j * half, 2 * j)]
+                    odd = [row[i % d] for i in range(j, j * half, 2 * j)]
+                    for folded_even, folded_odd in orbits:
+                        e = sum(map(mul, folded_even, even))
+                        o = sum(map(mul, folded_odd, odd))
+                        value = value * (e * e - o * o) % modulus
         return value
 
     ell, root = _crt_prime(exponent, 0)
@@ -424,7 +417,7 @@ def hminus(m):
     while power * power * scale <= bound_sq:
         power *= ell
     # the Teichmueller lift of root, joined by CRT with the check roots
-    modulus, lift = power, pow(root, power // ell, power)
+    modulus, lift = power, _teichmueller_lift(root, exponent, ell, power)
     for index in (1, 2):
         prime, prime_root = _crt_prime(exponent, index)
         lift += modulus * ((prime_root - lift) * pow(modulus, -1, prime)

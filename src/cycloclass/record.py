@@ -2,8 +2,8 @@
 
 Every value class of the package, from ``abelian`` up, is a record: the
 matrices, groups, homomorphisms and presentations of ``abelian``, the
-modules of ``involutive``, the unit groups of ``residue``, the characters
-and class records of ``classnumber``, and the records of ``ktheory`` and
+modules of ``involutive``, the unit groups of ``residue``, the class
+records of ``classnumber``, and the records of ``ktheory`` and
 ``manifoldset``.  A record lists its fields in ``__slots__``, in
 constructor order, and its ``__init__`` passes their values, in that
 order, to ``Record.__init__``.  The base supplies what a frozen dataclass
@@ -16,13 +16,11 @@ A record may have a single field (``FinAbGroup``), and its field tuple is
 then a 1-tuple.  A subclass with empty ``__slots__`` keeps its parent's
 fields.  Some slots hold fields that the constructor derives from its
 arguments: the unit counts and group of ``ResidueRingUnits`` and
-``UnitQuotient``, and the order, conductor, parity and local tables of
-``DirichletCharacter``.  Equality compares them like any other field, to
-the same effect, since the arguments determine them; ``DirichletCharacter``
-compares and hashes ``(modulus, exps)`` alone, because its local tables
-hold dicts.  Classes with a printed form of their own override
-``__repr__``.  ``copy``, ``deepcopy`` and ``pickle`` rebuild a record from
-its field tuple, as assignment would be refused.
+``UnitQuotient``.  Equality compares them like any other field, to the
+same effect, since the arguments determine them.  Classes with a printed
+form of their own override ``__repr__``.  ``copy``, ``deepcopy`` and
+``pickle`` rebuild a record from its field tuple, as assignment would be
+refused.
 """
 
 from operator import attrgetter

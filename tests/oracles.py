@@ -10,9 +10,11 @@ and its own CRT primes below 2^62, the factors multiplied as fractions.
 Both take every odd character from ``characters``, its Galois orbit as its
 powers, and its Bernoulli sums value by value over [1, f).  The Galois
 orbits of odd characters are also walked as exponent tuples, one
-character built per orbit.  The exact cyclotomic
-numbers and Bernoulli values that the orbit products stand for are here
-too.  The unit
+character built per orbit.  The characters themselves live here, exponent
+vectors on the generators of ``classnumber._unit_group`` read through one
+discrete-log table per prime power: ``hminus`` needs only their orbits.
+The exact cyclotomic numbers and Bernoulli values that the orbit products
+stand for are here too.  The unit
 cokernel vtilde is recomputed the slow way too: discrete logs in every
 factor field of F_p[zeta_n], the units of F_p[lambda_n] from CRT
 generators, and the conjugation worked out as a matrix.  The determinant,
@@ -40,13 +42,13 @@ from cycloclass.abelian import (
     subgroup_generated,
 )
 from cycloclass.classnumber import (
-    DirichletCharacter,
     _generator_orders,
+    _local_conductor,
     _normalize_modulus,
     _unit_group,
-    characters,
 )
 from cycloclass.involutive import InvModule, Sign, _norm_map, eigen_set
+from cycloclass.record import Record
 from cycloclass.residue import (
     InternalConsistencyError,
     _decompose,
@@ -385,6 +387,81 @@ def swap_square(module):
 
 
 # ---------------------------------------------------------------------------
+# Dirichlet characters, one at a time
+
+
+@lru_cache(maxsize=None)
+def unit_logs(m):
+    """One dict per p^e || m, in the order of ``classnumber._unit_group``,
+    mapping each unit residue mod p^e to its exponents on the generators
+    of that factor."""
+    tables = []
+    for p, e, gens in _unit_group(m):
+        q, logs = p ** e, {}
+        for ks in product(*(range(o) for _, o in gens)):
+            value = 1
+            for (g, _), k in zip(gens, ks):
+                value = value * pow(g, k, q) % q
+            logs[value] = ks
+        if len(logs) != q - q // p:
+            raise InternalConsistencyError("unit group enumeration mismatch")
+        tables.append(logs)
+    return tuple(tables)
+
+
+class DirichletCharacter(Record):
+    """A character of (Z/m)^x, stored as exponents on fixed generators.
+
+    chi(g_i) = exp(2 pi i * exps[i] / order_i), the generators being those
+    of the prime-power factors of m in increasing order of p.  The local
+    weights give the values as exponents of a primitive (order of chi)-th
+    root of unity.
+    """
+
+    __slots__ = ("modulus", "exps", "order", "conductor", "parity", "_local")
+
+    def __init__(self, modulus, exps):
+        orders = _generator_orders(modulus)
+        if len(exps) != len(orders):
+            raise ValueError("exponent vector does not match the generators")
+        exps = tuple(int(k) % o for k, o in zip(exps, orders))
+        order = lcm(*(o // gcd(o, k) for k, o in zip(exps, orders)))
+        conductor, minus_one, local, i = 1, 0, [], 0
+        for (p, e, gens), logs in zip(_unit_group(modulus),
+                                      unit_logs(modulus)):
+            ks = exps[i:i + len(gens)]
+            i += len(gens)
+            if any(ks):
+                conductor *= _local_conductor(p, e, ks)
+                minus_one += ks[0]
+                weights = tuple(k * order // o for k, (_, o) in zip(ks, gens))
+                local.append((p ** e, weights, logs))
+        # _local: (p^e, value exponent per generator exponent, logs) of
+        # the nontrivial local factors, which alone determine the values
+        super().__init__(int(modulus), exps, order, conductor,
+                         -1 if minus_one % 2 else 1, tuple(local))
+
+    def __eq__(self, other):
+        return (isinstance(other, DirichletCharacter)
+                and self.modulus == other.modulus and self.exps == other.exps)
+
+    def __hash__(self):
+        return hash((self.modulus, self.exps))
+
+    def __repr__(self):
+        return f"DirichletCharacter(mod {self.modulus}, exps={self.exps})"
+
+
+def characters(m):
+    """All phi(m) Dirichlet characters modulo m."""
+    m = int(m)
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    return [DirichletCharacter(m, exps)
+            for exps in product(*(range(o) for o in _generator_orders(m)))]
+
+
+# ---------------------------------------------------------------------------
 # minus class numbers, the slow way
 
 
@@ -445,7 +522,7 @@ def odd_orbits(m):
     """
     orders = _generator_orders(m)
     signs, i = [], 0
-    for *_, gens, _ in _unit_group(m):
+    for *_, gens in _unit_group(m):
         if gens:
             signs.append(i)
         i += len(gens)
@@ -614,11 +691,13 @@ def b1(chi):
 
 
 @lru_cache(maxsize=None)
-def crt_prime(exponent, index):
-    """The index-th prime l below 2^62 with l = 1 (mod exponent), counting
-    down from 2^62, and an element of order exponent modulo l: primes of
-    another size than those of ``classnumber.hminus``, found by sympy."""
-    top = 2 ** 62 if index == 0 else crt_prime(exponent, index - 1)[0]
+def crt_prime(exponent, index, bits=62):
+    """The index-th prime l below 2^bits with l = 1 (mod exponent), counting
+    down from 2^bits, and the first x^((l-1)/exponent) of order exponent
+    modulo l, x = 2, 3, ...: by default primes of another size than those
+    of ``classnumber.hminus``, found by sympy; with bits = 31, the primes
+    of ``classnumber._crt_prime``, with a root found by a plain search."""
+    top = 2 ** bits if index == 0 else crt_prime(exponent, index - 1, bits)[0]
     k = (top - 2) // exponent
     while not isprime(k * exponent + 1):
         k -= 1

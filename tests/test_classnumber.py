@@ -12,7 +12,6 @@ from cycloclass.abelian import FinAbGroup
 from cycloclass.classnumber import (
     HMINUS_ONE,
     HMINUS_PHI_CEILING,
-    characters,
     class_record,
     hminus,
     hminus_is_one,
@@ -22,6 +21,7 @@ from cycloclass.classnumber import (
 from cycloclass.cli import run
 from cycloclass.residue import InternalConsistencyError, \
     UnsupportedModulusError
+from oracles import characters
 
 
 class TestCharacters:
@@ -230,8 +230,10 @@ class TestOddOrbits:
 
     @pytest.mark.parametrize("m", [257, 255])
     def test_no_character_is_built(self, m, monkeypatch):
+        # the characters and their discrete-log tables are test oracles:
+        # hminus builds neither, and keeps generators alone per prime power
         built, orbits = [], []
-        original_init = classnumber.DirichletCharacter.__init__
+        original_init = oracles.DirichletCharacter.__init__
         original_orbits = classnumber._odd_orbits
 
         def counting_init(self, modulus, exps):
@@ -242,20 +244,22 @@ class TestOddOrbits:
             orbits.extend(original_orbits(n))
             return orbits
 
-        monkeypatch.setattr(classnumber.DirichletCharacter, "__init__",
+        monkeypatch.setattr(oracles.DirichletCharacter, "__init__",
                             counting_init)
         monkeypatch.setattr(classnumber, "_odd_orbits", recording_orbits)
         for cached in (hminus, classnumber._unit_group,
-                       classnumber._crt_prime):
+                       classnumber._crt_prime, oracles.unit_logs):
             cached.cache_clear()
         hminus(m)
-        assert built == []
+        assert built == [] and oracles.unit_logs.cache_info().currsize == 0
+        # (p, e, gens) per prime power, with no discrete-log table
+        assert all(len(factor) == 3 for factor in classnumber._unit_group(m))
         assert len(orbits) == len(oracles.odd_orbits(m))
 
 
-@pytest.fixture
-def corrupt_check_prime(monkeypatch):
-    """corrupt(m) makes the check prime of hminus(m) come with the root 1.
+def _root_one(monkeypatch, pick):
+    """corrupt(m) makes the prime pick(indices) of hminus(m) come with the
+    root 1, indices those of the primes that hminus(m) takes.
 
     A root of another primitive order would not do: the product runs over
     whole Galois orbits and comes out the same.
@@ -272,16 +276,30 @@ def corrupt_check_prime(monkeypatch):
         monkeypatch.setattr(classnumber, "_crt_prime", record)
         hminus.cache_clear()
         hminus(m)
-        check = max(used)
+        wrong = pick(used)
 
         def wrong_root(exponent, index):
             ell, root = original(exponent, index)
-            return (ell, 1) if index == check else (ell, root)
+            return (ell, 1) if index == wrong else (ell, root)
 
         monkeypatch.setattr(classnumber, "_crt_prime", wrong_root)
         hminus.cache_clear()
 
-    yield corrupt
+    return corrupt
+
+
+@pytest.fixture
+def corrupt_check_prime(monkeypatch):
+    """The last check prime of hminus(m) comes with the root 1."""
+    yield _root_one(monkeypatch, max)
+    hminus.cache_clear()
+
+
+@pytest.fixture
+def corrupt_evaluation_prime(monkeypatch):
+    """The prime whose power carries the value, index 0, comes with the
+    root 1, and so does its Teichmueller lift."""
+    yield _root_one(monkeypatch, min)
     hminus.cache_clear()
 
 
@@ -311,15 +329,43 @@ class TestHminus:
 
     @pytest.mark.parametrize("m", [3, 23, 39, 255, 257, 1009, 1553])
     def test_teichmueller_lift_keeps_the_order(self, m):
-        # root^(l^(k-1)) mod l^k has order exactly lambda(m), as root mod l
+        # root^(l^(k-1)) mod l^k has order exactly lambda(m), as root mod l,
+        # and Newton's iteration finds the same lift
         exponent = lcm(*classnumber._generator_orders(m))
         ell, root = classnumber._crt_prime(exponent, 0)
-        for k in range(1, 8):
+        for k in range(1, 65):
             lift = pow(root, ell ** (k - 1), ell ** k)
+            assert classnumber._teichmueller_lift(root, exponent, ell,
+                                                  ell ** k) == lift
             assert lift % ell == root
             assert pow(lift, exponent, ell ** k) == 1
             assert all(pow(lift, exponent // r, ell ** k) != 1
                        for r in arith.factorint(exponent))
+
+    def test_crt_roots_have_the_exponent_as_order(self):
+        # the roots built from prime-power parts have order lambda(m), and
+        # the primes are those of the plain countdown and root search
+        exponents = {lcm(*classnumber._generator_orders(m))
+                     for m in range(3, 2001) if m % 4 != 2}
+        for exponent in sorted(exponents):
+            for index in (0, 1, 2):
+                ell, root = classnumber._crt_prime(exponent, index)
+                assert ell == oracles.crt_prime(exponent, index, 31)[0]
+                assert pow(root, exponent, ell) == 1, (exponent, index)
+                assert all(pow(root, exponent // r, ell) != 1
+                           for r in arith.factorint(exponent))
+
+    @pytest.mark.parametrize("m", [3, 7, 25, 3 * 49, 4 * 81])
+    def test_generator_of_wrong_order_is_an_internal_error(self, m,
+                                                           monkeypatch):
+        # a square mod an odd prime power is never a primitive root
+        monkeypatch.setattr(classnumber, "primitive_root", lambda q: 4)
+        classnumber._unit_group.cache_clear()
+        try:
+            with pytest.raises(InternalConsistencyError, match="order"):
+                classnumber._unit_group(m)
+        finally:
+            classnumber._unit_group.cache_clear()
 
     @pytest.mark.parametrize("m", [23, 257, 1009])
     def test_one_prime_power_and_one_check_prime(self, m, monkeypatch):
@@ -372,10 +418,24 @@ class TestHminus:
         for m in [*range(261, 701), 1009, 1553, 2039]:
             assert hminus(m) == oracles.orbit_hminus(m), m
 
-    @pytest.mark.parametrize("m", [23, 39, 401])
+    # both evaluation loops must reach the check: the odd characters mod 23
+    # have orders 2 and 22 (d = 2 mod 4 only), those mod 401 orders 16, 80
+    # and 400 (4 | d only, the paired loop), those mod 39 orders 2, 4, 6
+    # and 12 (both), and those mod 257 the one order 256
+    @pytest.mark.parametrize("m", [23, 39, 401, 257])
     def test_corrupt_check_prime_is_an_internal_error(self, m,
                                                       corrupt_check_prime):
+        assert {d for d, _, _ in classnumber._odd_orbits(m)} == \
+            {23: {2, 22}, 39: {2, 4, 6, 12}, 401: {16, 80, 400},
+             257: {256}}[m]
         corrupt_check_prime(m)
+        with pytest.raises(InternalConsistencyError, match="check prime"):
+            hminus(m)
+
+    @pytest.mark.parametrize("m", [23, 39, 401, 257])
+    def test_corrupt_evaluation_prime_is_an_internal_error(
+            self, m, corrupt_evaluation_prime):
+        corrupt_evaluation_prime(m)
         with pytest.raises(InternalConsistencyError, match="check prime"):
             hminus(m)
 

@@ -8,6 +8,7 @@ import pickle
 
 import pytest
 
+from oracles import DirichletCharacter
 from cycloclass.abelian import (
     AbHom,
     FinAbGroup,
@@ -15,11 +16,7 @@ from cycloclass.abelian import (
     Presentation,
     present,
 )
-from cycloclass.classnumber import (
-    ClassRecord,
-    DirichletCharacter,
-    class_record,
-)
+from cycloclass.classnumber import ClassRecord, class_record
 from cycloclass.involutive import InvModule
 from cycloclass.ktheory import (
     DGroupFact,
