@@ -10,7 +10,8 @@ The layers, bottom up:
   normal form, kernels/cokernels/subgroups, all exact.
 - ``involutive``: groups with involution and their C2 Tate cohomology.
 - ``residue``: unit groups of F_p[zeta_n] and their norm-one tori, the
-  reduction-of-units presentations, their cokernels and divisor bounds.
+  unit cokernels vtilde read off one relation row per prime, and their
+  divisor bounds.
 - ``classnumber``: exact minus class numbers from the Galois orbits of odd
   Dirichlet characters, stored parity and class-group facts.
 - ``ktheory``: tri-state assembly of the involutive class-group data.
@@ -29,14 +30,12 @@ from .abelian import (
     subgroup_generated,
     subquotient,
 )
-from .involutive import InvModule, Sign, direct_sum, eigen_set, \
-    norm_image_set, tate
+from .involutive import InvModule, Sign, eigen_set, norm_image_set, tate
 from .residue import (
     ResidueRingUnits,
     UnitQuotient,
     UnsupportedModulusError,
     c_bound,
-    psi_plus_presentation,
     residue_units,
     unit_quotient,
     vtilde,

@@ -475,23 +475,3 @@ def image(f):
     """Image of a homomorphism: (group, inclusion into f.target)."""
     return subgroup_generated(f.target, f.matrix)
 
-
-def direct_sum(groups):
-    """Direct sum in invariant-factor form, with injections and projections."""
-    groups = list(groups)
-    n = sum(g.rank for g in groups)
-    all_factors = [d for g in groups for d in g.invariant_factors]
-    pres = present(n, IntMatrix.diagonal(all_factors))
-    total = pres.group
-    injections = []
-    projections = []
-    offset = 0
-    for g in groups:
-        emb = IntMatrix(tuple(tuple(int(i == offset + j) for j in range(g.rank))
-                              for i in range(n)), n, g.rank)
-        injections.append(AbHom(g, total, pres.pi @ emb))
-        back = IntMatrix(tuple(tuple(int(offset + i == j) for j in range(n))
-                               for i in range(g.rank)), g.rank, n)
-        projections.append(AbHom(total, g, back @ pres.lift))
-        offset += g.rank
-    return total, injections, projections

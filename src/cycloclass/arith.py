@@ -15,8 +15,7 @@ UnsupportedModulusError, so every answer is exact and none takes long.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, compress, count
+from itertools import compress, count
 from math import gcd, isqrt, prod
 from operator import index
 
@@ -222,26 +221,3 @@ def primitive_root(q):
             return g
     raise AssertionError("every odd prime power has a primitive root")
 
-
-@lru_cache(maxsize=None)
-def cyclotomic_int(n):
-    """Coefficients of the n-th cyclotomic polynomial, lowest degree first:
-    the product of (x^d - 1)^mu(n/d) over the divisors d of n."""
-    # mu(n/d) is (-1)^k when n/d is a product of k distinct primes, else 0
-    primes = list(factorint(n))
-    signed = [(n // prod(s), k % 2) for k in range(len(primes) + 1)
-              for s in combinations(primes, k)]
-    poly = [1]
-    for d in (d for d, odd in signed if not odd):
-        # times x^d - 1
-        shifted = [0] * d + poly
-        for i, c in enumerate(poly):
-            shifted[i] -= c
-        poly = shifted
-    for d in (d for d, odd in signed if odd):
-        # exact division by x^d - 1: poly = q x^d - q, so q_i = q_(i-d) - p_i
-        quotient = [0] * (len(poly) - d)
-        for i in range(len(quotient)):
-            quotient[i] = (quotient[i - d] if i >= d else 0) - poly[i]
-        poly = quotient
-    return tuple(poly)

@@ -17,7 +17,6 @@ from .abelian import (
     AbHom,
     FinAbGroup,
     IntMatrix,
-    direct_sum as group_direct_sum,
     kernel,
     kernel_lattice,
     subgroup_generated,
@@ -145,10 +144,3 @@ def tate(module, n):
                               _norm_map(module, sign).matrix)
     return quotient
 
-
-def direct_sum(m1, m2):
-    """Direct sum of involutive modules, with block-diagonal involution."""
-    total, (i1, i2), (p1, p2) = group_direct_sum([m1.group, m2.group])
-    t1 = i1 @ m1.involution @ p1
-    t2 = i2 @ m2.involution @ p2
-    return InvModule(total, t1 + t2)

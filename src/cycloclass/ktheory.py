@@ -392,12 +392,13 @@ def _exact_k0_module(data):
         return data.d_fact.module, "kernel group (class number one)"
     if data.d_fact is not None and data.d_fact.kind == "exact" \
             and data.d_fact.order == 1 and data.all_class_parts_exact():
-        modules = [part.module for _, part in sorted(data.class_parts.items())]
-        total = modules[0] if modules else InvModule.with_trivial(FinAbGroup())
-        from .involutive import direct_sum as module_sum
-        for extra in modules[1:]:
-            total = module_sum(total, extra)
-        return total, "sum of the stored class groups (vanishing kernel group)"
+        # every exact class part is a published class group under negation
+        # or the trivial group, so their sum is one negation module
+        total = FinAbGroup.from_cyclic_factors(
+            d for part in data.class_parts.values()
+            for d in part.group.invariant_factors)
+        return (InvModule.with_negation(total),
+                "sum of the stored class groups (vanishing kernel group)")
     return None, None
 
 

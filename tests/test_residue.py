@@ -4,18 +4,19 @@ from math import gcd
 import pytest
 from sympy import factorint
 
-from cycloclass.abelian import FinAbGroup, image
+from cycloclass.abelian import FinAbGroup, cokernel, image
 from cycloclass.involutive import InvModule, Sign, eigen_set
 from cycloclass.residue import (
     UnsupportedModulusError,
     c_bound,
-    cyclotomic_int,
-    psi_plus_presentation,
+    order_mod,
+    order_mod_signed,
     residue_units,
     unit_quotient,
     vtilde,
 )
 from oracles import (
+    cyclotomic_int,
     lambda_min_poly_int,
     oracle_lambda_units,
     oracle_residue_units,
@@ -24,6 +25,7 @@ from oracles import (
     oracle_vtilde_module,
     pgcd,
     pnormal,
+    psi_plus_presentation,
     vtilde_module,
 )
 
@@ -48,6 +50,24 @@ def brute_force_unit_count(p, n):
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+class TestOrders:
+    def test_descent_matches_stepping(self):
+        # the least k with a^k = 1, and with a^k = +-1, one power at a time
+        for n in range(1, 200):
+            for a in range(1, n + 1):
+                if gcd(a, n) != 1:
+                    continue
+                powers = [pow(a, k, n) for k in range(1, n + 1)]
+                assert order_mod(a, n) == powers.index(1 % n) + 1, (a, n)
+                if n > 2:
+                    assert order_mod_signed(a, n) == next(
+                        k for k, v in enumerate(powers, 1) if v in (1, n - 1))
+
+    def test_order_of_two_mod_a_large_prime(self):
+        assert order_mod(2, 1000000007) == 500000003
+        assert order_mod_signed(2, 1000000007) == 500000003
 
 
 class TestResidueRingUnits:
@@ -80,7 +100,6 @@ class TestResidueRingUnits:
             for n in range(1, 41):
                 if gcd(p, n) != 1:
                     continue
-                from cycloclass.residue import order_mod
                 from sympy import totient
                 f = order_mod(p, n)
                 if p ** f > 2 ** 16 or p ** int(totient(n)) > 2 ** 18:
@@ -172,7 +191,6 @@ class TestUnitQuotient:
             for n in range(1, 41):
                 if gcd(p, n) != 1:
                     continue
-                from cycloclass.residue import order_mod
                 from sympy import totient
                 f = order_mod(p, n)
                 if p ** f > 2 ** 16 or p ** int(totient(n)) > 2 ** 18:
@@ -191,9 +209,7 @@ class TestUnitQuotient:
             order = uq.group.exponent
             fields = oracle_residue_units(p, n).factors
             for e, a in [(1, 1), (2, n - 2), (n - 1, n - 1)]:
-                zeta_coords, u_coords = uq.images(e, a)
-                assert len(set(zeta_coords)) == len(set(u_coords)) == 1
-                cz, cu = zeta_coords[0], u_coords[0]
+                cz, cu = uq.images(e, a)
                 for field in fields:
                     x = field.embed((0, 1))
                     yz = field.pow(x, 2 * e)
@@ -214,6 +230,9 @@ class TestUnitQuotient:
 
 
 class TestPsiPlusPresentation:
+    # psi_plus_presentation is the oracle: the map into the direct sum of
+    # the whole tori, whose cokernel vtilde reads off one row per prime
+
     def test_m21_coordinate_orders(self):
         hom = psi_plus_presentation(21)
         # target is Z/28 + Z/6 in some normalised order
@@ -239,9 +258,21 @@ class TestPsiPlusPresentation:
 
     def test_unsupported_rejected(self):
         with pytest.raises(UnsupportedModulusError):
-            psi_plus_presentation(105)  # three odd primes
+            vtilde(105)  # three odd primes
         with pytest.raises(UnsupportedModulusError):
-            psi_plus_presentation(12)  # not square-free
+            vtilde(12)  # not square-free
+
+    def test_vtilde_is_its_cokernel(self):
+        checked = 0
+        for m in range(6, 701):
+            primes = factorint(m)
+            if any(e > 1 for e in primes.values()) or not (
+                    len(primes) == 2 or (len(primes) == 3 and 2 in primes)):
+                continue
+            group, _ = cokernel(psi_plus_presentation(m))
+            assert vtilde(m) == group, m
+            checked += 1
+        assert checked == 268
 
 
 def _element_order(group, element):
