@@ -7,7 +7,9 @@ deterministic Miller-Rabin test: with the bases 2, 7 and 61 for
 n < 4759123141 (Jaeschke, Math. Comp. 61 (1993)), and with the seven bases
 2, 325, 9375, 28178, 450775, 9780504 and 1795265022, which no composite
 below 2^64 passes, above that.  At or above 2^64 sympy is imported lazily
-to test primality.  A composite cofactor with no prime factor below 2^16 is
+to test primality; without sympy that raises MissingDependencyError, which
+is not an UnsupportedModulusError, so no handler that drops an unsupported
+part of an answer passes over it.  A composite cofactor with no prime factor below 2^16 is
 split by Pollard's rho in Brent's variant (Brent, BIT 20 (1980)) under a
 fixed budget of steps; a number it cannot split within the budget raises
 UnsupportedModulusError, so every answer is exact and none takes long.
@@ -45,6 +47,10 @@ class UnsupportedModulusError(ValueError):
     """Raised for moduli outside what the package evaluates: above a size
     ceiling, outside the implemented reductions, or not factored within
     the rho budget."""
+
+
+class MissingDependencyError(ImportError):
+    """Raised when an answer needs sympy and sympy is not installed."""
 
 
 def _sieve(limit):
@@ -98,7 +104,12 @@ def isprime(n):
     if n < _SCREEN_PRIMES[-1] ** 2:
         return True
     if n >= 2 ** 64:
-        from sympy import isprime as sympy_isprime
+        try:
+            from sympy import isprime as sympy_isprime
+        except ImportError:
+            raise MissingDependencyError(
+                f"testing {n}, at or above 2^64, for primality needs sympy, "
+                "which is not installed") from None
         return bool(sympy_isprime(n))
     odd, twos = n - 1, 0
     while odd % 2 == 0:

@@ -26,6 +26,10 @@ the length,
 
     sum_t c_t zeta^t = sum_(t < d/2) (c_t - c_(t + d/2)) zeta^t.
 
+It takes zeta^(t + d/2) at f - a where it takes zeta^t at a, so the folded
+sums are c_t - c_(t + d/2) = F_t - F_(t + d/2), F_t the sum of 2a - f over
+one unit a of each pair {a, f - a} with value zeta^t: half the units.
+
 When 4 | d, j and j + d/2 are both units mod d, and zeta^((j + d/2) t) =
 (-1)^t zeta^(j t).  With E and O the parts of the sum at the powers of
 zeta^j with even and odd t < d/2, the values at zeta^j and zeta^(j + d/2)
@@ -39,6 +43,9 @@ An orbit's norm N of sum_t c_t zeta^t obeys
 
 by P(zeta) = (1/d) sum_t q_t zeta^t (the roots sum to zero), Parseval over
 all d-th roots of unity, and the AM-GM inequality, on the full-length c_t.
+Each value is taken at phi(f)/d units, so c_t + c_(t + d/2) = f phi(f)/d
+and the q_t are +-(d/2) (c_t - c_(t + d/2)): sum_t q_t^2 is
+(d^2/2) sum_(t < d/2) (c_t - c_(t + d/2))^2, read off the folded sums.
 The orbit contributes (-1)^phi(d) N / (2f)^phi(d), so k is the least
 exponent with
 
@@ -56,17 +63,21 @@ the set of generators of the cyclic group <chi>, so the orbits are the
 products of one cyclic subgroup of each Sylow l-part of the character
 group, and the parity of chi is that of its 2-part.  The cyclic subgroups
 of each l-part are listed by a normal form of their generators, those of
-the 2-part kept when odd.  The c_t of an orbit come from a table of the
-units mod f in the order of their logarithms on the generators, built once
-per conductor f in each hminus call: along its longest axis the value
-exponent grows by a fixed step, so the c_t are sums of strided slices of
-its rows.  The orbits must cover the phi(m)/2 odd characters.
+the 2-part kept when odd.  The F_t of an orbit come from a table of 2a - f
+over half the units a mod f, in the order of their logarithms on the
+generators, built once per conductor f in each hminus call: -1 is half of
+the first axis of every local factor, so the first half of one such axis
+takes one unit of each pair {a, f - a}, and along the longest axis the
+value exponent grows by a fixed step, so the F_t are sums of strided
+slices of the rows.  The orbits must cover the phi(m)/2 odd characters.
 
 The primes l, l' and l'' are found by the stdlib Miller-Rabin test of
 ``arith``, which is deterministic below 2^64 and takes three bases below
 4759123141.  The root r of each is a product of one element of order
 s^a per s^a || lambda(m), s prime, each the first x^((l-1)/s^a), x >= 2,
-whose (s^(a-1))-th power is not 1.  The primitive roots behind the
+whose (s^(a-1))-th power is not 1: each trial base x is raised once to
+y = x^((l-1)/lambda(m)), and every part not yet found takes
+y^(lambda(m)/s^a), a small power.  The primitive roots behind the
 characters' generators come from the same module, and the order of each
 generator is checked by powering.
 """
@@ -182,42 +193,48 @@ def _cyclic_subgroups(ell, sizes):
 
 
 def _unit_table(m, f):
-    """(table, axes): the units a in [1, f) ordered by their logarithms on
-    the generators of ``_unit_group(m)`` reduced mod f, and the axes as
-    (generator index, order mod f), in the order of the table.
+    """(table, axes): 2a - f for one unit a of each pair {a, f - a} in
+    [1, f), ordered by the logarithms of a on the generators of
+    ``_unit_group(m)`` reduced mod f, and the axes as (generator index,
+    length in the table), in the order of the table.
 
     The local factor whose last axis is longest comes last, so that the
     table is a run of rows along that axis: the fewest rows, each summed
-    in strided slices.
+    in strided slices.  -1 is half of the first axis of every local
+    factor, so a -> f - a moves the first coordinate of the table by half
+    its range, and the table keeps the first half of that axis.
     """
-    blocks, i = [], 0
+    factors, i = [], 0
     for p, e, gens in _unit_group(m):
         fp = gcd(f, p ** e)
         if fp > 1:
             # -1 keeps order 2 mod fp >= 4, 5 has order fp / 4 there
             orders = [fp - fp // p] if p > 2 else [2] if e == 2 else \
                 [2, fp // 4]
-            residues = [1]
-            for (g, _), o in zip(gens, orders):
-                powers = [1]
-                for _ in range(o - 1):
-                    powers.append(powers[-1] * g % fp)
-                residues = [r * s % fp for r in residues for s in powers]
-            rest = f // fp
-            lift = rest * pow(rest, -1, fp)  # 1 mod fp, 0 mod the rest of f
-            blocks.append(([*zip(range(i, i + len(gens)), orders)],
-                           [r * lift for r in residues]))
+            factors.append((fp, gens, [*zip(range(i, i + len(gens)),
+                                            orders)]))
         i += len(gens)
-    blocks.sort(key=lambda block: block[0][-1][1])
-    table = [0]
-    for _, block in blocks:
-        table = [a + b for a in table for b in block]
-    return [a % f for a in table], [axis for axes, _ in blocks
-                                    for axis in axes]
+    factors.sort(key=lambda factor: factor[2][-1][1])
+    fp, gens, ((first, order), *others) = factors[0]
+    factors[0] = fp, gens, [(first, order // 2), *others]
+    table, axes = [0], []
+    for fp, gens, block_axes in factors:
+        residues = [1]
+        for (g, _), (_, o) in zip(gens, block_axes):
+            powers = [1]
+            for _ in range(o - 1):
+                powers.append(powers[-1] * g % fp)
+            residues = [r * s % fp for r in residues for s in powers]
+        rest = f // fp
+        lift = rest * pow(rest, -1, fp)  # 1 mod fp, 0 mod the rest of f
+        table = [a + r * lift for a in table for r in residues]
+        axes += block_axes
+    return [2 * (a % f) - f for a in table], axes
 
 
 def _odd_orbits(m):
-    """One (d, f, sums) per Galois orbit of odd characters modulo m.
+    """One (d, f, folded) per Galois orbit of odd characters modulo m, the
+    folded sums c_t - c_(t + d/2) for t < d/2.
 
     The orbit {chi^j : j a unit mod d} of a character chi of order d is the
     set of generators of the cyclic group it generates, so the orbits are
@@ -227,10 +244,12 @@ def _odd_orbits(m):
     taken in exponents x_i mod l^(a_i) on the generators, the exponent of
     a generator of order o being x_i * o / l^(a_i).
 
-    A character's sums c_t add the units a of its conductor f along one
-    row of ``_unit_table(m, f)`` at a time: on a row, the value exponent
-    grows by the weight w of the last axis at each step, so the entries
-    s, s + d', s + 2d', ... of a row, d' = d / gcd(w, d), share it.  The
+    A character's sums F_t add the entries 2a - f of ``_unit_table(m, f)``,
+    f its conductor, one row at a time: on a row, the value exponent grows
+    by the weight w of the last axis at each step, so the entries s,
+    s + d', s + 2d', ... of a row, d' = d / gcd(w, d), share it.  The
+    table holds one unit of each pair {a, f - a}, at which the character
+    takes values d/2 apart, so c_t - c_(t + d/2) = F_t - F_(t + d/2).  The
     orbits must cover the phi(m)/2 odd characters.
     """
     factors = _unit_group(m)
@@ -274,9 +293,9 @@ def _odd_orbits(m):
             starts = [t + weight * k for t in starts for k in range(o)]
         step, sums = d // gcd(w, d), [0] * d
         for row, t in zip(range(0, len(table), size), starts):
-            for s in range(step):
+            for s in range(min(step, size)):
                 sums[(t + w * s) % d] += sum(table[row + s:row + size:step])
-        orbits.append((d, f, sums))
+        orbits.append((d, f, [a - b for a, b in zip(sums, sums[d // 2:])]))
         covered += prod(phi for _, phi, _ in combination)
     if 2 * covered != prod(orders):
         raise InternalConsistencyError(
@@ -301,21 +320,27 @@ def _crt_prime(exponent, index):
     the first prime and checks modulo the product of the next two, of
     about 2^62.  The element is a product of one z of order r^a per
     r^a || exponent: z = x^((l-1)/r^a) for the first x >= 2 with
-    z^(r^(a-1)) != 1.
+    z^(r^(a-1)) != 1.  Each trial base x is raised to the full-size power
+    y = x^((l-1)/exponent) once, and each part still open takes its z as
+    the small power y^(exponent/r^a).
     """
     top = 2 ** 31 if index == 0 else _crt_prime(exponent, index - 1)[0]
     k = (top - 2) // exponent
     while not isprime(k * exponent + 1):
         k -= 1
     ell, root = k * exponent + 1, 1
-    for r, a in factorint(exponent).items():
-        part = r ** a
-        for x in count(2):
-            z = pow(x, (ell - 1) // part, ell)
+    parts = [(r ** a, r) for r, a in factorint(exponent).items()]
+    for x in count(2):
+        y, open_parts = pow(x, k, ell), []
+        for part, r in parts:
+            z = pow(y, exponent // part, ell)
             if pow(z, part // r, ell) != 1:
                 root = root * z % ell
-                break
-    return ell, root
+            else:
+                open_parts.append((part, r))
+        if not open_parts:
+            return ell, root
+        parts = open_parts
 
 
 def _teichmueller_lift(root, exponent, ell, power):
@@ -334,10 +359,11 @@ def _teichmueller_lift(root, exponent, ell, power):
 #: the largest phi(m), for m normalised, that hminus evaluates.  The pass
 #: takes phi(d) dot products of length d/2 per orbit of order d (phi(d)/2
 #: pairs of half-length ones when 4 | d) with residues mod l^k, k growing
-#: with the digits of h^-, and the orbits, CRT primes and the lift take a
-#: few ms of it; the safe primes cost most: on a 2-core x86-64 host
-#: (Python 3.11) 3947 and 3863 take 4.9-5.8 s cold, the prime square 3721
-#: 2.8-3.0 s, 3 * 1999 and 4 * 1999 2.6-3.4 s
+#: with the digits of h^-, and the orbits (on half the units), CRT primes
+#: and the lift take a few ms of it; the safe primes cost most: on a shared
+#: 2-core x86-64 host (Python 3.11) 3947 takes 3.7-5.8 s cold and 3863
+#: 4.9-5.1 s, the prime square 3721 2.5-2.9 s, 3 * 1999 2.6-3.3 s and
+#: 4 * 1999 2.7-3.3 s
 HMINUS_PHI_CEILING = 4000
 
 
@@ -373,14 +399,13 @@ def hminus(m):
     # of the orbits of order d, split at even and odd t when 4 | d
     units, folds = {}, {}
     bound_sq, scale, denominator = 4 * qw * qw, 1, 1
-    for d, f, sums in _odd_orbits(m):
+    for d, f, folded in _odd_orbits(m):
         if d not in units:
             units[d] = [j for j in range(1, d) if gcd(j, d) == 1]
-        total, phi_d = sum(sums), len(units[d])
-        bound_sq *= (d * sum((d * c - total) ** 2 for c in sums)) ** phi_d
+        phi_d = len(units[d])
+        bound_sq *= (d ** 3 // 2 * sum(c * c for c in folded)) ** phi_d
         scale *= (2 * d * f) ** (2 * phi_d) * phi_d ** phi_d
         denominator *= (-2 * f) ** phi_d
-        folded = [a - b for a, b in zip(sums, sums[d // 2:])]
         folds.setdefault(d, []).append(
             (folded[0::2], folded[1::2]) if d % 4 == 0 else folded)
 

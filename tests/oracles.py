@@ -10,7 +10,12 @@ and its own CRT primes below 2^62, the factors multiplied as fractions.
 Both take every odd character from ``characters``, its Galois orbit as its
 powers, and its Bernoulli sums value by value over [1, f).  The Galois
 orbits of odd characters are also walked as exponent tuples, one
-character built per orbit.  The characters themselves live here, exponent
+character built per orbit, and over the Sylow parts as ``hminus`` walks
+them, on the table of every unit and with sums for every t, before the
+fold at a -> f - a; the CRT roots of ``hminus`` are also found with one
+loop over the trial bases per prime-power part.  The irregularity index
+i(p), from Bernoulli numbers by power sums mod p^2, checks h^-(p) against
+Kummer's criterion.  The characters themselves live here, exponent
 vectors on the generators of ``classnumber._unit_group`` read through one
 discrete-log table per prime power: ``hminus`` needs only their orbits.
 The exact cyclotomic numbers and Bernoulli values that the orbit products
@@ -32,7 +37,7 @@ from itertools import combinations, count, product
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
 
-from sympy import divisors, factorint, isprime, totient
+from sympy import divisors, factorint, isprime, multiplicity, totient
 
 from cycloclass.abelian import (
     AbHom,
@@ -44,6 +49,7 @@ from cycloclass.abelian import (
     subgroup_generated,
 )
 from cycloclass.classnumber import (
+    _cyclic_subgroups,
     _generator_orders,
     _local_conductor,
     _normalize_modulus,
@@ -598,6 +604,93 @@ def odd_orbits(m):
     return orbits
 
 
+def full_unit_table(m, f):
+    """(table, axes): every unit a in [1, f), ordered by its logarithms on
+    the generators of ``_unit_group(m)`` reduced mod f, and the axes as
+    (generator index, order mod f), in the order of the table: the table
+    of ``classnumber._unit_table`` before the fold, with a in place of
+    2a - f and both units of each pair {a, f - a}."""
+    blocks, i = [], 0
+    for p, e, gens in _unit_group(m):
+        fp = gcd(f, p ** e)
+        if fp > 1:
+            orders = [fp - fp // p] if p > 2 else [2] if e == 2 else \
+                [2, fp // 4]
+            residues = [1]
+            for (g, _), o in zip(gens, orders):
+                powers = [1]
+                for _ in range(o - 1):
+                    powers.append(powers[-1] * g % fp)
+                residues = [r * s % fp for r in residues for s in powers]
+            rest = f // fp
+            lift = rest * pow(rest, -1, fp)
+            blocks.append(([*zip(range(i, i + len(gens)), orders)],
+                           [r * lift for r in residues]))
+        i += len(gens)
+    blocks.sort(key=lambda block: block[0][-1][1])
+    table = [0]
+    for _, block in blocks:
+        table = [a + b for a in table for b in block]
+    return [a % f for a in table], [axis for axes, _ in blocks
+                                    for axis in axes]
+
+
+def full_orbits(m):
+    """One (d, f, sums) per Galois orbit of odd characters modulo m, the
+    c_t for every t < d: the walk of ``classnumber._odd_orbits`` over the
+    Sylow parts of the character group before the fold, on
+    ``full_unit_table``, in the same order of orbits."""
+    factors = _unit_group(m)
+    orders = _generator_orders(m)
+    signs, i = [], 0
+    for *_, gens in factors:
+        if gens:
+            signs.append(i)
+        i += len(gens)
+
+    parts = []
+    for ell in factorint(lcm(*orders)):
+        sizes = [ell ** multiplicity(ell, o) for o in orders]
+        part = []
+        for order, xs in _cyclic_subgroups(ell, sizes):
+            exps = [x * o // s for x, o, s in zip(xs, orders, sizes)]
+            if ell == 2 and sum(exps[i] for i in signs) % 2 == 0:
+                continue
+            part.append((order, order - order // ell, exps))
+        parts.append(part)
+
+    tables, orbits, covered = {}, [], 0
+    for combination in product(*parts):
+        d = prod(order for order, _, _ in combination)
+        exps = [sum(ks) % o for *ks, o in
+                zip(*(part_exps for *_, part_exps in combination), orders)]
+        f, i = 1, 0
+        for p, e, gens in factors:
+            ks = exps[i:i + len(gens)]
+            if any(ks):
+                f *= _local_conductor(p, e, ks)
+            i += len(gens)
+        if f not in tables:
+            tables[f] = full_unit_table(m, f)
+        table, axes = tables[f]
+        weights = [exps[i] * d // orders[i] for i, _ in axes]
+        *rows, (_, size) = axes
+        *row_weights, w = weights
+        starts = [0]
+        for (_, o), weight in zip(rows, row_weights):
+            starts = [t + weight * k for t in starts for k in range(o)]
+        step, sums = d // gcd(w, d), [0] * d
+        for row, t in zip(range(0, len(table), size), starts):
+            for s in range(step):
+                sums[(t + w * s) % d] += sum(table[row + s:row + size:step])
+        orbits.append((d, f, sums))
+        covered += prod(phi for _, phi, _ in combination)
+    if 2 * covered != prod(orders):
+        raise InternalConsistencyError(
+            "the orbits do not cover half of the characters")
+    return orbits
+
+
 def search_conductor(chi):
     """The least f | m with chi trivial on the units that are 1 mod f."""
     m = chi.modulus
@@ -779,6 +872,42 @@ def crt_prime(exponent, index, bits=62):
         root = pow(x, (ell - 1) // exponent, ell)
         if all(pow(root, exponent // r, ell) != 1 for r in primes):
             return ell, root
+
+
+@lru_cache(maxsize=None)
+def crt_prime_per_part(exponent, index):
+    """``classnumber._crt_prime`` with one loop over the trial bases per
+    part: the index-th prime l below 2^31 with l = 1 (mod exponent), and
+    the product over r^a || exponent of z = x^((l-1)/r^a) for the first
+    x >= 2 with z^(r^(a-1)) != 1."""
+    top = 2 ** 31 if index == 0 else crt_prime_per_part(exponent,
+                                                        index - 1)[0]
+    k = (top - 2) // exponent
+    while not isprime(k * exponent + 1):
+        k -= 1
+    ell, root = k * exponent + 1, 1
+    for r, a in factorint(exponent).items():
+        part = r ** a
+        for x in count(2):
+            z = pow(x, (ell - 1) // part, ell)
+            if pow(z, part // r, ell) != 1:
+                root = root * z % ell
+                break
+    return ell, root
+
+
+def irregularity_index(p):
+    """i(p): the number of even k <= p - 3 with p | B_k, for an odd prime
+    p.  For those k, B_k is p-integral (von Staudt-Clausen) and
+    sum_(a < p) a^k = p B_k (mod p^2), from Faulhaber's formula, so p | B_k
+    exactly when the power sum vanishes mod p^2."""
+    square = p * p
+    squares = [a * a % square for a in range(1, p)]
+    powers, index = squares, 0
+    for _ in range(2, p - 2, 2):
+        index += sum(powers) % square == 0
+        powers = [x * y % square for x, y in zip(powers, squares)]
+    return index
 
 
 def cyclotomic_norm_int(coeffs, d, exponent=None):

@@ -1,5 +1,7 @@
 """The stdlib arithmetic of cycloclass.arith against sympy as the oracle."""
 
+import sys
+
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
@@ -35,6 +37,16 @@ class TestIsprime:
         assert arith._MR_BOUND_3 == 4759123141
         for n in range(4759123141 - 400, 4759123141 + 400):
             assert arith.isprime(n) == sympy.isprime(n), n
+
+    def test_without_sympy_above_two_to_the_64(self, monkeypatch):
+        # a missing sympy is its own error, which no handler of
+        # unsupported moduli catches; below 2^64 it is not needed
+        monkeypatch.setitem(sys.modules, "sympy", None)
+        with pytest.raises(arith.MissingDependencyError, match="sympy") \
+                as caught:
+            arith.isprime(2 ** 64 + 13)
+        assert not isinstance(caught.value, arith.UnsupportedModulusError)
+        assert arith.isprime(2 ** 64 - 59)
 
     @pytest.mark.parametrize("n", [
         2047, 3215031751, 4759123141, 3825123056546413051,

@@ -1,7 +1,7 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -185,11 +185,34 @@ def _canonical(d, values, *others):
     return relabel(values, j), *(relabel(row, j) for row in others)
 
 
+def _fold(d, sums):
+    """c_t - c_(t + d/2) for t < d/2, from the c_t for every t < d."""
+    return [a - b for a, b in zip(sums, sums[d // 2:])]
+
+
+def _unfold(d, f, folded):
+    """The c_t for every t < d of an odd character of order d and
+    conductor f, from its folded sums.
+
+    The character takes each value at phi(f)/d units of [1, f), and
+    a -> f - a moves the value zeta^t to zeta^(t + d/2), so
+    c_t + c_(t + d/2) = f phi(f)/d: with c_t - c_(t + d/2) that gives both.
+    """
+    pair = f * oracles.totient(f) // d
+    assert all((pair + g) % 2 == 0 for g in folded), (d, f)
+    return [(pair + g) // 2 for g in folded] + \
+        [(pair - g) // 2 for g in folded]
+
+
 def _assert_orbits_match_the_oracles(m):
-    """_odd_orbits(m) against the orbits from ``characters`` and against
-    the walk of ``oracles.odd_orbits``, each orbit in canonical form."""
-    new = Counter((d, f, _canonical(d, sums))
-                  for d, f, sums in classnumber._odd_orbits(m))
+    """_odd_orbits(m) against the fold of ``oracles.full_orbits``, orbit by
+    orbit, and, unfolded, against the orbits from ``characters`` and the
+    walk of ``oracles.odd_orbits``, each orbit in canonical form."""
+    folded = classnumber._odd_orbits(m)
+    assert folded == [(d, f, _fold(d, sums))
+                      for d, f, sums in oracles.full_orbits(m)], m
+    new = Counter((d, f, _canonical(d, _unfold(d, f, sums)))
+                  for d, f, sums in folded)
     for oracle in (_character_orbits, oracles.odd_orbits):
         old = Counter((chi.order, f, _canonical(chi.order, sums))
                       for chi, f, sums in oracle(m))
@@ -213,20 +236,35 @@ class TestOddOrbits:
     def test_fold_identity(self):
         # a -> f - a moves the value zeta^t of an odd character to
         # zeta^(t + d/2), so c_(t + d/2) = f n_t - c_t, n_t counting the a
-        # with that value; n is relabelled with the sums
+        # with that value; every n_t is phi(f)/d, so the folded sums of
+        # _odd_orbits give back the whole c_t; n is relabelled with the sums
         for m in range(3, 151):
-            counts = {}
+            full = set()
             for chi, f, sums in _character_orbits(m):
                 d = chi.order
                 n = Counter(oracles.primitive_value_exponent(chi, a)
                             for a in range(1, f))
                 sums, n = _canonical(d, sums, [n[t] for t in range(d)])
-                counts[d, f, sums] = n
-            for d, f, sums in classnumber._odd_orbits(m):
-                (sums,) = _canonical(d, sums)
-                n = counts[d, f, sums]
+                assert set(n) == {oracles.totient(f) // d}, (m, d)
                 for t in range(d // 2):
                     assert sums[t + d // 2] == f * n[t] - sums[t], (m, d, t)
+                full.add((d, f, sums))
+            for d, f, folded in classnumber._odd_orbits(m):
+                assert len(folded) == d // 2
+                assert (d, f, _canonical(d, _unfold(d, f, folded))[0]) \
+                    in full, (m, d)
+
+    def test_table_holds_one_unit_of_each_pair(self):
+        # 2a - f for one a of each pair {a, f - a}: the values and their
+        # negatives are the 2a - f of all the units mod f
+        for m in range(3, 301):
+            for f in arith.divisors(m):
+                if f < 3 or f % 4 == 2:
+                    continue
+                table, axes = classnumber._unit_table(m, f)
+                assert len(table) == prod(n for _, n in axes)
+                assert sorted(table + [-v for v in table]) == \
+                    [2 * a - f for a in range(1, f) if gcd(a, f) == 1]
 
     @pytest.mark.parametrize("m", [257, 255])
     def test_no_character_is_built(self, m, monkeypatch):
@@ -303,6 +341,12 @@ def corrupt_evaluation_prime(monkeypatch):
     hminus.cache_clear()
 
 
+def _exponents_to_2000():
+    """lambda(m) for every normalised m <= 2000."""
+    return sorted({lcm(*classnumber._generator_orders(m))
+                   for m in range(3, 2001) if m % 4 != 2})
+
+
 class TestHminus:
     @pytest.mark.parametrize("m,expected", [
         (1, 1), (2, 1), (3, 1), (4, 1), (12, 1), (23, 3),
@@ -345,15 +389,22 @@ class TestHminus:
     def test_crt_roots_have_the_exponent_as_order(self):
         # the roots built from prime-power parts have order lambda(m), and
         # the primes are those of the plain countdown and root search
-        exponents = {lcm(*classnumber._generator_orders(m))
-                     for m in range(3, 2001) if m % 4 != 2}
-        for exponent in sorted(exponents):
+        for exponent in _exponents_to_2000():
             for index in (0, 1, 2):
                 ell, root = classnumber._crt_prime(exponent, index)
                 assert ell == oracles.crt_prime(exponent, index, 31)[0]
                 assert pow(root, exponent, ell) == 1, (exponent, index)
                 assert all(pow(root, exponent // r, ell) != 1
                            for r in arith.factorint(exponent))
+
+    def test_crt_prime_matches_the_loop_per_part(self):
+        # one full-size power per trial base: each part takes its root
+        # from the first base that its own loop over the bases finds
+        for exponent in _exponents_to_2000():
+            for index in (0, 1, 2):
+                assert classnumber._crt_prime(exponent, index) == \
+                    oracles.crt_prime_per_part(exponent, index), \
+                    (exponent, index)
 
     @pytest.mark.parametrize("m", [3, 7, 25, 3 * 49, 4 * 81])
     def test_generator_of_wrong_order_is_an_internal_error(self, m,
@@ -505,6 +556,61 @@ class TestHminus:
             w = 2 * m if m % 2 else m
             approx = (q_factor * w * value).real
             assert abs(approx - hminus(m)) < 1e-6
+
+
+def _assert_kummer(p):
+    """p | h^-(p) exactly when p is irregular, and v_p(h^-(p)) = i(p)."""
+    h, index = hminus(p), oracles.irregularity_index(p)
+    assert (h % p == 0) == (index > 0), p
+    assert oracles.multiplicity(p, h) == index, p
+
+
+def _prime_powers(limit):
+    """The p^e, e >= 2, with phi(p^e) <= limit."""
+    return [p ** e for p in range(3, limit, 2) if arith.isprime(p)
+            for e in range(2, limit.bit_length())
+            if p ** e - p ** (e - 1) <= limit]
+
+
+class TestKummer:
+    """h^-(p) against Bernoulli numbers, which share nothing with the
+    orbit sums, their conductors or the norm bound.
+
+    Kummer's criterion (Washington, GTM 83, Thm 5.34): p | h^-(p) exactly
+    when p divides some B_k, k = 2, 4, ..., p - 3.  Each such k gives one
+    odd character whose B_1 is = B_k / k (mod p), so v_p(h^-(p)) >= i(p);
+    the equality is pinned as observed on these primes.  At a prime power,
+    p | h^-(p^e) exactly when p is irregular (Washington, Ch. 10).
+    """
+
+    def test_irregular_primes_below_300(self):
+        # the irregular primes below 300, and the one of index 2
+        irregular = [p for p in range(5, 300, 2) if arith.isprime(p)
+                     and oracles.irregularity_index(p)]
+        assert irregular == [37, 59, 67, 101, 103, 131, 149, 157, 233, 257,
+                             263, 271, 283, 293]
+        assert oracles.irregularity_index(157) == 2
+
+    def test_kummer_below_300(self):
+        for p in range(5, 300, 2):
+            if arith.isprime(p):
+                _assert_kummer(p)
+        for q in _prime_powers(200):
+            (p, _), = arith.factorint(q).items()
+            assert (hminus(q) % p == 0) == \
+                (oracles.irregularity_index(p) > 0), q
+
+    @pytest.mark.slow
+    def test_kummer_up_to_3947(self):
+        for p in [*range(301, 1000, 2), 1523, 2039, 2999, 3863, 3947]:
+            if arith.isprime(p):
+                _assert_kummer(p)
+        powers = _prime_powers(HMINUS_PHI_CEILING)
+        assert len(powers) == 29
+        for q in powers:
+            (p, _), = arith.factorint(q).items()
+            assert (hminus(q) % p == 0) == \
+                (oracles.irregularity_index(p) > 0), q
 
 
 class TestOddPart:

@@ -414,6 +414,23 @@ def test_cli_families_run_without_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["classify", "--n", "4"], ["cbound"],
+                                  ["am"], ["vtilde"]])
+def test_primality_above_2_64_without_sympy_exits_2(argv):
+    # the prime 2^64 + 13 takes sympy's primality test: without sympy the
+    # query exits 2 with one line naming it, not with a traceback, and no
+    # handler of unsupported moduli drops it (classify and vtilde answer
+    # with sympy)
+    script = ("import sys; sys.modules['sympy'] = None; "
+              "import cycloclass.cli; cycloclass.cli.main()")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--m", str(2 ** 64 + 13)],
+        capture_output=True, text=True, timeout=60, env=_child_env())
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("missing dependency: ") and "sympy" in line
+
+
 @pytest.mark.parametrize("exponent", [30, 40])
 def test_classify_large_power_of_two(exponent):
     # the kernel-group ladder at 2^e has order 2^(2^(e-1) - 1 - e(e-1)/2);
