@@ -112,9 +112,6 @@ class IntMatrix(Record):
         return IntMatrix(tuple(tuple(c * a for a in r) for r in self.data),
                          self.rows, self.cols)
 
-    def is_zero(self):
-        return all(all(a == 0 for a in r) for r in self.data)
-
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r})"
 
@@ -351,10 +348,6 @@ class AbHom(Record):
     def identity(cls, group):
         return cls(group, group, IntMatrix.identity(group.rank))
 
-    @classmethod
-    def zero(cls, source, target):
-        return cls(source, target, IntMatrix.zero(target.rank, source.rank))
-
     def __call__(self, element):
         return self.target.reduce(self.matrix @ tuple(element))
 
@@ -374,9 +367,6 @@ class AbHom(Record):
 
     def __neg__(self):
         return AbHom(self.source, self.target, -self.matrix)
-
-    def is_zero(self):
-        return self.matrix.is_zero()
 
     def is_identity(self):
         return (self.source == self.target

@@ -1,18 +1,17 @@
 """Integer arithmetic on the small numbers of this package, in the stdlib.
 
 Moduli, character orders and field degrees stay far below 2^32, and so do
-the CRT primes of ``classnumber``, just below 2^31.  Both are handled here
-without sympy: trial division by the primes below 2^16, and the
-deterministic Miller-Rabin test: with the bases 2, 7 and 61 for
-n < 4759123141 (Jaeschke, Math. Comp. 61 (1993)), and with the seven bases
-2, 325, 9375, 28178, 450775, 9780504 and 1795265022, which no composite
-below 2^64 passes, above that.  At or above 2^64 sympy is imported lazily
-to test primality; without sympy that raises MissingDependencyError, which
-is not an UnsupportedModulusError, so no handler that drops an unsupported
-part of an answer passes over it.  A composite cofactor with no prime factor below 2^16 is
-split by Pollard's rho in Brent's variant (Brent, BIT 20 (1980)) under a
-fixed budget of steps; a number it cannot split within the budget raises
-UnsupportedModulusError, so every answer is exact and none takes long.
+the CRT primes of ``classnumber``, just below 2^31.  Primality agrees with
+sympy 1.14 (without gmpy2) on every n: trial division by the primes below
+100, then the strong (Miller-Rabin) test on the bases of the first row of
+``_MR_TABLE`` whose bound exceeds n, which is proven below psi_13 =
+3317044064679887385961981; at or above psi_13, sympy's strong BPSW test
+(Baillie and Wagstaff, Math. Comp. 35 (1980)), the strong test to base 2
+and a strong Lucas test, which no known composite passes.  A composite
+cofactor with no prime factor below 2^16 is split by Pollard's rho in
+Brent's variant (Brent, BIT 20 (1980)) under a fixed budget of steps; a
+number it cannot split within the budget raises UnsupportedModulusError,
+so every answer is exact and none takes long.
 """
 
 from __future__ import annotations
@@ -24,12 +23,18 @@ from operator import index
 #: trial division stops at this bound
 _TRIAL_BOUND = 2 ** 16
 
-_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-
-#: below this bound the bases 2, 7 and 61 suffice; 4759123141 itself is the
-#: least strong pseudoprime to all three (Jaeschke, Math. Comp. 61 (1993))
-_MR_BOUND_3 = 4_759_123_141
-_MR_BASES_3 = (2, 7, 61)
+#: (bound, bases): no composite n below the bound passes the strong test
+#: to every base.  4759123141 is the least strong pseudoprime to 2, 7 and
+#: 61 (Jaeschke, Math. Comp. 61 (1993)); no composite below 2^64 passes
+#: the seven bases (Sinclair, 2011); psi_13 is the least strong
+#: pseudoprime to the 13 primes up to 41 (Sorenson and Webster, Math.
+#: Comp. 86 (2017)).  Every base is below every n its row sees
+_MR_TABLE = (
+    (4_759_123_141, (2, 7, 61)),
+    (2 ** 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (3_317_044_064_679_887_385_961_981,
+     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
 
 #: the steps of Pollard-Brent rho that one factorint call may take.  rho
 #: finds a prime factor p after about sqrt(p) steps, so the budget splits
@@ -49,8 +54,8 @@ class UnsupportedModulusError(ValueError):
     the rho budget."""
 
 
-class MissingDependencyError(ImportError):
-    """Raised when an answer needs sympy and sympy is not installed."""
+class InternalConsistencyError(RuntimeError):
+    """A quantity that is provably integral or consistent failed to be so."""
 
 
 def _sieve(limit):
@@ -93,6 +98,57 @@ def _strong_probable_prime(n, base, odd, twos):
     return False
 
 
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """Strong Lucas test of odd n > 1 with Selfridge's parameters: D the
+    first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4.
+    A square has no such D and is rejected first."""
+    if isqrt(n) ** 2 == n:
+        return False
+    for d in count(5, 2):
+        d = d if d % 4 == 1 else -d
+        j = _jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0 and d % n:
+            return False
+    q = (1 - d) // 4
+    twos = ((n + 1) & -(n + 1)).bit_length() - 1
+
+    def half(x):
+        return (x + n if x & 1 else x) // 2 % n
+
+    # U_k, V_k and Q^k mod n for k = (n + 1) / 2^twos, by the binary
+    # digits of k: k -> 2k doubles, k -> k + 1 adds one step with P = 1
+    u, v, qk = 1, 1, q % n
+    for bit in bin((n + 1) >> twos)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(d * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(twos - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 def isprime(n):
     """Whether the integer n is prime (False for n < 2)."""
     n = index(n)
@@ -103,25 +159,13 @@ def isprime(n):
             return n == p
     if n < _SCREEN_PRIMES[-1] ** 2:
         return True
-    if n >= 2 ** 64:
-        try:
-            from sympy import isprime as sympy_isprime
-        except ImportError:
-            raise MissingDependencyError(
-                f"testing {n}, at or above 2^64, for primality needs sympy, "
-                "which is not installed") from None
-        return bool(sympy_isprime(n))
-    odd, twos = n - 1, 0
-    while odd % 2 == 0:
-        odd //= 2
-        twos += 1
-    if n < _MR_BOUND_3:
-        # n > 97^2 here, so no base is a multiple of n
-        return all(_strong_probable_prime(n, a, odd, twos)
-                   for a in _MR_BASES_3)
-    # a base divisible by n says nothing and is skipped
-    return all(_strong_probable_prime(n, a, odd, twos)
-               for a in _MR_BASES_64 if a % n)
+    twos = ((n - 1) & (1 - n)).bit_length() - 1
+    odd = (n - 1) >> twos
+    for bound, bases in _MR_TABLE:
+        if n < bound:
+            return all(_strong_probable_prime(n, a, odd, twos) for a in bases)
+    return (_strong_probable_prime(n, 2, odd, twos)
+            and _strong_lucas_probable_prime(n))
 
 
 def factorint(n):

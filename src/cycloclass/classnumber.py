@@ -90,9 +90,9 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .abelian import FinAbGroup
-from .arith import factorint, isprime, primitive_root, totient
+from .arith import InternalConsistencyError, UnsupportedModulusError, \
+    factorint, isprime, primitive_root, totient
 from .record import Record
-from .residue import InternalConsistencyError, UnsupportedModulusError
 
 
 def odd_part(x):

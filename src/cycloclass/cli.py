@@ -24,12 +24,10 @@ with n odd or below 4, m < 2 where a cyclic group is needed, moduli outside
 the implemented unit reductions or not factored within the Pollard-Brent
 budget of arith, vtilde and cbound with a norm-one torus above
 TORUS_BITS_CEILING bits (before its order is formed), tate --km above
-KM_LEVEL_CEILING, hminus at phi(m) above HMINUS_PHI_CEILING (above
-2 * HMINUS_PHI_CEILING^2, before m is factored), and, without sympy
-installed, any query that tests an integer at or above 2^64 for primality:
-its one line on stderr names sympy.  hminus --m 1 prints 1.  sweep
-reports a per-m scope error as an error row of its table, and an h- above
-HMINUS_PHI_CEILING as "-" in the h- columns of a row that keeps its
+KM_LEVEL_CEILING, and hminus at phi(m) above HMINUS_PHI_CEILING (above
+2 * HMINUS_PHI_CEILING^2, before m is factored).  hminus --m 1 prints 1.
+sweep reports a per-m scope error as an error row of its table, and an h-
+above HMINUS_PHI_CEILING as "-" in the h- columns of a row that keeps its
 verdicts.
 """
 
@@ -40,13 +38,12 @@ import os
 import sys
 
 from .abelian import AbHom, FinAbGroup, IntMatrix
-from .arith import MissingDependencyError
+from .arith import InternalConsistencyError, UnsupportedModulusError
 from .classnumber import hminus, odd_part
 from .involutive import InvModule, tate
 from .ktheory import ScopeError, a_m, km_v_module, squarefree
 from .manifoldset import a2k_order, classify, sweep, verify
-from .residue import InternalConsistencyError, UnsupportedModulusError, \
-    c_bound, vtilde
+from .residue import c_bound, vtilde
 
 SCHEMA_VERSION = 2
 CACHE_ENV_VAR = "CYCLOCLASS_CACHE"
@@ -375,9 +372,6 @@ def run(argv):
         output = _execute(args)
     except (ScopeError, UnsupportedModulusError) as err:
         print(f"out of scope: {err}", file=sys.stderr)
-        return 2
-    except MissingDependencyError as err:
-        print(f"missing dependency: {err}", file=sys.stderr)
         return 2
     except InternalConsistencyError as err:
         print(f"internal consistency failure: {err}", file=sys.stderr)

@@ -264,7 +264,7 @@ def _h_parity(m, compute):
     fact = factorint(classnumber._normalize_modulus(m))
     if len(fact) == 1:
         (p, e), = fact.items()
-        if p <= 509:
+        if p <= classnumber._HP_TABLE_LIMIT:
             return hp_is_odd(p)
     if compute:
         return hminus(m) % 2 == 1

@@ -31,9 +31,10 @@ on vtilde(m) is negation.  A torus of more than TORUS_BITS_CEILING bits is
 refused before any p^f - 1 is formed.
 
 The integer arithmetic (factorisation of m, primality and Euler's phi)
-comes from the stdlib module ``arith``, and so does
-``UnsupportedModulusError``, re-exported here, which it raises for a
-modulus it cannot factor within its budget.
+comes from the stdlib module ``arith``, and so do the two exceptions,
+re-exported here: ``UnsupportedModulusError``, which ``arith`` raises for
+a modulus it cannot factor within its budget, and
+``InternalConsistencyError``.
 """
 
 from __future__ import annotations
@@ -42,12 +43,9 @@ from functools import lru_cache
 from math import gcd, log2, prod
 
 from .abelian import FinAbGroup, IntMatrix, present
-from .arith import UnsupportedModulusError, factorint, isprime, totient
+from .arith import InternalConsistencyError, UnsupportedModulusError, \
+    factorint, isprime, totient
 from .record import Record
-
-
-class InternalConsistencyError(RuntimeError):
-    """A quantity that is provably integral or consistent failed to be so."""
 
 
 # ---------------------------------------------------------------------------

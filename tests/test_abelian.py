@@ -20,9 +20,12 @@ from oracles import (
     det,
     direct_sum,
     factor_through,
+    is_zero_hom,
+    is_zero_matrix,
     iso_eq,
     primary_part,
     solve,
+    zero_hom,
 )
 
 
@@ -84,7 +87,7 @@ class TestSnf:
         m = IntMatrix([[2, 4, 0], [0, 0, 3]])
         kb = kernel_basis(m)
         assert kb.cols == 1
-        assert (m @ kb).is_zero()
+        assert is_zero_matrix(m @ kb)
 
     def test_solver(self):
         m = IntMatrix([[2, 0], [0, 3]])
@@ -161,7 +164,7 @@ class TestCokernel:
 
     def test_zero_map(self):
         g = FinAbGroup([6])
-        q, proj = cokernel(AbHom.zero(g, g))
+        q, proj = cokernel(zero_hom(g, g))
         assert q == FinAbGroup([6])
         assert proj((1,)) != proj((0,))
 
@@ -173,7 +176,7 @@ class TestCokernel:
             f = oracles.random_hom(rng, a, b)
             q, proj = cokernel(f)
             composed = proj @ f
-            assert composed.is_zero()
+            assert is_zero_hom(composed)
 
 
 class TestKernel:
@@ -201,7 +204,7 @@ class TestKernel:
             b = oracles.random_group(rng, max_order=256, max_rank=3)
             f = oracles.random_hom(rng, a, b)
             k, incl = kernel(f)
-            assert (f @ incl).is_zero()
+            assert is_zero_hom(f @ incl)
 
 
 class TestAgainstEnumeration:
@@ -320,4 +323,4 @@ class TestSubgroupsAndParts:
         assert total == FinAbGroup([6])
         assert (pa @ ia).is_identity()
         assert (pb @ ib).is_identity()
-        assert (pa @ ib).is_zero()
+        assert is_zero_hom(pa @ ib)

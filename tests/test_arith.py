@@ -1,14 +1,23 @@
 """The stdlib arithmetic of cycloclass.arith against sympy as the oracle."""
 
+import ast
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.abc import x
 
+import cycloclass
 from cycloclass import arith
 from oracles import cyclotomic_int
+
+#: the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
 
 
 class TestIsprime:
@@ -28,25 +37,86 @@ class TestIsprime:
         assert arith.isprime(n) == sympy.isprime(n)
 
     def test_around_two_to_the_64(self):
-        # both sides of the switch from Miller-Rabin to sympy
+        # both sides of the switch from seven bases to thirteen
         for n in range(2 ** 64 - 400, 2 ** 64 + 400):
             assert arith.isprime(n) == sympy.isprime(n), n
 
     def test_around_the_three_base_bound(self):
         # both sides of the switch from three bases to seven
-        assert arith._MR_BOUND_3 == 4759123141
+        assert arith._MR_TABLE[0][0] == 4759123141
         for n in range(4759123141 - 400, 4759123141 + 400):
             assert arith.isprime(n) == sympy.isprime(n), n
 
-    def test_without_sympy_above_two_to_the_64(self, monkeypatch):
-        # a missing sympy is its own error, which no handler of
-        # unsupported moduli catches; below 2^64 it is not needed
-        monkeypatch.setitem(sys.modules, "sympy", None)
-        with pytest.raises(arith.MissingDependencyError, match="sympy") \
-                as caught:
-            arith.isprime(2 ** 64 + 13)
-        assert not isinstance(caught.value, arith.UnsupportedModulusError)
-        assert arith.isprime(2 ** 64 - 59)
+    @pytest.mark.parametrize("psi", [PSI_12, PSI_13])
+    def test_around_psi_12_and_psi_13(self, psi):
+        # psi_12 is the last bound of sympy's table that ours skips, and
+        # psi_13 is where the thirteen bases give way to strong BPSW
+        assert arith._MR_TABLE[-1][0] == PSI_13
+        assert not arith.isprime(psi)
+        for n in range(psi - 400, psi + 400):
+            assert arith.isprime(n) == sympy.isprime(n), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=2 ** 64, max_value=2 ** 128))
+    @example(2 ** 89 - 1)
+    @example(2 ** 127 - 1)
+    def test_above_two_to_the_64(self, n):
+        assert arith.isprime(n) == sympy.isprime(n)
+
+    def test_without_sympy_above_two_to_the_64(self):
+        # the same answers with sympy blocked, in a child process
+        numbers = [*range(2 ** 64 - 60, 2 ** 64 + 60), 2 ** 127 - 1,
+                   *range(PSI_13 - 30, PSI_13 + 30)]
+        script = ("import sys; sys.modules['sympy'] = None; "
+                  "from cycloclass.arith import isprime; "
+                  f"print([int(isprime(n)) for n in {numbers}])")
+        src = os.path.dirname(os.path.dirname(cycloclass.__file__))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == \
+            f"{[int(sympy.isprime(n)) for n in numbers]}\n"
+
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+    def test_strong_lucas_pseudoprimes(self, n):
+        # the strong Lucas pseudoprimes below 20000 (OEIS A217255) pass
+        # the Lucas half of strong BPSW, and the base-2 half rejects them
+        odd, twos = n - 1, 0
+        while odd % 2 == 0:
+            odd, twos = odd // 2, twos + 1
+        assert arith._strong_lucas_probable_prime(n)
+        assert not arith._strong_probable_prime(n, 2, odd, twos)
+        assert not arith.isprime(n)
+
+    def test_lucas_rejects_a_square_at_once(self, monkeypatch):
+        # no D has (D/n) = -1 when n is a square: without the square check
+        # the search for D would never end
+        def no_jacobi(a, n):
+            raise AssertionError("the search for D began")
+
+        monkeypatch.setattr(arith, "_jacobi", no_jacobi)
+        assert not arith._strong_lucas_probable_prime((PSI_13 + 2) ** 2)
+
+    def test_lucas_matches_sympy(self):
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+        for n in range(3, 20001, 2):
+            assert arith._strong_lucas_probable_prime(n) == \
+                is_strong_lucas_prp(n), n
+
+    def test_no_module_imports_sympy(self):
+        # sympy is the tests' oracle, not a dependency of the package
+        package = Path(cycloclass.__file__).parent
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                assert all(module.split(".")[0] != "sympy"
+                           for module in modules), path.name
 
     @pytest.mark.parametrize("n", [
         2047, 3215031751, 4759123141, 3825123056546413051,

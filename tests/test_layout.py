@@ -4,7 +4,9 @@ A function, class or method in ``src/cycloclass`` must be referenced
 somewhere in the package source or by the acceptance tests; code that only
 other tests need belongs in ``oracles``.  An import counts as a use only in
 ``__init__``, whose re-exports are the public names: a module that imports
-a name and never uses it does not keep the name's definition alive.  Dunder
+a name and never uses it does not keep the name's definition alive.  A use
+inside a definition of the same name does not count either, so neither
+recursion nor a method that delegates to its namesake keeps it.  Dunder
 methods are called by the language and are exempt, and so is
 ``cli._Parser.error``, which argparse calls.
 
@@ -31,16 +33,31 @@ def _definitions(node, prefix):
             yield from _definitions(child, prefix)
 
 
+def _uses(node, enclosing, is_init):
+    """The names used below ``node``, except inside a def or class of the
+    same name; ``enclosing`` holds the names of the defs around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name):
+            name = child.id
+        elif isinstance(child, ast.Attribute):
+            name = child.attr
+        elif isinstance(child, ast.alias) and is_init:
+            name = child.name
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            yield name
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _uses(child, enclosing | {child.name}, is_init)
+        else:
+            yield from _uses(child, enclosing, is_init)
+
+
 def test_no_definition_is_used_only_by_tests():
     used = set()
     for path in [*SRC.glob("*.py"), TESTS / "test_acceptance.py"]:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias) and path.name == "__init__.py":
-                used.add(node.name)
+        used.update(_uses(ast.parse(path.read_text()), frozenset(),
+                          path.name == "__init__.py"))
     unused = [qualified for path in sorted(SRC.glob("*.py"))
               for qualified, name in _definitions(
                   ast.parse(path.read_text()), path.stem)
