@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import pytest
@@ -14,9 +15,12 @@ from hypothesis import given, settings, strategies as st
 import cycloclass
 from cycloclass import __version__
 from cycloclass.classnumber import HMINUS_PHI_CEILING
-from cycloclass.cli import SCHEMA_VERSION, _code_digest, run
+from cycloclass.cli import (SCHEMA_VERSION, _build_parser, _canonical_key,
+                            _code_digest, run)
 
 CODE = _code_digest()
+#: the cache key of ``hminus --m 39``, whose answer is 2
+KEY_39 = _canonical_key(_build_parser().parse_args(["hminus", "--m", "39"]))
 
 
 @pytest.fixture
@@ -306,6 +310,8 @@ class TestCache:
                                  "code_sha256": CODE,
                                  "entries": {"k": {"output": "565"}}}),
                      id="current-code-entry-without-digest"),
+        # deeper than the JSON decoder follows: RecursionError
+        pytest.param("[" * 100000 + "]" * 100000, id="nested-100000-deep"),
     ])
     def test_wrong_shape_treated_as_empty(self, capture, tmp_path, content):
         cache_file = tmp_path / "cache.json"
@@ -317,13 +323,18 @@ class TestCache:
         assert [entry["output"] for entry in data["entries"].values()] \
             == ["565"]
 
-    def test_tampered_entry_is_recomputed(self, capture, tmp_path):
+    @pytest.mark.parametrize("output", [
+        pytest.param("999", id="other-output"),
+        # no UTF-8 form, so no digest can match it
+        pytest.param("\ud800", id="lone-surrogate"),
+    ])
+    def test_tampered_entry_is_recomputed(self, capture, tmp_path, output):
         cache_file = tmp_path / "cache.json"
         args = ["hminus", "--m", "39", "--cache", str(cache_file)]
         assert capture(args)[:2] == (0, "2\n")
         data = json.loads(cache_file.read_text())
         (entry,) = data["entries"].values()
-        entry["output"] = "999"
+        entry["output"] = output
         cache_file.write_text(json.dumps(data))
         code, out, err = capture(args)
         assert code == 0 and out == "2\n" and err == ""
@@ -558,3 +569,61 @@ def test_exit_code_contract_for_any_argv(argv):
         code = run(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+#: any text, lone surrogates included
+_ANY_TEXT = st.text(st.one_of(st.characters(codec=None, exclude_categories=()),
+                              st.characters(categories=["Cs"])),
+                    max_size=12)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _ANY_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_ANY_TEXT, inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def _cache_file(draw):
+    """Any text, any JSON, or a JSON document that is mostly a cache of
+    the current code holding ``hminus --m 39``, with any part of it
+    replaced by something else or left out."""
+    kind = draw(st.sampled_from(["text", "json", "cache"]))
+    if kind == "text":
+        return draw(_ANY_TEXT)
+    if kind == "json":
+        return json.dumps(draw(_JSON))
+
+    def mostly(valid, other):
+        """``valid`` three times in four, else a draw from ``other``."""
+        return valid if draw(st.integers(0, 3)) else draw(other)
+
+    def entry():
+        return mostly({"output": draw(st.one_of(st.just("2"), _ANY_TEXT)),
+                       "sha256": mostly(hashlib.sha256(b"2").hexdigest(),
+                                        _ANY_TEXT)}, _JSON)
+
+    entries = {draw(_ANY_TEXT): entry()
+               for _ in range(draw(st.integers(0, 2)))}
+    if draw(st.integers(0, 3)):
+        entries[KEY_39] = entry()
+    document = {"schema": mostly(SCHEMA_VERSION, _JSON),
+                "code_sha256": mostly(CODE, _ANY_TEXT),
+                "entries": mostly(entries, _JSON)}
+    for key in list(document):
+        if not draw(st.integers(0, 7)):
+            del document[key]
+    return json.dumps(document)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cache_file())
+def test_exit_code_contract_for_any_cache_file(content):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "cache.json")
+        with open(path, "w", encoding="utf-8",
+                  errors="surrogatepass") as handle:
+            handle.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["--cache", path, "hminus", "--m", "39"])
+    assert code == 0 and out.getvalue() == "2\n" and err.getvalue() == ""

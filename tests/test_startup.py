@@ -7,15 +7,23 @@ return.
 """
 
 import ast
+import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import cycloclass
+from cycloclass.cli import _digest, _sha256
 
 SRC = Path(cycloclass.__file__).resolve().parent
+#: the interpreter's builtin SHA-256 module: _sha2 from 3.12, _sha256 before
+BUILTIN_SHA256 = any(importlib.util.find_spec(name)
+                     for name in ("_sha2", "_sha256"))
 
 
 def test_no_module_imports_dataclasses():
@@ -66,3 +74,50 @@ def test_uncached_text_query_loads_no_json_hashlib_or_tempfile():
     """))
     assert "cycloclass.classnumber" in added
     assert not added & {"json", "hashlib", "tempfile", "dataclasses"}
+
+
+def _cache_round_trip(cache_file, prelude=""):
+    """A script that runs ``hminus --m 39`` twice against ``cache_file``,
+    a miss and then a hit, after ``prelude``."""
+    return textwrap.dedent("""
+        {prelude}
+        import contextlib, io
+        import cycloclass.cli
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cycloclass.cli.run(
+                    ["--cache", {cache_file!r}, "hminus", "--m", "39"]) == 0
+            assert out.getvalue() == "2\\n"
+    """).format(prelude=prelude, cache_file=str(cache_file))
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason="no builtin SHA-256 module")
+def test_cache_miss_and_hit_load_no_hashlib(tmp_path):
+    # hashlib loads OpenSSL's _hashlib, which costs a cold query more than
+    # the builtin module
+    cache_file = tmp_path / "cache.json"
+    added = _added_modules(_cache_round_trip(cache_file))
+    assert "json" in added and cache_file.exists()
+    assert not added & {"hashlib", "_hashlib"}
+
+
+def test_builtin_digest_equals_hashlib():
+    assert _digest("2") == hashlib.sha256(b"2").hexdigest()
+    blobs = [b"", b"2"] + [path.read_bytes()
+                           for path in sorted(SRC.glob("*.py"))]
+    for blob in blobs:
+        assert _sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+
+
+def test_without_builtin_sha256_hashlib_writes_the_same_file(tmp_path):
+    blocked = textwrap.dedent("""
+        import sys
+        sys.modules["_sha2"] = sys.modules["_sha256"] = None
+        import hashlib
+        from cycloclass.cli import _sha256
+        assert type(_sha256()) is type(hashlib.sha256())
+    """)
+    builtin, fallback = tmp_path / "builtin.json", tmp_path / "fallback.json"
+    _added_modules(_cache_round_trip(builtin))
+    _added_modules(_cache_round_trip(fallback, blocked))
+    assert builtin.read_bytes() == fallback.read_bytes()
