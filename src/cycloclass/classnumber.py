@@ -30,11 +30,26 @@ It takes zeta^(t + d/2) at f - a where it takes zeta^t at a, so the folded
 sums are c_t - c_(t + d/2) = F_t - F_(t + d/2), F_t the sum of 2a - f over
 one unit a of each pair {a, f - a} with value zeta^t: half the units.
 
-When 4 | d, j and j + d/2 are both units mod d, and zeta^((j + d/2) t) =
-(-1)^t zeta^(j t).  With E and O the parts of the sum at the powers of
-zeta^j with even and odd t < d/2, the values at zeta^j and zeta^(j + d/2)
-are E + O and E - O, so the pair contributes E^2 - O^2: half the picks of
-the powers and half the multiply-adds.
+The norm factors through the real subfield Q(zeta_d)^+ (Washington,
+GTM 83, 4.1 and 4.17): the units j and -j put x = zeta^j and 1/x, and
+with a_t the folded sums, n = d/2 and R_u = sum_t a_t a_(t + u),
+
+    P(x) P(1/x) = R_0 + sum_(0 < u < n) R_u C_u,  C_u = x^u + x^(-u).
+
+As x^n = -1, C_(n - u) = -C_u, and C_(n/2) = 0 when n is even (x^(n/2) is
+a fourth root of unity), so
+
+    T(x) = P(x) P(1/x) = R_0 + sum_(0 < u < n/2) (R_u - R_(n - u)) C_u,
+
+one value of ceil(d/4) terms per pair {j, -j}, at picks of the row
+C_s = zeta^s + zeta^(-s), s < d, in which C_0 counts as 1.  When 4 | d and
+d > 4, j + d/2 is a unit as well, and C_u at -x is (-1)^u C_u at x; with
+Re and Ro the parts of T(x) at even and odd u, the quartet {+-j, +-j + d/2}
+contributes T(x) T(-x) = Re^2 - Ro^2, one representative j < d/4 each.
+At d = 4 the one pair gives T = R_0 (C_1 = zeta + zeta^3 = 0), and at
+d = 2 the one unit gives a_0.  So an orbit costs (phi(d)/2) ceil(d/4)
+multiply-adds with residues, a quarter of one value per unit, and about
+d^2/8 products of small integers for the R_u.
 
 An orbit's norm N of sum_t c_t zeta^t obeys
 
@@ -45,7 +60,8 @@ by P(zeta) = (1/d) sum_t q_t zeta^t (the roots sum to zero), Parseval over
 all d-th roots of unity, and the AM-GM inequality, on the full-length c_t.
 Each value is taken at phi(f)/d units, so c_t + c_(t + d/2) = f phi(f)/d
 and the q_t are +-(d/2) (c_t - c_(t + d/2)): sum_t q_t^2 is
-(d^2/2) sum_(t < d/2) (c_t - c_(t + d/2))^2, read off the folded sums.
+(d^2/2) sum_(t < d/2) (c_t - c_(t + d/2))^2 = (d^2/2) R_0, read off the
+folded sums.
 The orbit contributes (-1)^phi(d) N / (2f)^phi(d), so k is the least
 exponent with
 
@@ -77,9 +93,11 @@ The primes l, l' and l'' are found by the stdlib Miller-Rabin test of
 s^a per s^a || lambda(m), s prime, each the first x^((l-1)/s^a), x >= 2,
 whose (s^(a-1))-th power is not 1: each trial base x is raised once to
 y = x^((l-1)/lambda(m)), and every part not yet found takes
-y^(lambda(m)/s^a), a small power.  The primitive roots behind the
-characters' generators come from the same module, and the order of each
-generator is checked by powering.
+y^(lambda(m)/s^a), a small power.  Only prime x are tried: the test
+y^(lambda(m)/s) != 1 is multiplicative in x, so the first x that passes
+it is prime.  The primitive roots behind the characters' generators come
+from the same module, and the order of each generator is checked by
+powering.
 """
 
 from __future__ import annotations
@@ -322,7 +340,10 @@ def _crt_prime(exponent, index):
     r^a || exponent: z = x^((l-1)/r^a) for the first x >= 2 with
     z^(r^(a-1)) != 1.  Each trial base x is raised to the full-size power
     y = x^((l-1)/exponent) once, and each part still open takes its z as
-    the small power y^(exponent/r^a).
+    the small power y^(exponent/r^a).  The test z^(r^(a-1)) != 1 says
+    x^((l-1)/r) != 1, which holds for a product only if it holds for a
+    factor, so the first base to pass it is prime: composite x are
+    skipped.
     """
     top = 2 ** 31 if index == 0 else _crt_prime(exponent, index - 1)[0]
     k = (top - 2) // exponent
@@ -330,7 +351,7 @@ def _crt_prime(exponent, index):
         k -= 1
     ell, root = k * exponent + 1, 1
     parts = [(r ** a, r) for r, a in factorint(exponent).items()]
-    for x in count(2):
+    for x in filter(isprime, count(2)):
         y, open_parts = pow(x, k, ell), []
         for part, r in parts:
             z = pow(y, exponent // part, ell)
@@ -356,14 +377,62 @@ def _teichmueller_lift(root, exponent, ell, power):
     return lift
 
 
+def _norms(d, orbits, zeta, modulus):
+    """The product of the norms from Q(zeta_d) of sum_(t < d/2) a_t zeta^t
+    over the folded sums a of the orbits of even order d, mod modulus at
+    zeta, a root of order d there that splits Phi_d.
+
+    A pair of units {j, -j} gives T(zeta^j) = sum_(u < ceil(d/4)) b_u C_(ju),
+    b = (R_0, R_1 - R_(n-1), R_2 - R_(n-2), ...), n = d/2, and C_s =
+    zeta^s + zeta^(-s) with C_0 = 1; for 4 | d, d > 4, a quartet of units
+    {+-j, +-j + d/2}, j < d/4, gives Re^2 - Ro^2, Re and Ro its parts at
+    the even and the odd u.  Each b_u is one sum of n products: the
+    autocorrelation of a with its extension by a_(t + n) = -a_t.
+    """
+    if d == 2:
+        return prod(a for a, in orbits) % modulus
+    n, size = d // 2, (d + 2) // 4
+    pairs = []
+    for a in orbits:
+        # R_u - R_(n-u) = sum_t a_t a_(t+u), a_(t+n) = -a_t
+        twisted = a + [-c for c in a]
+        pairs.append([sum(map(mul, a, twisted[u:u + n]))
+                      for u in range(size)])
+    row = [1] * d
+    for t in range(1, d):
+        row[t] = row[t - 1] * zeta % modulus
+    cos = [1, *(row[s] + row[d - s] for s in range(1, d))]
+    value = 1
+    if d % 4 or d == 4:
+        for j in range(1, n):
+            if gcd(j, d) == 1:
+                # C_(j u) for u < ceil(d/4), shared by the orbits
+                pick = [cos[i % d] for i in range(0, j * size, j)]
+                for b in pairs:
+                    value = value * sum(map(mul, b, pick)) % modulus
+    else:
+        # -zeta^j is zeta^(j + d/2), and C_u(-x) = (-1)^u C_u(x)
+        split = [(b[0::2], b[1::2]) for b in pairs]
+        for j in range(1, d // 4):
+            if gcd(j, d) == 1:
+                even = [cos[i % d] for i in range(0, j * size, 2 * j)]
+                odd = [cos[i % d] for i in range(j, j * size, 2 * j)]
+                for b_even, b_odd in split:
+                    e = sum(map(mul, b_even, even))
+                    o = sum(map(mul, b_odd, odd))
+                    value = value * (e * e - o * o) % modulus
+    return value
+
+
 #: the largest phi(m), for m normalised, that hminus evaluates.  The pass
-#: takes phi(d) dot products of length d/2 per orbit of order d (phi(d)/2
-#: pairs of half-length ones when 4 | d) with residues mod l^k, k growing
-#: with the digits of h^-, and the orbits (on half the units), CRT primes
-#: and the lift take a few ms of it; the safe primes cost most: on a shared
-#: 2-core x86-64 host (Python 3.11) 3947 takes 3.7-5.8 s cold and 3863
-#: 4.9-5.1 s, the prime square 3721 2.5-2.9 s, 3 * 1999 2.6-3.3 s and
-#: 4 * 1999 2.7-3.3 s
+#: takes phi(d)/2 dot products of length ceil(d/4) per orbit of order d
+#: (phi(d)/4 pairs of half-length ones when 4 | d, d > 4) with residues mod
+#: l^k, k growing with the digits of h^-, after about d^2/8 small products
+#: for the coefficients; the orbits (on half the units), CRT primes and the
+#: lift take a few ms of it, and the safe primes cost most: on a shared
+#: 2-core x86-64 host (Python 3.11), three cold CLI runs each, 3947 takes
+#: 2.1-2.4 s and 3863 1.5-1.8 s, the prime square 3721 1.4-1.8 s,
+#: 3 * 1999 1.3-1.6 s and 4 * 1999 1.3-1.5 s
 HMINUS_PHI_CEILING = 4000
 
 
@@ -395,47 +464,17 @@ def hminus(m):
     qw = (1 if len(_unit_group(m)) == 1 else 2) * (2 * m if m % 2 else m)
     exponent = lcm(*_generator_orders(m))
 
-    # per order d the units j mod d, and the folded sums c_t - c_(t+d/2)
-    # of the orbits of order d, split at even and odd t when 4 | d
-    units, folds = {}, {}
+    # the folded sums c_t - c_(t+d/2) of the orbits, by their order d
+    folds, phis = {}, {}
     bound_sq, scale, denominator = 4 * qw * qw, 1, 1
     for d, f, folded in _odd_orbits(m):
-        if d not in units:
-            units[d] = [j for j in range(1, d) if gcd(j, d) == 1]
-        phi_d = len(units[d])
+        if d not in phis:
+            phis[d] = totient(d)
+        phi_d = phis[d]
         bound_sq *= (d ** 3 // 2 * sum(c * c for c in folded)) ** phi_d
         scale *= (2 * d * f) ** (2 * phi_d) * phi_d ** phi_d
         denominator *= (-2 * f) ** phi_d
-        folds.setdefault(d, []).append(
-            (folded[0::2], folded[1::2]) if d % 4 == 0 else folded)
-
-    def residue(modulus, root):
-        """h^- mod modulus, at a root of order exponent splitting Phi_d."""
-        value = qw * pow(denominator, -1, modulus)
-        for d, orbits in folds.items():
-            zeta, row = pow(root, exponent // d, modulus), [1] * d
-            for t in range(1, d):
-                row[t] = row[t - 1] * zeta % modulus
-            half = d // 2
-            if d % 4:
-                for j in units[d]:
-                    # zeta^(j t) for t < d/2, shared by the orbits of order d
-                    pick = [row[i % d] for i in range(0, j * half, j)]
-                    for folded in orbits:
-                        value = value * sum(map(mul, folded, pick)) % modulus
-            else:
-                # the unit j + d/2 puts zeta^(j t) (-1)^t where j puts
-                # zeta^(j t), so the pair gives (E + O)(E - O), E and O the
-                # sums over the even and the odd t: only the j < d/2 are
-                # picked
-                for j in units[d][:len(units[d]) // 2]:
-                    even = [row[i % d] for i in range(0, j * half, 2 * j)]
-                    odd = [row[i % d] for i in range(j, j * half, 2 * j)]
-                    for folded_even, folded_odd in orbits:
-                        e = sum(map(mul, folded_even, even))
-                        o = sum(map(mul, folded_odd, odd))
-                        value = value * (e * e - o * o) % modulus
-        return value
+        folds.setdefault(d, []).append(folded)
 
     ell, root = _crt_prime(exponent, 0)
     power = ell
@@ -449,7 +488,10 @@ def hminus(m):
                            % prime)
         modulus *= prime
     check = modulus // power
-    value = residue(modulus, lift)
+    value = qw * pow(denominator, -1, modulus)
+    for d, orbits in folds.items():
+        zeta = pow(lift, exponent // d, modulus)
+        value = value * _norms(d, orbits, zeta, modulus) % modulus
     h = value % power
     if 2 * h > power:
         h -= power

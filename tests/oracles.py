@@ -8,7 +8,9 @@ a unit mod m, and orbit norms as Bareiss determinants of multiplication
 matrices; once orbit by orbit, each orbit with its own multimodular norm
 and its own CRT primes below 2^62, the factors multiplied as fractions.
 Both take every odd character from ``characters``, its Galois orbit as its
-powers, and its Bernoulli sums value by value over [1, f).  The Galois
+powers, and its Bernoulli sums value by value over [1, f).  The
+evaluation of ``hminus`` is redone with one value per unit, where
+``hminus`` takes one per pair {j, -j} through the real subfield.  The Galois
 orbits of odd characters are also walked as exponent tuples, one
 character built per orbit, and over the Sylow parts as ``hminus`` walks
 them, on the table of every unit and with sums for every t, before the
@@ -49,10 +51,13 @@ from cycloclass.abelian import (
     subgroup_generated,
 )
 from cycloclass.classnumber import (
+    _crt_prime,
     _cyclic_subgroups,
     _generator_orders,
     _local_conductor,
     _normalize_modulus,
+    _odd_orbits,
+    _teichmueller_lift,
     _unit_group,
 )
 from cycloclass.involutive import InvModule, Sign, _norm_map, eigen_set
@@ -997,6 +1002,68 @@ def orbit_hminus(m):
             f"analytic minus class number for m={m} is not a positive "
             f"integer: {total}")
     return int(total)
+
+
+def hminus_per_unit(m):
+    """``classnumber.hminus`` with one value per unit: the orbits of
+    ``_odd_orbits``, the primes of ``_crt_prime`` and the same modulus
+    l^k * l' * l'', but each orbit of order d evaluated at every unit
+    j mod d as the folded sum sum_(t < d/2) a_t zeta^(j t), except that
+    for 4 | d the units j and j + d/2 share one pick of the powers and
+    give (E + O)(E - O), E and O the parts at even and odd t."""
+    m = _normalize_modulus(m)
+    if m <= 2:
+        return 1
+    qw = (1 if len(_unit_group(m)) == 1 else 2) * (2 * m if m % 2 else m)
+    exponent = lcm(*_generator_orders(m))
+    units, folds = {}, {}
+    bound_sq, scale, denominator = 4 * qw * qw, 1, 1
+    for d, f, folded in _odd_orbits(m):
+        if d not in units:
+            units[d] = [j for j in range(1, d) if gcd(j, d) == 1]
+        phi_d = len(units[d])
+        bound_sq *= (d ** 3 // 2 * sum(c * c for c in folded)) ** phi_d
+        scale *= (2 * d * f) ** (2 * phi_d) * phi_d ** phi_d
+        denominator *= (-2 * f) ** phi_d
+        folds.setdefault(d, []).append(
+            (folded[0::2], folded[1::2]) if d % 4 == 0 else folded)
+
+    ell, root = _crt_prime(exponent, 0)
+    power = ell
+    while power * power * scale <= bound_sq:
+        power *= ell
+    modulus, lift = power, _teichmueller_lift(root, exponent, ell, power)
+    for index in (1, 2):
+        prime, prime_root = _crt_prime(exponent, index)
+        lift += modulus * ((prime_root - lift) * pow(modulus, -1, prime)
+                           % prime)
+        modulus *= prime
+    value = qw * pow(denominator, -1, modulus)
+    for d, orbits in folds.items():
+        zeta, row = pow(lift, exponent // d, modulus), [1] * d
+        for t in range(1, d):
+            row[t] = row[t - 1] * zeta % modulus
+        half = d // 2
+        if d % 4:
+            for j in units[d]:
+                pick = [row[i % d] for i in range(0, j * half, j)]
+                for folded in orbits:
+                    value = value * sum(map(mul, folded, pick)) % modulus
+        else:
+            for j in units[d][:len(units[d]) // 2]:
+                even = [row[i % d] for i in range(0, j * half, 2 * j)]
+                odd = [row[i % d] for i in range(j, j * half, 2 * j)]
+                for folded_even, folded_odd in orbits:
+                    e = sum(map(mul, folded_even, even))
+                    o = sum(map(mul, folded_odd, odd))
+                    value = value * (e * e - o * o) % modulus
+    h, check = value % power, modulus // power
+    if 2 * h > power:
+        h -= power
+    if h <= 0 or value % check != h % check:
+        raise InternalConsistencyError(
+            f"per-unit minus class number for m={m} fails its check")
+    return h
 
 
 # ---------------------------------------------------------------------------

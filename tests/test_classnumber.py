@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -347,6 +348,34 @@ def _exponents_to_2000():
                    for m in range(3, 2001) if m % 4 != 2})
 
 
+#: the SHA-256 of h^- near the ceiling, beyond the orbit oracle, as the
+#: per-unit evaluation (``oracles.hminus_per_unit``) gives it: the check
+#: primes see an algebra slip alike at every prime, so these values catch
+#: it; the safe primes, the prime squares and 3, 4 times 1019 and 1999
+_CEILING_DIGESTS = {
+    1523:
+        "dc3b403aee6fa5996d01e336e698289f51d4a8ffe8d642fbf547db229084efc9",
+    2999:
+        "505934befbd9309dd34ce8b8b8f3b382addcfc0fa723c51346bc5f4cdd0714e5",
+    3863:
+        "3b2bc7c8a565d99a82ba59aa30b4228d37ab00c9618a7032e76fd48f295a7ac1",
+    3947:
+        "458d13c79373b8dea0240453daad7ba25458726657da33862f50a3324f25bedb",
+    41 ** 2:
+        "8fb168a489f69bfc9bedf866b9946a3cb7a8e6c24b43e0c00e6a3a66573df650",
+    61 ** 2:
+        "8bacbcac1c13b0e8c2d4e094efec4cbed591dacd4b10d7f619126457e1d49bd2",
+    3 * 1019:
+        "572a7aac3ede4119b9c73e6346e544bbf7ce8ff948f40d2a931b738ccc0af9c1",
+    4 * 1019:
+        "79d137566229d3cf5174a8614c6291e4f88cb043faf1f78b7093686e15478df3",
+    3 * 1999:
+        "5c4e60c6f81e39f23813efe88525f31c88f2c718fab23777ea9a72b4887d8217",
+    4 * 1999:
+        "893ba0d82f64d81203842869d4af4b374ebd6af2306779559d133d11069b41e3",
+}
+
+
 class TestHminus:
     @pytest.mark.parametrize("m,expected", [
         (1, 1), (2, 1), (3, 1), (4, 1), (12, 1), (23, 3),
@@ -405,6 +434,26 @@ class TestHminus:
                 assert classnumber._crt_prime(exponent, index) == \
                     oracles.crt_prime_per_part(exponent, index), \
                     (exponent, index)
+
+    @pytest.mark.parametrize("d", range(2, 65, 2))
+    def test_paired_norms_are_the_product_over_the_units(self, d):
+        # one value per pair {j, -j} (quartet {+-j, +-j + d/2} for 4 | d)
+        # through the real subfield against one value per unit j, at a
+        # root of order d modulo a prime l = 1 (mod d): d = 2, d = 4,
+        # d = 2 mod 4 and 4 | d above 4
+        ell, zeta = classnumber._crt_prime(d, 0)
+        rng = random.Random(d)
+        orbits = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(d // 2)]
+                  for _ in range(3)]
+        orbits.append([0] * (d // 2 - 1) + [1])
+        expected = 1
+        for j in range(1, d):
+            if gcd(j, d) == 1:
+                x = pow(zeta, j, ell)
+                for a in orbits:
+                    expected = expected * sum(
+                        c * pow(x, t, ell) for t, c in enumerate(a)) % ell
+        assert classnumber._norms(d, orbits, zeta, ell) == expected
 
     @pytest.mark.parametrize("m", [3, 7, 25, 3 * 49, 4 * 81])
     def test_generator_of_wrong_order_is_an_internal_error(self, m,
@@ -469,10 +518,29 @@ class TestHminus:
         for m in [*range(261, 701), 1009, 1553, 2039]:
             assert hminus(m) == oracles.orbit_hminus(m), m
 
-    # both evaluation loops must reach the check: the odd characters mod 23
-    # have orders 2 and 22 (d = 2 mod 4 only), those mod 401 orders 16, 80
-    # and 400 (4 | d only, the paired loop), those mod 39 orders 2, 4, 6
-    # and 12 (both), and those mod 257 the one order 256
+    def test_against_per_unit_oracle(self):
+        for m in range(1, 301):
+            if m % 4 != 2:
+                assert hminus(m) == oracles.hminus_per_unit(m), m
+
+    @pytest.mark.slow
+    def test_against_per_unit_oracle_up_to_degree_1000(self):
+        # phi(m) > 1000 for every m >= 10^4 (TestOddOrbits)
+        for m in range(301, 10 ** 4):
+            if m % 4 != 2 and arith.totient(m) <= 1000:
+                assert hminus(m) == oracles.hminus_per_unit(m), m
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m", _CEILING_DIGESTS)
+    def test_ceiling_digests(self, m):
+        value = str(hminus(m)).encode()
+        assert hashlib.sha256(value).hexdigest() == _CEILING_DIGESTS[m]
+
+    # every branch of the evaluation must reach the check: the odd
+    # characters mod 23 have orders 2 and 22 (d = 2 and d = 2 mod 4), those
+    # mod 401 orders 16, 80 and 400 (4 | d, the quartets), those mod 39
+    # orders 2, 4, 6 and 12 (all four branches: d = 2, d = 4, d = 2 mod 4
+    # and 4 | d above 4), and those mod 257 the one order 256
     @pytest.mark.parametrize("m", [23, 39, 401, 257])
     def test_corrupt_check_prime_is_an_internal_error(self, m,
                                                       corrupt_check_prime):
