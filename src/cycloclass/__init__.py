@@ -40,7 +40,7 @@ from .residue import (
     unit_quotient,
     vtilde,
 )
-from .classnumber import class_record, hminus, hp_is_odd, odd_part
+from .classnumber import hminus, hp_is_odd, known_class_group, odd_part
 from .ktheory import (
     K0Description,
     Knowledge,

@@ -110,7 +110,6 @@ from operator import mul
 from .abelian import FinAbGroup
 from .arith import InternalConsistencyError, UnsupportedModulusError, \
     factorint, isprime, primitive_root, totient
-from .record import Record
 
 
 def odd_part(x):
@@ -555,77 +554,34 @@ def odd_hminus_is_one(m):
     return m < 2 or m in HMINUS_ONE or m in ODD_HMINUS_ONE
 
 
-#: published structure of the full class group where the artifact needs it
-_KNOWN_CLASS_GROUPS = {
-    29: (2, 2, 2),
-    58: (2, 2, 2),
-    39: (2,),
-    78: (2,),
-    65: (2, 2, 4, 4),
-    130: (2, 2, 4, 4),
-}
-
-#: m for which the real-subfield class number is reported to be 1
-_KNOWN_PLUS_TRIVIAL = frozenset(_KNOWN_CLASS_GROUPS)
+#: published structure of the full class group where the artifact needs it,
+#: by normalised m; the plus part is trivial at each, so the whole group is
+#: the minus part
+_KNOWN_CLASS_GROUPS = {29: (2, 2, 2), 39: (2,), 65: (2, 2, 4, 4)}
 
 
-class ClassRecord(Record):
-    """Everything this artifact knows about C(Z[zeta_m]).
-
-    ``sources`` names where each field came from, a fresh empty dict when
-    not given.
-    """
-
-    __slots__ = ("m", "hminus", "hminus_odd_part", "known_class_group",
-                 "known_plus_trivial", "sources")
-
-    def __init__(self, m, hminus, hminus_odd_part, known_class_group=None,
-                 known_plus_trivial=None, sources=None):
-        super().__init__(m, hminus, hminus_odd_part, known_class_group,
-                         known_plus_trivial,
-                         {} if sources is None else sources)
+def known_class_group(m):
+    """The published class group of Z[zeta_m], or None where none is
+    stored; m = 2 mod 4 gives that of m/2."""
+    factors = _KNOWN_CLASS_GROUPS.get(_normalize_modulus(m))
+    return None if factors is None else \
+        FinAbGroup.from_cyclic_factors(factors)
 
 
-def class_record(m, compute=True):
-    """Assemble the class-group record for m.
-
-    With compute=False the minus class number is only filled in when the
-    stored classifications pin it down (the h^- = 1 lists, or m with a
-    published class group and trivial plus part).
-    """
+def h_is_odd(m, compute):
+    """Parity of h_m (equal to the parity of the minus part): True when
+    odd, from the stored lists and the prime table, else from hminus when
+    compute is true, and None otherwise."""
     m = int(m)
-    sources = {}
-    known = None
-    plus_trivial = None
-    key = _normalize_modulus(m)
-    lookup = m if m in _KNOWN_CLASS_GROUPS else key
-    if lookup in _KNOWN_CLASS_GROUPS:
-        known = FinAbGroup.from_cyclic_factors(_KNOWN_CLASS_GROUPS[lookup])
-        plus_trivial = lookup in _KNOWN_PLUS_TRIVIAL
-        sources["known_class_group"] = "published tables"
-        sources["known_plus_trivial"] = "published tables"
-
+    if hminus_is_one(m):
+        return True
+    if m in ODD_HMINUS_ONE:
+        return False           # minus part a nontrivial power of two
+    primes = factorint(_normalize_modulus(m))
+    if len(primes) == 1:
+        p, = primes
+        if p <= _HP_TABLE_LIMIT:
+            return hp_is_odd(p)
     if compute:
-        h = hminus(m)
-        sources["hminus"] = "computed"
-    elif hminus_is_one(m):
-        h = 1
-        sources["hminus"] = "stored classification"
-    elif known is not None and plus_trivial:
-        h = known.order
-        sources["hminus"] = "published class group with trivial plus part"
-    else:
-        h = None
-        sources["hminus"] = "not evaluated"
-
-    if known is not None and plus_trivial and h is not None and h != known.order:
-        raise InternalConsistencyError(
-            f"h^-({m}) = {h} conflicts with the published class group")
-    return ClassRecord(
-        m=m,
-        hminus=h,
-        hminus_odd_part=odd_part(h) if h is not None else None,
-        known_class_group=known,
-        known_plus_trivial=plus_trivial,
-        sources=sources,
-    )
+        return hminus(m) % 2 == 1
+    return None

@@ -14,8 +14,8 @@ from functools import lru_cache
 from .abelian import FinAbGroup
 from .arith import divisors, factorint, isprime
 from .involutive import InvModule, Sign, eigen_set, norm_image_set, tate
-from . import classnumber
-from .classnumber import hminus, hp_is_odd, odd_part
+from .classnumber import h_is_odd, hminus, hminus_is_one, \
+    known_class_group, odd_hminus_is_one, odd_part
 from .record import Record
 from .residue import UnsupportedModulusError, vtilde
 
@@ -105,10 +105,6 @@ class Knowledge(Record):
     def unknown(cls, constraint=None, source=""):
         return cls(status="unknown", constraint=constraint, source=source)
 
-    @property
-    def order(self):
-        return self.group.order if self.group is not None else None
-
     def to_dict(self):
         out = {"status": self.status}
         if self.group is not None:
@@ -150,16 +146,13 @@ class DGroupFact(Record):
         return None
 
 
-def _exact_d(invariants, involution, source):
-    group = FinAbGroup.from_cyclic_factors(invariants)
-    if involution == "trivial":
-        module = InvModule.with_trivial(group)
-    elif involution == "negation":
-        module = InvModule.with_negation(group)
-    else:
-        raise ValueError(involution)
+#: the zero module, one for every record that stores a vanishing group
+_ZERO = InvModule.with_trivial(FinAbGroup())
+
+
+def _exact_d(module, source):
     return DGroupFact(kind="exact", module=module,
-                      parity_odd=group.order % 2 == 1, source=source)
+                      parity_odd=module.order % 2 == 1, source=source)
 
 
 #: the kernel-group ladder over powers of two has computable orders; the
@@ -183,19 +176,14 @@ def stored_d_group(m):
     """
     m = int(m)
     if m >= 2 and isprime(m):
-        return DGroupFact(kind="exact",
-                          module=InvModule.with_trivial(FinAbGroup()),
-                          parity_odd=True,
-                          source="kernel group of a prime vanishes")
+        return _exact_d(_ZERO, "kernel group of a prime vanishes")
     if m in (6, 10, 14):
-        return DGroupFact(kind="exact",
-                          module=InvModule.with_trivial(FinAbGroup()),
-                          parity_odd=True,
-                          source="published vanishing list")
+        return _exact_d(_ZERO, "published vanishing list")
     if m == 15:
-        return _exact_d([2], "trivial", "published: order 2, trivial action")
+        return _exact_d(InvModule.with_trivial(FinAbGroup([2])),
+                        "published: order 2, trivial action")
     if m == 21:
-        return _exact_d([4], "negation",
+        return _exact_d(InvModule.with_negation(FinAbGroup([4])),
                         "published: order 4; negation forced by the unit "
                         "cokernel having nontrivial double")
     fact = factorint(m)
@@ -203,12 +191,10 @@ def stored_d_group(m):
         (p, e), = fact.items()
         if p == 2:
             if e <= 3:
-                return DGroupFact(kind="exact",
-                                  module=InvModule.with_trivial(FinAbGroup()),
-                                  parity_odd=True,
-                                  source="two-power ladder: trivial levels")
+                return _exact_d(_ZERO, "two-power ladder: trivial levels")
             if e == 4:
-                return _exact_d([2], "negation", "two-power ladder")
+                return _exact_d(InvModule.with_negation(FinAbGroup([2])),
+                                "two-power ladder")
             exponent = _two_power_d_exponent(e)
             return DGroupFact(kind="order", two_exponent=exponent,
                               parity_odd=exponent == 0,
@@ -254,34 +240,16 @@ class K0Description(Record):
         return all(k.status == "exact" for k in self.class_parts.values())
 
 
-def _h_parity(m, compute):
-    """Parity of h_m (equal to the parity of the minus part)."""
-    m = int(m)
-    if classnumber.hminus_is_one(m):
-        return True
-    if m in classnumber.ODD_HMINUS_ONE:
-        return False           # minus part a nontrivial power of two
-    fact = factorint(classnumber._normalize_modulus(m))
-    if len(fact) == 1:
-        (p, e), = fact.items()
-        if p <= classnumber._HP_TABLE_LIMIT:
-            return hp_is_odd(p)
-    if compute:
-        return hminus(m) % 2 == 1
-    return None
-
-
 def _class_part(d, compute):
     """Knowledge about the ideal class group at one divisor, with involution."""
     d = int(d)
-    if d <= 2 or classnumber.hminus_is_one(d):
-        module = InvModule.with_trivial(FinAbGroup())
+    if d <= 2 or hminus_is_one(d):
         return Knowledge.exact(
-            module.group, "class number one" if d > 2 else "rational field",
-            module=module)
-    rec = classnumber.class_record(d, compute=False)
-    if rec.known_class_group is not None and rec.known_plus_trivial:
-        module = InvModule.with_negation(rec.known_class_group)
+            _ZERO.group, "class number one" if d > 2 else "rational field",
+            module=_ZERO)
+    group = known_class_group(d)
+    if group is not None:
+        module = InvModule.with_negation(group)
         return Knowledge.exact(
             module.group, "published class group, all of it in the minus part",
             module=module)
@@ -296,8 +264,8 @@ def k0_description(m, compute=False):
     m = int(m)
     return K0Description(
         m=m,
-        h_minus_is_one=classnumber.hminus_is_one(m),
-        h_odd=_h_parity(m, compute),
+        h_minus_is_one=hminus_is_one(m),
+        h_odd=h_is_odd(m, compute),
         d_fact=stored_d_group(m),
         class_parts={d: _class_part(d, compute) for d in divisors(m)
                      if d > 1},
@@ -410,7 +378,7 @@ def _difference_witness(m, compute):
     for d in divisors(m):
         if d == 1:
             continue
-        if classnumber.odd_hminus_is_one(d):
+        if odd_hminus_is_one(d):
             continue
         if compute:
             total *= odd_part(hminus(d))

@@ -118,10 +118,6 @@ class ResidueRingUnits(Record):
         super().__init__(p, n, f, count, FinAbGroup(
             [unit_order] * count if unit_order > 1 else []))
 
-    @property
-    def order(self):
-        return self.group.order
-
     def __repr__(self):
         return (f"ResidueRingUnits(p={self.p}, n={self.n}, "
                 f"f={self.field_degree}, factors={self.factor_count})")

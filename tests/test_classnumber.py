@@ -13,10 +13,11 @@ from cycloclass.abelian import FinAbGroup
 from cycloclass.classnumber import (
     HMINUS_ONE,
     HMINUS_PHI_CEILING,
-    class_record,
     hminus,
     hminus_is_one,
     hp_is_odd,
+    known_class_group,
+    odd_hminus_is_one,
     odd_part,
 )
 from cycloclass.cli import run
@@ -706,24 +707,43 @@ class TestHpTable:
             hp_is_odd(15)
 
 
-class TestClassRecord:
-    def test_m29(self):
-        rec = class_record(29)
-        assert rec.hminus == 8
-        assert rec.known_class_group == FinAbGroup([2, 2, 2])
-        assert rec.known_plus_trivial
-        assert rec.hminus_odd_part == 1
+class TestStoredParity:
+    """The stored parity facts against hminus where it is computable; the
+    h^- = 1 and odd(h^-) = 1 lists are complete by Masley-Montgomery
+    (J. reine angew. Math. 286/287, 1976), which no test proves."""
 
-    def test_m65_consistency(self):
-        rec = class_record(65)
-        assert rec.known_class_group == FinAbGroup.from_cyclic_factors(
+    @pytest.mark.slow
+    def test_lists_up_to_1000(self):
+        for m in range(2, 1001):
+            h = hminus(m)
+            assert hminus_is_one(m) == (h == 1), m
+            assert odd_hminus_is_one(m) == (odd_part(h) == 1), m
+
+    @pytest.mark.slow
+    def test_prime_table_at_prime_powers(self):
+        # the p^e, e >= 2, whose parity h_is_odd reads off the table of
+        # h_p: those in neither list, with phi(p^e) <= HMINUS_PHI_CEILING
+        powers = [q for q in [2 ** e for e in range(2, 13)]
+                  + _prime_powers(HMINUS_PHI_CEILING)
+                  if arith.totient(q) <= HMINUS_PHI_CEILING
+                  and not odd_hminus_is_one(q)]
+        assert len(powers) == 33
+        for q in powers:
+            assert classnumber.h_is_odd(q, compute=False) == \
+                (hminus(q) % 2 == 1), q
+
+
+class TestKnownClassGroup:
+    def test_structures(self):
+        assert known_class_group(29) == known_class_group(58) == \
+            FinAbGroup([2, 2, 2])
+        assert known_class_group(39) == FinAbGroup([2])
+        assert known_class_group(65) == FinAbGroup.from_cyclic_factors(
             [2, 2, 4, 4])
-        assert rec.hminus == rec.known_class_group.order
 
-    def test_stored_only_mode(self):
-        rec = class_record(19, compute=False)
-        assert rec.hminus == 1
-        rec2 = class_record(29, compute=False)
-        assert rec2.hminus == 8
-        rec3 = class_record(199, compute=False)
-        assert rec3.hminus is None
+    def test_order_is_hminus(self):
+        # the plus part is trivial at every entry, so the order is h^-
+        stored = [m for m in range(1, 201) if known_class_group(m) is not None]
+        assert stored == [29, 39, 58, 65, 78, 130]
+        for m in stored:
+            assert known_class_group(m).order == hminus(m), m

@@ -2,7 +2,9 @@
 
 A function, class or method in ``src/cycloclass`` must be referenced
 somewhere in the package source or by the acceptance tests; code that only
-other tests need belongs in ``oracles``.  An import counts as a use only in
+other tests need belongs in ``oracles``.  A name is used where it is read:
+an assignment target such as a local ``cokernel = ...`` does not keep a
+definition of that name alive.  An import counts as a use only in
 ``__init__``, whose re-exports are the public names: a module that imports
 a name and never uses it does not keep the name's definition alive.  A use
 inside a definition of the same name does not count either, so neither
@@ -34,12 +36,13 @@ def _definitions(node, prefix):
 
 
 def _uses(node, enclosing, is_init):
-    """The names used below ``node``, except inside a def or class of the
+    """The names read below ``node``, except inside a def or class of the
     same name; ``enclosing`` holds the names of the defs around it."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Name):
+        loaded = isinstance(getattr(child, "ctx", None), ast.Load)
+        if isinstance(child, ast.Name) and loaded:
             name = child.id
-        elif isinstance(child, ast.Attribute):
+        elif isinstance(child, ast.Attribute) and loaded:
             name = child.attr
         elif isinstance(child, ast.alias) and is_init:
             name = child.name

@@ -16,7 +16,6 @@ from cycloclass.abelian import (
     Presentation,
     present,
 )
-from cycloclass.classnumber import ClassRecord, class_record
 from cycloclass.involutive import InvModule
 from cycloclass.ktheory import (
     DGroupFact,
@@ -53,7 +52,6 @@ RECORDS = [
     SetVerdict("finite", lower=3, witness=5, note="x"),
     classify(4, 29),
     verify(4, 21),
-    class_record(29, compute=False),
 ]
 
 #: the constructor arguments of the records whose remaining fields are
@@ -127,12 +125,6 @@ def test_repr_is_the_dataclass_repr():
     assert repr(Knowledge.unknown()) == (
         "Knowledge(status='unknown', group=None, module=None, divisor=None, "
         "constraint=None, source='')")
-    assert repr(class_record(29, compute=False)) == (
-        "ClassRecord(m=29, hminus=8, hminus_odd_part=1, "
-        "known_class_group=FinAbGroup([2, 2, 2]), known_plus_trivial=True, "
-        "sources={'known_class_group': 'published tables', "
-        "'known_plus_trivial': 'published tables', "
-        "'hminus': 'published class group with trivial plus part'})")
 
 
 def test_constructor_defaults():
@@ -141,9 +133,6 @@ def test_constructor_defaults():
     assert Knowledge("unknown") == Knowledge.unknown()
     assert DGroupFact("order") == DGroupFact(
         "order", module=None, two_exponent=None, parity_odd=None, source="")
-    group = FinAbGroup([2])
-    assert ClassRecord(7, 1, 1).known_class_group is None
-    assert ClassRecord(7, 1, 1, group).known_class_group == group
 
 
 def test_dict_fields_are_fresh():
@@ -151,7 +140,6 @@ def test_dict_fields_are_fresh():
     second = K0Description(5, True, True, None)
     assert first.class_parts == {}
     assert first.class_parts is not second.class_parts
-    assert ClassRecord(7, 1, 1).sources is not ClassRecord(7, 1, 1).sources
 
 
 def test_own_reprs_are_unchanged():
