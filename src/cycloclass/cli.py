@@ -15,20 +15,20 @@ empty.  A cache path that cannot be written costs only the reuse: the
 answer is printed as without a cache, stderr gets one line "cache not
 written: <reason>", and the exit code stays 0.
 
-Exit codes: 0 success, 1 usage error, 2 scope error, 3 internal
-consistency failure.  Usage errors are malformed command lines and
-arguments no subcommand defines (hminus with m <= 0, a2k with k < 1 or
-m < 2, tate --km below 0 or with --involution, tate invariants or
-involutions that are not a valid module).  Scope errors are classify/verify
-with n odd or below 4, m < 2 where a cyclic group is needed, moduli outside
-the implemented unit reductions or not factored within the Pollard-Brent
-budget of arith, vtilde and cbound with a norm-one torus above
-TORUS_BITS_CEILING bits (before its order is formed), tate --km above
-KM_LEVEL_CEILING, and hminus at phi(m) above HMINUS_PHI_CEILING (above
-2 * HMINUS_PHI_CEILING^2, before m is factored).  hminus --m 1 prints 1.
-sweep reports a per-m scope error as an error row of its table, and an h-
-above HMINUS_PHI_CEILING as "-" in the h- columns of a row that keeps its
-verdicts.
+Exit codes: 0 success, 1 usage error, 2 scope error, 3 internal consistency
+failure.  Usage errors are malformed command lines and arguments no
+subcommand defines (hminus with m <= 0, a2k with k < 1 or m < 2, tate --km
+below 0 or with --involution, tate invariants or involutions that are not a
+valid module).  Scope errors are classify, verify and sweep with n odd or
+below 4 (sweep checks n once, before any m), m < 2 where a cyclic group is
+needed, moduli outside the implemented unit reductions or not factored
+within the Pollard-Brent budget of arith, vtilde and cbound with a norm-one
+torus above TORUS_BITS_CEILING bits (before its order is formed), tate --km
+above KM_LEVEL_CEILING, and hminus at phi(m) above HMINUS_PHI_CEILING
+(above 2 * HMINUS_PHI_CEILING^2, before m is factored).  hminus --m 1
+prints 1.  sweep reports a per-m scope error as an error row of its table,
+and an h- above HMINUS_PHI_CEILING as "-" in the h- columns of a row that
+keeps its verdicts.
 """
 
 from __future__ import annotations

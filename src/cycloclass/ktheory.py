@@ -163,7 +163,6 @@ def _two_power_d_exponent(e):
     return 2 ** (e - 1) - 1 - e * (e - 1) // 2
 
 
-@lru_cache(maxsize=None)
 def stored_d_group(m):
     """Published (or forced) kernel-group data for Z C_m; None when absent.
 
@@ -259,7 +258,6 @@ def _class_part(d, compute):
     return Knowledge.unknown(source="class group structure not stored")
 
 
-@lru_cache(maxsize=None)
 def k0_description(m, compute=False):
     m = int(m)
     return K0Description(
@@ -295,12 +293,11 @@ def a_m(m, compute=False):
     """
     if int(m) < 2:
         raise ScopeError(f"m = {m}: the cyclic order must be at least 2")
-    return _a_m_cached(int(m), bool(compute))
+    return _tate_knowledge(k0_description(int(m), compute=bool(compute)))
 
 
-@lru_cache(maxsize=None)
-def _a_m_cached(m, compute):
-    data = k0_description(m, compute=compute)
+def _tate_knowledge(data):
+    """a_m read off the description of the class group at data.m."""
     d_fact = data.d_fact
     d_parity = d_fact.parity_odd if d_fact is not None else None
 
@@ -320,7 +317,7 @@ def _a_m_cached(m, compute):
         return Knowledge.exact(
             FinAbGroup.from_cyclic_factors(pieces),
             "odd kernel group; Tate groups of the stored class groups")
-    return Knowledge.unknown(constraint=_a2_constraint(m),
+    return Knowledge.unknown(constraint=_a2_constraint(data.m),
                              source="kernel group or class group not pinned")
 
 
@@ -394,37 +391,35 @@ def _difference_witness(m, compute):
     return total, "; ".join(parts) if parts else "stored classifications"
 
 
-@lru_cache(maxsize=None)
 def wh_structure(n, m, compute=False):
     """The even-degree structure: the antisymmetric set, the difference
-    set, and the Tate group, each exact, bounded, or infinite."""
+    set, and the Tate group, each exact, bounded, or infinite, at any n."""
     n, m = int(n), int(m)
     if n % 2:
         raise ScopeError("only even degrees are in scope")
     if m < 2:
         raise ScopeError("the cyclic order must be at least 2")
+    return WhStructure(m, n, *_wh_fields(m, bool(compute)))
+
+
+@lru_cache(maxsize=None)
+def _wh_fields(m, compute):
+    """(free_rank, nk1_zero, j_group, i_group, tate_group) at m: the one
+    cache of this layer, shared by every degree and every later query."""
     rank = wh_rank(m)
-    tate_knowledge = a_m(m, compute=compute)
+    data = k0_description(m, compute=compute)
+    tate_knowledge = _tate_knowledge(data)
 
     if not nk1_vanishes(m):
-        src = "nonvanishing Nil summand (m is not square-free)"
-        return WhStructure(m=m, n=n, free_rank=rank, nk1_zero=False,
-                           j_group=Knowledge.infinite(src),
-                           i_group=Knowledge.infinite(src),
-                           tate_group=tate_knowledge)
+        infinite = Knowledge.infinite(
+            "nonvanishing Nil summand (m is not square-free)")
+        return rank, False, infinite, infinite, tate_knowledge
 
-    data = k0_description(m, compute=compute)
     module, source = _exact_k0_module(data)
     if module is not None:
-        j, _ = eigen_set(module, Sign.MINUS)
-        i, _ = norm_image_set(module, Sign.MINUS)
-        return WhStructure(m=m, n=n, free_rank=rank, nk1_zero=True,
-                           j_group=Knowledge.exact(j, source),
-                           i_group=Knowledge.exact(i, source),
-                           tate_group=tate_knowledge)
+        j = Knowledge.exact(eigen_set(module, Sign.MINUS)[0], source)
+        i = Knowledge.exact(norm_image_set(module, Sign.MINUS)[0], source)
+        return rank, True, j, i, tate_knowledge
 
-    witness, witness_source = _difference_witness(m, compute)
-    j = Knowledge.bound(witness, witness_source)
-    i = Knowledge.bound(witness, witness_source)
-    return WhStructure(m=m, n=n, free_rank=rank, nk1_zero=True,
-                       j_group=j, i_group=i, tate_group=tate_knowledge)
+    bound = Knowledge.bound(*_difference_witness(m, compute))
+    return rank, True, bound, bound, tate_knowledge

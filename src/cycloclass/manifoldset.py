@@ -17,8 +17,6 @@ from .arith import factorint
 from .classnumber import hminus, known_class_group, odd_part
 from .ktheory import (
     ScopeError,
-    WhStructure,
-    a_m,
     d_divisibility_bound,
     nk1_vanishes,
     squarefree,
@@ -114,10 +112,15 @@ class ManifoldSetReport(Record):
         }
 
 
-def _check_scope(n, m):
-    n, m = int(n), int(m)
+def _check_degree(n):
+    n = int(n)
     if n % 2 or n < 4:
         raise ScopeError(f"n = {n}: only even n >= 4 is classified")
+    return n
+
+
+def _check_scope(n, m):
+    n, m = _check_degree(n), int(m)
     if m < 2:
         raise ScopeError(f"m = {m}: the cyclic order must be at least 2")
     return n, m
@@ -151,7 +154,8 @@ def classify(n, m, deep=False):
     """Rule-derived verdicts for the three manifold sets at (n, m).
 
     With deep=True the ingredient layer recomputes the analytic inputs,
-    and the provenance records whether they agree.
+    and the provenance records whether they agree: "ingredient-verified"
+    means no check of verify() is inconsistent; some may be "no-data".
     """
     n, m = _check_scope(n, m)
     k = n // 2
@@ -175,7 +179,7 @@ def classify(n, m, deep=False):
 
     provenance = "rule-derived"
     if deep:
-        record = verify(n, m)
+        record = _verify(n, m, ingredients)
         provenance = "ingredient-verified" if record.consistent else "inconsistent"
 
     return ManifoldSetReport(n=n, k=k, m=m, mhs=mhs, mhcob=mhcob,
@@ -215,9 +219,15 @@ def verify(n, m):
     """Recompute the ingredients behind classify(n, m) and cross-check.
 
     Contradictions are reported as inconsistent checks, never resolved
-    silently; missing data downgrades a check to "no-data".
+    silently.  A missing stored fact or witness makes a check "no-data"; an
+    h^- above HMINUS_PHI_CEILING raises UnsupportedModulusError instead.
     """
     n, m = _check_scope(n, m)
+    return _verify(n, m, wh_structure(n, m, compute=True))
+
+
+def _verify(n, m, w):
+    """verify(n, m) against w, the computed (deep) ingredients at m."""
     checks = []
 
     def add(name, status, detail):
@@ -234,10 +244,9 @@ def verify(n, m):
         "confirmed" if a2k < 2 * m * m else "inconsistent",
         f"|A_{n}({m})| = {a2k} < {2 * m * m}")
 
-    w = wh_structure(n, m, compute=True)
-
     if sf:
         h = hminus(m)
+        witness, note = _i_witness(m)
         # first set: triviality must match the vanishing of J
         if m in MHS_TRIVIAL:
             if w.j_group.status == "exact" and w.j_group.group.is_trivial() \
@@ -260,7 +269,6 @@ def verify(n, m):
                 add("set1-nontrivial-witness", "confirmed",
                     f"odd(h^-) = {odd_part(h)} > 1 forces J != 0")
             else:
-                witness, note = _i_witness(m)
                 add("set1-nontrivial-witness",
                     "confirmed" if witness > 1 else "no-data",
                     f"divisibility witness {witness}"
@@ -278,7 +286,6 @@ def verify(n, m):
                 add("set2-trivial-support", "no-data",
                     "I not exactly computable from stored facts")
         else:
-            witness, note = _i_witness(m)
             if w.i_group.status == "exact":
                 status = "confirmed" if not w.i_group.group.is_trivial() \
                     else "inconsistent"
@@ -302,7 +309,6 @@ def verify(n, m):
 
         # the divisibility invariant where I is exact
         if w.i_group.status == "exact":
-            witness, note = _i_witness(m)
             order = w.i_group.group.order
             add("i-order-divisibility",
                 "confirmed" if order % witness == 0 else "inconsistent",
@@ -324,9 +330,8 @@ def verify(n, m):
             "m is not square-free, matching the infinite verdicts")
 
     # third set: always finite; cross-check the Tate group when exact
-    tate_knowledge = a_m(m, compute=True)
-    if tate_knowledge.status == "exact":
-        group = tate_knowledge.group
+    if w.tate_group.status == "exact":
+        group = w.tate_group.group
         elementary = all(d == 2 for d in group.invariant_factors)
         add("tate-elementary", "confirmed" if elementary else "inconsistent",
             f"H = {group}")
@@ -346,9 +351,10 @@ def verify(n, m):
 def sweep(n, m_values, deep=False):
     """classify() across a range of m, deterministically ordered.
 
-    Per-m scope errors, an unsupported modulus among them, are captured as
-    (m, error) entries rather than aborting.
+    An n out of scope raises ScopeError before any m.  Per-m scope errors,
+    an unsupported modulus among them, are (m, error) entries instead.
     """
+    _check_degree(n)
     reports = []
     for m in sorted(set(int(v) for v in m_values)):
         try:

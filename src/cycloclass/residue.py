@@ -175,7 +175,6 @@ class UnitQuotient(Record):
         return f"UnitQuotient(p={self.p}, n={self.n}, group={self.group})"
 
 
-@lru_cache(maxsize=None)
 def residue_units(p, n):
     return ResidueRingUnits(p, n)
 

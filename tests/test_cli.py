@@ -225,6 +225,15 @@ class TestSweepText:
         assert [[r[k]["verdict"] for k in ("mhs", "mhcob", "mhs_hcob")]
                 for r in json.loads(json_out)] == [r[4:] for r in rows]
 
+    @pytest.mark.parametrize("n", ["3", "2", "-2"])
+    def test_degree_out_of_scope_fails_once(self, capture, n):
+        # n is checked once for the whole range, not once per m
+        code, out, err = capture(["sweep", "--n", n, "--m-min", "2",
+                                  "--m-max", "4"])
+        assert code == 2 and out == ""
+        assert err == \
+            f"out of scope: n = {n}: only even n >= 4 is classified\n"
+
     def test_scope_error_is_still_an_error_row(self, capture):
         # m = 1 has no cyclic group of order at least 2
         code, out, _ = capture(["sweep", "--n", "4", "--m-min", "1",

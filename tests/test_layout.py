@@ -78,3 +78,39 @@ def test_only_record_refuses_assignment():
               if isinstance(method, ast.FunctionDef)
               and method.name in ("__setattr__", "__delattr__")]
     assert guards == ["record.Record.__setattr__", "record.Record.__delattr__"]
+
+
+#: every lru_cache in the package, each with the reuse it serves
+CACHED = {
+    # (Z/m)^x, read by the conductor tables, the orbits and hminus itself
+    # for one m, and again for each divisor of a deep query
+    "classnumber._unit_group",
+    # the CRT primes for one exponent, shared by every m of that exponent
+    "classnumber._crt_prime",
+    # h^- at m, read again by verify and the text sweep at m, and at each
+    # divisor by every deep query at a multiple of it
+    "classnumber.hminus",
+    # the unit quotient at (q, k), shared by vtilde and c_bound at every m
+    # with the same prime and cofactor
+    "residue.unit_quotient",
+    # the unit cokernel at d, read by the kernel-group witness of every
+    # multiple of d and by verify at d
+    "residue.vtilde",
+    # the Whitehead-group fields at (m, compute), shared by every degree n,
+    # by classify and verify, and by later queries
+    "ktheory._wh_fields",
+}
+
+
+def _is_lru_cache(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "lru_cache"
+
+
+def test_lru_caches_are_the_pinned_six():
+    cached = {f"{path.stem}.{node.name}"
+              for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef)
+              and any(map(_is_lru_cache, node.decorator_list))}
+    assert cached == CACHED

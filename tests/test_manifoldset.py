@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 import oracles
+from cycloclass import classnumber, ktheory, manifoldset, residue
 from cycloclass.ktheory import ScopeError, squarefree
 from cycloclass.manifoldset import (
     MHCOB_TRIVIAL,
@@ -108,6 +112,12 @@ class TestSweep:
     def test_empty(self):
         assert sweep(4, []) == []
 
+    def test_degree_out_of_scope_raises_before_any_m(self):
+        for n, m_values in ((3, []), (2, range(2, 5)), (-2, [7])):
+            with pytest.raises(ScopeError,
+                               match=f"^n = {n}: only even n >= 4"):
+                sweep(n, m_values)
+
     def test_unsupported_modulus_is_an_entry(self):
         # the deep pass needs hminus(4003) at phi = 4002, above the ceiling
         [(m, err)] = sweep(4, [4003], deep=True)
@@ -160,3 +170,58 @@ class TestVerify:
         for n in (4, 6):
             for m in range(2, 61):
                 assert verify(n, m).consistent, (n, m)
+
+
+def _clear_caches():
+    for module in (classnumber, residue, ktheory):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def _counting(monkeypatch, name, *modules):
+    """Replace ``name`` in each module by one wrapper; returns its calls."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOncePerQuery:
+    def test_deep_classify_describes_m_once(self, monkeypatch):
+        _clear_caches()
+        descriptions = _counting(monkeypatch, "k0_description", ktheory)
+        bounds = _counting(monkeypatch, "d_divisibility_bound", ktheory,
+                           manifoldset)
+        report = classify(4, 33, deep=True)
+        assert report.provenance == "ingredient-verified"
+        assert len(descriptions) == 1
+        assert len(bounds) <= 2
+
+    def test_degrees_share_the_ingredients(self, monkeypatch):
+        _clear_caches()
+        descriptions = _counting(monkeypatch, "k0_description", ktheory)
+        for n in (4, 6, 8):
+            assert classify(n, 33, deep=True).ingredients.n == n
+            verify(n, 33)
+        assert len(descriptions) == 1
+
+
+def test_deep_reports_and_records_are_pinned():
+    # classify(deep=True) runs the checks of verify() on its own
+    # ingredients: pin both answers for n in {4, 6} and m <= 300
+    digest = hashlib.sha256()
+    for n in (4, 6):
+        for m in range(2, 301):
+            for value in (classify(n, m, deep=True).to_json_dict(),
+                          verify(n, m).to_dict()):
+                digest.update(
+                    (json.dumps(value, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == \
+        "91e0690a156f2e003d2fbc5f3a23ad142a3f275fc802d284c2ab88a75648c68d"
