@@ -12,18 +12,23 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 from math import gcd, lcm, prod
+from operator import add, itemgetter, mul, neg
 import itertools
 
-from .record import Record
+from .record import Record, _rebuild
 
 
 class IntMatrix(Record):
-    """An immutable integer matrix.  Empty shapes (0 x n, n x 0) are legal."""
+    """An immutable integer matrix.  Empty shapes (0 x n, n x 0) are legal.
+
+    Rows are built and combined whole: ``map``, ``sum`` and slicing
+    iterate over the entries of a row in C.
+    """
 
     __slots__ = ("data", "rows", "cols")
 
     def __init__(self, data, rows=None, cols=None):
-        data = tuple(tuple(int(x) for x in row) for row in data)
+        data = tuple(tuple(map(int, row)) for row in data)
         if rows is None:
             rows = len(data)
         if cols is None:
@@ -34,26 +39,28 @@ class IntMatrix(Record):
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n, n)
+        return cls.diagonal((1,) * n)
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(tuple((0,) * cols for _ in range(rows)), rows, cols)
+        return cls(((0,) * cols,) * rows, rows, cols)
 
     @classmethod
     def diagonal(cls, entries):
-        entries = tuple(int(e) for e in entries)
+        # row i is the zero row with entry i put in: slices, not cells
+        entries = tuple(map(int, entries))
         n = len(entries)
-        return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(n))
-                         for i in range(n)), n, n)
+        zeros = (0,) * n
+        return cls(tuple(zeros[:i] + (e,) + zeros[i + 1:]
+                         for i, e in enumerate(entries)), n, n)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
-        columns = tuple(tuple(int(x) for x in c) for c in columns)
+        columns = tuple(tuple(map(int, c)) for c in columns)
         if rows is None:
             rows = len(columns[0]) if columns else 0
-        return cls(tuple(tuple(c[i] for c in columns) for i in range(rows)),
-                   rows, len(columns))
+        return cls(tuple(tuple(map(itemgetter(i), columns))
+                         for i in range(rows)), rows, len(columns))
 
     def __getitem__(self, key):
         i, j = key
@@ -63,13 +70,13 @@ class IntMatrix(Record):
         return self.data[i]
 
     def column(self, j):
-        return tuple(r[j] for r in self.data)
+        return tuple(map(itemgetter(j), self.data))
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self):
-        return IntMatrix(tuple(self.column(j) for j in range(self.cols)),
+        return IntMatrix(tuple(map(self.column, range(self.cols))),
                          self.cols, self.rows)
 
     def hstack(self, other):
@@ -84,19 +91,19 @@ class IntMatrix(Record):
                 raise ValueError("shape mismatch in matrix product")
             cols = other.transpose().data
             return IntMatrix(
-                tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                tuple(tuple(sum(map(mul, row, col)) for col in cols)
                       for row in self.data),
                 self.rows, other.cols)
         # matrix * vector
-        vec = tuple(int(x) for x in other)
+        vec = tuple(map(int, other))
         if self.cols != len(vec):
             raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
+        return tuple(sum(map(mul, row, vec)) for row in self.data)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(r1, r2))
+        return IntMatrix(tuple(tuple(map(add, r1, r2))
                                for r1, r2 in zip(self.data, other.data)),
                          self.rows, self.cols)
 
@@ -104,12 +111,12 @@ class IntMatrix(Record):
         return self + (-other)
 
     def __neg__(self):
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.data),
+        return IntMatrix(tuple(tuple(map(neg, r)) for r in self.data),
                          self.rows, self.cols)
 
     def scale(self, c):
         c = int(c)
-        return IntMatrix(tuple(tuple(c * a for a in r) for r in self.data),
+        return IntMatrix(tuple(tuple(map(c.__mul__, r)) for r in self.data),
                          self.rows, self.cols)
 
     def __repr__(self):
@@ -331,22 +338,30 @@ class AbHom(Record):
     def __init__(self, source, target, matrix):
         if matrix.rows != target.rank or matrix.cols != source.rank:
             raise ValueError("matrix shape does not match groups")
-        ds, dt = source.invariant_factors, target.invariant_factors
-        norm = []
-        for i in range(target.rank):
-            row = []
-            for j in range(source.rank):
-                x = matrix[i, j] % dt[i]
-                if (ds[j] * x) % dt[i]:
-                    raise ValueError("matrix does not respect generator orders")
-                row.append(x)
-            norm.append(row)
+        ds = source.invariant_factors
+        # row i is reduced mod d_i (d.__rmod__(x) is x % d), and its entry
+        # x in column j must satisfy d_j * x == 0 mod d_i
+        norm = [tuple(map(d.__rmod__, row))
+                for row, d in zip(matrix.data, target.invariant_factors)]
+        if any(any(map(d.__rmod__, map(mul, ds, row)))
+               for row, d in zip(norm, target.invariant_factors)):
+            raise ValueError("matrix does not respect generator orders")
         super().__init__(source, target,
                          IntMatrix(norm, target.rank, source.rank))
 
     @classmethod
     def identity(cls, group):
-        return cls(group, group, IntMatrix.identity(group.rank))
+        return cls.scalar(group, 1)
+
+    @classmethod
+    def scalar(cls, group, c):
+        """Multiplication by c on ``group``: c mod d_i on the diagonal.
+
+        That matrix is normalised and respects every generator order, so
+        the record is set without the checks of ``__init__``.
+        """
+        return _rebuild(cls, (group, group, IntMatrix.diagonal(
+            c % d for d in group.invariant_factors)))
 
     def __call__(self, element):
         return self.target.reduce(self.matrix @ tuple(element))

@@ -16,7 +16,6 @@ import enum
 from .abelian import (
     AbHom,
     FinAbGroup,
-    IntMatrix,
     kernel,
     kernel_lattice,
     subgroup_generated,
@@ -44,15 +43,16 @@ class Sign(enum.IntEnum):
 def _scalar_sign(group, involution):
     """The sign s with involution == s * id, or None when there is none.
 
-    Reads the normalised matrix directly: zero off the diagonal and s mod
-    d_i on it.  On an elementary abelian 2-group both signs fit, and PLUS
-    is returned.
+    Reads the normalised matrix row by row: row i is s mod d_i on the
+    diagonal and zero elsewhere, that is, its diagonal entry is s mod d_i
+    (never 0, as d_i >= 2) and the other rank - 1 entries are 0.  On an
+    elementary abelian 2-group both signs fit, and PLUS is returned.
     """
     data = involution.matrix.data
+    off_diagonal = group.rank - 1
     for sign in Sign:
-        if all(x == (sign % d if i == j else 0)
-               for i, (row, d) in enumerate(zip(data, group.invariant_factors))
-               for j, x in enumerate(row)):
+        if all(row[i] == sign % d and row.count(0) == off_diagonal
+               for i, (row, d) in enumerate(zip(data, group.invariant_factors))):
             return sign
     return None
 
@@ -81,8 +81,7 @@ class InvModule(Record):
 
     @classmethod
     def with_negation(cls, group):
-        return cls(group, AbHom(group, group,
-                                IntMatrix.identity(group.rank).scale(-1)))
+        return cls(group, AbHom.scalar(group, -1))
 
     @property
     def order(self):
@@ -98,7 +97,7 @@ class InvModule(Record):
 def _shifted_map(module, sign):
     """The endomorphism x -> xbar - sign * x."""
     g = module.group
-    return module.involution - AbHom(g, g, IntMatrix.identity(g.rank).scale(int(sign)))
+    return module.involution - AbHom.scalar(g, int(sign))
 
 
 def eigen_set(module, sign):
@@ -112,7 +111,7 @@ def eigen_set(module, sign):
 def _norm_map(module, sign):
     """The endomorphism x -> x + sign * xbar."""
     g = module.group
-    return AbHom(g, g, IntMatrix.identity(g.rank)) + \
+    return AbHom.identity(g) + \
         AbHom(g, g, module.involution.matrix.scale(int(sign)))
 
 

@@ -26,7 +26,9 @@ cokernel vtilde is recomputed the slow way too: discrete logs in every
 factor field of F_p[zeta_n], the units of F_p[lambda_n] from CRT
 generators, and the conjugation worked out as a matrix; and once more as
 the cokernel of the reduction map into the direct sum of the whole tori.
-The determinant, the Smith-normal-form solver, the zero map and the zero
+The record layer's matrices are built, multiplied, normalised and tested
+for +-id once more cell by cell, as the package did before it went row by
+row.  The determinant, the Smith-normal-form solver, the zero map and the zero
 tests of matrices and maps, direct sums of groups and of modules (and the
 class-group module summed one part at a time), corestriction, primary
 parts and the swap square live here as well: only the tests use them.
@@ -455,6 +457,75 @@ def swap_square(module):
     total, (i1, i2), (p1, p2) = direct_sum([module.group, module.group])
     t = (i1 @ module.involution @ p2) + (i2 @ module.involution @ p1)
     return InvModule(total, t)
+
+
+# ---------------------------------------------------------------------------
+# the record layer cell by cell: the package builds, normalises and tests
+# its matrices row by row, iterating in C; these are the per-cell loops it
+# replaced, kept as they were
+
+
+def cellwise_identity(n):
+    return IntMatrix(tuple(tuple(int(i == j) for j in range(n))
+                           for i in range(n)), n, n)
+
+
+def cellwise_diagonal(entries):
+    entries = tuple(int(e) for e in entries)
+    n = len(entries)
+    return IntMatrix(tuple(tuple(entries[i] if i == j else 0 for j in range(n))
+                           for i in range(n)), n, n)
+
+
+def cellwise_scale(m, c):
+    c = int(c)
+    return IntMatrix(tuple(tuple(c * a for a in r) for r in m.data),
+                     m.rows, m.cols)
+
+
+def cellwise_product(a, b):
+    """a @ b for a matrix or a vector b."""
+    if isinstance(b, IntMatrix):
+        if a.cols != b.rows:
+            raise ValueError("shape mismatch in matrix product")
+        cols = tuple(tuple(r[j] for r in b.data) for j in range(b.cols))
+        return IntMatrix(
+            tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                  for row in a.data),
+            a.rows, b.cols)
+    vec = tuple(int(x) for x in b)
+    if a.cols != len(vec):
+        raise ValueError("shape mismatch in matrix-vector product")
+    return tuple(sum(x * y for x, y in zip(row, vec)) for row in a.data)
+
+
+def cellwise_hom_matrix(source, target, matrix):
+    """The matrix of ``AbHom(source, target, matrix)``, normalised entry by
+    entry, or ValueError as ``AbHom`` raises it."""
+    if matrix.rows != target.rank or matrix.cols != source.rank:
+        raise ValueError("matrix shape does not match groups")
+    ds, dt = source.invariant_factors, target.invariant_factors
+    norm = []
+    for i in range(target.rank):
+        row = []
+        for j in range(source.rank):
+            x = matrix[i, j] % dt[i]
+            if (ds[j] * x) % dt[i]:
+                raise ValueError("matrix does not respect generator orders")
+            row.append(x)
+        norm.append(row)
+    return IntMatrix(norm, target.rank, source.rank)
+
+
+def cellwise_scalar_sign(group, involution):
+    """``involutive._scalar_sign`` comparing every cell with s * id."""
+    data = involution.matrix.data
+    for sign in Sign:
+        if all(x == (sign % d if i == j else 0)
+               for i, (row, d) in enumerate(zip(data, group.invariant_factors))
+               for j, x in enumerate(row)):
+            return sign
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -324,3 +324,108 @@ class TestSubgroupsAndParts:
         assert (pa @ ia).is_identity()
         assert (pb @ ib).is_identity()
         assert is_zero_hom(pa @ ib)
+
+
+def _random_matrix(rng, rows, cols, bound=50):
+    return IntMatrix([[rng.randint(-bound, bound) for _ in range(cols)]
+                      for _ in range(rows)], rows, cols)
+
+
+def _hom_or_error(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestRowwiseAgainstCellwise:
+    """The row-wise record layer against the per-cell loops it replaced,
+    kept in ``oracles``: the same records, reprs and errors."""
+
+    def test_constructors(self):
+        rng = random.Random(2201)
+        for n in [0, 1, 2, 3, 7, 31]:
+            assert IntMatrix.identity(n) == oracles.cellwise_identity(n)
+            entries = [rng.randint(-9, 9) for _ in range(n)]
+            d = IntMatrix.diagonal(entries)
+            assert d == oracles.cellwise_diagonal(entries)
+            assert repr(d) == repr(oracles.cellwise_diagonal(entries))
+            assert IntMatrix.diagonal(iter(entries)) == d
+
+    def test_scale_and_products(self):
+        rng = random.Random(2202)
+        for _ in range(300):
+            r, k, c = (rng.randint(0, 5) for _ in range(3))
+            a, b = _random_matrix(rng, r, k), _random_matrix(rng, k, c)
+            factor = rng.choice([-1, 0, 1, 2, -7, 10 ** 30])
+            assert a.scale(factor) == oracles.cellwise_scale(a, factor)
+            assert a @ b == oracles.cellwise_product(a, b)
+            assert repr(a @ b) == repr(oracles.cellwise_product(a, b))
+            vec = [rng.randint(-9, 9) for _ in range(k)]
+            assert a @ vec == oracles.cellwise_product(a, vec)
+            assert -a == oracles.cellwise_scale(a, -1)
+            assert a.transpose().transpose() == a
+            assert IntMatrix.from_columns(a.columns(), rows=r) == a
+
+    def test_shape_errors(self):
+        a = IntMatrix.zero(2, 3)
+        for other in (IntMatrix.zero(2, 3), (1, 2)):
+            with pytest.raises(ValueError) as ours:
+                a @ other
+            with pytest.raises(ValueError) as cellwise:
+                oracles.cellwise_product(a, other)
+            assert str(ours.value) == str(cellwise.value)
+
+    def test_hom_normalisation(self):
+        # rank 0, elementary abelian 2-groups and general chains; random
+        # matrices are mostly rejected for not respecting generator orders,
+        # the sloppy random homomorphisms are accepted
+        rng = random.Random(2203)
+        groups = [FinAbGroup(), FinAbGroup([2]), FinAbGroup([2] * 5)]
+        outcomes = set()
+        for _ in range(600):
+            source, target = (rng.choice(groups) if rng.random() < 0.3
+                              else oracles.random_group(rng, 10 ** 6, 5)
+                              for _ in range(2))
+            if rng.random() < 0.5:
+                matrix = oracles.random_hom(rng, source, target).matrix
+                matrix = matrix + _random_matrix(
+                    rng, target.rank, source.rank, 2).scale(
+                        rng.choice([0, 0, 1, target.exponent]))
+            else:
+                matrix = _random_matrix(rng, target.rank, source.rank, 100)
+            ours = _hom_or_error(lambda: AbHom(source, target, matrix))
+            cellwise = _hom_or_error(
+                lambda: oracles.cellwise_hom_matrix(source, target, matrix))
+            if isinstance(ours, str):
+                assert ours == cellwise
+                outcomes.add(ours)
+            else:
+                assert ours.matrix == cellwise
+                assert repr(ours.matrix) == repr(cellwise)
+                outcomes.add("accepted")
+        assert outcomes == {"accepted",
+                            "matrix does not respect generator orders"}
+
+    def test_scalar_homs_are_the_checked_ones(self):
+        # AbHom.scalar skips the checks: its record is the one the checks
+        # give, and its matrix the one the per-cell normalisation gives
+        rng = random.Random(2206)
+        groups = [FinAbGroup(), FinAbGroup([2] * 3), FinAbGroup([2 ** 64])]
+        groups += [oracles.random_group(rng, 10 ** 6, 5) for _ in range(200)]
+        for g in groups:
+            for c in (-1, 0, 1, 2, -7, 10 ** 20):
+                scaled = oracles.cellwise_scale(
+                    oracles.cellwise_identity(g.rank), c)
+                cellwise = oracles.cellwise_hom_matrix(g, g, scaled)
+                hom = AbHom.scalar(g, c)
+                assert hom == AbHom(g, g, cellwise) and hom.matrix == cellwise
+                assert repr(hom.matrix) == repr(cellwise)
+            assert AbHom.identity(g) == AbHom.scalar(g, 1)
+
+    def test_hom_shape_error(self):
+        g = FinAbGroup([4])
+        matrix = IntMatrix.zero(2, 1)
+        assert _hom_or_error(lambda: AbHom(g, g, matrix)) == _hom_or_error(
+            lambda: oracles.cellwise_hom_matrix(g, g, matrix)) == \
+            "matrix shape does not match groups"

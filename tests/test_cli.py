@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 import cycloclass
 from cycloclass import __version__
 from cycloclass.classnumber import HMINUS_PHI_CEILING
-from cycloclass.cli import (SCHEMA_VERSION, _build_parser, _canonical_key,
-                            _code_digest, run)
+from cycloclass.cli import (SCHEMA_VERSION, TATE_RANK_CEILING, _build_parser,
+                            _canonical_key, _code_digest, run)
 
 CODE = _code_digest()
 #: the cache key of ``hminus --m 39``, whose answer is 2
@@ -198,6 +198,39 @@ class TestExitCodes:
     ])
     def test_documented_exit_codes(self, capture, argv, code):
         assert capture(argv)[0] == code
+
+    @pytest.mark.parametrize("rank", [TATE_RANK_CEILING + 1, 60_000])
+    def test_tate_rank_above_ceiling_fails_fast(self, rank):
+        # 60,000 factors would ask for a 3.6e9-cell matrix
+        proc = _run_cli(["tate", "--invariants", ",".join(["2"] * rank),
+                         "--degree", "1"], timeout=20)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            f"out of scope: the invariants normalise to {rank} factors; "
+            f"ranks above {TATE_RANK_CEILING} are not built\n")
+
+    def test_tate_rank_at_ceiling_answers(self):
+        proc = _run_cli(["tate", "--invariants",
+                         ",".join(["2"] * TATE_RANK_CEILING), "--degree", "1"],
+                        timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == " x ".join(["Z/2"] * TATE_RANK_CEILING) + "\n"
+
+    @pytest.mark.parametrize("involution", [None, "1"])
+    def test_tate_rank_refused_before_any_matrix(self, capture, monkeypatch,
+                                                 involution):
+        def refuse(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(cycloclass.cli, "IntMatrix", refuse)
+        monkeypatch.setattr(cycloclass.cli.InvModule, "with_negation", refuse)
+        argv = ["tate", "--invariants", "2," * (TATE_RANK_CEILING + 1),
+                "--degree", "0"]
+        if involution is not None:
+            argv += ["--involution", involution]
+        code, out, err = capture(argv)
+        assert code == 2 and out == ""
+        assert f"ranks above {TATE_RANK_CEILING} are not built" in err
 
     def test_empty_sweep_range(self, capture):
         code, out, err = capture(["sweep", "--n", "4", "--m-min", "5",

@@ -237,6 +237,48 @@ class TestScalarInvolution:
         for n in (0, 1):
             assert tate(m, n) == oracles.oracle_tate(m, n) == FinAbGroup()
 
+    def test_sign_against_the_cellwise_scan(self):
+        # scalar, near-scalar (one cell moved) and random endomorphisms,
+        # with rank 0 and elementary abelian 2-groups, where both signs fit
+        # and PLUS is returned
+        rng = random.Random(2204)
+        found = set()
+        for trial in range(1500):
+            g = (FinAbGroup([2] * rng.randint(0, 6)) if trial % 5 == 0
+                 else oracles.random_group(rng, max_order=10 ** 6, max_rank=5))
+            kind = rng.choice(["scalar", "near", "random", "involution"])
+            if kind == "random":
+                f = oracles.random_hom(rng, g, g)
+            elif kind == "involution":
+                f = oracles.random_involution(rng, g)
+            else:
+                f = signed_module(g, rng.choice(list(Sign))).involution
+                if kind == "near" and g.rank:
+                    rows = [list(r) for r in f.matrix.data]
+                    # d_i divides d_j, so any entry respects the orders
+                    i = rng.randrange(g.rank)
+                    j = rng.randrange(i, g.rank)
+                    rows[i][j] += rng.choice([1, -1, g.invariant_factors[i]])
+                    f = AbHom(g, g, IntMatrix(rows))
+            sign = _scalar_sign(g, f)
+            assert sign is oracles.cellwise_scalar_sign(g, f)
+            if g.exponent <= 2 and sign is not None:
+                assert sign is Sign.PLUS
+            found.add(sign)
+        assert found == {Sign.PLUS, Sign.MINUS, None}
+
+    def test_negation_record_is_the_scaled_identity(self):
+        rng = random.Random(2205)
+        groups = [FinAbGroup(), FinAbGroup([2] * 4),
+                  *(km_v_module(n).group for n in range(3, 10)),
+                  *(oracles.random_group(rng, 10 ** 6, 5) for _ in range(200))]
+        for g in groups:
+            m = InvModule.with_negation(g)
+            scaled = InvModule(g, AbHom(g, g, IntMatrix.identity(g.rank)
+                                        .scale(-1)))
+            assert m == scaled and hash(m) == hash(scaled)
+            assert repr(m) == repr(scaled)
+
     def test_non_scalar_takes_the_subquotient(self, snf_calls):
         g = FinAbGroup([4, 4])
         m = InvModule(g, AbHom(g, g, IntMatrix.diagonal([1, -1])))
