@@ -42,7 +42,6 @@ from .residue import (
 )
 from .classnumber import hminus, hp_is_odd, known_class_group, odd_part
 from .ktheory import (
-    K0Description,
     Knowledge,
     ScopeError,
     WhStructure,

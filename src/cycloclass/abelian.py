@@ -269,7 +269,9 @@ class FinAbGroup(Record):
 
         Z/a + Z/d = Z/gcd(a, d) + Z/lcm(a, d), so each factor is merged into
         the chain from the top down, carrying the gcd until it becomes 1; a
-        multiple of the top just extends the chain.
+        multiple of the top just extends the chain.  A carried gcd that
+        divides chain[i] and is divisible by chain[i - 1] would only shift
+        the chain below it up one place, so it is inserted at i at once.
 
         >>> FinAbGroup.from_cyclic_factors([2, 3]) == FinAbGroup([6])
         True
@@ -279,11 +281,15 @@ class FinAbGroup(Record):
             d = int(d)
             if d < 1:
                 raise ValueError("cyclic factors must be positive")
+            if d == 1:
+                continue
             if not chain or d % chain[-1] == 0:
-                if d > 1:
-                    chain.append(d)
+                chain.append(d)
                 continue
             for i in reversed(range(len(chain))):
+                if chain[i] % d == 0 and (i == 0 or d % chain[i - 1] == 0):
+                    chain.insert(i, d)
+                    break
                 chain[i], d = lcm(chain[i], d), gcd(chain[i], d)
                 if d == 1:
                     break

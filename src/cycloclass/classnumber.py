@@ -548,12 +548,6 @@ def hminus_is_one(m):
     return int(m) in HMINUS_ONE if int(m) >= 2 else True
 
 
-def odd_hminus_is_one(m):
-    """Stored complete answer to odd(h_m^-) = 1."""
-    m = int(m)
-    return m < 2 or m in HMINUS_ONE or m in ODD_HMINUS_ONE
-
-
 #: published structure of the full class group where the artifact needs it,
 #: by normalised m; the plus part is trivial at each, so the whole group is
 #: the minus part

@@ -27,7 +27,9 @@ torus above TORUS_BITS_CEILING bits (before its order is formed), tate --km
 above KM_LEVEL_CEILING, tate --invariants normalising to more than
 TATE_RANK_CEILING factors (before any matrix is built), and hminus at phi(m)
 above HMINUS_PHI_CEILING (above 2 * HMINUS_PHI_CEILING^2, before m is
-factored).  hminus --m 1 prints 1.  sweep reports a per-m scope error as an
+factored).  am, classify --deep and verify refuse at such a modulus only
+when the branch they take reads its h-: am --m 8192 reads no class number
+and answers.  hminus --m 1 prints 1.  sweep reports a per-m scope error as an
 error row of its table, and an h- above HMINUS_PHI_CEILING as "-" in the h-
 columns of a row that keeps its verdicts.
 """

@@ -15,7 +15,7 @@ from .abelian import FinAbGroup
 from .arith import divisors, factorint, isprime
 from .involutive import InvModule, Sign, eigen_set, norm_image_set, tate
 from .classnumber import h_is_odd, hminus, hminus_is_one, \
-    known_class_group, odd_hminus_is_one, odd_part
+    known_class_group, odd_part
 from .record import Record
 from .residue import UnsupportedModulusError, vtilde
 
@@ -126,15 +126,15 @@ class Knowledge(Record):
 class DGroupFact(Record):
     """Stored knowledge about the kernel group of one cyclic group ring.
 
-    ``kind`` is "exact" or "order"; ``two_exponent`` gives a known order
-    2^two_exponent.
+    ``module`` is set when the group and its involution are known exactly;
+    ``two_exponent`` gives a known order 2^two_exponent.
     """
 
-    __slots__ = ("kind", "module", "two_exponent", "parity_odd", "source")
+    __slots__ = ("module", "two_exponent", "parity_odd", "source")
 
-    def __init__(self, kind, module=None, two_exponent=None, parity_odd=None,
+    def __init__(self, module=None, two_exponent=None, parity_odd=None,
                  source=""):
-        super().__init__(kind, module, two_exponent, parity_odd, source)
+        super().__init__(module, two_exponent, parity_odd, source)
 
     @property
     def order(self):
@@ -151,7 +151,7 @@ _ZERO = InvModule.with_trivial(FinAbGroup())
 
 
 def _exact_d(module, source):
-    return DGroupFact(kind="exact", module=module,
+    return DGroupFact(module=module,
                       parity_odd=module.order % 2 == 1, source=source)
 
 
@@ -195,11 +195,11 @@ def stored_d_group(m):
                 return _exact_d(InvModule.with_negation(FinAbGroup([2])),
                                 "two-power ladder")
             exponent = _two_power_d_exponent(e)
-            return DGroupFact(kind="order", two_exponent=exponent,
+            return DGroupFact(two_exponent=exponent,
                               parity_odd=exponent == 0,
                               source="two-power ladder orders")
         # odd prime power: a p-group, so odd order
-        return DGroupFact(kind="order", parity_odd=True,
+        return DGroupFact(parity_odd=True,
                           source="kernel group of a p-group is a p-group")
     return None
 
@@ -219,24 +219,7 @@ def d_divisibility_bound(m):
 
 
 # ---------------------------------------------------------------------------
-# per-m description of the reduced projective class group
-
-
-class K0Description(Record):
-    """Tri-state description of the class-group data entering K-theory.
-
-    ``h_odd`` is the parity of the class number; ``class_parts`` maps each
-    divisor to its Knowledge, a fresh empty dict when not given.
-    """
-
-    __slots__ = ("m", "h_minus_is_one", "h_odd", "d_fact", "class_parts")
-
-    def __init__(self, m, h_minus_is_one, h_odd, d_fact, class_parts=None):
-        super().__init__(m, h_minus_is_one, h_odd, d_fact,
-                         {} if class_parts is None else class_parts)
-
-    def all_class_parts_exact(self):
-        return all(k.status == "exact" for k in self.class_parts.values())
+# the class groups at the divisors of m
 
 
 def _class_part(d, compute):
@@ -258,16 +241,9 @@ def _class_part(d, compute):
     return Knowledge.unknown(source="class group structure not stored")
 
 
-def k0_description(m, compute=False):
-    m = int(m)
-    return K0Description(
-        m=m,
-        h_minus_is_one=hminus_is_one(m),
-        h_odd=h_is_odd(m, compute),
-        d_fact=stored_d_group(m),
-        class_parts={d: _class_part(d, compute) for d in divisors(m)
-                     if d > 1},
-    )
+def _class_parts(m, compute):
+    """(d, Knowledge) of the class group at each divisor d > 1 of m."""
+    return [(d, _class_part(d, compute)) for d in divisors(m) if d > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -291,33 +267,31 @@ def a_m(m, compute=False):
     number is odd; from the class groups alone when the kernel group has
     odd order; unknown (with any applicable order constraints) otherwise.
     """
-    if int(m) < 2:
+    m = int(m)
+    if m < 2:
         raise ScopeError(f"m = {m}: the cyclic order must be at least 2")
-    return _tate_knowledge(k0_description(int(m), compute=bool(compute)))
-
-
-def _tate_knowledge(data):
-    """a_m read off the description of the class group at data.m."""
-    d_fact = data.d_fact
+    h_odd = h_is_odd(m, compute)
+    d_fact = stored_d_group(m)
     d_parity = d_fact.parity_odd if d_fact is not None else None
 
-    if data.h_odd and d_parity:
+    if h_odd and d_parity:
         return Knowledge.exact(
             FinAbGroup(), "odd class number and odd kernel group")
-    if data.h_odd and d_fact is not None and d_fact.kind == "exact":
+    if h_odd and d_fact is not None and d_fact.module is not None:
         # Tate cohomology of C2 is killed by 2: the odd part adds nothing
         return Knowledge.exact(
             tate(d_fact.module, 1),
             "odd class number; Tate group of the stored kernel group",
             module=None)
-    if d_parity and data.all_class_parts_exact():
-        pieces = []
-        for d, part in sorted(data.class_parts.items()):
-            pieces.extend(tate(part.module, 1).invariant_factors)
-        return Knowledge.exact(
-            FinAbGroup.from_cyclic_factors(pieces),
-            "odd kernel group; Tate groups of the stored class groups")
-    return Knowledge.unknown(constraint=_a2_constraint(data.m),
+    if d_parity:
+        parts = _class_parts(m, compute)
+        if all(part.status == "exact" for _, part in parts):
+            return Knowledge.exact(
+                FinAbGroup.from_cyclic_factors(
+                    d for _, part in parts
+                    for d in tate(part.module, 1).invariant_factors),
+                "odd kernel group; Tate groups of the stored class groups")
+    return Knowledge.unknown(constraint=_a2_constraint(m),
                              source="kernel group or class group not pinned")
 
 
@@ -349,46 +323,42 @@ class WhStructure(Record):
         }
 
 
-def _exact_k0_module(data):
-    """The class group as an involutive module, when fully pinned down."""
-    if data.h_minus_is_one and data.d_fact is not None \
-            and data.d_fact.kind == "exact":
+def _exact_k0_module(m, parts):
+    """The class group at m as an involutive module, when fully pinned
+    down; ``parts`` are the class parts at the divisors of m."""
+    d_fact = stored_d_group(m)
+    if d_fact is None or d_fact.module is None:
+        return None, None
+    if hminus_is_one(m):
         # class-number one: the class group collapses onto the kernel group
-        return data.d_fact.module, "kernel group (class number one)"
-    if data.d_fact is not None and data.d_fact.kind == "exact" \
-            and data.d_fact.order == 1 and data.all_class_parts_exact():
+        return d_fact.module, "kernel group (class number one)"
+    if d_fact.order == 1 and all(part.status == "exact" for _, part in parts):
         # every exact class part is a published class group under negation
         # or the trivial group, so their sum is one negation module
         total = FinAbGroup.from_cyclic_factors(
-            d for part in data.class_parts.values()
-            for d in part.group.invariant_factors)
+            d for _, part in parts for d in part.group.invariant_factors)
         return (InvModule.with_negation(total),
                 "sum of the stored class groups (vanishing kernel group)")
     return None, None
 
 
-def _difference_witness(m, compute):
+def _difference_witness(m, compute, parts):
     """A proven divisor of the order of the difference set of the class
-    group, multiplying the class-number and kernel-group channels."""
-    parts = []
+    group at square-free m, multiplying the class-number and kernel-group
+    channels; ``parts`` are the class parts at the divisors of m."""
+    notes = []
     total = 1
-    for d in divisors(m):
-        if d == 1:
-            continue
-        if odd_hminus_is_one(d):
-            continue
-        if compute:
-            total *= odd_part(hminus(d))
-            parts.append(f"odd part of the minus class number at {d}")
-        else:
-            parts.append(f"minus class number parity at {d} not stored")
+    for d, part in parts:
+        if part.status == "bound":
+            total *= part.divisor
+            notes.append(f"odd part of the minus class number at {d}")
+        elif part.status == "unknown":
+            notes.append(f"minus class number parity at {d} not stored")
     try:
-        dbound = d_divisibility_bound(m) if compute else 1
+        total *= d_divisibility_bound(m) if compute else 1
     except UnsupportedModulusError:
-        dbound = 1
-        parts.append("kernel-group channel skipped: unsupported divisor")
-    total *= dbound
-    return total, "; ".join(parts) if parts else "stored classifications"
+        notes.append("kernel-group channel skipped: unsupported divisor")
+    return total, "; ".join(notes) if notes else "stored classifications"
 
 
 def wh_structure(n, m, compute=False):
@@ -407,19 +377,19 @@ def _wh_fields(m, compute):
     """(free_rank, nk1_zero, j_group, i_group, tate_group) at m: the one
     cache of this layer, shared by every degree and every later query."""
     rank = wh_rank(m)
-    data = k0_description(m, compute=compute)
-    tate_knowledge = _tate_knowledge(data)
+    tate_knowledge = a_m(m, compute)
 
     if not nk1_vanishes(m):
         infinite = Knowledge.infinite(
             "nonvanishing Nil summand (m is not square-free)")
         return rank, False, infinite, infinite, tate_knowledge
 
-    module, source = _exact_k0_module(data)
+    parts = _class_parts(m, compute)
+    module, source = _exact_k0_module(m, parts)
     if module is not None:
         j = Knowledge.exact(eigen_set(module, Sign.MINUS)[0], source)
         i = Knowledge.exact(norm_image_set(module, Sign.MINUS)[0], source)
         return rank, True, j, i, tate_knowledge
 
-    bound = Knowledge.bound(*_difference_witness(m, compute))
+    bound = Knowledge.bound(*_difference_witness(m, compute, parts))
     return rank, True, bound, bound, tate_knowledge

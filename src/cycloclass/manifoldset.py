@@ -219,8 +219,10 @@ def verify(n, m):
     """Recompute the ingredients behind classify(n, m) and cross-check.
 
     Contradictions are reported as inconsistent checks, never resolved
-    silently.  A missing stored fact or witness makes a check "no-data"; an
-    h^- above HMINUS_PHI_CEILING raises UnsupportedModulusError instead.
+    silently.  A missing stored fact or witness makes a check "no-data".
+    An h^- above HMINUS_PHI_CEILING, at m or at a divisor, raises
+    UnsupportedModulusError instead where it is read: always at a
+    square-free m, elsewhere only when the branch of a_m reads it.
     """
     n, m = _check_scope(n, m)
     return _verify(n, m, wh_structure(n, m, compute=True))

@@ -28,10 +28,14 @@ generators, and the conjugation worked out as a matrix; and once more as
 the cokernel of the reduction map into the direct sum of the whole tori.
 The record layer's matrices are built, multiplied, normalised and tested
 for +-id once more cell by cell, as the package did before it went row by
-row.  The determinant, the Smith-normal-form solver, the zero map and the zero
-tests of matrices and maps, direct sums of groups and of modules (and the
-class-group module summed one part at a time), corestriction, primary
-parts and the swap square live here as well: only the tests use them.
+row, and cyclic factors are normalised by walking each carried gcd to the
+bottom of the chain.  The K-theory data at m is assembled eagerly, every
+class-group fact read before a branch is chosen, as the oracle of the
+lazy reads of ``ktheory``.  The determinant, the Smith-normal-form
+solver, the zero map and the zero tests of matrices and maps, direct sums
+of groups and of modules (and the class-group module summed one part at a
+time), corestriction, primary parts and the swap square live here as
+well: only the tests use them.
 """
 
 import random
@@ -40,6 +44,7 @@ from functools import lru_cache
 from itertools import combinations, count, product
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
+from types import SimpleNamespace
 
 from sympy import divisors, factorint, isprime, multiplicity, totient
 
@@ -53,6 +58,8 @@ from cycloclass.abelian import (
     subgroup_generated,
 )
 from cycloclass.classnumber import (
+    HMINUS_ONE,
+    ODD_HMINUS_ONE,
     _crt_prime,
     _cyclic_subgroups,
     _generator_orders,
@@ -61,8 +68,22 @@ from cycloclass.classnumber import (
     _odd_orbits,
     _teichmueller_lift,
     _unit_group,
+    h_is_odd,
+    hminus,
+    hminus_is_one,
+    odd_part,
 )
-from cycloclass.involutive import InvModule, Sign, _norm_map, eigen_set
+from cycloclass.involutive import InvModule, Sign, _norm_map, eigen_set, \
+    norm_image_set, tate
+from cycloclass.ktheory import (
+    Knowledge,
+    _a2_constraint,
+    _class_part,
+    d_divisibility_bound,
+    nk1_vanishes,
+    stored_d_group,
+    wh_rank,
+)
 from cycloclass.record import Record
 from cycloclass.residue import (
     InternalConsistencyError,
@@ -70,6 +91,7 @@ from cycloclass.residue import (
     _second_generator_root,
     order_mod,
     order_mod_signed,
+    UnsupportedModulusError,
     unit_quotient,
     vtilde,
 )
@@ -430,23 +452,6 @@ def module_sum(m1, m2):
     return InvModule(total, t1 + t2)
 
 
-def iterated_k0_module(data):
-    """The class-group module of ``ktheory._exact_k0_module``, with the
-    stored modules summed one at a time; None when not pinned down."""
-    d_fact = data.d_fact
-    if d_fact is None or d_fact.kind != "exact":
-        return None
-    if data.h_minus_is_one:
-        return d_fact.module
-    if d_fact.order != 1 or not data.all_class_parts_exact():
-        return None
-    modules = [part.module for _, part in sorted(data.class_parts.items())]
-    total = modules[0] if modules else InvModule.with_trivial(FinAbGroup())
-    for extra in modules[1:]:
-        total = module_sum(total, extra)
-    return total
-
-
 def swap_square(module):
     """The square of a module with the swap-and-conjugate involution.
 
@@ -515,6 +520,28 @@ def cellwise_hom_matrix(source, target, matrix):
             row.append(x)
         norm.append(row)
     return IntMatrix(norm, target.rank, source.rank)
+
+
+def walked_cyclic_factors(factors):
+    """``FinAbGroup.from_cyclic_factors`` as it was: every carried gcd is
+    merged all the way down the chain, even once it only shifts the chain
+    up by one place."""
+    chain = []
+    for d in factors:
+        d = int(d)
+        if d < 1:
+            raise ValueError("cyclic factors must be positive")
+        if not chain or d % chain[-1] == 0:
+            if d > 1:
+                chain.append(d)
+            continue
+        for i in reversed(range(len(chain))):
+            chain[i], d = lcm(chain[i], d), gcd(chain[i], d)
+            if d == 1:
+                break
+        else:
+            chain.insert(0, d)
+    return FinAbGroup(chain)
 
 
 def cellwise_scalar_sign(group, involution):
@@ -1823,3 +1850,99 @@ def loop_a2k_order(k, m):
 def km_order(n):
     """The order of km_v_module(n), without building it."""
     return 2 ** sum(i * 2 ** (n - i - 2) for i in range(1, n - 1))
+
+
+# ---------------------------------------------------------------------------
+# the K-theory data assembled eagerly: every class-group fact at m read
+# before any branch is chosen, as ktheory did before each branch read its
+# own
+
+
+def eager_k0_description(m, compute):
+    """Every class-group fact at m that a_m and the Whitehead fields read."""
+    return SimpleNamespace(
+        m=m, h_minus_is_one=hminus_is_one(m), h_odd=h_is_odd(m, compute),
+        d_fact=stored_d_group(m),
+        class_parts={d: _class_part(d, compute) for d in divisors(m)
+                     if d > 1})
+
+
+def iterated_k0_module(m, compute):
+    """The class-group module of ``ktheory._exact_k0_module``, with the
+    stored modules summed one at a time; None when not pinned down."""
+    data = eager_k0_description(m, compute)
+    d_fact = data.d_fact
+    if d_fact is None or d_fact.module is None:
+        return None
+    if data.h_minus_is_one:
+        return d_fact.module
+    parts = data.class_parts.values()
+    if d_fact.order != 1 or any(part.status != "exact" for part in parts):
+        return None
+    modules = [part.module for _, part in sorted(data.class_parts.items())]
+    total = modules[0] if modules else InvModule.with_trivial(FinAbGroup())
+    for extra in modules[1:]:
+        total = module_sum(total, extra)
+    return total
+
+
+def eager_a_m(m, compute):
+    """``ktheory.a_m`` read off the eager description."""
+    data = eager_k0_description(m, compute)
+    d_fact = data.d_fact
+    d_parity = d_fact.parity_odd if d_fact is not None else None
+    parts = data.class_parts
+    if data.h_odd and d_parity:
+        return Knowledge.exact(
+            FinAbGroup(), "odd class number and odd kernel group")
+    if data.h_odd and d_fact is not None and d_fact.module is not None:
+        return Knowledge.exact(
+            tate(d_fact.module, 1),
+            "odd class number; Tate group of the stored kernel group")
+    if d_parity and all(part.status == "exact" for part in parts.values()):
+        pieces = [d for _, part in sorted(parts.items())
+                  for d in tate(part.module, 1).invariant_factors]
+        return Knowledge.exact(
+            FinAbGroup.from_cyclic_factors(pieces),
+            "odd kernel group; Tate groups of the stored class groups")
+    return Knowledge.unknown(constraint=_a2_constraint(m),
+                             source="kernel group or class group not pinned")
+
+
+def eager_difference_witness(m, compute):
+    """The difference-set witness with its own walk over the divisors,
+    skipping those whose odd(h^-) = 1 is stored."""
+    notes = []
+    total = 1
+    for d in divisors(m):
+        if d == 1 or d in HMINUS_ONE or d in ODD_HMINUS_ONE:
+            continue
+        if compute:
+            total *= odd_part(hminus(d))
+            notes.append(f"odd part of the minus class number at {d}")
+        else:
+            notes.append(f"minus class number parity at {d} not stored")
+    try:
+        total *= d_divisibility_bound(m) if compute else 1
+    except UnsupportedModulusError:
+        notes.append("kernel-group channel skipped: unsupported divisor")
+    return total, "; ".join(notes) if notes else "stored classifications"
+
+
+def eager_wh_fields(m, compute):
+    """``ktheory._wh_fields`` from the eager description."""
+    rank = wh_rank(m)
+    tate_knowledge = eager_a_m(m, compute)
+    if not nk1_vanishes(m):
+        infinite = Knowledge.infinite(
+            "nonvanishing Nil summand (m is not square-free)")
+        return rank, False, infinite, infinite, tate_knowledge
+    module = iterated_k0_module(m, compute)
+    if module is not None:
+        source = "kernel group (class number one)" if hminus_is_one(m) \
+            else "sum of the stored class groups (vanishing kernel group)"
+        j = Knowledge.exact(eigen_set(module, Sign.MINUS)[0], source)
+        i = Knowledge.exact(norm_image_set(module, Sign.MINUS)[0], source)
+        return rank, True, j, i, tate_knowledge
+    bound = Knowledge.bound(*eager_difference_witness(m, compute))
+    return rank, True, bound, bound, tate_knowledge

@@ -123,6 +123,21 @@ class TestFinAbGroup:
             assert FinAbGroup.from_cyclic_factors(factors) == \
                 oracles.factored_cyclic_factors(factors), factors
 
+    def test_normalisation_matches_the_walked_merge(self):
+        # inserting a carried gcd where it fits is what merging it down the
+        # rest of the chain did; divisor-closed pools make that case common
+        rng = random.Random(5001)
+        pools = [[1, 2, 4, 8, 16, 32], [1, 2, 3, 4, 6, 8, 12, 24],
+                 [2, 3, 5, 6, 10, 15, 30], list(range(1, 40))]
+        for _ in range(5000):
+            pool = rng.choice(pools)
+            factors = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+            assert FinAbGroup.from_cyclic_factors(factors) == \
+                oracles.walked_cyclic_factors(factors), factors
+        factors = [4] + [2] * 500 + [8, 3] + [6] * 200
+        assert FinAbGroup.from_cyclic_factors(factors) == \
+            oracles.walked_cyclic_factors(factors)
+
     def test_normalisation_rejects_non_positive(self):
         for factors in ([0], [2, -3], [4, 1, 0]):
             with pytest.raises(ValueError, match="must be positive"):

@@ -13,11 +13,12 @@ from cycloclass.abelian import FinAbGroup
 from cycloclass.classnumber import (
     HMINUS_ONE,
     HMINUS_PHI_CEILING,
+    ODD_HMINUS_ONE,
+    ODD_HMINUS_ONE_SQUAREFREE,
     hminus,
     hminus_is_one,
     hp_is_odd,
     known_class_group,
-    odd_hminus_is_one,
     odd_part,
 )
 from cycloclass.cli import run
@@ -717,7 +718,8 @@ class TestStoredParity:
         for m in range(2, 1001):
             h = hminus(m)
             assert hminus_is_one(m) == (h == 1), m
-            assert odd_hminus_is_one(m) == (odd_part(h) == 1), m
+            assert (m in HMINUS_ONE or m in ODD_HMINUS_ONE) == \
+                (odd_part(h) == 1), m
 
     @pytest.mark.slow
     def test_prime_table_at_prime_powers(self):
@@ -726,7 +728,7 @@ class TestStoredParity:
         powers = [q for q in [2 ** e for e in range(2, 13)]
                   + _prime_powers(HMINUS_PHI_CEILING)
                   if arith.totient(q) <= HMINUS_PHI_CEILING
-                  and not odd_hminus_is_one(q)]
+                  and q not in HMINUS_ONE and q not in ODD_HMINUS_ONE]
         assert len(powers) == 33
         for q in powers:
             assert classnumber.h_is_odd(q, compute=False) == \
@@ -745,5 +747,8 @@ class TestKnownClassGroup:
         # the plus part is trivial at every entry, so the order is h^-
         stored = [m for m in range(1, 201) if known_class_group(m) is not None]
         assert stored == [29, 39, 58, 65, 78, 130]
+        # so at a square-free m, odd(h^-) = 1 > h^- exactly where the class
+        # group is stored: the difference witness reads it as exact
+        assert set(stored) == ODD_HMINUS_ONE_SQUAREFREE
         for m in stored:
             assert known_class_group(m).order == hminus(m), m

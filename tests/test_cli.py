@@ -209,6 +209,17 @@ class TestExitCodes:
             f"out of scope: the invariants normalise to {rank} factors; "
             f"ranks above {TATE_RANK_CEILING} are not built\n")
 
+    def test_tate_rank_growing_at_the_bottom_fails_fast(self):
+        # each 2 after the 4 lands below the top of the chain: merged down
+        # the whole chain one by one, 60,000 of them would take minutes
+        invariants = ",".join(["4"] + ["2"] * 60_000)
+        proc = _run_cli(["tate", "--invariants", invariants, "--degree", "1"],
+                        timeout=20)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "out of scope: the invariants normalise to 60001 factors; "
+            f"ranks above {TATE_RANK_CEILING} are not built\n")
+
     def test_tate_rank_at_ceiling_answers(self):
         proc = _run_cli(["tate", "--invariants",
                          ",".join(["2"] * TATE_RANK_CEILING), "--degree", "1"],
@@ -514,6 +525,32 @@ def test_classify_large_power_of_two(exponent):
     assert proc.returncode == 0, proc.stderr
     assert "homotopy types modulo s.h.e. and h-cobordism:  finite" \
         in proc.stdout
+
+
+class TestDeepAboveTheHminusCeiling:
+    """A deep query refuses only when the branch it takes reads h^- above
+    HMINUS_PHI_CEILING."""
+
+    def test_am_reads_no_class_number_at_a_power_of_two(self, capture):
+        code, out, err = capture(["am", "--m", "8192"])
+        assert (code, err) == (0, "")
+        assert out == ("unknown: order(A_8192) * order(A_16384) >= "
+                       "2^(2^11 - 1); same with e-1 in place of e\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--n", "4", "--m", "6561", "--deep"],
+        ["verify", "--n", "4", "--m", "8192"]])
+    def test_branches_below_the_ceiling_answer(self, capture, argv):
+        code, out, err = capture(argv)
+        assert code == 0 and out and err == ""
+
+    @pytest.mark.parametrize("m", ["4003", "24389"])
+    def test_branches_reading_hminus_above_it_refuse(self, capture, m):
+        # 24389 = 29^3: h is even, so the class parts are read
+        code, out, err = capture(["classify", "--n", "4", "--m", m,
+                                  "--deep"])
+        assert code == 2 and out == ""
+        assert f"is above {HMINUS_PHI_CEILING}" in err
 
 
 def test_hminus_above_phi_ceiling_fails_fast():

@@ -3,15 +3,17 @@ from math import prod
 import pytest
 
 from cycloclass.abelian import FinAbGroup
+from cycloclass.classnumber import h_is_odd
 from cycloclass.involutive import _scalar_sign, tate
 from cycloclass.ktheory import (
     KM_LEVEL_CEILING,
     ScopeError,
+    _class_parts,
     _exact_k0_module,
     _two_power_d_exponent,
+    _wh_fields,
     a_m,
     d_divisibility_bound,
-    k0_description,
     km_v_module,
     nk1_vanishes,
     squarefree,
@@ -74,7 +76,7 @@ class TestStoredDGroups:
     def test_primes_vanish(self):
         for p in (2, 3, 7, 29, 101):
             fact = stored_d_group(p)
-            assert fact.kind == "exact" and fact.module.group.is_trivial()
+            assert fact.module.group.is_trivial()
 
     def test_published_small_composites(self):
         for m in (6, 10, 14):
@@ -109,7 +111,7 @@ class TestStoredDGroups:
         assert stored_d_group(8).module.group.is_trivial()
         assert stored_d_group(16).module.group == FinAbGroup([2])
         d32 = stored_d_group(32)
-        assert d32.kind == "order" and d32.order == 32
+        assert d32.module is None and d32.order == 32
 
     def test_odd_prime_powers_have_odd_order(self):
         for m in (9, 27, 25, 49):
@@ -281,6 +283,9 @@ class TestWhStructure:
 
 
 class TestK0Description:
+    """The class-group data entering the reduced projective class group,
+    each fact read by the branch that needs it."""
+
     def test_module_matches_iterated_sum(self):
         # one negation module from the invariant factors of all the parts,
         # against the parts summed one direct sum at a time
@@ -289,9 +294,9 @@ class TestK0Description:
             if not squarefree(m):
                 continue
             for compute in (False, True):
-                data = k0_description(m, compute=compute)
-                module, _ = _exact_k0_module(data)
-                assert module == oracles.iterated_k0_module(data), m
+                parts = _class_parts(m, compute)
+                module, _ = _exact_k0_module(m, parts)
+                assert module == oracles.iterated_k0_module(m, compute), m
                 if module is not None:
                     assert _scalar_sign(module.group,
                                         module.involution) is not None, m
@@ -300,15 +305,24 @@ class TestK0Description:
         assert (exact, nontrivial) == (28, 6)
 
     def test_m29_parts(self):
-        data = k0_description(29)
-        assert data.h_odd is False  # h_29 = 8
-        assert data.d_fact.module.group.is_trivial()
-        assert data.class_parts[29].status == "exact"
-        assert data.class_parts[29].module.group == FinAbGroup([2, 2, 2])
+        assert h_is_odd(29, False) is False  # h_29 = 8
+        assert stored_d_group(29).module.group.is_trivial()
+        parts = dict(_class_parts(29, False))
+        assert list(parts) == [29]
+        assert parts[29].status == "exact"
+        assert parts[29].module.group == FinAbGroup([2, 2, 2])
 
     def test_m23_unknown_part(self):
-        data = k0_description(23)
-        assert data.class_parts[23].status == "unknown"
-        data_deep = k0_description(23, compute=True)
-        assert data_deep.class_parts[23].status == "bound"
-        assert data_deep.class_parts[23].divisor == 3
+        (d, part), = _class_parts(23, False)
+        assert (d, part.status) == (23, "unknown")
+        (d, part), = _class_parts(23, True)
+        assert (d, part.status, part.divisor) == (23, "bound", 3)
+
+    def test_lazy_reads_match_the_eager_assembly(self):
+        # every fact read before any branch is chosen gives the same
+        # answers wherever that eager read does not raise
+        for m in range(2, 301):
+            for compute in (False, True):
+                assert a_m(m, compute) == oracles.eager_a_m(m, compute), m
+                assert _wh_fields(m, compute) == \
+                    oracles.eager_wh_fields(m, compute), m
