@@ -1,7 +1,7 @@
 """Integer arithmetic on the small numbers of this package, in the stdlib.
 
 Moduli, character orders and field degrees stay far below 2^32, and so do
-the CRT primes of ``classnumber``, just below 2^31.  Primality agrees with
+the CRT primes of ``classnumber``, just below 2^30.  Primality agrees with
 sympy 1.14 (without gmpy2) on every n: trial division by the primes below
 100, then the strong (Miller-Rabin) test on the bases of the first row of
 ``_MR_TABLE`` whose bound exceeds n, which is proven below psi_13 =

@@ -15,7 +15,7 @@ primitive values are read off prime by prime, without a search.
 A Galois orbit of odd characters shares d, f and the c_t, and its members
 put zeta_d at the phi(d) primitive d-th roots of unity.  So h^- is the
 product over the orbits of the values at those roots, times -1/(2f) each,
-taken mod l^k for one prime l = 1 (mod lambda(m)) below 2^31, at the
+taken mod l^k for one prime l = 1 (mod lambda(m)) below 2^30, at the
 Teichmueller lift r^(l^(k-1)) of an r of order lambda(m) mod l (Washington,
 GTM 83, 5.1): the lift has the same order, and each Phi_d, d | lambda(m),
 splits mod l^k at its powers.  The lift is the root of x^lambda(m) = 1
@@ -42,14 +42,20 @@ a fourth root of unity), so
     T(x) = P(x) P(1/x) = R_0 + sum_(0 < u < n/2) (R_u - R_(n - u)) C_u,
 
 one value of ceil(d/4) terms per pair {j, -j}, at picks of the row
-C_s = zeta^s + zeta^(-s), s < d, in which C_0 counts as 1.  When 4 | d and
-d > 4, j + d/2 is a unit as well, and C_u at -x is (-1)^u C_u at x; with
-Re and Ro the parts of T(x) at even and odd u, the quartet {+-j, +-j + d/2}
-contributes T(x) T(-x) = Re^2 - Ro^2, one representative j < d/4 each.
+C_s = zeta^s + zeta^(-s), s < d, in which C_0 counts as 1.  When 4 | d
+and d > 4, j + d/2 is a unit as well, and C_u at -x is (-1)^u C_u at x;
+with Re and Ro the parts of T(x) at even and odd u, the quartet
+{+-j, +-j + d/2} contributes T(x) T(-x) = Re^2 - Ro^2, one representative
+j < d/4 each.
 At d = 4 the one pair gives T = R_0 (C_1 = zeta + zeta^3 = 0), and at
 d = 2 the one unit gives a_0.  So an orbit costs (phi(d)/2) ceil(d/4)
 multiply-adds with residues, a quarter of one value per unit, and about
-d^2/8 products of small integers for the R_u.
+d^2/8 products of small integers for the R_u.  The rows of all the
+orders d are strided slices of one row: with x of order L, the lcm of the
+orders, and zeta = x^(L/d), the row of d is C_(sL/d) at x.  That row
+costs about L/2 products, by C_(s+1) = C_1 C_s - C_(s-1) up to L/2 and
+C_(L-s) = C_s beyond (x^L = 1), where a row per order took d products
+and one full-size power each.
 
 An orbit's norm N of sum_t c_t zeta^t obeys
 
@@ -69,10 +75,12 @@ exponent with
         > 4 (Q w)^2 * prod (d * sum_t q_t^2)^phi(d),
 
 the products over the orbits; the residue of least absolute value mod l^k
-is then h^-.  Two more such primes l' and l'' check it in the same pass,
-taken mod l^k * l' * l'': their product, of about 2^62, is the check
-modulus.  No floating point is involved anywhere: a failed check, or a
-value that is not positive, signals a bug, not rounding error.
+is then h^-.  The bit lengths of the two sides and of l bracket k within
+a step, and at most one exact comparison settles it.  Three more such
+primes check it in the same pass, taken mod l^k l_1 l_2 l_3: their
+product, of about 2^90, is the check modulus.  No floating point is
+involved anywhere: a failed check, or a value that is not positive,
+signals a bug, not rounding error.
 
 The orbits are never walked character by character.  The orbit of chi is
 the set of generators of the cyclic group <chi>, so the orbits are the
@@ -87,17 +95,19 @@ takes one unit of each pair {a, f - a}, and along the longest axis the
 value exponent grows by a fixed step, so the F_t are sums of strided
 slices of the rows.  The orbits must cover the phi(m)/2 odd characters.
 
-The primes l, l' and l'' are found by the stdlib Miller-Rabin test of
-``arith``, which is deterministic below 2^64 and takes three bases below
-4759123141.  The root r of each is a product of one element of order
-s^a per s^a || lambda(m), s prime, each the first x^((l-1)/s^a), x >= 2,
-whose (s^(a-1))-th power is not 1: each trial base x is raised once to
-y = x^((l-1)/lambda(m)), and every part not yet found takes
-y^(lambda(m)/s^a), a small power.  Only prime x are tried: the test
-y^(lambda(m)/s) != 1 is multiplicative in x, so the first x that passes
-it is prime.  The primitive roots behind the characters' generators come
-from the same module, and the order of each generator is checked by
-powering.
+The four primes are found by the stdlib Miller-Rabin test of ``arith``,
+which is deterministic below 2^64 and takes three bases below
+4759123141.  Below 2^30 every candidate, trial base and root is one
+30-bit digit of a CPython int, on which ``pow`` is two to three times as
+fast as on the two digits of a number just below 2^31.  The root r of
+each is a product of one element of order s^a per s^a || lambda(m), s
+prime, each the first x^((l-1)/s^a), x >= 2, whose (s^(a-1))-th power is
+not 1: each trial base x is raised once to y = x^((l-1)/lambda(m)), and
+every part not yet found takes y^(lambda(m)/s^a), a small power.  Only
+prime x are tried: the test y^(lambda(m)/s) != 1 is multiplicative in x,
+so the first x that passes it is prime.  The primitive roots behind the
+characters' generators come from the same module, and the order of each
+generator is checked by powering.
 """
 
 from __future__ import annotations
@@ -329,22 +339,22 @@ def _normalize_modulus(m):
 
 @lru_cache(maxsize=None)
 def _crt_prime(exponent, index):
-    """The index-th prime l below 2^31 with l = 1 (mod exponent), counting
-    down from 2^31, and an element of order exponent modulo l.
+    """The index-th prime l below 2^30 with l = 1 (mod exponent), counting
+    down from 2^30, and an element of order exponent modulo l.
 
-    Below 2^31 the Miller-Rabin test of ``arith`` takes three bases, not
-    seven, on numbers of half the size; hminus evaluates modulo a power of
-    the first prime and checks modulo the product of the next two, of
-    about 2^62.  The element is a product of one z of order r^a per
-    r^a || exponent: z = x^((l-1)/r^a) for the first x >= 2 with
-    z^(r^(a-1)) != 1.  Each trial base x is raised to the full-size power
-    y = x^((l-1)/exponent) once, and each part still open takes its z as
-    the small power y^(exponent/r^a).  The test z^(r^(a-1)) != 1 says
-    x^((l-1)/r) != 1, which holds for a product only if it holds for a
-    factor, so the first base to pass it is prime: composite x are
-    skipped.
+    Below 2^30 the Miller-Rabin test of ``arith`` takes three bases, not
+    seven, and every number it powers is one 30-bit digit; hminus
+    evaluates modulo a power of the first prime and checks modulo the
+    product of the next three, of about 2^90.  The element is a product of
+    one z of order r^a per r^a || exponent: z = x^((l-1)/r^a) for the
+    first x >= 2 with z^(r^(a-1)) != 1.  Each trial base x is raised to
+    the full-size power y = x^((l-1)/exponent) once, and each part still
+    open takes its z as the small power y^(exponent/r^a).  The test
+    z^(r^(a-1)) != 1 says x^((l-1)/r) != 1, which holds for a product only
+    if it holds for a factor, so the first base to pass it is prime:
+    composite x are skipped.
     """
-    top = 2 ** 31 if index == 0 else _crt_prime(exponent, index - 1)[0]
+    top = 2 ** 30 if index == 0 else _crt_prime(exponent, index - 1)[0]
     k = (top - 2) // exponent
     while not isprime(k * exponent + 1):
         k -= 1
@@ -376,10 +386,49 @@ def _teichmueller_lift(root, exponent, ell, power):
     return lift
 
 
-def _norms(d, orbits, zeta, modulus):
+def _precision(ell, bound_sq, scale):
+    """The least k >= 1 with l^(2k) * scale > bound_sq, for a prime l.
+
+    With b and c the bit lengths of bound_sq and scale, and e that of l,
+    bound_sq / scale lies between 2^(b-c-1) and 2^(b-c+1), and log2(l)
+    between e - 2 + l / 2^(e-1) (log2 lies above its chords) and e.  So
+    every k with 2ke <= b - c - 1 fails, every k with
+    2k (e - 2 + l / 2^(e-1)) >= b - c + 1 suffices, and bisection settles
+    the k between with exact comparisons.  For l just below 2^30 the
+    window spans a few hundredths of a step of k (l^2 is about 2^60), so
+    it holds one or two values and at most one comparison is made.
+    """
+    e = ell.bit_length()
+    half = 1 << (e - 1)
+    bits = bound_sq.bit_length() - scale.bit_length()
+    lo = max(1, (bits - 1) // (2 * e) + 1)
+    hi = max(lo, -(-(bits + 1) * half // (2 * ((e - 2) * half + ell))))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ell ** (2 * mid) * scale > bound_sq:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _cos_row(x, order, modulus):
+    """C_s = x^s + x^(-s) mod modulus for s < order, x of that order, with
+    C_0 = 1: C_(s+1) = C_1 C_s - C_(s-1) up to order/2, and
+    C_(order-s) = C_s beyond."""
+    row = [2, (x + pow(x, order - 1, modulus)) % modulus]
+    c1 = row[1]
+    for _ in range(order // 2 - 1):
+        row.append((c1 * row[-1] - row[-2]) % modulus)
+    row[0] = 1
+    return row + row[(order - 1) // 2:0:-1]
+
+
+def _norms(d, orbits, cos, modulus):
     """The product of the norms from Q(zeta_d) of sum_(t < d/2) a_t zeta^t
     over the folded sums a of the orbits of even order d, mod modulus at
-    zeta, a root of order d there that splits Phi_d.
+    zeta, a root of order d there that splits Phi_d, given the row
+    cos of C_s = zeta^s + zeta^(-s) for s < d, C_0 = 1.
 
     A pair of units {j, -j} gives T(zeta^j) = sum_(u < ceil(d/4)) b_u C_(ju),
     b = (R_0, R_1 - R_(n-1), R_2 - R_(n-2), ...), n = d/2, and C_s =
@@ -397,10 +446,6 @@ def _norms(d, orbits, zeta, modulus):
         twisted = a + [-c for c in a]
         pairs.append([sum(map(mul, a, twisted[u:u + n]))
                       for u in range(size)])
-    row = [1] * d
-    for t in range(1, d):
-        row[t] = row[t - 1] * zeta % modulus
-    cos = [1, *(row[s] + row[d - s] for s in range(1, d))]
     value = 1
     if d % 4 or d == 4:
         for j in range(1, n):
@@ -427,11 +472,11 @@ def _norms(d, orbits, zeta, modulus):
 #: takes phi(d)/2 dot products of length ceil(d/4) per orbit of order d
 #: (phi(d)/4 pairs of half-length ones when 4 | d, d > 4) with residues mod
 #: l^k, k growing with the digits of h^-, after about d^2/8 small products
-#: for the coefficients; the orbits (on half the units), CRT primes and the
-#: lift take a few ms of it, and the safe primes cost most: on a shared
-#: 2-core x86-64 host (Python 3.11), three cold CLI runs each, 3947 takes
-#: 2.1-2.4 s and 3863 1.5-1.8 s, the prime square 3721 1.4-1.8 s,
-#: 3 * 1999 1.3-1.6 s and 4 * 1999 1.3-1.5 s
+#: for the coefficients; the orbits (on half the units), CRT primes, k,
+#: the row of x^s + x^-s and the lift take a few ms of it, and the safe
+#: primes cost most: on a shared 2-core x86-64 host (Python 3.11), three
+#: cold CLI runs each, 3947 takes 1.5-1.8 s and 3863 1.5-1.6 s, the prime
+#: square 3721 0.9-1.0 s, 3 * 1999 0.9-1.0 s and 4 * 1999 0.9-1.0 s
 HMINUS_PHI_CEILING = 4000
 
 
@@ -476,21 +521,22 @@ def hminus(m):
         folds.setdefault(d, []).append(folded)
 
     ell, root = _crt_prime(exponent, 0)
-    power = ell
-    while power * power * scale <= bound_sq:
-        power *= ell
+    power = ell ** _precision(ell, bound_sq, scale)
     # the Teichmueller lift of root, joined by CRT with the check roots
     modulus, lift = power, _teichmueller_lift(root, exponent, ell, power)
-    for index in (1, 2):
+    for index in (1, 2, 3):
         prime, prime_root = _crt_prime(exponent, index)
         lift += modulus * ((prime_root - lift) * pow(modulus, -1, prime)
                            % prime)
         modulus *= prime
     check = modulus // power
     value = qw * pow(denominator, -1, modulus)
+    # one row for x of order L = lcm of the orders; that of d is its stride
+    order = lcm(*folds)
+    cos = _cos_row(pow(lift, exponent // order, modulus), order, modulus)
     for d, orbits in folds.items():
-        zeta = pow(lift, exponent // d, modulus)
-        value = value * _norms(d, orbits, zeta, modulus) % modulus
+        value = value * _norms(d, orbits, cos[::order // d], modulus) \
+            % modulus
     h = value % power
     if 2 * h > power:
         h -= power

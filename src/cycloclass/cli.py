@@ -31,7 +31,9 @@ factored).  am, classify --deep and verify refuse at such a modulus only
 when the branch they take reads its h-: am --m 8192 reads no class number
 and answers.  hminus --m 1 prints 1.  sweep reports a per-m scope error as an
 error row of its table, and an h- above HMINUS_PHI_CEILING as "-" in the h-
-columns of a row that keeps its verdicts.
+columns of a row that keeps its verdicts.  A reader that closes stdout
+early (cycloclass ... | head -c 10) ends the output there: the exit code
+is 0 and stderr stays empty.
 """
 
 from __future__ import annotations
@@ -429,7 +431,15 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has all it wanted; what is left in the buffer goes to
+        # devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

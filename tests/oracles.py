@@ -10,7 +10,10 @@ and its own CRT primes below 2^62, the factors multiplied as fractions.
 Both take every odd character from ``characters``, its Galois orbit as its
 powers, and its Bernoulli sums value by value over [1, f).  The
 evaluation of ``hminus`` is redone with one value per unit, where
-``hminus`` takes one per pair {j, -j} through the real subfield.  The Galois
+``hminus`` takes one per pair {j, -j} through the real subfield, its
+precision k found one power of l at a time, where ``hminus`` brackets it
+by bit lengths, and the row of x^s + x^(-s) built per order from its own
+powers, where ``hminus`` slices one row for all the orders.  The Galois
 orbits of odd characters are also walked as exponent tuples, one
 character built per orbit, and over the Sylow parts as ``hminus`` walks
 them, on the table of every unit and with sums for every t, before the
@@ -975,7 +978,7 @@ def crt_prime(exponent, index, bits=62):
     """The index-th prime l below 2^bits with l = 1 (mod exponent), counting
     down from 2^bits, and the first x^((l-1)/exponent) of order exponent
     modulo l, x = 2, 3, ...: by default primes of another size than those
-    of ``classnumber.hminus``, found by sympy; with bits = 31, the primes
+    of ``classnumber.hminus``, found by sympy; with bits = 30, the primes
     of ``classnumber._crt_prime``, with a root found by a plain search."""
     top = 2 ** bits if index == 0 else crt_prime(exponent, index - 1, bits)[0]
     k = (top - 2) // exponent
@@ -992,10 +995,10 @@ def crt_prime(exponent, index, bits=62):
 @lru_cache(maxsize=None)
 def crt_prime_per_part(exponent, index):
     """``classnumber._crt_prime`` with one loop over the trial bases per
-    part: the index-th prime l below 2^31 with l = 1 (mod exponent), and
+    part: the index-th prime l below 2^30 with l = 1 (mod exponent), and
     the product over r^a || exponent of z = x^((l-1)/r^a) for the first
     x >= 2 with z^(r^(a-1)) != 1."""
-    top = 2 ** 31 if index == 0 else crt_prime_per_part(exponent,
+    top = 2 ** 30 if index == 0 else crt_prime_per_part(exponent,
                                                         index - 1)[0]
     k = (top - 2) // exponent
     while not isprime(k * exponent + 1):
@@ -1102,36 +1105,65 @@ def orbit_hminus(m):
     return int(total)
 
 
+def _qw(m):
+    return (1 if len(_unit_group(m)) == 1 else 2) * (2 * m if m % 2 else m)
+
+
+def norm_bound(m):
+    """(bound_sq, scale) of ``classnumber.hminus`` at a normalised m > 2:
+    the modulus l^k must have l^(2k) * scale > bound_sq."""
+    bound_sq, scale = 4 * _qw(m) ** 2, 1
+    for d, f, folded in _odd_orbits(m):
+        phi_d = int(totient(d))
+        bound_sq *= (d ** 3 // 2 * sum(c * c for c in folded)) ** phi_d
+        scale *= (2 * d * f) ** (2 * phi_d) * phi_d ** phi_d
+    return bound_sq, scale
+
+
+def least_precision(ell, bound_sq, scale):
+    """The least k >= 1 with l^(2k) * scale > bound_sq, one power of l at
+    a time."""
+    power, k = ell, 1
+    while power * power * scale <= bound_sq:
+        power, k = power * ell, k + 1
+    return k
+
+
+def cos_row(zeta, d, modulus):
+    """zeta^s + zeta^(-s) mod modulus for s < d, zeta of order d, the first
+    entry 1: the row of one order, from its own powers of zeta."""
+    powers = [1] * d
+    for t in range(1, d):
+        powers[t] = powers[t - 1] * zeta % modulus
+    return [1, *((powers[s] + powers[d - s]) % modulus
+                 for s in range(1, d))]
+
+
 def hminus_per_unit(m):
     """``classnumber.hminus`` with one value per unit: the orbits of
     ``_odd_orbits``, the primes of ``_crt_prime`` and the same modulus
-    l^k * l' * l'', but each orbit of order d evaluated at every unit
-    j mod d as the folded sum sum_(t < d/2) a_t zeta^(j t), except that
-    for 4 | d the units j and j + d/2 share one pick of the powers and
-    give (E + O)(E - O), E and O the parts at even and odd t."""
+    l^k * l_1 * l_2 * l_3, k found one power of l at a time, but each orbit
+    of order d evaluated at every unit j mod d as the folded sum
+    sum_(t < d/2) a_t zeta^(j t), except that for 4 | d the units j and
+    j + d/2 share one pick of the powers and give (E + O)(E - O), E and O
+    the parts at even and odd t."""
     m = _normalize_modulus(m)
     if m <= 2:
         return 1
-    qw = (1 if len(_unit_group(m)) == 1 else 2) * (2 * m if m % 2 else m)
+    qw = _qw(m)
     exponent = lcm(*_generator_orders(m))
-    units, folds = {}, {}
-    bound_sq, scale, denominator = 4 * qw * qw, 1, 1
+    units, folds, denominator = {}, {}, 1
     for d, f, folded in _odd_orbits(m):
         if d not in units:
             units[d] = [j for j in range(1, d) if gcd(j, d) == 1]
-        phi_d = len(units[d])
-        bound_sq *= (d ** 3 // 2 * sum(c * c for c in folded)) ** phi_d
-        scale *= (2 * d * f) ** (2 * phi_d) * phi_d ** phi_d
-        denominator *= (-2 * f) ** phi_d
+        denominator *= (-2 * f) ** len(units[d])
         folds.setdefault(d, []).append(
             (folded[0::2], folded[1::2]) if d % 4 == 0 else folded)
 
     ell, root = _crt_prime(exponent, 0)
-    power = ell
-    while power * power * scale <= bound_sq:
-        power *= ell
+    power = ell ** least_precision(ell, *norm_bound(m))
     modulus, lift = power, _teichmueller_lift(root, exponent, ell, power)
-    for index in (1, 2):
+    for index in (1, 2, 3):
         prime, prime_root = _crt_prime(exponent, index)
         lift += modulus * ((prime_root - lift) * pow(modulus, -1, prime)
                            % prime)

@@ -154,12 +154,12 @@ class TestIsprime:
         assert not arith.isprime(n)
 
     def test_crt_primes(self):
-        # the largest primes below 2^31 (hminus) and below 2^62 (its
+        # the largest primes below 2^30 (hminus) and below 2^62 (its
         # oracle) of the shape k * 2520 + 1
-        for bits in (31, 62):
+        for bits in (30, 62):
             k = (2 ** bits - 2) // 2520
             found = 0
-            while found < 3:
+            while found < 4:
                 n = k * 2520 + 1
                 assert arith.isprime(n) == sympy.isprime(n), n
                 found += arith.isprime(n)

@@ -350,6 +350,27 @@ def _exponents_to_2000():
                    for m in range(3, 2001) if m % 4 != 2})
 
 
+class _CountedInt(int):
+    """An int that counts the products taken with it on the right."""
+    products = 0
+
+    def __rmul__(self, other):
+        type(self).products += 1
+        return other * int(self)
+
+
+def _assert_least_precision(m):
+    # the bracket from the bit lengths leaves at most one comparison, and
+    # k is the least one, as the loop over the powers of l finds it
+    exponent = lcm(*classnumber._generator_orders(m))
+    ell = classnumber._crt_prime(exponent, 0)[0]
+    bound_sq, scale = oracles.norm_bound(m)
+    _CountedInt.products = 0
+    k = classnumber._precision(ell, bound_sq, _CountedInt(scale))
+    assert _CountedInt.products <= 1, m
+    assert k == oracles.least_precision(ell, bound_sq, scale), m
+
+
 #: the SHA-256 of h^- near the ceiling, beyond the orbit oracle, as the
 #: per-unit evaluation (``oracles.hminus_per_unit``) gives it: the check
 #: primes see an algebra slip alike at every prime, so these values catch
@@ -421,9 +442,9 @@ class TestHminus:
         # the roots built from prime-power parts have order lambda(m), and
         # the primes are those of the plain countdown and root search
         for exponent in _exponents_to_2000():
-            for index in (0, 1, 2):
+            for index in (0, 1, 2, 3):
                 ell, root = classnumber._crt_prime(exponent, index)
-                assert ell == oracles.crt_prime(exponent, index, 31)[0]
+                assert ell == oracles.crt_prime(exponent, index, 30)[0]
                 assert pow(root, exponent, ell) == 1, (exponent, index)
                 assert all(pow(root, exponent // r, ell) != 1
                            for r in arith.factorint(exponent))
@@ -432,10 +453,55 @@ class TestHminus:
         # one full-size power per trial base: each part takes its root
         # from the first base that its own loop over the bases finds
         for exponent in _exponents_to_2000():
-            for index in (0, 1, 2):
+            for index in (0, 1, 2, 3):
                 assert classnumber._crt_prime(exponent, index) == \
                     oracles.crt_prime_per_part(exponent, index), \
                     (exponent, index)
+
+    def test_crt_primes_fit_one_digit(self):
+        # the evaluation prime and the three check primes are distinct,
+        # below 2^30, and 1 mod the exponent; the check modulus is above
+        # 2^60
+        for exponent in _exponents_to_2000():
+            primes = [classnumber._crt_prime(exponent, index)[0]
+                      for index in range(4)]
+            assert len(set(primes)) == 4, exponent
+            assert all(ell < 2 ** 30 and ell % exponent == 1
+                       for ell in primes), exponent
+            assert prod(primes[1:]) > 2 ** 60, exponent
+
+    def test_precision_is_the_least_k(self):
+        for m in range(3, 2001):
+            if m % 4 != 2:
+                _assert_least_precision(m)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m", _CEILING_DIGESTS)
+    def test_precision_is_the_least_k_at_the_ceiling(self, m):
+        _assert_least_precision(m)
+
+    def test_strided_row_matches_the_row_per_order(self):
+        # the row of x^s + x^(-s) at x of order lambda(m), sliced with
+        # stride lambda(m)/d, is the row of zeta = x^(lambda(m)/d) for every
+        # even d | lambda(m), and gives _norms the same value
+        rng = random.Random(300)
+        for exponent in sorted({lcm(*classnumber._generator_orders(m))
+                                for m in range(3, 301) if m % 4 != 2}):
+            ell, root = classnumber._crt_prime(exponent, 0)
+            modulus = ell ** 2
+            x = classnumber._teichmueller_lift(root, exponent, ell, modulus)
+            row = classnumber._cos_row(x, exponent, modulus)
+            for d in range(2, exponent + 1, 2):
+                if exponent % d:
+                    continue
+                strided = row[::exponent // d]
+                per_order = oracles.cos_row(
+                    pow(x, exponent // d, modulus), d, modulus)
+                assert strided == per_order, (exponent, d)
+                orbits = [[rng.randint(-10 ** 6, 10 ** 6)
+                           for _ in range(d // 2)] for _ in range(2)]
+                assert classnumber._norms(d, orbits, strided, modulus) == \
+                    classnumber._norms(d, orbits, per_order, modulus)
 
     @pytest.mark.parametrize("d", range(2, 65, 2))
     def test_paired_norms_are_the_product_over_the_units(self, d):
@@ -455,7 +521,8 @@ class TestHminus:
                 for a in orbits:
                     expected = expected * sum(
                         c * pow(x, t, ell) for t, c in enumerate(a)) % ell
-        assert classnumber._norms(d, orbits, zeta, ell) == expected
+        assert classnumber._norms(d, orbits, oracles.cos_row(zeta, d, ell),
+                                  ell) == expected
 
     @pytest.mark.parametrize("m", [3, 7, 25, 3 * 49, 4 * 81])
     def test_generator_of_wrong_order_is_an_internal_error(self, m,
@@ -471,8 +538,8 @@ class TestHminus:
 
     @pytest.mark.parametrize("m", [23, 257, 1009])
     def test_one_prime_power_and_one_check_prime(self, m, monkeypatch):
-        # the check modulus is the product of the primes 1 and 2, distinct
-        # primes below 2^31 whose product exceeds 2^60
+        # the check modulus is the product of the primes 1, 2 and 3,
+        # distinct primes below 2^30 whose product exceeds 2^60
         used, original = {}, classnumber._crt_prime
 
         def record(exponent, index):
@@ -482,10 +549,11 @@ class TestHminus:
         monkeypatch.setattr(classnumber, "_crt_prime", record)
         hminus.cache_clear()
         hminus(m)
-        assert set(used) == {0, 1, 2}
-        assert all(ell < 2 ** 31 and arith.isprime(ell)
+        assert set(used) == {0, 1, 2, 3}
+        assert all(ell < 2 ** 30 and arith.isprime(ell)
                    for ell in used.values())
-        assert used[1] != used[2] and used[1] * used[2] > 2 ** 60
+        assert len({used[1], used[2], used[3]}) == 3
+        assert used[1] * used[2] * used[3] > 2 ** 60
 
     @pytest.mark.parametrize("m", [4003, 2 * 4003, 4 * 4003, 10007])
     def test_phi_ceiling(self, m):
@@ -531,6 +599,13 @@ class TestHminus:
         for m in range(301, 10 ** 4):
             if m % 4 != 2 and arith.totient(m) <= 1000:
                 assert hminus(m) == oracles.hminus_per_unit(m), m
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m", [*_CEILING_DIGESTS, 2039])
+    def test_against_per_unit_oracle_at_the_ceiling(self, m):
+        # one value per unit, not per pair: beyond 2039 no other oracle
+        # evaluates h^- in the suite
+        assert hminus(m) == oracles.hminus_per_unit(m), m
 
     @pytest.mark.slow
     @pytest.mark.parametrize("m", _CEILING_DIGESTS)

@@ -570,6 +570,21 @@ def test_hminus_of_a_huge_semiprime_fails_fast():
 
 
 @pytest.mark.parametrize("argv", [
+    ["hminus", "--m", "39"],
+    ["--format", "json", "sweep", "--n", "4", "--m-min", "2",
+     "--m-max", "400"]])
+def test_reader_that_closes_stdout_early(argv):
+    # the read end is closed before the child writes a byte: the output
+    # ends there, with exit code 0 and nothing on stderr
+    proc = subprocess.Popen([sys.executable, "-m", "cycloclass.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env())
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and err == b""
+
+
+@pytest.mark.parametrize("argv", [
     ["classify", "--n", "4"], ["am"], ["verify", "--n", "4"], ["vtilde"],
     ["cbound"], ["a2k", "--k", "2"]])
 def test_unfactored_modulus_fails_fast(argv):
