@@ -17,42 +17,10 @@ The layers, bottom up:
 - ``ktheory``: tri-state assembly of the involutive class-group data.
 - ``manifoldset``: the classifier and its independent verification pass.
 - ``cli``: the ``cycloclass`` command-line tool.
-"""
 
-from .abelian import (
-    AbHom,
-    FinAbGroup,
-    IntMatrix,
-    cokernel,
-    image,
-    kernel,
-    snf,
-    subgroup_generated,
-    subquotient,
-)
-from .involutive import InvModule, Sign, eigen_set, norm_image_set, tate
-from .residue import (
-    ResidueRingUnits,
-    UnitQuotient,
-    UnsupportedModulusError,
-    c_bound,
-    residue_units,
-    unit_quotient,
-    vtilde,
-)
-from .classnumber import hminus, hp_is_odd, known_class_group, odd_part
-from .ktheory import (
-    Knowledge,
-    ScopeError,
-    WhStructure,
-    a_m,
-    d_divisibility_bound,
-    km_v_module,
-    nk1_vanishes,
-    stored_d_group,
-    wh_rank,
-    wh_structure,
-)
-from .manifoldset import ManifoldSetReport, a2k_order, classify, sweep, verify
+The modules are the API: import each name from the module that defines
+it, as in ``from cycloclass.classnumber import hminus``.  The package
+itself holds only ``__version__``, so importing it loads no layer.
+"""
 
 __version__ = "0.1.0"

@@ -484,14 +484,18 @@ HMINUS_PHI_CEILING = 4000
 def hminus(m):
     """|C(Z[zeta_m])^-|, evaluated exactly.
 
-    The modulus is normalised so that m = 2 mod 4 coincides with m/2 (the
-    fields agree).  Q is 1 for prime powers and 2 otherwise; w counts the
-    roots of unity of the field.  Every character order divides the
-    exponent of (Z/m)^x, so one root of that order serves every orbit.
+    The fields of m = 2 mod 4 and m/2 agree, so m = 2 mod 4 reads the
+    cached entry of m/2 and each field is evaluated once.  Q is 1 for
+    prime powers and 2 otherwise; w counts the roots of unity of the
+    field.  Every character order divides the exponent of (Z/m)^x, so one
+    root of that order serves every orbit.
     Moduli with phi(m) above HMINUS_PHI_CEILING raise
     UnsupportedModulusError before any character is built, and moduli
     above 2 * HMINUS_PHI_CEILING^2 before m is factored.
     """
+    m = int(m)
+    if m % 4 == 2:
+        return hminus(m // 2)
     m = _normalize_modulus(m)
     if m <= 2:
         return 1

@@ -12,12 +12,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .abelian import FinAbGroup
-from .arith import divisors, factorint, isprime
+from .arith import UnsupportedModulusError, divisors, factorint, isprime
 from .involutive import InvModule, Sign, eigen_set, norm_image_set, tate
 from .classnumber import h_is_odd, hminus, hminus_is_one, \
     known_class_group, odd_part
 from .record import Record
-from .residue import UnsupportedModulusError, vtilde
+from .residue import vtilde
 
 
 class ScopeError(ValueError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from .arith import factorint
+from .arith import UnsupportedModulusError, factorint
 from .classnumber import hminus, known_class_group, odd_part
 from .ktheory import (
     ScopeError,
@@ -23,7 +23,7 @@ from .ktheory import (
     wh_structure,
 )
 from .record import Record
-from .residue import UnsupportedModulusError, c_bound, vtilde
+from .residue import c_bound, vtilde
 
 
 #: complete list of m with a single simple homotopy type in the homotopy class

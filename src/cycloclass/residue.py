@@ -8,12 +8,12 @@ F_p[lambda_n], lambda_n = zeta_n + zeta_n^(-1).
 
 The quotient F_p[zeta_n]^x / F_p[lambda_n]^x is not built as a quotient.
 By Hilbert 90, u -> u/ubar identifies it with the norm-one torus
-{t : t tbar = 1}.  Conjugation permutes the factor fields.  A
-self-conjugate factor (f = 2 f+, where f+ is the order of p in
-(Z/n)^x/{+-1}) gives its elements of norm one over F_{p^(f/2)}, a cyclic
-group of order p^(f/2) + 1; a pair of conjugate factors gives one copy of
-F_{p^f}^x, cyclic of order p^f - 1.  For n <= 2 conjugation is trivial and
-so is the torus.
+{t : t tbar = 1}.  Conjugation permutes the factor fields.  They are
+self-conjugate when -1 is a power of p mod n, that is p^(f/2) = -1 mod n;
+each then gives its elements of norm one over F_{p^(f/2)}, a cyclic group
+of order p^(f/2) + 1.  Otherwise they come in conjugate pairs, and a pair
+gives one copy of F_{p^f}^x, cyclic of order p^f - 1.  For n <= 2
+conjugation is trivial and so is the torus.
 
 The reduction map of this module sends zeta_m and the non-real unit
 1 - zeta into the sum of these tori at the primes of m.  On the tori,
@@ -31,10 +31,9 @@ on vtilde(m) is negation.  A torus of more than TORUS_BITS_CEILING bits is
 refused before any p^f - 1 is formed.
 
 The integer arithmetic (factorisation of m, primality and Euler's phi)
-comes from the stdlib module ``arith``, and so do the two exceptions,
-re-exported here: ``UnsupportedModulusError``, which ``arith`` raises for
-a modulus it cannot factor within its budget, and
-``InternalConsistencyError``.
+comes from the stdlib module ``arith``, and so do the two exceptions:
+``UnsupportedModulusError``, which ``arith`` raises for a modulus it
+cannot factor within its budget, and ``InternalConsistencyError``.
 """
 
 from __future__ import annotations
@@ -64,18 +63,6 @@ def order_mod(a, n):
         while k % r == 0 and pow(a, k // r, n) == 1:
             k //= r
     return k
-
-
-def order_mod_signed(a, n):
-    """Order of a in (Z/n)^x / {+-1}: least k with a^k = +-1 mod n.
-
-    With f the order of a, some a^k = -1 forces f | 2k and f not | k, so
-    a^k = a^(f/2): the order is f/2 when a^(f/2) = -1, and f otherwise.
-    """
-    if n <= 2:
-        return 1
-    f = order_mod(a, n)
-    return f // 2 if f % 2 == 0 and pow(a, f // 2, n) == n - 1 else f
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +122,7 @@ class UnitQuotient(Record):
         f, count = units.field_degree, units.factor_count
         if n <= 2:
             group = FinAbGroup()
-        elif 2 * order_mod_signed(p, n) == f:
+        elif f % 2 == 0 and pow(p, f // 2, n) == n - 1:
             group = FinAbGroup([p ** (f // 2) + 1] * count)
         else:
             group = FinAbGroup([p ** f - 1] * (count // 2))

@@ -37,8 +37,8 @@ class-group fact read before a branch is chosen, as the oracle of the
 lazy reads of ``ktheory``.  The determinant, the Smith-normal-form
 solver, the zero map and the zero tests of matrices and maps, direct sums
 of groups and of modules (and the class-group module summed one part at a
-time), corestriction, primary parts and the swap square live here as
-well: only the tests use them.
+time), corestriction, primary parts, the swap square and the order of a
+unit up to sign live here as well: only the tests use them.
 """
 
 import random
@@ -60,6 +60,8 @@ from cycloclass.abelian import (
     snf,
     subgroup_generated,
 )
+from cycloclass.arith import InternalConsistencyError, \
+    UnsupportedModulusError
 from cycloclass.classnumber import (
     HMINUS_ONE,
     ODD_HMINUS_ONE,
@@ -89,12 +91,9 @@ from cycloclass.ktheory import (
 )
 from cycloclass.record import Record
 from cycloclass.residue import (
-    InternalConsistencyError,
     _decompose,
     _second_generator_root,
     order_mod,
-    order_mod_signed,
-    UnsupportedModulusError,
     unit_quotient,
     vtilde,
 )
@@ -1535,6 +1534,18 @@ class FactorField:
         if self.pow(self.generator, result) != y:
             raise InternalConsistencyError("discrete log verification failed")
         return result
+
+
+def order_mod_signed(a, n):
+    """Order of a in (Z/n)^x / {+-1}: least k with a^k = +-1 mod n.
+
+    With f the order of a, some a^k = -1 forces f | 2k and f not | k, so
+    a^k = a^(f/2): the order is f/2 when a^(f/2) = -1, and f otherwise.
+    """
+    if n <= 2:
+        return 1
+    f = order_mod(a, n)
+    return f // 2 if f % 2 == 0 and pow(a, f // 2, n) == n - 1 else f
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from cycloclass import arith, classnumber
 from cycloclass.abelian import FinAbGroup
+from cycloclass.arith import InternalConsistencyError, \
+    UnsupportedModulusError
 from cycloclass.classnumber import (
     HMINUS_ONE,
     HMINUS_PHI_CEILING,
@@ -22,8 +24,6 @@ from cycloclass.classnumber import (
     odd_part,
 )
 from cycloclass.cli import run
-from cycloclass.residue import InternalConsistencyError, \
-    UnsupportedModulusError
 from oracles import characters
 
 
@@ -207,6 +207,34 @@ def _unfold(d, f, folded):
         [(pair - g) // 2 for g in folded]
 
 
+#: the SHA-256 of h^- near the ceiling, beyond the orbit oracle, as the
+#: per-unit evaluation (``oracles.hminus_per_unit``) gives it: the check
+#: primes see an algebra slip alike at every prime, so these values catch
+#: it; the safe primes, the prime squares and 3, 4 times 1019 and 1999
+_CEILING_DIGESTS = {
+    1523:
+        "dc3b403aee6fa5996d01e336e698289f51d4a8ffe8d642fbf547db229084efc9",
+    2999:
+        "505934befbd9309dd34ce8b8b8f3b382addcfc0fa723c51346bc5f4cdd0714e5",
+    3863:
+        "3b2bc7c8a565d99a82ba59aa30b4228d37ab00c9618a7032e76fd48f295a7ac1",
+    3947:
+        "458d13c79373b8dea0240453daad7ba25458726657da33862f50a3324f25bedb",
+    41 ** 2:
+        "8fb168a489f69bfc9bedf866b9946a3cb7a8e6c24b43e0c00e6a3a66573df650",
+    61 ** 2:
+        "8bacbcac1c13b0e8c2d4e094efec4cbed591dacd4b10d7f619126457e1d49bd2",
+    3 * 1019:
+        "572a7aac3ede4119b9c73e6346e544bbf7ce8ff948f40d2a931b738ccc0af9c1",
+    4 * 1019:
+        "79d137566229d3cf5174a8614c6291e4f88cb043faf1f78b7093686e15478df3",
+    3 * 1999:
+        "5c4e60c6f81e39f23813efe88525f31c88f2c718fab23777ea9a72b4887d8217",
+    4 * 1999:
+        "893ba0d82f64d81203842869d4af4b374ebd6af2306779559d133d11069b41e3",
+}
+
+
 def _assert_orbits_match_the_oracles(m):
     """_odd_orbits(m) against the fold of ``oracles.full_orbits``, orbit by
     orbit, and, unfolded, against the orbits from ``characters`` and the
@@ -235,6 +263,13 @@ class TestOddOrbits:
         for m in range(3, 10 ** 4):
             if m % 4 != 2 and arith.totient(m) <= 1000:
                 _assert_orbits_match_the_oracles(m)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m", [*_CEILING_DIGESTS, 2039])
+    def test_against_characters_at_the_ceiling(self, m):
+        # the orbit sums and conductors, which every check prime and the
+        # per-unit oracle take from the same orbits as hminus
+        _assert_orbits_match_the_oracles(m)
 
     def test_fold_identity(self):
         # a -> f - a moves the value zeta^t of an odd character to
@@ -369,34 +404,6 @@ def _assert_least_precision(m):
     k = classnumber._precision(ell, bound_sq, _CountedInt(scale))
     assert _CountedInt.products <= 1, m
     assert k == oracles.least_precision(ell, bound_sq, scale), m
-
-
-#: the SHA-256 of h^- near the ceiling, beyond the orbit oracle, as the
-#: per-unit evaluation (``oracles.hminus_per_unit``) gives it: the check
-#: primes see an algebra slip alike at every prime, so these values catch
-#: it; the safe primes, the prime squares and 3, 4 times 1019 and 1999
-_CEILING_DIGESTS = {
-    1523:
-        "dc3b403aee6fa5996d01e336e698289f51d4a8ffe8d642fbf547db229084efc9",
-    2999:
-        "505934befbd9309dd34ce8b8b8f3b382addcfc0fa723c51346bc5f4cdd0714e5",
-    3863:
-        "3b2bc7c8a565d99a82ba59aa30b4228d37ab00c9618a7032e76fd48f295a7ac1",
-    3947:
-        "458d13c79373b8dea0240453daad7ba25458726657da33862f50a3324f25bedb",
-    41 ** 2:
-        "8fb168a489f69bfc9bedf866b9946a3cb7a8e6c24b43e0c00e6a3a66573df650",
-    61 ** 2:
-        "8bacbcac1c13b0e8c2d4e094efec4cbed591dacd4b10d7f619126457e1d49bd2",
-    3 * 1019:
-        "572a7aac3ede4119b9c73e6346e544bbf7ce8ff948f40d2a931b738ccc0af9c1",
-    4 * 1019:
-        "79d137566229d3cf5174a8614c6291e4f88cb043faf1f78b7093686e15478df3",
-    3 * 1999:
-        "5c4e60c6f81e39f23813efe88525f31c88f2c718fab23777ea9a72b4887d8217",
-    4 * 1999:
-        "893ba0d82f64d81203842869d4af4b374ebd6af2306779559d133d11069b41e3",
-}
 
 
 class TestHminus:
@@ -645,9 +652,31 @@ class TestHminus:
         assert err.startswith("internal consistency failure: analytic minus")
         assert "Traceback" not in err
 
+    @pytest.mark.slow
+    def test_divisibility_up_to_1000(self):
+        # h^-(n) | h^-(m) for n | m (Washington, GTM 83, Prop. 4.11)
+        pairs = [(n, m) for m in range(2, 1001) for n in range(2, m)
+                 if m % n == 0]
+        assert len(pairs) == 5070
+        for n, m in pairs:
+            assert hminus(m) % hminus(n) == 0, (n, m)
+
     def test_two_mod_four_pairing(self):
         for m in (3, 5, 15, 29, 39, 65):
             assert hminus(2 * m) == hminus(m)
+
+    def test_two_mod_four_reads_the_entry_of_the_half(self, monkeypatch):
+        # the field of 78 is that of 39: its orbits are walked once
+        calls, original = [], classnumber._odd_orbits
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(classnumber, "_odd_orbits", counting)
+        hminus.cache_clear()
+        assert hminus(39) == 2 and calls == [39]
+        assert hminus(78) == 2 and calls == [39]
 
     def test_ones_below_sixty(self):
         computed = {m for m in range(2, 61) if hminus(m) == 1}

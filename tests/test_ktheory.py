@@ -3,6 +3,7 @@ from math import prod
 import pytest
 
 from cycloclass.abelian import FinAbGroup
+from cycloclass.arith import UnsupportedModulusError
 from cycloclass.classnumber import h_is_odd
 from cycloclass.involutive import _scalar_sign, tate
 from cycloclass.ktheory import (
@@ -21,7 +22,6 @@ from cycloclass.ktheory import (
     wh_rank,
     wh_structure,
 )
-from cycloclass.residue import UnsupportedModulusError
 
 import oracles
 

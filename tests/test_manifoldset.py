@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from cycloclass import classnumber, ktheory, manifoldset, residue
+from cycloclass.arith import UnsupportedModulusError
 from cycloclass.ktheory import ScopeError, squarefree
 from cycloclass.manifoldset import (
     MHCOB_TRIVIAL,
@@ -14,7 +15,6 @@ from cycloclass.manifoldset import (
     sweep,
     verify,
 )
-from cycloclass.residue import UnsupportedModulusError
 
 
 class TestA2kOrder:

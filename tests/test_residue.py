@@ -5,12 +5,11 @@ import pytest
 from sympy import factorint
 
 from cycloclass.abelian import FinAbGroup, cokernel, image
+from cycloclass.arith import UnsupportedModulusError
 from cycloclass.involutive import InvModule, Sign, eigen_set
 from cycloclass.residue import (
-    UnsupportedModulusError,
     c_bound,
     order_mod,
-    order_mod_signed,
     residue_units,
     unit_quotient,
     vtilde,
@@ -23,6 +22,7 @@ from oracles import (
     oracle_unit_quotient,
     oracle_vtilde,
     oracle_vtilde_module,
+    order_mod_signed,
     pgcd,
     pnormal,
     psi_plus_presentation,

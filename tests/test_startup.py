@@ -58,6 +58,36 @@ def _added_modules(code):
     return set(proc.stdout.split())
 
 
+def _package_modules(added):
+    return {name for name in added if name.split(".")[0] == "cycloclass"}
+
+
+def test_package_import_loads_no_layer():
+    # the package holds only __version__; its modules are the API
+    assert _package_modules(_added_modules("import cycloclass")) == \
+        {"cycloclass"}
+
+
+def test_library_import_loads_only_its_layers():
+    added = _added_modules("import cycloclass.classnumber")
+    assert _package_modules(added) == {
+        "cycloclass", "cycloclass.record", "cycloclass.arith",
+        "cycloclass.abelian", "cycloclass.classnumber"}
+
+
+def test_cli_import_loads_every_layer_and_no_more_of_the_stdlib():
+    # the stdlib modules that the package's modules import at their top
+    stdlib = _added_modules(
+        "import __future__, argparse, enum, functools, itertools, math, "
+        "operator, os, sys")
+    added = _added_modules("import cycloclass, cycloclass.cli")
+    assert _package_modules(added) == {"cycloclass"} | {
+        f"cycloclass.{layer}" for layer in (
+            "record", "arith", "abelian", "involutive", "residue",
+            "classnumber", "ktheory", "manifoldset", "cli")}
+    assert added - _package_modules(added) <= stdlib
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     added = _added_modules("import cycloclass, cycloclass.cli")
     assert "cycloclass.cli" in added
