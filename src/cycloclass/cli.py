@@ -34,13 +34,20 @@ error row of its table, and an h- above HMINUS_PHI_CEILING as "-" in the h-
 columns of a row that keeps its verdicts.  A reader that closes stdout
 early (cycloclass ... | head -c 10) ends the output there: the exit code
 is 0 and stderr stays empty.
+
+An argv in the plain form is read directly: every option named in full,
+each value in the next word, a value starting with "-" only as a negative
+integer, and --format and --cache before or after the subcommand.
+argparse is imported only for the rest: --help, abbreviations such as
+--form, --m=39, and every malformed line.  Both parsers read one grammar,
+_COMMANDS, so the help and the usage errors are argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+import types
 
 from .abelian import AbHom, FinAbGroup, IntMatrix
 from .arith import InternalConsistencyError, UnsupportedModulusError
@@ -54,9 +61,12 @@ SCHEMA_VERSION = 2
 CACHE_ENV_VAR = "CYCLOCLASS_CACHE"
 
 #: the most invariant factors tate --invariants admits.  The involution is
-#: an r x r matrix, so time and memory grow as r^2: with the default
-#: negation, the costliest rank-1024 inputs tried (1024 factors 2, 2^64,
-#: or 3 * 2^(k mod 60)) answer in 0.25-0.45 s cold with a peak RSS of 31 MB,
+#: an r x r matrix.  With the default negation, time and memory grow as
+#: r^2: the costliest rank-1024 inputs tried (1024 factors 2, 2^64, or
+#: 3 * 2^(k mod 60)) answer in 0.25-0.45 s cold with a peak RSS of 31 MB.
+#: With an explicit --involution, snf makes the time about cubic: the pair
+#: swap on (Z/2)^r takes 3.3-3.6 s cold at r = 200, and 6.4-6.9 s at
+#: r = 250, the largest such matrix that fits in one 128 KB argument.  All
 #: on a 2-core x86-64 host (Python 3.11).  A larger rank is refused once
 #: the factors are normalised, before any matrix is built.
 TATE_RANK_CEILING = 1024
@@ -66,67 +76,123 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+_FORMATS = ("text", "json")
+_INT = {"type": int, "required": True}
+
+#: the grammar of the command line, read by both parsers: each subcommand
+#: maps to its help, its options as argparse keywords, and the options of
+#: which exactly one must be given.  An option with an action is a
+#: store_true flag; any other takes one value
+_COMMANDS = {
+    "classify": ("classify the manifold sets at (n, m)", {
+        "--n": _INT, "--m": _INT,
+        "--deep": {"action": "store_true",
+                   "help": "recompute the analytic ingredients as well"}}, ()),
+    "sweep": ("classify a range of m at fixed n", {
+        "--n": _INT, "--m-min": _INT, "--m-max": _INT}, ()),
+    "verify": ("cross-check the rules against recomputed ingredients", {
+        "--n": _INT, "--m": _INT}, ()),
+    "hminus": ("minus part of the cyclotomic class number", {"--m": _INT}, ()),
+    "cbound": ("divisibility bound for the unit cokernel", {"--m": _INT}, ()),
+    "vtilde": ("the unit cokernel, in invariant factors", {"--m": _INT}, ()),
+    "am": ("Tate group of the projective class group", {"--m": _INT}, ()),
+    "a2k": ("order of the realisable automorphism group", {
+        "--k": _INT, "--m": _INT}, ()),
+    "tate": ("Tate cohomology of an involutive module", {
+        "--degree": _INT,
+        "--km": {"type": int, "metavar": "N",
+                 "help": "use the level-2^(N+1) negation module"},
+        "--invariants": {"type": str,
+                         "help": "comma-separated invariant factors"},
+        "--involution": {"type": str,
+                         "help": "matrix rows separated by ';', entries by "
+                                 "','; defaults to negation"}},
+        ("--km", "--invariants")),
+}
+
+
+def _dest(option):
+    return option[2:].replace("-", "_")
+
+
+def _parse(argv):
+    """The namespace argparse gives for ``argv`` in the plain form, else
+    None.  The plain form names each option in full and gives its value in
+    the next word; a value may start with "-" only as a negative integer.
+    --format and --cache may come before or after the subcommand, and the
+    last occurrence of an option wins, as in argparse."""
+    args = {"format": "text", "cache": None}
+    options = {"--format": {"choices": _FORMATS}, "--cache": {}}
+    given = set()
+    words = iter(argv)
+    for word in words:
+        if "command" not in args and word in _COMMANDS:
+            args["command"] = word
+            own = _COMMANDS[word][1]
+            options = {**options, **own}
+            args.update((_dest(name), False if "action" in spec else None)
+                        for name, spec in own.items())
+            continue
+        spec = options.get(word)
+        if spec is None:
+            return None
+        given.add(word)
+        if "action" in spec:
+            args[_dest(word)] = True
+            continue
+        value = next(words, None)
+        if value is None or value[:1] == "-" and not value[1:].isdecimal():
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        args[_dest(word)] = value
+    if "command" not in args:
+        return None
+    _, own, one_of = _COMMANDS[args["command"]]
+    if any(spec.get("required") and name not in given
+           for name, spec in own.items()):
+        return None
+    if one_of and len(given.intersection(one_of)) != 1:
+        return None
+    return types.SimpleNamespace(**args)
 
 
 def _build_parser():
-    parser = _Parser(prog="cycloclass", description=__doc__)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    """The argparse tree of ``_COMMANDS``: it reads every argv that
+    ``_parse`` does not, and writes the help and the usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    # the docstring's last paragraph is about this module's code, not
+    # about the command line, so --help leaves it out (python -OO drops
+    # the docstring)
+    parser = _Parser(prog="cycloclass",
+                     description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
+    parser.add_argument("--format", choices=_FORMATS, default="text")
     parser.add_argument("--cache", default=None,
                         help="path to a JSON result cache "
                              f"(default from ${CACHE_ENV_VAR})")
     # the global flags are also accepted after the subcommand; SUPPRESS
     # keeps the subparser from clobbering a value parsed before it
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"),
+    common.add_argument("--format", choices=_FORMATS,
                         default=argparse.SUPPRESS)
     common.add_argument("--cache", default=argparse.SUPPRESS)
 
-    def sub_parser(sub, name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub_parser(sub, "classify", help="classify the manifold sets at (n, m)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--deep", action="store_true",
-                   help="recompute the analytic ingredients as well")
-
-    p = sub_parser(sub, "sweep", help="classify a range of m at fixed n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-min", type=int, required=True)
-    p.add_argument("--m-max", type=int, required=True)
-
-    p = sub_parser(sub, "verify", help="cross-check the rules against "
-                                      "recomputed ingredients")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    for name, help_text in [
-            ("hminus", "minus part of the cyclotomic class number"),
-            ("cbound", "divisibility bound for the unit cokernel"),
-            ("vtilde", "the unit cokernel, in invariant factors"),
-            ("am", "Tate group of the projective class group")]:
-        p = sub_parser(sub, name, help=help_text)
-        p.add_argument("--m", type=int, required=True)
-
-    p = sub_parser(sub, "a2k", help="order of the realisable automorphism group")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = sub_parser(sub, "tate", help="Tate cohomology of an involutive module")
-    p.add_argument("--degree", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--km", type=int, metavar="N",
-                       help="use the level-2^(N+1) negation module")
-    group.add_argument("--invariants", type=str,
-                       help="comma-separated invariant factors")
-    p.add_argument("--involution", type=str, default=None,
-                   help="matrix rows separated by ';', entries by ','; "
-                        "defaults to negation")
+    for name, (help_text, options, one_of) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        group = p.add_mutually_exclusive_group(required=True) \
+            if one_of else None
+        for option, spec in options.items():
+            (group if option in one_of else p).add_argument(option, **spec)
     return parser
 
 
@@ -383,12 +449,13 @@ def _execute(args):
 
 def run(argv):
     """Dispatch an argv list; returns the process exit code."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except _UsageError as err:
+            print(f"usage error: {err}", file=sys.stderr)
+            return 1
 
     cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
     cache = _Cache(cache_path) if cache_path else None

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -8,15 +9,18 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cycloclass
 from cycloclass import __version__
 from cycloclass.classnumber import HMINUS_PHI_CEILING
 from cycloclass.cli import (SCHEMA_VERSION, TATE_RANK_CEILING, _build_parser,
-                            _canonical_key, _code_digest, run)
+                            _canonical_key, _code_digest, _parse, run)
+
+TESTS = Path(__file__).resolve().parent
 
 CODE = _code_digest()
 #: the cache key of ``hminus --m 39``, whose answer is 2
@@ -663,6 +667,93 @@ def test_exit_code_contract_for_any_argv(argv):
         code = run(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+PARSER = _build_parser()
+
+
+def test_parse_reads_every_cli_cold_argv():
+    # the benchmark's cold queries, each with --cache and --format json
+    # before, after or without the subcommand: all take the direct path
+    expected = TESTS.parent / "perfbench" / "expected" / "cli-cold.json"
+    queries = json.loads(expected.read_text())["queries"]
+
+    def places(words):
+        return [([], []), (words, []), ([], words)]
+
+    for query in queries:
+        for (cache_before, cache_after), (format_before, format_after) in \
+                itertools.product(places(["--cache", "F"]),
+                                  places(["--format", "json"])):
+            argv = [*cache_before, *format_before, *json.loads(query),
+                    *cache_after, *format_after]
+            args = _parse(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(PARSER.parse_args(argv)), argv
+
+
+#: words a near miss of the plain form is made of
+_NEAR_MISSES = ["--form", "--m=39", "--", "", "-4", "-x", "hminus", "tate",
+                "--format", "json", "xml", "--cache", "--deep", "--m", "--km",
+                "--invariants", "-h"]
+
+
+@st.composite
+def _near_miss_argv(draw):
+    """An argv of ``_argv`` with a word taken out, and up to three runs of
+    one or two words put anywhere: near misses, or words of the argv
+    itself, which repeat an option or give it a second value."""
+    argv = draw(_argv())
+    if draw(st.booleans()):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    words = st.sampled_from(_NEAR_MISSES + argv)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = draw(st.lists(words, min_size=1, max_size=2))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_near_miss_argv())
+@example(["tate", "--km", "3", "--invariants", "2", "--degree", "1"])
+@example(["tate", "--km", "3", "--km", "4", "--degree", "1"])
+@example(["tate", "--degree", "1"])
+@example(["tate", "--invariants", "-²", "--degree", "1"])
+@example(["--format", "json", "hminus", "--m", "3", "--format", "text"])
+@example(["--format", "xml", "hminus", "--m", "3"])
+@example(["classify", "--n", "4", "--m", "5", "--cache", "--deep"])
+@example(["--cache", "hminus", "hminus", "--m", "-4", "--m", "hminus"])
+@example(["--cache", "", "hminus", "--m", ""])
+@example(["hminus", "--m", "39", "--"])
+@example(["hminus", "--m", "3", "hminus"])
+@example(["hminus", "--form", "json", "--m", "3"])
+@example(["hminus", "--m=39"])
+@example(["sweep", "--n", "4", "--m-min", "2"])
+@example(["hminus", "--m"])
+@example(["--cache", "F"])
+def test_parse_is_argparse_or_none(argv):
+    args = _parse(argv)
+    assert args is None or vars(args) == vars(PARSER.parse_args(argv)), argv
+
+
+#: stdout, stderr and exit code of --help and of malformed lines from the
+#: parser that read every argv with argparse, for this interpreter
+ARGPARSE_PINS = [
+    pin for pin in json.loads(
+        (TESTS / "argparse_pins.json").read_text(encoding="utf-8"))["pins"]
+    if "%d.%d" % sys.version_info[:2] in pin["python"]]
+
+
+@pytest.mark.parametrize("pin", ARGPARSE_PINS,
+                         ids=lambda pin: " ".join(pin["argv"]) or "-")
+def test_help_and_usage_errors_keep_their_bytes(capsys, monkeypatch, pin):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = run(pin["argv"])
+    except SystemExit as exit:
+        code = exit.code
+    out, err = capsys.readouterr()
+    assert (out, err, code) == (pin["stdout"], pin["stderr"], pin["exit"])
 
 
 #: any text, lone surrogates included

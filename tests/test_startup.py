@@ -78,8 +78,8 @@ def test_library_import_loads_only_its_layers():
 def test_cli_import_loads_every_layer_and_no_more_of_the_stdlib():
     # the stdlib modules that the package's modules import at their top
     stdlib = _added_modules(
-        "import __future__, argparse, enum, functools, itertools, math, "
-        "operator, os, sys")
+        "import __future__, enum, functools, itertools, math, operator, os, "
+        "sys, types")
     added = _added_modules("import cycloclass, cycloclass.cli")
     assert _package_modules(added) == {"cycloclass"} | {
         f"cycloclass.{layer}" for layer in (
@@ -94,6 +94,16 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert not added & {"dataclasses", "inspect"}
 
 
+#: argparse and what it imports: a plain argv is read without them
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+def test_cli_import_loads_no_argparse():
+    added = _added_modules("import cycloclass, cycloclass.cli")
+    assert "cycloclass.cli" in added
+    assert not added & ARGPARSE
+
+
 def test_uncached_text_query_loads_no_json_hashlib_or_tempfile():
     added = _added_modules(textwrap.dedent("""
         import contextlib, io
@@ -104,6 +114,24 @@ def test_uncached_text_query_loads_no_json_hashlib_or_tempfile():
     """))
     assert "cycloclass.classnumber" in added
     assert not added & {"json", "hashlib", "tempfile", "dataclasses"}
+    assert not added & ARGPARSE
+
+
+@pytest.mark.parametrize("argv,stdout", [
+    (["hminus", "--m=39"], "2\n"),
+    (["hminus", "--help"], "usage: cycloclass hminus [-h]")])
+def test_help_and_other_forms_answer_through_argparse(argv, stdout):
+    added = _added_modules(textwrap.dedent("""
+        import contextlib, io
+        import cycloclass.cli
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            try:
+                code = cycloclass.cli.run({argv!r})
+            except SystemExit as exit:
+                code = exit.code
+        assert code == 0 and out.getvalue().startswith({stdout!r})
+    """).format(argv=argv, stdout=stdout))
+    assert "argparse" in added
 
 
 def _cache_round_trip(cache_file, prelude=""):
@@ -129,6 +157,13 @@ def test_cache_miss_and_hit_load_no_hashlib(tmp_path):
     added = _added_modules(_cache_round_trip(cache_file))
     assert "json" in added and cache_file.exists()
     assert not added & {"hashlib", "_hashlib"}
+
+
+def test_cache_miss_and_hit_load_no_argparse(tmp_path):
+    cache_file = tmp_path / "cache.json"
+    added = _added_modules(_cache_round_trip(cache_file))
+    assert cache_file.exists()
+    assert not added & ARGPARSE
 
 
 def test_builtin_digest_equals_hashlib():
