@@ -49,13 +49,17 @@ with Re and Ro the parts of T(x) at even and odd u, the quartet
 j < d/4 each.
 At d = 4 the one pair gives T = R_0 (C_1 = zeta + zeta^3 = 0), and at
 d = 2 the one unit gives a_0.  So an orbit costs (phi(d)/2) ceil(d/4)
-multiply-adds with residues, a quarter of one value per unit, and about
-d^2/8 products of small integers for the R_u.  The rows of all the
-orders d are strided slices of one row: with x of order L, the lcm of the
-orders, and zeta = x^(L/d), the row of d is C_(sL/d) at x.  That row
-costs about L/2 products, by C_(s+1) = C_1 C_s - C_(s-1) up to L/2 and
-C_(L-s) = C_s beyond (x^L = 1), where a row per order took d products
-and one full-size power each.
+multiply-adds with residues, a quarter of one value per unit, and one
+product of two integers for the R_u: the a_t and their reverse, packed in
+lanes of a few more bits than n max|a_t|^2 (Kronecker substitution),
+multiply to every R_u at once, where the sums of products took about
+d^2/8 of them.  The rows of all the orders d are strided slices of one
+row: with x of order L, the lcm of the orders, and zeta = x^(L/d), the
+row of d is C_(sL/d) at x.  That row costs about L/2 products, by
+C_(s+1) = C_1 C_s - C_(s-1) up to L/2 and C_(L-s) = C_s beyond (x^L = 1),
+where a row per order took d products and one full-size power each.  The
+picks C_(ju) of a unit j are strided slices of the row of d repeated, in
+as many pieces as the stride runs past its end.
 
 An orbit's norm N of sum_t c_t zeta^t obeys
 
@@ -115,7 +119,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count, product
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mul, sub
 
 from .abelian import FinAbGroup
 from .arith import InternalConsistencyError, UnsupportedModulusError, \
@@ -246,13 +250,16 @@ def _unit_table(m, f):
     factors[0] = fp, gens, [(first, order // 2), *others]
     table, axes = [0], []
     for fp, gens, block_axes in factors:
-        residues = [1]
+        residues = []
         for (g, _), (_, o) in zip(gens, block_axes):
             powers = [1]
             for _ in range(o - 1):
                 powers.append(powers[-1] * g % fp)
-            residues = [r * s % fp for r in residues for s in powers]
+            residues = [r * s % fp for r in residues for s in powers] \
+                if residues else powers
         rest = f // fp
+        if rest == 1:  # f = fp: no lift by CRT, and no reduction mod f
+            return [2 * r - f for r in residues], block_axes
         lift = rest * pow(rest, -1, fp)  # 1 mod fp, 0 mod the rest of f
         table = [a + r * lift for a in table for r in residues]
         axes += block_axes
@@ -274,18 +281,19 @@ def _odd_orbits(m):
     A character's sums F_t add the entries 2a - f of ``_unit_table(m, f)``,
     f its conductor, one row at a time: on a row, the value exponent grows
     by the weight w of the last axis at each step, so the entries s,
-    s + d', s + 2d', ... of a row, d' = d / gcd(w, d), share it.  The
+    s + d', s + 2d', ... of a row, d' = d / gcd(w, d), share it; a row no
+    longer than d' is walked entry by entry.  The
     table holds one unit of each pair {a, f - a}, at which the character
     takes values d/2 apart, so c_t - c_(t + d/2) = F_t - F_(t + d/2).  The
     orbits must cover the phi(m)/2 odd characters.
     """
     factors = _unit_group(m)
     orders = _generator_orders(m)
-    signs, i = [], 0
-    for *_, gens in factors:
-        if gens:
-            signs.append(i)
+    spans, i = [], 0
+    for p, e, gens in factors:
+        spans.append((p, e, i, i + len(gens)))
         i += len(gens)
+    signs = [lo for _, _, lo, hi in spans if hi > lo]
 
     parts = []
     for ell in factorint(lcm(*orders)):
@@ -297,18 +305,25 @@ def _odd_orbits(m):
                 continue
             part.append((order, order - order // ell, exps))
         parts.append(part)
+    if 2 * prod(sum(phi for _, phi, _ in part) for part in parts) != \
+            prod(orders):
+        raise InternalConsistencyError(
+            "the orbits do not cover half of the characters")
 
-    tables, orbits, covered = {}, [], 0
+    tables, orbits = {}, []
     for combination in product(*parts):
-        d = prod(order for order, _, _ in combination)
-        exps = [sum(ks) % o for *ks, o in
-                zip(*(part_exps for *_, part_exps in combination), orders)]
-        f, i = 1, 0
-        for p, e, gens in factors:
-            ks = exps[i:i + len(gens)]
+        if len(combination) == 1:
+            (d, _, exps), = combination
+        else:
+            d = prod(order for order, _, _ in combination)
+            exps = [sum(ks) % o for *ks, o in
+                    zip(*(part_exps for *_, part_exps in combination),
+                        orders)]
+        f = 1
+        for p, e, lo, hi in spans:
+            ks = exps[lo:hi]
             if any(ks):
                 f *= _local_conductor(p, e, ks)
-            i += len(gens)
         if f not in tables:
             tables[f] = _unit_table(m, f)
         table, axes = tables[f]
@@ -319,14 +334,18 @@ def _odd_orbits(m):
         for (_, o), weight in zip(rows, row_weights):
             starts = [t + weight * k for t in starts for k in range(o)]
         step, sums = d // gcd(w, d), [0] * d
-        for row, t in zip(range(0, len(table), size), starts):
-            for s in range(min(step, size)):
-                sums[(t + w * s) % d] += sum(table[row + s:row + size:step])
+        if step < size:
+            for row, t in zip(range(0, len(table), size), starts):
+                for s in range(step):
+                    sums[(t + w * s) % d] += \
+                        sum(table[row + s:row + size:step])
+        else:
+            # each entry of a row has its own value exponent
+            for row, t in zip(range(0, len(table), size), starts):
+                for a in table[row:row + size]:
+                    sums[t % d] += a
+                    t += w
         orbits.append((d, f, [a - b for a, b in zip(sums, sums[d // 2:])]))
-        covered += prod(phi for _, phi, _ in combination)
-    if 2 * covered != prod(orders):
-        raise InternalConsistencyError(
-            "the orbits do not cover half of the characters")
     return orbits
 
 
@@ -424,6 +443,70 @@ def _cos_row(x, order, modulus):
     return row + row[(order - 1) // 2:0:-1]
 
 
+#: lanes per block in ``_autocorrelation``: a lane is shifted in or out
+#: of a block of this many, not of the whole number, so packing or reading
+#: n lanes copies the whole number n/64 times, not n times
+_BLOCK_LANES = 64
+
+
+def _autocorrelation(a):
+    """c_v = sum_t a_t a_(t + v) for v < n = len(a), from one product.
+
+    With lanes of B bits, B two more than the bit length of n max|a_t|^2,
+    a packs as sum_t a_t 2^(B t) and its reverse as sum_t a_(n-1-t)
+    2^(B t) (Kronecker substitution), by Horner's rule on each block of
+    ``_BLOCK_LANES`` lanes, then on the blocks.  Lane n - 1 + v of their
+    product holds c_(-v) = c_v, and every lane a sum of at most n
+    products, below 2^(B-2) in size.  So adding 2^(B-1) to every lane
+    leaves each one non-negative and below 2^B, with no carry between
+    lanes, and the lanes from n - 1 up read off as c_0, c_1, ..., each
+    less the bias.  The work in Python is linear in n; the product is
+    CPython's.
+    """
+    n = len(a)
+    width = (n * max(map(abs, a)) ** 2).bit_length() + 2
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    block, reverse = width * _BLOCK_LANES, a[::-1]
+    forward = backward = 0
+    for i in reversed(range(0, n, _BLOCK_LANES)):
+        low = high = 0
+        for x, y in zip(reversed(a[i:i + _BLOCK_LANES]),
+                        reversed(reverse[i:i + _BLOCK_LANES])):
+            low, high = (low << width) + x, (high << width) + y
+        forward = (forward << block) + low
+        backward = (backward << block) + high
+    bias = ((1 << width * (2 * n - 1)) - 1) // mask * half
+    product = (forward * backward + bias) >> width * (n - 1)
+    c = []
+    for i in range(0, n, _BLOCK_LANES):
+        low, product = product & ((1 << block) - 1), product >> block
+        c += [(low >> s & mask) - half
+              for s in range(0, width * min(n - i, _BLOCK_LANES), width)]
+    return c
+
+
+#: the most times a row C_s, s < d, is repeated for ``_pick``: every index
+#: j u, u < ceil(d/4), of a pick lies below d^2/8, so d // 8 + 1 copies let
+#: one strided slice serve each unit j, and this bounds the copies from
+#: d = 504 on; at d = 3946 a pick then takes at most 8 slices of the
+#: 252,544 references, about 2 MB, that the repeated row holds, and the
+#: peak RSS of a cold hminus(3947) rose from 16.0 to 17.8 MB with it
+#: (Python 3.11, x86-64)
+_ROW_REPEAT = 64
+
+
+def _pick(tiled, d, start, step, count):
+    """[row[(start + step u) % d] for u < count], 0 <= start < d and
+    step > 0, from tiled, the row of length d repeated: a strided slice of
+    tiled, and where it runs past the end, the next from the wrapped
+    start."""
+    pick = tiled[start:start + step * count:step]
+    while len(pick) < count:
+        begin = (start + step * len(pick)) % d
+        pick += tiled[begin:begin + step * (count - len(pick)):step]
+    return pick
+
+
 def _norms(d, orbits, cos, modulus):
     """The product of the norms from Q(zeta_d) of sum_(t < d/2) a_t zeta^t
     over the folded sums a of the orbits of even order d, mod modulus at
@@ -434,24 +517,24 @@ def _norms(d, orbits, cos, modulus):
     b = (R_0, R_1 - R_(n-1), R_2 - R_(n-2), ...), n = d/2, and C_s =
     zeta^s + zeta^(-s) with C_0 = 1; for 4 | d, d > 4, a quartet of units
     {+-j, +-j + d/2}, j < d/4, gives Re^2 - Ro^2, Re and Ro its parts at
-    the even and the odd u.  Each b_u is one sum of n products: the
-    autocorrelation of a with its extension by a_(t + n) = -a_t.
+    the even and the odd u.  The R_u of an orbit are its autocorrelations,
+    all n of them from one product (``_autocorrelation``), and the picks
+    C_(ju) are strided slices of the row repeated (``_pick``).
     """
     if d == 2:
         return prod(a for a, in orbits) % modulus
     n, size = d // 2, (d + 2) // 4
     pairs = []
     for a in orbits:
-        # R_u - R_(n-u) = sum_t a_t a_(t+u), a_(t+n) = -a_t
-        twisted = a + [-c for c in a]
-        pairs.append([sum(map(mul, a, twisted[u:u + n]))
-                      for u in range(size)])
+        r = _autocorrelation(a)
+        pairs.append([r[0], *map(sub, r[1:size], r[:n - size:-1])])
+    tiled = cos * min(d // 8 + 1, _ROW_REPEAT)
     value = 1
     if d % 4 or d == 4:
         for j in range(1, n):
             if gcd(j, d) == 1:
                 # C_(j u) for u < ceil(d/4), shared by the orbits
-                pick = [cos[i % d] for i in range(0, j * size, j)]
+                pick = _pick(tiled, d, 0, j, size)
                 for b in pairs:
                     value = value * sum(map(mul, b, pick)) % modulus
     else:
@@ -459,8 +542,8 @@ def _norms(d, orbits, cos, modulus):
         split = [(b[0::2], b[1::2]) for b in pairs]
         for j in range(1, d // 4):
             if gcd(j, d) == 1:
-                even = [cos[i % d] for i in range(0, j * size, 2 * j)]
-                odd = [cos[i % d] for i in range(j, j * size, 2 * j)]
+                even = _pick(tiled, d, 0, 2 * j, (size + 1) // 2)
+                odd = _pick(tiled, d, j, 2 * j, size // 2)
                 for b_even, b_odd in split:
                     e = sum(map(mul, b_even, even))
                     o = sum(map(mul, b_odd, odd))
@@ -471,12 +554,14 @@ def _norms(d, orbits, cos, modulus):
 #: the largest phi(m), for m normalised, that hminus evaluates.  The pass
 #: takes phi(d)/2 dot products of length ceil(d/4) per orbit of order d
 #: (phi(d)/4 pairs of half-length ones when 4 | d, d > 4) with residues mod
-#: l^k, k growing with the digits of h^-, after about d^2/8 small products
-#: for the coefficients; the orbits (on half the units), CRT primes, k,
-#: the row of x^s + x^-s and the lift take a few ms of it, and the safe
-#: primes cost most: on a shared 2-core x86-64 host (Python 3.11), three
-#: cold CLI runs each, 3947 takes 1.5-1.8 s and 3863 1.5-1.6 s, the prime
-#: square 3721 0.9-1.0 s, 3 * 1999 0.9-1.0 s and 4 * 1999 0.9-1.0 s
+#: l^k, k growing with the digits of h^-, after one product of packed
+#: integers per orbit for the coefficients (6 ms in all at 3947); the row
+#: of x^s + x^-s takes a fifth to two fifths of it, the orbits (on half the
+#: units), CRT primes, k and the lift a few ms, and the safe primes cost
+#: most: on a shared 2-core x86-64 host (Python 3.11), three cold CLI runs
+#: each, 3947 takes 1.5-1.7 s and 3863 1.2-1.5 s, the prime square 3721
+#: 0.8-0.9 s, 3 * 1999 0.8-0.9 s and 4 * 1999 1.1 s, and a cold
+#: hminus(3947) peaks at 18 MB of RSS
 HMINUS_PHI_CEILING = 4000
 
 

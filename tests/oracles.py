@@ -13,7 +13,11 @@ evaluation of ``hminus`` is redone with one value per unit, where
 ``hminus`` takes one per pair {j, -j} through the real subfield, its
 precision k found one power of l at a time, where ``hminus`` brackets it
 by bit lengths, and the row of x^s + x^(-s) built per order from its own
-powers, where ``hminus`` slices one row for all the orders.  The Galois
+powers, where ``hminus`` slices one row for all the orders; the
+coefficients R_u - R_(n-u) of the orbit norms are sums of products, where
+``hminus`` reads all the R_u off one product of packed integers, and
+the picks of that row are built entry by entry, where ``hminus`` slices
+the row repeated.  The Galois
 orbits of odd characters are also walked as exponent tuples, one
 character built per orbit, and over the Sylow parts as ``hminus`` walks
 them, on the table of every unit and with sums for every t, before the
@@ -1136,6 +1140,49 @@ def cos_row(zeta, d, modulus):
         powers[t] = powers[t - 1] * zeta % modulus
     return [1, *((powers[s] + powers[d - s]) % modulus
                  for s in range(1, d))]
+
+
+def autocorrelation(a):
+    """c_v = sum_t a_t a_(t + v) for v < len(a), one sum of products per
+    v."""
+    return [sum(map(mul, a, a[v:])) for v in range(len(a))]
+
+
+def pick(row, start, step, count):
+    """row[(start + step u) % len(row)] for u < count, entry by entry."""
+    return [row[(start + step * u) % len(row)] for u in range(count)]
+
+
+def norms(d, orbits, cos, modulus):
+    """``classnumber._norms`` with each b_u = R_u - R_(n-u) one sum of n
+    products, sum_t a_t a_(t + u) with a_(t + n) = -a_t, and each pick of
+    the row built entry by entry."""
+    if d == 2:
+        return prod(a for a, in orbits) % modulus
+    n, size = d // 2, (d + 2) // 4
+    pairs = []
+    for a in orbits:
+        twisted = a + [-c for c in a]
+        pairs.append([sum(map(mul, a, twisted[u:u + n]))
+                      for u in range(size)])
+    value = 1
+    if d % 4 or d == 4:
+        for j in range(1, n):
+            if gcd(j, d) == 1:
+                picked = [cos[i % d] for i in range(0, j * size, j)]
+                for b in pairs:
+                    value = value * sum(map(mul, b, picked)) % modulus
+    else:
+        split = [(b[0::2], b[1::2]) for b in pairs]
+        for j in range(1, d // 4):
+            if gcd(j, d) == 1:
+                even = [cos[i % d] for i in range(0, j * size, 2 * j)]
+                odd = [cos[i % d] for i in range(j, j * size, 2 * j)]
+                for b_even, b_odd in split:
+                    e = sum(map(mul, b_even, even))
+                    o = sum(map(mul, b_odd, odd))
+                    value = value * (e * e - o * o) % modulus
+    return value
 
 
 def hminus_per_unit(m):

@@ -333,6 +333,73 @@ class TestOddOrbits:
         assert len(orbits) == len(oracles.odd_orbits(m))
 
 
+def _lane_boundaries():
+    """Vectors with n max|a_t|^2 = 2^k or 2^k - 1, every entry at the
+    maximum, of one sign or alternating, so that c_0 fills the widest
+    lane that its bit length allows."""
+    for n, top in [(1, 1), (3, 1), (7, 1), (63, 1), (255, 1), (7, 3),
+                   (2, 1), (4, 2), (1, 2 ** 40), (256, 2 ** 40),
+                   (128, 2 ** 20), (256, 1)]:
+        yield pytest.param([top] * n, id=f"{n}x{top}")
+        if n > 1:
+            yield pytest.param([(-1) ** t * top for t in range(n)],
+                               id=f"{n}x{top}-alternating")
+
+
+class TestNormCoefficients:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1,
+                    max_size=400))
+    @example([0])
+    @example([0] * 400)
+    @example([0] * 199 + [-2 ** 40] + [0] * 200)
+    @example([5] + [0] * 9)
+    @example([0] * 9 + [-1])
+    def test_autocorrelation_matches_the_sums(self, a):
+        assert classnumber._autocorrelation(a) == oracles.autocorrelation(a)
+
+    @pytest.mark.parametrize("a", _lane_boundaries())
+    def test_autocorrelation_at_the_lane_boundary(self, a):
+        # n max|a|^2 = 2^k and 2^k - 1: c_0 reaches that bound
+        assert classnumber._autocorrelation(a) == oracles.autocorrelation(a)
+
+    @pytest.mark.parametrize("d", [*range(2, 129, 2), 1018, 2038, 3660,
+                                   3946])
+    def test_norms_match_the_sums_of_products(self, d):
+        # every even order to 128, and orders near the ceiling: 2 mod 4
+        # (1018 = lambda(1019), 2038, 3946) and 4 | d (3660 =
+        # lambda(61^2)), whose picks wrap past the repeated row
+        ell, zeta = classnumber._crt_prime(d, 0)
+        rng = random.Random(d)
+        orbits = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(d // 2)]
+                  for _ in range(2)]
+        orbits.append([0] * (d // 2 - 1) + [1])
+        cos = oracles.cos_row(zeta, d, ell)
+        assert classnumber._norms(d, orbits, cos, ell) == \
+            oracles.norms(d, orbits, cos, ell)
+
+    def test_wrapped_picks(self):
+        # steps and counts whose strided slice runs past the repeated row,
+        # some of them several times
+        rng = random.Random(27)
+        for _ in range(300):
+            d = rng.randint(1, 600)
+            row = [rng.randint(0, 10 ** 9) for _ in range(d)]
+            tiled = row * classnumber._ROW_REPEAT
+            step = rng.randint(1, 4 * len(tiled))
+            count = rng.randint(0, 3 * d)
+            start = rng.randrange(d)
+            assert classnumber._pick(tiled, d, start, step, count) == \
+                oracles.pick(row, start, step, count), (d, start, step)
+        for d, step in [(3946, 1972), (3660, 1828), (1018, 508)]:
+            row = list(range(d))
+            count = (d + 2) // 4
+            assert step * count > d * classnumber._ROW_REPEAT
+            assert classnumber._pick(row * classnumber._ROW_REPEAT, d, 0,
+                                     step, count) == \
+                oracles.pick(row, 0, step, count)
+
+
 def _root_one(monkeypatch, pick):
     """corrupt(m) makes the prime pick(indices) of hminus(m) come with the
     root 1, indices those of the primes that hminus(m) takes.
@@ -613,6 +680,14 @@ class TestHminus:
         # one value per unit, not per pair: beyond 2039 no other oracle
         # evaluates h^- in the suite
         assert hminus(m) == oracles.hminus_per_unit(m), m
+
+    @pytest.mark.slow
+    def test_digest_up_to_2039(self):
+        # one line "m h^-(m)" per normalised m <= 2039
+        text = "".join(f"{m} {hminus(m)}\n" for m in range(1, 2040)
+                       if m % 4 != 2)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "1188f9e5650730c27d99527d26da5b901dea21ce291db271509b79d1359be221"
 
     @pytest.mark.slow
     @pytest.mark.parametrize("m", _CEILING_DIGESTS)
