@@ -3,9 +3,11 @@
 Everything in this module is exact.  Matrices carry arbitrary-precision
 integer entries, groups are normalised to invariant-factor form the moment
 they are constructed, and every structural computation reduces to Smith
-normal form: kernels, images and generated subgroups are instances of one
-subquotient <top> / <bottom> (``subquotient``), and cokernels present the
-target modulo the image (``present``).  All values are immutable after
+normal form and its row transform: kernels, images and generated
+subgroups are instances of one subquotient <top> / <bottom>
+(``subquotient``), cokernels present the target modulo the image
+(``present``), and a kernel lattice is read off the row transform of the
+transpose (``kernel_basis``).  All values are immutable after
 construction and safe to share between threads.
 """
 
@@ -132,116 +134,90 @@ def _srem(a, b):
 
 
 def snf(m):
-    """Smith normal form of an integer matrix.
+    """Smith normal form of an integer matrix, with its row transform.
 
-    Returns ``(s, u, v, u_inv)`` with ``u @ m @ v == s``, where ``u`` and
-    ``v`` are unimodular, ``u_inv`` is the inverse of ``u``, and ``s`` is
-    diagonal with non-negative entries satisfying s1 | s2 | ... .  Each row
-    operation on ``u`` is matched by the inverse column operation on
-    ``u_inv``.  Pivots are chosen by minimal absolute value and rows/columns
-    are fully reduced at each step, which keeps intermediate entries small
-    at the sizes used here.
+    Returns ``(diagonal, u, u_inv)``: ``u`` is unimodular, ``u_inv`` is its
+    inverse, and ``u @ m @ v`` is diagonal for some unimodular ``v``, with
+    the min(rows, cols) non-negative entries ``diagonal``, s1 | s2 | ... .
+    ``v`` is not built: the column operations touch only the working
+    matrix, and a caller that needs a column transform of m reads the row
+    transform of ``m.transpose()`` (``kernel_basis``).  ``u_inv`` is held
+    by its columns, so the column operation on it that matches a row
+    operation on ``u`` is a row update too.  Every update skips the zero
+    entries of the row it adds.  Pivots are chosen by minimal absolute
+    value and rows/columns are fully reduced at each step, which keeps
+    intermediate entries small at the sizes used here.
     """
     R, C = m.rows, m.cols
     a = [list(r) for r in m.data]
     u = [[int(i == j) for j in range(R)] for i in range(R)]
-    v = [[int(i == j) for j in range(C)] for i in range(C)]
-    u_inv = [[int(i == j) for j in range(R)] for i in range(R)]
+    u_inv_cols = [r[:] for r in u]
+
+    def add(rows, i, j, q):  # rows[i] += q * rows[j]
+        ri = rows[i]
+        for k, x in enumerate(rows[j]):
+            if x:
+                ri[k] += q * x
 
     def row_add(i, j, q):  # row i += q * row j; col j -= q * col i of u_inv
-        ai, aj = a[i], a[j]
-        for k in range(C):
-            ai[k] += q * aj[k]
-        ui, uj = u[i], u[j]
-        for k in range(R):
-            ui[k] += q * uj[k]
-        for r in u_inv:
-            r[j] -= q * r[i]
-
-    def col_add(i, j, q):  # col i += q * col j
-        for r in a:
-            r[i] += q * r[j]
-        for r in v:
-            r[i] += q * r[j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
+        add(a, i, j, q)
+        add(u, i, j, q)
+        add(u_inv_cols, j, i, -q)
 
     for t in range(min(R, C)):
         while True:
             # re-select a minimal-absolute-value pivot on every pass; this
             # keeps the reduction quotients small and bounds entry growth
-            pivot = None
             best = None
             for i in range(t, R):
-                for j in range(t, C):
-                    x = a[i][j]
+                for j, x in enumerate(a[i][t:], t):
                     if x and (best is None or abs(x) < best):
-                        best, pivot = abs(x), (i, j)
-            if pivot is None:
+                        best, pi, pj = abs(x), i, j
+            if best is None:
                 break
-            if pivot[0] != t:
-                row_swap(t, pivot[0])
-            if pivot[1] != t:
-                col_swap(t, pivot[1])
+            for rows in (a, u, u_inv_cols):
+                rows[t], rows[pi] = rows[pi], rows[t]
+            if pj != t:
+                for r in a:
+                    r[t], r[pj] = r[pj], r[t]
             p = a[t][t]
-            clean = True
             for i in range(t + 1, R):
                 if a[i][t]:
                     q = (a[i][t] - _srem(a[i][t], p)) // p
                     if q:
                         row_add(i, t, -q)
-                    if a[i][t]:
-                        clean = False
             for j in range(t + 1, C):
                 if a[t][j]:
                     q = (a[t][j] - _srem(a[t][j], p)) // p
                     if q:
-                        col_add(j, t, -q)
-                    if a[t][j]:
-                        clean = False
-            if not clean:
+                        for r in a:
+                            if r[t]:
+                                r[j] -= q * r[t]
+            if any(r[t] for r in a[t + 1:]) or any(a[t][t + 1:]):
                 continue
             # force the pivot to divide the rest of the block
-            culprit = None
-            for i in range(t + 1, R):
-                for j in range(t + 1, C):
-                    if a[i][j] % p:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
+            culprit = next((i for i in range(t + 1, R)
+                            if any(map(p.__rmod__, a[i][t + 1:]))), None)
             if culprit is None:
                 break
             row_add(t, culprit, 1)
         if a[t][t] < 0:
-            row_neg(t)
+            for rows in (a, u, u_inv_cols):
+                rows[t] = [-x for x in rows[t]]
 
-    return (IntMatrix(a, R, C), IntMatrix(u, R, R), IntMatrix(v, C, C),
-            IntMatrix(u_inv, R, R))
+    return (tuple(a[i][i] for i in range(min(R, C))), IntMatrix(u, R, R),
+            IntMatrix.from_columns(u_inv_cols, R))
 
 
 def kernel_basis(m):
-    """A basis, as matrix columns, of the integer kernel lattice of m."""
-    s, _, v, _ = snf(m)
-    rank = sum(1 for i in range(min(m.rows, m.cols)) if s[i, i])
-    cols = [v.column(j) for j in range(rank, m.cols)]
-    return IntMatrix.from_columns(cols, rows=m.cols)
+    """A basis, as matrix columns, of the integer kernel lattice of m.
+
+    A column transform v of m is the row transform u of m.transpose(),
+    transposed, so the rows of that u past the rank span the kernel.
+    """
+    diagonal, u, _ = snf(m.transpose())
+    return IntMatrix.from_columns(u.data[sum(map(bool, diagonal)):],
+                                  rows=m.cols)
 
 
 class FinAbGroup(Record):
@@ -410,8 +386,7 @@ class Presentation(Record):
 
 def present(n_ambient, relation_columns):
     """Normalise the quotient Z^n / (column lattice), which must be finite."""
-    s, u, _, u_inv = snf(relation_columns)
-    diag = [s[i, i] for i in range(min(s.rows, s.cols))]
+    diag, u, u_inv = snf(relation_columns)
     if len(diag) < n_ambient or 0 in diag:
         raise ValueError("presented quotient is infinite")
     keep = [i for i in range(n_ambient) if diag[i] != 1]
@@ -438,8 +413,7 @@ def subquotient(group, top, bottom):
     """
     n = group.rank
     rel = IntMatrix.diagonal(group.invariant_factors)
-    s, u, _, u_inv = snf(top.hstack(rel))
-    scales = [s[i, i] for i in range(n)]
+    scales, u, u_inv = snf(top.hstack(rel))
     coords = []
     for d, row in zip(scales, (u @ bottom.hstack(rel)).data):
         if any(x % d for x in row):

@@ -409,26 +409,14 @@ def _precision(ell, bound_sq, scale):
     """The least k >= 1 with l^(2k) * scale > bound_sq, for a prime l.
 
     With b and c the bit lengths of bound_sq and scale, and e that of l,
-    bound_sq / scale lies between 2^(b-c-1) and 2^(b-c+1), and log2(l)
-    between e - 2 + l / 2^(e-1) (log2 lies above its chords) and e.  So
-    every k with 2ke <= b - c - 1 fails, every k with
-    2k (e - 2 + l / 2^(e-1)) >= b - c + 1 suffices, and bisection settles
-    the k between with exact comparisons.  For l just below 2^30 the
-    window spans a few hundredths of a step of k (l^2 is about 2^60), so
-    it holds one or two values and at most one comparison is made.
+    bound_sq / scale is at least 2^(b-c-1) and l^(2k) below 2^(2ke), so
+    every k with 2ke <= b - c - 1 fails.  k starts above those.
     """
-    e = ell.bit_length()
-    half = 1 << (e - 1)
-    bits = bound_sq.bit_length() - scale.bit_length()
-    lo = max(1, (bits - 1) // (2 * e) + 1)
-    hi = max(lo, -(-(bits + 1) * half // (2 * ((e - 2) * half + ell))))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ell ** (2 * mid) * scale > bound_sq:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    k = max(1, (bound_sq.bit_length() - scale.bit_length() - 1)
+            // (2 * ell.bit_length()) + 1)
+    while ell ** (2 * k) * scale <= bound_sq:
+        k += 1
+    return k
 
 
 def _cos_row(x, order, modulus):

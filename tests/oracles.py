@@ -11,9 +11,10 @@ Both take every odd character from ``characters``, its Galois orbit as its
 powers, and its Bernoulli sums value by value over [1, f).  The
 evaluation of ``hminus`` is redone with one value per unit, where
 ``hminus`` takes one per pair {j, -j} through the real subfield, its
-precision k found one power of l at a time, where ``hminus`` brackets it
-by bit lengths, and the row of x^s + x^(-s) built per order from its own
-powers, where ``hminus`` slices one row for all the orders; the
+precision k found one power of l at a time from k = 1, where ``hminus``
+starts at a lower bound from bit lengths, and the row of x^s + x^(-s)
+built per order from its own powers, where ``hminus`` slices one row for
+all the orders; the
 coefficients R_u - R_(n-u) of the orbit norms are sums of products, where
 ``hminus`` reads all the R_u off one product of packed integers, and
 the picks of that row are built entry by entry, where ``hminus`` slices
@@ -38,11 +39,12 @@ for +-id once more cell by cell, as the package did before it went row by
 row, and cyclic factors are normalised by walking each carried gcd to the
 bottom of the chain.  The K-theory data at m is assembled eagerly, every
 class-group fact read before a branch is chosen, as the oracle of the
-lazy reads of ``ktheory``.  The determinant, the Smith-normal-form
-solver, the zero map and the zero tests of matrices and maps, direct sums
-of groups and of modules (and the class-group module summed one part at a
-time), corestriction, primary parts, the swap square and the order of a
-unit up to sign live here as well: only the tests use them.
+lazy reads of ``ktheory``.  Smith normal form with its column transform
+too, the determinant, the Smith-normal-form solver, the zero map and the
+zero tests of matrices and maps, direct sums of groups and of modules (and
+the class-group module summed one part at a time), corestriction, primary
+parts, the swap square and the order of a unit up to sign live here as
+well: only the tests use them.
 """
 
 import random
@@ -59,9 +61,9 @@ from cycloclass.abelian import (
     AbHom,
     FinAbGroup,
     IntMatrix,
+    _srem,
     cokernel,
     present,
-    snf,
     subgroup_generated,
 )
 from cycloclass.arith import InternalConsistencyError, \
@@ -273,7 +275,7 @@ def random_involution(rng, group):
 
 def inverse_unimodular(m):
     """Exact inverse of a unimodular integer matrix, from its own SNF."""
-    s, u, v, _ = snf(m)
+    s, u, v, _ = oracle_snf(m)
     if s != IntMatrix.identity(m.rows):
         raise ValueError("matrix is not unimodular")
     return v @ u
@@ -298,6 +300,112 @@ def oracle_tate(module, n):
 
 # ---------------------------------------------------------------------------
 # linear algebra and module constructions only the tests use
+
+
+def oracle_snf(m):
+    """Smith normal form of an integer matrix.
+
+    Returns ``(s, u, v, u_inv)`` with ``u @ m @ v == s``, where ``u`` and
+    ``v`` are unimodular, ``u_inv`` is the inverse of ``u``, and ``s`` is
+    diagonal with non-negative entries satisfying s1 | s2 | ... .  Each row
+    operation on ``u`` is matched by the inverse column operation on
+    ``u_inv``.  Pivots are chosen by minimal absolute value and rows/columns
+    are fully reduced at each step, which keeps intermediate entries small
+    at the sizes used here.  ``abelian.snf`` makes the same operations
+    without ``v`` and returns this diagonal, ``u`` and ``u_inv``.
+    """
+    R, C = m.rows, m.cols
+    a = [list(r) for r in m.data]
+    u = [[int(i == j) for j in range(R)] for i in range(R)]
+    v = [[int(i == j) for j in range(C)] for i in range(C)]
+    u_inv = [[int(i == j) for j in range(R)] for i in range(R)]
+
+    def row_add(i, j, q):  # row i += q * row j; col j -= q * col i of u_inv
+        ai, aj = a[i], a[j]
+        for k in range(C):
+            ai[k] += q * aj[k]
+        ui, uj = u[i], u[j]
+        for k in range(R):
+            ui[k] += q * uj[k]
+        for r in u_inv:
+            r[j] -= q * r[i]
+
+    def col_add(i, j, q):  # col i += q * col j
+        for r in a:
+            r[i] += q * r[j]
+        for r in v:
+            r[i] += q * r[j]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        for r in u_inv:
+            r[i], r[j] = r[j], r[i]
+
+    def col_swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def row_neg(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for r in u_inv:
+            r[i] = -r[i]
+
+    for t in range(min(R, C)):
+        while True:
+            # re-select a minimal-absolute-value pivot on every pass; this
+            # keeps the reduction quotients small and bounds entry growth
+            pivot = None
+            best = None
+            for i in range(t, R):
+                for j in range(t, C):
+                    x = a[i][j]
+                    if x and (best is None or abs(x) < best):
+                        best, pivot = abs(x), (i, j)
+            if pivot is None:
+                break
+            if pivot[0] != t:
+                row_swap(t, pivot[0])
+            if pivot[1] != t:
+                col_swap(t, pivot[1])
+            p = a[t][t]
+            clean = True
+            for i in range(t + 1, R):
+                if a[i][t]:
+                    q = (a[i][t] - _srem(a[i][t], p)) // p
+                    if q:
+                        row_add(i, t, -q)
+                    if a[i][t]:
+                        clean = False
+            for j in range(t + 1, C):
+                if a[t][j]:
+                    q = (a[t][j] - _srem(a[t][j], p)) // p
+                    if q:
+                        col_add(j, t, -q)
+                    if a[t][j]:
+                        clean = False
+            if not clean:
+                continue
+            # force the pivot to divide the rest of the block
+            culprit = None
+            for i in range(t + 1, R):
+                for j in range(t + 1, C):
+                    if a[i][j] % p:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            row_add(t, culprit, 1)
+        if a[t][t] < 0:
+            row_neg(t)
+
+    return (IntMatrix(a, R, C), IntMatrix(u, R, R), IntMatrix(v, C, C),
+            IntMatrix(u_inv, R, R))
 
 
 def det(m):
@@ -336,7 +444,7 @@ class _SnfSolver:
 
     def __init__(self, m):
         self.m = m
-        self.s, self.u, self.v, _ = snf(m)
+        self.s, self.u, self.v, _ = oracle_snf(m)
         self.rank = sum(1 for i in range(min(m.rows, m.cols)) if self.s[i, i])
 
     def solve(self, b):

@@ -33,49 +33,51 @@ def diag_of(s):
     return [s[i, i] for i in range(min(s.rows, s.cols))]
 
 
+def random_matrix(rng, rows, cols, bound=50, density=1.0):
+    return IntMatrix([[rng.randint(-bound, bound) if rng.random() < density
+                       else 0 for _ in range(cols)] for _ in range(rows)],
+                     rows, cols)
+
+
 class TestSnf:
     def test_identity(self):
         m = IntMatrix.identity(2)
-        s, u, v, u_inv = snf(m)
-        assert s == m and u == m and v == m and u_inv == m
+        diagonal, u, u_inv = snf(m)
+        assert diagonal == (1, 1) and u == m and u_inv == m
 
     def test_coprime_diagonal(self):
-        s, _, _, _ = snf(IntMatrix.diagonal([2, 3]))
-        assert diag_of(s) == [1, 6]
+        diagonal, _, _ = snf(IntMatrix.diagonal([2, 3]))
+        assert diagonal == (1, 6)
 
     def test_worked_two_by_two(self):
         # reduced by hand with elementary row/column operations
         m = IntMatrix([[4, 6], [2, 2]])
-        s, u, v, _ = snf(m)
-        assert diag_of(s) == [2, 2]
-        assert u @ m @ v == s
+        diagonal, u, _ = snf(m)
+        assert diagonal == (2, 2)
+        s, oracle_u, v, _ = oracles.oracle_snf(m)
+        assert u == oracle_u and u @ m @ v == s
 
     def test_empty_matrices(self):
         for r, c in [(0, 0), (0, 3), (3, 0)]:
-            m = IntMatrix.zero(r, c)
-            s, u, v, u_inv = snf(m)
-            assert u @ m @ v == s
+            diagonal, u, u_inv = snf(IntMatrix.zero(r, c))
+            assert diagonal == ()
             assert u @ u_inv == IntMatrix.identity(r)
-            assert (s.rows, s.cols) == (r, c)
+            assert (u.rows, u.cols) == (r, r)
 
     def test_random_matrices(self):
         rng = random.Random(2024)
         for _ in range(1000):
             r = rng.randint(0, 5)
             c = rng.randint(0, 5)
-            m = IntMatrix([[rng.randint(-50, 50) for _ in range(c)]
-                           for _ in range(r)], r, c)
-            s, u, v, u_inv = snf(m)
-            assert u @ m @ v == s
+            m = random_matrix(rng, r, c)
+            d, u, u_inv = snf(m)
+            assert len(d) == min(r, c)
             assert u @ u_inv == IntMatrix.identity(r)
             assert u_inv == oracles.inverse_unimodular(u)
             assert abs(det(u)) == 1
-            assert abs(det(v)) == 1
-            d = diag_of(s)
-            for i in range(r):
-                for j in range(c):
-                    if i != j:
-                        assert s[i, j] == 0
+            # u @ m is s @ v^-1, whose rows past the rank vanish
+            rank = sum(map(bool, d))
+            assert is_zero_matrix(IntMatrix((u @ m).data[rank:], r - rank, c))
             for a, b in zip(d, d[1:]):
                 assert a >= 0 and b >= 0
                 if a:
@@ -83,11 +85,54 @@ class TestSnf:
                 else:
                     assert b == 0
 
+    def test_oracle_random_matrices(self):
+        rng = random.Random(2025)
+        for _ in range(300):
+            r = rng.randint(0, 5)
+            c = rng.randint(0, 5)
+            m = random_matrix(rng, r, c)
+            s, u, v, u_inv = oracles.oracle_snf(m)
+            assert u @ m @ v == s
+            assert u @ u_inv == IntMatrix.identity(r)
+            assert abs(det(v)) == 1
+            assert all(s[i, j] == 0 for i in range(r) for j in range(c)
+                       if i != j)
+
+    def test_matches_oracle(self):
+        # the same diagonal and row transforms as the per-cell SNF with
+        # both transforms, which pins every presentation and lift
+        rng = random.Random(2026)
+        shapes = [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(600)]
+        shapes += [(rng.randint(9, 40), rng.randint(9, 40)) for _ in range(12)]
+        shapes += [(20, 20), (40, 40)]
+        for r, c in shapes:
+            m = random_matrix(rng, r, c, rng.choice([1, 5, 50, 10 ** 6]),
+                              rng.choice([1.0, 0.5, 0.1]))
+            s, u, _, u_inv = oracles.oracle_snf(m)
+            assert snf(m) == (tuple(diag_of(s)), u, u_inv), (r, c)
+
     def test_kernel_basis(self):
         m = IntMatrix([[2, 4, 0], [0, 0, 3]])
         kb = kernel_basis(m)
         assert kb.cols == 1
         assert is_zero_matrix(m @ kb)
+
+    def test_kernel_basis_spans_the_oracle_kernel(self):
+        # the columns of the oracle's v past the rank span the kernel too;
+        # each basis solves in terms of the other
+        rng = random.Random(2027)
+        for _ in range(300):
+            r, c = rng.randint(0, 6), rng.randint(0, 6)
+            m = random_matrix(rng, r, c, rng.choice([1, 3, 20]),
+                              rng.choice([1.0, 0.5]))
+            kb = kernel_basis(m)
+            s, _, v, _ = oracles.oracle_snf(m)
+            rank = sum(map(bool, diag_of(s)))
+            ov = IntMatrix.from_columns(v.columns()[rank:], rows=c)
+            assert kb.cols == ov.cols and is_zero_matrix(m @ kb)
+            for basis, other in ((kb, ov), (ov, kb)):
+                for column in basis.columns():
+                    assert solve(other, column) is not None
 
     def test_solver(self):
         m = IntMatrix([[2, 0], [0, 3]])

@@ -231,6 +231,21 @@ class TestExitCodes:
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout == " x ".join(["Z/2"] * TATE_RANK_CEILING) + "\n"
 
+    @pytest.mark.parametrize("rank,timeout", [
+        (64, 60), pytest.param(200, 300, marks=pytest.mark.slow)])
+    def test_tate_pair_swap_answers(self, rank, timeout):
+        # swapping the generators in pairs makes (Z/2)^r a free module over
+        # the group ring of C2, whose Tate groups vanish; an explicit
+        # involution that is not +-id takes the Smith normal forms
+        rows = [["0"] * rank for _ in range(rank)]
+        for i in range(rank):
+            rows[i][i ^ 1] = "1"
+        proc = _run_cli(["tate", "--invariants", ",".join(["2"] * rank),
+                         "--involution", ";".join(map(",".join, rows)),
+                         "--degree", "1"], timeout=timeout)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "0\n"
+
     @pytest.mark.parametrize("involution", [None, "1"])
     def test_tate_rank_refused_before_any_matrix(self, capture, monkeypatch,
                                                  involution):
