@@ -116,11 +116,6 @@ class IntMatrix(Record):
         return IntMatrix(tuple(tuple(map(neg, r)) for r in self.data),
                          self.rows, self.cols)
 
-    def scale(self, c):
-        c = int(c)
-        return IntMatrix(tuple(tuple(map(c.__mul__, r)) for r in self.data),
-                         self.rows, self.cols)
-
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r})"
 
@@ -195,6 +190,8 @@ def snf(m):
                                 r[j] -= q * r[t]
             if any(r[t] for r in a[t + 1:]) or any(a[t][t + 1:]):
                 continue
+            if abs(p) == 1:  # a unit divides the rest of the block
+                break
             # force the pivot to divide the rest of the block
             culprit = next((i for i in range(t + 1, R)
                             if any(map(p.__rmod__, a[i][t + 1:]))), None)

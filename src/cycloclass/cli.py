@@ -65,7 +65,7 @@ CACHE_ENV_VAR = "CYCLOCLASS_CACHE"
 #: r^2: the costliest rank-1024 inputs tried (1024 factors 2, 2^64, or
 #: 3 * 2^(k mod 60)) answer in 0.25-0.45 s cold with a peak RSS of 31 MB.
 #: With an explicit --involution, snf makes the time about cubic: the pair
-#: swap on (Z/2)^r takes 2.6-3.7 s cold at r = 200, and 6.9-7.2 s at
+#: swap on (Z/2)^r takes 1.9-2.1 s cold at r = 200, and 3.4-3.7 s at
 #: r = 250, the largest such matrix that fits in one 128 KB argument.  All
 #: on a 2-core x86-64 host (Python 3.11).  A larger rank is refused once
 #: the factors are normalised, before any matrix is built.

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .abelian import FinAbGroup
 from .arith import UnsupportedModulusError, divisors, factorint, isprime
-from .involutive import InvModule, Sign, eigen_set, norm_image_set, tate
+from .involutive import InvModule, eigen_set, norm_image_set, tate
 from .classnumber import h_is_odd, hminus, hminus_is_one, \
     known_class_group, odd_part
 from .record import Record
@@ -140,7 +140,7 @@ class DGroupFact(Record):
     def order(self):
         """The order when known, computed only when read."""
         if self.module is not None:
-            return self.module.order
+            return self.module.group.order
         if self.two_exponent is not None:
             return 2 ** self.two_exponent
         return None
@@ -152,7 +152,7 @@ _ZERO = InvModule.with_trivial(FinAbGroup())
 
 def _exact_d(module, source):
     return DGroupFact(module=module,
-                      parity_odd=module.order % 2 == 1, source=source)
+                      parity_odd=module.group.order % 2 == 1, source=source)
 
 
 #: the kernel-group ladder over powers of two has computable orders; the
@@ -387,8 +387,8 @@ def _wh_fields(m, compute):
     parts = _class_parts(m, compute)
     module, source = _exact_k0_module(m, parts)
     if module is not None:
-        j = Knowledge.exact(eigen_set(module, Sign.MINUS)[0], source)
-        i = Knowledge.exact(norm_image_set(module, Sign.MINUS)[0], source)
+        j = Knowledge.exact(eigen_set(module, -1)[0], source)
+        i = Knowledge.exact(norm_image_set(module, -1)[0], source)
         return rank, True, j, i, tate_knowledge
 
     bound = Knowledge.bound(*_difference_witness(m, compute, parts))

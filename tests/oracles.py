@@ -84,8 +84,7 @@ from cycloclass.classnumber import (
     hminus_is_one,
     odd_part,
 )
-from cycloclass.involutive import InvModule, Sign, _norm_map, eigen_set, \
-    norm_image_set, tate
+from cycloclass.involutive import InvModule, eigen_set, norm_image_set, tate
 from cycloclass.ktheory import (
     Knowledge,
     _a2_constraint,
@@ -290,10 +289,16 @@ def quotient(group, columns):
 
 def oracle_tate(module, n):
     """Tate cohomology in three steps: the eigen-set, the norm map
-    corestricted into it, and the cokernel of that corestriction."""
-    sign = Sign.for_degree(n)
+    corestricted into it, and the cokernel of that corestriction.  The
+    norm map x -> x + sign * xbar is built here cell by cell."""
+    sign = 1 if n % 2 == 0 else -1
+    g = module.group
+    norm = AbHom(g, g, IntMatrix(
+        [[int(i == j) + sign * x for j, x in enumerate(row)]
+         for i, row in enumerate(module.involution.matrix.data)],
+        g.rank, g.rank))
     eigen, incl = eigen_set(module, sign)
-    into_eigen = factor_through(_norm_map(module, sign), incl)
+    into_eigen = factor_through(norm, incl)
     quotient_group, _ = cokernel(into_eigen)
     return quotient_group
 
@@ -661,7 +666,7 @@ def walked_cyclic_factors(factors):
 def cellwise_scalar_sign(group, involution):
     """``involutive._scalar_sign`` comparing every cell with s * id."""
     data = involution.matrix.data
-    for sign in Sign:
+    for sign in (1, -1):
         if all(x == (sign % d if i == j else 0)
                for i, (row, d) in enumerate(zip(data, group.invariant_factors))
                for j, x in enumerate(row)):
@@ -2139,8 +2144,8 @@ def eager_wh_fields(m, compute):
     if module is not None:
         source = "kernel group (class number one)" if hminus_is_one(m) \
             else "sum of the stored class groups (vanishing kernel group)"
-        j = Knowledge.exact(eigen_set(module, Sign.MINUS)[0], source)
-        i = Knowledge.exact(norm_image_set(module, Sign.MINUS)[0], source)
+        j = Knowledge.exact(eigen_set(module, -1)[0], source)
+        i = Knowledge.exact(norm_image_set(module, -1)[0], source)
         return rank, True, j, i, tate_knowledge
     bound = Knowledge.bound(*eager_difference_witness(m, compute))
     return rank, True, bound, bound, tate_knowledge

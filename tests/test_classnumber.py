@@ -737,6 +737,21 @@ class TestHminus:
         for n, m in pairs:
             assert hminus(m) % hminus(n) == 0, (n, m)
 
+    @pytest.mark.slow
+    def test_divisibility_from_2040_to_3000(self):
+        # above the h- digest pinned to 2039, each h-(d) > 1 at a divisor d
+        # is an independent check of the orbit sums at a composite m
+        moduli = [m for m in range(2040, 3001)
+                  if m % 4 != 2 and not arith.isprime(m)]
+        pairs = [(d, m) for m in moduli for d in range(3, m)
+                 if m % d == 0 and d % 4 != 2]
+        assert len(moduli) == 600
+        checked = 0
+        for d, m in pairs:
+            assert hminus(m) % hminus(d) == 0, (d, m)
+            checked += hminus(d) > 1
+        assert checked == 2138
+
     def test_two_mod_four_pairing(self):
         for m in (3, 5, 15, 29, 39, 65):
             assert hminus(2 * m) == hminus(m)

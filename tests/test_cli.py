@@ -316,6 +316,22 @@ class TestSweepText:
         trivial_rows = [l for l in lines[1:] if " trivial " in f" {l} "]
         assert len([l for l in lines[1:] if l.split()[4] == "trivial"]) == 11
 
+    # the JSON rows carry the J and I groups of eigen_set and norm_image_set
+    @pytest.mark.parametrize("argv,digest", [
+        (["sweep", "--n", "4", "--m-min", "2", "--m-max", "1000"],
+         "b49815870067ebf5fcec7086e564b1cfc334d14099c2325076f510dcd7bb6d0b"),
+        (["--format", "json", "sweep", "--n", "4", "--m-min", "2",
+          "--m-max", "2000"],
+         "8fa9fc0ed4615a101238a67d580158c712419639516d11a52620b60fecd3bb90"),
+        (["--format", "json", "sweep", "--n", "6", "--m-min", "2",
+          "--m-max", "2000"],
+         "f07548807ec4891bf9218f454fc325e68e55e3fedcdfb3bff7781110d06be423")],
+        ids=["text-n4-1000", "json-n4-2000", "json-n6-2000"])
+    def test_stdout_digest(self, capture, argv, digest):
+        code, out, err = capture(argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestCache:
     def test_identical_bytes_with_and_without_cache(self, capture, tmp_path):

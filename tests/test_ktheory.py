@@ -63,7 +63,7 @@ class TestKmModule:
 
     def test_closed_form_order(self):
         for n in range(KM_LEVEL_CEILING + 1):
-            assert oracles.km_order(n) == km_v_module(n).order, n
+            assert oracles.km_order(n) == km_v_module(n).group.order, n
 
     def test_tate_orders(self):
         for n in range(3, 9):

@@ -6,7 +6,7 @@ from sympy import factorint
 
 from cycloclass.abelian import FinAbGroup, cokernel, image
 from cycloclass.arith import UnsupportedModulusError
-from cycloclass.involutive import InvModule, Sign, eigen_set
+from cycloclass.involutive import InvModule, eigen_set
 from cycloclass.residue import (
     c_bound,
     order_mod,
@@ -305,7 +305,7 @@ class TestVtilde:
         for m in (6, 10, 14, 15, 21, 22, 26, 30, 33, 34, 35, 38, 39, 42,
                   46, 51, 55, 57, 58):
             module = vtilde_module(m)
-            sub, _ = eigen_set(module, Sign.MINUS)
+            sub, _ = eigen_set(module, -1)
             assert sub == module.group, m
 
     def test_unsupported(self):

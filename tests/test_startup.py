@@ -41,9 +41,9 @@ def test_no_module_imports_dataclasses():
     assert not offenders
 
 
-def _added_modules(code):
-    """The modules that ``code`` adds to those a bare interpreter holds
-    (after site and .pth start-up), sorted."""
+def _added_modules(code, *flags):
+    """The modules that ``code`` adds to those a bare interpreter, run with
+    ``flags``, holds (after site and .pth start-up unless -S), sorted."""
     script = textwrap.dedent("""
         import sys
         before = set(sys.modules)
@@ -52,8 +52,8 @@ def _added_modules(code):
     """).format(code=code)
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     env.pop("CYCLOCLASS_CACHE", None)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=60, env=env)
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 
@@ -78,8 +78,8 @@ def test_library_import_loads_only_its_layers():
 def test_cli_import_loads_every_layer_and_no_more_of_the_stdlib():
     # the stdlib modules that the package's modules import at their top
     stdlib = _added_modules(
-        "import __future__, enum, functools, itertools, math, operator, os, "
-        "sys, types")
+        "import __future__, functools, itertools, math, operator, os, sys, "
+        "types")
     added = _added_modules("import cycloclass, cycloclass.cli")
     assert _package_modules(added) == {"cycloclass"} | {
         f"cycloclass.{layer}" for layer in (
@@ -92,6 +92,13 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     added = _added_modules("import cycloclass, cycloclass.cli")
     assert "cycloclass.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_cli_import_loads_no_enum():
+    # -S skips the site hooks, which may load enum before the package does
+    added = _added_modules("import cycloclass, cycloclass.cli", "-S")
+    assert "cycloclass.cli" in added
+    assert "enum" not in added
 
 
 #: argparse and what it imports: a plain argv is read without them
