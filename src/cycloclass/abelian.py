@@ -40,10 +40,6 @@ class IntMatrix(Record):
         super().__init__(data, rows, cols)
 
     @classmethod
-    def identity(cls, n):
-        return cls.diagonal((1,) * n)
-
-    @classmethod
     def zero(cls, rows, cols):
         return cls(((0,) * cols,) * rows, rows, cols)
 
@@ -108,9 +104,6 @@ class IntMatrix(Record):
         return IntMatrix(tuple(tuple(map(add, r1, r2))
                                for r1, r2 in zip(self.data, other.data)),
                          self.rows, self.cols)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return IntMatrix(tuple(tuple(map(neg, r)) for r in self.data),
@@ -284,6 +277,12 @@ class FinAbGroup(Record):
 
     def is_trivial(self):
         return not self.invariant_factors
+
+    def two_torsion(self):
+        """{x : 2x = 0} = (Z/2)^k, k the number of even invariant factors;
+        G/2G is isomorphic to it."""
+        return FinAbGroup([2] * sum(d % 2 == 0
+                                    for d in self.invariant_factors))
 
     def reduce(self, vec):
         return tuple(x % d for x, d in zip(vec, self.invariant_factors))

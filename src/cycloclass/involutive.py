@@ -1,26 +1,19 @@
 """Finite abelian groups with involution and their C2 Tate cohomology.
 
 An involutive module packages a finite abelian group with a homomorphic
-involution x -> xbar.  Everything here is read off one map, xbar - t*x for
-t = +-1: the eigen-subgroup {x : xbar = s*x} is its kernel at t = s, the
-norm-image subgroup {x + s*xbar} its image at t = -s, and the Tate group
-in the parity of s is their quotient ker(xbar - s*x) / im(xbar + s*x).
-When the involution is +1 or -1 times the identity the Tate group is read
-off the invariant factors; every other involution goes through Smith
-normal form on augmented relation matrices.  Element enumeration is never
-used outside the test oracles.
+involution x -> xbar.  Its Tate group in the parity of s = +-1 is
+ker(xbar - s*x) / im(xbar + s*x), both read off the one map xbar - t*x at
+t = s and t = -s.  When the involution is +1 or -1 times the identity the
+Tate group is the 2-torsion of the group, read off the invariant factors;
+every other involution goes through Smith normal form on augmented
+relation matrices.  The eigen-subgroups {x : xbar = s*x} and norm-image
+subgroups {x + s*xbar} themselves, and element enumeration, are test
+oracles.
 """
 
 from __future__ import annotations
 
-from .abelian import (
-    AbHom,
-    FinAbGroup,
-    image,
-    kernel,
-    kernel_lattice,
-    subquotient,
-)
+from .abelian import AbHom, kernel_lattice, subquotient
 from .record import Record
 
 
@@ -60,10 +53,6 @@ class InvModule(Record):
         super().__init__(group, involution)
 
     @classmethod
-    def with_trivial(cls, group):
-        return cls(group, AbHom.identity(group))
-
-    @classmethod
     def with_negation(cls, group):
         return cls(group, AbHom.scalar(group, -1))
 
@@ -79,40 +68,24 @@ def _shifted_map(module, t):
     return module.involution - AbHom.scalar(module.group, t)
 
 
-def eigen_set(module, sign):
-    """The subgroup {x : xbar = sign * x}, with its inclusion.
-
-    This is the kernel of (involution - sign * id).
-    """
-    return kernel(_shifted_map(module, sign))
-
-
-def norm_image_set(module, sign):
-    """The subgroup {x + sign * xbar : x in the module}, with its inclusion.
-
-    As x + sign * xbar = sign * (xbar + sign * x) and sign is a unit, this
-    is the image of (involution + sign * id).
-    """
-    return image(_shifted_map(module, -sign))
-
-
 def tate(module, n):
     """Tate cohomology of C2 acting through the involution, in degree n.
 
     With s = (-1)^n the result is ker(involution - s) / im(involution + s),
-    that is eigen_set(module, s) / norm_image_set(module, s), and depends
+    the eigen-subgroup of s over the norm image x + s * xbar, and depends
     only on n mod 2.  For an involution +-id it is G/2G or the 2-torsion of
-    G, so (Z/2)^k in both degrees, k the number of even invariant factors.
-    Any other involution takes one subquotient of the kernel lattice of
-    (involution - s) by the columns of (involution + s).
+    G, so (Z/2)^k in both degrees, k the number of even invariant factors
+    (``FinAbGroup.two_torsion``).  Any other involution takes one
+    subquotient of the kernel lattice of (involution - s) by the columns
+    of (involution + s).
 
+    >>> from cycloclass.abelian import FinAbGroup
     >>> m = InvModule.with_negation(FinAbGroup([3, 12, 24]))
     >>> tate(m, 0), tate(m, 1)
     (FinAbGroup([2, 2]), FinAbGroup([2, 2]))
     """
     if _scalar_sign(module.group, module.involution) is not None:
-        return FinAbGroup([2] * sum(1 for d in module.group.invariant_factors
-                                    if d % 2 == 0))
+        return module.group.two_torsion()
     s = 1 if n % 2 == 0 else -1
     quotient, _ = subquotient(module.group,
                               kernel_lattice(_shifted_map(module, s)),

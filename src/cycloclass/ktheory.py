@@ -1,10 +1,12 @@
 """Assembly of the involutive K-theory data for cyclic groups.
 
 This layer combines the exact residue-ring and class-number computations
-with the published structural facts (kernel groups, class groups with known
-involution, parity tables) into tri-state knowledge: a group is reported as
-exactly known, bounded by a divisibility witness, infinite, or unknown.
-Nothing is ever silently coerced to a number the sources do not support.
+with the published structural facts (kernel groups and class groups, each a
+group G whose involution is s * id, s = +-1, and parity tables) into
+tri-state knowledge: a group is reported as exactly known, bounded by a
+divisibility witness, infinite, or unknown.  The sets J and I and the Tate
+group are read off G and s, with no module built.  Nothing is ever silently
+coerced to a number the sources do not support.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import lru_cache
 
 from .abelian import FinAbGroup
 from .arith import UnsupportedModulusError, divisors, factorint, isprime
-from .involutive import InvModule, eigen_set, norm_image_set, tate
+from .involutive import InvModule
 from .classnumber import h_is_odd, hminus, hminus_is_one, \
     known_class_group, odd_part
 from .record import Record
@@ -78,9 +80,11 @@ class Knowledge(Record):
     """What is known about one finite (or not) abelian group.
 
     ``status`` is "exact", "bound", "infinite" or "unknown"; ``divisor`` is
-    a proven divisor of the order.
+    a proven divisor of the order.  ``module`` is always None.
     """
 
+    # ``module`` stays though always None: every report's repr embeds the
+    # slot, and perfbench checks digests of those reprs
     __slots__ = ("status", "group", "module", "divisor", "constraint",
                  "source")
 
@@ -89,8 +93,8 @@ class Knowledge(Record):
         super().__init__(status, group, module, divisor, constraint, source)
 
     @classmethod
-    def exact(cls, group, source, module=None):
-        return cls(status="exact", group=group, module=module, source=source)
+    def exact(cls, group, source):
+        return cls(status="exact", group=group, source=source)
 
     @classmethod
     def bound(cls, divisor, source, constraint=None):
@@ -126,41 +130,18 @@ class Knowledge(Record):
 class DGroupFact(Record):
     """Stored knowledge about the kernel group of one cyclic group ring.
 
-    ``module`` is set when the group and its involution are known exactly;
-    ``two_exponent`` gives a known order 2^two_exponent.
+    ``group``, when known exactly, has the involution ``sign`` * id, sign
+    = +-1; ``parity_odd`` says whether the order is odd, where known.
     """
 
-    __slots__ = ("module", "two_exponent", "parity_odd", "source")
+    __slots__ = ("group", "sign", "parity_odd", "source")
 
-    def __init__(self, module=None, two_exponent=None, parity_odd=None,
-                 source=""):
-        super().__init__(module, two_exponent, parity_odd, source)
-
-    @property
-    def order(self):
-        """The order when known, computed only when read."""
-        if self.module is not None:
-            return self.module.group.order
-        if self.two_exponent is not None:
-            return 2 ** self.two_exponent
-        return None
+    def __init__(self, group=None, sign=None, parity_odd=None, source=""):
+        super().__init__(group, sign, parity_odd, source)
 
 
-#: the zero module, one for every record that stores a vanishing group
-_ZERO = InvModule.with_trivial(FinAbGroup())
-
-
-def _exact_d(module, source):
-    return DGroupFact(module=module,
-                      parity_odd=module.group.order % 2 == 1, source=source)
-
-
-#: the kernel-group ladder over powers of two has computable orders; the
-#: group structure is only pinned up to level 16
-def _two_power_d_exponent(e):
-    """log2 of the ladder order at 2^e: the sum over 2 <= k <= e of
-    log2 |km_v_module(k - 1)| = 2^(k-2) - (k-1), in closed form."""
-    return 2 ** (e - 1) - 1 - e * (e - 1) // 2
+def _exact_d(group, sign, source):
+    return DGroupFact(group, sign, group.order % 2 == 1, source)
 
 
 def stored_d_group(m):
@@ -175,14 +156,14 @@ def stored_d_group(m):
     """
     m = int(m)
     if m >= 2 and isprime(m):
-        return _exact_d(_ZERO, "kernel group of a prime vanishes")
+        return _exact_d(FinAbGroup(), -1, "kernel group of a prime vanishes")
     if m in (6, 10, 14):
-        return _exact_d(_ZERO, "published vanishing list")
+        return _exact_d(FinAbGroup(), -1, "published vanishing list")
     if m == 15:
-        return _exact_d(InvModule.with_trivial(FinAbGroup([2])),
+        return _exact_d(FinAbGroup([2]), 1,
                         "published: order 2, trivial action")
     if m == 21:
-        return _exact_d(InvModule.with_negation(FinAbGroup([4])),
+        return _exact_d(FinAbGroup([4]), -1,
                         "published: order 4; negation forced by the unit "
                         "cokernel having nontrivial double")
     fact = factorint(m)
@@ -190,13 +171,13 @@ def stored_d_group(m):
         (p, e), = fact.items()
         if p == 2:
             if e <= 3:
-                return _exact_d(_ZERO, "two-power ladder: trivial levels")
+                return _exact_d(FinAbGroup(), -1,
+                                "two-power ladder: trivial levels")
             if e == 4:
-                return _exact_d(InvModule.with_negation(FinAbGroup([2])),
-                                "two-power ladder")
-            exponent = _two_power_d_exponent(e)
-            return DGroupFact(two_exponent=exponent,
-                              parity_odd=exponent == 0,
+                return _exact_d(FinAbGroup([2]), -1, "two-power ladder")
+            # the ladder order is 2^(2^(e-1) - 1 - e(e-1)/2), whose exponent
+            # is 5 at e = 5 and grows with e: the order is even
+            return DGroupFact(parity_odd=False,
                               source="two-power ladder orders")
         # odd prime power: a p-group, so odd order
         return DGroupFact(parity_odd=True,
@@ -223,18 +204,16 @@ def d_divisibility_bound(m):
 
 
 def _class_part(d, compute):
-    """Knowledge about the ideal class group at one divisor, with involution."""
+    """Knowledge about the ideal class group at one divisor.  An exact part
+    is all in the minus part, so its involution is negation."""
     d = int(d)
     if d <= 2 or hminus_is_one(d):
         return Knowledge.exact(
-            _ZERO.group, "class number one" if d > 2 else "rational field",
-            module=_ZERO)
+            FinAbGroup(), "class number one" if d > 2 else "rational field")
     group = known_class_group(d)
     if group is not None:
-        module = InvModule.with_negation(group)
         return Knowledge.exact(
-            module.group, "published class group, all of it in the minus part",
-            module=module)
+            group, "published class group, all of it in the minus part")
     if compute:
         return Knowledge.bound(odd_part(hminus(d)),
                                "odd part of the computed minus class number")
@@ -244,6 +223,12 @@ def _class_part(d, compute):
 def _class_parts(m, compute):
     """(d, Knowledge) of the class group at each divisor d > 1 of m."""
     return [(d, _class_part(d, compute)) for d in divisors(m) if d > 1]
+
+
+def _class_sum(parts):
+    """The direct sum of the groups of exact class parts."""
+    return FinAbGroup.from_cyclic_factors(
+        d for _, part in parts for d in part.group.invariant_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +262,17 @@ def a_m(m, compute=False):
     if h_odd and d_parity:
         return Knowledge.exact(
             FinAbGroup(), "odd class number and odd kernel group")
-    if h_odd and d_fact is not None and d_fact.module is not None:
-        # Tate cohomology of C2 is killed by 2: the odd part adds nothing
+    if h_odd and d_fact is not None and d_fact.group is not None:
+        # Tate cohomology of C2 is killed by 2: the odd part adds nothing,
+        # and a group under +-id has its 2-torsion as its Tate group
         return Knowledge.exact(
-            tate(d_fact.module, 1),
-            "odd class number; Tate group of the stored kernel group",
-            module=None)
+            d_fact.group.two_torsion(),
+            "odd class number; Tate group of the stored kernel group")
     if d_parity:
         parts = _class_parts(m, compute)
         if all(part.status == "exact" for _, part in parts):
             return Knowledge.exact(
-                FinAbGroup.from_cyclic_factors(
-                    d for _, part in parts
-                    for d in tate(part.module, 1).invariant_factors),
+                _class_sum(parts).two_torsion(),
                 "odd kernel group; Tate groups of the stored class groups")
     return Knowledge.unknown(constraint=_a2_constraint(m),
                              source="kernel group or class group not pinned")
@@ -324,22 +307,32 @@ class WhStructure(Record):
 
 
 def _exact_k0_module(m, parts):
-    """The class group at m as an involutive module, when fully pinned
-    down; ``parts`` are the class parts at the divisors of m."""
+    """(group, sign, source) of the class group at m, its involution
+    sign * id, when fully pinned down, else None; ``parts`` are the class
+    parts at the divisors of m."""
     d_fact = stored_d_group(m)
-    if d_fact is None or d_fact.module is None:
-        return None, None
+    if d_fact is None or d_fact.group is None:
+        return None
     if hminus_is_one(m):
         # class-number one: the class group collapses onto the kernel group
-        return d_fact.module, "kernel group (class number one)"
-    if d_fact.order == 1 and all(part.status == "exact" for _, part in parts):
+        return d_fact.group, d_fact.sign, "kernel group (class number one)"
+    if d_fact.group.is_trivial() and \
+            all(part.status == "exact" for _, part in parts):
         # every exact class part is a published class group under negation
         # or the trivial group, so their sum is one negation module
-        total = FinAbGroup.from_cyclic_factors(
-            d for _, part in parts for d in part.group.invariant_factors)
-        return (InvModule.with_negation(total),
+        return (_class_sum(parts), -1,
                 "sum of the stored class groups (vanishing kernel group)")
-    return None, None
+    return None
+
+
+def _j_and_i(group, sign):
+    """J = {x : xbar = -x} and I = {x - xbar} under the involution
+    sign * id: G and 2G under negation, the 2-torsion and 0 under the
+    identity."""
+    if sign == -1:
+        return group, FinAbGroup([d if d % 2 else d // 2
+                                  for d in group.invariant_factors if d > 2])
+    return group.two_torsion(), FinAbGroup()
 
 
 def _difference_witness(m, compute, parts):
@@ -385,11 +378,12 @@ def _wh_fields(m, compute):
         return rank, False, infinite, infinite, tate_knowledge
 
     parts = _class_parts(m, compute)
-    module, source = _exact_k0_module(m, parts)
-    if module is not None:
-        j = Knowledge.exact(eigen_set(module, -1)[0], source)
-        i = Knowledge.exact(norm_image_set(module, -1)[0], source)
-        return rank, True, j, i, tate_knowledge
+    pinned = _exact_k0_module(m, parts)
+    if pinned is not None:
+        group, sign, source = pinned
+        j, i = _j_and_i(group, sign)
+        return (rank, True, Knowledge.exact(j, source),
+                Knowledge.exact(i, source), tate_knowledge)
 
     bound = Knowledge.bound(*_difference_witness(m, compute, parts))
     return rank, True, bound, bound, tate_knowledge

@@ -220,6 +220,9 @@ def verify(n, m):
 
     Contradictions are reported as inconsistent checks, never resolved
     silently.  A missing stored fact or witness makes a check "no-data".
+    The check "squarefree-vs-infinite" is definitional, not independent:
+    the Nil summand vanishes exactly at the square-free m, and
+    ``nk1_vanishes`` is ``squarefree``, so it is always confirmed.
     An h^- above HMINUS_PHI_CEILING, at m or at a divisor, raises
     UnsupportedModulusError instead where it is read: always at a
     square-free m, elsewhere only when the branch of a_m reads it.

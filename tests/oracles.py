@@ -39,7 +39,13 @@ for +-id once more cell by cell, as the package did before it went row by
 row, and cyclic factors are normalised by walking each carried gcd to the
 bottom of the chain.  The K-theory data at m is assembled eagerly, every
 class-group fact read before a branch is chosen, as the oracle of the
-lazy reads of ``ktheory``.  Smith normal form with its column transform
+lazy reads of ``ktheory``; there each stored group becomes an involutive
+module, and its antisymmetric set, difference set and Tate group come
+from kernels, images and cokernels, where ``ktheory`` reads them off the
+group and the sign of its involution.  The eigen-subgroups {x : xbar =
+s*x} and norm-image subgroups {x + s*xbar} of any module, the module with
+the trivial involution, and the order of the kernel-group ladder at 2^e
+in closed form are here too.  Smith normal form with its column transform
 too, the determinant, the Smith-normal-form solver, the zero map and the
 zero tests of matrices and maps, direct sums of groups and of modules (and
 the class-group module summed one part at a time), corestriction, primary
@@ -63,6 +69,8 @@ from cycloclass.abelian import (
     IntMatrix,
     _srem,
     cokernel,
+    image,
+    kernel,
     present,
     subgroup_generated,
 )
@@ -84,7 +92,7 @@ from cycloclass.classnumber import (
     hminus_is_one,
     odd_part,
 )
-from cycloclass.involutive import InvModule, eigen_set, norm_image_set, tate
+from cycloclass.involutive import InvModule
 from cycloclass.ktheory import (
     Knowledge,
     _a2_constraint,
@@ -275,7 +283,7 @@ def random_involution(rng, group):
 def inverse_unimodular(m):
     """Exact inverse of a unimodular integer matrix, from its own SNF."""
     s, u, v, _ = oracle_snf(m)
-    if s != IntMatrix.identity(m.rows):
+    if s != cellwise_identity(m.rows):
         raise ValueError("matrix is not unimodular")
     return v @ u
 
@@ -285,6 +293,31 @@ def quotient(group, columns):
     as a Presentation in the coordinates of ``group``."""
     rel = columns.hstack(IntMatrix.diagonal(group.invariant_factors))
     return present(group.rank, rel)
+
+
+def with_trivial(group):
+    """``group`` with the identity as its involution."""
+    return InvModule(group, AbHom.identity(group))
+
+
+def signed_module(group, sign):
+    """``group`` with the involution sign * id."""
+    return InvModule(group, AbHom.scalar(group, sign))
+
+
+def eigen_set(module, sign):
+    """The subgroup {x : xbar = sign * x}, with its inclusion: the kernel of
+    (involution - sign * id)."""
+    return kernel(module.involution - AbHom.scalar(module.group, sign))
+
+
+def norm_image_set(module, sign):
+    """The subgroup {x + sign * xbar : x in the module}, with its inclusion.
+
+    As x + sign * xbar = sign * (xbar + sign * x) and sign is a unit, this
+    is the image of (involution + sign * id).
+    """
+    return image(module.involution + AbHom.scalar(module.group, sign))
 
 
 def oracle_tate(module, n):
@@ -2021,7 +2054,7 @@ def oracle_vtilde_module(m):
     conjugation on the residue rings (it works out to negation)."""
     m = int(m)
     if m >= 2 and isprime(m):
-        return InvModule.with_trivial(FinAbGroup())
+        return with_trivial(FinAbGroup())
     hom = oracle_psi_plus_presentation(m)
     primes, _ = _decompose(m)
     quots = [oracle_unit_quotient(q, m // q) for q in primes]
@@ -2055,6 +2088,13 @@ def km_order(n):
     return 2 ** sum(i * 2 ** (n - i - 2) for i in range(1, n - 1))
 
 
+def ladder_exponent(e):
+    """log2 of the kernel-group ladder order at 2^e: the sum over
+    2 <= k <= e of log2 |km_v_module(k - 1)| = 2^(k-2) - (k-1), in closed
+    form."""
+    return 2 ** (e - 1) - 1 - e * (e - 1) // 2
+
+
 # ---------------------------------------------------------------------------
 # the K-theory data assembled eagerly: every class-group fact at m read
 # before any branch is chosen, as ktheory did before each branch read its
@@ -2071,26 +2111,30 @@ def eager_k0_description(m, compute):
 
 
 def iterated_k0_module(m, compute):
-    """The class-group module of ``ktheory._exact_k0_module``, with the
-    stored modules summed one at a time; None when not pinned down."""
+    """The class-group module that ``ktheory._exact_k0_module`` describes
+    by a group and a sign, with the stored modules summed one at a time;
+    None when not pinned down."""
     data = eager_k0_description(m, compute)
     d_fact = data.d_fact
-    if d_fact is None or d_fact.module is None:
+    if d_fact is None or d_fact.group is None:
         return None
     if data.h_minus_is_one:
-        return d_fact.module
+        return signed_module(d_fact.group, d_fact.sign)
     parts = data.class_parts.values()
-    if d_fact.order != 1 or any(part.status != "exact" for part in parts):
+    if d_fact.group.order != 1 or \
+            any(part.status != "exact" for part in parts):
         return None
-    modules = [part.module for _, part in sorted(data.class_parts.items())]
-    total = modules[0] if modules else InvModule.with_trivial(FinAbGroup())
+    modules = [InvModule.with_negation(part.group)
+               for _, part in sorted(data.class_parts.items())]
+    total = modules[0] if modules else with_trivial(FinAbGroup())
     for extra in modules[1:]:
         total = module_sum(total, extra)
     return total
 
 
 def eager_a_m(m, compute):
-    """``ktheory.a_m`` read off the eager description."""
+    """``ktheory.a_m`` read off the eager description, each Tate group
+    through ``oracle_tate``."""
     data = eager_k0_description(m, compute)
     d_fact = data.d_fact
     d_parity = d_fact.parity_odd if d_fact is not None else None
@@ -2098,13 +2142,14 @@ def eager_a_m(m, compute):
     if data.h_odd and d_parity:
         return Knowledge.exact(
             FinAbGroup(), "odd class number and odd kernel group")
-    if data.h_odd and d_fact is not None and d_fact.module is not None:
+    if data.h_odd and d_fact is not None and d_fact.group is not None:
         return Knowledge.exact(
-            tate(d_fact.module, 1),
+            oracle_tate(signed_module(d_fact.group, d_fact.sign), 1),
             "odd class number; Tate group of the stored kernel group")
     if d_parity and all(part.status == "exact" for part in parts.values()):
         pieces = [d for _, part in sorted(parts.items())
-                  for d in tate(part.module, 1).invariant_factors]
+                  for d in oracle_tate(InvModule.with_negation(part.group),
+                                       1).invariant_factors]
         return Knowledge.exact(
             FinAbGroup.from_cyclic_factors(pieces),
             "odd kernel group; Tate groups of the stored class groups")

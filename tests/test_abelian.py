@@ -41,7 +41,7 @@ def random_matrix(rng, rows, cols, bound=50, density=1.0):
 
 class TestSnf:
     def test_identity(self):
-        m = IntMatrix.identity(2)
+        m = oracles.cellwise_identity(2)
         diagonal, u, u_inv = snf(m)
         assert diagonal == (1, 1) and u == m and u_inv == m
 
@@ -61,7 +61,7 @@ class TestSnf:
         for r, c in [(0, 0), (0, 3), (3, 0)]:
             diagonal, u, u_inv = snf(IntMatrix.zero(r, c))
             assert diagonal == ()
-            assert u @ u_inv == IntMatrix.identity(r)
+            assert u @ u_inv == oracles.cellwise_identity(r)
             assert (u.rows, u.cols) == (r, r)
 
     def test_random_matrices(self):
@@ -72,7 +72,7 @@ class TestSnf:
             m = random_matrix(rng, r, c)
             d, u, u_inv = snf(m)
             assert len(d) == min(r, c)
-            assert u @ u_inv == IntMatrix.identity(r)
+            assert u @ u_inv == oracles.cellwise_identity(r)
             assert u_inv == oracles.inverse_unimodular(u)
             assert abs(det(u)) == 1
             # u @ m is s @ v^-1, whose rows past the rank vanish
@@ -93,7 +93,7 @@ class TestSnf:
             m = random_matrix(rng, r, c)
             s, u, v, u_inv = oracles.oracle_snf(m)
             assert u @ m @ v == s
-            assert u @ u_inv == IntMatrix.identity(r)
+            assert u @ u_inv == oracles.cellwise_identity(r)
             assert abs(det(v)) == 1
             assert all(s[i, j] == 0 for i in range(r) for j in range(c)
                        if i != j)
@@ -142,7 +142,8 @@ class TestSnf:
     def test_inverse_unimodular(self):
         # the oracle test_random_matrices checks u_inv against
         m = IntMatrix([[2, 1], [1, 1]])
-        assert m @ oracles.inverse_unimodular(m) == IntMatrix.identity(2)
+        assert m @ oracles.inverse_unimodular(m) == \
+            oracles.cellwise_identity(2)
         with pytest.raises(ValueError):
             oracles.inverse_unimodular(IntMatrix([[2, 0], [0, 1]]))
 
@@ -405,7 +406,7 @@ class TestRowwiseAgainstCellwise:
     def test_constructors(self):
         rng = random.Random(2201)
         for n in [0, 1, 2, 3, 7, 31]:
-            assert IntMatrix.identity(n) == oracles.cellwise_identity(n)
+            assert IntMatrix.diagonal((1,) * n) == oracles.cellwise_identity(n)
             entries = [rng.randint(-9, 9) for _ in range(n)]
             d = IntMatrix.diagonal(entries)
             assert d == oracles.cellwise_diagonal(entries)

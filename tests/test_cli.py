@@ -316,7 +316,8 @@ class TestSweepText:
         trivial_rows = [l for l in lines[1:] if " trivial " in f" {l} "]
         assert len([l for l in lines[1:] if l.split()[4] == "trivial"]) == 11
 
-    # the JSON rows carry the J and I groups of eigen_set and norm_image_set
+    # the JSON rows carry the J and I groups that ktheory reads off each
+    # stored group and the sign of its involution
     @pytest.mark.parametrize("argv,digest", [
         (["sweep", "--n", "4", "--m-min", "2", "--m-max", "1000"],
          "b49815870067ebf5fcec7086e564b1cfc334d14099c2325076f510dcd7bb6d0b"),

@@ -4,17 +4,19 @@ import pytest
 
 from cycloclass import abelian
 from cycloclass.abelian import AbHom, FinAbGroup, IntMatrix
-from cycloclass.involutive import (
-    InvModule,
-    _scalar_sign,
-    eigen_set,
-    norm_image_set,
-    tate,
-)
+from cycloclass.involutive import InvModule, _scalar_sign, tate
 from cycloclass.ktheory import km_v_module
 
 import oracles
-from oracles import module_sum, primary_part_module, swap_square
+from oracles import (
+    eigen_set,
+    module_sum,
+    norm_image_set,
+    primary_part_module,
+    signed_module,
+    swap_square,
+    with_trivial,
+)
 
 
 def enumerate_eigen(module, sign):
@@ -44,7 +46,7 @@ class TestConstruction:
 
 class TestEigenSet:
     def test_elementary_two_group_trivial_involution(self):
-        m = InvModule.with_trivial(FinAbGroup([2, 2, 2]))
+        m = with_trivial(FinAbGroup([2, 2, 2]))
         sub, _ = eigen_set(m, -1)
         assert sub == FinAbGroup([2, 2, 2])
 
@@ -54,7 +56,7 @@ class TestEigenSet:
         assert sub == FinAbGroup([4])
 
     def test_odd_order_trivial_involution(self):
-        m = InvModule.with_trivial(FinAbGroup([5]))
+        m = with_trivial(FinAbGroup([5]))
         sub, _ = eigen_set(m, -1)
         assert sub.is_trivial()
 
@@ -74,7 +76,7 @@ class TestNormImageSet:
     def test_trivial_involution_kills_minus_norm(self):
         rng = random.Random(5)
         for _ in range(10):
-            m = InvModule.with_trivial(oracles.random_group(rng, 512, 3))
+            m = with_trivial(oracles.random_group(rng, 512, 3))
             sub, _ = norm_image_set(m, -1)
             assert sub.is_trivial()
 
@@ -92,7 +94,7 @@ class TestNormImageSet:
 
 class TestTate:
     def test_full_fixed_group(self):
-        m = InvModule.with_trivial(FinAbGroup([2, 2, 2]))
+        m = with_trivial(FinAbGroup([2, 2, 2]))
         # eigen(-1) is everything, the norm image is 0: checked by the
         # enumeration oracle as well
         assert tate(m, 1) == FinAbGroup([2, 2, 2])
@@ -101,7 +103,7 @@ class TestTate:
 
     def test_coprime_order_vanishes(self):
         g = FinAbGroup([15])
-        for inv in (InvModule.with_trivial(g), InvModule.with_negation(g)):
+        for inv in (with_trivial(g), InvModule.with_negation(g)):
             for n in (0, 1, 2, 3):
                 assert tate(inv, n).is_trivial()
 
@@ -172,12 +174,6 @@ def snf_calls(monkeypatch):
     return calls
 
 
-def signed_module(group, sign):
-    """``group`` with the involution sign * id."""
-    return (InvModule.with_trivial(group) if sign == 1
-            else InvModule.with_negation(group))
-
-
 class TestScalarInvolution:
     """The closed form for involutions +-id against the three-step oracle:
     (Z/2)^k in both degrees, k the number of even invariant factors."""
@@ -222,7 +218,7 @@ class TestScalarInvolution:
     def test_z2_signs_coincide(self):
         g = FinAbGroup([2])
         m = InvModule.with_negation(g)
-        assert m == InvModule.with_trivial(g)
+        assert m == with_trivial(g)
         assert _scalar_sign(g, m.involution) == 1
         for n in (0, 1):
             assert tate(m, n) == oracles.oracle_tate(m, n) == g
@@ -271,7 +267,7 @@ class TestScalarInvolution:
         for g in groups:
             m = InvModule.with_negation(g)
             scaled = InvModule(g, AbHom(g, g, oracles.cellwise_scale(
-                IntMatrix.identity(g.rank), -1)))
+                oracles.cellwise_identity(g.rank), -1)))
             assert m == scaled and hash(m) == hash(scaled)
             assert repr(m) == repr(scaled)
 
@@ -288,18 +284,18 @@ class TestScalarInvolution:
 
 class TestDirectSum:
     def test_trivial_summands(self):
-        t = InvModule.with_trivial(FinAbGroup())
+        t = with_trivial(FinAbGroup())
         assert module_sum(t, t).group.is_trivial()
 
     def test_tate_additive(self):
-        a = InvModule.with_trivial(FinAbGroup([2]))
+        a = with_trivial(FinAbGroup([2]))
         b = InvModule.with_negation(FinAbGroup([4]))
         s = module_sum(a, b)
         assert tate(s, 1) == FinAbGroup([2, 2])
 
     def test_sum_with_trivial_is_same(self):
         m = InvModule.with_negation(FinAbGroup([8]))
-        s = module_sum(m, InvModule.with_trivial(FinAbGroup()))
+        s = module_sum(m, with_trivial(FinAbGroup()))
         assert s.group == m.group
         assert tate(s, 0) == tate(m, 0)
 
@@ -317,14 +313,14 @@ class TestDirectSum:
 
 class TestSwapSquare:
     def test_z3_eigen_set(self):
-        m = swap_square(InvModule.with_trivial(FinAbGroup([3])))
+        m = swap_square(with_trivial(FinAbGroup([3])))
         eig, _ = eigen_set(m, -1)
         assert eig == FinAbGroup([3])
         nrm, _ = norm_image_set(m, -1)
         assert nrm == FinAbGroup([3])
 
     def test_trivial_input(self):
-        m = swap_square(InvModule.with_trivial(FinAbGroup()))
+        m = swap_square(with_trivial(FinAbGroup()))
         assert m.group.is_trivial()
 
     def test_tate_always_trivial(self):

@@ -1,3 +1,4 @@
+import random
 from math import prod
 
 import pytest
@@ -11,7 +12,7 @@ from cycloclass.ktheory import (
     ScopeError,
     _class_parts,
     _exact_k0_module,
-    _two_power_d_exponent,
+    _j_and_i,
     _wh_fields,
     a_m,
     d_divisibility_bound,
@@ -76,17 +77,18 @@ class TestStoredDGroups:
     def test_primes_vanish(self):
         for p in (2, 3, 7, 29, 101):
             fact = stored_d_group(p)
-            assert fact.module.group.is_trivial()
+            assert fact.group.is_trivial() and fact.sign == -1
 
     def test_published_small_composites(self):
         for m in (6, 10, 14):
-            assert stored_d_group(m).module.group.is_trivial()
+            fact = stored_d_group(m)
+            assert fact.group.is_trivial() and fact.sign == -1
         d15 = stored_d_group(15)
-        assert d15.module.group == FinAbGroup([2])
-        assert d15.module.involution.is_identity()
+        assert (d15.group, d15.sign, d15.parity_odd) == \
+            (FinAbGroup([2]), 1, False)
         d21 = stored_d_group(21)
-        assert d21.module.group == FinAbGroup([4])
-        assert not d21.module.involution.is_identity()
+        assert (d21.group, d21.sign, d21.parity_odd) == \
+            (FinAbGroup([4]), -1, False)
 
     def test_42_is_not_pinned(self):
         # the published snapshots at 42 contradict the computed unit
@@ -97,21 +99,33 @@ class TestStoredDGroups:
         # at 15 and 21 the kernel group is carried entirely by the top
         # unit cokernel, so the two storage channels must agree
         from cycloclass.residue import vtilde
-        assert stored_d_group(15).order == vtilde(15).order
-        assert stored_d_group(21).order == vtilde(21).order
+        assert stored_d_group(15).group.order == vtilde(15).order
+        assert stored_d_group(21).group.order == vtilde(21).order
 
     def test_ladder_exponent_closed_form(self):
         # log2 of the product of the Kervaire-Murthy orders below 2^e
         for e in range(2, 21):
             order = prod(oracles.km_order(k - 1) for k in range(2, e + 1))
-            assert 2 ** _two_power_d_exponent(e) == order, e
+            assert 2 ** oracles.ladder_exponent(e) == order, e
+        # from level 2^5 on the ladder order is even, as stored
+        for e in range(5, 65):
+            assert oracles.ladder_exponent(e) >= 1, e
 
     def test_two_power_ladder(self):
-        assert stored_d_group(4).module.group.is_trivial()
-        assert stored_d_group(8).module.group.is_trivial()
-        assert stored_d_group(16).module.group == FinAbGroup([2])
-        d32 = stored_d_group(32)
-        assert d32.module is None and d32.order == 32
+        for e in (2, 3):
+            fact = stored_d_group(2 ** e)
+            assert fact.group.is_trivial() and fact.sign == -1
+        d16 = stored_d_group(16)
+        assert (d16.group, d16.sign) == (FinAbGroup([2]), -1)
+        assert 2 ** oracles.ladder_exponent(5) == 32
+        for e in range(5, 65):
+            fact = stored_d_group(2 ** e)
+            assert fact.group is None and fact.parity_odd is False, e
+
+    def test_ladder_parity_matches_the_closed_form(self):
+        for e in range(1, 65):
+            assert stored_d_group(2 ** e).parity_odd == \
+                (oracles.ladder_exponent(e) == 0), e
 
     def test_odd_prime_powers_have_odd_order(self):
         for m in (9, 27, 25, 49):
@@ -295,22 +309,26 @@ class TestK0Description:
                 continue
             for compute in (False, True):
                 parts = _class_parts(m, compute)
-                module, _ = _exact_k0_module(m, parts)
-                assert module == oracles.iterated_k0_module(m, compute), m
-                if module is not None:
-                    assert _scalar_sign(module.group,
-                                        module.involution) is not None, m
-                    exact += 1
-                    nontrivial += not module.group.is_trivial()
+                pinned = _exact_k0_module(m, parts)
+                module = oracles.iterated_k0_module(m, compute)
+                if pinned is None:
+                    assert module is None, m
+                    continue
+                group, sign, _ = pinned
+                assert module == oracles.signed_module(group, sign), m
+                assert _scalar_sign(module.group,
+                                    module.involution) is not None, m
+                exact += 1
+                nontrivial += not group.is_trivial()
         assert (exact, nontrivial) == (28, 6)
 
     def test_m29_parts(self):
         assert h_is_odd(29, False) is False  # h_29 = 8
-        assert stored_d_group(29).module.group.is_trivial()
+        assert stored_d_group(29).group.is_trivial()
         parts = dict(_class_parts(29, False))
         assert list(parts) == [29]
         assert parts[29].status == "exact"
-        assert parts[29].module.group == FinAbGroup([2, 2, 2])
+        assert parts[29].group == FinAbGroup([2, 2, 2])
 
     def test_m23_unknown_part(self):
         (d, part), = _class_parts(23, False)
@@ -326,3 +344,25 @@ class TestK0Description:
                 assert a_m(m, compute) == oracles.eager_a_m(m, compute), m
                 assert _wh_fields(m, compute) == \
                     oracles.eager_wh_fields(m, compute), m
+
+
+class TestScalarClosedForms:
+    """J, I and the Tate group of a group whose involution is +-id, read
+    off its invariant factors, against kernels, images and cokernels."""
+
+    def test_against_the_general_path(self):
+        rng = random.Random(3030)
+        groups = [FinAbGroup()]
+        while len(groups) < 320:
+            factors = [rng.randint(2, 64) for _ in range(rng.randint(1, 4))]
+            if prod(factors) <= 10 ** 4:
+                groups.append(FinAbGroup.from_cyclic_factors(factors))
+        for g in groups:
+            for sign in (1, -1):
+                module = oracles.signed_module(g, sign)
+                j, i = _j_and_i(g, sign)
+                assert j == oracles.eigen_set(module, -1)[0], (g, sign)
+                assert i == oracles.norm_image_set(module, -1)[0], (g, sign)
+                for n in (0, 1):
+                    assert g.two_torsion() == \
+                        oracles.oracle_tate(module, n), (g, sign)

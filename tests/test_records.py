@@ -122,7 +122,7 @@ def test_constructor_defaults():
         verdict="trivial", lower=None, upper=None, witness=None, note="")
     assert Knowledge("unknown") == Knowledge.unknown()
     assert DGroupFact() == DGroupFact(
-        module=None, two_exponent=None, parity_odd=None, source="")
+        group=None, sign=None, parity_odd=None, source="")
 
 
 def test_own_reprs_are_unchanged():

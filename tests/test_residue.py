@@ -6,7 +6,7 @@ from sympy import factorint
 
 from cycloclass.abelian import FinAbGroup, cokernel, image
 from cycloclass.arith import UnsupportedModulusError
-from cycloclass.involutive import InvModule, eigen_set
+from cycloclass.involutive import InvModule
 from cycloclass.residue import (
     c_bound,
     order_mod,
@@ -16,6 +16,7 @@ from cycloclass.residue import (
 )
 from oracles import (
     cyclotomic_int,
+    eigen_set,
     lambda_min_poly_int,
     oracle_lambda_units,
     oracle_residue_units,
