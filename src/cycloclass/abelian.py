@@ -24,7 +24,8 @@ class IntMatrix(Record):
     """An immutable integer matrix.  Empty shapes (0 x n, n x 0) are legal.
 
     Rows are built and combined whole: ``map``, ``sum`` and slicing
-    iterate over the entries of a row in C.
+    iterate over the entries of a row in C, and a product adds whole rows
+    of its right factor, one for each nonzero entry of a left row.
     """
 
     __slots__ = ("data", "rows", "cols")
@@ -87,11 +88,14 @@ class IntMatrix(Record):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
-            cols = other.transpose().data
-            return IntMatrix(
-                tuple(tuple(sum(map(mul, row, col)) for col in cols)
-                      for row in self.data),
-                self.rows, other.cols)
+            product = []
+            for row in self.data:
+                out = [0] * other.cols
+                for q, right in zip(row, other.data):
+                    if q:
+                        out = [x + q * y for x, y in zip(out, right)]
+                product.append(out)
+            return IntMatrix(product, self.rows, other.cols)
         # matrix * vector
         vec = tuple(map(int, other))
         if self.cols != len(vec):
@@ -155,12 +159,18 @@ def snf(m):
     for t in range(min(R, C)):
         while True:
             # re-select a minimal-absolute-value pivot on every pass; this
-            # keeps the reduction quotients small and bounds entry growth
+            # keeps the reduction quotients small and bounds entry growth.
+            # The first minimal entry in row-major order is taken, so the
+            # search can stop at the first unit
             best = None
             for i in range(t, R):
                 for j, x in enumerate(a[i][t:], t):
                     if x and (best is None or abs(x) < best):
                         best, pi, pj = abs(x), i, j
+                        if best == 1:
+                            break
+                if best == 1:
+                    break
             if best is None:
                 break
             for rows in (a, u, u_inv_cols):

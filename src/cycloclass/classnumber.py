@@ -53,13 +53,15 @@ multiply-adds with residues, a quarter of one value per unit, and one
 product of two integers for the R_u: the a_t and their reverse, packed in
 lanes of a few more bits than n max|a_t|^2 (Kronecker substitution),
 multiply to every R_u at once, where the sums of products took about
-d^2/8 of them.  The rows of all the orders d are strided slices of one
-row: with x of order L, the lcm of the orders, and zeta = x^(L/d), the
-row of d is C_(sL/d) at x.  That row costs about L/2 products, by
-C_(s+1) = C_1 C_s - C_(s-1) up to L/2 and C_(L-s) = C_s beyond (x^L = 1),
-where a row per order took d products and one full-size power each.  The
-picks C_(ju) of a unit j are strided slices of the row of d repeated, in
-as many pieces as the stride runs past its end.
+d^2/8 of them.  A short orbit, n <= 12, takes the n sums of products
+instead: below that length packing costs more than the sums.  The rows of
+all the orders d are strided slices of one row: with x of order L, the lcm
+of the orders, and zeta = x^(L/d), the row of d is C_(sL/d) at x.  That row
+costs about L/2 products, by C_(s+1) = C_1 C_s - C_(s-1) up to L/2 and
+C_(L-s) = C_s beyond (x^L = 1), where a row per order took d products and
+one full-size power each.  The picks C_(ju) of a unit j are strided slices
+of the row of d repeated, in as many pieces as the stride runs past its
+end.
 
 An orbit's norm N of sum_t c_t zeta^t obeys
 
@@ -99,17 +101,19 @@ takes one unit of each pair {a, f - a}, and along the longest axis the
 value exponent grows by a fixed step, so the F_t are sums of strided
 slices of the rows.  The orbits must cover the phi(m)/2 odd characters.
 
-The four primes are found by the stdlib Miller-Rabin test of ``arith``,
-which is deterministic below 2^64 and takes three bases below
-4759123141.  Below 2^30 every candidate, trial base and root is one
-30-bit digit of a CPython int, on which ``pow`` is two to three times as
-fast as on the two digits of a number just below 2^31.  The root r of
-each is a product of one element of order s^a per s^a || lambda(m), s
+The four primes come from one scan down the l = 1 (mod lambda(m)) from
+2^30, lambda(m) factored once for all four roots, and are tested by
+``arith``: one gcd screens out every candidate with a prime factor below
+100, and the Miller-Rabin test, deterministic below 2^64, takes three bases
+below 4759123141 on the rest.  Below 2^30 every candidate, trial base and
+root is one 30-bit digit of a CPython int, on which ``pow`` is two to three
+times as fast as on the two digits of a number just below 2^31.  The root r
+of each is a product of one element of order s^a per s^a || lambda(m), s
 prime, each the first x^((l-1)/s^a), x >= 2, whose (s^(a-1))-th power is
 not 1: each trial base x is raised once to y = x^((l-1)/lambda(m)), and
 every part not yet found takes y^(lambda(m)/s^a), a small power.  Only
-prime x are tried: the test y^(lambda(m)/s) != 1 is multiplicative in x,
-so the first x that passes it is prime.  The primitive roots behind the
+prime x are tried: the test y^(lambda(m)/s) != 1 is multiplicative in x, so
+the first x that passes it is prime.  The primitive roots behind the
 characters' generators come from the same module, and the order of each
 generator is checked by powering.
 """
@@ -266,6 +270,14 @@ def _unit_table(m, f):
     return [2 * (a % f) - f for a in table], axes
 
 
+#: a row of a unit table is summed in strided slices only when each slice
+#: holds more than this many entries, and entry by entry otherwise: at 3,
+#: 4, 5, 6 and 8 entries a slice, the slices took 1.52, 1.23, 1.03, 0.91
+#: and 0.72 times as long as the entries (steps 4 to 32, Python 3.11,
+#: 2-core x86-64 host)
+_SLICE_RUN = 5
+
+
 def _odd_orbits(m):
     """One (d, f, folded) per Galois orbit of odd characters modulo m, the
     folded sums c_t - c_(t + d/2) for t < d/2.
@@ -276,16 +288,19 @@ def _odd_orbits(m):
     character group, and the parity is that of the 2-part alone: the
     exponents on the generators carrying -1 have an odd sum.  An l-part is
     taken in exponents x_i mod l^(a_i) on the generators, the exponent of
-    a generator of order o being x_i * o / l^(a_i).
+    a generator of order o being x_i * o / l^(a_i).  The conductor of a
+    product of characters of coprime orders is the lcm of theirs, so each
+    cyclic subgroup's conductor is found once, not once per orbit.
 
     A character's sums F_t add the entries 2a - f of ``_unit_table(m, f)``,
     f its conductor, one row at a time: on a row, the value exponent grows
     by the weight w of the last axis at each step, so the entries s,
-    s + d', s + 2d', ... of a row, d' = d / gcd(w, d), share it; a row no
-    longer than d' is walked entry by entry.  The
-    table holds one unit of each pair {a, f - a}, at which the character
-    takes values d/2 apart, so c_t - c_(t + d/2) = F_t - F_(t + d/2).  The
-    orbits must cover the phi(m)/2 odd characters.
+    s + d', s + 2d', ... of a row, d' = d / gcd(w, d), share it and are
+    summed as one strided slice; a row of at most ``_SLICE_RUN`` d'
+    entries is walked entry by entry.  The table holds one unit of each
+    pair {a, f - a}, at which the character takes values d/2 apart, so
+    c_t - c_(t + d/2) = F_t - F_(t + d/2).  The orbits must cover the
+    phi(m)/2 odd characters.
     """
     factors = _unit_group(m)
     orders = _generator_orders(m)
@@ -303,9 +318,14 @@ def _odd_orbits(m):
             exps = [x * o // s for x, o, s in zip(xs, orders, sizes)]
             if ell == 2 and sum(exps[i] for i in signs) % 2 == 0:
                 continue
-            part.append((order, order - order // ell, exps))
+            f = 1
+            for p, e, lo, hi in spans:
+                ks = exps[lo:hi]
+                if any(ks):
+                    f *= _local_conductor(p, e, ks)
+            part.append((order, order - order // ell, f, exps))
         parts.append(part)
-    if 2 * prod(sum(phi for _, phi, _ in part) for part in parts) != \
+    if 2 * prod(sum(phi for _, phi, _, _ in part) for part in parts) != \
             prod(orders):
         raise InternalConsistencyError(
             "the orbits do not cover half of the characters")
@@ -313,28 +333,24 @@ def _odd_orbits(m):
     tables, orbits = {}, []
     for combination in product(*parts):
         if len(combination) == 1:
-            (d, _, exps), = combination
+            (d, _, f, exps), = combination
         else:
-            d = prod(order for order, _, _ in combination)
-            exps = [sum(ks) % o for *ks, o in
-                    zip(*(part_exps for *_, part_exps in combination),
-                        orders)]
-        f = 1
-        for p, e, lo, hi in spans:
-            ks = exps[lo:hi]
-            if any(ks):
-                f *= _local_conductor(p, e, ks)
+            part_orders, _, conductors, part_exps = zip(*combination)
+            d, f = prod(part_orders), lcm(*conductors)
+            exps = [sum(ks) % o for *ks, o in zip(*part_exps, orders)]
         if f not in tables:
             tables[f] = _unit_table(m, f)
         table, axes = tables[f]
-        weights = [exps[i] * d // orders[i] for i, _ in axes]
-        *rows, (_, size) = axes
-        *row_weights, w = weights
+        # the value exponents at the starts of the rows, and the weight of
+        # the last axis
+        *rows, (last, size) = axes
         starts = [0]
-        for (_, o), weight in zip(rows, row_weights):
+        for i, o in rows:
+            weight = exps[i] * d // orders[i]
             starts = [t + weight * k for t in starts for k in range(o)]
+        w = exps[last] * d // orders[last]
         step, sums = d // gcd(w, d), [0] * d
-        if step < size:
+        if size > _SLICE_RUN * step:
             for row, t in zip(range(0, len(table), size), starts):
                 for s in range(step):
                     sums[(t + w * s) % d] += \
@@ -345,7 +361,7 @@ def _odd_orbits(m):
                 for a in table[row:row + size]:
                     sums[t % d] += a
                     t += w
-        orbits.append((d, f, [a - b for a, b in zip(sums, sums[d // 2:])]))
+        orbits.append((d, f, [*map(sub, sums, sums[d // 2:])]))
     return orbits
 
 
@@ -357,39 +373,44 @@ def _normalize_modulus(m):
 
 
 @lru_cache(maxsize=None)
-def _crt_prime(exponent, index):
-    """The index-th prime l below 2^30 with l = 1 (mod exponent), counting
-    down from 2^30, and an element of order exponent modulo l.
+def _crt_prime(exponent):
+    """The four largest primes l below 2^30 with l = 1 (mod exponent), in
+    decreasing order, each with an element of order exponent modulo l.
 
     Below 2^30 the Miller-Rabin test of ``arith`` takes three bases, not
     seven, and every number it powers is one 30-bit digit; hminus
     evaluates modulo a power of the first prime and checks modulo the
-    product of the next three, of about 2^90.  The element is a product of
-    one z of order r^a per r^a || exponent: z = x^((l-1)/r^a) for the
-    first x >= 2 with z^(r^(a-1)) != 1.  Each trial base x is raised to
-    the full-size power y = x^((l-1)/exponent) once, and each part still
-    open takes its z as the small power y^(exponent/r^a).  The test
-    z^(r^(a-1)) != 1 says x^((l-1)/r) != 1, which holds for a product only
-    if it holds for a factor, so the first base to pass it is prime:
-    composite x are skipped.
+    product of the other three, of about 2^90.  One scan down the l =
+    k * exponent + 1 from 2^30 finds all four, and exponent is factored
+    once for their elements.  The element is a product of one z of order
+    r^a per r^a || exponent: z = x^((l-1)/r^a) for the first x >= 2 with
+    z^(r^(a-1)) != 1.  Each trial base x is raised to the full-size power
+    y = x^((l-1)/exponent) once, and each part still open takes its z as
+    the small power y^(exponent/r^a).  The test z^(r^(a-1)) != 1 says
+    x^((l-1)/r) != 1, which holds for a product only if it holds for a
+    factor, so the first base to pass it is prime: composite x are
+    skipped.
     """
-    top = 2 ** 30 if index == 0 else _crt_prime(exponent, index - 1)[0]
-    k = (top - 2) // exponent
-    while not isprime(k * exponent + 1):
+    factors = [(r ** a, r) for r, a in factorint(exponent).items()]
+    found, k = [], (2 ** 30 - 2) // exponent
+    while len(found) < 4:
+        ell = k * exponent + 1
+        if isprime(ell):
+            root, parts = 1, factors
+            for x in filter(isprime, count(2)):
+                y, open_parts = pow(x, k, ell), []
+                for part, r in parts:
+                    z = pow(y, exponent // part, ell)
+                    if pow(z, part // r, ell) != 1:
+                        root = root * z % ell
+                    else:
+                        open_parts.append((part, r))
+                if not open_parts:
+                    break
+                parts = open_parts
+            found.append((ell, root))
         k -= 1
-    ell, root = k * exponent + 1, 1
-    parts = [(r ** a, r) for r, a in factorint(exponent).items()]
-    for x in filter(isprime, count(2)):
-        y, open_parts = pow(x, k, ell), []
-        for part, r in parts:
-            z = pow(y, exponent // part, ell)
-            if pow(z, part // r, ell) != 1:
-                root = root * z % ell
-            else:
-                open_parts.append((part, r))
-        if not open_parts:
-            return ell, root
-        parts = open_parts
+    return tuple(found)
 
 
 def _teichmueller_lift(root, exponent, ell, power):
@@ -437,7 +458,25 @@ def _cos_row(x, order, modulus):
 _BLOCK_LANES = 64
 
 
+#: the longest a whose autocorrelation is taken as n sums of products, not
+#: from one product: on random entries below 5000 in size, at n = 4 the
+#: sums take 2.9 us and the product 5.8 us, at n = 12 both 10 us, and at
+#: n = 20 the sums 20 us and the product 15 us (Python 3.11, 2-core x86-64
+#: host).  Of the 845 orbits of order d >= 4 in one pass of hminus over the
+#: normalised m in 100..260, 656 have n <= 12 and 550 n <= 8
+_DIRECT_LENGTH = 12
+
+
 def _autocorrelation(a):
+    """c_v = sum_t a_t a_(t + v) for v < n = len(a): n sums of products up
+    to ``_DIRECT_LENGTH``, where packing costs more than the sums, and
+    from one product above (``_packed_autocorrelation``)."""
+    if len(a) <= _DIRECT_LENGTH:
+        return [sum(map(mul, a, a[v:])) for v in range(len(a))]
+    return _packed_autocorrelation(a)
+
+
+def _packed_autocorrelation(a):
     """c_v = sum_t a_t a_(t + v) for v < n = len(a), from one product.
 
     With lanes of B bits, B two more than the bit length of n max|a_t|^2,
@@ -561,7 +600,8 @@ def hminus(m):
     cached entry of m/2 and each field is evaluated once.  Q is 1 for
     prime powers and 2 otherwise; w counts the roots of unity of the
     field.  Every character order divides the exponent of (Z/m)^x, so one
-    root of that order serves every orbit.
+    root of that order serves every orbit, and phi(d) of each order d
+    comes from the primes of that exponent, lambda(m).
     Moduli with phi(m) above HMINUS_PHI_CEILING raise
     UnsupportedModulusError before any character is built, and moduli
     above 2 * HMINUS_PHI_CEILING^2 before m is factored.
@@ -584,25 +624,33 @@ def hminus(m):
             "the largest degree whose minus class number is evaluated")
     qw = (1 if len(_unit_group(m)) == 1 else 2) * (2 * m if m % 2 else m)
     exponent = lcm(*_generator_orders(m))
+    primes = factorint(exponent)
 
-    # the folded sums c_t - c_(t+d/2) of the orbits, by their order d
-    folds, phis = {}, {}
-    bound_sq, scale, denominator = 4 * qw * qw, 1, 1
+    # the folded sums c_t - c_(t+d/2) of the orbits and their conductors f,
+    # by their order d
+    folds, conductors = {}, {}
     for d, f, folded in _odd_orbits(m):
-        if d not in phis:
-            phis[d] = totient(d)
-        phi_d = phis[d]
-        bound_sq *= (d ** 3 // 2 * sum(c * c for c in folded)) ** phi_d
-        scale *= (2 * d * f) ** (2 * phi_d) * phi_d ** phi_d
-        denominator *= (-2 * f) ** phi_d
         folds.setdefault(d, []).append(folded)
+        conductors.setdefault(d, []).append(f)
+    # the bound and the denominator take one power per order d of the
+    # products over its orbits
+    bound_sq, scale, denominator = 4 * qw * qw, 1, 1
+    for d, orbits in folds.items():
+        phi_d, number, fs = d, len(orbits), prod(conductors[d])
+        for r in primes:
+            if d % r == 0:
+                phi_d -= phi_d // r
+        bound_sq *= (d ** 3 // 2) ** (phi_d * number) \
+            * prod(sum(map(mul, a, a)) for a in orbits) ** phi_d
+        scale *= ((2 * d) ** number * fs) ** (2 * phi_d) \
+            * phi_d ** (phi_d * number)
+        denominator *= ((-2) ** number * fs) ** phi_d
 
-    ell, root = _crt_prime(exponent, 0)
+    (ell, root), *checks = _crt_prime(exponent)
     power = ell ** _precision(ell, bound_sq, scale)
     # the Teichmueller lift of root, joined by CRT with the check roots
     modulus, lift = power, _teichmueller_lift(root, exponent, ell, power)
-    for index in (1, 2, 3):
-        prime, prime_root = _crt_prime(exponent, index)
+    for prime, prime_root in checks:
         lift += modulus * ((prime_root - lift) * pow(modulus, -1, prime)
                            % prime)
         modulus *= prime

@@ -1352,11 +1352,11 @@ def hminus_per_unit(m):
         folds.setdefault(d, []).append(
             (folded[0::2], folded[1::2]) if d % 4 == 0 else folded)
 
-    ell, root = _crt_prime(exponent, 0)
+    ell, root = _crt_prime(exponent)[0]
     power = ell ** least_precision(ell, *norm_bound(m))
     modulus, lift = power, _teichmueller_lift(root, exponent, ell, power)
     for index in (1, 2, 3):
-        prime, prime_root = _crt_prime(exponent, index)
+        prime, prime_root = _crt_prime(exponent)[index]
         lift += modulus * ((prime_root - lift) * pow(modulus, -1, prime)
                            % prime)
         modulus *= prime

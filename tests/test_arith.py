@@ -2,8 +2,11 @@
 
 import ast
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -22,7 +25,39 @@ PSI_13 = 3317044064679887385961981
 
 class TestIsprime:
     def test_small_range(self):
-        for n in range(-5, 20001):
+        # the set below 100, the gcd screen, and the strong test from 101^2
+        for n in range(-5, 10 ** 5):
+            assert arith.isprime(n) == sympy.isprime(n), n
+
+    def test_screen_products(self):
+        # products of the screen primes, with neighbours: the gcd with
+        # their full product sees every factor below 100, and the product
+        # +- 1 and 97^2 +- {0, 2} reach the strong test or stop before it
+        screen = arith._SCREEN_PRIMES
+        assert screen == tuple(sympy.primerange(100))
+        numbers = [97 ** 2 - 2, 97 ** 2, 97 ** 2 + 2, 101 ** 2]
+        numbers += [p * q for p, q in combinations(screen, 2)]
+        numbers += [p ** 3 for p in screen]
+        rng = random.Random(97)
+        for size in range(3, len(screen) + 1):
+            numbers.append(prod(rng.sample(screen, size)))
+        full = prod(screen)
+        for n in [*numbers, full]:
+            for shift in (-1, 0, 1):
+                assert arith.isprime(n + shift) == \
+                    sympy.isprime(n + shift), n + shift
+
+    @pytest.mark.parametrize("bits", [30, 31])
+    def test_seeded_samples(self, bits):
+        # odd numbers of 30 and 31 bits, and the CRT candidates
+        # k * exponent + 1 just below 2^30 for exponents 2..200
+        rng = random.Random(bits)
+        numbers = [rng.randrange(2 ** (bits - 1), 2 ** bits) | 1
+                   for _ in range(3000)]
+        numbers += [((2 ** 30 - 2) // e - k) * e + 1
+                    for e in range(2, 201, 2) for k in range(20)]
+        assert any(map(sympy.isprime, numbers))
+        for n in numbers:
             assert arith.isprime(n) == sympy.isprime(n), n
 
     @settings(max_examples=300, deadline=None)

@@ -356,12 +356,30 @@ class TestNormCoefficients:
     @example([5] + [0] * 9)
     @example([0] * 9 + [-1])
     def test_autocorrelation_matches_the_sums(self, a):
-        assert classnumber._autocorrelation(a) == oracles.autocorrelation(a)
+        assert classnumber._autocorrelation(a) == \
+            classnumber._packed_autocorrelation(a) == \
+            oracles.autocorrelation(a)
 
     @pytest.mark.parametrize("a", _lane_boundaries())
     def test_autocorrelation_at_the_lane_boundary(self, a):
         # n max|a|^2 = 2^k and 2^k - 1: c_0 reaches that bound
-        assert classnumber._autocorrelation(a) == oracles.autocorrelation(a)
+        assert classnumber._packed_autocorrelation(a) == \
+            oracles.autocorrelation(a)
+
+    @pytest.mark.parametrize(
+        "n", range(1, 3 * classnumber._DIRECT_LENGTH + 1))
+    def test_packed_and_direct_agree_at_every_length(self, n):
+        # the direct sums up to _DIRECT_LENGTH and the one product above
+        # it, on both sides of the switch: zeros, one entry, alternating
+        # signs at the largest entry, and seeded entries
+        rng = random.Random(n)
+        for a in ([0] * n, [0] * (n - 1) + [-3],
+                  [(-1) ** t * 2 ** 30 for t in range(n)],
+                  [(-1) ** t * (t + 1) for t in range(n)],
+                  [rng.randint(-2 ** 20, 2 ** 20) for _ in range(n)]):
+            direct = oracles.autocorrelation(a)
+            assert classnumber._packed_autocorrelation(a) == direct, a
+            assert classnumber._autocorrelation(a) == direct, a
 
     @pytest.mark.parametrize("d", [*range(2, 129, 2), 1018, 2038, 3660,
                                    3946])
@@ -369,7 +387,7 @@ class TestNormCoefficients:
         # every even order to 128, and orders near the ceiling: 2 mod 4
         # (1018 = lambda(1019), 2038, 3946) and 4 | d (3660 =
         # lambda(61^2)), whose picks wrap past the repeated row
-        ell, zeta = classnumber._crt_prime(d, 0)
+        ell, zeta = classnumber._crt_prime(d)[0]
         rng = random.Random(d)
         orbits = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(d // 2)]
                   for _ in range(2)]
@@ -400,9 +418,10 @@ class TestNormCoefficients:
                 oracles.pick(row, 0, step, count)
 
 
-def _root_one(monkeypatch, pick):
-    """corrupt(m) makes the prime pick(indices) of hminus(m) come with the
-    root 1, indices those of the primes that hminus(m) takes.
+def _root_one(monkeypatch, index):
+    """corrupt(m) makes the CRT prime ``index`` of hminus(m) come with the
+    root 1: 0 the prime whose power carries the value, 3 the last check
+    prime.
 
     A root of another primitive order would not do: the product runs over
     whole Galois orbits and comes out the same.
@@ -410,20 +429,10 @@ def _root_one(monkeypatch, pick):
     original = classnumber._crt_prime
 
     def corrupt(m):
-        used = []
-
-        def record(exponent, index):
-            used.append(index)
-            return original(exponent, index)
-
-        monkeypatch.setattr(classnumber, "_crt_prime", record)
-        hminus.cache_clear()
-        hminus(m)
-        wrong = pick(used)
-
-        def wrong_root(exponent, index):
-            ell, root = original(exponent, index)
-            return (ell, 1) if index == wrong else (ell, root)
+        def wrong_root(exponent):
+            primes = list(original(exponent))
+            primes[index] = primes[index][0], 1
+            return tuple(primes)
 
         monkeypatch.setattr(classnumber, "_crt_prime", wrong_root)
         hminus.cache_clear()
@@ -434,7 +443,7 @@ def _root_one(monkeypatch, pick):
 @pytest.fixture
 def corrupt_check_prime(monkeypatch):
     """The last check prime of hminus(m) comes with the root 1."""
-    yield _root_one(monkeypatch, max)
+    yield _root_one(monkeypatch, 3)
     hminus.cache_clear()
 
 
@@ -442,7 +451,7 @@ def corrupt_check_prime(monkeypatch):
 def corrupt_evaluation_prime(monkeypatch):
     """The prime whose power carries the value, index 0, comes with the
     root 1, and so does its Teichmueller lift."""
-    yield _root_one(monkeypatch, min)
+    yield _root_one(monkeypatch, 0)
     hminus.cache_clear()
 
 
@@ -466,7 +475,7 @@ def _assert_least_precision(m):
     # two comparisons, and k is the least one, as the loop over the powers
     # of l from k = 1 finds it
     exponent = lcm(*classnumber._generator_orders(m))
-    ell = classnumber._crt_prime(exponent, 0)[0]
+    ell = classnumber._crt_prime(exponent)[0][0]
     bound_sq, scale = oracles.norm_bound(m)
     _CountedInt.products = 0
     k = classnumber._precision(ell, bound_sq, _CountedInt(scale))
@@ -503,7 +512,7 @@ class TestHminus:
         # root^(l^(k-1)) mod l^k has order exactly lambda(m), as root mod l,
         # and Newton's iteration finds the same lift
         exponent = lcm(*classnumber._generator_orders(m))
-        ell, root = classnumber._crt_prime(exponent, 0)
+        ell, root = classnumber._crt_prime(exponent)[0]
         for k in range(1, 65):
             lift = pow(root, ell ** (k - 1), ell ** k)
             assert classnumber._teichmueller_lift(root, exponent, ell,
@@ -518,7 +527,7 @@ class TestHminus:
         # the primes are those of the plain countdown and root search
         for exponent in _exponents_to_2000():
             for index in (0, 1, 2, 3):
-                ell, root = classnumber._crt_prime(exponent, index)
+                ell, root = classnumber._crt_prime(exponent)[index]
                 assert ell == oracles.crt_prime(exponent, index, 30)[0]
                 assert pow(root, exponent, ell) == 1, (exponent, index)
                 assert all(pow(root, exponent // r, ell) != 1
@@ -529,7 +538,7 @@ class TestHminus:
         # from the first base that its own loop over the bases finds
         for exponent in _exponents_to_2000():
             for index in (0, 1, 2, 3):
-                assert classnumber._crt_prime(exponent, index) == \
+                assert classnumber._crt_prime(exponent)[index] == \
                     oracles.crt_prime_per_part(exponent, index), \
                     (exponent, index)
 
@@ -538,7 +547,7 @@ class TestHminus:
         # below 2^30, and 1 mod the exponent; the check modulus is above
         # 2^60
         for exponent in _exponents_to_2000():
-            primes = [classnumber._crt_prime(exponent, index)[0]
+            primes = [classnumber._crt_prime(exponent)[index][0]
                       for index in range(4)]
             assert len(set(primes)) == 4, exponent
             assert all(ell < 2 ** 30 and ell % exponent == 1
@@ -562,7 +571,7 @@ class TestHminus:
         rng = random.Random(300)
         for exponent in sorted({lcm(*classnumber._generator_orders(m))
                                 for m in range(3, 301) if m % 4 != 2}):
-            ell, root = classnumber._crt_prime(exponent, 0)
+            ell, root = classnumber._crt_prime(exponent)[0]
             modulus = ell ** 2
             x = classnumber._teichmueller_lift(root, exponent, ell, modulus)
             row = classnumber._cos_row(x, exponent, modulus)
@@ -584,7 +593,7 @@ class TestHminus:
         # through the real subfield against one value per unit j, at a
         # root of order d modulo a prime l = 1 (mod d): d = 2, d = 4,
         # d = 2 mod 4 and 4 | d above 4
-        ell, zeta = classnumber._crt_prime(d, 0)
+        ell, zeta = classnumber._crt_prime(d)[0]
         rng = random.Random(d)
         orbits = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(d // 2)]
                   for _ in range(3)]
@@ -613,22 +622,23 @@ class TestHminus:
 
     @pytest.mark.parametrize("m", [23, 257, 1009])
     def test_one_prime_power_and_one_check_prime(self, m, monkeypatch):
-        # the check modulus is the product of the primes 1, 2 and 3,
-        # distinct primes below 2^30 whose product exceeds 2^60
-        used, original = {}, classnumber._crt_prime
+        # hminus reads the four primes of one scan: the check modulus is
+        # the product of the primes 1, 2 and 3, distinct primes below 2^30
+        # whose product exceeds 2^60
+        used, original = [], classnumber._crt_prime
 
-        def record(exponent, index):
-            used[index] = original(exponent, index)[0]
-            return original(exponent, index)
+        def record(exponent):
+            used.append(exponent)
+            return original(exponent)
 
         monkeypatch.setattr(classnumber, "_crt_prime", record)
         hminus.cache_clear()
         hminus(m)
-        assert set(used) == {0, 1, 2, 3}
-        assert all(ell < 2 ** 30 and arith.isprime(ell)
-                   for ell in used.values())
-        assert len({used[1], used[2], used[3]}) == 3
-        assert used[1] * used[2] * used[3] > 2 ** 60
+        exponent, = used
+        primes = [ell for ell, _ in original(exponent)]
+        assert len(set(primes)) == 4 and primes == sorted(primes, reverse=True)
+        assert all(ell < 2 ** 30 and arith.isprime(ell) for ell in primes)
+        assert primes[1] * primes[2] * primes[3] > 2 ** 60
 
     @pytest.mark.parametrize("m", [4003, 2 * 4003, 4 * 4003, 10007])
     def test_phi_ceiling(self, m):

@@ -151,6 +151,35 @@ class TestTate:
             for n in (0, 1):
                 assert tate(m, n) == oracles.oracle_tate(m, n), level
 
+    def test_dense_conjugate_of_the_pair_swap(self):
+        # P swap P^-1, P a seeded unimodular matrix, is an involution of
+        # (Z/2)^64 with half its entries nonzero mod 2, where a product or
+        # a pivot search that skips zeros and stops at a unit gains least;
+        # it is isomorphic to the pair swap, so its Tate groups are the
+        # swap's, and the oracle's
+        rank, rng = 64, random.Random(6464)
+        p = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        p_inv = [row[:] for row in p]
+        for _ in range(rank * rank):
+            # row i of p += c * row j, column j of p_inv -= c * column i
+            i, j = rng.sample(range(rank), 2)
+            c = rng.choice((-1, 1))
+            p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+            for row in p_inv:
+                row[j] -= c * row[i]
+        swap = IntMatrix([[int(j == i ^ 1) for j in range(rank)]
+                          for i in range(rank)])
+        p, p_inv = IntMatrix(p), IntMatrix(p_inv)
+        assert p @ p_inv == IntMatrix.diagonal([1] * rank)
+        g = FinAbGroup([2] * rank)
+        dense = InvModule(g, AbHom(g, g, p @ swap @ p_inv))
+        assert sum(map(any, dense.involution.matrix.data)) == rank
+        assert sum(map(sum, dense.involution.matrix.data)) > rank * rank // 3
+        pair_swap = InvModule(g, AbHom(g, g, swap))
+        for n in (0, 1):
+            assert tate(dense, n) == tate(pair_swap, n) == \
+                oracles.oracle_tate(dense, n) == FinAbGroup()
+
     def test_two_part_carries_everything(self):
         rng = random.Random(12)
         for _ in range(80):
