@@ -11,8 +11,6 @@ coerced to a number the sources do not support.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .abelian import FinAbGroup
 from .arith import UnsupportedModulusError, divisors, factorint, isprime
 from .involutive import InvModule
@@ -362,13 +360,12 @@ def wh_structure(n, m, compute=False):
         raise ScopeError("only even degrees are in scope")
     if m < 2:
         raise ScopeError("the cyclic order must be at least 2")
-    return WhStructure(m, n, *_wh_fields(m, bool(compute)))
+    return WhStructure(m, n, *wh_fields(m, bool(compute)))
 
 
-@lru_cache(maxsize=None)
-def _wh_fields(m, compute):
-    """(free_rank, nk1_zero, j_group, i_group, tate_group) at m: the one
-    cache of this layer, shared by every degree and every later query."""
+def wh_fields(m, compute):
+    """(free_rank, nk1_zero, j_group, i_group, tate_group) at m: every
+    field of the structure but the degree, since no group depends on it."""
     rank = wh_rank(m)
     tate_knowledge = a_m(m, compute)
 

@@ -11,16 +11,17 @@ contradiction between the two is reported, never silently resolved.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, prod
 
 from .arith import UnsupportedModulusError, factorint
 from .classnumber import hminus, known_class_group, odd_part
 from .ktheory import (
     ScopeError,
+    WhStructure,
     d_divisibility_bound,
-    nk1_vanishes,
     squarefree,
-    wh_structure,
+    wh_fields,
 )
 from .record import Record
 from .residue import c_bound, vtilde
@@ -156,12 +157,18 @@ def classify(n, m, deep=False):
     With deep=True the ingredient layer recomputes the analytic inputs,
     and the provenance records whether they agree: "ingredient-verified"
     means no check of verify() is inconsistent; some may be "no-data".
+    The ingredients and the checks that read no degree come from the one
+    description of m (``_described``), built once and shared by every
+    even n; a call builds only the structure at n, a2k_order and the
+    automorphism-order check, and the verdicts.
     """
     n, m = _check_scope(n, m)
     k = n // 2
-    ingredients = wh_structure(n, m, compute=deep)
+    deep = bool(deep)
+    description = _described(m, deep)
+    ingredients = WhStructure(m, n, *description[:5])
 
-    if not squarefree(m):
+    if not ingredients.nk1_zero:
         mhs = SetVerdict("infinite")
         mhcob = SetVerdict("infinite")
     else:
@@ -177,13 +184,14 @@ def classify(n, m, deep=False):
                               + (f"; {tate_knowledge.constraint}"
                                  if tate_knowledge.constraint else ""))
 
+    a2k = a2k_order(k, m)
     provenance = "rule-derived"
     if deep:
-        record = _verify(n, m, ingredients)
+        record = _record(n, m, a2k, *description[5:])
         provenance = "ingredient-verified" if record.consistent else "inconsistent"
 
     return ManifoldSetReport(n=n, k=k, m=m, mhs=mhs, mhcob=mhcob,
-                             mhs_hcob=mhs_hcob, a2k_order=a2k_order(k, m),
+                             mhs_hcob=mhs_hcob, a2k_order=a2k,
                              ingredients=ingredients, provenance=provenance)
 
 
@@ -226,50 +234,74 @@ def verify(n, m):
     An h^- above HMINUS_PHI_CEILING, at m or at a divisor, raises
     UnsupportedModulusError instead where it is read: always at a
     square-free m, elsewhere only when the branch of a_m reads it.
+    Only "automorphism-order-bound" reads n: every other check runs once
+    per m, in the description shared with classify(deep=True) at every
+    even n.
     """
     n, m = _check_scope(n, m)
-    return _verify(n, m, wh_structure(n, m, compute=True))
+    return _record(n, m, a2k_order(n // 2, m), *_described(m, True)[5:])
 
 
-def _verify(n, m, w):
-    """verify(n, m) against w, the computed (deep) ingredients at m."""
+@lru_cache(maxsize=None)
+def _described(m, deep):
+    """The description of m, the one cache of this layer, shared by
+    classify and verify at every even n: the five Whitehead-group fields,
+    followed when deep by the checks of verify that read no degree and
+    whether none of them is inconsistent.  Without deep it is the fields
+    tuple itself, so a long non-deep sweep holds no more than the fields."""
+    fields = wh_fields(m, deep)
+    if not deep:
+        return fields
+    checks = _degree_free_checks(m, *fields[1:])
+    return *fields, checks, all(dict(c)["status"] != "inconsistent"
+                                for c in checks)
+
+
+def _record(n, m, a2k, checks, consistent):
+    """verify(n, m) from the degree-free checks at m and a2k_order at n,
+    whose bound check goes second."""
+    bounded = a2k < 2 * m * m
+    bound = (("name", "automorphism-order-bound"),
+             ("status", "confirmed" if bounded else "inconsistent"),
+             ("detail", f"|A_{n}({m})| = {a2k} < {2 * m * m}"))
+    return ConsistencyRecord(n=n, m=m, consistent=consistent and bounded,
+                             checks=(checks[0], bound, *checks[1:]))
+
+
+def _degree_free_checks(m, nk1_zero, j_group, i_group, tate_group):
+    """Every check of verify at m but the automorphism-order bound,
+    against the computed (deep) ingredients at m."""
     checks = []
 
     def add(name, status, detail):
         checks.append((("name", name), ("status", status), ("detail", detail)))
 
     sf = squarefree(m)
-    add("squarefree-vs-infinite", "confirmed" if sf == nk1_vanishes(m)
+    add("squarefree-vs-infinite", "confirmed" if sf == nk1_zero
         else "inconsistent",
-        f"square-free = {sf}, Nil summand vanishes = {nk1_vanishes(m)}")
-
-    k = n // 2
-    a2k = a2k_order(k, m)
-    add("automorphism-order-bound",
-        "confirmed" if a2k < 2 * m * m else "inconsistent",
-        f"|A_{n}({m})| = {a2k} < {2 * m * m}")
+        f"square-free = {sf}, Nil summand vanishes = {nk1_zero}")
 
     if sf:
         h = hminus(m)
         witness, note = _i_witness(m)
         # first set: triviality must match the vanishing of J
         if m in MHS_TRIVIAL:
-            if w.j_group.status == "exact" and w.j_group.group.is_trivial() \
+            if j_group.status == "exact" and j_group.group.is_trivial() \
                     and h == 1:
                 add("set1-trivial-support", "confirmed",
                     "class number one and vanishing kernel group force J = 0")
-            elif w.j_group.status == "exact":
+            elif j_group.status == "exact":
                 add("set1-trivial-support", "inconsistent",
-                    f"listed trivial but J = {w.j_group.group}")
+                    f"listed trivial but J = {j_group.group}")
             else:
                 add("set1-trivial-support", "no-data",
                     "J not exactly computable from stored facts")
         else:
-            if w.j_group.status == "exact":
-                status = "confirmed" if not w.j_group.group.is_trivial() \
+            if j_group.status == "exact":
+                status = "confirmed" if not j_group.group.is_trivial() \
                     else "inconsistent"
                 add("set1-nontrivial-witness", status,
-                    f"exact J = {w.j_group.group}")
+                    f"exact J = {j_group.group}")
             elif odd_part(h) > 1:
                 add("set1-nontrivial-witness", "confirmed",
                     f"odd(h^-) = {odd_part(h)} > 1 forces J != 0")
@@ -281,21 +313,21 @@ def _verify(n, m, w):
 
         # second set against I
         if m in MHCOB_TRIVIAL:
-            if w.i_group.status == "exact" and w.i_group.group.is_trivial():
+            if i_group.status == "exact" and i_group.group.is_trivial():
                 add("set2-trivial-support", "confirmed",
                     "stored data gives I = 0 exactly")
-            elif w.i_group.status == "exact":
+            elif i_group.status == "exact":
                 add("set2-trivial-support", "inconsistent",
-                    f"listed trivial but I = {w.i_group.group}")
+                    f"listed trivial but I = {i_group.group}")
             else:
                 add("set2-trivial-support", "no-data",
                     "I not exactly computable from stored facts")
         else:
-            if w.i_group.status == "exact":
-                status = "confirmed" if not w.i_group.group.is_trivial() \
+            if i_group.status == "exact":
+                status = "confirmed" if not i_group.group.is_trivial() \
                     else "inconsistent"
                 add("set2-nontrivial-witness", status,
-                    f"exact I = {w.i_group.group}")
+                    f"exact I = {i_group.group}")
             elif witness > 1:
                 add("set2-nontrivial-witness", "confirmed",
                     f"divisibility witness {witness} > 1"
@@ -313,8 +345,8 @@ def _verify(n, m, w):
                         "no stored witness channel applies")
 
         # the divisibility invariant where I is exact
-        if w.i_group.status == "exact":
-            order = w.i_group.group.order
+        if i_group.status == "exact":
+            order = i_group.group.order
             add("i-order-divisibility",
                 "confirmed" if order % witness == 0 else "inconsistent",
                 f"witness {witness} vs |I| = {order}"
@@ -335,22 +367,20 @@ def _verify(n, m, w):
             "m is not square-free, matching the infinite verdicts")
 
     # third set: always finite; cross-check the Tate group when exact
-    if w.tate_group.status == "exact":
-        group = w.tate_group.group
+    if tate_group.status == "exact":
+        group = tate_group.group
         elementary = all(d == 2 for d in group.invariant_factors)
         add("tate-elementary", "confirmed" if elementary else "inconsistent",
             f"H = {group}")
-        if sf and w.j_group.status == "exact" and w.i_group.status == "exact":
-            expected = w.j_group.group.order // w.i_group.group.order
+        if sf and j_group.status == "exact" and i_group.status == "exact":
+            expected = j_group.group.order // i_group.group.order
             add("tate-vs-j-i", "confirmed" if group.order == expected
                 else "inconsistent",
                 f"|H| = {group.order}, |J|/|I| = {expected}")
     else:
         add("tate-elementary", "no-data", "Tate group not exactly known")
 
-    consistent = all(dict(c)["status"] != "inconsistent" for c in checks)
-    return ConsistencyRecord(n=n, m=m, consistent=consistent,
-                             checks=tuple(checks))
+    return tuple(checks)
 
 
 def sweep(n, m_values, deep=False):

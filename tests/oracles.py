@@ -50,7 +50,9 @@ too, the determinant, the Smith-normal-form solver, the zero map and the
 zero tests of matrices and maps, direct sums of groups and of modules (and
 the class-group module summed one part at a time), corestriction, primary
 parts, the swap square and the order of a unit up to sign live here as
-well: only the tests use them.
+well: only the tests use them.  So does verify as it ran before the
+checks that read no degree were shared across degrees: every check
+recomputed at each (n, m) from the deep structure at n.
 """
 
 import random
@@ -90,6 +92,7 @@ from cycloclass.classnumber import (
     h_is_odd,
     hminus,
     hminus_is_one,
+    known_class_group,
     odd_part,
 )
 from cycloclass.involutive import InvModule
@@ -99,13 +102,22 @@ from cycloclass.ktheory import (
     _class_part,
     d_divisibility_bound,
     nk1_vanishes,
+    squarefree,
     stored_d_group,
     wh_rank,
+    wh_structure,
+)
+from cycloclass.manifoldset import (
+    MHCOB_TRIVIAL,
+    MHS_TRIVIAL,
+    ConsistencyRecord,
+    a2k_order,
 )
 from cycloclass.record import Record
 from cycloclass.residue import (
     _decompose,
     _second_generator_root,
+    c_bound,
     order_mod,
     unit_quotient,
     vtilde,
@@ -2178,7 +2190,7 @@ def eager_difference_witness(m, compute):
 
 
 def eager_wh_fields(m, compute):
-    """``ktheory._wh_fields`` from the eager description."""
+    """``ktheory.wh_fields`` from the eager description."""
     rank = wh_rank(m)
     tate_knowledge = eager_a_m(m, compute)
     if not nk1_vanishes(m):
@@ -2194,3 +2206,120 @@ def eager_wh_fields(m, compute):
         return rank, True, j, i, tate_knowledge
     bound = Knowledge.bound(*eager_difference_witness(m, compute))
     return rank, True, bound, bound, tate_knowledge
+
+
+def oracle_verify(n, m):
+    """``manifoldset.verify(n, m)`` with every check run at (n, m), each
+    against the deep structure at n: none is shared with another degree."""
+    w = wh_structure(n, m, compute=True)
+    checks = []
+
+    def add(name, status, detail):
+        checks.append((("name", name), ("status", status), ("detail", detail)))
+
+    sf = squarefree(m)
+    add("squarefree-vs-infinite", "confirmed" if sf == nk1_vanishes(m)
+        else "inconsistent",
+        f"square-free = {sf}, Nil summand vanishes = {nk1_vanishes(m)}")
+
+    a2k = a2k_order(n // 2, m)
+    add("automorphism-order-bound",
+        "confirmed" if a2k < 2 * m * m else "inconsistent",
+        f"|A_{n}({m})| = {a2k} < {2 * m * m}")
+
+    if sf:
+        h = hminus(m)
+        # odd(h_m^-) * prod of odd unit-cokernel orders divides |I|
+        witness, note = odd_part(h), None
+        try:
+            witness *= d_divisibility_bound(m)
+        except UnsupportedModulusError:
+            note = "kernel-group channel unsupported for this m"
+        if m in MHS_TRIVIAL:
+            if w.j_group.status == "exact" and w.j_group.group.is_trivial() \
+                    and h == 1:
+                add("set1-trivial-support", "confirmed",
+                    "class number one and vanishing kernel group force J = 0")
+            elif w.j_group.status == "exact":
+                add("set1-trivial-support", "inconsistent",
+                    f"listed trivial but J = {w.j_group.group}")
+            else:
+                add("set1-trivial-support", "no-data",
+                    "J not exactly computable from stored facts")
+        elif w.j_group.status == "exact":
+            add("set1-nontrivial-witness",
+                "confirmed" if not w.j_group.group.is_trivial()
+                else "inconsistent", f"exact J = {w.j_group.group}")
+        elif odd_part(h) > 1:
+            add("set1-nontrivial-witness", "confirmed",
+                f"odd(h^-) = {odd_part(h)} > 1 forces J != 0")
+        else:
+            add("set1-nontrivial-witness",
+                "confirmed" if witness > 1 else "no-data",
+                f"divisibility witness {witness}"
+                + (f" ({note})" if note else ""))
+
+        if m in MHCOB_TRIVIAL:
+            if w.i_group.status == "exact" and w.i_group.group.is_trivial():
+                add("set2-trivial-support", "confirmed",
+                    "stored data gives I = 0 exactly")
+            elif w.i_group.status == "exact":
+                add("set2-trivial-support", "inconsistent",
+                    f"listed trivial but I = {w.i_group.group}")
+            else:
+                add("set2-trivial-support", "no-data",
+                    "I not exactly computable from stored facts")
+        elif w.i_group.status == "exact":
+            add("set2-nontrivial-witness",
+                "confirmed" if not w.i_group.group.is_trivial()
+                else "inconsistent", f"exact I = {w.i_group.group}")
+        elif witness > 1:
+            add("set2-nontrivial-witness", "confirmed",
+                f"divisibility witness {witness} > 1"
+                + (f" ({note})" if note else ""))
+        else:
+            group = known_class_group(m)
+            if group is not None and any(
+                    d % 4 == 0 for d in group.invariant_factors):
+                add("set2-nontrivial-witness", "confirmed",
+                    "the stored class group has nontrivial double")
+            else:
+                add("set2-nontrivial-witness", "no-data",
+                    "no stored witness channel applies")
+
+        if w.i_group.status == "exact":
+            order = w.i_group.group.order
+            add("i-order-divisibility",
+                "confirmed" if order % witness == 0 else "inconsistent",
+                f"witness {witness} vs |I| = {order}"
+                + (f" ({note})" if note else ""))
+
+        try:
+            bound = c_bound(m)
+        except UnsupportedModulusError:
+            bound = None
+        if bound is not None:
+            order = vtilde(m).order
+            add("c-bound-divides-cokernel",
+                "confirmed" if order % bound == 0 else "inconsistent",
+                f"c = {bound}, cokernel order {order}")
+    else:
+        add("set1-set2-infinite", "confirmed",
+            "m is not square-free, matching the infinite verdicts")
+
+    if w.tate_group.status == "exact":
+        group = w.tate_group.group
+        elementary = all(d == 2 for d in group.invariant_factors)
+        add("tate-elementary", "confirmed" if elementary else "inconsistent",
+            f"H = {group}")
+        if sf and w.j_group.status == "exact" and w.i_group.status == "exact":
+            expected = w.j_group.group.order // w.i_group.group.order
+            add("tate-vs-j-i", "confirmed" if group.order == expected
+                else "inconsistent",
+                f"|H| = {group.order}, |J|/|I| = {expected}")
+    else:
+        add("tate-elementary", "no-data", "Tate group not exactly known")
+
+    consistent = all(dict(c)["status"] != "inconsistent" for c in checks)
+    return ConsistencyRecord(n=n, m=m, consistent=consistent,
+                             checks=tuple(checks))

@@ -13,13 +13,13 @@ from cycloclass.ktheory import (
     _class_parts,
     _exact_k0_module,
     _j_and_i,
-    _wh_fields,
     a_m,
     d_divisibility_bound,
     km_v_module,
     nk1_vanishes,
     squarefree,
     stored_d_group,
+    wh_fields,
     wh_rank,
     wh_structure,
 )
@@ -342,7 +342,7 @@ class TestK0Description:
         for m in range(2, 301):
             for compute in (False, True):
                 assert a_m(m, compute) == oracles.eager_a_m(m, compute), m
-                assert _wh_fields(m, compute) == \
+                assert wh_fields(m, compute) == \
                     oracles.eager_wh_fields(m, compute), m
 
 

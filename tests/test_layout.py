@@ -127,9 +127,11 @@ CACHED = {
     # the unit cokernel at d, read by the kernel-group witness of every
     # multiple of d and by verify at d
     "residue.vtilde",
-    # the Whitehead-group fields at (m, compute), shared by every degree n,
-    # by classify and verify, and by later queries
-    "ktheory._wh_fields",
+    # the description of m at (m, deep): the Whitehead-group fields and,
+    # when deep, the checks of verify that read no degree, so those run
+    # once per m and are shared by classify and verify at every even n
+    # (one paper-tables pass from empty caches: 474 reads, 99 misses)
+    "manifoldset._described",
 }
 
 

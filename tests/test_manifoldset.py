@@ -173,7 +173,7 @@ class TestVerify:
 
 
 def _clear_caches():
-    for module in (classnumber, residue, ktheory):
+    for module in (classnumber, residue, ktheory, manifoldset):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -200,7 +200,7 @@ class TestOncePerQuery:
                            manifoldset)
         report = classify(4, 33, deep=True)
         assert report.provenance == "ingredient-verified"
-        assert ktheory._wh_fields.cache_info().misses == 1
+        assert manifoldset._described.cache_info().misses == 1
         assert len(bounds) <= 2
 
     def test_degrees_share_the_ingredients(self):
@@ -208,7 +208,52 @@ class TestOncePerQuery:
         for n in (4, 6, 8):
             assert classify(n, 33, deep=True).ingredients.n == n
             verify(n, 33)
-        assert ktheory._wh_fields.cache_info().misses == 1
+        assert manifoldset._described.cache_info().misses == 1
+
+    def test_later_degrees_rerun_no_degree_free_check(self, monkeypatch):
+        _clear_caches()
+        classify(4, 33, deep=True)
+        calls = [_counting(monkeypatch, name,
+                           *(module for module in (ktheory, manifoldset,
+                                                   residue)
+                             if hasattr(module, name)))
+                 for name in ("d_divisibility_bound", "vtilde", "c_bound")]
+        factorings = _counting(monkeypatch, "factorint", ktheory,
+                               manifoldset)
+        assert verify(6, 33).n == 6
+        assert classify(8, 33, deep=True).provenance == "ingredient-verified"
+        assert calls == [[], [], []]
+        # a2k_order factors m once per call; squarefree is not read again
+        assert factorings == [(33,), (33,)]
+
+
+ORDERS = {
+    "ascending": [(kind, n) for n in (4, 6, 8, 10)
+                  for kind in ("classify", "verify")],
+    "descending": [(kind, n) for n in (10, 8, 6, 4)
+                   for kind in ("classify", "verify")],
+    "verify first": [(kind, n) for kind in ("verify", "classify")
+                     for n in (4, 6, 8, 10)],
+}
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_shared_checks_match_the_per_degree_oracle(order):
+    # from empty caches, in each order, every degree reads the one
+    # description of m and must answer as if it had run every check
+    _clear_caches()
+    for m in range(2, 301):
+        expected = {}
+        for kind, n in ORDERS[order]:
+            if n not in expected:
+                expected[n] = oracles.oracle_verify(n, m)
+            if kind == "verify":
+                assert verify(n, m) == expected[n], (n, m)
+            else:
+                provenance = classify(n, m, deep=True).provenance
+                assert provenance == ("ingredient-verified"
+                                      if expected[n].consistent
+                                      else "inconsistent"), (n, m)
 
 
 def test_deep_reports_and_records_are_pinned():
