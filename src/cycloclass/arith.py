@@ -268,20 +268,3 @@ def divisors(n):
         divs = [d * p ** k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
-
-def primitive_root(q):
-    """The smallest primitive root modulo an odd prime power q."""
-    fact = factorint(q)
-    if len(fact) != 1 or 2 in fact:
-        raise ValueError(f"{q} is not an odd prime power")
-    (p, e), = fact.items()
-    phi = q - q // p
-    # g generates (Z/q)^x when no g^(phi/r), r a prime dividing phi, is 1
-    tests = [phi // r for r in factorint(p - 1)]
-    if e > 1:
-        tests.append(phi // p)
-    for g in range(2, q):
-        if g % p and all(pow(g, t, q) != 1 for t in tests):
-            return g
-    raise AssertionError("every odd prime power has a primitive root")
-

@@ -101,21 +101,14 @@ takes one unit of each pair {a, f - a}, and along the longest axis the
 value exponent grows by a fixed step, so the F_t are sums of strided
 slices of the rows.  The orbits must cover the phi(m)/2 odd characters.
 
-The four primes come from one scan down the l = 1 (mod lambda(m)) from
-2^30, lambda(m) factored once for all four roots, and are tested by
-``arith``: one gcd screens out every candidate with a prime factor below
-100, and the Miller-Rabin test, deterministic below 2^64, takes three bases
-below 4759123141 on the rest.  Below 2^30 every candidate, trial base and
-root is one 30-bit digit of a CPython int, on which ``pow`` is two to three
-times as fast as on the two digits of a number just below 2^31.  The root r
-of each is a product of one element of order s^a per s^a || lambda(m), s
-prime, each the first x^((l-1)/s^a), x >= 2, whose (s^(a-1))-th power is
-not 1: each trial base x is raised once to y = x^((l-1)/lambda(m)), and
-every part not yet found takes y^(lambda(m)/s^a), a small power.  Only
-prime x are tried: the test y^(lambda(m)/s) != 1 is multiplicative in x, so
-the first x that passes it is prime.  The primitive roots behind the
-characters' generators come from the same module, and the order of each
-generator is checked by powering.
+The four primes are the largest l = 1 (mod F) below 2^30, F = lambda(m)
+2^a with F^2 >= 2^30, each proven prime by the search for its root
+(Pocklington, 1914; Brillhart, Lehmer and Selfridge, 1975; see
+``_crt_prime``).  Below 2^30 every candidate, base and root is one 30-bit
+digit of a CPython int, on which ``pow`` is two to three times as fast as
+on the two digits of a number just below 2^31.  The generators of the unit
+group are the least primitive roots, each checked by powering against the
+primes of p - 1 that its search reads.
 """
 
 from __future__ import annotations
@@ -126,8 +119,9 @@ from math import gcd, lcm, prod
 from operator import mul, sub
 
 from .abelian import FinAbGroup
-from .arith import InternalConsistencyError, UnsupportedModulusError, \
-    factorint, isprime, primitive_root, totient
+from .arith import _SCREEN_PRIMES, _SCREEN_PRODUCT, \
+    InternalConsistencyError, UnsupportedModulusError, factorint, isprime, \
+    totient
 
 
 def odd_part(x):
@@ -144,26 +138,39 @@ def odd_part(x):
 # the unit group (Z/m)^x
 
 
+def _primitive_root(q, p, primes):
+    """The least primitive root modulo an odd prime power q = p^e, the
+    primes of its order q - q/p given."""
+    phi = q - q // p
+    return next(g for g in count(2) if g % p and
+                all(pow(g, phi // r, q) != 1 for r in primes))
+
+
 @lru_cache(maxsize=None)
 def _unit_group(m):
     """The local factors of (Z/m)^x, one (p, e, gens) per p^e || m.
 
-    ``gens`` lists (generator, order) for (Z/p^e)^x: a primitive root for
-    odd p, 3 at 4, and -1, 5 at 2^e with e >= 3, so the first generator of
-    every nontrivial factor is the one carrying -1.  Each generator g of
-    order o must have g^o = 1 and g^(o/r) != 1 for every prime r | o.
+    ``gens`` lists (generator, order) for (Z/p^e)^x: the least primitive
+    root for odd p, 3 at 4, and -1, 5 at 2^e with e >= 3, so the first
+    generator of every nontrivial factor is the one carrying -1.  Each
+    generator g of order o must have g^o = 1 and g^(o/r) != 1 for every
+    prime r | o: those of p - 1, and p when e > 1, as the search reads.
     """
     factors = []
     for p, e in factorint(int(m)).items():
         q = p ** e
         if p == 2:
+            primes = [2]
             gens = [] if e == 1 else [(3, 2)] if e == 2 else \
                 [(q - 1, 2), (5, q // 4)]
         else:
-            gens = [(primitive_root(q), q - q // p)]
+            primes = [*factorint(p - 1)]
+            if e > 1:
+                primes.append(p)
+            gens = [(_primitive_root(q, p, primes), q - q // p)]
         for g, o in gens:
             if pow(g, o, q) != 1 or any(pow(g, o // r, q) == 1
-                                        for r in factorint(o)):
+                                        for r in primes):
                 raise InternalConsistencyError(
                     f"unit group generator {g} does not have order {o} "
                     f"modulo {q}")
@@ -372,45 +379,78 @@ def _normalize_modulus(m):
     return m // 2 if m % 4 == 2 else m
 
 
+def _pocklington(ell, order, parts, bases):
+    """(root, open), or None when a base shows l = 1 (mod order) composite.
+
+    A base x gives y = x^((l-1)/order), and l is composite (Fermat) unless
+    y^order = 1.  An open part (r^a, r) takes w = y^(order/r) =
+    x^((l-1)/r): when w != 1, gcd(w - 1, l) = 1 settles the part, z =
+    y^(order/r^a), of order r^a, joining the product root, and a proper
+    factor shows l composite.
+    """
+    k, root = (ell - 1) // order, 1
+    for x in bases:
+        y = pow(x, k, ell)
+        if pow(y, order, ell) != 1:
+            return None
+        still_open = []
+        for part, r in parts:
+            w = pow(y, order // r, ell)
+            if w == 1:
+                still_open.append((part, r))
+            elif gcd(w - 1, ell) == 1:
+                z = w if part == r else pow(y, order // part, ell)
+                root = root * z % ell
+            else:
+                return None
+        parts = still_open
+        if not parts:
+            break
+    return root, parts
+
+
 @lru_cache(maxsize=None)
 def _crt_prime(exponent):
-    """The four largest primes l below 2^30 with l = 1 (mod exponent), in
-    decreasing order, each with an element of order exponent modulo l.
+    """The four largest primes l = 1 (mod F) below 2^30, in decreasing
+    order, each with an element of order exponent modulo l.
 
-    Below 2^30 the Miller-Rabin test of ``arith`` takes three bases, not
-    seven, and every number it powers is one 30-bit digit; hminus
-    evaluates modulo a power of the first prime and checks modulo the
-    product of the other three, of about 2^90.  One scan down the l =
-    k * exponent + 1 from 2^30 finds all four, and exponent is factored
-    once for their elements.  The element is a product of one z of order
-    r^a per r^a || exponent: z = x^((l-1)/r^a) for the first x >= 2 with
-    z^(r^(a-1)) != 1.  Each trial base x is raised to the full-size power
-    y = x^((l-1)/exponent) once, and each part still open takes its z as
-    the small power y^(exponent/r^a).  The test z^(r^(a-1)) != 1 says
-    x^((l-1)/r) != 1, which holds for a product only if it holds for a
-    factor, so the first base to pass it is prime: composite x are
-    skipped.
+    F = lcm(exponent, 2) 2^a, a the least with F^2 >= 2^30.  A candidate
+    l = c F + 1 past the gcd screen of ``arith`` is prime once
+    ``_pocklington`` settles every part of lcm(exponent, 2), as the primes
+    are those of F (Pocklington, Proc. Cambridge Philos. Soc. 18 (1914);
+    Brillhart, Lehmer and Selfridge, Math. Comp. 29 (1975)): each prime
+    factor of l is then 1 mod F, so above sqrt(l).  The bases are the odd
+    primes below 100, x skipped when l mod x is a square mod x: when
+    4 | F, (x/l) = (l/x) = 1, and x would leave the part of 2 open.  When
+    the bases run out, ``isprime`` decides l, and a prime l takes its root
+    from every prime base in turn, as the primes below l generate
+    (Z/l)^x.  An odd exponent squares the root.
     """
-    factors = [(r ** a, r) for r, a in factorint(exponent).items()]
-    found, k = [], (2 ** 30 - 2) // exponent
-    while len(found) < 4:
-        ell = k * exponent + 1
-        if isprime(ell):
-            root, parts = 1, factors
-            for x in filter(isprime, count(2)):
-                y, open_parts = pow(x, k, ell), []
-                for part, r in parts:
-                    z = pow(y, exponent // part, ell)
-                    if pow(z, part // r, ell) != 1:
-                        root = root * z % ell
-                    else:
-                        open_parts.append((part, r))
-                if not open_parts:
-                    break
-                parts = open_parts
-            found.append((ell, root))
-        k -= 1
-    return tuple(found)
+    order = lcm(exponent, 2)
+    parts = [(r ** a, r) for r, a in factorint(order).items()]
+    step = order
+    while step * step < 2 ** 30:
+        step *= 2
+    found = []
+    for ell in range((2 ** 30 - 2) // step * step + 1, 1, -step):
+        if gcd(ell, _SCREEN_PRODUCT) != 1:
+            continue
+        proof = _pocklington(ell, order, parts, (
+            x for x in _SCREEN_PRIMES[1:] if pow(ell % x, x // 2, x) != 1))
+        if proof is None:
+            continue
+        root, still_open = proof
+        if still_open:
+            if not isprime(ell):
+                continue
+            root, _ = _pocklington(ell, order, parts,
+                                   filter(isprime, count(2)))
+        found.append((ell, pow(root, order // exponent, ell)))
+        if len(found) == 4:
+            return tuple(found)
+    raise UnsupportedModulusError(
+        f"fewer than four primes below 2^30 are 1 modulo {step}, the CRT "
+        f"step for the exponent {exponent}")
 
 
 def _teichmueller_lift(root, exponent, ell, power):

@@ -22,12 +22,14 @@ the row repeated.  The Galois
 orbits of odd characters are also walked as exponent tuples, one
 character built per orbit, and over the Sylow parts as ``hminus`` walks
 them, on the table of every unit and with sums for every t, before the
-fold at a -> f - a; the CRT roots of ``hminus`` are also found with one
-loop over the trial bases per prime-power part.  The irregularity index
-i(p), from Bernoulli numbers by power sums mod p^2, checks h^-(p) against
-Kummer's criterion.  The characters themselves live here, exponent
-vectors on the generators of ``classnumber._unit_group`` read through one
-discrete-log table per prime power: ``hminus`` needs only their orbits.
+fold at a -> f - a; the CRT primes of ``hminus`` are also found as before
+its root search proved them, in steps of lambda(m) by sympy's primality
+test, with one loop over the trial bases per prime-power part.  The
+irregularity index i(p), from Bernoulli numbers by power sums mod p^2,
+checks h^-(p) against Kummer's criterion.  The characters themselves
+live here, exponent vectors on the generators of
+``classnumber._unit_group`` read through one discrete-log table per prime
+power: ``hminus`` needs only their orbits.
 The exact cyclotomic numbers and Bernoulli values that the orbit products
 stand for are here too, and the cyclotomic polynomials.  The unit
 cokernel vtilde is recomputed the slow way too: discrete logs in every
@@ -49,10 +51,11 @@ in closed form are here too.  Smith normal form with its column transform
 too, the determinant, the Smith-normal-form solver, the zero map and the
 zero tests of matrices and maps, direct sums of groups and of modules (and
 the class-group module summed one part at a time), corestriction, primary
-parts, the swap square and the order of a unit up to sign live here as
-well: only the tests use them.  So does verify as it ran before the
-checks that read no degree were shared across degrees: every check
-recomputed at each (n, m) from the deep structure at n.
+parts, the swap square, the least primitive root modulo an odd prime
+power and the order of a unit up to sign live here as well: only the
+tests use them.  So does verify as it ran before the checks that read
+no degree were shared across degrees: every check recomputed at each
+(n, m) from the deep structure at n.
 """
 
 import random
@@ -1134,18 +1137,28 @@ def b1(chi):
     return CycNumber(chi.order, [Fraction(s, f) for s in sums])
 
 
+def crt_step(exponent, bits=30):
+    """F = lcm(exponent, 2) 2^a, a the least with F^2 >= 2^bits: the step
+    of the CRT primes below 2^bits, so that F > sqrt(l)."""
+    step = lcm(exponent, 2)
+    while step * step < 2 ** bits:
+        step *= 2
+    return step
+
+
 @lru_cache(maxsize=None)
 def crt_prime(exponent, index, bits=62):
-    """The index-th prime l below 2^bits with l = 1 (mod exponent), counting
-    down from 2^bits, and the first x^((l-1)/exponent) of order exponent
-    modulo l, x = 2, 3, ...: by default primes of another size than those
-    of ``classnumber.hminus``, found by sympy; with bits = 30, the primes
-    of ``classnumber._crt_prime``, with a root found by a plain search."""
+    """The index-th prime l below 2^bits with l = 1 (mod F), F =
+    ``crt_step(exponent, bits)``, counting down from 2^bits in steps of F,
+    and the first x^((l-1)/exponent) of order exponent modulo l, x = 2, 3,
+    ...: by default primes of another size than those of
+    ``classnumber.hminus``, found by sympy; with bits = 30, the primes of
+    ``classnumber._crt_prime``, with a root found by a plain search."""
+    step = crt_step(exponent, bits)
     top = 2 ** bits if index == 0 else crt_prime(exponent, index - 1, bits)[0]
-    k = (top - 2) // exponent
-    while not isprime(k * exponent + 1):
-        k -= 1
-    ell = k * exponent + 1
+    ell = (top - 2) // step * step + 1
+    while not isprime(ell):
+        ell -= step
     primes = factorint(exponent)
     for x in count(2):
         root = pow(x, (ell - 1) // exponent, ell)
@@ -1155,10 +1168,11 @@ def crt_prime(exponent, index, bits=62):
 
 @lru_cache(maxsize=None)
 def crt_prime_per_part(exponent, index):
-    """``classnumber._crt_prime`` with one loop over the trial bases per
-    part: the index-th prime l below 2^30 with l = 1 (mod exponent), and
-    the product over r^a || exponent of z = x^((l-1)/r^a) for the first
-    x >= 2 with z^(r^(a-1)) != 1."""
+    """The CRT prime search of ``classnumber.hminus`` before its root search
+    proved the primes: the index-th prime l below 2^30 with l = 1 (mod
+    exponent), counting down in steps of exponent, by sympy's primality
+    test, and the product over r^a || exponent of z = x^((l-1)/r^a) for the
+    first x >= 2 with z^(r^(a-1)) != 1, one loop over the bases per part."""
     top = 2 ** 30 if index == 0 else crt_prime_per_part(exponent,
                                                         index - 1)[0]
     k = (top - 2) // exponent
@@ -1173,6 +1187,24 @@ def crt_prime_per_part(exponent, index):
                 root = root * z % ell
                 break
     return ell, root
+
+
+def primitive_root(q):
+    """The smallest primitive root modulo an odd prime power q, each
+    prime of q and of p - 1 factored afresh."""
+    fact = factorint(q)
+    if len(fact) != 1 or 2 in fact:
+        raise ValueError(f"{q} is not an odd prime power")
+    (p, e), = fact.items()
+    phi = q - q // p
+    # g generates (Z/q)^x when no g^(phi/r), r a prime dividing phi, is 1
+    tests = [phi // r for r in factorint(p - 1)]
+    if e > 1:
+        tests.append(phi // p)
+    for g in range(2, q):
+        if g % p and all(pow(g, t, q) != 1 for t in tests):
+            return g
+    raise AssertionError("every odd prime power has a primitive root")
 
 
 def irregularity_index(p):

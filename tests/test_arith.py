@@ -16,7 +16,7 @@ from sympy.abc import x
 
 import cycloclass
 from cycloclass import arith
-from oracles import cyclotomic_int
+from oracles import cyclotomic_int, primitive_root
 
 #: the least strong pseudoprimes to the first 12 and 13 prime bases
 PSI_12 = 318665857834031151167461
@@ -189,13 +189,14 @@ class TestIsprime:
         assert not arith.isprime(n)
 
     def test_crt_primes(self):
-        # the largest primes below 2^30 (hminus) and below 2^62 (its
-        # oracle) of the shape k * 2520 + 1
+        # the largest primes of the shape k * 40320 + 1 below 2^30, the CRT
+        # primes of hminus at the exponent 2520 (40320 = 2520 * 2^4, the
+        # least such multiple whose square is 2^30 or more), and below 2^62
         for bits in (30, 62):
-            k = (2 ** bits - 2) // 2520
+            k = (2 ** bits - 2) // 40320
             found = 0
             while found < 4:
-                n = k * 2520 + 1
+                n = k * 40320 + 1
                 assert arith.isprime(n) == sympy.isprime(n), n
                 found += arith.isprime(n)
                 k -= 1
@@ -262,17 +263,18 @@ class TestFactorint:
 
 
 class TestPrimitiveRoot:
+    # the oracle of the generators of classnumber._unit_group
     def test_odd_prime_powers(self):
         for p in sympy.primerange(3, 10 ** 6):
             q = p
             while q < 10 ** 6:
-                assert arith.primitive_root(q) == sympy.primitive_root(q), q
+                assert primitive_root(q) == sympy.primitive_root(q), q
                 q *= p
 
     @pytest.mark.parametrize("q", [1, 2, 4, 8, 12, 15])
     def test_others_rejected(self, q):
         with pytest.raises(ValueError):
-            arith.primitive_root(q)
+            primitive_root(q)
 
 
 class TestCyclotomic:

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
@@ -455,10 +456,20 @@ def corrupt_evaluation_prime(monkeypatch):
     hminus.cache_clear()
 
 
-def _exponents_to_2000():
-    """lambda(m) for every normalised m <= 2000."""
+def _exponents_to_the_ceiling():
+    """lambda(m) for every normalised m with phi(m) <= HMINUS_PHI_CEILING.
+
+    Every such m is below 40000: phi(m) > m / (e^gamma log log m +
+    2.50637 / log log m) for m >= 3 (Rosser and Schoenfeld, Illinois J.
+    Math. 6 (1962), (3.42)), above 7000 at m = 40000 and growing."""
     return sorted({lcm(*classnumber._generator_orders(m))
-                   for m in range(3, 2001) if m % 4 != 2})
+                   for m in range(3, 40000) if m % 4 != 2
+                   and arith.totient(m) <= HMINUS_PHI_CEILING})
+
+
+def _has_order(root, exponent, ell):
+    return pow(root, exponent, ell) == 1 and all(
+        pow(root, exponent // r, ell) != 1 for r in sympy.factorint(exponent))
 
 
 class _CountedInt(int):
@@ -523,36 +534,113 @@ class TestHminus:
                        for r in arith.factorint(exponent))
 
     def test_crt_roots_have_the_exponent_as_order(self):
-        # the roots built from prime-power parts have order lambda(m), and
-        # the primes are those of the plain countdown and root search
-        for exponent in _exponents_to_2000():
+        # the primes are those of the plain countdown in steps of F by
+        # sympy, for every exponent up to 2000 that hminus meets, and the
+        # roots built from prime-power parts have order lambda(m)
+        for exponent in _exponents_to_the_ceiling():
+            if exponent > 2000:
+                break
             for index in (0, 1, 2, 3):
                 ell, root = classnumber._crt_prime(exponent)[index]
                 assert ell == oracles.crt_prime(exponent, index, 30)[0]
-                assert pow(root, exponent, ell) == 1, (exponent, index)
-                assert all(pow(root, exponent // r, ell) != 1
-                           for r in arith.factorint(exponent))
+                assert _has_order(root, exponent, ell), (exponent, index)
 
-    def test_crt_prime_matches_the_loop_per_part(self):
-        # one full-size power per trial base: each part takes its root
-        # from the first base that its own loop over the bases finds
-        for exponent in _exponents_to_2000():
-            for index in (0, 1, 2, 3):
-                assert classnumber._crt_prime(exponent)[index] == \
-                    oracles.crt_prime_per_part(exponent, index), \
-                    (exponent, index)
+    def test_hminus_with_the_old_crt_primes(self, monkeypatch):
+        # the primes 1 mod lambda(m) by Miller-Rabin, with the roots of one
+        # loop over the bases per part, give every h^- to 500 as the primes
+        # that the root search proves do
+        expected = {m: hminus(m) for m in range(1, 501) if m % 4 != 2}
+        old = {exponent: tuple(oracles.crt_prime_per_part(exponent, index)
+                               for index in range(4))
+               for exponent in {lcm(*classnumber._generator_orders(m))
+                                for m in expected if m > 2}}
+        assert any(classnumber._crt_prime(exponent)[0][0] != primes[0][0]
+                   for exponent, primes in old.items())
+        monkeypatch.setattr(classnumber, "_crt_prime", old.__getitem__)
+        hminus.cache_clear()
+        try:
+            for m, h in expected.items():
+                assert hminus(m) == h, m
+        finally:
+            hminus.cache_clear()
 
     def test_crt_primes_fit_one_digit(self):
-        # the evaluation prime and the three check primes are distinct,
-        # below 2^30, and 1 mod the exponent; the check modulus is above
-        # 2^60
-        for exponent in _exponents_to_2000():
-            primes = [classnumber._crt_prime(exponent)[index][0]
-                      for index in range(4)]
-            assert len(set(primes)) == 4, exponent
-            assert all(ell < 2 ** 30 and ell % exponent == 1
-                       for ell in primes), exponent
-            assert prod(primes[1:]) > 2 ** 60, exponent
+        # for each of the 813 exponents lambda(m), phi(m) <= 4000: four
+        # distinct primes below 2^30, by sympy, each 1 mod the step F and
+        # with a root of order the exponent; the check modulus, the product
+        # of the last three, is above 2^87
+        exponents = _exponents_to_the_ceiling()
+        assert len(exponents) == 813
+        for exponent in exponents:
+            step = oracles.crt_step(exponent)
+            assert step ** 2 >= 2 ** 30 > (step // 2) ** 2
+            primes = classnumber._crt_prime(exponent)
+            ells = [ell for ell, _ in primes]
+            assert len(set(ells)) == 4, exponent
+            assert all(ell < 2 ** 30 and ell % step == 1
+                       and sympy.isprime(ell) for ell in ells), exponent
+            assert prod(ells[1:]) > 2 ** 87, exponent
+            assert all(_has_order(root, exponent, ell)
+                       for ell, root in primes), exponent
+
+    @pytest.mark.parametrize("exponent", [1, 3, 15, 105, 1001, 3003])
+    def test_odd_exponent_tests_the_prime_two(self, exponent):
+        # lambda(m) is even for m > 2, but an odd exponent has F =
+        # 2 exponent 2^a, and the part of 2 must be settled too
+        for index in range(4):
+            ell, root = classnumber._crt_prime(exponent)[index]
+            assert ell == oracles.crt_prime(exponent, index, 30)[0]
+            assert _has_order(root, exponent, ell)
+
+    def test_carmichael_number_is_rejected(self):
+        # 56052361 = 211 * 421 * 631, Chernick's (6k+1)(12k+1)(18k+1) at
+        # k = 35, has no prime factor below 100 and passes Fermat to every
+        # base: only the gcd or the fallback can reject it
+        n, bases = 56052361, arith._SCREEN_PRIMES[1:]
+        assert sympy.factorint(n) == {211: 1, 421: 1, 631: 1}
+        assert gcd(n, arith._SCREEN_PRODUCT) == 1
+        assert all(pow(x, n - 1, n) == 1 for x in bases)
+        # 2520 | n - 1, and x^((n-1)/3) is 1 mod 211 and 421, but not mod
+        # 631 when x is not a cube there: the gcd is 211 * 421
+        parts = [(8, 2), (9, 3), (5, 5), (7, 7)]
+        assert classnumber._pocklington(n, 2520, parts, bases) is None
+        # p - 1 divides (n-1)/2 for each p | n, so x^((n-1)/2) = 1 for
+        # every base: the part of 2 stays open, and isprime decides
+        _, still_open = classnumber._pocklington(n, 8, [(8, 2)], bases)
+        assert still_open == [(8, 2)] and not arith.isprime(n)
+
+    @pytest.mark.parametrize("screen", [(2,), (2, 97)])
+    def test_fallback_finds_the_same_primes(self, screen, monkeypatch):
+        # with no odd base, or only 97, the candidates that survive the gcd
+        # screen go to isprime, which rejects the composites among them;
+        # the primes are the same and the roots still of exact order
+        exponents = [2, 12, 2520, 3660, 3946]
+        expected = {e: classnumber._crt_prime(e) for e in exponents}
+        decided = []
+
+        def recording_isprime(n):
+            decided.append(arith.isprime(n))
+            return decided[-1]
+
+        monkeypatch.setattr(classnumber, "_SCREEN_PRIMES", screen)
+        monkeypatch.setattr(classnumber, "isprime", recording_isprime)
+        classnumber._crt_prime.cache_clear()
+        try:
+            for exponent in exponents:
+                primes = classnumber._crt_prime(exponent)
+                assert [ell for ell, _ in primes] == \
+                    [ell for ell, _ in expected[exponent]]
+                assert all(_has_order(root, exponent, ell)
+                           for ell, root in primes), exponent
+        finally:
+            classnumber._crt_prime.cache_clear()
+        assert True in decided and False in decided
+
+    def test_short_progression_is_refused(self):
+        # the exponent 2^29 leaves one candidate below 2^30, 2^29 + 1 =
+        # 3 * 178956971
+        with pytest.raises(UnsupportedModulusError, match="fewer than four"):
+            classnumber._crt_prime(2 ** 29)
 
     def test_precision_is_the_least_k(self):
         for m in range(3, 2001):
@@ -612,7 +700,8 @@ class TestHminus:
     def test_generator_of_wrong_order_is_an_internal_error(self, m,
                                                            monkeypatch):
         # a square mod an odd prime power is never a primitive root
-        monkeypatch.setattr(classnumber, "primitive_root", lambda q: 4)
+        monkeypatch.setattr(classnumber, "_primitive_root",
+                            lambda q, p, primes: 4)
         classnumber._unit_group.cache_clear()
         try:
             with pytest.raises(InternalConsistencyError, match="order"):
@@ -620,11 +709,37 @@ class TestHminus:
         finally:
             classnumber._unit_group.cache_clear()
 
+    def test_generators_are_the_least_primitive_roots(self):
+        for p in sympy.primerange(3, 2 * 10 ** 4):
+            q = p
+            while q < 2 * 10 ** 4:
+                (_, _, ((g, order),)), = classnumber._unit_group(q)
+                assert (g, order) == (oracles.primitive_root(q), q - q // p)
+                q *= p
+
+    def test_one_factorisation_per_prime_power(self, monkeypatch):
+        # m once, then p - 1 once per odd p | m: the search for the
+        # primitive root and the check of its order share the primes
+        calls, original = [], classnumber.factorint
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(classnumber, "factorint", counting)
+        m = 2 ** 5 * 3 ** 2 * 5 * 7 ** 3 * 11
+        classnumber._unit_group.cache_clear()
+        try:
+            classnumber._unit_group(m)
+        finally:
+            classnumber._unit_group.cache_clear()
+        assert calls == [m, 2, 4, 6, 10]
+
     @pytest.mark.parametrize("m", [23, 257, 1009])
     def test_one_prime_power_and_one_check_prime(self, m, monkeypatch):
         # hminus reads the four primes of one scan: the check modulus is
         # the product of the primes 1, 2 and 3, distinct primes below 2^30
-        # whose product exceeds 2^60
+        # whose product exceeds 2^87
         used, original = [], classnumber._crt_prime
 
         def record(exponent):
@@ -638,7 +753,7 @@ class TestHminus:
         primes = [ell for ell, _ in original(exponent)]
         assert len(set(primes)) == 4 and primes == sorted(primes, reverse=True)
         assert all(ell < 2 ** 30 and arith.isprime(ell) for ell in primes)
-        assert primes[1] * primes[2] * primes[3] > 2 ** 60
+        assert primes[1] * primes[2] * primes[3] > 2 ** 87
 
     @pytest.mark.parametrize("m", [4003, 2 * 4003, 4 * 4003, 10007])
     def test_phi_ceiling(self, m):
