@@ -102,13 +102,13 @@ value exponent grows by a fixed step, so the F_t are sums of strided
 slices of the rows.  The orbits must cover the phi(m)/2 odd characters.
 
 The four primes are the largest l = 1 (mod F) below 2^30, F = lambda(m)
-2^a with F^2 >= 2^30, each proven prime by the search for its root
-(Pocklington, 1914; Brillhart, Lehmer and Selfridge, 1975; see
-``_crt_prime``).  Below 2^30 every candidate, base and root is one 30-bit
-digit of a CPython int, on which ``pow`` is two to three times as fast as
-on the two digits of a number just below 2^31.  The generators of the unit
-group are the least primitive roots, each checked by powering against the
-primes of p - 1 that its search reads.
+2^a with F^2 >= 2^30 that the search for a root proves prime over the
+odd primes below 100 as bases (Pocklington, 1914; Brillhart, Lehmer and
+Selfridge, 1975; see ``_crt_prime``).  Below 2^30 every candidate, base
+and root is one 30-bit digit of a CPython int, on which ``pow`` is two to
+three times as fast as on the two digits of a number just below 2^31.
+The generators of the unit group are the least primitive roots, each
+checked by powering against the primes of p - 1 that its search reads.
 """
 
 from __future__ import annotations
@@ -380,7 +380,8 @@ def _normalize_modulus(m):
 
 
 def _pocklington(ell, order, parts, bases):
-    """(root, open), or None when a base shows l = 1 (mod order) composite.
+    """An element of order ``order`` modulo l = 1 (mod order), or None when
+    the bases show l composite or leave a part open.
 
     A base x gives y = x^((l-1)/order), and l is composite (Fermat) unless
     y^order = 1.  An open part (r^a, r) takes w = y^(order/r) =
@@ -405,8 +406,8 @@ def _pocklington(ell, order, parts, bases):
                 return None
         parts = still_open
         if not parts:
-            break
-    return root, parts
+            return root
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -421,10 +422,10 @@ def _crt_prime(exponent):
     Brillhart, Lehmer and Selfridge, Math. Comp. 29 (1975)): each prime
     factor of l is then 1 mod F, so above sqrt(l).  The bases are the odd
     primes below 100, x skipped when l mod x is a square mod x: when
-    4 | F, (x/l) = (l/x) = 1, and x would leave the part of 2 open.  When
-    the bases run out, ``isprime`` decides l, and a prime l takes its root
-    from every prime base in turn, as the primes below l generate
-    (Z/l)^x.  An odd exponent squares the root.
+    4 | F, (x/l) = (l/x) = 1, and x would leave the part of 2 open.  A
+    candidate whose parts the bases leave open is skipped, prime or not;
+    no exponent lambda(m) with phi(m) <= HMINUS_PHI_CEILING meets one.  An
+    odd exponent squares the root.
     """
     order = lcm(exponent, 2)
     parts = [(r ** a, r) for r, a in factorint(order).items()]
@@ -435,16 +436,10 @@ def _crt_prime(exponent):
     for ell in range((2 ** 30 - 2) // step * step + 1, 1, -step):
         if gcd(ell, _SCREEN_PRODUCT) != 1:
             continue
-        proof = _pocklington(ell, order, parts, (
+        root = _pocklington(ell, order, parts, (
             x for x in _SCREEN_PRIMES[1:] if pow(ell % x, x // 2, x) != 1))
-        if proof is None:
+        if root is None:
             continue
-        root, still_open = proof
-        if still_open:
-            if not isprime(ell):
-                continue
-            root, _ = _pocklington(ell, order, parts,
-                                   filter(isprime, count(2)))
         found.append((ell, pow(root, order // exponent, ell)))
         if len(found) == 4:
             return tuple(found)

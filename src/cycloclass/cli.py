@@ -23,17 +23,18 @@ valid module).  Scope errors are classify, verify and sweep with n odd or
 below 4 (sweep checks n once, before any m), m < 2 where a cyclic group is
 needed, moduli outside the implemented unit reductions or not factored
 within the Pollard-Brent budget of arith, vtilde and cbound with a norm-one
-torus above TORUS_BITS_CEILING bits (before its order is formed), tate --km
-above KM_LEVEL_CEILING, tate --invariants normalising to more than
-TATE_RANK_CEILING factors (before any matrix is built), and hminus at phi(m)
-above HMINUS_PHI_CEILING (above 2 * HMINUS_PHI_CEILING^2, before m is
-factored).  am, classify --deep and verify refuse at such a modulus only
-when the branch they take reads its h-: am --m 8192 reads no class number
-and answers.  hminus --m 1 prints 1.  sweep reports a per-m scope error as an
-error row of its table, and an h- above HMINUS_PHI_CEILING as "-" in the h-
-columns of a row that keeps its verdicts.  A reader that closes stdout
-early (cycloclass ... | head -c 10) ends the output there: the exit code
-is 0 and stderr stays empty.
+torus above TORUS_BITS_CEILING bits (before its order is formed), classify,
+verify and sweep at a square-free m with more than WH_DIVISORS_CEILING
+divisors (before any divisor is listed), tate --km above KM_LEVEL_CEILING,
+tate --invariants normalising to more than TATE_RANK_CEILING factors (before
+any matrix is built), and hminus at phi(m) above HMINUS_PHI_CEILING (above
+2 * HMINUS_PHI_CEILING^2, before m is factored).  am, classify --deep and
+verify refuse at such a modulus only when the branch they take reads its
+h-: am --m 8192 reads no class number and answers.  hminus --m 1 prints 1.
+sweep reports a per-m scope error as an error row of its table, and an h-
+above HMINUS_PHI_CEILING as "-" in the h- columns of a row that keeps its
+verdicts.  A reader that closes stdout early (cycloclass ... | head -c 10)
+ends the output there: the exit code is 0 and stderr stays empty.
 
 An argv in the plain form is read directly: every option named in full,
 each value in the next word, a value starting with "-" only as a negative

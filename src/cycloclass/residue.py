@@ -175,7 +175,9 @@ def unit_quotient(p, n):
 # the reduction map on units and its cokernel
 
 
-def _decompose(m):
+def _primes(m):
+    """The primes of a square-free m with two odd primes, or with one or two
+    odd primes and the prime 2: the moduli the unit reduction covers."""
     m = int(m)
     if m < 2:
         raise UnsupportedModulusError(
@@ -186,29 +188,13 @@ def _decompose(m):
             f"m = {m} is not square-free; the unit reduction applies to "
             "square-free moduli only")
     primes = list(fact)
+    if len(primes) == 2 or (len(primes) == 3 and 2 in primes):
+        return primes
     odd = [q for q in primes if q != 2]
-    if len(primes) == 2 and 2 not in primes:
-        return primes, "pq"
-    if len(primes) == 2 and 2 in primes:
-        return primes, "2p"
-    if len(primes) == 3 and 2 in primes:
-        return primes, "2pq"
     raise UnsupportedModulusError(
         f"m = {m}: no unit-index reduction is implemented for "
         f"{len(odd)} odd prime factors"
         + (" without the factor 2" if 2 not in primes else ""))
-
-
-def _second_generator_root(m, kind):
-    """The root of unity r with 1 - zeta_r generating the non-real coset.
-
-    For two odd primes the coset generator is 1 - zeta_m itself; when m is
-    even the relevant field has odd conductor, so the generator comes from
-    the odd part.  For m = 2p the unit group has no non-real coset and the
-    column is redundant (but still a unit).
-    """
-    odd = m // 2 if m % 2 == 0 else m
-    return odd if (kind != "2p" and odd != m) else m
 
 
 def _split_off(n, m):
@@ -225,20 +211,21 @@ def vtilde(m):
     """The cokernel of the reduction map from the distinguished units of
     Z[zeta_m] into the sum of the unit quotients at the primes of m.
 
-    The source is generated by zeta_m and by 1 - zeta_r for the coset root
-    r.  Both images lie on the diagonal Z/N_q of each torus (Z/N_q)^(r_q),
-    and in its part Z/a_q whose order has only primes of 2m, since their
-    orders divide 2m.  So the relations are one row per torus, a_q on the
-    diagonal, and Z/(N_q/a_q) and the r_q - 1 other factors of each torus
-    pass into the cokernel whole; no Smith normal form sees a number larger
-    than the a_q.  Trivial for m prime: the cyclotomic units already
-    surject onto the residue field units there.
+    The source is generated by zeta_m and by 1 - zeta_r, r = m, or m/2 for
+    m = 2pq, where the non-real coset comes from the odd part.  Both images
+    lie on the diagonal Z/N_q of each torus (Z/N_q)^(r_q), and in its part
+    Z/a_q whose order has only primes of 2m, since their orders divide 2m.
+    So the relations are one row per torus, a_q on the diagonal, and
+    Z/(N_q/a_q) and the r_q - 1 other factors of each torus pass into the
+    cokernel whole; no Smith normal form sees a number larger than the a_q.
+    Trivial for m prime: the cyclotomic units already surject onto the
+    residue field units there.
     """
     m = int(m)
     if m >= 2 and isprime(m):
         return FinAbGroup()
-    primes, kind = _decompose(m)
-    r = _second_generator_root(m, kind)
+    primes = _primes(m)
+    r = m // 2 if len(primes) == 3 else m
     rows, orders, untouched = [], [], []
     for q in primes:
         k = m // q
@@ -272,11 +259,11 @@ def c_bound(m):
     m = int(m)
     if m in _STORED_C_BOUNDS:
         return _STORED_C_BOUNDS[m]
-    primes, kind = _decompose(m)
-    if kind == "2pq":
+    primes = _primes(m)
+    if len(primes) == 3:
         raise UnsupportedModulusError(
             f"m = {m}: the even three-prime bound is only stored for m = 30")
-    denominator = (m // 2) if kind == "2p" else 2 * m
+    denominator = m // 2 if 2 in primes else 2 * m
     total = prod(unit_quotient(q, m // q).group.order for q in primes)
     if total % denominator:
         raise InternalConsistencyError(

@@ -118,8 +118,7 @@ from cycloclass.manifoldset import (
 )
 from cycloclass.record import Record
 from cycloclass.residue import (
-    _decompose,
-    _second_generator_root,
+    _primes,
     c_bound,
     order_mod,
     unit_quotient,
@@ -2000,16 +1999,29 @@ def oracle_lambda_units(p, n):
 def oracle_unit_quotient(p, n):
     return UnitQuotient(p, n)
 
+
+def _coset_root(m, primes):
+    """The root of unity r with 1 - zeta_r generating the non-real coset.
+
+    For two odd primes it is 1 - zeta_m itself.  For m = 2pq the relevant
+    field has odd conductor, so the generator comes from the odd part.  For
+    m = 2p the unit group has no non-real coset and the column is redundant
+    (but still a unit).
+    """
+    odd = [q for q in primes if q != 2]
+    return prod(odd) if len(odd) == 2 and 2 in primes else m
+
+
 @lru_cache(maxsize=None)
 def psi_plus_presentation(m):
     """The reduction map of ``residue.vtilde`` as a homomorphism into the
     direct sum of the whole tori, each image an r_q-tuple of one
     coordinate; its cokernel is vtilde(m)."""
-    primes, kind = _decompose(m)
+    primes = _primes(m)
     quots = [unit_quotient(q, m // q) for q in primes]
     target, injections, _ = direct_sum([uq.group for uq in quots])
 
-    r = _second_generator_root(m, kind)
+    r = _coset_root(m, primes)
     zeta_vec = target.zero()
     u_vec = target.zero()
     for q, uq, inj in zip(primes, quots, injections):
@@ -2034,11 +2046,11 @@ def oracle_psi_plus_presentation(m):
     the first column, hence has order dividing 2m).  The cokernel of this
     map is vtilde(m).
     """
-    primes, kind = _decompose(m)
+    primes = _primes(m)
     quots = [oracle_unit_quotient(q, m // q) for q in primes]
     target, injections, _ = direct_sum([uq.group for uq in quots])
 
-    r = _second_generator_root(m, kind)
+    r = _coset_root(m, primes)
     zeta_vec = target.zero()
     u_vec = target.zero()
     for q, uq, inj in zip(primes, quots, injections):
@@ -2100,7 +2112,7 @@ def oracle_vtilde_module(m):
     if m >= 2 and isprime(m):
         return with_trivial(FinAbGroup())
     hom = oracle_psi_plus_presentation(m)
-    primes, _ = _decompose(m)
+    primes = _primes(m)
     quots = [oracle_unit_quotient(q, m // q) for q in primes]
     target, injections, projections = direct_sum([uq.group for uq in quots])
     block = None

@@ -595,7 +595,7 @@ class TestHminus:
     def test_carmichael_number_is_rejected(self):
         # 56052361 = 211 * 421 * 631, Chernick's (6k+1)(12k+1)(18k+1) at
         # k = 35, has no prime factor below 100 and passes Fermat to every
-        # base: only the gcd or the fallback can reject it
+        # base: only the gcd or an open part can reject it
         n, bases = 56052361, arith._SCREEN_PRIMES[1:]
         assert sympy.factorint(n) == {211: 1, 421: 1, 631: 1}
         assert gcd(n, arith._SCREEN_PRODUCT) == 1
@@ -605,36 +605,19 @@ class TestHminus:
         parts = [(8, 2), (9, 3), (5, 5), (7, 7)]
         assert classnumber._pocklington(n, 2520, parts, bases) is None
         # p - 1 divides (n-1)/2 for each p | n, so x^((n-1)/2) = 1 for
-        # every base: the part of 2 stays open, and isprime decides
-        _, still_open = classnumber._pocklington(n, 8, [(8, 2)], bases)
-        assert still_open == [(8, 2)] and not arith.isprime(n)
+        # every base: the part of 2 stays open, and n is skipped
+        assert classnumber._pocklington(n, 8, [(8, 2)], bases) is None
+        assert not arith.isprime(n)
 
-    @pytest.mark.parametrize("screen", [(2,), (2, 97)])
-    def test_fallback_finds_the_same_primes(self, screen, monkeypatch):
-        # with no odd base, or only 97, the candidates that survive the gcd
-        # screen go to isprime, which rejects the composites among them;
-        # the primes are the same and the roots still of exact order
-        exponents = [2, 12, 2520, 3660, 3946]
-        expected = {e: classnumber._crt_prime(e) for e in exponents}
-        decided = []
-
-        def recording_isprime(n):
-            decided.append(arith.isprime(n))
-            return decided[-1]
-
-        monkeypatch.setattr(classnumber, "_SCREEN_PRIMES", screen)
-        monkeypatch.setattr(classnumber, "isprime", recording_isprime)
-        classnumber._crt_prime.cache_clear()
-        try:
-            for exponent in exponents:
-                primes = classnumber._crt_prime(exponent)
-                assert [ell for ell, _ in primes] == \
-                    [ell for ell, _ in expected[exponent]]
-                assert all(_has_order(root, exponent, ell)
-                           for ell, root in primes), exponent
-        finally:
-            classnumber._crt_prime.cache_clear()
-        assert True in decided and False in decided
+    def test_crt_primes_keep_their_digest(self):
+        # every prime and root of the 813 exponents lambda(m), phi(m) <=
+        # 4000: the scan skips a candidate the bases leave open, and none
+        # of these scans meets one
+        text = "".join(f"{exponent} {ell} {root}\n"
+                       for exponent in _exponents_to_the_ceiling()
+                       for ell, root in classnumber._crt_prime(exponent))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "141c51d6827564857ecf0b6173e39c4427799c785829ef3c9dfcb640d920a15a"
 
     def test_short_progression_is_refused(self):
         # the exponent 2^29 leaves one candidate below 2^30, 2^29 + 1 =

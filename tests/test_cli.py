@@ -9,14 +9,15 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cycloclass
-from cycloclass import __version__
-from cycloclass.classnumber import HMINUS_PHI_CEILING
+from cycloclass import __version__, ktheory
+from cycloclass.classnumber import HMINUS_PHI_CEILING, hminus
 from cycloclass.cli import (SCHEMA_VERSION, TATE_RANK_CEILING, _build_parser,
                             _canonical_key, _code_digest, _parse, run)
 
@@ -261,6 +262,26 @@ class TestExitCodes:
         code, out, err = capture(argv)
         assert code == 2 and out == ""
         assert f"ranks above {TATE_RANK_CEILING} are not built" in err
+
+    @pytest.mark.parametrize("command", ["cbound", "vtilde"])
+    @pytest.mark.parametrize("m,err", [
+        (1, "m = 1: the cyclic order must be at least 2"),
+        (4, "m = 4 is not square-free; the unit reduction applies to "
+            "square-free moduli only"),
+        (105, "m = 105: no unit-index reduction is implemented for 3 odd "
+              "prime factors without the factor 2"),
+        (210, "m = 210: no unit-index reduction is implemented for 3 odd "
+              "prime factors")])
+    def test_unit_reduction_scope_errors(self, capture, command, m, err):
+        assert capture([command, "--m", str(m)]) == \
+            (2, "", f"out of scope: {err}\n")
+
+    def test_unit_reduction_at_a_prime(self, capture):
+        # vtilde is trivial at a prime; cbound has no bound there
+        assert capture(["vtilde", "--m", "7"]) == (0, "0\n", "")
+        assert capture(["cbound", "--m", "7"]) == (
+            2, "", "out of scope: m = 7: no unit-index reduction is "
+            "implemented for 1 odd prime factors without the factor 2\n")
 
     def test_empty_sweep_range(self, capture):
         code, out, err = capture(["sweep", "--n", "4", "--m-min", "5",
@@ -587,6 +608,131 @@ class TestDeepAboveTheHminusCeiling:
                                   "--deep"])
         assert code == 2 and out == ""
         assert f"is above {HMINUS_PHI_CEILING}" in err
+
+
+class TestPinnedAnswers:
+    """Answers that the stdlib-only CI job also checks from site-packages."""
+
+    def test_hminus_to_300(self):
+        # one line "m h-(m)" per normalised m <= 300: orbits of half-length
+        # up to 12 take the direct sums
+        text = "".join(f"{m} {hminus(m)}\n" for m in range(1, 301)
+                       if m % 4 != 2)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "fa9195c8cb763db1aebac14ab3017e97e6b853fd63ecd2f4ba8492e430c24e77"
+
+    def test_classify_deep_130(self, capture):
+        assert capture(["classify", "--n", "4", "--m", "130", "--deep"]) == (
+            0, "n = 4, m = 130  (automorphism group order 2080)\n"
+            "  simple homotopy types in the homotopy class:   finite >= 2 "
+            "(order divisible by 736706807403125)\n"
+            "  simple homotopy types among h-cobordant ones:  finite >= 2 "
+            "(order divisible by 736706807403125)\n"
+            "  homotopy types modulo s.h.e. and h-cobordism:  finite\n"
+            "  provenance: ingredient-verified\n", "")
+
+    def test_verify_65(self, capture):
+        assert capture(["verify", "--n", "4", "--m", "65"]) == (
+            0, "consistent\n"
+            "  [confirmed   ] squarefree-vs-infinite: square-free = True, "
+            "Nil summand vanishes = True\n"
+            "  [confirmed   ] automorphism-order-bound: |A_4(65)| = 1040 "
+            "< 8450\n"
+            "  [confirmed   ] set1-nontrivial-witness: divisibility witness "
+            "2873\n"
+            "  [confirmed   ] set2-nontrivial-witness: divisibility witness "
+            "2873 > 1\n"
+            "  [confirmed   ] c-bound-divides-cokernel: c = 22984, cokernel "
+            "order 22984\n"
+            "  [no-data     ] tate-elementary: Tate group not exactly known\n",
+            "")
+
+    # the kernel groups at 15 (trivial action) and 21 (negation) are the
+    # only stored facts whose J, I and Tate group are not all 0: Z/2, 0,
+    # Z/2 at 15 and Z/4, Z/2, Z/2 at 21
+    @pytest.mark.parametrize("m,expected", [
+        (15, '{"a2k_order": 120, "ingredients": {"free_rank": 4, "i_group": '
+             '{"invariant_factors": [], "order": 1, "source": "kernel group '
+             '(class number one)", "status": "exact"}, "j_group": '
+             '{"invariant_factors": [2], "order": 2, "source": "kernel group '
+             '(class number one)", "status": "exact"}, "m": 15, "n": 4, '
+             '"nk1_zero": true, "tate_group": {"invariant_factors": [2], '
+             '"order": 2, "source": "odd class number; Tate group of the '
+             'stored kernel group", "status": "exact"}}, "m": 15, "mhcob": '
+             '{"lower": 1, "upper": 1, "verdict": "trivial"}, "mhs": '
+             '{"lower": 2, "upper": 2, "verdict": "finite"}, "mhs_hcob": '
+             '{"lower": 2, "upper": 2, "verdict": "finite"}, "n": 4, '
+             '"provenance": "ingredient-verified"}\n'),
+        (21, '{"a2k_order": 168, "ingredients": {"free_rank": 7, "i_group": '
+             '{"invariant_factors": [2], "order": 2, "source": "kernel group '
+             '(class number one)", "status": "exact"}, "j_group": '
+             '{"invariant_factors": [4], "order": 4, "source": "kernel group '
+             '(class number one)", "status": "exact"}, "m": 21, "n": 4, '
+             '"nk1_zero": true, "tate_group": {"invariant_factors": [2], '
+             '"order": 2, "source": "odd class number; Tate group of the '
+             'stored kernel group", "status": "exact"}}, "m": 21, "mhcob": '
+             '{"lower": 2, "upper": 2, "verdict": "finite"}, "mhs": '
+             '{"lower": 2, "upper": 4, "verdict": "finite"}, "mhs_hcob": '
+             '{"lower": 2, "upper": 2, "verdict": "finite"}, "n": 4, '
+             '"provenance": "ingredient-verified"}\n')])
+    def test_classify_deep_json(self, capture, m, expected):
+        assert capture(["classify", "--n", "4", "--m", str(m), "--deep",
+                        "--format", "json"]) == (0, expected, "")
+
+
+#: 2^10 3^6 5^4 7^3 11^2 13^2 17 19 23 29 31 37 41 43, with 3,548,160
+#: divisors
+_MANY_DIVISORS = 1425665971340537072065920000
+#: the products of the first 16 and of the first 17 primes
+_PRIMORIAL_16 = 32589158477190044730
+_PRIMORIAL_17 = 1922760350154212639070
+
+
+def _no_divisors(n):
+    raise AssertionError(f"the divisors of {n} were listed")
+
+
+def test_many_divisors_are_counted_not_listed(capture, monkeypatch):
+    monkeypatch.setattr(ktheory, "divisors", _no_divisors)
+    code, out, err = capture(["classify", "--n", "4", "--m",
+                              str(_MANY_DIVISORS), "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ingredients"]["free_rank"] == \
+        _MANY_DIVISORS // 2 + 1 - 3548160
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "4"], ["classify", "--n", "4", "--deep"],
+    ["verify", "--n", "4"]])
+def test_square_free_modulus_past_the_divisor_ceiling_fails_fast(
+        capture, monkeypatch, argv):
+    # 17 primes, 2^17 divisors: refused before any divisor is listed
+    monkeypatch.setattr(ktheory, "divisors", _no_divisors)
+    start = time.perf_counter()
+    code, out, err = capture([*argv, "--m", str(_PRIMORIAL_17)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"out of scope: m = {_PRIMORIAL_17} is square-free with "
+                   "131072 divisors; the class parts of more than 65536 "
+                   "divisors are not listed\n")
+
+
+def test_sweep_past_the_divisor_ceiling_is_an_error_row(capture):
+    code, out, _ = capture(["sweep", "--n", "4", "--m-min",
+                            str(_PRIMORIAL_17), "--m-max",
+                            str(_PRIMORIAL_17)])
+    assert code == 0
+    assert out.splitlines()[1] == (f"{_PRIMORIAL_17}  error: m = "
+                                   f"{_PRIMORIAL_17} is square-free with "
+                                   "131072 divisors; the class parts of more "
+                                   "than 65536 divisors are not listed")
+
+
+def test_square_free_modulus_at_the_divisor_ceiling_answers(capture):
+    code, out, err = capture(["classify", "--n", "4", "--m",
+                              str(_PRIMORIAL_16)])
+    assert (code, err) == (0, "")
+    assert out.endswith("  provenance: rule-derived\n")
 
 
 def test_hminus_above_phi_ceiling_fails_fast():

@@ -4,7 +4,7 @@ from math import prod
 import pytest
 
 from cycloclass.abelian import FinAbGroup
-from cycloclass.arith import UnsupportedModulusError
+from cycloclass.arith import UnsupportedModulusError, divisors
 from cycloclass.classnumber import h_is_odd
 from cycloclass.involutive import _scalar_sign, tate
 from cycloclass.ktheory import (
@@ -33,6 +33,10 @@ class TestWhRank:
     ])
     def test_values(self, m, expected):
         assert wh_rank(m) == expected
+
+    def test_counts_the_divisors(self):
+        for m in range(2, 2001):
+            assert wh_rank(m) == m // 2 + 1 - len(divisors(m)), m
 
 
 class TestNk1:
