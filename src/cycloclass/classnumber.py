@@ -14,15 +14,9 @@ primitive values are read off prime by prime, without a search.
 
 A Galois orbit of odd characters shares d, f and the c_t, and its members
 put zeta_d at the phi(d) primitive d-th roots of unity.  So h^- is the
-product over the orbits of the values at those roots, times -1/(2f) each,
-taken mod l^k for one prime l = 1 (mod lambda(m)) below 2^30, at the
-Teichmueller lift r^(l^(k-1)) of an r of order lambda(m) mod l (Washington,
-GTM 83, 5.1): the lift has the same order, and each Phi_d, d | lambda(m),
-splits mod l^k at its powers.  The lift is the root of x^lambda(m) = 1
-over r, which Newton's iteration finds in log_2 k steps, doubling the
-precision from l (Hensel's lemma: l does not divide lambda(m)).  An odd
-character has d even and zeta_d^(d/2) = -1, so each value is a sum of half
-the length,
+product over the orbits of the norms of their values, times -1/(2f) per
+root.  An odd character has d even and zeta_d^(d/2) = -1, so each value is
+a sum of half the length,
 
     sum_t c_t zeta^t = sum_(t < d/2) (c_t - c_(t + d/2)) zeta^t.
 
@@ -30,38 +24,55 @@ It takes zeta^(t + d/2) at f - a where it takes zeta^t at a, so the folded
 sums are c_t - c_(t + d/2) = F_t - F_(t + d/2), F_t the sum of 2a - f over
 one unit a of each pair {a, f - a} with value zeta^t: half the units.
 
-The norm factors through the real subfield Q(zeta_d)^+ (Washington,
+Every orbit first goes down the 2-power tower.  With a_t the folded sums,
+n = d/2 and P(x) = sum_(t < n) a_t x^t: when 4 | d, j + d/2 is a unit with
+j and zeta^(j + d/2) = -zeta^j, so the norm from Q(zeta_d) down to
+Q(zeta_(d/2)) is P(x) P(-x), an even polynomial R(x^2) (Graeffe's root
+squaring), and R mod y^(n/2) + 1 is a folded sum of half the length at
+zeta^2, of order d/2.  An orbit of order d = 2^v d', d' odd, so has the
+norm of one folded sum of order e = 2 d', after v - 1 such steps on one
+packed integer (``_halve``).  At e = 2, 6 and 10, where phi(e) <= 4, that
+norm is a closed form in integers (``_closed_norm``): 835 of the 1,105
+orbits of the normalised m in 100..260 land there, and every orbit of 38
+of those 121 moduli.  When no orbit is left above order 10, h^- is the
+exact quotient of Q w times those norms by the product of the (-2f)^phi(d),
+with no prime, root or bound: a quotient that is not a positive integer
+signals a bug.
+
+The orbits left, of orders e = 2 (mod 4) above 10, are evaluated mod l^k
+for one prime l = 1 (mod lambda(m)) below 2^30, with the closed-form norms
+and the denominator as residues, at the Teichmueller lift r^(l^(k-1)) of an
+r of order lambda(m) mod l (Washington, GTM 83, 5.1): the lift has the
+same order, and each Phi_e, e | lambda(m), splits mod l^k at its powers.
+The lift is the root of x^lambda(m) = 1 over r, which Newton's iteration
+finds in log_2 k steps, doubling the precision from l (Hensel's lemma: l
+does not divide lambda(m)).
+
+The norm factors through the real subfield Q(zeta_e)^+ (Washington,
 GTM 83, 4.1 and 4.17): the units j and -j put x = zeta^j and 1/x, and
-with a_t the folded sums, n = d/2 and R_u = sum_t a_t a_(t + u),
+with a_t the halved sums, n = e/2, odd, and R_u = sum_t a_t a_(t + u),
 
     P(x) P(1/x) = R_0 + sum_(0 < u < n) R_u C_u,  C_u = x^u + x^(-u).
 
-As x^n = -1, C_(n - u) = -C_u, and C_(n/2) = 0 when n is even (x^(n/2) is
-a fourth root of unity), so
+As x^n = -1, C_(n - u) = -C_u, so
 
     T(x) = P(x) P(1/x) = R_0 + sum_(0 < u < n/2) (R_u - R_(n - u)) C_u,
 
-one value of ceil(d/4) terms per pair {j, -j}, at picks of the row
-C_s = zeta^s + zeta^(-s), s < d, in which C_0 counts as 1.  When 4 | d
-and d > 4, j + d/2 is a unit as well, and C_u at -x is (-1)^u C_u at x;
-with Re and Ro the parts of T(x) at even and odd u, the quartet
-{+-j, +-j + d/2} contributes T(x) T(-x) = Re^2 - Ro^2, one representative
-j < d/4 each.
-At d = 4 the one pair gives T = R_0 (C_1 = zeta + zeta^3 = 0), and at
-d = 2 the one unit gives a_0.  So an orbit costs (phi(d)/2) ceil(d/4)
-multiply-adds with residues, a quarter of one value per unit, and one
-product of two integers for the R_u: the a_t and their reverse, packed in
-lanes of a few more bits than n max|a_t|^2 (Kronecker substitution),
-multiply to every R_u at once, where the sums of products took about
-d^2/8 of them.  A short orbit, n <= 12, takes the n sums of products
-instead: below that length packing costs more than the sums.  The rows of
-all the orders d are strided slices of one row: with x of order L, the lcm
-of the orders, and zeta = x^(L/d), the row of d is C_(sL/d) at x.  That row
-costs about L/2 products, by C_(s+1) = C_1 C_s - C_(s-1) up to L/2 and
-C_(L-s) = C_s beyond (x^L = 1), where a row per order took d products and
-one full-size power each.  The picks C_(ju) of a unit j are strided slices
-of the row of d repeated, in as many pieces as the stride runs past its
-end.
+one value of ceil(e/4) terms per pair {j, -j}, at picks of the row
+C_s = zeta^s + zeta^(-s), s < e, in which C_0 counts as 1.  So an orbit
+costs (phi(e)/2) ceil(e/4) multiply-adds with residues, a quarter of one
+value per unit, and one product of two integers for the R_u: the a_t and
+their reverse, packed in lanes of a few more bits than n max|a_t|^2
+(Kronecker substitution), multiply to every R_u at once, where the sums of
+products took about e^2/8 of them.  A short orbit, n <= 12, takes the n
+sums of products instead: below that length packing costs more than the
+sums.  The rows of all the orders e are strided slices of one row: with x
+of order L, the lcm of the orders left, and zeta = x^(L/e), the row of e is
+C_(sL/e) at x.  That row costs about L/2 products, by C_(s+1) = C_1 C_s -
+C_(s-1) up to L/2 and C_(L-s) = C_s beyond (x^L = 1), where a row per
+order took e products and one full-size power each.  The picks C_(ju) of a
+unit j are strided slices of the row of e repeated, in as many pieces as
+the stride runs past its end.
 
 An orbit's norm N of sum_t c_t zeta^t obeys
 
@@ -80,13 +91,13 @@ exponent with
     l^(2k) * prod (2 d f)^(2 phi(d)) phi(d)^phi(d)
         > 4 (Q w)^2 * prod (d * sum_t q_t^2)^phi(d),
 
-the products over the orbits; the residue of least absolute value mod l^k
-is then h^-.  The bit lengths of the two sides and of l bracket k within
-a step, and at most one exact comparison settles it.  Three more such
-primes check it in the same pass, taken mod l^k l_1 l_2 l_3: their
-product, of about 2^90, is the check modulus.  No floating point is
-involved anywhere: a failed check, or a value that is not positive,
-signals a bug, not rounding error.
+the products over all the orbits, those of closed form included; the
+residue of least absolute value mod l^k is then h^-.  The bit lengths of
+the two sides and of l bracket k within a step, and at most one exact
+comparison settles it.  Three more such primes check it in the same pass,
+taken mod l^k l_1 l_2 l_3: their product, of about 2^90, is the check
+modulus.  No floating point is involved anywhere: a failed check, or a
+value that is not positive, signals a bug, not rounding error.
 
 The orbits are never walked character by character.  The orbit of chi is
 the set of generators of the cyclic group <chi>, so the orbits are the
@@ -497,8 +508,8 @@ _BLOCK_LANES = 64
 #: from one product: on random entries below 5000 in size, at n = 4 the
 #: sums take 2.9 us and the product 5.8 us, at n = 12 both 10 us, and at
 #: n = 20 the sums 20 us and the product 15 us (Python 3.11, 2-core x86-64
-#: host).  Of the 845 orbits of order d >= 4 in one pass of hminus over the
-#: normalised m in 100..260, 656 have n <= 12 and 550 n <= 8
+#: host).  Of the 270 orbits that one pass of hminus over the normalised m
+#: in 100..260 leaves above order 10 after ``_halve``, 129 have n <= 12
 _DIRECT_LENGTH = 12
 
 
@@ -569,22 +580,90 @@ def _pick(tiled, d, start, step, count):
     return pick
 
 
+def _lanes(n, width):
+    """(bias, odd, odd bias) for n lanes of ``width`` bytes: 2^(8 width - 1)
+    in every lane, all ones in the odd lanes, and the bias of those."""
+    bias = int.from_bytes((b"\0" * (width - 1) + b"\x80") * n, "little")
+    odd = int.from_bytes((b"\0" * width + b"\xff" * width) * (n // 2),
+                         "little")
+    return bias, odd, bias & odd
+
+
+def _halve(d, a):
+    """(e, r): the norm of sum_(t < d/2) a_t zeta_d^t from Q(zeta_d) down
+    to Q(zeta_e), e = d / 2^(v-1) for 2^v || d, as sum_(t < e/2) r_t
+    zeta_e^t.
+
+    While 4 | d, the units j and j + d/2 put x and -x, and P(x) P(-x) =
+    R(x^2) mod x^n + 1, n = d/2, is the norm down to Q(zeta_(d/2)) at y =
+    x^2 (Graeffe's root squaring), reduced mod y^(n/2) + 1.  a is packed
+    once, in lanes of B bits, B the least multiple of 8 above the bit
+    lengths of max|a_t| and n, each lane biased by 2^(B-1) (``_lanes``).
+    P(-X) at X = 2^B is P(X) less twice its odd lanes, read through a byte
+    mask.  The product P(X) P(-X) has no odd powers of X, so it holds R in
+    lanes of 2B bits, each a signed sum of at most n products, below
+    2^(2B-2) in size.  Its low n/2 lanes are then below 2^(s-1), s = B n,
+    in size, so biased by 2^(s-1) the product splits into those and the
+    high n/2, whose difference is R mod y^(n/2) + 1, packed for the next
+    step: the entries grow to at most n max|a_t|^2, and 2B is again above
+    the bit lengths of those and of n/2.  r is unpacked once, at the end.
+    """
+    n = d // 2
+    if n % 2:
+        return d, a
+    width = (max(map(abs, a)).bit_length() + n.bit_length() + 8) // 8
+    half = 1 << 8 * width - 1
+    bias, odd, odd_bias = _lanes(n, width)
+    p = int.from_bytes(b"".join([(x + half).to_bytes(width, "little")
+                                 for x in a]), "little") - bias
+    while n % 2 == 0:
+        # P(-X) = P(X) - 2 P_odd(X), P_odd the odd lanes less their bias
+        p *= p - 2 * (((p + bias) & odd) - odd_bias)
+        width, n = 2 * width, n // 2
+        # the low n lanes less the high n, biased by 2^(s-1) to split
+        shift = 8 * width * n
+        top = 1 << shift - 1
+        p += top
+        p = (p & (1 << shift) - 1) - top - (p >> shift)
+        bias, odd, odd_bias = _lanes(n, width)
+    half = 1 << 8 * width - 1
+    lanes = (p + bias).to_bytes(width * n, "little")
+    return 2 * n, [int.from_bytes(lanes[i:i + width], "little") - half
+                   for i in range(0, width * n, width)]
+
+
+def _closed_norm(e, r):
+    """The norm from Q(zeta_e) to Q of sum_(t < e/2) r_t zeta_e^t, in
+    integers, for the orders e = 2, 6 and 10, where phi(e) <= 4.
+
+    At e = 2 it is r_0.  At e = 6, zeta^2 = zeta - 1 makes the sum A + B
+    zeta, A = r_0 - r_2 and B = r_1 + r_2, of norm A^2 + AB + B^2.  At
+    e = 10 the pairs {1, 9} and {3, 7} give T = R_0 + b_1 C_1 + b_2 C_2
+    (``_norms``) at C_1, C_2 = (1 + s)/2, (s - 1)/2 and s = +-sqrt(5), so
+    the norm is ((2 R_0 + b_1 - b_2)^2 - 5 (b_1 + b_2)^2) / 4.
+    """
+    if e == 2:
+        return r[0]
+    if e == 6:
+        r0, r1, r2 = r
+        return r0 * r0 + r1 * r1 + r2 * r2 + r0 * r1 + r1 * r2 - r0 * r2
+    c0, c1, c2, c3, c4 = _autocorrelation(r)
+    b1, b2 = c1 - c4, c2 - c3
+    return ((2 * c0 + b1 - b2) ** 2 - 5 * (b1 + b2) ** 2) // 4
+
+
 def _norms(d, orbits, cos, modulus):
     """The product of the norms from Q(zeta_d) of sum_(t < d/2) a_t zeta^t
-    over the folded sums a of the orbits of even order d, mod modulus at
-    zeta, a root of order d there that splits Phi_d, given the row
-    cos of C_s = zeta^s + zeta^(-s) for s < d, C_0 = 1.
+    over the folded sums a of the orbits of order d = 2 (mod 4), phi(d) >
+    4, mod modulus at zeta, a root of order d there that splits Phi_d,
+    given the row cos of C_s = zeta^s + zeta^(-s) for s < d, C_0 = 1.
 
-    A pair of units {j, -j} gives T(zeta^j) = sum_(u < ceil(d/4)) b_u C_(ju),
-    b = (R_0, R_1 - R_(n-1), R_2 - R_(n-2), ...), n = d/2, and C_s =
-    zeta^s + zeta^(-s) with C_0 = 1; for 4 | d, d > 4, a quartet of units
-    {+-j, +-j + d/2}, j < d/4, gives Re^2 - Ro^2, Re and Ro its parts at
-    the even and the odd u.  The R_u of an orbit are its autocorrelations,
-    all n of them from one product (``_autocorrelation``), and the picks
-    C_(ju) are strided slices of the row repeated (``_pick``).
+    A pair of units {j, -j}, j < d/2, gives T(zeta^j) = sum_(u < ceil(d/4))
+    b_u C_(ju), b = (R_0, R_1 - R_(n-1), R_2 - R_(n-2), ...), n = d/2.
+    The R_u of an orbit are its autocorrelations, all n of them from one
+    product (``_autocorrelation``), and the picks C_(ju) are strided
+    slices of the row repeated (``_pick``).
     """
-    if d == 2:
-        return prod(a for a, in orbits) % modulus
     n, size = d // 2, (d + 2) // 4
     pairs = []
     for a in orbits:
@@ -592,38 +671,28 @@ def _norms(d, orbits, cos, modulus):
         pairs.append([r[0], *map(sub, r[1:size], r[:n - size:-1])])
     tiled = cos * min(d // 8 + 1, _ROW_REPEAT)
     value = 1
-    if d % 4 or d == 4:
-        for j in range(1, n):
-            if gcd(j, d) == 1:
-                # C_(j u) for u < ceil(d/4), shared by the orbits
-                pick = _pick(tiled, d, 0, j, size)
-                for b in pairs:
-                    value = value * sum(map(mul, b, pick)) % modulus
-    else:
-        # -zeta^j is zeta^(j + d/2), and C_u(-x) = (-1)^u C_u(x)
-        split = [(b[0::2], b[1::2]) for b in pairs]
-        for j in range(1, d // 4):
-            if gcd(j, d) == 1:
-                even = _pick(tiled, d, 0, 2 * j, (size + 1) // 2)
-                odd = _pick(tiled, d, j, 2 * j, size // 2)
-                for b_even, b_odd in split:
-                    e = sum(map(mul, b_even, even))
-                    o = sum(map(mul, b_odd, odd))
-                    value = value * (e * e - o * o) % modulus
+    for j in range(1, n):
+        if gcd(j, d) == 1:
+            # C_(j u) for u < ceil(d/4), shared by the orbits
+            pick = _pick(tiled, d, 0, j, size)
+            for b in pairs:
+                value = value * sum(map(mul, b, pick)) % modulus
     return value
 
 
 #: the largest phi(m), for m normalised, that hminus evaluates.  The pass
-#: takes phi(d)/2 dot products of length ceil(d/4) per orbit of order d
-#: (phi(d)/4 pairs of half-length ones when 4 | d, d > 4) with residues mod
-#: l^k, k growing with the digits of h^-, after one product of packed
-#: integers per orbit for the coefficients (6 ms in all at 3947); the row
-#: of x^s + x^-s takes a fifth to two fifths of it, the orbits (on half the
-#: units), CRT primes, k and the lift a few ms, and the safe primes cost
-#: most: on a shared 2-core x86-64 host (Python 3.11), three cold CLI runs
-#: each, 3947 takes 1.5-1.7 s and 3863 1.2-1.5 s, the prime square 3721
-#: 0.8-0.9 s, 3 * 1999 0.8-0.9 s and 4 * 1999 1.1 s, and a cold
-#: hminus(3947) peaks at 18 MB of RSS
+#: takes phi(e)/2 dot products of length ceil(e/4) per orbit left above
+#: order 10 by ``_halve``, e its halved order, with residues mod l^k, k
+#: growing with the digits of h^-, after one product of packed integers per
+#: orbit for the coefficients (6 ms in all at 3947); the row of x^s + x^-s
+#: takes a fifth to two fifths of it, and the orbits (on half the units),
+#: the halving, CRT primes, k and the lift a few ms.  The safe primes,
+#: whose one large order is 2 mod 4 and is not halved, cost most: on a
+#: shared 2-core x86-64 host (Python 3.11), three cold CLI runs each, 3947
+#: takes 1.0-1.1 s and 3863 1.0-1.4 s, the prime square 3721, its order
+#: 3660 halved to 1830, 0.43-0.53 s, 3457, its orders halved to at most
+#: 54, 0.09-0.15 s, and 4096, every orbit in closed form, 0.06-0.11 s; a
+#: cold hminus(3947) peaks at 18 MB of RSS
 HMINUS_PHI_CEILING = 4000
 
 
@@ -662,24 +731,42 @@ def hminus(m):
     primes = factorint(exponent)
 
     # the folded sums c_t - c_(t+d/2) of the orbits and their conductors f,
-    # by their order d
-    folds, conductors = {}, {}
+    # by their order d; each orbit halved down to its order e, its norm in
+    # closed form up to e = 10, and the halved sums above it by e
+    folds, conductors, left, exact = {}, {}, {}, 1
     for d, f, folded in _odd_orbits(m):
         folds.setdefault(d, []).append(folded)
         conductors.setdefault(d, []).append(f)
-    # the bound and the denominator take one power per order d of the
+        e, halved = _halve(d, folded)
+        if e <= 10:
+            exact *= _closed_norm(e, halved)
+        else:
+            left.setdefault(e, []).append(halved)
+    # the denominator, and the bound, take one power per order d of the
     # products over its orbits
-    bound_sq, scale, denominator = 4 * qw * qw, 1, 1
+    phis, denominator = {}, 1
     for d, orbits in folds.items():
-        phi_d, number, fs = d, len(orbits), prod(conductors[d])
+        phi_d = d
         for r in primes:
             if d % r == 0:
                 phi_d -= phi_d // r
+        phis[d] = phi_d
+        denominator *= ((-2) ** len(orbits) * prod(conductors[d])) ** phi_d
+    if not left:
+        h, rest = divmod(qw * exact, denominator)
+        if rest or h <= 0:
+            raise InternalConsistencyError(
+                f"analytic minus class number for m={m} fails its check: "
+                f"the exact quotient of Q w times the norms by the "
+                f"denominator is not a positive integer")
+        return h
+    bound_sq, scale = 4 * qw * qw, 1
+    for d, orbits in folds.items():
+        phi_d, number = phis[d], len(orbits)
         bound_sq *= (d ** 3 // 2) ** (phi_d * number) \
             * prod(sum(map(mul, a, a)) for a in orbits) ** phi_d
-        scale *= ((2 * d) ** number * fs) ** (2 * phi_d) \
+        scale *= ((2 * d) ** number * prod(conductors[d])) ** (2 * phi_d) \
             * phi_d ** (phi_d * number)
-        denominator *= ((-2) ** number * fs) ** phi_d
 
     (ell, root), *checks = _crt_prime(exponent)
     power = ell ** _precision(ell, bound_sq, scale)
@@ -690,12 +777,13 @@ def hminus(m):
                            % prime)
         modulus *= prime
     check = modulus // power
-    value = qw * pow(denominator, -1, modulus)
-    # one row for x of order L = lcm of the orders; that of d is its stride
-    order = lcm(*folds)
+    value = qw * exact * pow(denominator, -1, modulus)
+    # one row for x of order L = lcm of the orders left; that of e is its
+    # stride
+    order = lcm(*left)
     cos = _cos_row(pow(lift, exponent // order, modulus), order, modulus)
-    for d, orbits in folds.items():
-        value = value * _norms(d, orbits, cos[::order // d], modulus) \
+    for e, orbits in left.items():
+        value = value * _norms(e, orbits, cos[::order // e], modulus) \
             % modulus
     h = value % power
     if 2 * h > power:

@@ -18,7 +18,11 @@ all the orders; the
 coefficients R_u - R_(n-u) of the orbit norms are sums of products, where
 ``hminus`` reads all the R_u off one product of packed integers, and
 the picks of that row are built entry by entry, where ``hminus`` slices
-the row repeated.  The Galois
+the row repeated.  The norm of an orbit is taken here at its own order d,
+through quartets {+-j, +-j + d/2} when 4 | d, and down the 2-power tower
+by one convolution P(x) P(-x) of n sums of products per step, where
+``hminus`` halves every orbit on one packed integer and reads the orders
+2, 6 and 10 in closed form.  The Galois
 orbits of odd characters are also walked as exponent tuples, one
 character built per orbit, and over the Sylow parts as ``hminus`` walks
 them, on the table of every unit and with sums for every t, before the
@@ -1342,10 +1346,34 @@ def pick(row, start, step, count):
     return [row[(start + step * u) % len(row)] for u in range(count)]
 
 
+def halve(d, a):
+    """``classnumber._halve`` one step at a time: while 4 | d, P(x) P(-x)
+    mod x^n + 1, n = len(a), as n sums of products, its odd powers zero
+    and its even powers the sums of half the length at order d/2."""
+    while d % 4 == 0:
+        n = len(a)
+        twisted = [(-1) ** t * c for t, c in enumerate(a)]
+        product = [0] * n
+        for i, x in enumerate(a):
+            for j, y in enumerate(twisted):
+                if i + j < n:
+                    product[i + j] += x * y
+                else:
+                    product[i + j - n] -= x * y
+        if any(product[1::2]):
+            raise InternalConsistencyError("P(x) P(-x) has an odd power")
+        d, a = d // 2, product[0::2]
+    return d, a
+
+
 def norms(d, orbits, cos, modulus):
-    """``classnumber._norms`` with each b_u = R_u - R_(n-u) one sum of n
-    products, sum_t a_t a_(t + u) with a_(t + n) = -a_t, and each pick of
-    the row built entry by entry."""
+    """The product of the norms from Q(zeta_d) of the orbits of order d,
+    mod modulus, at order d itself: a_0 at d = 2, one value per pair
+    {j, -j} (``classnumber._norms``), and for 4 | d, d > 4, Re^2 - Ro^2
+    per quartet {+-j, +-j + d/2}, Re and Ro the parts at even and odd u.
+    Each b_u = R_u - R_(n-u) is one sum of n products, sum_t a_t a_(t + u)
+    with a_(t + n) = -a_t, and each pick of the row is built entry by
+    entry."""
     if d == 2:
         return prod(a for a, in orbits) % modulus
     n, size = d // 2, (d + 2) // 4

@@ -236,6 +236,17 @@ _CEILING_DIGESTS = {
 }
 
 
+#: the SHA-256 of h^- where lambda(m) has a large 2-power, as the
+#: per-unit evaluation gives it: every orbit of 2^12 halves to order 2,
+#: and those of 3457 = 2^7 * 27 + 1 to 2, 6, 18 and 54
+_TOWER_DIGESTS = {
+    3457:
+        "98e30a4712b9442cf85f2b53504bc8d8f5de72fccc5d7b8f95ccab5297a300fe",
+    2 ** 12:
+        "9b31df5d93f709e8e6bf066fbc11372462690d651dbf202c67a9fa0d549b8abf",
+}
+
+
 def _assert_orbits_match_the_oracles(m):
     """_odd_orbits(m) against the fold of ``oracles.full_orbits``, orbit by
     orbit, and, unfolded, against the orbits from ``characters`` and the
@@ -347,6 +358,42 @@ def _lane_boundaries():
                                id=f"{n}x{top}-alternating")
 
 
+@st.composite
+def _tower_orbits(draw):
+    """(d, a): d = 2^v d', d' odd, with a of length n = d/2 = 2^(v-1) d' up
+    to 512, so up to nine halvings, and entries up to 2^40 in size."""
+    v = draw(st.integers(1, 10))
+    odd = 2 * draw(st.integers(0, (2 ** (10 - v) - 1) // 2)) + 1
+    n = 2 ** (v - 1) * odd
+    top = draw(st.sampled_from([1, 2 ** 8 - 1, 2 ** 40]))
+    return 2 * n, draw(st.lists(st.integers(-top, top), min_size=n,
+                                max_size=n))
+
+
+def _halved_norms(d, orbits, row_of, modulus):
+    """The product of the norms from Q(zeta_d) of the orbits of order d,
+    mod modulus, as hminus takes them: each orbit halved down to its order
+    e, the closed forms at e <= 10, and _norms on row_of(e), the row of
+    x^s + x^(-s) at x of order e, above."""
+    value, left = 1, []
+    for a in orbits:
+        e, halved = classnumber._halve(d, a)
+        if e <= 10:
+            value = value * classnumber._closed_norm(e, halved) % modulus
+        else:
+            left.append(halved)
+    if left:
+        value = value * classnumber._norms(e, left, row_of(e), modulus) \
+            % modulus
+    return value
+
+
+def _rows_of(zeta, d, modulus):
+    """row_of for ``_halved_norms``: the row of order e | d at zeta^(d/e),
+    zeta of order d, from its own powers."""
+    return lambda e: oracles.cos_row(pow(zeta, d // e, modulus), e, modulus)
+
+
 class TestNormCoefficients:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1,
@@ -387,15 +434,55 @@ class TestNormCoefficients:
     def test_norms_match_the_sums_of_products(self, d):
         # every even order to 128, and orders near the ceiling: 2 mod 4
         # (1018 = lambda(1019), 2038, 3946) and 4 | d (3660 =
-        # lambda(61^2)), whose picks wrap past the repeated row
+        # lambda(61^2), halved to 1830), whose picks wrap past the repeated
+        # row; halved first, against the norms at order d itself
         ell, zeta = classnumber._crt_prime(d)[0]
         rng = random.Random(d)
         orbits = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(d // 2)]
                   for _ in range(2)]
         orbits.append([0] * (d // 2 - 1) + [1])
-        cos = oracles.cos_row(zeta, d, ell)
-        assert classnumber._norms(d, orbits, cos, ell) == \
-            oracles.norms(d, orbits, cos, ell)
+        assert _halved_norms(d, orbits, _rows_of(zeta, d, ell), ell) == \
+            oracles.norms(d, orbits, oracles.cos_row(zeta, d, ell), ell)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tower_orbits())
+    @example((4, [0, 0]))
+    @example((1024, [0] * 511 + [-2 ** 40]))
+    @example((1024, [2 ** 40] * 512))
+    @example((1024, [(-1) ** t * 2 ** 40 for t in range(512)]))
+    @example((6, [1, -2, 3]))
+    def test_halve_matches_the_convolutions(self, case):
+        d, a = case
+        assert classnumber._halve(d, a) == oracles.halve(d, a)
+
+    @pytest.mark.parametrize("d", [4, 8, 24, 64, 1024])
+    @pytest.mark.parametrize("top", [1, 2 ** 7 - 1, 2 ** 7, 2 ** 8 - 1,
+                                     2 ** 15, 2 ** 40])
+    def test_halve_at_the_lane_boundary(self, d, top):
+        # every entry at the largest size, of one sign or alternating, with
+        # max|a_t| and n near a power of two: the lanes at their fullest
+        for a in ([top] * (d // 2), [-top] * (d // 2),
+                  [(-1) ** t * top for t in range(d // 2)]):
+            assert classnumber._halve(d, a) == oracles.halve(d, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 6, 10]).flatmap(
+        lambda e: st.tuples(st.just(e), st.lists(
+            st.integers(-2 ** 40, 2 ** 40), min_size=e // 2,
+            max_size=e // 2))))
+    @example((2, [-7]))
+    @example((6, [0, 0, 0]))
+    @example((10, [0, 0, 0, 0, 1]))
+    @example((10, [2 ** 40] * 5))
+    def test_closed_forms_match_the_norms(self, case):
+        # exact, against the multimodular norm, and mod a prime against
+        # the norms at order e through the real subfield
+        e, r = case
+        norm = classnumber._closed_norm(e, r)
+        assert norm == oracles.cyclotomic_norm_int(r, e)
+        ell, zeta = classnumber._crt_prime(e)[0]
+        assert norm % ell == \
+            oracles.norms(e, [r], oracles.cos_row(zeta, e, ell), ell)
 
     def test_wrapped_picks(self):
         # steps and counts whose strided slice runs past the repeated row,
@@ -453,6 +540,24 @@ def corrupt_evaluation_prime(monkeypatch):
     """The prime whose power carries the value, index 0, comes with the
     root 1, and so does its Teichmueller lift."""
     yield _root_one(monkeypatch, 0)
+    hminus.cache_clear()
+
+
+@pytest.fixture
+def corrupt_orbit_sum(monkeypatch):
+    """corrupt(m) adds 1 to the first folded sum of the first orbit of
+    hminus(m)."""
+    original = classnumber._odd_orbits
+
+    def corrupt(m):
+        def wrong_sums(n):
+            (d, f, folded), *rest = original(n)
+            return [(d, f, [folded[0] + 1, *folded[1:]]), *rest]
+
+        monkeypatch.setattr(classnumber, "_odd_orbits", wrong_sums)
+        hminus.cache_clear()
+
+    yield corrupt
     hminus.cache_clear()
 
 
@@ -638,7 +743,8 @@ class TestHminus:
     def test_strided_row_matches_the_row_per_order(self):
         # the row of x^s + x^(-s) at x of order lambda(m), sliced with
         # stride lambda(m)/d, is the row of zeta = x^(lambda(m)/d) for every
-        # even d | lambda(m), and gives _norms the same value
+        # even d | lambda(m), and its slice at the halved order gives the
+        # norms at order d
         rng = random.Random(300)
         for exponent in sorted({lcm(*classnumber._generator_orders(m))
                                 for m in range(3, 301) if m % 4 != 2}):
@@ -655,15 +761,16 @@ class TestHminus:
                 assert strided == per_order, (exponent, d)
                 orbits = [[rng.randint(-10 ** 6, 10 ** 6)
                            for _ in range(d // 2)] for _ in range(2)]
-                assert classnumber._norms(d, orbits, strided, modulus) == \
-                    classnumber._norms(d, orbits, per_order, modulus)
+                assert _halved_norms(
+                    d, orbits, lambda e: row[::exponent // e], modulus) == \
+                    oracles.norms(d, orbits, per_order, modulus)
 
     @pytest.mark.parametrize("d", range(2, 65, 2))
     def test_paired_norms_are_the_product_over_the_units(self, d):
-        # one value per pair {j, -j} (quartet {+-j, +-j + d/2} for 4 | d)
-        # through the real subfield against one value per unit j, at a
-        # root of order d modulo a prime l = 1 (mod d): d = 2, d = 4,
-        # d = 2 mod 4 and 4 | d above 4
+        # each orbit halved to its order e, then a closed form (e <= 10) or
+        # one value per pair {j, -j} through the real subfield, against one
+        # value per unit j mod d, at a root of order d modulo a prime l = 1
+        # (mod d): d = 2 mod 4 and 4 | d, landing on 2, 6, 10 and above
         ell, zeta = classnumber._crt_prime(d)[0]
         rng = random.Random(d)
         orbits = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(d // 2)]
@@ -676,8 +783,8 @@ class TestHminus:
                 for a in orbits:
                     expected = expected * sum(
                         c * pow(x, t, ell) for t, c in enumerate(a)) % ell
-        assert classnumber._norms(d, orbits, oracles.cos_row(zeta, d, ell),
-                                  ell) == expected
+        assert _halved_norms(d, orbits, _rows_of(zeta, d, ell), ell) == \
+            expected
 
     @pytest.mark.parametrize("m", [3, 7, 25, 3 * 49, 4 * 81])
     def test_generator_of_wrong_order_is_an_internal_error(self, m,
@@ -718,7 +825,7 @@ class TestHminus:
             classnumber._unit_group.cache_clear()
         assert calls == [m, 2, 4, 6, 10]
 
-    @pytest.mark.parametrize("m", [23, 257, 1009])
+    @pytest.mark.parametrize("m", [23, 241, 1009])
     def test_one_prime_power_and_one_check_prime(self, m, monkeypatch):
         # hminus reads the four primes of one scan: the check modulus is
         # the product of the primes 1, 2 and 3, distinct primes below 2^30
@@ -804,22 +911,29 @@ class TestHminus:
         value = str(hminus(m)).encode()
         assert hashlib.sha256(value).hexdigest() == _CEILING_DIGESTS[m]
 
-    # every branch of the evaluation must reach the check: the odd
-    # characters mod 23 have orders 2 and 22 (d = 2 and d = 2 mod 4), those
-    # mod 401 orders 16, 80 and 400 (4 | d, the quartets), those mod 39
-    # orders 2, 4, 6 and 12 (all four branches: d = 2, d = 4, d = 2 mod 4
-    # and 4 | d above 4), and those mod 257 the one order 256
-    @pytest.mark.parametrize("m", [23, 39, 401, 257])
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m", _TOWER_DIGESTS)
+    def test_tower_digests(self, m):
+        value = str(hminus(m)).encode()
+        assert hashlib.sha256(value).hexdigest() == _TOWER_DIGESTS[m]
+        assert hminus(m) == oracles.hminus_per_unit(m)
+
+    # every branch of the modular pass must reach the check: the odd
+    # characters mod 23 have orders 2 and 22, one closed form and one
+    # order that is not halved; those mod 401 orders 16, 80 and 400,
+    # halved to 2, 10 and 50; and those mod 241 orders 16, 48, 80 and 240,
+    # halved to 2, 6, 10 and 30: each closed form joins the modular pass
+    @pytest.mark.parametrize("m", [23, 241, 401])
     def test_corrupt_check_prime_is_an_internal_error(self, m,
                                                       corrupt_check_prime):
-        assert {d for d, _, _ in classnumber._odd_orbits(m)} == \
-            {23: {2, 22}, 39: {2, 4, 6, 12}, 401: {16, 80, 400},
-             257: {256}}[m]
+        assert {classnumber._halve(d, a)[0]
+                for d, _, a in classnumber._odd_orbits(m)} == \
+            {23: {2, 22}, 241: {2, 6, 10, 30}, 401: {2, 10, 50}}[m]
         corrupt_check_prime(m)
         with pytest.raises(InternalConsistencyError, match="check prime"):
             hminus(m)
 
-    @pytest.mark.parametrize("m", [23, 39, 401, 257])
+    @pytest.mark.parametrize("m", [23, 241, 401])
     def test_corrupt_evaluation_prime_is_an_internal_error(
             self, m, corrupt_evaluation_prime):
         corrupt_evaluation_prime(m)
@@ -829,12 +943,66 @@ class TestHminus:
     def test_corrupt_check_prime_exits_3(self, corrupt_check_prime, capsys,
                                          monkeypatch):
         monkeypatch.delenv("CYCLOCLASS_CACHE", raising=False)
-        corrupt_check_prime(39)
-        assert run(["hminus", "--m", "39"]) == 3
+        corrupt_check_prime(241)
+        assert run(["hminus", "--m", "241"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("internal consistency failure: analytic minus")
         assert "Traceback" not in err
+
+    # the odd characters mod 39 have orders 2, 4, 6 and 12, halved to 2, 2,
+    # 6 and 6, and those mod 257 the one order 256, halved to 2: h^- is an
+    # exact quotient, and a wrong orbit sum leaves it fractional
+    @pytest.mark.parametrize("m", [39, 257])
+    def test_corrupt_orbit_sum_is_an_internal_error(self, m,
+                                                    corrupt_orbit_sum):
+        assert {classnumber._halve(d, a)[0]
+                for d, _, a in classnumber._odd_orbits(m)} == \
+            {39: {2, 6}, 257: {2}}[m]
+        corrupt_orbit_sum(m)
+        with pytest.raises(InternalConsistencyError,
+                           match="not a positive integer"):
+            hminus(m)
+
+    @pytest.mark.parametrize("m", [39, 257])
+    def test_corrupt_orbit_sum_exits_3(self, m, corrupt_orbit_sum, capsys,
+                                       monkeypatch):
+        monkeypatch.delenv("CYCLOCLASS_CACHE", raising=False)
+        corrupt_orbit_sum(m)
+        assert run(["hminus", "--m", str(m)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal consistency failure: analytic minus")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("m,calls", [(39, 0), (257, 0), (4096, 0),
+                                         (3947, 1)])
+    def test_crt_pass_only_for_orders_left_above_ten(self, m, calls,
+                                                     monkeypatch):
+        # 39, 257 and 4096 = 2^12 halve every orbit to 2, 6 or 10 and read
+        # no CRT prime; the one order 3946 of 3947 takes the modular pass,
+        # and _norms sees only orders 2 mod 4 above 10
+        used, seen = [], []
+        original_prime, original_norms = classnumber._crt_prime, \
+            classnumber._norms
+
+        def record_prime(exponent):
+            used.append(exponent)
+            return original_prime(exponent)
+
+        def record_norms(d, *args):
+            seen.append(d)
+            return original_norms(d, *args)
+
+        monkeypatch.setattr(classnumber, "_crt_prime", record_prime)
+        monkeypatch.setattr(classnumber, "_norms", record_norms)
+        hminus.cache_clear()
+        try:
+            hminus(m)
+        finally:
+            hminus.cache_clear()
+        assert len(used) == calls
+        assert seen == ([3946] if calls else [])
 
     @pytest.mark.slow
     def test_divisibility_up_to_1000(self):
