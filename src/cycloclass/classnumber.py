@@ -31,19 +31,24 @@ Q(zeta_(d/2)) is P(x) P(-x), an even polynomial R(x^2) (Graeffe's root
 squaring), and R mod y^(n/2) + 1 is a folded sum of half the length at
 zeta^2, of order d/2.  An orbit of order d = 2^v d', d' odd, so has the
 norm of one folded sum of order e = 2 d', after v - 1 such steps on one
-packed integer (``_halve``).  At e = 2, 6 and 10, where phi(e) <= 4, that
-norm is a closed form in integers (``_closed_norm``): 835 of the 1,105
-orbits of the normalised m in 100..260 land there, and every orbit of 38
-of those 121 moduli.  When no orbit is left above order 10, h^- is the
-exact quotient of Q w times those norms by the product of the (-2f)^phi(d),
-with no prime, root or bound: a quotient that is not a positive integer
-signals a bug.
+packed integer (``_halve``).  At the orders e with phi(e) <= 8, e = 2, 6,
+10, 14, 18 and 30, that norm is taken in integers (``_closed_norm``): in
+closed form up to e = 10, and at 14, 18 and 30, where the real subfield
+Q(zeta_e)^+ = Q(c), c = zeta + zeta^(-1), is cubic or quartic, as the
+determinant of the multiplication by P(x) P(1/x) (below) on the basis 1,
+c, c^2, ... of Z[c] mod the minimal polynomial psi_e of c.  989 of the
+1,105 orbits of the normalised m in 100..260 land there, and every orbit
+of 67 of those 121 moduli (102 of the 149 normalised m <= 200).  When no
+orbit is left, h^- is the exact quotient of Q w times those norms by the
+product of the (-2f)^phi(d), with no prime, root or bound: a quotient that
+is not a positive integer signals a bug.
 
-The orbits left, of orders e = 2 (mod 4) above 10, are evaluated mod l^k
-for one prime l = 1 (mod lambda(m)) below 2^30, with the closed-form norms
-and the denominator as residues, at the Teichmueller lift r^(l^(k-1)) of an
-r of order lambda(m) mod l (Washington, GTM 83, 5.1): the lift has the
-same order, and each Phi_e, e | lambda(m), splits mod l^k at its powers.
+The orbits left, of orders e = 2 (mod 4) with phi(e) > 8, are evaluated
+mod l^k for one prime l = 1 (mod lambda(m)) below 2^30, with the
+closed-form norms and the denominator as residues, at the Teichmueller
+lift r^(l^(k-1)) of an r of order lambda(m) mod l (Washington, GTM 83,
+5.1): the lift has the same order, and each Phi_e, e | lambda(m), splits
+mod l^k at its powers.
 The lift is the root of x^lambda(m) = 1 over r, which Newton's iteration
 finds in log_2 k steps, doubling the precision from l (Hensel's lemma: l
 does not divide lambda(m)).
@@ -85,16 +90,19 @@ Each value is taken at phi(f)/d units, so c_t + c_(t + d/2) = f phi(f)/d
 and the q_t are +-(d/2) (c_t - c_(t + d/2)): sum_t q_t^2 is
 (d^2/2) sum_(t < d/2) (c_t - c_(t + d/2))^2 = (d^2/2) R_0, read off the
 folded sums.
-The orbit contributes (-1)^phi(d) N / (2f)^phi(d), so k is the least
-exponent with
+The orbit contributes (-1)^phi(d) N / (2f)^phi(d), and the norms of
+closed form are known exactly, so k is the least exponent with
 
-    l^(2k) * prod (2 d f)^(2 phi(d)) phi(d)^phi(d)
-        > 4 (Q w)^2 * prod (d * sum_t q_t^2)^phi(d),
+    l^(2k) * prod (2f)^(2 phi(d)) * prod' (d^2 phi(d))^phi(d)
+        > 4 (Q w prod'' N)^2 * prod' (d * sum_t q_t^2)^phi(d),
 
-the products over all the orbits, those of closed form included; the
-residue of least absolute value mod l^k is then h^-.  The bit lengths of
-the two sides and of l bracket k within a step, and at most one exact
-comparison settles it.  Three more such primes check it in the same pass,
+the first product over all the orbits, prod' over the orbits left and
+prod'' over those of closed form; the residue of least absolute value mod
+l^k is then h^-.  The bit lengths of the two sides and of l bracket k
+within a step, and at most one exact comparison settles it.  The
+denominator is inverted one conductor at a time, as (2f)^(-s), s the sum
+of the phi(d) over the orbits of conductor f, and the signs (-1)^phi(d)
+go into the numerator.  Three more such primes check it in the same pass,
 taken mod l^k l_1 l_2 l_3: their product, of about 2^90, is the check
 modulus.  No floating point is involved anywhere: a failed check, or a
 value that is not positive, signals a bug, not rounding error.
@@ -131,8 +139,7 @@ from operator import mul, sub
 
 from .abelian import FinAbGroup
 from .arith import _SCREEN_PRIMES, _SCREEN_PRODUCT, \
-    InternalConsistencyError, UnsupportedModulusError, factorint, isprime, \
-    totient
+    InternalConsistencyError, UnsupportedModulusError, factorint, isprime
 
 
 def odd_part(x):
@@ -159,19 +166,20 @@ def _primitive_root(q, p, primes):
 
 @lru_cache(maxsize=None)
 def _unit_group(m):
-    """The local factors of (Z/m)^x, one (p, e, gens) per p^e || m.
+    """The local factors of (Z/m)^x, one (p, e, gens, primes) per p^e || m.
 
     ``gens`` lists (generator, order) for (Z/p^e)^x: the least primitive
     root for odd p, 3 at 4, and -1, 5 at 2^e with e >= 3, so the first
     generator of every nontrivial factor is the one carrying -1.  Each
     generator g of order o must have g^o = 1 and g^(o/r) != 1 for every
-    prime r | o: those of p - 1, and p when e > 1, as the search reads.
+    prime r | o.  ``primes`` are those of the exponent of the factor: of
+    p - 1, and p when e > 1, as the search reads, and 2 at 2^e, e > 1.
     """
     factors = []
     for p, e in factorint(int(m)).items():
         q = p ** e
         if p == 2:
-            primes = [2]
+            primes = [2] if e > 1 else []
             gens = [] if e == 1 else [(3, 2)] if e == 2 else \
                 [(q - 1, 2), (5, q // 4)]
         else:
@@ -185,12 +193,12 @@ def _unit_group(m):
                 raise InternalConsistencyError(
                     f"unit group generator {g} does not have order {o} "
                     f"modulo {q}")
-        factors.append((p, e, tuple(gens)))
+        factors.append((p, e, tuple(gens), tuple(primes)))
     return tuple(factors)
 
 
 def _generator_orders(m):
-    return [o for *_, gens in _unit_group(m) for _, o in gens]
+    return [o for _, _, gens, _ in _unit_group(m) for _, o in gens]
 
 
 def _valuation(k, p):
@@ -258,7 +266,7 @@ def _unit_table(m, f):
     its range, and the table keeps the first half of that axis.
     """
     factors, i = [], 0
-    for p, e, gens in _unit_group(m):
+    for p, e, gens, _ in _unit_group(m):
         fp = gcd(f, p ** e)
         if fp > 1:
             # -1 keeps order 2 mod fp >= 4, 5 has order fp / 4 there
@@ -296,9 +304,10 @@ def _unit_table(m, f):
 _SLICE_RUN = 5
 
 
-def _odd_orbits(m):
+def _odd_orbits(m, primes):
     """One (d, f, folded) per Galois orbit of odd characters modulo m, the
-    folded sums c_t - c_(t + d/2) for t < d/2.
+    folded sums c_t - c_(t + d/2) for t < d/2, given the primes of
+    lambda(m).
 
     The orbit {chi^j : j a unit mod d} of a character chi of order d is the
     set of generators of the cyclic group it generates, so the orbits are
@@ -320,16 +329,15 @@ def _odd_orbits(m):
     c_t - c_(t + d/2) = F_t - F_(t + d/2).  The orbits must cover the
     phi(m)/2 odd characters.
     """
-    factors = _unit_group(m)
     orders = _generator_orders(m)
     spans, i = [], 0
-    for p, e, gens in factors:
+    for p, e, gens, _ in _unit_group(m):
         spans.append((p, e, i, i + len(gens)))
         i += len(gens)
     signs = [lo for _, _, lo, hi in spans if hi > lo]
 
     parts = []
-    for ell in factorint(lcm(*orders)):
+    for ell in primes:
         sizes = [ell ** _valuation(o, ell) for o in orders]
         part = []
         for order, xs in _cyclic_subgroups(ell, sizes):
@@ -508,8 +516,9 @@ _BLOCK_LANES = 64
 #: from one product: on random entries below 5000 in size, at n = 4 the
 #: sums take 2.9 us and the product 5.8 us, at n = 12 both 10 us, and at
 #: n = 20 the sums 20 us and the product 15 us (Python 3.11, 2-core x86-64
-#: host).  Of the 270 orbits that one pass of hminus over the normalised m
-#: in 100..260 leaves above order 10 after ``_halve``, 129 have n <= 12
+#: host).  Of the 116 orbits that one pass of hminus over the normalised m
+#: in 100..260 leaves after ``_halve`` at orders e with phi(e) > 8, 17 have
+#: n <= 12, all at e = 22
 _DIRECT_LENGTH = 12
 
 
@@ -632,24 +641,91 @@ def _halve(d, a):
                    for i in range(0, width * n, width)]
 
 
+#: psi_e, the minimal polynomial of c = zeta_e + zeta_e^(-1), for the
+#: halved orders e above 10 with phi(e) <= 8: its coefficients below the
+#: leading 1, lowest first.  Q(zeta_e)^+ = Q(c) is cubic at e = 14 and 18
+#: and quartic at e = 30 (Washington, GTM 83, section 2)
+_PSI = {14: (1, -2, -1), 18: (-1, -3, 0), 30: (1, -4, -4, 1)}
+
+#: the halved orders whose norms ``_closed_norm`` takes in integers: every
+#: e = 2 (mod 4) with phi(e) <= 8
+_CLOSED_ORDERS = frozenset({2, 6, 10, *_PSI})
+
+
+def _times_c(v, psi):
+    """c v in Z[c] = Z[x]/psi, v and c v in the basis 1, c, ..., c^(k-1),
+    psi given by its coefficients below the leading 1: c^k = -sum_i psi_i
+    c^i."""
+    top = v[-1]
+    return [a - top * s for a, s in zip([0, *v[:-1]], psi)]
+
+
+def _real_coordinates(psi, size):
+    """The rows of the k x size matrix whose column u is 1 at u = 0 and
+    C_u = x^u + x^(-u) at 0 < u < size, in the basis 1, c, ..., c^(k-1)
+    of Z[c], c = C_1: C_0 = 2 and C_(u+1) = c C_u - C_(u-1)."""
+    one = [1] + [0] * (len(psi) - 1)
+    columns, previous, current = [one], [2 * a for a in one], \
+        _times_c(one, psi)
+    for _ in range(1, size):
+        columns.append(current)
+        previous, current = current, \
+            [*map(sub, _times_c(current, psi), previous)]
+    return [list(row) for row in zip(*columns)]
+
+
+#: per order of ``_PSI``: psi and the rows of ``_real_coordinates``
+_REAL_BASES = {e: (psi, _real_coordinates(psi, (e + 2) // 4))
+               for e, psi in _PSI.items()}
+
+
+def _determinant(rows):
+    """The determinant of a 3 x 3 or 4 x 4 integer matrix, given as its
+    rows, by Laplace's expansion in the 2 x 2 minors of its last two rows:
+    against the first row at 3 x 3, and against the complementary minors
+    of the first two rows at 4 x 4."""
+    *top, (a0, a1, a2, *a3), (b0, b1, b2, *b3) = rows
+    m01, m02, m12 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a1 * b2 - a2 * b1
+    if len(top) == 1:
+        (c0, c1, c2), = top
+        return c0 * m12 - c1 * m02 + c2 * m01
+    (a3,), (b3,), ((c0, c1, c2, c3), (d0, d1, d2, d3)) = a3, b3, top
+    m03, m13, m23 = a0 * b3 - a3 * b0, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    return (c0 * d1 - c1 * d0) * m23 - (c0 * d2 - c2 * d0) * m13 \
+        + (c0 * d3 - c3 * d0) * m12 + (c1 * d2 - c2 * d1) * m03 \
+        - (c1 * d3 - c3 * d1) * m02 + (c2 * d3 - c3 * d2) * m01
+
+
 def _closed_norm(e, r):
     """The norm from Q(zeta_e) to Q of sum_(t < e/2) r_t zeta_e^t, in
-    integers, for the orders e = 2, 6 and 10, where phi(e) <= 4.
+    integers, for the orders e of ``_CLOSED_ORDERS``, where phi(e) <= 8.
 
     At e = 2 it is r_0.  At e = 6, zeta^2 = zeta - 1 makes the sum A + B
     zeta, A = r_0 - r_2 and B = r_1 + r_2, of norm A^2 + AB + B^2.  At
     e = 10 the pairs {1, 9} and {3, 7} give T = R_0 + b_1 C_1 + b_2 C_2
     (``_norms``) at C_1, C_2 = (1 + s)/2, (s - 1)/2 and s = +-sqrt(5), so
-    the norm is ((2 R_0 + b_1 - b_2)^2 - 5 (b_1 + b_2)^2) / 4.
+    the norm is ((2 R_0 + b_1 - b_2)^2 - 5 (b_1 + b_2)^2) / 4.  At e = 14,
+    18 and 30, T = sum_(u < ceil(e/4)) b_u C_u, C_0 = 1, is taken in the
+    basis 1, c, ..., c^(k-1) of Z[c] mod psi_e (``_PSI``), k = phi(e)/2,
+    and its norm from Q(c) is the determinant of the multiplication by T
+    there, a 3 x 3 or 4 x 4 integer determinant.
     """
     if e == 2:
         return r[0]
     if e == 6:
         r0, r1, r2 = r
         return r0 * r0 + r1 * r1 + r2 * r2 + r0 * r1 + r1 * r2 - r0 * r2
-    c0, c1, c2, c3, c4 = _autocorrelation(r)
-    b1, b2 = c1 - c4, c2 - c3
-    return ((2 * c0 + b1 - b2) ** 2 - 5 * (b1 + b2) ** 2) // 4
+    # b_u = R_u - R_(n - u) for u < ceil(e/4), b_0 = R_0, as sums of
+    # products with r_(t + n) = -r_t
+    n, twisted = e // 2, r + [-a for a in r]
+    b = [sum(map(mul, r, twisted[u:u + n])) for u in range((n + 1) // 2)]
+    if e == 10:
+        return ((2 * b[0] + b[1] - b[2]) ** 2 - 5 * (b[1] + b[2]) ** 2) // 4
+    psi, coordinates = _REAL_BASES[e]
+    rows = [[sum(map(mul, row, b)) for row in coordinates]]
+    for _ in psi[1:]:
+        rows.append(_times_c(rows[-1], psi))
+    return _determinant(rows)
 
 
 def _norms(d, orbits, cos, modulus):
@@ -681,18 +757,18 @@ def _norms(d, orbits, cos, modulus):
 
 
 #: the largest phi(m), for m normalised, that hminus evaluates.  The pass
-#: takes phi(e)/2 dot products of length ceil(e/4) per orbit left above
-#: order 10 by ``_halve``, e its halved order, with residues mod l^k, k
+#: takes phi(e)/2 dot products of length ceil(e/4) per orbit that
+#: ``_halve`` leaves at an order e with phi(e) > 8, with residues mod l^k, k
 #: growing with the digits of h^-, after one product of packed integers per
 #: orbit for the coefficients (6 ms in all at 3947); the row of x^s + x^-s
 #: takes a fifth to two fifths of it, and the orbits (on half the units),
 #: the halving, CRT primes, k and the lift a few ms.  The safe primes,
 #: whose one large order is 2 mod 4 and is not halved, cost most: on a
 #: shared 2-core x86-64 host (Python 3.11), three cold CLI runs each, 3947
-#: takes 1.0-1.1 s and 3863 1.0-1.4 s, the prime square 3721, its order
-#: 3660 halved to 1830, 0.43-0.53 s, 3457, its orders halved to at most
-#: 54, 0.09-0.15 s, and 4096, every orbit in closed form, 0.06-0.11 s; a
-#: cold hminus(3947) peaks at 18 MB of RSS
+#: takes 1.0-1.1 s and 3863 0.9-1.4 s, the prime square 3721, its order
+#: 3660 halved to 1830, 0.34-0.39 s, 3457, its orders halved to 2, 6, 18
+#: and 54, 0.08-0.09 s, and 1153 and 4096, every orbit in closed form,
+#: 0.06 s; a cold hminus(3947) peaks at 18 MB of RSS
 HMINUS_PHI_CEILING = 4000
 
 
@@ -705,7 +781,9 @@ def hminus(m):
     prime powers and 2 otherwise; w counts the roots of unity of the
     field.  Every character order divides the exponent of (Z/m)^x, so one
     root of that order serves every orbit, and phi(d) of each order d
-    comes from the primes of that exponent, lambda(m).
+    comes from the primes of that exponent, lambda(m).  phi(m) and those
+    primes are read off the unit group: m is factored once, and lambda(m)
+    only by ``_crt_prime``.
     Moduli with phi(m) above HMINUS_PHI_CEILING raise
     UnsupportedModulusError before any character is built, and moduli
     above 2 * HMINUS_PHI_CEILING^2 before m is factored.
@@ -721,52 +799,53 @@ def hminus(m):
         raise UnsupportedModulusError(
             f"m = {m}: phi(m) >= sqrt(m/2) is above {HMINUS_PHI_CEILING}, "
             "the largest degree whose minus class number is evaluated")
-    phi = totient(m)
+    # phi(m) is the product of the generator orders
+    orders = _generator_orders(m)
+    phi = prod(orders)
     if phi > HMINUS_PHI_CEILING:
         raise UnsupportedModulusError(
             f"m = {m}: phi(m) = {phi} is above {HMINUS_PHI_CEILING}, "
             "the largest degree whose minus class number is evaluated")
-    qw = (1 if len(_unit_group(m)) == 1 else 2) * (2 * m if m % 2 else m)
-    exponent = lcm(*_generator_orders(m))
-    primes = factorint(exponent)
+    factors = _unit_group(m)
+    qw = (1 if len(factors) == 1 else 2) * (2 * m if m % 2 else m)
+    exponent = lcm(*orders)
+    primes = sorted({r for *_, local in factors for r in local})
 
-    # the folded sums c_t - c_(t+d/2) of the orbits and their conductors f,
-    # by their order d; each orbit halved down to its order e, its norm in
-    # closed form up to e = 10, and the halved sums above it by e
-    folds, conductors, left, exact = {}, {}, {}, 1
-    for d, f, folded in _odd_orbits(m):
-        folds.setdefault(d, []).append(folded)
-        conductors.setdefault(d, []).append(f)
+    # each orbit halved down to its order e: its norm in closed form at the
+    # orders of _CLOSED_ORDERS, and the halved sums above them by e, with
+    # the sums of squares of their folded sums by d for the bound; the
+    # denominator takes (2f)^phi(d) per orbit, gathered by conductor f
+    phis, powers, left, opened, exact = {}, {}, {}, {}, 1
+    for d, f, folded in _odd_orbits(m, primes):
+        if d not in phis:
+            phis[d] = d
+            for r in primes:
+                if d % r == 0:
+                    phis[d] -= phis[d] // r
+        powers[f] = powers.get(f, 0) + phis[d]
         e, halved = _halve(d, folded)
-        if e <= 10:
+        if e in _CLOSED_ORDERS:
             exact *= _closed_norm(e, halved)
         else:
             left.setdefault(e, []).append(halved)
-    # the denominator, and the bound, take one power per order d of the
-    # products over its orbits
-    phis, denominator = {}, 1
-    for d, orbits in folds.items():
-        phi_d = d
-        for r in primes:
-            if d % r == 0:
-                phi_d -= phi_d // r
-        phis[d] = phi_d
-        denominator *= ((-2) ** len(orbits) * prod(conductors[d])) ** phi_d
+            opened.setdefault(d, []).append(sum(map(mul, folded, folded)))
+    numerator = -qw * exact if sum(powers.values()) % 2 else qw * exact
+    denominator = prod((2 * f) ** s for f, s in powers.items())
     if not left:
-        h, rest = divmod(qw * exact, denominator)
+        h, rest = divmod(numerator, denominator)
         if rest or h <= 0:
             raise InternalConsistencyError(
                 f"analytic minus class number for m={m} fails its check: "
                 f"the exact quotient of Q w times the norms by the "
                 f"denominator is not a positive integer")
         return h
-    bound_sq, scale = 4 * qw * qw, 1
-    for d, orbits in folds.items():
-        phi_d, number = phis[d], len(orbits)
-        bound_sq *= (d ** 3 // 2) ** (phi_d * number) \
-            * prod(sum(map(mul, a, a)) for a in orbits) ** phi_d
-        scale *= ((2 * d) ** number * prod(conductors[d])) ** (2 * phi_d) \
-            * phi_d ** (phi_d * number)
+    # the closed norms enter the bound as they are, the orbits left by
+    # their Parseval and AM-GM bounds, one power per order d
+    bound_sq, scale = 4 * numerator * numerator, denominator * denominator
+    for d, sums in opened.items():
+        phi_d, number = phis[d], len(sums)
+        bound_sq *= (d ** 3 // 2) ** (phi_d * number) * prod(sums) ** phi_d
+        scale *= (d * d * phi_d) ** (phi_d * number)
 
     (ell, root), *checks = _crt_prime(exponent)
     power = ell ** _precision(ell, bound_sq, scale)
@@ -777,7 +856,10 @@ def hminus(m):
                            % prime)
         modulus *= prime
     check = modulus // power
-    value = qw * exact * pow(denominator, -1, modulus)
+    # the inverse of the denominator, one power per conductor
+    value = numerator % modulus
+    for f, s in powers.items():
+        value = value * pow(2 * f, -s, modulus) % modulus
     # one row for x of order L = lcm of the orders left; that of e is its
     # stride
     order = lcm(*left)

@@ -735,7 +735,7 @@ def unit_logs(m):
     mapping each unit residue mod p^e to its exponents on the generators
     of that factor."""
     tables = []
-    for p, e, gens in _unit_group(m):
+    for p, e, gens, _ in _unit_group(m):
         q, logs = p ** e, {}
         for ks in product(*(range(o) for _, o in gens)):
             value = 1
@@ -766,7 +766,7 @@ class DirichletCharacter(Record):
         exps = tuple(int(k) % o for k, o in zip(exps, orders))
         order = lcm(*(o // gcd(o, k) for k, o in zip(exps, orders)))
         conductor, minus_one, local, i = 1, 0, [], 0
-        for (p, e, gens), logs in zip(_unit_group(modulus),
+        for (p, e, gens, _), logs in zip(_unit_group(modulus),
                                       unit_logs(modulus)):
             ks = exps[i:i + len(gens)]
             i += len(gens)
@@ -861,7 +861,7 @@ def odd_orbits(m):
     """
     orders = _generator_orders(m)
     signs, i = [], 0
-    for *_, gens in _unit_group(m):
+    for _, _, gens, _ in _unit_group(m):
         if gens:
             signs.append(i)
         i += len(gens)
@@ -896,7 +896,7 @@ def full_unit_table(m, f):
     of ``classnumber._unit_table`` before the fold, with a in place of
     2a - f and both units of each pair {a, f - a}."""
     blocks, i = [], 0
-    for p, e, gens in _unit_group(m):
+    for p, e, gens, _ in _unit_group(m):
         fp = gcd(f, p ** e)
         if fp > 1:
             orders = [fp - fp // p] if p > 2 else [2] if e == 2 else \
@@ -928,7 +928,7 @@ def full_orbits(m):
     factors = _unit_group(m)
     orders = _generator_orders(m)
     signs, i = [], 0
-    for *_, gens in factors:
+    for _, _, gens, _ in factors:
         if gens:
             signs.append(i)
         i += len(gens)
@@ -950,7 +950,7 @@ def full_orbits(m):
         exps = [sum(ks) % o for *ks, o in
                 zip(*(part_exps for *_, part_exps in combination), orders)]
         f, i = 1, 0
-        for p, e, gens in factors:
+        for p, e, gens, _ in factors:
             ks = exps[i:i + len(gens)]
             if any(ks):
                 f *= _local_conductor(p, e, ks)
@@ -1301,6 +1301,12 @@ def orbit_hminus(m):
     return int(total)
 
 
+def lambda_primes(m):
+    """The primes of lambda(m), the exponent of (Z/m)^x, in increasing
+    order: the argument of ``classnumber._odd_orbits`` besides m."""
+    return [*factorint(lcm(*_generator_orders(m)))]
+
+
 def _qw(m):
     return (1 if len(_unit_group(m)) == 1 else 2) * (2 * m if m % 2 else m)
 
@@ -1309,7 +1315,7 @@ def norm_bound(m):
     """(bound_sq, scale) of ``classnumber.hminus`` at a normalised m > 2:
     the modulus l^k must have l^(2k) * scale > bound_sq."""
     bound_sq, scale = 4 * _qw(m) ** 2, 1
-    for d, f, folded in _odd_orbits(m):
+    for d, f, folded in _odd_orbits(m, lambda_primes(m)):
         phi_d = int(totient(d))
         bound_sq *= (d ** 3 // 2 * sum(c * c for c in folded)) ** phi_d
         scale *= (2 * d * f) ** (2 * phi_d) * phi_d ** phi_d
@@ -1416,7 +1422,7 @@ def hminus_per_unit(m):
     qw = _qw(m)
     exponent = lcm(*_generator_orders(m))
     units, folds, denominator = {}, {}, 1
-    for d, f, folded in _odd_orbits(m):
+    for d, f, folded in _odd_orbits(m, lambda_primes(m)):
         if d not in units:
             units[d] = [j for j in range(1, d) if gcd(j, d) == 1]
         denominator *= (-2 * f) ** len(units[d])

@@ -251,7 +251,7 @@ def _assert_orbits_match_the_oracles(m):
     """_odd_orbits(m) against the fold of ``oracles.full_orbits``, orbit by
     orbit, and, unfolded, against the orbits from ``characters`` and the
     walk of ``oracles.odd_orbits``, each orbit in canonical form."""
-    folded = classnumber._odd_orbits(m)
+    folded = classnumber._odd_orbits(m, oracles.lambda_primes(m))
     assert folded == [(d, f, _fold(d, sums))
                       for d, f, sums in oracles.full_orbits(m)], m
     new = Counter((d, f, _canonical(d, _unfold(d, f, sums)))
@@ -299,7 +299,8 @@ class TestOddOrbits:
                 for t in range(d // 2):
                     assert sums[t + d // 2] == f * n[t] - sums[t], (m, d, t)
                 full.add((d, f, sums))
-            for d, f, folded in classnumber._odd_orbits(m):
+            for d, f, folded in classnumber._odd_orbits(
+                    m, oracles.lambda_primes(m)):
                 assert len(folded) == d // 2
                 assert (d, f, _canonical(d, _unfold(d, f, folded))[0]) \
                     in full, (m, d)
@@ -328,8 +329,8 @@ class TestOddOrbits:
             built.append(exps)
             original_init(self, modulus, exps)
 
-        def recording_orbits(n):
-            orbits.extend(original_orbits(n))
+        def recording_orbits(n, primes):
+            orbits.extend(original_orbits(n, primes))
             return orbits
 
         monkeypatch.setattr(oracles.DirichletCharacter, "__init__",
@@ -340,8 +341,8 @@ class TestOddOrbits:
             cached.cache_clear()
         hminus(m)
         assert built == [] and oracles.unit_logs.cache_info().currsize == 0
-        # (p, e, gens) per prime power, with no discrete-log table
-        assert all(len(factor) == 3 for factor in classnumber._unit_group(m))
+        # (p, e, gens, primes) per prime power, with no discrete-log table
+        assert all(len(factor) == 4 for factor in classnumber._unit_group(m))
         assert len(orbits) == len(oracles.odd_orbits(m))
 
 
@@ -373,12 +374,12 @@ def _tower_orbits(draw):
 def _halved_norms(d, orbits, row_of, modulus):
     """The product of the norms from Q(zeta_d) of the orbits of order d,
     mod modulus, as hminus takes them: each orbit halved down to its order
-    e, the closed forms at e <= 10, and _norms on row_of(e), the row of
-    x^s + x^(-s) at x of order e, above."""
+    e, the closed forms at the orders e of _CLOSED_ORDERS, and _norms on
+    row_of(e), the row of x^s + x^(-s) at x of order e, at the others."""
     value, left = 1, []
     for a in orbits:
         e, halved = classnumber._halve(d, a)
-        if e <= 10:
+        if e in classnumber._CLOSED_ORDERS:
             value = value * classnumber._closed_norm(e, halved) % modulus
         else:
             left.append(halved)
@@ -465,8 +466,8 @@ class TestNormCoefficients:
                   [(-1) ** t * top for t in range(d // 2)]):
             assert classnumber._halve(d, a) == oracles.halve(d, a)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([2, 6, 10]).flatmap(
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 6, 10, 14, 18, 30]).flatmap(
         lambda e: st.tuples(st.just(e), st.lists(
             st.integers(-2 ** 40, 2 ** 40), min_size=e // 2,
             max_size=e // 2))))
@@ -474,15 +475,47 @@ class TestNormCoefficients:
     @example((6, [0, 0, 0]))
     @example((10, [0, 0, 0, 0, 1]))
     @example((10, [2 ** 40] * 5))
+    @example((14, [0] * 7))
+    @example((14, [0] * 6 + [1]))
+    @example((14, [2 ** 40] * 7))
+    @example((18, [0] * 9))
+    @example((18, [1] + [0] * 8))
+    @example((18, [(-1) ** t * 2 ** 40 for t in range(9)]))
+    @example((30, [0] * 15))
+    @example((30, [0] * 14 + [-1]))
+    @example((30, [-2 ** 40] * 15))
+    @example((30, [(-1) ** t * 2 ** 40 for t in range(15)]))
     def test_closed_forms_match_the_norms(self, case):
         # exact, against the multimodular norm, and mod a prime against
-        # the norms at order e through the real subfield
+        # the norms at order e through the real subfield: zero, a unit
+        # (whose matrix has zero pivots), and every entry at the largest
+        # size, of one sign or alternating, at each cubic and quartic order
         e, r = case
         norm = classnumber._closed_norm(e, r)
         assert norm == oracles.cyclotomic_norm_int(r, e)
         ell, zeta = classnumber._crt_prime(e)[0]
         assert norm % ell == \
             oracles.norms(e, [r], oracles.cos_row(zeta, e, ell), ell)
+
+    def test_real_subfield_bases(self):
+        # psi_e is the minimal polynomial of zeta_e + zeta_e^(-1) that the
+        # oracles derive from Phi_e, and the columns of the coordinates are
+        # C_u = zeta^u + zeta^(-u) (1 at u = 0) at a root of order e mod l;
+        # the closed orders are every e = 2 (mod 4) with phi(e) <= 8, all
+        # below 200 as phi(e) >= sqrt(e/2)
+        for e, psi in classnumber._PSI.items():
+            assert (*psi, 1) == oracles.lambda_min_poly_int(e)
+            ell, zeta = classnumber._crt_prime(e)[0]
+            c = (zeta + pow(zeta, -1, ell)) % ell
+            row = oracles.cos_row(zeta, e, ell)
+            _, coordinates = classnumber._REAL_BASES[e]
+            columns = list(zip(*coordinates))
+            assert len(columns) == (e + 2) // 4
+            for u, column in enumerate(columns):
+                assert sum(a * c ** i for i, a in enumerate(column)) % ell \
+                    == row[u], (e, u)
+        assert classnumber._CLOSED_ORDERS == {
+            e for e in range(2, 200, 4) if oracles.totient(e) <= 8}
 
     def test_wrapped_picks(self):
         # steps and counts whose strided slice runs past the repeated row,
@@ -550,8 +583,8 @@ def corrupt_orbit_sum(monkeypatch):
     original = classnumber._odd_orbits
 
     def corrupt(m):
-        def wrong_sums(n):
-            (d, f, folded), *rest = original(n)
+        def wrong_sums(n, primes):
+            (d, f, folded), *rest = original(n, primes)
             return [(d, f, [folded[0] + 1, *folded[1:]]), *rest]
 
         monkeypatch.setattr(classnumber, "_odd_orbits", wrong_sums)
@@ -767,10 +800,11 @@ class TestHminus:
 
     @pytest.mark.parametrize("d", range(2, 65, 2))
     def test_paired_norms_are_the_product_over_the_units(self, d):
-        # each orbit halved to its order e, then a closed form (e <= 10) or
-        # one value per pair {j, -j} through the real subfield, against one
-        # value per unit j mod d, at a root of order d modulo a prime l = 1
-        # (mod d): d = 2 mod 4 and 4 | d, landing on 2, 6, 10 and above
+        # each orbit halved to its order e, then a closed form (phi(e) <=
+        # 8) or one value per pair {j, -j} through the real subfield,
+        # against one value per unit j mod d, at a root of order d modulo a
+        # prime l = 1 (mod d): d = 2 mod 4 and 4 | d, landing on 2, 6, 10,
+        # 14, 18, 30 and the orders left
         ell, zeta = classnumber._crt_prime(d)[0]
         rng = random.Random(d)
         orbits = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(d // 2)]
@@ -803,7 +837,7 @@ class TestHminus:
         for p in sympy.primerange(3, 2 * 10 ** 4):
             q = p
             while q < 2 * 10 ** 4:
-                (_, _, ((g, order),)), = classnumber._unit_group(q)
+                (_, _, ((g, order),), _), = classnumber._unit_group(q)
                 assert (g, order) == (oracles.primitive_root(q), q - q // p)
                 q *= p
 
@@ -825,7 +859,50 @@ class TestHminus:
             classnumber._unit_group.cache_clear()
         assert calls == [m, 2, 4, 6, 10]
 
-    @pytest.mark.parametrize("m", [23, 241, 1009])
+    def test_m_and_lambda_factored_once_per_hminus(self, monkeypatch):
+        # a cold hminus(m), for each normalised m in 100..260, factors m
+        # once, and otherwise only p - 1 for the odd p | m: the primes of
+        # lambda(m) are those the unit group read, so lambda(m) itself is
+        # factored only by _crt_prime, or as p - 1 where that is lambda(m);
+        # arith's own calls, as those of totient, count too
+        calls, inside = Counter(), []
+        original_factorint, original_prime = classnumber.factorint, \
+            classnumber._crt_prime
+
+        def counting(n):
+            if not inside:
+                calls[n] += 1
+            return original_factorint(n)
+
+        def prime(exponent):
+            inside.append(exponent)
+            try:
+                return original_prime(exponent)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(arith, "factorint", counting)
+        monkeypatch.setattr(classnumber, "factorint", counting)
+        monkeypatch.setattr(classnumber, "_crt_prime", prime)
+        try:
+            for m in range(100, 261):
+                if m % 4 == 2:
+                    continue
+                for cached in (hminus, classnumber._unit_group,
+                               original_prime):
+                    cached.cache_clear()
+                calls.clear()
+                hminus(m)
+                exponent = lcm(*classnumber._generator_orders(m))
+                odd = {p - 1 for p in sympy.primefactors(m) if p > 2}
+                assert calls[m] == 1 and calls[exponent] <= 1, m
+                assert set(calls) <= {m} | odd and \
+                    all(calls[q] == 1 for q in odd), (m, calls)
+        finally:
+            for cached in (hminus, classnumber._unit_group, original_prime):
+                cached.cache_clear()
+
+    @pytest.mark.parametrize("m", [23, 211, 1009])
     def test_one_prime_power_and_one_check_prime(self, m, monkeypatch):
         # hminus reads the four primes of one scan: the check modulus is
         # the product of the primes 1, 2 and 3, distinct primes below 2^30
@@ -921,19 +998,22 @@ class TestHminus:
     # every branch of the modular pass must reach the check: the odd
     # characters mod 23 have orders 2 and 22, one closed form and one
     # order that is not halved; those mod 401 orders 16, 80 and 400,
-    # halved to 2, 10 and 50; and those mod 241 orders 16, 48, 80 and 240,
-    # halved to 2, 6, 10 and 30: each closed form joins the modular pass
-    @pytest.mark.parametrize("m", [23, 241, 401])
+    # halved to 2, 10 and 50; and those mod 211 every even order d | 210,
+    # none halved, the cubic and quartic forms at 14 and 30 among them:
+    # each closed form joins the modular pass
+    @pytest.mark.parametrize("m", [23, 211, 401])
     def test_corrupt_check_prime_is_an_internal_error(self, m,
                                                       corrupt_check_prime):
         assert {classnumber._halve(d, a)[0]
-                for d, _, a in classnumber._odd_orbits(m)} == \
-            {23: {2, 22}, 241: {2, 6, 10, 30}, 401: {2, 10, 50}}[m]
+                for d, _, a in classnumber._odd_orbits(
+                    m, oracles.lambda_primes(m))} == \
+            {23: {2, 22}, 211: {2, 6, 10, 14, 30, 42, 70, 210},
+             401: {2, 10, 50}}[m]
         corrupt_check_prime(m)
         with pytest.raises(InternalConsistencyError, match="check prime"):
             hminus(m)
 
-    @pytest.mark.parametrize("m", [23, 241, 401])
+    @pytest.mark.parametrize("m", [23, 211, 401])
     def test_corrupt_evaluation_prime_is_an_internal_error(
             self, m, corrupt_evaluation_prime):
         corrupt_evaluation_prime(m)
@@ -943,22 +1023,25 @@ class TestHminus:
     def test_corrupt_check_prime_exits_3(self, corrupt_check_prime, capsys,
                                          monkeypatch):
         monkeypatch.delenv("CYCLOCLASS_CACHE", raising=False)
-        corrupt_check_prime(241)
-        assert run(["hminus", "--m", "241"]) == 3
+        corrupt_check_prime(211)
+        assert run(["hminus", "--m", "211"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("internal consistency failure: analytic minus")
         assert "Traceback" not in err
 
     # the odd characters mod 39 have orders 2, 4, 6 and 12, halved to 2, 2,
-    # 6 and 6, and those mod 257 the one order 256, halved to 2: h^- is an
+    # 6 and 6, those mod 113 the orders 16 and 112, halved to 2 and 14,
+    # those mod 241 the orders 16, 48, 80 and 240, halved to 2, 6, 10 and
+    # 30, and those mod 257 the one order 256, halved to 2: h^- is an
     # exact quotient, and a wrong orbit sum leaves it fractional
-    @pytest.mark.parametrize("m", [39, 257])
+    @pytest.mark.parametrize("m", [39, 113, 241, 257])
     def test_corrupt_orbit_sum_is_an_internal_error(self, m,
                                                     corrupt_orbit_sum):
         assert {classnumber._halve(d, a)[0]
-                for d, _, a in classnumber._odd_orbits(m)} == \
-            {39: {2, 6}, 257: {2}}[m]
+                for d, _, a in classnumber._odd_orbits(
+                    m, oracles.lambda_primes(m))} == \
+            {39: {2, 6}, 113: {2, 14}, 241: {2, 6, 10, 30}, 257: {2}}[m]
         corrupt_orbit_sum(m)
         with pytest.raises(InternalConsistencyError,
                            match="not a positive integer"):
@@ -976,12 +1059,14 @@ class TestHminus:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("m,calls", [(39, 0), (257, 0), (4096, 0),
-                                         (3947, 1)])
+                                         (1153, 0), (3947, 1), (211, 1)])
     def test_crt_pass_only_for_orders_left_above_ten(self, m, calls,
                                                      monkeypatch):
-        # 39, 257 and 4096 = 2^12 halve every orbit to 2, 6 or 10 and read
-        # no CRT prime; the one order 3946 of 3947 takes the modular pass,
-        # and _norms sees only orders 2 mod 4 above 10
+        # 39, 257 and 4096 = 2^12 halve every orbit to 2, 6 or 10, and
+        # 1153 = 9 * 2^7 + 1 to 2, 6 and 18, and read no CRT prime; the one
+        # order 3946 of 3947 takes the modular pass, and so do the orders
+        # 42, 70 and 210 of 211: _norms sees only the orders 2 mod 4 with
+        # phi(e) > 8
         used, seen = [], []
         original_prime, original_norms = classnumber._crt_prime, \
             classnumber._norms
@@ -1002,7 +1087,7 @@ class TestHminus:
         finally:
             hminus.cache_clear()
         assert len(used) == calls
-        assert seen == ([3946] if calls else [])
+        assert sorted(seen) == {3947: [3946], 211: [42, 70, 210]}.get(m, [])
 
     @pytest.mark.slow
     def test_divisibility_up_to_1000(self):
@@ -1036,9 +1121,9 @@ class TestHminus:
         # the field of 78 is that of 39: its orbits are walked once
         calls, original = [], classnumber._odd_orbits
 
-        def counting(n):
+        def counting(n, primes):
             calls.append(n)
-            return original(n)
+            return original(n, primes)
 
         monkeypatch.setattr(classnumber, "_odd_orbits", counting)
         hminus.cache_clear()
