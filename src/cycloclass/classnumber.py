@@ -120,14 +120,11 @@ takes one unit of each pair {a, f - a}, and along the longest axis the
 value exponent grows by a fixed step, so the F_t are sums of strided
 slices of the rows.  The orbits must cover the phi(m)/2 odd characters.
 
-The four primes are the largest l = 1 (mod F) below 2^30, F = lambda(m)
-2^a with F^2 >= 2^30 that the search for a root proves prime over the
-odd primes below 100 as bases (Pocklington, 1914; Brillhart, Lehmer and
-Selfridge, 1975; see ``_crt_prime``).  Below 2^30 every candidate, base
-and root is one 30-bit digit of a CPython int, on which ``pow`` is two to
-three times as fast as on the two digits of a number just below 2^31.
-The generators of the unit group are the least primitive roots, each
-checked by powering against the primes of p - 1 that its search reads.
+The four primes, below 2^30, are proven by the search for their roots
+(``_crt_prime``): every candidate, base and root is one 30-bit digit of a
+CPython int, on which ``pow`` is two to three times as fast as on the two
+digits of a number just below 2^31.  The unit group's generators are the
+least primitive roots (``_unit_group``).
 """
 
 from __future__ import annotations
@@ -139,7 +136,7 @@ from operator import mul, sub
 
 from .abelian import FinAbGroup
 from .arith import _SCREEN_PRIMES, _SCREEN_PRODUCT, \
-    InternalConsistencyError, UnsupportedModulusError, factorint, isprime
+    InternalConsistencyError, UnsupportedModulusError, isprime, modulus
 
 
 def odd_part(x):
@@ -164,29 +161,30 @@ def _primitive_root(q, p, primes):
                 all(pow(g, phi // r, q) != 1 for r in primes))
 
 
-@lru_cache(maxsize=None)
 def _unit_group(m):
     """The local factors of (Z/m)^x, one (p, e, gens, primes) per p^e || m.
 
-    ``gens`` lists (generator, order) for (Z/p^e)^x: the least primitive
-    root for odd p, 3 at 4, and -1, 5 at 2^e with e >= 3, so the first
-    generator of every nontrivial factor is the one carrying -1.  Each
-    generator g of order o must have g^o = 1 and g^(o/r) != 1 for every
-    prime r | o.  ``primes`` are those of the exponent of the factor: of
-    p - 1, and p when e > 1, as the search reads, and 2 at 2^e, e > 1.
+    ``gens`` lists (generator, order) for (Z/p^e)^x, the orders drawn in
+    turn from ``modulus(m)``: the least primitive root for odd p, 3 at 4,
+    and -1, 5 at 2^e, e >= 3, so the first generator of every nontrivial
+    factor carries -1.  Each generator g of order o must have g^o = 1 and
+    g^(o/r) != 1 for every prime r | o.  ``primes`` are those of the
+    exponent of the factor: of p - 1, read off ``modulus(p - 1)`` by the
+    search, and p when e > 1, and 2 at 2^e, e > 1.
     """
-    factors = []
-    for p, e in factorint(int(m)).items():
+    record, factors = modulus(m), []
+    orders = iter(record.orders)
+    for p, e in record.factors:
         q = p ** e
         if p == 2:
             primes = [2] if e > 1 else []
-            gens = [] if e == 1 else [(3, 2)] if e == 2 else \
-                [(q - 1, 2), (5, q // 4)]
+            gens = [] if e == 1 else [3] if e == 2 else [q - 1, 5]
         else:
-            primes = [*factorint(p - 1)]
+            primes = [r for r, _ in modulus(p - 1).factors]
             if e > 1:
                 primes.append(p)
-            gens = [(_primitive_root(q, p, primes), q - q // p)]
+            gens = [_primitive_root(q, p, primes)]
+        gens = [*zip(gens, orders)]
         for g, o in gens:
             if pow(g, o, q) != 1 or any(pow(g, o // r, q) == 1
                                         for r in primes):
@@ -195,10 +193,6 @@ def _unit_group(m):
                     f"modulo {q}")
         factors.append((p, e, tuple(gens), tuple(primes)))
     return tuple(factors)
-
-
-def _generator_orders(m):
-    return [o for _, _, gens, _ in _unit_group(m) for _, o in gens]
 
 
 def _valuation(k, p):
@@ -253,11 +247,11 @@ def _cyclic_subgroups(ell, sizes):
                 yield order, xs
 
 
-def _unit_table(m, f):
+def _unit_table(units, f):
     """(table, axes): 2a - f for one unit a of each pair {a, f - a} in
-    [1, f), ordered by the logarithms of a on the generators of
-    ``_unit_group(m)`` reduced mod f, and the axes as (generator index,
-    length in the table), in the order of the table.
+    [1, f), ordered by the logarithms of a on the generators of ``units``,
+    the ``_unit_group`` of a multiple of f, reduced mod f, and the axes as
+    (generator index, length in the table), in the order of the table.
 
     The local factor whose last axis is longest comes last, so that the
     table is a run of rows along that axis: the fewest rows, each summed
@@ -266,7 +260,7 @@ def _unit_table(m, f):
     its range, and the table keeps the first half of that axis.
     """
     factors, i = [], 0
-    for p, e, gens, _ in _unit_group(m):
+    for p, e, gens, _ in units:
         fp = gcd(f, p ** e)
         if fp > 1:
             # -1 keeps order 2 mod fp >= 4, 5 has order fp / 4 there
@@ -304,10 +298,10 @@ def _unit_table(m, f):
 _SLICE_RUN = 5
 
 
-def _odd_orbits(m, primes):
+def _odd_orbits(units, primes):
     """One (d, f, folded) per Galois orbit of odd characters modulo m, the
-    folded sums c_t - c_(t + d/2) for t < d/2, given the primes of
-    lambda(m).
+    folded sums c_t - c_(t + d/2) for t < d/2, given the ``_unit_group`` of
+    m and the primes of lambda(m).
 
     The orbit {chi^j : j a unit mod d} of a character chi of order d is the
     set of generators of the cyclic group it generates, so the orbits are
@@ -319,7 +313,7 @@ def _odd_orbits(m, primes):
     product of characters of coprime orders is the lcm of theirs, so each
     cyclic subgroup's conductor is found once, not once per orbit.
 
-    A character's sums F_t add the entries 2a - f of ``_unit_table(m, f)``,
+    A character's sums F_t add the entries 2a - f of ``_unit_table``,
     f its conductor, one row at a time: on a row, the value exponent grows
     by the weight w of the last axis at each step, so the entries s,
     s + d', s + 2d', ... of a row, d' = d / gcd(w, d), share it and are
@@ -329,11 +323,10 @@ def _odd_orbits(m, primes):
     c_t - c_(t + d/2) = F_t - F_(t + d/2).  The orbits must cover the
     phi(m)/2 odd characters.
     """
-    orders = _generator_orders(m)
-    spans, i = [], 0
-    for p, e, gens, _ in _unit_group(m):
-        spans.append((p, e, i, i + len(gens)))
-        i += len(gens)
+    orders, spans = [], []
+    for p, e, gens, _ in units:
+        spans.append((p, e, len(orders), len(orders) + len(gens)))
+        orders += [o for _, o in gens]
     signs = [lo for _, _, lo, hi in spans if hi > lo]
 
     parts = []
@@ -365,7 +358,7 @@ def _odd_orbits(m, primes):
             d, f = prod(part_orders), lcm(*conductors)
             exps = [sum(ks) % o for *ks, o in zip(*part_exps, orders)]
         if f not in tables:
-            tables[f] = _unit_table(m, f)
+            tables[f] = _unit_table(units, f)
         table, axes = tables[f]
         # the value exponents at the starts of the rows, and the weight of
         # the last axis
@@ -430,24 +423,24 @@ def _pocklington(ell, order, parts, bases):
 
 
 @lru_cache(maxsize=None)
-def _crt_prime(exponent):
+def _crt_prime(exponent, primes):
     """The four largest primes l = 1 (mod F) below 2^30, in decreasing
     order, each with an element of order exponent modulo l.
 
-    F = lcm(exponent, 2) 2^a, a the least with F^2 >= 2^30.  A candidate
-    l = c F + 1 past the gcd screen of ``arith`` is prime once
-    ``_pocklington`` settles every part of lcm(exponent, 2), as the primes
-    are those of F (Pocklington, Proc. Cambridge Philos. Soc. 18 (1914);
-    Brillhart, Lehmer and Selfridge, Math. Comp. 29 (1975)): each prime
-    factor of l is then 1 mod F, so above sqrt(l).  The bases are the odd
-    primes below 100, x skipped when l mod x is a square mod x: when
-    4 | F, (x/l) = (l/x) = 1, and x would leave the part of 2 open.  A
-    candidate whose parts the bases leave open is skipped, prime or not;
-    no exponent lambda(m) with phi(m) <= HMINUS_PHI_CEILING meets one.  An
-    odd exponent squares the root.
+    ``primes`` are those of the exponent, and F = lcm(exponent, 2) 2^a, a
+    the least with F^2 >= 2^30.  A candidate l = c F + 1 past the gcd
+    screen of ``arith`` is prime once ``_pocklington`` settles every part
+    of lcm(exponent, 2), as the primes are those of F (Pocklington, Proc.
+    Cambridge Philos. Soc. 18 (1914); Brillhart, Lehmer and Selfridge,
+    Math. Comp. 29 (1975)): each prime factor of l is then 1 mod F, so
+    above sqrt(l).  The bases are the odd primes below 100, x skipped when
+    l mod x is a square mod x: when 4 | F, (x/l) = (l/x) = 1, and x would
+    leave the part of 2 open.  A candidate whose parts the bases leave open
+    is skipped, prime or not; no exponent lambda(m) with phi(m) <=
+    HMINUS_PHI_CEILING meets one.  An odd exponent squares the root.
     """
     order = lcm(exponent, 2)
-    parts = [(r ** a, r) for r, a in factorint(order).items()]
+    parts = [(r ** _valuation(order, r), r) for r in sorted({2, *primes})]
     step = order
     while step * step < 2 ** 30:
         step *= 2
@@ -781,12 +774,11 @@ def hminus(m):
     prime powers and 2 otherwise; w counts the roots of unity of the
     field.  Every character order divides the exponent of (Z/m)^x, so one
     root of that order serves every orbit, and phi(d) of each order d
-    comes from the primes of that exponent, lambda(m).  phi(m) and those
-    primes are read off the unit group: m is factored once, and lambda(m)
-    only by ``_crt_prime``.
-    Moduli with phi(m) above HMINUS_PHI_CEILING raise
-    UnsupportedModulusError before any character is built, and moduli
-    above 2 * HMINUS_PHI_CEILING^2 before m is factored.
+    comes from the primes of that exponent, lambda(m), which the unit
+    group reads off ``modulus(p - 1)``: m and each p - 1 are factored once,
+    and lambda(m) never.  Moduli with phi(m) above HMINUS_PHI_CEILING raise
+    UnsupportedModulusError before any p - 1 is factored, and moduli above
+    2 * HMINUS_PHI_CEILING^2 before m is.
     """
     m = int(m)
     if m % 4 == 2:
@@ -799,24 +791,21 @@ def hminus(m):
         raise UnsupportedModulusError(
             f"m = {m}: phi(m) >= sqrt(m/2) is above {HMINUS_PHI_CEILING}, "
             "the largest degree whose minus class number is evaluated")
-    # phi(m) is the product of the generator orders
-    orders = _generator_orders(m)
-    phi = prod(orders)
-    if phi > HMINUS_PHI_CEILING:
+    record = modulus(m)
+    if record.phi > HMINUS_PHI_CEILING:
         raise UnsupportedModulusError(
-            f"m = {m}: phi(m) = {phi} is above {HMINUS_PHI_CEILING}, "
+            f"m = {m}: phi(m) = {record.phi} is above {HMINUS_PHI_CEILING}, "
             "the largest degree whose minus class number is evaluated")
-    factors = _unit_group(m)
-    qw = (1 if len(factors) == 1 else 2) * (2 * m if m % 2 else m)
-    exponent = lcm(*orders)
-    primes = sorted({r for *_, local in factors for r in local})
+    units = _unit_group(m)
+    qw = (1 if len(units) == 1 else 2) * (2 * m if m % 2 else m)
+    primes = tuple(sorted({r for *_, local in units for r in local}))
 
     # each orbit halved down to its order e: its norm in closed form at the
     # orders of _CLOSED_ORDERS, and the halved sums above them by e, with
     # the sums of squares of their folded sums by d for the bound; the
     # denominator takes (2f)^phi(d) per orbit, gathered by conductor f
     phis, powers, left, opened, exact = {}, {}, {}, {}, 1
-    for d, f, folded in _odd_orbits(m, primes):
+    for d, f, folded in _odd_orbits(units, primes):
         if d not in phis:
             phis[d] = d
             for r in primes:
@@ -847,26 +836,24 @@ def hminus(m):
         bound_sq *= (d ** 3 // 2) ** (phi_d * number) * prod(sums) ** phi_d
         scale *= (d * d * phi_d) ** (phi_d * number)
 
-    (ell, root), *checks = _crt_prime(exponent)
+    (ell, root), *checks = _crt_prime(record.exponent, primes)
     power = ell ** _precision(ell, bound_sq, scale)
     # the Teichmueller lift of root, joined by CRT with the check roots
-    modulus, lift = power, _teichmueller_lift(root, exponent, ell, power)
+    mod, lift = power, _teichmueller_lift(root, record.exponent, ell, power)
     for prime, prime_root in checks:
-        lift += modulus * ((prime_root - lift) * pow(modulus, -1, prime)
-                           % prime)
-        modulus *= prime
-    check = modulus // power
+        lift += mod * ((prime_root - lift) * pow(mod, -1, prime) % prime)
+        mod *= prime
+    check = mod // power
     # the inverse of the denominator, one power per conductor
-    value = numerator % modulus
+    value = numerator % mod
     for f, s in powers.items():
-        value = value * pow(2 * f, -s, modulus) % modulus
+        value = value * pow(2 * f, -s, mod) % mod
     # one row for x of order L = lcm of the orders left; that of e is its
     # stride
     order = lcm(*left)
-    cos = _cos_row(pow(lift, exponent // order, modulus), order, modulus)
+    cos = _cos_row(pow(lift, record.exponent // order, mod), order, mod)
     for e, orbits in left.items():
-        value = value * _norms(e, orbits, cos[::order // e], modulus) \
-            % modulus
+        value = value * _norms(e, orbits, cos[::order // e], mod) % mod
     h = value % power
     if 2 * h > power:
         h -= power
@@ -947,11 +934,9 @@ def h_is_odd(m, compute):
         return True
     if m in ODD_HMINUS_ONE:
         return False           # minus part a nontrivial power of two
-    primes = factorint(_normalize_modulus(m))
-    if len(primes) == 1:
-        p, = primes
-        if p <= _HP_TABLE_LIMIT:
-            return hp_is_odd(p)
+    (p, _), *others = modulus(_normalize_modulus(m)).factors
+    if not others and p <= _HP_TABLE_LIMIT:
+        return hp_is_odd(p)
     if compute:
         return hminus(m) % 2 == 1
     return None

@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import prod
 
 from .abelian import FinAbGroup
-from .arith import UnsupportedModulusError, divisors, factorint, isprime
+from .arith import UnsupportedModulusError, divisors, isprime, modulus
 from .involutive import InvModule
 from .classnumber import h_is_odd, hminus, hminus_is_one, \
     known_class_group, odd_part
@@ -27,7 +27,7 @@ class ScopeError(ValueError):
 
 
 def squarefree(m):
-    return all(e == 1 for e in factorint(int(m)).values())
+    return modulus(int(m)).squarefree
 
 
 def wh_rank(m):
@@ -35,7 +35,7 @@ def wh_rank(m):
     m = int(m)
     if m < 2:
         raise ValueError("cyclic group order must be at least 2")
-    return m // 2 + 1 - prod(e + 1 for e in factorint(m).values())
+    return m // 2 + 1 - prod(e + 1 for _, e in modulus(m).factors)
 
 
 def nk1_vanishes(m):
@@ -166,9 +166,9 @@ def stored_d_group(m):
         return _exact_d(FinAbGroup([4]), -1,
                         "published: order 4; negation forced by the unit "
                         "cokernel having nontrivial double")
-    fact = factorint(m)
-    if len(fact) == 1:
-        (p, e), = fact.items()
+    factors = modulus(m).factors
+    if len(factors) == 1:
+        (p, e), = factors
         if p == 2:
             if e <= 3:
                 return _exact_d(FinAbGroup(), -1,
@@ -236,9 +236,8 @@ def _class_sum(parts):
 
 
 def _a2_constraint(m):
-    fact = factorint(int(m))
-    if len(fact) == 1 and 2 in fact:
-        e = fact[2]
+    (p, e), *others = modulus(int(m)).factors
+    if p == 2 and not others:
         return (f"order(A_{2 ** e}) * order(A_{2 ** (e + 1)}) >= "
                 f"2^(2^{e - 2} - 1); same with e-1 in place of e")
     return None
@@ -380,7 +379,7 @@ def wh_fields(m, compute):
     field of the structure but the degree, since no group depends on it.
     A square-free m with more than WH_DIVISORS_CEILING divisors raises
     UnsupportedModulusError before any divisor is listed."""
-    count = 2 ** len(factorint(m))
+    count = 2 ** len(modulus(m).factors)
     if count > WH_DIVISORS_CEILING and nk1_vanishes(m):
         raise UnsupportedModulusError(
             f"m = {m} is square-free with {count} divisors; the class parts "

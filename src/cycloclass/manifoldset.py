@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, prod
 
-from .arith import UnsupportedModulusError, factorint
+from .arith import UnsupportedModulusError, modulus
 from .classnumber import hminus, known_class_group, odd_part
 from .ktheory import (
     ScopeError,
@@ -37,28 +37,18 @@ MHCOB_TRIVIAL = MHS_TRIVIAL | {15, 29}
 def a2k_order(k, m):
     """Order of the realisable automorphism group: 2 m #{c : c^k = +-1}.
 
-    The units c with c^k = 1 number the product over p^e || m of the k-th
-    roots of unity mod p^e.  Those with c^k = -1 are a coset of them when
-    -1 is a k-th power, which for m > 2 doubles the count.
+    The units with c^k = 1 number gcd(k, o) per cyclic factor Z/o of
+    (Z/m)^x (``modulus(m).orders``); for m > 2 those with c^k = -1 double
+    that when -1, of order 2 in the first factor at each p^e || m, is a
+    k-th power: iff gcd(k, o) | o/2 for all o (at 2^e the Z/2 asks k odd).
     """
     k, m = int(k), int(m)
     if k < 1 or m < 2:
         raise ValueError("need k >= 1 and m >= 2")
-    roots, minus_one_is_power = 1, True
-    for p, e in factorint(m).items():
-        if p == 2:
-            # (Z/2^e)^x is <-1> x <5> for e >= 3 and <-1> for e = 2, so -1
-            # is a k-th power iff k is odd (or e = 1, where -1 = 1)
-            cyclic = (2, 2 ** (e - 2)) if e >= 3 else (2 ** (e - 1),)
-            minus_one_is_power &= e == 1 or k % 2 == 1
-        else:
-            # cyclic of order phi; -1 = g^(phi/2) is a k-th power iff
-            # gcd(k, phi) divides phi/2
-            phi = (p - 1) * p ** (e - 1)
-            cyclic = (phi,)
-            minus_one_is_power &= (phi // 2) % gcd(k, phi) == 0
-        roots *= prod(gcd(k, d) for d in cyclic)
-    count = 2 * roots if m > 2 and minus_one_is_power else roots
+    orders = modulus(m).orders
+    count = prod(gcd(k, o) for o in orders)
+    if m > 2 and all(o // 2 % gcd(k, o) == 0 for o in orders):
+        count *= 2
     return 2 * m * count
 
 

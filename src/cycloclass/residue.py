@@ -30,8 +30,8 @@ inverts every element of a norm-one torus, so the involution it induces
 on vtilde(m) is negation.  A torus of more than TORUS_BITS_CEILING bits is
 refused before any p^f - 1 is formed.
 
-The integer arithmetic (factorisation of m, primality and Euler's phi)
-comes from the stdlib module ``arith``, and so do the two exceptions:
+Primality and the record ``modulus(n)`` of the primes and phi of n come
+from the stdlib module ``arith``, and so do the two exceptions:
 ``UnsupportedModulusError``, which ``arith`` raises for a modulus it
 cannot factor within its budget, and ``InternalConsistencyError``.
 """
@@ -43,7 +43,7 @@ from math import gcd, log2, prod
 
 from .abelian import FinAbGroup, IntMatrix, present
 from .arith import InternalConsistencyError, UnsupportedModulusError, \
-    factorint, isprime, totient
+    isprime, modulus
 from .record import Record
 
 
@@ -58,8 +58,8 @@ def order_mod(a, n):
         return 1
     if gcd(a, n) != 1:
         raise ValueError("order of a non-unit")
-    k = totient(n)
-    for r in factorint(k):
+    k = modulus(n).phi
+    for r, _ in modulus(k).factors:
         while k % r == 0 and pow(a, k // r, n) == 1:
             k //= r
     return k
@@ -90,7 +90,7 @@ class ResidueRingUnits(Record):
             raise ValueError(f"{p} is not prime")
         if n < 1 or gcd(p, n) != 1:
             raise ValueError(f"need gcd(p, n) = 1, got p={p}, n={n}")
-        phi = totient(n)
+        phi = modulus(n).phi
         torus_bits = phi * log2(p) / 2
         if torus_bits > TORUS_BITS_CEILING:
             raise UnsupportedModulusError(
@@ -182,12 +182,12 @@ def _primes(m):
     if m < 2:
         raise UnsupportedModulusError(
             f"m = {m}: the cyclic order must be at least 2")
-    fact = factorint(m)
-    if any(e > 1 for e in fact.values()):
+    record = modulus(m)
+    if not record.squarefree:
         raise UnsupportedModulusError(
             f"m = {m} is not square-free; the unit reduction applies to "
             "square-free moduli only")
-    primes = list(fact)
+    primes = [p for p, _ in record.factors]
     if len(primes) == 2 or (len(primes) == 3 and 2 in primes):
         return primes
     odd = [q for q in primes if q != 2]

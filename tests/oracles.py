@@ -32,8 +32,8 @@ test, with one loop over the trial bases per prime-power part.  The
 irregularity index i(p), from Bernoulli numbers by power sums mod p^2,
 checks h^-(p) against Kummer's criterion.  The characters themselves
 live here, exponent vectors on the generators of
-``classnumber._unit_group`` read through one discrete-log table per prime
-power: ``hminus`` needs only their orbits.
+``classnumber._unit_group`` (``unit_group``) read through one discrete-log
+table per prime power: ``hminus`` needs only their orbits.
 The exact cyclotomic numbers and Bernoulli values that the orbit products
 stand for are here too, and the cyclotomic polynomials.  The unit
 cokernel vtilde is recomputed the slow way too: discrete logs in every
@@ -84,13 +84,12 @@ from cycloclass.abelian import (
     subgroup_generated,
 )
 from cycloclass.arith import InternalConsistencyError, \
-    UnsupportedModulusError
+    UnsupportedModulusError, modulus
 from cycloclass.classnumber import (
     HMINUS_ONE,
     ODD_HMINUS_ONE,
     _crt_prime,
     _cyclic_subgroups,
-    _generator_orders,
     _local_conductor,
     _normalize_modulus,
     _odd_orbits,
@@ -730,12 +729,19 @@ def cellwise_scalar_sign(group, involution):
 
 
 @lru_cache(maxsize=None)
+def unit_group(m):
+    """``classnumber._unit_group(m)``, built once for the characters
+    modulo m that are built one at a time."""
+    return _unit_group(m)
+
+
+@lru_cache(maxsize=None)
 def unit_logs(m):
     """One dict per p^e || m, in the order of ``classnumber._unit_group``,
     mapping each unit residue mod p^e to its exponents on the generators
     of that factor."""
     tables = []
-    for p, e, gens, _ in _unit_group(m):
+    for p, e, gens, _ in unit_group(m):
         q, logs = p ** e, {}
         for ks in product(*(range(o) for _, o in gens)):
             value = 1
@@ -759,15 +765,14 @@ class DirichletCharacter(Record):
 
     __slots__ = ("modulus", "exps", "order", "conductor", "parity", "_local")
 
-    def __init__(self, modulus, exps):
-        orders = _generator_orders(modulus)
+    def __init__(self, m, exps):
+        orders = modulus(m).orders
         if len(exps) != len(orders):
             raise ValueError("exponent vector does not match the generators")
         exps = tuple(int(k) % o for k, o in zip(exps, orders))
         order = lcm(*(o // gcd(o, k) for k, o in zip(exps, orders)))
         conductor, minus_one, local, i = 1, 0, [], 0
-        for (p, e, gens, _), logs in zip(_unit_group(modulus),
-                                      unit_logs(modulus)):
+        for (p, e, gens, _), logs in zip(unit_group(m), unit_logs(m)):
             ks = exps[i:i + len(gens)]
             i += len(gens)
             if any(ks):
@@ -777,7 +782,7 @@ class DirichletCharacter(Record):
                 local.append((p ** e, weights, logs))
         # _local: (p^e, value exponent per generator exponent, logs) of
         # the nontrivial local factors, which alone determine the values
-        super().__init__(int(modulus), exps, order, conductor,
+        super().__init__(int(m), exps, order, conductor,
                          -1 if minus_one % 2 else 1, tuple(local))
 
     def __eq__(self, other):
@@ -797,7 +802,7 @@ def characters(m):
     if m < 1:
         raise ValueError("modulus must be positive")
     return [DirichletCharacter(m, exps)
-            for exps in product(*(range(o) for o in _generator_orders(m)))]
+            for exps in product(*(range(o) for o in modulus(m).orders))]
 
 
 # ---------------------------------------------------------------------------
@@ -859,9 +864,9 @@ def odd_orbits(m):
     as a DirichletCharacter.  The orbits must cover the phi(m)/2 odd
     characters, each once.
     """
-    orders = _generator_orders(m)
+    orders = modulus(m).orders
     signs, i = [], 0
-    for _, _, gens, _ in _unit_group(m):
+    for _, _, gens, _ in unit_group(m):
         if gens:
             signs.append(i)
         i += len(gens)
@@ -896,7 +901,7 @@ def full_unit_table(m, f):
     of ``classnumber._unit_table`` before the fold, with a in place of
     2a - f and both units of each pair {a, f - a}."""
     blocks, i = [], 0
-    for p, e, gens, _ in _unit_group(m):
+    for p, e, gens, _ in unit_group(m):
         fp = gcd(f, p ** e)
         if fp > 1:
             orders = [fp - fp // p] if p > 2 else [2] if e == 2 else \
@@ -925,8 +930,8 @@ def full_orbits(m):
     c_t for every t < d: the walk of ``classnumber._odd_orbits`` over the
     Sylow parts of the character group before the fold, on
     ``full_unit_table``, in the same order of orbits."""
-    factors = _unit_group(m)
-    orders = _generator_orders(m)
+    factors = unit_group(m)
+    orders = modulus(m).orders
     signs, i = [], 0
     for _, _, gens, _ in factors:
         if gens:
@@ -1276,9 +1281,9 @@ def orbit_hminus(m):
     m = _normalize_modulus(m)
     if m <= 2:
         return 1
-    q_factor = 1 if len(_unit_group(m)) == 1 else 2
+    q_factor = 1 if len(modulus(m).factors) == 1 else 2
     w = 2 * m if m % 2 else m
-    exponent = lcm(*_generator_orders(m))
+    exponent = modulus(m).exponent
 
     total = Fraction(q_factor * w)
     remaining = {c for c in characters(m) if c.parity == -1}
@@ -1303,19 +1308,31 @@ def orbit_hminus(m):
 
 def lambda_primes(m):
     """The primes of lambda(m), the exponent of (Z/m)^x, in increasing
-    order: the argument of ``classnumber._odd_orbits`` besides m."""
-    return [*factorint(lcm(*_generator_orders(m)))]
+    order, by sympy: the argument of ``classnumber._odd_orbits`` besides
+    the unit group."""
+    return tuple(int(r) for r in factorint(modulus(m).exponent))
+
+
+def hminus_crt_primes(exponent):
+    """``classnumber._crt_prime`` at an exponent, its primes by sympy."""
+    return _crt_prime(exponent, tuple(int(r) for r in factorint(exponent)))
+
+
+def folded_orbits(m):
+    """``classnumber._odd_orbits`` at m."""
+    return _odd_orbits(unit_group(m), lambda_primes(m))
 
 
 def _qw(m):
-    return (1 if len(_unit_group(m)) == 1 else 2) * (2 * m if m % 2 else m)
+    return (1 if len(modulus(m).factors) == 1 else 2) * \
+        (2 * m if m % 2 else m)
 
 
 def norm_bound(m):
     """(bound_sq, scale) of ``classnumber.hminus`` at a normalised m > 2:
     the modulus l^k must have l^(2k) * scale > bound_sq."""
     bound_sq, scale = 4 * _qw(m) ** 2, 1
-    for d, f, folded in _odd_orbits(m, lambda_primes(m)):
+    for d, f, folded in folded_orbits(m):
         phi_d = int(totient(d))
         bound_sq *= (d ** 3 // 2 * sum(c * c for c in folded)) ** phi_d
         scale *= (2 * d * f) ** (2 * phi_d) * phi_d ** phi_d
@@ -1420,34 +1437,33 @@ def hminus_per_unit(m):
     if m <= 2:
         return 1
     qw = _qw(m)
-    exponent = lcm(*_generator_orders(m))
+    exponent = modulus(m).exponent
     units, folds, denominator = {}, {}, 1
-    for d, f, folded in _odd_orbits(m, lambda_primes(m)):
+    for d, f, folded in folded_orbits(m):
         if d not in units:
             units[d] = [j for j in range(1, d) if gcd(j, d) == 1]
         denominator *= (-2 * f) ** len(units[d])
         folds.setdefault(d, []).append(
             (folded[0::2], folded[1::2]) if d % 4 == 0 else folded)
 
-    ell, root = _crt_prime(exponent)[0]
+    ell, root = hminus_crt_primes(exponent)[0]
     power = ell ** least_precision(ell, *norm_bound(m))
-    modulus, lift = power, _teichmueller_lift(root, exponent, ell, power)
+    mod, lift = power, _teichmueller_lift(root, exponent, ell, power)
     for index in (1, 2, 3):
-        prime, prime_root = _crt_prime(exponent)[index]
-        lift += modulus * ((prime_root - lift) * pow(modulus, -1, prime)
-                           % prime)
-        modulus *= prime
-    value = qw * pow(denominator, -1, modulus)
+        prime, prime_root = hminus_crt_primes(exponent)[index]
+        lift += mod * ((prime_root - lift) * pow(mod, -1, prime) % prime)
+        mod *= prime
+    value = qw * pow(denominator, -1, mod)
     for d, orbits in folds.items():
-        zeta, row = pow(lift, exponent // d, modulus), [1] * d
+        zeta, row = pow(lift, exponent // d, mod), [1] * d
         for t in range(1, d):
-            row[t] = row[t - 1] * zeta % modulus
+            row[t] = row[t - 1] * zeta % mod
         half = d // 2
         if d % 4:
             for j in units[d]:
                 pick = [row[i % d] for i in range(0, j * half, j)]
                 for folded in orbits:
-                    value = value * sum(map(mul, folded, pick)) % modulus
+                    value = value * sum(map(mul, folded, pick)) % mod
         else:
             for j in units[d][:len(units[d]) // 2]:
                 even = [row[i % d] for i in range(0, j * half, 2 * j)]
@@ -1455,8 +1471,8 @@ def hminus_per_unit(m):
                 for folded_even, folded_odd in orbits:
                     e = sum(map(mul, folded_even, even))
                     o = sum(map(mul, folded_odd, odd))
-                    value = value * (e * e - o * o) % modulus
-    h, check = value % power, modulus // power
+                    value = value * (e * e - o * o) % mod
+    h, check = value % power, mod // power
     if 2 * h > power:
         h -= power
     if h <= 0 or value % check != h % check:

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -206,7 +206,7 @@ class TestFactorint:
     def test_small_range(self):
         for n in range(1, 5001):
             assert arith.factorint(n) == sympy.factorint(n), n
-            assert arith.totient(n) == sympy.totient(n), n
+            assert arith.modulus(n).phi == sympy.totient(n), n
             assert arith.divisors(n) == sympy.divisors(n), n
 
     def test_sieve_grows_on_demand(self, monkeypatch):
@@ -260,6 +260,53 @@ class TestFactorint:
     def test_non_positive_rejected(self, n):
         with pytest.raises(ValueError):
             arith.factorint(n)
+
+
+#: a 131-bit prime whose p - 1 = 2 q r has two 66-bit prime factors: rho
+#: does not split p - 1 within its budget
+LARGE_PRIME = 2991691817533806448592860327231431648383
+
+
+class TestModulus:
+    def test_against_sympy(self):
+        for m in range(1, 3001):
+            record = arith.modulus(m)
+            factors = sympy.factorint(m)
+            assert record.m == m
+            assert record.factors == tuple(factors.items()), m
+            assert record.phi == sympy.totient(m) == prod(record.orders), m
+            assert record.exponent == sympy.reduced_totient(m), m
+            assert record.squarefree == all(e == 1 for e in factors.values())
+
+    def test_orders_are_the_cyclic_factors(self):
+        # (Z/m)^x is the product of the Z/o: for every k | lambda(m) the
+        # units with x^k = 1 number prod gcd(k, o), which fixes the group
+        for m in range(1, 301):
+            record = arith.modulus(m)
+            units = [x for x in range(m) if gcd(x, m) == 1]
+            for k in sympy.divisors(record.exponent):
+                assert sum(pow(x, k, m) == 1 % m for x in units) == \
+                    prod(gcd(k, o) for o in record.orders), (m, k)
+
+    def test_no_p_minus_one_is_factored(self, monkeypatch):
+        # the record of a prime whose p - 1 rho cannot split factors p
+        # alone, and its cyclic factor has the order p - 1
+        calls, original = [], arith.factorint
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(arith, "factorint", counting)
+        arith.modulus.cache_clear()
+        record = arith.modulus(LARGE_PRIME)
+        assert calls == [LARGE_PRIME]
+        assert (record.factors, record.orders, record.exponent) == \
+            (((LARGE_PRIME, 1),), (LARGE_PRIME - 1,), LARGE_PRIME - 1)
+
+    def test_cache_is_bounded(self):
+        assert arith.modulus.cache_info().maxsize == \
+            arith._MODULUS_CACHE_SIZE == 1024
 
 
 class TestPrimitiveRoot:

@@ -2,7 +2,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -26,6 +26,20 @@ from cycloclass.classnumber import (
 )
 from cycloclass.cli import run
 from oracles import characters
+
+
+def _counted_factorings(monkeypatch):
+    """A Counter of the arguments of arith.factorint from here on, with the
+    records of arith.modulus emptied: every factoring goes through it."""
+    calls, original = Counter(), arith.factorint
+
+    def counting(n):
+        calls[n] += 1
+        return original(n)
+
+    monkeypatch.setattr(arith, "factorint", counting)
+    arith.modulus.cache_clear()
+    return calls
 
 
 class TestCharacters:
@@ -251,7 +265,7 @@ def _assert_orbits_match_the_oracles(m):
     """_odd_orbits(m) against the fold of ``oracles.full_orbits``, orbit by
     orbit, and, unfolded, against the orbits from ``characters`` and the
     walk of ``oracles.odd_orbits``, each orbit in canonical form."""
-    folded = classnumber._odd_orbits(m, oracles.lambda_primes(m))
+    folded = oracles.folded_orbits(m)
     assert folded == [(d, f, _fold(d, sums))
                       for d, f, sums in oracles.full_orbits(m)], m
     new = Counter((d, f, _canonical(d, _unfold(d, f, sums)))
@@ -273,7 +287,7 @@ class TestOddOrbits:
         # phi(m) > m / (e^gamma log log m + 3 / log log m) of Rosser and
         # Schoenfeld (1962)
         for m in range(3, 10 ** 4):
-            if m % 4 != 2 and arith.totient(m) <= 1000:
+            if m % 4 != 2 and arith.modulus(m).phi <= 1000:
                 _assert_orbits_match_the_oracles(m)
 
     @pytest.mark.slow
@@ -299,8 +313,7 @@ class TestOddOrbits:
                 for t in range(d // 2):
                     assert sums[t + d // 2] == f * n[t] - sums[t], (m, d, t)
                 full.add((d, f, sums))
-            for d, f, folded in classnumber._odd_orbits(
-                    m, oracles.lambda_primes(m)):
+            for d, f, folded in oracles.folded_orbits(m):
                 assert len(folded) == d // 2
                 assert (d, f, _canonical(d, _unfold(d, f, folded))[0]) \
                     in full, (m, d)
@@ -312,7 +325,8 @@ class TestOddOrbits:
             for f in arith.divisors(m):
                 if f < 3 or f % 4 == 2:
                     continue
-                table, axes = classnumber._unit_table(m, f)
+                table, axes = classnumber._unit_table(
+                    oracles.unit_group(m), f)
                 assert len(table) == prod(n for _, n in axes)
                 assert sorted(table + [-v for v in table]) == \
                     [2 * a - f for a in range(1, f) if gcd(a, f) == 1]
@@ -329,15 +343,15 @@ class TestOddOrbits:
             built.append(exps)
             original_init(self, modulus, exps)
 
-        def recording_orbits(n, primes):
-            orbits.extend(original_orbits(n, primes))
+        def recording_orbits(units, primes):
+            orbits.extend(original_orbits(units, primes))
             return orbits
 
         monkeypatch.setattr(oracles.DirichletCharacter, "__init__",
                             counting_init)
         monkeypatch.setattr(classnumber, "_odd_orbits", recording_orbits)
-        for cached in (hminus, classnumber._unit_group,
-                       classnumber._crt_prime, oracles.unit_logs):
+        for cached in (hminus, arith.modulus, classnumber._crt_prime,
+                       oracles.unit_logs):
             cached.cache_clear()
         hminus(m)
         assert built == [] and oracles.unit_logs.cache_info().currsize == 0
@@ -437,7 +451,7 @@ class TestNormCoefficients:
         # (1018 = lambda(1019), 2038, 3946) and 4 | d (3660 =
         # lambda(61^2), halved to 1830), whose picks wrap past the repeated
         # row; halved first, against the norms at order d itself
-        ell, zeta = classnumber._crt_prime(d)[0]
+        ell, zeta = oracles.hminus_crt_primes(d)[0]
         rng = random.Random(d)
         orbits = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(d // 2)]
                   for _ in range(2)]
@@ -493,7 +507,7 @@ class TestNormCoefficients:
         e, r = case
         norm = classnumber._closed_norm(e, r)
         assert norm == oracles.cyclotomic_norm_int(r, e)
-        ell, zeta = classnumber._crt_prime(e)[0]
+        ell, zeta = oracles.hminus_crt_primes(e)[0]
         assert norm % ell == \
             oracles.norms(e, [r], oracles.cos_row(zeta, e, ell), ell)
 
@@ -505,7 +519,7 @@ class TestNormCoefficients:
         # below 200 as phi(e) >= sqrt(e/2)
         for e, psi in classnumber._PSI.items():
             assert (*psi, 1) == oracles.lambda_min_poly_int(e)
-            ell, zeta = classnumber._crt_prime(e)[0]
+            ell, zeta = oracles.hminus_crt_primes(e)[0]
             c = (zeta + pow(zeta, -1, ell)) % ell
             row = oracles.cos_row(zeta, e, ell)
             _, coordinates = classnumber._REAL_BASES[e]
@@ -550,8 +564,8 @@ def _root_one(monkeypatch, index):
     original = classnumber._crt_prime
 
     def corrupt(m):
-        def wrong_root(exponent):
-            primes = list(original(exponent))
+        def wrong_root(exponent, lambda_primes):
+            primes = list(original(exponent, lambda_primes))
             primes[index] = primes[index][0], 1
             return tuple(primes)
 
@@ -583,8 +597,8 @@ def corrupt_orbit_sum(monkeypatch):
     original = classnumber._odd_orbits
 
     def corrupt(m):
-        def wrong_sums(n, primes):
-            (d, f, folded), *rest = original(n, primes)
+        def wrong_sums(units, primes):
+            (d, f, folded), *rest = original(units, primes)
             return [(d, f, [folded[0] + 1, *folded[1:]]), *rest]
 
         monkeypatch.setattr(classnumber, "_odd_orbits", wrong_sums)
@@ -600,9 +614,9 @@ def _exponents_to_the_ceiling():
     Every such m is below 40000: phi(m) > m / (e^gamma log log m +
     2.50637 / log log m) for m >= 3 (Rosser and Schoenfeld, Illinois J.
     Math. 6 (1962), (3.42)), above 7000 at m = 40000 and growing."""
-    return sorted({lcm(*classnumber._generator_orders(m))
+    return sorted({arith.modulus(m).exponent
                    for m in range(3, 40000) if m % 4 != 2
-                   and arith.totient(m) <= HMINUS_PHI_CEILING})
+                   and arith.modulus(m).phi <= HMINUS_PHI_CEILING})
 
 
 def _has_order(root, exponent, ell):
@@ -623,8 +637,8 @@ def _assert_least_precision(m):
     # stepping up from the lower bound of the bit lengths takes at most
     # two comparisons, and k is the least one, as the loop over the powers
     # of l from k = 1 finds it
-    exponent = lcm(*classnumber._generator_orders(m))
-    ell = classnumber._crt_prime(exponent)[0][0]
+    exponent = arith.modulus(m).exponent
+    ell = oracles.hminus_crt_primes(exponent)[0][0]
     bound_sq, scale = oracles.norm_bound(m)
     _CountedInt.products = 0
     k = classnumber._precision(ell, bound_sq, _CountedInt(scale))
@@ -660,8 +674,8 @@ class TestHminus:
     def test_teichmueller_lift_keeps_the_order(self, m):
         # root^(l^(k-1)) mod l^k has order exactly lambda(m), as root mod l,
         # and Newton's iteration finds the same lift
-        exponent = lcm(*classnumber._generator_orders(m))
-        ell, root = classnumber._crt_prime(exponent)[0]
+        exponent = arith.modulus(m).exponent
+        ell, root = oracles.hminus_crt_primes(exponent)[0]
         for k in range(1, 65):
             lift = pow(root, ell ** (k - 1), ell ** k)
             assert classnumber._teichmueller_lift(root, exponent, ell,
@@ -679,7 +693,7 @@ class TestHminus:
             if exponent > 2000:
                 break
             for index in (0, 1, 2, 3):
-                ell, root = classnumber._crt_prime(exponent)[index]
+                ell, root = oracles.hminus_crt_primes(exponent)[index]
                 assert ell == oracles.crt_prime(exponent, index, 30)[0]
                 assert _has_order(root, exponent, ell), (exponent, index)
 
@@ -690,11 +704,12 @@ class TestHminus:
         expected = {m: hminus(m) for m in range(1, 501) if m % 4 != 2}
         old = {exponent: tuple(oracles.crt_prime_per_part(exponent, index)
                                for index in range(4))
-               for exponent in {lcm(*classnumber._generator_orders(m))
+               for exponent in {arith.modulus(m).exponent
                                 for m in expected if m > 2}}
-        assert any(classnumber._crt_prime(exponent)[0][0] != primes[0][0]
+        assert any(oracles.hminus_crt_primes(exponent)[0][0] != primes[0][0]
                    for exponent, primes in old.items())
-        monkeypatch.setattr(classnumber, "_crt_prime", old.__getitem__)
+        monkeypatch.setattr(classnumber, "_crt_prime",
+                            lambda exponent, primes: old[exponent])
         hminus.cache_clear()
         try:
             for m, h in expected.items():
@@ -712,7 +727,7 @@ class TestHminus:
         for exponent in exponents:
             step = oracles.crt_step(exponent)
             assert step ** 2 >= 2 ** 30 > (step // 2) ** 2
-            primes = classnumber._crt_prime(exponent)
+            primes = oracles.hminus_crt_primes(exponent)
             ells = [ell for ell, _ in primes]
             assert len(set(ells)) == 4, exponent
             assert all(ell < 2 ** 30 and ell % step == 1
@@ -726,7 +741,7 @@ class TestHminus:
         # lambda(m) is even for m > 2, but an odd exponent has F =
         # 2 exponent 2^a, and the part of 2 must be settled too
         for index in range(4):
-            ell, root = classnumber._crt_prime(exponent)[index]
+            ell, root = oracles.hminus_crt_primes(exponent)[index]
             assert ell == oracles.crt_prime(exponent, index, 30)[0]
             assert _has_order(root, exponent, ell)
 
@@ -753,7 +768,7 @@ class TestHminus:
         # of these scans meets one
         text = "".join(f"{exponent} {ell} {root}\n"
                        for exponent in _exponents_to_the_ceiling()
-                       for ell, root in classnumber._crt_prime(exponent))
+                       for ell, root in oracles.hminus_crt_primes(exponent))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "141c51d6827564857ecf0b6173e39c4427799c785829ef3c9dfcb640d920a15a"
 
@@ -761,7 +776,7 @@ class TestHminus:
         # the exponent 2^29 leaves one candidate below 2^30, 2^29 + 1 =
         # 3 * 178956971
         with pytest.raises(UnsupportedModulusError, match="fewer than four"):
-            classnumber._crt_prime(2 ** 29)
+            oracles.hminus_crt_primes(2 ** 29)
 
     def test_precision_is_the_least_k(self):
         for m in range(3, 2001):
@@ -779,9 +794,9 @@ class TestHminus:
         # even d | lambda(m), and its slice at the halved order gives the
         # norms at order d
         rng = random.Random(300)
-        for exponent in sorted({lcm(*classnumber._generator_orders(m))
+        for exponent in sorted({arith.modulus(m).exponent
                                 for m in range(3, 301) if m % 4 != 2}):
-            ell, root = classnumber._crt_prime(exponent)[0]
+            ell, root = oracles.hminus_crt_primes(exponent)[0]
             modulus = ell ** 2
             x = classnumber._teichmueller_lift(root, exponent, ell, modulus)
             row = classnumber._cos_row(x, exponent, modulus)
@@ -805,7 +820,7 @@ class TestHminus:
         # against one value per unit j mod d, at a root of order d modulo a
         # prime l = 1 (mod d): d = 2 mod 4 and 4 | d, landing on 2, 6, 10,
         # 14, 18, 30 and the orders left
-        ell, zeta = classnumber._crt_prime(d)[0]
+        ell, zeta = oracles.hminus_crt_primes(d)[0]
         rng = random.Random(d)
         orbits = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(d // 2)]
                   for _ in range(3)]
@@ -826,12 +841,8 @@ class TestHminus:
         # a square mod an odd prime power is never a primitive root
         monkeypatch.setattr(classnumber, "_primitive_root",
                             lambda q, p, primes: 4)
-        classnumber._unit_group.cache_clear()
-        try:
-            with pytest.raises(InternalConsistencyError, match="order"):
-                classnumber._unit_group(m)
-        finally:
-            classnumber._unit_group.cache_clear()
+        with pytest.raises(InternalConsistencyError, match="order"):
+            classnumber._unit_group(m)
 
     def test_generators_are_the_least_primitive_roots(self):
         for p in sympy.primerange(3, 2 * 10 ** 4):
@@ -844,63 +855,32 @@ class TestHminus:
     def test_one_factorisation_per_prime_power(self, monkeypatch):
         # m once, then p - 1 once per odd p | m: the search for the
         # primitive root and the check of its order share the primes
-        calls, original = [], classnumber.factorint
-
-        def counting(n):
-            calls.append(n)
-            return original(n)
-
-        monkeypatch.setattr(classnumber, "factorint", counting)
+        calls = _counted_factorings(monkeypatch)
         m = 2 ** 5 * 3 ** 2 * 5 * 7 ** 3 * 11
-        classnumber._unit_group.cache_clear()
-        try:
-            classnumber._unit_group(m)
-        finally:
-            classnumber._unit_group.cache_clear()
-        assert calls == [m, 2, 4, 6, 10]
+        classnumber._unit_group(m)
+        assert list(calls.elements()) == [m, 2, 4, 6, 10]
 
     def test_m_and_lambda_factored_once_per_hminus(self, monkeypatch):
-        # a cold hminus(m), for each normalised m in 100..260, factors m
-        # once, and otherwise only p - 1 for the odd p | m: the primes of
-        # lambda(m) are those the unit group read, so lambda(m) itself is
-        # factored only by _crt_prime, or as p - 1 where that is lambda(m);
-        # arith's own calls, as those of totient, count too
-        calls, inside = Counter(), []
-        original_factorint, original_prime = classnumber.factorint, \
-            classnumber._crt_prime
-
-        def counting(n):
-            if not inside:
-                calls[n] += 1
-            return original_factorint(n)
-
-        def prime(exponent):
-            inside.append(exponent)
-            try:
-                return original_prime(exponent)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(arith, "factorint", counting)
-        monkeypatch.setattr(classnumber, "factorint", counting)
-        monkeypatch.setattr(classnumber, "_crt_prime", prime)
+        # a cold hminus(m), for each of the 121 normalised m in 100..260,
+        # factors m once and p - 1 once for each odd p | m, each through
+        # arith.modulus, and lambda(m) never: its primes are those that
+        # the unit group read off the p - 1.  303 calls in all
+        calls, total = _counted_factorings(monkeypatch), 0
         try:
             for m in range(100, 261):
                 if m % 4 == 2:
                     continue
-                for cached in (hminus, classnumber._unit_group,
-                               original_prime):
+                for cached in (hminus, arith.modulus, classnumber._crt_prime):
                     cached.cache_clear()
                 calls.clear()
                 hminus(m)
-                exponent = lcm(*classnumber._generator_orders(m))
                 odd = {p - 1 for p in sympy.primefactors(m) if p > 2}
-                assert calls[m] == 1 and calls[exponent] <= 1, m
-                assert set(calls) <= {m} | odd and \
-                    all(calls[q] == 1 for q in odd), (m, calls)
+                assert calls == Counter({m, *odd}), (m, calls)
+                total += calls.total()
         finally:
-            for cached in (hminus, classnumber._unit_group, original_prime):
+            for cached in (hminus, arith.modulus, classnumber._crt_prime):
                 cached.cache_clear()
+        assert total == 303
 
     @pytest.mark.parametrize("m", [23, 211, 1009])
     def test_one_prime_power_and_one_check_prime(self, m, monkeypatch):
@@ -909,15 +889,15 @@ class TestHminus:
         # whose product exceeds 2^87
         used, original = [], classnumber._crt_prime
 
-        def record(exponent):
+        def record(exponent, lambda_primes):
             used.append(exponent)
-            return original(exponent)
+            return original(exponent, lambda_primes)
 
         monkeypatch.setattr(classnumber, "_crt_prime", record)
         hminus.cache_clear()
         hminus(m)
         exponent, = used
-        primes = [ell for ell, _ in original(exponent)]
+        primes = [ell for ell, _ in oracles.hminus_crt_primes(exponent)]
         assert len(set(primes)) == 4 and primes == sorted(primes, reverse=True)
         assert all(ell < 2 ** 30 and arith.isprime(ell) for ell in primes)
         assert primes[1] * primes[2] * primes[3] > 2 ** 87
@@ -930,17 +910,24 @@ class TestHminus:
 
     def test_huge_modulus_is_refused_before_factoring(self, monkeypatch):
         # phi(m) >= sqrt(m/2), so above 2 * 4000^2 no factoring is needed
-        calls, original = [], arith.factorint
-
-        def counting(n):
-            calls.append(n)
-            return original(n)
-
-        monkeypatch.setattr(arith, "factorint", counting)
-        monkeypatch.setattr(classnumber, "factorint", counting)
+        calls = _counted_factorings(monkeypatch)
         with pytest.raises(UnsupportedModulusError, match="above 4000"):
             hminus(2 * 4000 ** 2 + 1)
-        assert calls == []
+        assert not calls
+
+    @pytest.mark.parametrize("m", [10007, 4 * 4003])
+    def test_phi_refusal_factors_only_m(self, m, monkeypatch):
+        # phi(m) is read off modulus(m) before the unit group is built: no
+        # p - 1 is factored and no primitive root is sought
+        def search(q, p, primes):
+            pytest.fail(f"primitive root sought modulo {q}")
+
+        calls = _counted_factorings(monkeypatch)
+        monkeypatch.setattr(classnumber, "_primitive_root", search)
+        hminus.cache_clear()
+        with pytest.raises(UnsupportedModulusError, match="above 4000"):
+            hminus(m)
+        assert calls == Counter({m: 1})
 
     def test_against_bareiss_oracle(self):
         for m in range(1, 201):
@@ -964,7 +951,7 @@ class TestHminus:
     def test_against_per_unit_oracle_up_to_degree_1000(self):
         # phi(m) > 1000 for every m >= 10^4 (TestOddOrbits)
         for m in range(301, 10 ** 4):
-            if m % 4 != 2 and arith.totient(m) <= 1000:
+            if m % 4 != 2 and arith.modulus(m).phi <= 1000:
                 assert hminus(m) == oracles.hminus_per_unit(m), m
 
     @pytest.mark.slow
@@ -1005,8 +992,7 @@ class TestHminus:
     def test_corrupt_check_prime_is_an_internal_error(self, m,
                                                       corrupt_check_prime):
         assert {classnumber._halve(d, a)[0]
-                for d, _, a in classnumber._odd_orbits(
-                    m, oracles.lambda_primes(m))} == \
+                for d, _, a in oracles.folded_orbits(m)} == \
             {23: {2, 22}, 211: {2, 6, 10, 14, 30, 42, 70, 210},
              401: {2, 10, 50}}[m]
         corrupt_check_prime(m)
@@ -1039,8 +1025,7 @@ class TestHminus:
     def test_corrupt_orbit_sum_is_an_internal_error(self, m,
                                                     corrupt_orbit_sum):
         assert {classnumber._halve(d, a)[0]
-                for d, _, a in classnumber._odd_orbits(
-                    m, oracles.lambda_primes(m))} == \
+                for d, _, a in oracles.folded_orbits(m)} == \
             {39: {2, 6}, 113: {2, 14}, 241: {2, 6, 10, 30}, 257: {2}}[m]
         corrupt_orbit_sum(m)
         with pytest.raises(InternalConsistencyError,
@@ -1071,9 +1056,9 @@ class TestHminus:
         original_prime, original_norms = classnumber._crt_prime, \
             classnumber._norms
 
-        def record_prime(exponent):
+        def record_prime(exponent, primes):
             used.append(exponent)
-            return original_prime(exponent)
+            return original_prime(exponent, primes)
 
         def record_norms(d, *args):
             seen.append(d)
@@ -1121,9 +1106,9 @@ class TestHminus:
         # the field of 78 is that of 39: its orbits are walked once
         calls, original = [], classnumber._odd_orbits
 
-        def counting(n, primes):
-            calls.append(n)
-            return original(n, primes)
+        def counting(units, primes):
+            calls.append(prod(p ** e for p, e, *_ in units))
+            return original(units, primes)
 
         monkeypatch.setattr(classnumber, "_odd_orbits", counting)
         hminus.cache_clear()
@@ -1283,7 +1268,7 @@ class TestStoredParity:
         # h_p: those in neither list, with phi(p^e) <= HMINUS_PHI_CEILING
         powers = [q for q in [2 ** e for e in range(2, 13)]
                   + _prime_powers(HMINUS_PHI_CEILING)
-                  if arith.totient(q) <= HMINUS_PHI_CEILING
+                  if arith.modulus(q).phi <= HMINUS_PHI_CEILING
                   and q not in HMINUS_ONE and q not in ODD_HMINUS_ONE]
         assert len(powers) == 33
         for q in powers:

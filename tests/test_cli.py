@@ -573,6 +573,41 @@ def test_primality_above_2_64_without_sympy(argv):
         ABOVE_2_64[argv[0]]
 
 
+#: a 131-bit prime whose p - 1 = 2 q r has two 66-bit prime factors, which
+#: rho does not split within its budget
+LARGE_PRIME = 2991691817533806448592860327231431648383
+
+#: stdout, stderr and exit code at LARGE_PRIME: classify and a2k read only
+#: the factorisation of m, so no p - 1 is factored for them
+AT_LARGE_PRIME = {
+    "classify": (
+        f"n = 4, m = {LARGE_PRIME}  (automorphism group order "
+        "11966767270135225794371441308925726593532)\n"
+        "  simple homotopy types in the homotopy class:   finite >= 2 "
+        "(order divisible by 1)\n"
+        "  simple homotopy types among h-cobordant ones:  finite >= 2 "
+        "(order divisible by 1)\n"
+        "  homotopy types modulo s.h.e. and h-cobordism:  finite\n"
+        "  provenance: rule-derived\n", "", 0),
+    "a2k": ("11966767270135225794371441308925726593532\n", "", 0),
+    "am": (
+        "", f"out of scope: m = {LARGE_PRIME}: phi(m) >= sqrt(m/2) is above "
+        "4000, the largest degree whose minus class number is "
+        "evaluated\n", 2),
+}
+
+
+@pytest.mark.parametrize("argv", [["classify", "--n", "4"],
+                                  ["a2k", "--k", "2"], ["am"]])
+def test_queries_at_a_prime_whose_p_minus_one_rho_cannot_split(argv):
+    # factoring p - 1 would spend the rho budget (2.7 s) and exit 2
+    start = time.monotonic()
+    proc = _run_cli([*argv, "--m", str(LARGE_PRIME)], timeout=60)
+    assert time.monotonic() - start < 1
+    assert (proc.stdout, proc.stderr, proc.returncode) == \
+        AT_LARGE_PRIME[argv[0]]
+
+
 @pytest.mark.parametrize("exponent", [30, 40])
 def test_classify_large_power_of_two(exponent):
     # the kernel-group ladder at 2^e has order 2^(2^(e-1) - 1 - e(e-1)/2);

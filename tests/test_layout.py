@@ -109,12 +109,13 @@ def test_only_record_refuses_assignment():
 
 #: every lru_cache in the package, each with the reuse it serves
 CACHED = {
-    # (Z/m)^x, read by the conductor tables, the orbits and hminus itself:
-    # every read after the first falls within one evaluation of h^-, with
-    # one miss per normalised m evaluated (hminus over the 121 moduli of
-    # hminus-range, caches emptied before each: 852 hits, 121 misses; one
-    # paper-tables pass from empty caches: 949 hits, 149 misses)
-    "classnumber._unit_group",
+    # the record of each modulus, read by every layer in place of its own
+    # factoring: one miss per distinct m, p - 1 or phi(n) that a layer
+    # reads (hminus over the 121 moduli of hminus-range, caches emptied
+    # before each: 121 hits, 303 misses, m and each p - 1 for the unit
+    # group; one paper-tables pass from empty caches: 1991 hits, 186
+    # misses); bounded by arith._MODULUS_CACHE_SIZE
+    "arith.modulus",
     # the CRT primes for one exponent, shared by every m of that exponent
     "classnumber._crt_prime",
     # h^- at m, read again by verify and the text sweep at m, at each
@@ -133,6 +134,27 @@ CACHED = {
     # (one paper-tables pass from empty caches: 474 reads, 99 misses)
     "manifoldset._described",
 }
+
+
+def _call_sites(node, scope, name):
+    """The qualified name of the def around each call of ``name`` below
+    ``node``, ``scope`` being that of ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None)):
+            yield scope
+        inner = f"{scope}.{child.name}" if isinstance(
+            child, (ast.FunctionDef, ast.ClassDef)) else scope
+        yield from _call_sites(child, inner, name)
+
+
+def test_factorint_is_called_only_by_the_modulus_record():
+    # m is factored in one place: every layer reads arith.modulus(m)
+    sites = [site for path in sorted(SRC.glob("*.py"))
+             for site in _call_sites(ast.parse(path.read_text()), path.stem,
+                                     "factorint")]
+    assert sites == ["arith.Modulus.__init__"]
 
 
 def _is_lru_cache(decorator):

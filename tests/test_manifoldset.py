@@ -4,7 +4,7 @@ import json
 import pytest
 
 import oracles
-from cycloclass import classnumber, ktheory, manifoldset, residue
+from cycloclass import arith, classnumber, ktheory, manifoldset, residue
 from cycloclass.arith import UnsupportedModulusError
 from cycloclass.ktheory import ScopeError, squarefree
 from cycloclass.manifoldset import (
@@ -173,7 +173,7 @@ class TestVerify:
 
 
 def _clear_caches():
-    for module in (classnumber, residue, ktheory, manifoldset):
+    for module in (arith, classnumber, residue, ktheory, manifoldset):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -218,13 +218,36 @@ class TestOncePerQuery:
                                                    residue)
                              if hasattr(module, name)))
                  for name in ("d_divisibility_bound", "vtilde", "c_bound")]
-        factorings = _counting(monkeypatch, "factorint", ktheory,
-                               manifoldset)
+        reads = _counting(monkeypatch, "modulus", ktheory, manifoldset)
+        factorings = _counting(monkeypatch, "factorint", arith)
         assert verify(6, 33).n == 6
         assert classify(8, 33, deep=True).provenance == "ingredient-verified"
         assert calls == [[], [], []]
-        # a2k_order factors m once per call; squarefree is not read again
-        assert factorings == [(33,), (33,)]
+        # a2k_order reads the record of m once per call, factored by the
+        # first query; squarefree is not read again
+        assert reads == [(33,), (33,)] and factorings == []
+
+    def test_paper_tables_factor_each_argument_once(self, monkeypatch):
+        # the paper's tables from empty caches: each m, p - 1 and phi(n)
+        # that a layer reads is factored once, by arith.modulus, where the
+        # layers factoring for themselves made 2,060 calls on 187
+        # arguments (lambda(121) = 110, factored only for the CRT primes,
+        # is no longer one)
+        _clear_caches()
+        factorings = _counting(monkeypatch, "factorint", arith)
+        moduli = [2 * p for p in (11, 13, 17, 19, 29)] + [
+            p * q for p, q in ((3, 5), (3, 7), (3, 11), (5, 7), (3, 13))]
+        for m in [*moduli, 30]:
+            residue.c_bound(m)
+        residue.vtilde(21)
+        for m in range(2, 201):
+            classnumber.hminus(m)
+        for n in (4, 6, 8):
+            sweep(n, range(2, 101), deep=True)
+        for n in (4, 6, 8):
+            for m in range(2, 61):
+                verify(n, m)
+        assert len(factorings) == len(set(factorings)) == 186
 
 
 ORDERS = {
