@@ -69,8 +69,9 @@ costs (phi(e)/2) ceil(e/4) multiply-adds with residues, a quarter of one
 value per unit, and one product of two integers for the R_u: the a_t and
 their reverse, packed in lanes of a few more bits than n max|a_t|^2
 (Kronecker substitution), multiply to every R_u at once, where the sums of
-products took about e^2/8 of them.  A short orbit, n <= 12, takes the n
-sums of products instead: below that length packing costs more than the
+products took about e^2/8 of them.  A short orbit, n <= 15, takes the
+ceil(n/2) differences R_u - R_(n - u) as sums of products instead
+(``_real_coefficients``): below that length packing costs more than the
 sums.  The rows of all the orders e are strided slices of one row: with x
 of order L, the lcm of the orders left, and zeta = x^(L/e), the row of e is
 C_(sL/e) at x.  That row costs about L/2 products, by C_(s+1) = C_1 C_s -
@@ -499,29 +500,34 @@ def _cos_row(x, order, modulus):
     return row + row[(order - 1) // 2:0:-1]
 
 
-#: lanes per block in ``_autocorrelation``: a lane is shifted in or out
-#: of a block of this many, not of the whole number, so packing or reading
-#: n lanes copies the whole number n/64 times, not n times
+#: lanes per block in ``_packed_autocorrelation``: a lane is shifted in or
+#: out of a block of this many, not of the whole number, so packing or
+#: reading n lanes copies the whole number n/64 times, not n times
 _BLOCK_LANES = 64
 
 
-#: the longest a whose autocorrelation is taken as n sums of products, not
-#: from one product: on random entries below 5000 in size, at n = 4 the
-#: sums take 2.9 us and the product 5.8 us, at n = 12 both 10 us, and at
-#: n = 20 the sums 20 us and the product 15 us (Python 3.11, 2-core x86-64
-#: host).  Of the 116 orbits that one pass of hminus over the normalised m
-#: in 100..260 leaves after ``_halve`` at orders e with phi(e) > 8, 17 have
-#: n <= 12, all at e = 22
-_DIRECT_LENGTH = 12
+#: the longest r whose coefficients ``_real_coefficients`` takes as sums of
+#: products, not from one product: on random entries below 5000 in size,
+#: the sums take 2.5, 3.3, 4.4, 5.7, 6.9 and 8.4 us at n = 5, 7, 9, 11, 13
+#: and 15, and the product 4.9, 5.7, 6.4, 7.0, 8.0 and 8.5 us; at n = 17
+#: the product first wins, 9.6 against 10.1 us (Python 3.11, 2-core x86-64
+#: host).  So the closed forms at e = 10, 14, 18 and 30 and the orbits left
+#: at e = 22 and 26 take the sums
+_DIRECT_LENGTH = 15
 
 
-def _autocorrelation(a):
-    """c_v = sum_t a_t a_(t + v) for v < n = len(a): n sums of products up
-    to ``_DIRECT_LENGTH``, where packing costs more than the sums, and
-    from one product above (``_packed_autocorrelation``)."""
-    if len(a) <= _DIRECT_LENGTH:
-        return [sum(map(mul, a, a[v:])) for v in range(len(a))]
-    return _packed_autocorrelation(a)
+def _real_coefficients(r):
+    """b_0 = R_0 and b_u = R_u - R_(n - u) for 0 < u < ceil(n/2), n =
+    len(r), R_u = sum_t r_t r_(t + u): the coefficients of P(x) P(1/x) on
+    the C_u when x^n = -1.  Up to ``_DIRECT_LENGTH`` each b_u is one sum of
+    products with r_(t + n) = -r_t, and above it the R_u come from one
+    product (``_packed_autocorrelation``)."""
+    n, size = len(r), (len(r) + 1) // 2
+    if n <= _DIRECT_LENGTH:
+        twisted = r + [-a for a in r]
+        return [sum(map(mul, r, twisted[u:u + n])) for u in range(size)]
+    c = _packed_autocorrelation(r)
+    return [c[0], *map(sub, c[1:size], c[:n - size:-1])]
 
 
 def _packed_autocorrelation(a):
@@ -696,22 +702,20 @@ def _closed_norm(e, r):
     At e = 2 it is r_0.  At e = 6, zeta^2 = zeta - 1 makes the sum A + B
     zeta, A = r_0 - r_2 and B = r_1 + r_2, of norm A^2 + AB + B^2.  At
     e = 10 the pairs {1, 9} and {3, 7} give T = R_0 + b_1 C_1 + b_2 C_2
-    (``_norms``) at C_1, C_2 = (1 + s)/2, (s - 1)/2 and s = +-sqrt(5), so
-    the norm is ((2 R_0 + b_1 - b_2)^2 - 5 (b_1 + b_2)^2) / 4.  At e = 14,
-    18 and 30, T = sum_(u < ceil(e/4)) b_u C_u, C_0 = 1, is taken in the
-    basis 1, c, ..., c^(k-1) of Z[c] mod psi_e (``_PSI``), k = phi(e)/2,
-    and its norm from Q(c) is the determinant of the multiplication by T
-    there, a 3 x 3 or 4 x 4 integer determinant.
+    (``_real_coefficients``) at C_1, C_2 = (1 + s)/2, (s - 1)/2 and
+    s = +-sqrt(5), so the norm is ((2 R_0 + b_1 - b_2)^2 - 5 (b_1 +
+    b_2)^2) / 4.  At e = 14, 18 and 30, T = sum_(u < ceil(e/4)) b_u C_u,
+    C_0 = 1, is taken in the basis 1, c, ..., c^(k-1) of Z[c] mod psi_e
+    (``_PSI``), k = phi(e)/2, and its norm from Q(c) is the determinant
+    of the multiplication by T there, a 3 x 3 or 4 x 4 integer
+    determinant.
     """
     if e == 2:
         return r[0]
     if e == 6:
         r0, r1, r2 = r
         return r0 * r0 + r1 * r1 + r2 * r2 + r0 * r1 + r1 * r2 - r0 * r2
-    # b_u = R_u - R_(n - u) for u < ceil(e/4), b_0 = R_0, as sums of
-    # products with r_(t + n) = -r_t
-    n, twisted = e // 2, r + [-a for a in r]
-    b = [sum(map(mul, r, twisted[u:u + n])) for u in range((n + 1) // 2)]
+    b = _real_coefficients(r)
     if e == 10:
         return ((2 * b[0] + b[1] - b[2]) ** 2 - 5 * (b[1] + b[2]) ** 2) // 4
     psi, coordinates = _REAL_BASES[e]
@@ -729,15 +733,11 @@ def _norms(d, orbits, cos, modulus):
 
     A pair of units {j, -j}, j < d/2, gives T(zeta^j) = sum_(u < ceil(d/4))
     b_u C_(ju), b = (R_0, R_1 - R_(n-1), R_2 - R_(n-2), ...), n = d/2.
-    The R_u of an orbit are its autocorrelations, all n of them from one
-    product (``_autocorrelation``), and the picks C_(ju) are strided
-    slices of the row repeated (``_pick``).
+    The b of an orbit are its ``_real_coefficients``, and the picks C_(ju)
+    are strided slices of the row repeated (``_pick``).
     """
     n, size = d // 2, (d + 2) // 4
-    pairs = []
-    for a in orbits:
-        r = _autocorrelation(a)
-        pairs.append([r[0], *map(sub, r[1:size], r[:n - size:-1])])
+    pairs = [_real_coefficients(a) for a in orbits]
     tiled = cos * min(d // 8 + 1, _ROW_REPEAT)
     value = 1
     for j in range(1, n):

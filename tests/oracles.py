@@ -16,7 +16,8 @@ starts at a lower bound from bit lengths, and the row of x^s + x^(-s)
 built per order from its own powers, where ``hminus`` slices one row for
 all the orders; the
 coefficients R_u - R_(n-u) of the orbit norms are sums of products, where
-``hminus`` reads all the R_u off one product of packed integers, and
+``hminus`` reads all the R_u of a long orbit off one product of packed
+integers, and
 the picks of that row are built entry by entry, where ``hminus`` slices
 the row repeated.  The norm of an orbit is taken here at its own order d,
 through quartets {+-j, +-j + d/2} when 4 | d, and down the 2-power tower

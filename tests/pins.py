@@ -1,0 +1,318 @@
+"""The byte pins of cycloclass, each held once, and their replay.
+
+A pin is an answer kept byte for byte: the SHA-256 of a long text, or
+the stdout, stderr and exit code of one command line.  Each group pairs
+its pins with the replay that recomputes them in process; the cli-cold
+and hminus-range answers of ``perfbench/expected`` are read there, not
+copied.  ``PYTHONPATH=src python tests/pins.py``, or ``python
+tests/pins.py`` against an installed package, takes no options, needs
+only the standard library, replays every group in about 20 s, prints one
+line per group and exits 1 naming each pin that differs.
+``tests/test_pins.py`` replays the groups under pytest, those in ``SLOW``
+under ``-m slow``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import time
+from pathlib import Path
+
+from cycloclass.arith import modulus
+from cycloclass.classnumber import _crt_prime, hminus
+from cycloclass.cli import run
+from cycloclass.manifoldset import classify, verify
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: the SHA-256 of the lines "m h^-(m)" over the normalised m of each key:
+#: to 300 both the exact quotient and the modular pass; down the 2-power
+#: tower, every orbit halves to an order e with phi(e) <= 8 but those of
+#: order 54 at 3457 = 27 * 2^7 + 1
+HMINUS_LINES = {
+    range(1, 301):
+        "fa9195c8cb763db1aebac14ab3017e97e6b853fd63ecd2f4ba8492e430c24e77",
+    (257, 769, 1153, 3457, 4096):
+        "598c58fd2849a0b2819838fba8d993fb774123deb27a127c1cd386eb3811312b",
+}
+
+#: the same over the 1,529 normalised m <= 2039
+HMINUS_LINES_TO_2039 = {
+    range(1, 2040):
+        "1188f9e5650730c27d99527d26da5b901dea21ce291db271509b79d1359be221",
+}
+
+#: the SHA-256 of str(h^-(m)), 358 digits at 1009 and 877 at 2039, as the
+#: orbit and per-unit oracles give them; 3457 and 4096 are in the tower
+HMINUS_DIGESTS = {
+    1009: "aa5cc30f460e7b5fb288d1d96ca5638303d4153d9f7e72f7b129957f7c3c85ef",
+    2039: "29ef480c7b33b95f923641e587e6222556985278f3a262e0e54f66220f1481eb",
+    3457: "98e30a4712b9442cf85f2b53504bc8d8f5de72fccc5d7b8f95ccab5297a300fe",
+    4096: "9b31df5d93f709e8e6bf066fbc11372462690d651dbf202c67a9fa0d549b8abf",
+}
+
+#: the same near the ceiling, as ``oracles.hminus_per_unit`` gives it, to
+#: catch an algebra slip that the check primes see alike: the safe primes
+#: (3947 costs most), 41^2, 61^2, and 3, 4 times 1019 and 1999
+CEILING_DIGESTS = {
+    1523: "dc3b403aee6fa5996d01e336e698289f51d4a8ffe8d642fbf547db229084efc9",
+    2999: "505934befbd9309dd34ce8b8b8f3b382addcfc0fa723c51346bc5f4cdd0714e5",
+    3863: "3b2bc7c8a565d99a82ba59aa30b4228d37ab00c9618a7032e76fd48f295a7ac1",
+    3947: "458d13c79373b8dea0240453daad7ba25458726657da33862f50a3324f25bedb",
+    1681: "8fb168a489f69bfc9bedf866b9946a3cb7a8e6c24b43e0c00e6a3a66573df650",
+    3721: "8bacbcac1c13b0e8c2d4e094efec4cbed591dacd4b10d7f619126457e1d49bd2",
+    3057: "572a7aac3ede4119b9c73e6346e544bbf7ce8ff948f40d2a931b738ccc0af9c1",
+    4076: "79d137566229d3cf5174a8614c6291e4f88cb043faf1f78b7093686e15478df3",
+    5997: "5c4e60c6f81e39f23813efe88525f31c88f2c718fab23777ea9a72b4887d8217",
+    7996: "893ba0d82f64d81203842869d4af4b374ebd6af2306779559d133d11069b41e3",
+}
+
+#: the SHA-256 of the lines "exponent l root", four per exponent, of the
+#: CRT primes and roots of the 813 exponents lambda(m), phi(m) <= the key:
+#: none of their scans below 2^30 meets a candidate the bases leave open
+CRT_DIGESTS = {
+    4000: "141c51d6827564857ecf0b6173e39c4427799c785829ef3c9dfcb640d920a15a",
+}
+
+#: the SHA-256 of the stdout of each command line, which exits 0 with
+#: nothing on stderr; the JSON rows carry the J and I groups that ktheory
+#: reads off each stored group and the sign of its involution
+SWEEP_DIGESTS = {
+    "sweep --n 4 --m-min 2 --m-max 1000":
+        "b49815870067ebf5fcec7086e564b1cfc334d14099c2325076f510dcd7bb6d0b",
+    "--format json sweep --n 4 --m-min 2 --m-max 2000":
+        "8fa9fc0ed4615a101238a67d580158c712419639516d11a52620b60fecd3bb90",
+    "--format json sweep --n 6 --m-min 2 --m-max 2000":
+        "f07548807ec4891bf9218f454fc325e68e55e3fedcdfb3bff7781110d06be423",
+}
+
+#: the SHA-256 of the JSON lines of classify(n, m, deep=True) and
+#: verify(n, m), in turn, for each n and m of the key: classify runs the
+#: checks of verify on its own ingredients
+DEEP_DIGESTS = {
+    ((4, 6), range(2, 301)):
+        "91e0690a156f2e003d2fbc5f3a23ad142a3f275fc802d284c2ab88a75648c68d",
+}
+
+#: the prime 2^64 + 13, and a 131-bit prime whose P - 1 = 2 q r has two
+#: 66-bit prime factors, which rho does not split within its budget
+ABOVE_2_64 = 2 ** 64 + 13
+LARGE_PRIME = 2991691817533806448592860327231431648383
+
+_RULE_DERIVED = """\
+n = 4, m = {m}  (automorphism group order {a2k})
+  simple homotopy types in the homotopy class:   finite >= 2 (order divisible by 1)
+  simple homotopy types among h-cobordant ones:  finite >= 2 (order divisible by 1)
+  homotopy types modulo s.h.e. and h-cobordism:  finite
+  provenance: rule-derived
+"""
+
+_ABOVE_CEILING = ("out of scope: m = {m}: phi(m) >= sqrt(m/2) is above 4000, "
+                  "the largest degree whose minus class number is "
+                  "evaluated\n")
+
+#: the checks that read no degree are shared by every even n; the
+#: automorphism-order bound is rebuilt at each n
+_VERIFY_65 = """\
+consistent
+  [confirmed   ] squarefree-vs-infinite: square-free = True, Nil summand vanishes = True
+  [confirmed   ] automorphism-order-bound: |A_{n}(65)| = {a2k} < 8450
+  [confirmed   ] set1-nontrivial-witness: divisibility witness 2873
+  [confirmed   ] set2-nontrivial-witness: divisibility witness 2873 > 1
+  [confirmed   ] c-bound-divides-cokernel: c = 22984, cokernel order 22984
+  [no-data     ] tate-elementary: Tate group not exactly known
+"""
+
+#: classify --deep hands its ingredients to the checks of verify
+_DEEP_130 = """\
+n = {n}, m = 130  (automorphism group order {a2k})
+  simple homotopy types in the homotopy class:   finite >= 2 (order divisible by 736706807403125)
+  simple homotopy types among h-cobordant ones:  finite >= 2 (order divisible by 736706807403125)
+  homotopy types modulo s.h.e. and h-cobordism:  finite
+  provenance: ingredient-verified
+"""
+
+_TWOS_64 = ",".join(["2"] * 64)
+_PAIR_SWAP_64 = ";".join(",".join(str(int(j == i ^ 1)) for j in range(64))
+                         for i in range(64))
+
+#: (stdout, stderr, exit code) of each command line: at 2^64 + 13 and
+#: LARGE_PRIME classify and a2k factor no m - 1; J, I and Tate groups not
+#: all 0 at 15 and 21; (Z/2)^64 with its generators swapped in pairs
+QUERIES = {
+    f"classify --n 4 --m {ABOVE_2_64}": (
+        _RULE_DERIVED.format(m=ABOVE_2_64, a2k=147573952589676413032),
+        "", 0),
+    f"cbound --m {ABOVE_2_64}": (
+        "", f"out of scope: m = {ABOVE_2_64}: no unit-index reduction is "
+        "implemented for 1 odd prime factors without the factor 2\n", 2),
+    f"am --m {ABOVE_2_64}": ("", _ABOVE_CEILING.format(m=ABOVE_2_64), 2),
+    f"vtilde --m {ABOVE_2_64}": ("0\n", "", 0),
+    f"classify --n 4 --m {LARGE_PRIME}": (
+        _RULE_DERIVED.format(
+            m=LARGE_PRIME, a2k=11966767270135225794371441308925726593532),
+        "", 0),
+    f"a2k --k 2 --m {LARGE_PRIME}": (
+        "11966767270135225794371441308925726593532\n", "", 0),
+    f"am --m {LARGE_PRIME}": ("", _ABOVE_CEILING.format(m=LARGE_PRIME), 2),
+    "am --m 8192": ("unknown: order(A_8192) * order(A_16384) >= "
+                    "2^(2^11 - 1); same with e-1 in place of e\n", "", 0),
+    "verify --n 4 --m 65": (_VERIFY_65.format(n=4, a2k=1040), "", 0),
+    "verify --n 8 --m 65": (_VERIFY_65.format(n=8, a2k=2080), "", 0),
+    "classify --n 4 --m 130 --deep": (_DEEP_130.format(n=4, a2k=2080), "", 0),
+    "classify --n 8 --m 130 --deep": (_DEEP_130.format(n=8, a2k=4160), "", 0),
+    "classify --n 4 --m 15 --deep --format json": (
+        '{"a2k_order": 120, "ingredients": {"free_rank": 4, "i_group": '
+        '{"invariant_factors": [], "order": 1, "source": "kernel group '
+        '(class number one)", "status": "exact"}, "j_group": '
+        '{"invariant_factors": [2], "order": 2, "source": "kernel group '
+        '(class number one)", "status": "exact"}, "m": 15, "n": 4, '
+        '"nk1_zero": true, "tate_group": {"invariant_factors": [2], '
+        '"order": 2, "source": "odd class number; Tate group of the '
+        'stored kernel group", "status": "exact"}}, "m": 15, "mhcob": '
+        '{"lower": 1, "upper": 1, "verdict": "trivial"}, "mhs": '
+        '{"lower": 2, "upper": 2, "verdict": "finite"}, "mhs_hcob": '
+        '{"lower": 2, "upper": 2, "verdict": "finite"}, "n": 4, '
+        '"provenance": "ingredient-verified"}\n', "", 0),
+    "classify --n 4 --m 21 --deep --format json": (
+        '{"a2k_order": 168, "ingredients": {"free_rank": 7, "i_group": '
+        '{"invariant_factors": [2], "order": 2, "source": "kernel group '
+        '(class number one)", "status": "exact"}, "j_group": '
+        '{"invariant_factors": [4], "order": 4, "source": "kernel group '
+        '(class number one)", "status": "exact"}, "m": 21, "n": 4, '
+        '"nk1_zero": true, "tate_group": {"invariant_factors": [2], '
+        '"order": 2, "source": "odd class number; Tate group of the '
+        'stored kernel group", "status": "exact"}}, "m": 21, "mhcob": '
+        '{"lower": 2, "upper": 2, "verdict": "finite"}, "mhs": '
+        '{"lower": 2, "upper": 4, "verdict": "finite"}, "mhs_hcob": '
+        '{"lower": 2, "upper": 2, "verdict": "finite"}, "n": 4, '
+        '"provenance": "ingredient-verified"}\n', "", 0),
+    "tate --km 9 --degree 1": (" x ".join(["Z/2"] * 127) + "\n", "", 0),
+    f"tate --invariants {_TWOS_64} --involution {_PAIR_SWAP_64} --degree 1":
+        ("0\n", "", 0),
+}
+
+
+def _load(workload):
+    """{query: answer} of one workload of perfbench/expected."""
+    queries = json.loads((EXPECTED / f"{workload}.json").read_text())
+    return {query: entry["answer"]
+            for query, entry in queries["queries"].items()}
+
+
+def _output(line):
+    """(stdout, stderr, exit code) of the command line, run in process."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(line.split())
+    return out.getvalue(), err.getvalue(), code
+
+
+def _output_digest(line):
+    out, err, code = _output(line)
+    return _sha256(out) if (err, code) == ("", 0) else (err, code)
+
+
+def _hminus_lines(moduli):
+    return _sha256("".join(f"{m} {hminus(m)}\n" for m in moduli
+                           if m % 4 != 2))
+
+
+def _hminus_digest(m):
+    return _sha256(str(hminus(m)))
+
+
+def _crt_digest(ceiling):
+    # every m with phi(m) <= 4000 is below 40000: phi(m) > m / (e^gamma
+    # log log m + 2.50637 / log log m) for m >= 3 (Rosser and Schoenfeld,
+    # Illinois J. Math. 6 (1962), (3.42)), above 7000 at m = 40000
+    exponents = sorted({modulus(m).exponent for m in range(3, 40000)
+                        if m % 4 != 2 and modulus(m).phi <= ceiling})
+    return _sha256("".join(
+        f"{exponent} {ell} {root}\n" for exponent in exponents
+        for ell, root in _crt_prime(
+            exponent, tuple(r for r, _ in modulus(exponent).factors))))
+
+
+def _deep_digest(key):
+    degrees, moduli = key
+    return _sha256("".join(
+        json.dumps(value, sort_keys=True) + "\n"
+        for n in degrees for m in moduli
+        for value in (classify(n, m, deep=True).to_json_dict(),
+                      verify(n, m).to_dict())))
+
+
+def _cli_cold(query):
+    out, _, code = _output(" ".join(json.loads(query)))
+    return {"exit": code, "stdout": out}
+
+
+def _hminus_range(query):
+    _, m = json.loads(query)
+    return str(hminus(m))
+
+
+#: name: (pins, replay), the replay giving the pinned value of each key
+GROUPS = {
+    "hminus-lines": (HMINUS_LINES, _hminus_lines),
+    "hminus-digests": (HMINUS_DIGESTS, _hminus_digest),
+    "crt-primes": (CRT_DIGESTS, _crt_digest),
+    "queries": (QUERIES, _output),
+    "sweeps": (SWEEP_DIGESTS, _output_digest),
+    "deep-records": (DEEP_DIGESTS, _deep_digest),
+    "cli-cold": (_load("cli-cold"), _cli_cold),
+    "hminus-range": (_load("hminus-range"), _hminus_range),
+    "hminus-ceiling": (CEILING_DIGESTS, _hminus_digest),
+    "hminus-lines-to-2039": (HMINUS_LINES_TO_2039, _hminus_lines),
+}
+
+#: the groups that take seconds each: h^- near the ceiling and to 2039
+SLOW = {"hminus-ceiling", "hminus-lines-to-2039"}
+
+
+def mismatches(name):
+    """(key, replayed, pinned) for each pin of the group that its replay
+    does not give; a group with no pins is one mismatch."""
+    pins, replay = GROUPS[name]
+    if not pins:
+        return [(name, "no pins", "at least one")]
+    found = []
+    for key, pinned in pins.items():
+        try:
+            replayed = replay(key)
+        except Exception as err:  # reported with the pin, not raised
+            replayed = f"{type(err).__name__}: {err}"
+        if replayed != pinned:
+            found.append((key, replayed, pinned))
+    return found
+
+
+def main():
+    failed = []
+    for name, (pins, _) in GROUPS.items():
+        start = time.perf_counter()
+        found = mismatches(name)
+        print(f"{'FAIL' if found else 'ok'} {name}: {len(pins)} pins, "
+              f"{time.perf_counter() - start:.1f} s", flush=True)
+        for key, replayed, pinned in found:
+            print(f"    {key!r:.100}: replayed {replayed!r:.100}, "
+                  f"pinned {pinned!r:.100}")
+        if found:
+            failed.append(name)
+    if failed:
+        print(f"mismatched: {', '.join(failed)}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:]:
+        sys.exit("usage: python tests/pins.py  (it takes no options)")
+    sys.exit(main())

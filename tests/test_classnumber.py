@@ -9,6 +9,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+import pins
 from cycloclass import arith, classnumber
 from cycloclass.abelian import FinAbGroup
 from cycloclass.arith import InternalConsistencyError, \
@@ -222,45 +223,6 @@ def _unfold(d, f, folded):
         [(pair - g) // 2 for g in folded]
 
 
-#: the SHA-256 of h^- near the ceiling, beyond the orbit oracle, as the
-#: per-unit evaluation (``oracles.hminus_per_unit``) gives it: the check
-#: primes see an algebra slip alike at every prime, so these values catch
-#: it; the safe primes, the prime squares and 3, 4 times 1019 and 1999
-_CEILING_DIGESTS = {
-    1523:
-        "dc3b403aee6fa5996d01e336e698289f51d4a8ffe8d642fbf547db229084efc9",
-    2999:
-        "505934befbd9309dd34ce8b8b8f3b382addcfc0fa723c51346bc5f4cdd0714e5",
-    3863:
-        "3b2bc7c8a565d99a82ba59aa30b4228d37ab00c9618a7032e76fd48f295a7ac1",
-    3947:
-        "458d13c79373b8dea0240453daad7ba25458726657da33862f50a3324f25bedb",
-    41 ** 2:
-        "8fb168a489f69bfc9bedf866b9946a3cb7a8e6c24b43e0c00e6a3a66573df650",
-    61 ** 2:
-        "8bacbcac1c13b0e8c2d4e094efec4cbed591dacd4b10d7f619126457e1d49bd2",
-    3 * 1019:
-        "572a7aac3ede4119b9c73e6346e544bbf7ce8ff948f40d2a931b738ccc0af9c1",
-    4 * 1019:
-        "79d137566229d3cf5174a8614c6291e4f88cb043faf1f78b7093686e15478df3",
-    3 * 1999:
-        "5c4e60c6f81e39f23813efe88525f31c88f2c718fab23777ea9a72b4887d8217",
-    4 * 1999:
-        "893ba0d82f64d81203842869d4af4b374ebd6af2306779559d133d11069b41e3",
-}
-
-
-#: the SHA-256 of h^- where lambda(m) has a large 2-power, as the
-#: per-unit evaluation gives it: every orbit of 2^12 halves to order 2,
-#: and those of 3457 = 2^7 * 27 + 1 to 2, 6, 18 and 54
-_TOWER_DIGESTS = {
-    3457:
-        "98e30a4712b9442cf85f2b53504bc8d8f5de72fccc5d7b8f95ccab5297a300fe",
-    2 ** 12:
-        "9b31df5d93f709e8e6bf066fbc11372462690d651dbf202c67a9fa0d549b8abf",
-}
-
-
 def _assert_orbits_match_the_oracles(m):
     """_odd_orbits(m) against the fold of ``oracles.full_orbits``, orbit by
     orbit, and, unfolded, against the orbits from ``characters`` and the
@@ -291,7 +253,7 @@ class TestOddOrbits:
                 _assert_orbits_match_the_oracles(m)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("m", [*_CEILING_DIGESTS, 2039])
+    @pytest.mark.parametrize("m", [*pins.CEILING_DIGESTS, 2039])
     def test_against_characters_at_the_ceiling(self, m):
         # the orbit sums and conductors, which every check prime and the
         # per-unit oracle take from the same orbits as hminus
@@ -409,6 +371,13 @@ def _rows_of(zeta, d, modulus):
     return lambda e: oracles.cos_row(pow(zeta, d // e, modulus), e, modulus)
 
 
+def _real_coefficients(a):
+    """b_0 = R_0 and b_u = R_u - R_(n - u), 0 < u < ceil(n/2), from the
+    autocorrelations R_u of the n entries of a."""
+    r, n = oracles.autocorrelation(a), len(a)
+    return [r[0], *(r[u] - r[n - u] for u in range(1, (n + 1) // 2))]
+
+
 class TestNormCoefficients:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1,
@@ -419,9 +388,9 @@ class TestNormCoefficients:
     @example([5] + [0] * 9)
     @example([0] * 9 + [-1])
     def test_autocorrelation_matches_the_sums(self, a):
-        assert classnumber._autocorrelation(a) == \
-            classnumber._packed_autocorrelation(a) == \
+        assert classnumber._packed_autocorrelation(a) == \
             oracles.autocorrelation(a)
+        assert classnumber._real_coefficients(a) == _real_coefficients(a)
 
     @pytest.mark.parametrize("a", _lane_boundaries())
     def test_autocorrelation_at_the_lane_boundary(self, a):
@@ -432,17 +401,18 @@ class TestNormCoefficients:
     @pytest.mark.parametrize(
         "n", range(1, 3 * classnumber._DIRECT_LENGTH + 1))
     def test_packed_and_direct_agree_at_every_length(self, n):
-        # the direct sums up to _DIRECT_LENGTH and the one product above
-        # it, on both sides of the switch: zeros, one entry, alternating
-        # signs at the largest entry, and seeded entries
+        # the coefficients as sums up to _DIRECT_LENGTH and from the one
+        # product above it, on both sides of the switch: zeros, one entry,
+        # alternating signs at the largest entry, and seeded entries
         rng = random.Random(n)
         for a in ([0] * n, [0] * (n - 1) + [-3],
                   [(-1) ** t * 2 ** 30 for t in range(n)],
                   [(-1) ** t * (t + 1) for t in range(n)],
                   [rng.randint(-2 ** 20, 2 ** 20) for _ in range(n)]):
-            direct = oracles.autocorrelation(a)
-            assert classnumber._packed_autocorrelation(a) == direct, a
-            assert classnumber._autocorrelation(a) == direct, a
+            assert classnumber._packed_autocorrelation(a) == \
+                oracles.autocorrelation(a), a
+            assert classnumber._real_coefficients(a) == \
+                _real_coefficients(a), a
 
     @pytest.mark.parametrize("d", [*range(2, 129, 2), 1018, 2038, 3660,
                                    3946])
@@ -660,7 +630,7 @@ class TestHminus:
         value = str(hminus(1009))
         assert len(value) == 358
         assert hashlib.sha256(value.encode()).hexdigest() == \
-            "aa5cc30f460e7b5fb288d1d96ca5638303d4153d9f7e72f7b129957f7c3c85ef"
+            pins.HMINUS_DIGESTS[1009]
 
     def test_value_above_the_old_ceiling(self):
         # phi(2039) = 2038; the 877-digit value is pinned by the digest of
@@ -668,7 +638,7 @@ class TestHminus:
         value = str(hminus(2039))
         assert len(value) == 877
         assert hashlib.sha256(value.encode()).hexdigest() == \
-            "29ef480c7b33b95f923641e587e6222556985278f3a262e0e54f66220f1481eb"
+            pins.HMINUS_DIGESTS[2039]
 
     @pytest.mark.parametrize("m", [3, 23, 39, 255, 257, 1009, 1553])
     def test_teichmueller_lift_keeps_the_order(self, m):
@@ -770,7 +740,7 @@ class TestHminus:
                        for exponent in _exponents_to_the_ceiling()
                        for ell, root in oracles.hminus_crt_primes(exponent))
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "141c51d6827564857ecf0b6173e39c4427799c785829ef3c9dfcb640d920a15a"
+            pins.CRT_DIGESTS[HMINUS_PHI_CEILING]
 
     def test_short_progression_is_refused(self):
         # the exponent 2^29 leaves one candidate below 2^30, 2^29 + 1 =
@@ -784,7 +754,7 @@ class TestHminus:
                 _assert_least_precision(m)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("m", _CEILING_DIGESTS)
+    @pytest.mark.parametrize("m", pins.CEILING_DIGESTS)
     def test_precision_is_the_least_k_at_the_ceiling(self, m):
         _assert_least_precision(m)
 
@@ -955,32 +925,12 @@ class TestHminus:
                 assert hminus(m) == oracles.hminus_per_unit(m), m
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("m", [*_CEILING_DIGESTS, 2039])
+    @pytest.mark.parametrize("m", [*pins.CEILING_DIGESTS, 2039, 3457, 4096])
     def test_against_per_unit_oracle_at_the_ceiling(self, m):
         # one value per unit, not per pair: beyond 2039 no other oracle
-        # evaluates h^- in the suite
+        # evaluates h^- in the suite, so the pinned digests of these values
+        # rest on it
         assert hminus(m) == oracles.hminus_per_unit(m), m
-
-    @pytest.mark.slow
-    def test_digest_up_to_2039(self):
-        # one line "m h^-(m)" per normalised m <= 2039
-        text = "".join(f"{m} {hminus(m)}\n" for m in range(1, 2040)
-                       if m % 4 != 2)
-        assert hashlib.sha256(text.encode()).hexdigest() == \
-            "1188f9e5650730c27d99527d26da5b901dea21ce291db271509b79d1359be221"
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("m", _CEILING_DIGESTS)
-    def test_ceiling_digests(self, m):
-        value = str(hminus(m)).encode()
-        assert hashlib.sha256(value).hexdigest() == _CEILING_DIGESTS[m]
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("m", _TOWER_DIGESTS)
-    def test_tower_digests(self, m):
-        value = str(hminus(m)).encode()
-        assert hashlib.sha256(value).hexdigest() == _TOWER_DIGESTS[m]
-        assert hminus(m) == oracles.hminus_per_unit(m)
 
     # every branch of the modular pass must reach the check: the odd
     # characters mod 23 have orders 2 and 22, one closed form and one

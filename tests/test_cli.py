@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cycloclass
+import pins
 from cycloclass import __version__, ktheory
-from cycloclass.classnumber import HMINUS_PHI_CEILING, hminus
+from cycloclass.classnumber import HMINUS_PHI_CEILING
 from cycloclass.cli import (SCHEMA_VERSION, TATE_RANK_CEILING, _build_parser,
                             _canonical_key, _code_digest, _parse, run)
 
@@ -337,24 +338,6 @@ class TestSweepText:
         trivial_rows = [l for l in lines[1:] if " trivial " in f" {l} "]
         assert len([l for l in lines[1:] if l.split()[4] == "trivial"]) == 11
 
-    # the JSON rows carry the J and I groups that ktheory reads off each
-    # stored group and the sign of its involution
-    @pytest.mark.parametrize("argv,digest", [
-        (["sweep", "--n", "4", "--m-min", "2", "--m-max", "1000"],
-         "b49815870067ebf5fcec7086e564b1cfc334d14099c2325076f510dcd7bb6d0b"),
-        (["--format", "json", "sweep", "--n", "4", "--m-min", "2",
-          "--m-max", "2000"],
-         "8fa9fc0ed4615a101238a67d580158c712419639516d11a52620b60fecd3bb90"),
-        (["--format", "json", "sweep", "--n", "6", "--m-min", "2",
-          "--m-max", "2000"],
-         "f07548807ec4891bf9218f454fc325e68e55e3fedcdfb3bff7781110d06be423")],
-        ids=["text-n4-1000", "json-n4-2000", "json-n6-2000"])
-    def test_stdout_digest(self, capture, argv, digest):
-        code, out, err = capture(argv)
-        assert code == 0 and err == ""
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 class TestCache:
     def test_identical_bytes_with_and_without_cache(self, capture, tmp_path):
         cache_file = tmp_path / "cache.json"
@@ -535,77 +518,31 @@ def test_cli_families_run_without_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
-#: stdout, stderr and exit code at the prime 2^64 + 13, as with sympy's
-#: primality test before the package had its own above 2^64
-ABOVE_2_64 = {
-    "classify": (
-        "n = 4, m = 18446744073709551629  (automorphism group order "
-        "147573952589676413032)\n"
-        "  simple homotopy types in the homotopy class:   finite >= 2 "
-        "(order divisible by 1)\n"
-        "  simple homotopy types among h-cobordant ones:  finite >= 2 "
-        "(order divisible by 1)\n"
-        "  homotopy types modulo s.h.e. and h-cobordism:  finite\n"
-        "  provenance: rule-derived\n", "", 0),
-    "cbound": (
-        "", "out of scope: m = 18446744073709551629: no unit-index "
-        "reduction is implemented for 1 odd prime factors without the "
-        "factor 2\n", 2),
-    "am": (
-        "", "out of scope: m = 18446744073709551629: phi(m) >= sqrt(m/2) "
-        "is above 4000, the largest degree whose minus class number is "
-        "evaluated\n", 2),
-    "vtilde": ("0\n", "", 0),
-}
-
-
 @pytest.mark.parametrize("argv", [["classify", "--n", "4"], ["cbound"],
                                   ["am"], ["vtilde"]])
 def test_primality_above_2_64_without_sympy(argv):
     # the prime 2^64 + 13 takes the thirteen-base strong test; with sympy
-    # blocked the answer keeps its bytes and its exit code
+    # blocked the answer keeps the bytes and the exit code of the corpus
+    argv = [*argv, "--m", str(pins.ABOVE_2_64)]
     script = ("import sys; sys.modules['sympy'] = None; "
               "import cycloclass.cli; cycloclass.cli.main()")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv, "--m", str(2 ** 64 + 13)],
-        capture_output=True, text=True, timeout=60, env=_child_env())
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=_child_env())
     assert (proc.stdout, proc.stderr, proc.returncode) == \
-        ABOVE_2_64[argv[0]]
-
-
-#: a 131-bit prime whose p - 1 = 2 q r has two 66-bit prime factors, which
-#: rho does not split within its budget
-LARGE_PRIME = 2991691817533806448592860327231431648383
-
-#: stdout, stderr and exit code at LARGE_PRIME: classify and a2k read only
-#: the factorisation of m, so no p - 1 is factored for them
-AT_LARGE_PRIME = {
-    "classify": (
-        f"n = 4, m = {LARGE_PRIME}  (automorphism group order "
-        "11966767270135225794371441308925726593532)\n"
-        "  simple homotopy types in the homotopy class:   finite >= 2 "
-        "(order divisible by 1)\n"
-        "  simple homotopy types among h-cobordant ones:  finite >= 2 "
-        "(order divisible by 1)\n"
-        "  homotopy types modulo s.h.e. and h-cobordism:  finite\n"
-        "  provenance: rule-derived\n", "", 0),
-    "a2k": ("11966767270135225794371441308925726593532\n", "", 0),
-    "am": (
-        "", f"out of scope: m = {LARGE_PRIME}: phi(m) >= sqrt(m/2) is above "
-        "4000, the largest degree whose minus class number is "
-        "evaluated\n", 2),
-}
+        pins.QUERIES[" ".join(argv)]
 
 
 @pytest.mark.parametrize("argv", [["classify", "--n", "4"],
                                   ["a2k", "--k", "2"], ["am"]])
 def test_queries_at_a_prime_whose_p_minus_one_rho_cannot_split(argv):
     # factoring p - 1 would spend the rho budget (2.7 s) and exit 2
+    argv = [*argv, "--m", str(pins.LARGE_PRIME)]
     start = time.monotonic()
-    proc = _run_cli([*argv, "--m", str(LARGE_PRIME)], timeout=60)
+    proc = _run_cli(argv, timeout=60)
     assert time.monotonic() - start < 1
     assert (proc.stdout, proc.stderr, proc.returncode) == \
-        AT_LARGE_PRIME[argv[0]]
+        pins.QUERIES[" ".join(argv)]
 
 
 @pytest.mark.parametrize("exponent", [30, 40])
@@ -623,12 +560,6 @@ class TestDeepAboveTheHminusCeiling:
     """A deep query refuses only when the branch it takes reads h^- above
     HMINUS_PHI_CEILING."""
 
-    def test_am_reads_no_class_number_at_a_power_of_two(self, capture):
-        code, out, err = capture(["am", "--m", "8192"])
-        assert (code, err) == (0, "")
-        assert out == ("unknown: order(A_8192) * order(A_16384) >= "
-                       "2^(2^11 - 1); same with e-1 in place of e\n")
-
     @pytest.mark.parametrize("argv", [
         ["classify", "--n", "4", "--m", "6561", "--deep"],
         ["verify", "--n", "4", "--m", "8192"]])
@@ -643,76 +574,6 @@ class TestDeepAboveTheHminusCeiling:
                                   "--deep"])
         assert code == 2 and out == ""
         assert f"is above {HMINUS_PHI_CEILING}" in err
-
-
-class TestPinnedAnswers:
-    """Answers that the stdlib-only CI job also checks from site-packages."""
-
-    def test_hminus_to_300(self):
-        # one line "m h-(m)" per normalised m <= 300: orbits of half-length
-        # up to 12 take the direct sums
-        text = "".join(f"{m} {hminus(m)}\n" for m in range(1, 301)
-                       if m % 4 != 2)
-        assert hashlib.sha256(text.encode()).hexdigest() == \
-            "fa9195c8cb763db1aebac14ab3017e97e6b853fd63ecd2f4ba8492e430c24e77"
-
-    def test_classify_deep_130(self, capture):
-        assert capture(["classify", "--n", "4", "--m", "130", "--deep"]) == (
-            0, "n = 4, m = 130  (automorphism group order 2080)\n"
-            "  simple homotopy types in the homotopy class:   finite >= 2 "
-            "(order divisible by 736706807403125)\n"
-            "  simple homotopy types among h-cobordant ones:  finite >= 2 "
-            "(order divisible by 736706807403125)\n"
-            "  homotopy types modulo s.h.e. and h-cobordism:  finite\n"
-            "  provenance: ingredient-verified\n", "")
-
-    def test_verify_65(self, capture):
-        assert capture(["verify", "--n", "4", "--m", "65"]) == (
-            0, "consistent\n"
-            "  [confirmed   ] squarefree-vs-infinite: square-free = True, "
-            "Nil summand vanishes = True\n"
-            "  [confirmed   ] automorphism-order-bound: |A_4(65)| = 1040 "
-            "< 8450\n"
-            "  [confirmed   ] set1-nontrivial-witness: divisibility witness "
-            "2873\n"
-            "  [confirmed   ] set2-nontrivial-witness: divisibility witness "
-            "2873 > 1\n"
-            "  [confirmed   ] c-bound-divides-cokernel: c = 22984, cokernel "
-            "order 22984\n"
-            "  [no-data     ] tate-elementary: Tate group not exactly known\n",
-            "")
-
-    # the kernel groups at 15 (trivial action) and 21 (negation) are the
-    # only stored facts whose J, I and Tate group are not all 0: Z/2, 0,
-    # Z/2 at 15 and Z/4, Z/2, Z/2 at 21
-    @pytest.mark.parametrize("m,expected", [
-        (15, '{"a2k_order": 120, "ingredients": {"free_rank": 4, "i_group": '
-             '{"invariant_factors": [], "order": 1, "source": "kernel group '
-             '(class number one)", "status": "exact"}, "j_group": '
-             '{"invariant_factors": [2], "order": 2, "source": "kernel group '
-             '(class number one)", "status": "exact"}, "m": 15, "n": 4, '
-             '"nk1_zero": true, "tate_group": {"invariant_factors": [2], '
-             '"order": 2, "source": "odd class number; Tate group of the '
-             'stored kernel group", "status": "exact"}}, "m": 15, "mhcob": '
-             '{"lower": 1, "upper": 1, "verdict": "trivial"}, "mhs": '
-             '{"lower": 2, "upper": 2, "verdict": "finite"}, "mhs_hcob": '
-             '{"lower": 2, "upper": 2, "verdict": "finite"}, "n": 4, '
-             '"provenance": "ingredient-verified"}\n'),
-        (21, '{"a2k_order": 168, "ingredients": {"free_rank": 7, "i_group": '
-             '{"invariant_factors": [2], "order": 2, "source": "kernel group '
-             '(class number one)", "status": "exact"}, "j_group": '
-             '{"invariant_factors": [4], "order": 4, "source": "kernel group '
-             '(class number one)", "status": "exact"}, "m": 21, "n": 4, '
-             '"nk1_zero": true, "tate_group": {"invariant_factors": [2], '
-             '"order": 2, "source": "odd class number; Tate group of the '
-             'stored kernel group", "status": "exact"}}, "m": 21, "mhcob": '
-             '{"lower": 2, "upper": 2, "verdict": "finite"}, "mhs": '
-             '{"lower": 2, "upper": 4, "verdict": "finite"}, "mhs_hcob": '
-             '{"lower": 2, "upper": 2, "verdict": "finite"}, "n": 4, '
-             '"provenance": "ingredient-verified"}\n')])
-    def test_classify_deep_json(self, capture, m, expected):
-        assert capture(["classify", "--n", "4", "--m", str(m), "--deep",
-                        "--format", "json"]) == (0, expected, "")
 
 
 #: 2^10 3^6 5^4 7^3 11^2 13^2 17 19 23 29 31 37 41 43, with 3,548,160

@@ -15,13 +15,22 @@ Every name has one home: a module imports it from the module that defines
 it, never through another module that imports it in turn.
 
 Immutability has one mechanism: only ``record.Record`` refuses assignment.
+
+Every pinned digest has one home, ``tests/pins.py``: no CI step holds one
+and no test file a copy, and the corpus runs on the standard library
+alone.
 """
 
 import ast
+import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "cycloclass"
+WORKFLOW = TESTS.parent / ".github" / "workflows" / "tier1.yml"
+HEX_DIGEST = re.compile(r"(?<![0-9a-f])[0-9a-f]{64}(?![0-9a-f])")
 
 CALLED_BY_LIBRARIES = {"cli._build_parser._Parser.error"}
 
@@ -169,3 +178,32 @@ def test_lru_caches_are_the_pinned_six():
               if isinstance(node, ast.FunctionDef)
               and any(map(_is_lru_cache, node.decorator_list))}
     assert cached == CACHED
+
+
+def test_the_workflow_holds_no_pinned_answer():
+    # a step that compares with a literal replays the corpus instead; the
+    # heredocs left are the Python scripts of the steps that check
+    # behaviour
+    text = WORKFLOW.read_text()
+    assert not HEX_DIGEST.findall(text)
+    heredocs = [line.strip() for line in text.splitlines() if "<<" in line]
+    assert all(line == "python - <<'EOF'" for line in heredocs)
+
+
+def test_the_corpus_imports_only_the_stdlib_and_the_package():
+    imported = set()
+    for node in ast.walk(ast.parse((TESTS / "pins.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    tops = {name.split(".")[0] for name in imported}
+    assert "cycloclass" in tops
+    assert tops - {"cycloclass"} <= sys.stdlib_module_names
+
+
+def test_every_digest_under_tests_is_held_once():
+    held = Counter(digest for path in TESTS.iterdir() if path.is_file()
+                   for digest in HEX_DIGEST.findall(path.read_text()))
+    assert held
+    assert [digest for digest, count in held.items() if count > 1] == []
