@@ -338,6 +338,16 @@ class TestSweepText:
         trivial_rows = [l for l in lines[1:] if " trivial " in f" {l} "]
         assert len([l for l in lines[1:] if l.split()[4] == "trivial"]) == 11
 
+    @pytest.mark.parametrize("line", list(pins.SWEEP_DIGESTS),
+                             ids=["text-n4-1000", "json-n4-2000",
+                                  "json-n6-2000"])
+    def test_stdout_digest(self, capture, line):
+        code, out, err = capture(line.split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            pins.SWEEP_DIGESTS[line]
+
+
 class TestCache:
     def test_identical_bytes_with_and_without_cache(self, capture, tmp_path):
         cache_file = tmp_path / "cache.json"
@@ -560,6 +570,11 @@ class TestDeepAboveTheHminusCeiling:
     """A deep query refuses only when the branch it takes reads h^- above
     HMINUS_PHI_CEILING."""
 
+    def test_am_reads_no_class_number_at_a_power_of_two(self, capture):
+        out, err, code = pins.QUERIES["am --m 8192"]
+        assert capture(["am", "--m", "8192"]) == (code, out, err)
+        assert (code, err) == (0, "") and out.startswith("unknown: ")
+
     @pytest.mark.parametrize("argv", [
         ["classify", "--n", "4", "--m", "6561", "--deep"],
         ["verify", "--n", "4", "--m", "8192"]])
@@ -574,6 +589,34 @@ class TestDeepAboveTheHminusCeiling:
                                   "--deep"])
         assert code == 2 and out == ""
         assert f"is above {HMINUS_PHI_CEILING}" in err
+
+
+class TestPinnedAnswers:
+    """The answers of ``pins.QUERIES`` at 130, 65, 15 and 21, through the
+    capture fixture."""
+
+    @staticmethod
+    def pinned(line):
+        out, err, code = pins.QUERIES[line]
+        return code, out, err
+
+    def test_classify_deep_130(self, capture):
+        line = "classify --n 4 --m 130 --deep"
+        assert capture(line.split()) == self.pinned(line)
+
+    def test_verify_65(self, capture):
+        line = "verify --n 4 --m 65"
+        assert capture(line.split()) == self.pinned(line)
+
+    # the kernel groups at 15 (trivial action) and 21 (negation) are the
+    # only stored facts whose J, I and Tate group are not all 0
+    @pytest.mark.parametrize("m,expected", [
+        (m, pins.QUERIES[f"classify --n 4 --m {m} --deep --format json"][0])
+        for m in (15, 21)])
+    def test_classify_deep_json(self, capture, m, expected):
+        line = f"classify --n 4 --m {m} --deep --format json"
+        assert capture(line.split()) == (0, expected, "")
+        assert self.pinned(line) == (0, expected, "")
 
 
 #: 2^10 3^6 5^4 7^3 11^2 13^2 17 19 23 29 31 37 41 43, with 3,548,160
