@@ -121,6 +121,22 @@ takes one unit of each pair {a, f - a}, and along the longest axis the
 value exponent grows by a fixed step, so the F_t are sums of strided
 slices of the rows.  The orbits must cover the phi(m)/2 odd characters.
 
+The part of h^- at a conductor f, the product of -B_1(chi)/2 over the odd
+primitive characters chi of conductor f, depends on f alone: a character
+mod m of conductor f is induced from one mod f, and B_1 reads only the
+primitive values, so the orbits of conductor f, their norms and phi(d) are
+the same at every multiple m of f.  ``hminus`` keeps each part it learns
+in one store by conductor (``_conductor_parts``), as a fraction in lowest
+terms, and ``_odd_orbits`` skips every orbit whose conductor is stored, as
+soon as its conductor is known, before its unit table and sums; the
+stored parts enter the quotient, the bound and the residues exactly, as
+closed norms do.  A part is stored once h^- at m has passed its check:
+that of every conductor whose orbits all closed, and, when the orbits left
+to the CRT pass all have one conductor g, that of g, derived as the exact
+quotient of h^- times the denominator by Q w times the other parts; a
+remainder signals a bug.  One pass of the paper's tables skips 488 of its
+952 orbits.  Emptying the caches empties the store.
+
 The four primes, below 2^30, are proven by the search for their roots
 (``_crt_prime``): every candidate, base and root is one 30-bit digit of a
 CPython int, on which ``pow`` is two to three times as fast as on the two
@@ -299,10 +315,12 @@ def _unit_table(units, f):
 _SLICE_RUN = 5
 
 
-def _odd_orbits(units, primes):
-    """One (d, f, folded) per Galois orbit of odd characters modulo m, the
-    folded sums c_t - c_(t + d/2) for t < d/2, given the ``_unit_group`` of
-    m and the primes of lambda(m).
+def _odd_orbits(units, primes, stored):
+    """(orbits, skipped): one (d, f, folded) per Galois orbit of odd
+    characters modulo m whose conductor f is not in ``stored``, the folded
+    sums c_t - c_(t + d/2) for t < d/2, given the ``_unit_group`` of m and
+    the primes of lambda(m), and the set of the conductors in ``stored``
+    that the orbits skipped have.
 
     The orbit {chi^j : j a unit mod d} of a character chi of order d is the
     set of generators of the cyclic group it generates, so the orbits are
@@ -322,7 +340,9 @@ def _odd_orbits(units, primes):
     entries is walked entry by entry.  The table holds one unit of each
     pair {a, f - a}, at which the character takes values d/2 apart, so
     c_t - c_(t + d/2) = F_t - F_(t + d/2).  The orbits must cover the
-    phi(m)/2 odd characters.
+    phi(m)/2 odd characters, the skipped ones among them.  An orbit is
+    skipped as soon as its conductor is known, before its exponents, unit
+    table and sums.
     """
     orders, spans = [], []
     for p, e, gens, _ in units:
@@ -350,13 +370,17 @@ def _odd_orbits(units, primes):
         raise InternalConsistencyError(
             "the orbits do not cover half of the characters")
 
-    tables, orbits = {}, []
+    tables, orbits, skipped = {}, [], set()
     for combination in product(*parts):
         if len(combination) == 1:
             (d, _, f, exps), = combination
         else:
             part_orders, _, conductors, part_exps = zip(*combination)
-            d, f = prod(part_orders), lcm(*conductors)
+            d, f, exps = prod(part_orders), lcm(*conductors), None
+        if f in stored:
+            skipped.add(f)
+            continue
+        if exps is None:
             exps = [sum(ks) % o for *ks, o in zip(*part_exps, orders)]
         if f not in tables:
             tables[f] = _unit_table(units, f)
@@ -382,7 +406,7 @@ def _odd_orbits(units, primes):
                     sums[t % d] += a
                     t += w
         orbits.append((d, f, [*map(sub, sums, sums[d // 2:])]))
-    return orbits
+    return orbits, skipped
 
 
 def _normalize_modulus(m):
@@ -765,6 +789,23 @@ def _norms(d, orbits, cos, modulus):
 HMINUS_PHI_CEILING = 4000
 
 
+@lru_cache(maxsize=1)
+def _conductor_parts():
+    """The store of the parts of h^- by conductor, one dict per process:
+    f -> (a, b), a / b in lowest terms the product of -B_1(chi)/2 over the
+    odd primitive characters chi of conductor f.  It is this cache's one
+    entry, so emptying the caches empties it."""
+    return {}
+
+
+def _store(parts, fractions):
+    """Enter each (f, (a, b)) of ``fractions`` in the store ``parts`` as
+    a / b in lowest terms."""
+    for f, (a, b) in fractions.items():
+        g = gcd(a, b)
+        parts[f] = a // g, b // g
+
+
 @lru_cache(maxsize=None)
 def hminus(m):
     """|C(Z[zeta_m])^-|, evaluated exactly.
@@ -778,7 +819,10 @@ def hminus(m):
     group reads off ``modulus(p - 1)``: m and each p - 1 are factored once,
     and lambda(m) never.  Moduli with phi(m) above HMINUS_PHI_CEILING raise
     UnsupportedModulusError before any p - 1 is factored, and moduli above
-    2 * HMINUS_PHI_CEILING^2 before m is.
+    2 * HMINUS_PHI_CEILING^2 before m is.  The parts of the conductors of
+    m already evaluated at another modulus are read from the store of
+    ``_conductor_parts``, and the parts learnt here are put there once h^-
+    has passed its check.
     """
     m = int(m)
     if m % 4 == 2:
@@ -800,12 +844,16 @@ def hminus(m):
     qw = (1 if len(units) == 1 else 2) * (2 * m if m % 2 else m)
     primes = tuple(sorted({r for *_, local in units for r in local}))
 
+    parts = _conductor_parts()
+    found, skipped = _odd_orbits(units, primes, parts)
+
     # each orbit halved down to its order e: its norm in closed form at the
-    # orders of _CLOSED_ORDERS, and the halved sums above them by e, with
-    # the sums of squares of their folded sums by d for the bound; the
-    # denominator takes (2f)^phi(d) per orbit, gathered by conductor f
-    phis, powers, left, opened, exact = {}, {}, {}, {}, 1
-    for d, f, folded in _odd_orbits(units, primes):
+    # orders of _CLOSED_ORDERS, gathered by conductor f, and the halved sums
+    # above them by e, with the sums of squares of their folded sums by d
+    # for the bound; the denominator takes (2f)^phi(d) per orbit, gathered
+    # by f too
+    phis, powers, norms, left, opened, unclosed = {}, {}, {}, {}, {}, set()
+    for d, f, folded in found:
         if d not in phis:
             phis[d] = d
             for r in primes:
@@ -814,12 +862,22 @@ def hminus(m):
         powers[f] = powers.get(f, 0) + phis[d]
         e, halved = _halve(d, folded)
         if e in _CLOSED_ORDERS:
-            exact *= _closed_norm(e, halved)
+            norms[f] = norms.get(f, 1) * _closed_norm(e, halved)
         else:
             left.setdefault(e, []).append(halved)
             opened.setdefault(d, []).append(sum(map(mul, folded, folded)))
-    numerator = -qw * exact if sum(powers.values()) % 2 else qw * exact
-    denominator = prod((2 * f) ** s for f, s in powers.items())
+            unclosed.add(f)
+    # the parts of the conductors skipped as stored, and per conductor met
+    # (-1)^s times its closed norms over (2f)^s, s the sum of its phi(d)
+    numerator, stored = qw, 1
+    for f in skipped:
+        num, den = parts[f]
+        numerator, stored = numerator * num, stored * den
+    met, denominator = {}, stored
+    for f, s in powers.items():
+        num, den = -norms.get(f, 1) if s % 2 else norms.get(f, 1), (2 * f) ** s
+        met[f] = num, den
+        numerator, denominator = numerator * num, denominator * den
     if not left:
         h, rest = divmod(numerator, denominator)
         if rest or h <= 0:
@@ -827,9 +885,10 @@ def hminus(m):
                 f"analytic minus class number for m={m} fails its check: "
                 f"the exact quotient of Q w times the norms by the "
                 f"denominator is not a positive integer")
+        _store(parts, met)
         return h
-    # the closed norms enter the bound as they are, the orbits left by
-    # their Parseval and AM-GM bounds, one power per order d
+    # the closed norms and stored parts enter the bound as they are, the
+    # orbits left by their Parseval and AM-GM bounds, one power per order d
     bound_sq, scale = 4 * numerator * numerator, denominator * denominator
     for d, sums in opened.items():
         phi_d, number = phis[d], len(sums)
@@ -844,8 +903,9 @@ def hminus(m):
         lift += mod * ((prime_root - lift) * pow(mod, -1, prime) % prime)
         mod *= prime
     check = mod // power
-    # the inverse of the denominator, one power per conductor
-    value = numerator % mod
+    # the inverse of the denominator: that of the stored parts, then one
+    # power per conductor met
+    value = numerator % mod * pow(stored, -1, mod) % mod
     for f, s in powers.items():
         value = value * pow(2 * f, -s, mod) % mod
     # one row for x of order L = lcm of the orders left; that of e is its
@@ -862,6 +922,20 @@ def hminus(m):
             f"analytic minus class number for m={m} fails its check: the "
             f"CRT value is not positive or disagrees modulo the product "
             f"{check} of the check primes")
+    learnt = {f: part for f, part in met.items() if f not in unclosed}
+    if len(unclosed) == 1:
+        # h = numerator N / denominator, N the norms of the orbits left, all
+        # of the one conductor g: the signed norm of all the orbits of g is
+        # h times the denominator over Q w and the other parts
+        g, = unclosed
+        num, den = met[g]
+        norm, rest = divmod(h * denominator, numerator // num)
+        if rest:
+            raise InternalConsistencyError(
+                f"analytic minus class number for m={m} fails its check: "
+                f"the part of the conductor {g} is not an exact quotient")
+        learnt[g] = norm, den
+    _store(parts, learnt)
     return h
 
 

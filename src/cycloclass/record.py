@@ -21,6 +21,8 @@ form of their own override ``__repr__``.  ``copy``, ``deepcopy`` and
 ``pickle`` rebuild a record from its field tuple, as assignment would be
 refused; ``abelian.AbHom.scalar`` sets up a homomorphism the same way, as
 its matrix needs none of the checks of ``AbHom.__init__``.
+``arith.Modulus``, built for every modulus factored, calls the slot
+setters of ``_setters`` itself, in slot order, one per field.
 """
 
 from operator import attrgetter

@@ -60,10 +60,12 @@ parts, the swap square, the least primitive root modulo an odd prime
 power and the order of a unit up to sign live here as well: only the
 tests use them.  So does verify as it ran before the checks that read
 no degree were shared across degrees: every check recomputed at each
-(n, m) from the deep structure at n.
+(n, m) from the deep structure at n.  ``clear_caches`` empties the
+package's caches as the benchmark's worker does before a cold query.
 """
 
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, product
@@ -128,6 +130,21 @@ from cycloclass.residue import (
     unit_quotient,
     vtilde,
 )
+
+
+def clear_caches():
+    """Empty every cache of the loaded cycloclass modules, as
+    ``perfbench/worker.py`` does before each query of a cold workload:
+    each module attribute, not a class, that has ``cache_info``.  The
+    store of conductor parts of ``classnumber`` is one of them, so h^- is
+    recomputed from scratch after it."""
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "cycloclass"
+                                  or name.startswith("cycloclass.")):
+            continue
+        for value in vars(module).values():
+            if not isinstance(value, type) and hasattr(value, "cache_info"):
+                value.cache_clear()
 
 
 def add(g, x, y):
@@ -1320,8 +1337,9 @@ def hminus_crt_primes(exponent):
 
 
 def folded_orbits(m):
-    """``classnumber._odd_orbits`` at m."""
-    return _odd_orbits(unit_group(m), lambda_primes(m))
+    """``classnumber._odd_orbits`` at m, with no conductor stored."""
+    orbits, _ = _odd_orbits(unit_group(m), lambda_primes(m), {})
+    return orbits
 
 
 def _qw(m):

@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from cycloclass.arith import modulus
-from cycloclass.classnumber import _crt_prime, hminus
+from cycloclass.classnumber import _conductor_parts, _crt_prime, hminus
 from cycloclass.cli import run
 from cycloclass.manifoldset import classify, verify
 
@@ -73,6 +73,13 @@ CEILING_DIGESTS = {
     5997: "5c4e60c6f81e39f23813efe88525f31c88f2c718fab23777ea9a72b4887d8217",
     7996: "893ba0d82f64d81203842869d4af4b374ebd6af2306779559d133d11069b41e3",
 }
+
+#: the moduli of ``CEILING_DIGESTS`` that are 3 and 4 times a prime, each
+#: evaluated after that prime and the other, from caches emptied: the part
+#: of h^- at the prime is then read from the store of conductor parts,
+#: where the evaluation at the prime put it as an exact quotient
+SHARED_PRIMES = (1019, 1999)
+SHARED_DIGESTS = {m: CEILING_DIGESTS[m] for m in (3057, 4076, 5997, 7996)}
 
 #: the SHA-256 of the lines "exponent l root", four per exponent, of the
 #: CRT primes and roots of the 813 exponents lambda(m), phi(m) <= the key:
@@ -229,6 +236,14 @@ def _hminus_digest(m):
     return _sha256(str(hminus(m)))
 
 
+def _shared_digest(m):
+    hminus.cache_clear()
+    _conductor_parts.cache_clear()
+    for p in SHARED_PRIMES:
+        hminus(p)
+    return _hminus_digest(m)
+
+
 def _crt_digest(ceiling):
     # every m with phi(m) <= 4000 is below 40000: phi(m) > m / (e^gamma
     # log log m + 2.50637 / log log m) for m >= 3 (Rosser and Schoenfeld,
@@ -272,10 +287,11 @@ GROUPS = {
     "hminus-range": (_load("hminus-range"), _hminus_range),
     "hminus-ceiling": (CEILING_DIGESTS, _hminus_digest),
     "hminus-lines-to-2039": (HMINUS_LINES_TO_2039, _hminus_lines),
+    "hminus-shared-parts": (SHARED_DIGESTS, _shared_digest),
 }
 
 #: the groups that take seconds each: h^- near the ceiling and to 2039
-SLOW = {"hminus-ceiling", "hminus-lines-to-2039"}
+SLOW = {"hminus-ceiling", "hminus-lines-to-2039", "hminus-shared-parts"}
 
 
 def mismatches(name):

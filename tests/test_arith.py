@@ -16,7 +16,7 @@ from sympy.abc import x
 
 import cycloclass
 from cycloclass import arith
-from oracles import cyclotomic_int, primitive_root
+from oracles import clear_caches, cyclotomic_int, primitive_root
 
 #: the least strong pseudoprimes to the first 12 and 13 prime bases
 PSI_12 = 318665857834031151167461
@@ -298,7 +298,7 @@ class TestModulus:
             return original(n)
 
         monkeypatch.setattr(arith, "factorint", counting)
-        arith.modulus.cache_clear()
+        clear_caches()
         record = arith.modulus(LARGE_PRIME)
         assert calls == [LARGE_PRIME]
         assert (record.factors, record.orders, record.exponent) == \

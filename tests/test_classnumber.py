@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
@@ -10,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import pins
+import cycloclass
 from cycloclass import arith, classnumber
 from cycloclass.abelian import FinAbGroup
 from cycloclass.arith import InternalConsistencyError, \
@@ -39,7 +44,7 @@ def _counted_factorings(monkeypatch):
         return original(n)
 
     monkeypatch.setattr(arith, "factorint", counting)
-    arith.modulus.cache_clear()
+    oracles.clear_caches()
     return calls
 
 
@@ -238,6 +243,20 @@ def _assert_orbits_match_the_oracles(m):
         assert new == old, (m, oracle.__name__)
 
 
+def _recorded_orbits(monkeypatch):
+    """The (d, f, folded) that each _odd_orbits call computes from here
+    on, the orbits it skips left out."""
+    computed, original = [], classnumber._odd_orbits
+
+    def recording(units, primes, stored):
+        found, skipped = original(units, primes, stored)
+        computed.extend(found)
+        return found, skipped
+
+    monkeypatch.setattr(classnumber, "_odd_orbits", recording)
+    return computed
+
+
 class TestOddOrbits:
     def test_against_characters(self):
         for m in range(3, 301):
@@ -297,24 +316,18 @@ class TestOddOrbits:
     def test_no_character_is_built(self, m, monkeypatch):
         # the characters and their discrete-log tables are test oracles:
         # hminus builds neither, and keeps generators alone per prime power
-        built, orbits = [], []
+        built = []
         original_init = oracles.DirichletCharacter.__init__
-        original_orbits = classnumber._odd_orbits
 
         def counting_init(self, modulus, exps):
             built.append(exps)
             original_init(self, modulus, exps)
 
-        def recording_orbits(units, primes):
-            orbits.extend(original_orbits(units, primes))
-            return orbits
-
         monkeypatch.setattr(oracles.DirichletCharacter, "__init__",
                             counting_init)
-        monkeypatch.setattr(classnumber, "_odd_orbits", recording_orbits)
-        for cached in (hminus, arith.modulus, classnumber._crt_prime,
-                       oracles.unit_logs):
-            cached.cache_clear()
+        orbits = _recorded_orbits(monkeypatch)
+        oracles.clear_caches()
+        oracles.unit_logs.cache_clear()
         hminus(m)
         assert built == [] and oracles.unit_logs.cache_info().currsize == 0
         # (p, e, gens, primes) per prime power, with no discrete-log table
@@ -540,7 +553,7 @@ def _root_one(monkeypatch, index):
             return tuple(primes)
 
         monkeypatch.setattr(classnumber, "_crt_prime", wrong_root)
-        hminus.cache_clear()
+        oracles.clear_caches()
 
     return corrupt
 
@@ -549,7 +562,7 @@ def _root_one(monkeypatch, index):
 def corrupt_check_prime(monkeypatch):
     """The last check prime of hminus(m) comes with the root 1."""
     yield _root_one(monkeypatch, 3)
-    hminus.cache_clear()
+    oracles.clear_caches()
 
 
 @pytest.fixture
@@ -557,7 +570,7 @@ def corrupt_evaluation_prime(monkeypatch):
     """The prime whose power carries the value, index 0, comes with the
     root 1, and so does its Teichmueller lift."""
     yield _root_one(monkeypatch, 0)
-    hminus.cache_clear()
+    oracles.clear_caches()
 
 
 @pytest.fixture
@@ -567,15 +580,16 @@ def corrupt_orbit_sum(monkeypatch):
     original = classnumber._odd_orbits
 
     def corrupt(m):
-        def wrong_sums(units, primes):
-            (d, f, folded), *rest = original(units, primes)
-            return [(d, f, [folded[0] + 1, *folded[1:]]), *rest]
+        def wrong_sums(units, primes, stored):
+            ((d, f, folded), *rest), skipped = original(units, primes,
+                                                        stored)
+            return [(d, f, [folded[0] + 1, *folded[1:]]), *rest], skipped
 
         monkeypatch.setattr(classnumber, "_odd_orbits", wrong_sums)
-        hminus.cache_clear()
+        oracles.clear_caches()
 
     yield corrupt
-    hminus.cache_clear()
+    oracles.clear_caches()
 
 
 def _exponents_to_the_ceiling():
@@ -680,12 +694,12 @@ class TestHminus:
                    for exponent, primes in old.items())
         monkeypatch.setattr(classnumber, "_crt_prime",
                             lambda exponent, primes: old[exponent])
-        hminus.cache_clear()
+        oracles.clear_caches()
         try:
             for m, h in expected.items():
                 assert hminus(m) == h, m
         finally:
-            hminus.cache_clear()
+            oracles.clear_caches()
 
     def test_crt_primes_fit_one_digit(self):
         # for each of the 813 exponents lambda(m), phi(m) <= 4000: four
@@ -840,16 +854,14 @@ class TestHminus:
             for m in range(100, 261):
                 if m % 4 == 2:
                     continue
-                for cached in (hminus, arith.modulus, classnumber._crt_prime):
-                    cached.cache_clear()
+                oracles.clear_caches()
                 calls.clear()
                 hminus(m)
                 odd = {p - 1 for p in sympy.primefactors(m) if p > 2}
                 assert calls == Counter({m, *odd}), (m, calls)
                 total += calls.total()
         finally:
-            for cached in (hminus, arith.modulus, classnumber._crt_prime):
-                cached.cache_clear()
+            oracles.clear_caches()
         assert total == 303
 
     @pytest.mark.parametrize("m", [23, 211, 1009])
@@ -864,7 +876,7 @@ class TestHminus:
             return original(exponent, lambda_primes)
 
         monkeypatch.setattr(classnumber, "_crt_prime", record)
-        hminus.cache_clear()
+        oracles.clear_caches()
         hminus(m)
         exponent, = used
         primes = [ell for ell, _ in oracles.hminus_crt_primes(exponent)]
@@ -894,7 +906,7 @@ class TestHminus:
 
         calls = _counted_factorings(monkeypatch)
         monkeypatch.setattr(classnumber, "_primitive_root", search)
-        hminus.cache_clear()
+        oracles.clear_caches()
         with pytest.raises(UnsupportedModulusError, match="above 4000"):
             hminus(m)
         assert calls == Counter({m: 1})
@@ -1016,11 +1028,11 @@ class TestHminus:
 
         monkeypatch.setattr(classnumber, "_crt_prime", record_prime)
         monkeypatch.setattr(classnumber, "_norms", record_norms)
-        hminus.cache_clear()
+        oracles.clear_caches()
         try:
             hminus(m)
         finally:
-            hminus.cache_clear()
+            oracles.clear_caches()
         assert len(used) == calls
         assert sorted(seen) == {3947: [3946], 211: [42, 70, 210]}.get(m, [])
 
@@ -1056,12 +1068,12 @@ class TestHminus:
         # the field of 78 is that of 39: its orbits are walked once
         calls, original = [], classnumber._odd_orbits
 
-        def counting(units, primes):
+        def counting(units, primes, stored):
             calls.append(prod(p ** e for p, e, *_ in units))
-            return original(units, primes)
+            return original(units, primes, stored)
 
         monkeypatch.setattr(classnumber, "_odd_orbits", counting)
-        hminus.cache_clear()
+        oracles.clear_caches()
         assert hminus(39) == 2 and calls == [39]
         assert hminus(78) == 2 and calls == [39]
 
@@ -1117,6 +1129,123 @@ class TestHminus:
             w = 2 * m if m % 2 else m
             approx = (q_factor * w * value).real
             assert abs(approx - hminus(m)) < 1e-6
+
+
+#: h^- over the normalised m <= 600 in one process, in the order named
+#: by the argument, one line "m h^-(m)" each
+_SHARED_SWEEP = textwrap.dedent("""
+    import random, sys
+    from cycloclass.classnumber import hminus
+    moduli = [m for m in range(1, 601) if m % 4 != 2]
+    if sys.argv[1] == "decreasing":
+        moduli.reverse()
+    elif sys.argv[1] == "shuffled":
+        random.Random(39).shuffle(moduli)
+    for m in moduli:
+        print(m, hminus(m))
+""")
+
+
+class TestConductorParts:
+    @pytest.fixture(scope="class")
+    def cold(self):
+        """h^- at each normalised m <= 600, every cache emptied before it."""
+        values = {}
+        for m in range(1, 601):
+            if m % 4 != 2:
+                oracles.clear_caches()
+                values[m] = hminus(m)
+        oracles.clear_caches()
+        return values
+
+    @pytest.mark.parametrize("order", ["increasing", "decreasing",
+                                       "shuffled"])
+    def test_any_order_gives_the_cold_values(self, cold, order):
+        # each order stores other parts, derived at other moduli, and reads
+        # them back at their multiples
+        src = os.path.dirname(os.path.dirname(cycloclass.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run([sys.executable, "-c", _SHARED_SWEEP, order],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = [line.split() for line in proc.stdout.splitlines()]
+        assert len(lines) == len(cold)
+        assert {int(m): int(h) for m, h in lines} == cold
+
+    def test_a_derived_part_is_read_at_the_multiples(self, monkeypatch):
+        # the orbits of 1999 are left to the CRT pass, so its part is the
+        # exact quotient derived after the check; 3 and 4 times 1999 then
+        # compute no orbit of conductor 1999 and keep their digests
+        oracles.clear_caches()
+        computed = _recorded_orbits(monkeypatch)
+        hminus(1999)
+        assert 1999 in classnumber._conductor_parts()
+        assert {f for _, f, _ in computed} == {1999}
+        computed.clear()
+        for m in (5997, 7996):
+            assert hashlib.sha256(str(hminus(m)).encode()).hexdigest() == \
+                pins.CEILING_DIGESTS[m], m
+        assert computed and all(f != 1999 for _, f, _ in computed)
+        oracles.clear_caches()
+
+    @pytest.mark.parametrize("m", [255, 257, 1009])
+    def test_emptied_caches_empty_the_store(self, m, monkeypatch):
+        # as the benchmark's worker empties them before each cold query:
+        # a cold h^-(m) then computes every orbit
+        hminus(3 * 5 * 17)
+        hminus(257)
+        hminus(1009)
+        oracles.clear_caches()
+        assert classnumber._conductor_parts() == {}
+        computed = _recorded_orbits(monkeypatch)
+        hminus(m)
+        assert len(computed) == len(oracles.odd_orbits(m))
+        assert classnumber._conductor_parts()
+
+    def test_a_failed_check_stores_no_part(self, corrupt_check_prime):
+        # 211 closes its orbits of orders 2, 6, 10, 14 and 30 and leaves
+        # those of 42, 70 and 210, all of conductor 211, to the CRT pass
+        corrupt_check_prime(211)
+        with pytest.raises(InternalConsistencyError, match="check prime"):
+            hminus(211)
+        assert classnumber._conductor_parts() == {}
+
+    def test_a_part_that_is_no_quotient_is_an_internal_error(
+            self, monkeypatch):
+        # a CRT value off by one, h^-(3057) + 1, with the part of 1019
+        # stored: the check primes see it alike, but h + 1 times the
+        # denominator is no multiple of Q w times the part of 1019
+        oracles.clear_caches()
+        h = hminus(3057)
+        oracles.clear_caches()
+        hminus(1019)
+        original = classnumber._norms
+
+        def off_by_one(d, orbits, cos, modulus):
+            return original(d, orbits, cos, modulus) * (h + 1) * \
+                pow(h, -1, modulus) % modulus
+
+        monkeypatch.setattr(classnumber, "_norms", off_by_one)
+        with pytest.raises(InternalConsistencyError,
+                           match="part of the conductor 3057"):
+            hminus(3057)
+        assert sorted(classnumber._conductor_parts()) == [1019]
+        oracles.clear_caches()
+
+    def test_parts_are_stored_in_lowest_terms(self):
+        # a / b with b > 0 and b | (2f)^s, a nonzero
+        oracles.clear_caches()
+        for m in range(3, 301):
+            hminus(m)
+        parts = classnumber._conductor_parts()
+        assert len(parts) > 100
+        for f, (a, b) in parts.items():
+            assert a and b > 0 and gcd(a, b) == 1, f
+            assert (2 * f) ** oracles.totient(f) % b == 0, f
+        oracles.clear_caches()
 
 
 def _assert_kummer(p):

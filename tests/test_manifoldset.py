@@ -170,13 +170,6 @@ class TestVerify:
                 assert verify(n, m).consistent, (n, m)
 
 
-def _clear_caches():
-    for module in (arith, classnumber, residue, ktheory, manifoldset):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 def _counting(monkeypatch, name, *modules):
     """Replace ``name`` in each module by one wrapper; returns its calls."""
     calls = []
@@ -193,7 +186,7 @@ def _counting(monkeypatch, name, *modules):
 
 class TestOncePerQuery:
     def test_deep_classify_describes_m_once(self, monkeypatch):
-        _clear_caches()
+        oracles.clear_caches()
         bounds = _counting(monkeypatch, "d_divisibility_bound", ktheory,
                            manifoldset)
         report = classify(4, 33, deep=True)
@@ -202,14 +195,14 @@ class TestOncePerQuery:
         assert len(bounds) <= 2
 
     def test_degrees_share_the_ingredients(self):
-        _clear_caches()
+        oracles.clear_caches()
         for n in (4, 6, 8):
             assert classify(n, 33, deep=True).ingredients.n == n
             verify(n, 33)
         assert manifoldset._described.cache_info().misses == 1
 
     def test_later_degrees_rerun_no_degree_free_check(self, monkeypatch):
-        _clear_caches()
+        oracles.clear_caches()
         classify(4, 33, deep=True)
         calls = [_counting(monkeypatch, name,
                            *(module for module in (ktheory, manifoldset,
@@ -231,7 +224,7 @@ class TestOncePerQuery:
         # layers factoring for themselves made 2,060 calls on 187
         # arguments (lambda(121) = 110, factored only for the CRT primes,
         # is no longer one)
-        _clear_caches()
+        oracles.clear_caches()
         factorings = _counting(monkeypatch, "factorint", arith)
         moduli = [2 * p for p in (11, 13, 17, 19, 29)] + [
             p * q for p, q in ((3, 5), (3, 7), (3, 11), (5, 7), (3, 13))]
@@ -262,7 +255,7 @@ ORDERS = {
 def test_shared_checks_match_the_per_degree_oracle(order):
     # from empty caches, in each order, every degree reads the one
     # description of m and must answer as if it had run every check
-    _clear_caches()
+    oracles.clear_caches()
     for m in range(2, 301):
         expected = {}
         for kind, n in ORDERS[order]:
