@@ -46,12 +46,14 @@ class IntMatrix(Record):
 
     @classmethod
     def diagonal(cls, entries):
-        # row i is the zero row with entry i put in: slices, not cells
+        # row i is the zero row with entry i put in: slices, not cells.
+        # The rows are built of ints and sized here, so the record is set
+        # without the checks of __init__
         entries = tuple(map(int, entries))
         n = len(entries)
         zeros = (0,) * n
-        return cls(tuple(zeros[:i] + (e,) + zeros[i + 1:]
-                         for i, e in enumerate(entries)), n, n)
+        return _rebuild(cls, (tuple(zeros[:i] + (e,) + zeros[i + 1:]
+                                    for i, e in enumerate(entries)), n, n))
 
     @classmethod
     def from_columns(cls, columns, rows=None):

@@ -141,7 +141,8 @@ The four primes, below 2^30, are proven by the search for their roots
 (``_crt_prime``): every candidate, base and root is one 30-bit digit of a
 CPython int, on which ``pow`` is two to three times as fast as on the two
 digits of a number just below 2^31.  The unit group's generators are the
-least primitive roots (``_unit_group``).
+least primitive roots, searched and checked once per prime power
+(``_local_units``).
 """
 
 from __future__ import annotations
@@ -179,37 +180,41 @@ def _primitive_root(q, p, primes):
 
 
 def _unit_group(m):
-    """The local factors of (Z/m)^x, one (p, e, gens, primes) per p^e || m.
+    """The local factors of (Z/m)^x, one (p, e, gens, primes) per p^e || m,
+    in the order of ``modulus(m).factors``: see ``_local_units``."""
+    return tuple(_local_units(p, e) for p, e in modulus(m).factors)
 
-    ``gens`` lists (generator, order) for (Z/p^e)^x, the orders drawn in
-    turn from ``modulus(m)``: the least primitive root for odd p, 3 at 4,
-    and -1, 5 at 2^e, e >= 3, so the first generator of every nontrivial
-    factor carries -1.  Each generator g of order o must have g^o = 1 and
-    g^(o/r) != 1 for every prime r | o.  ``primes`` are those of the
-    exponent of the factor: of p - 1, read off ``modulus(p - 1)`` by the
-    search, and p when e > 1, and 2 at 2^e, e > 1.
+
+@lru_cache(maxsize=None)
+def _local_units(p, e):
+    """The local factor (p, e, gens, primes) of (Z/p^e)^x, searched and
+    checked once per prime power, as every m that p^e divides exactly
+    reads the same one.
+
+    ``gens`` lists (generator, order): the least primitive root, of order
+    p^(e-1) (p - 1), for odd p, 3 of order 2 at 4, and -1 and 5, of orders
+    2 and 2^(e-2), at 2^e, e >= 3, so the first generator of every
+    nontrivial factor carries -1.  Each generator g of order o must have
+    g^o = 1 and g^(o/r) != 1 for every prime r | o.  ``primes`` are those
+    of the exponent of the factor: of p - 1, read off ``modulus(p - 1)``
+    by the search, and p when e > 1, and 2 at 2^e, e > 1.
     """
-    record, factors = modulus(m), []
-    orders = iter(record.orders)
-    for p, e in record.factors:
-        q = p ** e
-        if p == 2:
-            primes = [2] if e > 1 else []
-            gens = [] if e == 1 else [3] if e == 2 else [q - 1, 5]
-        else:
-            primes = [r for r, _ in modulus(p - 1).factors]
-            if e > 1:
-                primes.append(p)
-            gens = [_primitive_root(q, p, primes)]
-        gens = [*zip(gens, orders)]
-        for g, o in gens:
-            if pow(g, o, q) != 1 or any(pow(g, o // r, q) == 1
-                                        for r in primes):
-                raise InternalConsistencyError(
-                    f"unit group generator {g} does not have order {o} "
-                    f"modulo {q}")
-        factors.append((p, e, tuple(gens), tuple(primes)))
-    return tuple(factors)
+    q = p ** e
+    if p == 2:
+        primes = [2] if e > 1 else []
+        gens = [] if e == 1 else [(3, 2)] if e == 2 else \
+            [(q - 1, 2), (5, q // 4)]
+    else:
+        primes = [r for r, _ in modulus(p - 1).factors]
+        if e > 1:
+            primes.append(p)
+        gens = [(_primitive_root(q, p, primes), q - q // p)]
+    for g, o in gens:
+        if pow(g, o, q) != 1 or any(pow(g, o // r, q) == 1 for r in primes):
+            raise InternalConsistencyError(
+                f"unit group generator {g} does not have order {o} "
+                f"modulo {q}")
+    return p, e, tuple(gens), tuple(primes)
 
 
 def _valuation(k, p):

@@ -64,9 +64,9 @@ CACHE_ENV_VAR = "CYCLOCLASS_CACHE"
 #: the most invariant factors tate --invariants admits.  The involution is
 #: an r x r matrix.  With the default negation, time and memory grow as
 #: r^2: the costliest rank-1024 inputs tried (1024 factors 2, 2^64, or
-#: 3 * 2^(k mod 60)) answer in 0.25-0.45 s cold with a peak RSS of 31 MB.
+#: 3 * 2^(k mod 60)) answer in 0.09-0.18 s cold with a peak RSS of 23 MB.
 #: With an explicit --involution, snf makes the time about cubic: the pair
-#: swap on (Z/2)^r takes 0.65-0.72 s cold at r = 200, and 1.15-1.24 s at
+#: swap on (Z/2)^r takes 0.60-0.80 s cold at r = 200, and 1.40-1.51 s at
 #: r = 250, the largest such matrix that fits in one 128 KB argument.  All
 #: on a 2-core x86-64 host (Python 3.11).  A larger rank is refused once
 #: the factors are normalised, before any matrix is built.

@@ -46,10 +46,10 @@ def nk1_vanishes(m):
 #: the highest level km_v_module builds.  The module has r = 2^(N-2) - 1
 #: generators and its involution is a dense r x r matrix, four times larger
 #: at each level: building the module and its Tate group takes about
-#: 0.002 s at N = 9, 0.008 s at N = 10 and 0.03 s at N = 11 in-process, and
-#: `cycloclass tate --km 9 --degree 1` answers in 0.10-0.12 s cold, on a
-#: 2-core x86-64 host (Python 3.11).  The value stays 9, so no level
-#: changes its exit code.
+#: 0.0006 s at N = 9, 0.002 s at N = 10 and 0.007 s at N = 11 in-process,
+#: and `cycloclass tate --km 9 --degree 1` answers in 0.09-0.11 s cold,
+#: nearly all of it interpreter start-up, on a 2-core x86-64 host (Python
+#: 3.11).  The value stays 9, so no level changes its exit code.
 KM_LEVEL_CEILING = 9
 
 

@@ -24,11 +24,15 @@ logarithm, and they are the same in every factor field.  So the torus at
 q, (Z/N_q)^(r_q), holds both images on its diagonal, a copy of Z/N_q, and
 there in the part whose order has only primes of 2m.  The cokernel
 vtilde(m) is that of the two image columns in the sum of these parts, one
-relation row per nontrivial torus, plus everything no image reaches,
-summed by invariant factors; no torus order is factored.  Conjugation
-inverts every element of a norm-one torus, so the involution it induces
-on vtilde(m) is negation.  A torus of more than TORUS_BITS_CEILING bits is
-refused before any p^f - 1 is formed.
+relation row per prime of m, plus everything no image reaches, summed by
+invariant factors; no torus order is factored.  The relations are a
+matrix of at most 3 rows and 5 columns, and the invariant factors of its
+cokernel are read off its determinantal divisors: s_k = D_k / D_(k-1),
+D_k the gcd of its k x k minors (H. J. S. Smith, 1861; M. Newman,
+*Integral Matrices*, Thm II.9), with no change of basis built.
+Conjugation inverts every element of a norm-one torus, so the involution
+it induces on vtilde(m) is negation.  A torus of more than
+TORUS_BITS_CEILING bits is refused before any p^f - 1 is formed.
 
 Primality and the record ``modulus(n)`` of the primes and phi of n come
 from the stdlib module ``arith``, and so do the two exceptions:
@@ -39,9 +43,10 @@ cannot factor within its budget, and ``InternalConsistencyError``.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, log2, prod
 
-from .abelian import FinAbGroup, IntMatrix, present
+from .abelian import FinAbGroup
 from .arith import InternalConsistencyError, UnsupportedModulusError, \
     isprime, modulus
 from .record import Record
@@ -73,9 +78,9 @@ def order_mod(a, n):
 #: phi(n) log2(p) / 2); a larger one raises UnsupportedModulusError before
 #: p^f - 1 is formed.  Printing the orders in decimal costs most: on a
 #: 2-core x86-64 host (Python 3.11) the costliest answers, two tori near
-#: the ceiling at m = 34747 * 34757, take 0.65 s cold for vtilde and
-#: cbound, 1.0 s with --format json; vtilde at 200006 (a torus of 50,001
-#: bits) takes 0.17 s
+#: the ceiling at m = 34747 * 34757, take 0.5-0.7 s cold for vtilde and
+#: cbound, 0.6 s for cbound and 1.0-1.15 s for vtilde with --format json;
+#: vtilde at 200006 (a torus of 50,001 bits) takes 0.10-0.11 s
 TORUS_BITS_CEILING = 2 ** 18
 
 
@@ -197,6 +202,42 @@ def _primes(m):
         + (" without the factor 2" if 2 not in primes else ""))
 
 
+def _cokernel(images, orders):
+    """The invariant factors, 1s included, of Z^r modulo the columns of
+    [images | diag(orders)], ``images`` r rows of two entries.
+
+    They are s_k = D_k / D_(k-1), D_k the gcd of the k x k minors and
+    D_0 = 1.  A minor that takes the diagonal columns of the rows U has
+    nothing else in those columns, so it vanishes unless it takes the rows
+    U, and is then +-prod(orders[U]) times a minor of ``images`` on its
+    other rows V, |V| <= 2.  So D_k is the gcd, over the sets V of at most
+    two rows and the (k - |V|)-sets U of other rows, of prod(orders[U])
+    times g_V: 1 for no row, gcd(x, y) for the row (x, y), and the
+    determinant for two rows.  A finite cokernel has D_r != 0.
+    """
+    r = len(orders)
+    minors = {(): 1}
+    for i, (x, y) in enumerate(images):
+        minors[(i,)] = gcd(x, y)
+    for i, j in combinations(range(r), 2):
+        minors[(i, j)] = images[i][0] * images[j][1] - \
+            images[i][1] * images[j][0]
+    factors, previous = [], 1
+    for k in range(1, r + 1):
+        divisor = gcd(*(g * prod(orders[u] for u in diagonal)
+                        for image_rows, g in minors.items()
+                        if len(image_rows) <= k
+                        for diagonal in combinations(
+                            [u for u in range(r) if u not in image_rows],
+                            k - len(image_rows))))
+        if divisor == 0:
+            raise InternalConsistencyError(
+                "the unit images have an infinite cokernel")
+        factors.append(divisor // previous)
+        previous = divisor
+    return factors
+
+
 def _split_off(n, m):
     """(a, n // a), a the largest divisor of n whose primes all divide m."""
     a, g = 1, gcd(n, m)
@@ -217,30 +258,27 @@ def vtilde(m):
     Z/a_q whose order has only primes of 2m, since their orders divide 2m.
     So the relations are one row per torus, a_q on the diagonal, and
     Z/(N_q/a_q) and the r_q - 1 other factors of each torus pass into the
-    cokernel whole; no Smith normal form sees a number larger than the a_q.
-    Trivial for m prime: the cyclotomic units already surject onto the
-    residue field units there.
+    cokernel whole; the minors of the relations see no number larger than
+    the a_q.  Trivial for m prime: the cyclotomic units already surject
+    onto the residue field units there.
     """
     m = int(m)
     if m >= 2 and isprime(m):
         return FinAbGroup()
     primes = _primes(m)
     r = m // 2 if len(primes) == 3 else m
-    rows, orders, untouched = [], [], []
+    images, orders, untouched = [], [], []
     for q in primes:
         k = m // q
         uq = unit_quotient(q, k)
         beta = pow(q, -1, k)
         reached, rest = _split_off(uq.group.exponent, 2 * m)
-        rows.append([c % reached for c in uq.images(
+        images.append([c % reached for c in uq.images(
             beta % k, (beta * (m // r)) % k)])
         orders.append(reached)
         untouched += [rest] + [uq.group.exponent] * (uq.group.rank - 1)
-    relations = IntMatrix(rows, len(rows), 2).hstack(
-        IntMatrix.diagonal(orders))
-    cokernel = present(len(rows), relations).group
     return FinAbGroup.from_cyclic_factors(
-        cokernel.invariant_factors + tuple(untouched))
+        _cokernel(images, orders) + untouched)
 
 
 #: the one bound whose printed source value cannot be recovered by direct

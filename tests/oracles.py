@@ -39,8 +39,10 @@ The exact cyclotomic numbers and Bernoulli values that the orbit products
 stand for are here too, and the cyclotomic polynomials.  The unit
 cokernel vtilde is recomputed the slow way too: discrete logs in every
 factor field of F_p[zeta_n], the units of F_p[lambda_n] from CRT
-generators, and the conjugation worked out as a matrix; and once more as
-the cokernel of the reduction map into the direct sum of the whole tori.
+generators, and the conjugation worked out as a matrix; once more as
+the cokernel of the reduction map into the direct sum of the whole tori;
+and through a Smith presentation of its relation matrix, as the package
+computed it before it read the invariant factors off the minors.
 The record layer's matrices are built, multiplied, normalised and tested
 for +-id once more cell by cell, as the package did before it went row by
 row, and cyclic factors are normalised by walking each carried gcd to the
@@ -125,6 +127,7 @@ from cycloclass.manifoldset import (
 from cycloclass.record import Record
 from cycloclass.residue import (
     _primes,
+    _split_off,
     c_bound,
     order_mod,
     unit_quotient,
@@ -2165,6 +2168,33 @@ def oracle_vtilde(m):
         return FinAbGroup()
     group, _ = cokernel(oracle_psi_plus_presentation(m))
     return group
+
+
+def vtilde_by_smith(m):
+    """vtilde(m) as ``residue.vtilde`` computed it before it read the
+    cokernel off the minors of the relations: the image columns beside the
+    diagonal of the reached orders, presented through Smith normal form
+    with its transforms, and the untouched factors added."""
+    m = int(m)
+    if m >= 2 and isprime(m):
+        return FinAbGroup()
+    primes = _primes(m)
+    r = _coset_root(m, primes)
+    rows, orders, untouched = [], [], []
+    for q in primes:
+        k = m // q
+        uq = unit_quotient(q, k)
+        beta = pow(q, -1, k)
+        reached, rest = _split_off(uq.group.exponent, 2 * m)
+        rows.append([c % reached for c in uq.images(
+            beta % k, (beta * (m // r)) % k)])
+        orders.append(reached)
+        untouched += [rest] + [uq.group.exponent] * (uq.group.rank - 1)
+    relations = IntMatrix(rows, len(rows), 2).hstack(
+        cellwise_diagonal(orders))
+    cokernel_group = present(len(rows), relations).group
+    return FinAbGroup.from_cyclic_factors(
+        cokernel_group.invariant_factors + tuple(untouched))
 
 
 def vtilde_module(m):

@@ -18,6 +18,7 @@ import io
 import json
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 from cycloclass.arith import modulus
@@ -98,6 +99,33 @@ SWEEP_DIGESTS = {
         "8fa9fc0ed4615a101238a67d580158c712419639516d11a52620b60fecd3bb90",
     "--format json sweep --n 6 --m-min 2 --m-max 2000":
         "f07548807ec4891bf9218f454fc325e68e55e3fedcdfb3bff7781110d06be423",
+}
+
+#: rank-1024 groups, the costliest inputs tried at the rank ceiling of
+#: tate --invariants: 1024 factors 2, 1024 factors 2^64, and the factors
+#: 3 * 2^(k mod 60) for k < 1024
+_RANK_1024 = (",".join(["2"] * 1024), ",".join([str(2 ** 64)] * 1024),
+              ",".join(str(3 * 2 ** (k % 60)) for k in range(1024)))
+
+#: the SHA-256 of the exit code, a newline, the stdout and the stderr of
+#: each command line in turn, the template of the key filled in with each
+#: of its arguments: the unit cokernel and the c bound at every m <= 2000,
+#: refusals included, and the Tate groups, with the default negation, of
+#: the Kervaire-Murthy modules through the level ceiling and of the
+#: rank-1024 groups
+OUTPUT_DIGESTS = {
+    ("vtilde --m {}", range(1, 2001)):
+        "aaddb4a8c6259f7afdc52bcfafe164b8b604baa96711d7b79b1f79c05236b909",
+    ("--format json vtilde --m {}", range(1, 2001)):
+        "d8d51fd9b6a8811e1707e52c4d850bc4f97677bd1d95bcc18072377edf0961cc",
+    ("cbound --m {}", range(1, 2001)):
+        "669929b4502ae27c1619e180302170d39af3bbcb8bf2816097f85318e4499f53",
+    ("--format json cbound --m {}", range(1, 2001)):
+        "9c5ca83e878e7074fc48a90b5da1a46f898f5eee45d538171dc886737fd4aa83",
+    ("tate --km {} --degree {}", tuple(product(range(10), (0, 1)))):
+        "27a876a96c5769d9cade7856d881327d56059cdf2c450ffe306038e70bc61ddf",
+    ("tate --invariants {} --degree {}", tuple(product(_RANK_1024, (0, 1)))):
+        "900dd1302b174b4997a03356cde8bf401b6e6bcb0e792e729468e2ab2434f075",
 }
 
 #: the SHA-256 of the JSON lines of classify(n, m, deep=True) and
@@ -265,6 +293,16 @@ def _deep_digest(key):
                       verify(n, m).to_dict())))
 
 
+def _outputs_digest(key):
+    template, arguments = key
+    parts = []
+    for args in arguments:
+        out, err, code = _output(template.format(
+            *(args if isinstance(args, tuple) else (args,))))
+        parts.append(f"{code}\n{out}{err}")
+    return _sha256("".join(parts))
+
+
 def _cli_cold(query):
     out, _, code = _output(" ".join(json.loads(query)))
     return {"exit": code, "stdout": out}
@@ -288,6 +326,7 @@ GROUPS = {
     "hminus-ceiling": (CEILING_DIGESTS, _hminus_digest),
     "hminus-lines-to-2039": (HMINUS_LINES_TO_2039, _hminus_lines),
     "hminus-shared-parts": (SHARED_DIGESTS, _shared_digest),
+    "command-outputs": (OUTPUT_DIGESTS, _outputs_digest),
 }
 
 #: the groups that take seconds each: h^- near the ceiling and to 2039

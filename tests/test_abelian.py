@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -413,6 +415,25 @@ class TestRowwiseAgainstCellwise:
             assert repr(d) == repr(oracles.cellwise_diagonal(entries))
             assert IntMatrix.diagonal(iter(entries)) == d
 
+    def test_diagonal_at_ranks_to_256(self):
+        # the diagonal is set without the checks of __init__: its record,
+        # hash, repr, pickle round trip and deepcopy are those of the
+        # checked one, with small, negative and above-2^64 entries, at
+        # every rank to 32 and at 2^k - 1 and 2^k to 256
+        rng = random.Random(2207)
+        for n in [*range(33), 63, 64, 127, 128, 255, 256]:
+            entries = [rng.choice((rng.randint(-9, 9),
+                                   -rng.getrandbits(70),
+                                   2 ** 64 + rng.getrandbits(80)))
+                       for _ in range(n)]
+            d = IntMatrix.diagonal(entries)
+            cellwise = oracles.cellwise_diagonal(entries)
+            assert d == cellwise and hash(d) == hash(cellwise)
+            assert repr(d) == repr(cellwise)
+            for copied in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+                assert copied == cellwise and hash(copied) == hash(cellwise)
+                assert repr(copied) == repr(cellwise)
+
     def test_scale_and_products(self):
         rng = random.Random(2202)
         for _ in range(300):
@@ -473,7 +494,7 @@ class TestRowwiseAgainstCellwise:
         groups = [FinAbGroup(), FinAbGroup([2] * 3), FinAbGroup([2 ** 64])]
         groups += [oracles.random_group(rng, 10 ** 6, 5) for _ in range(200)]
         for g in groups:
-            for c in (-1, 0, 1, 2, -7, 10 ** 20):
+            for c in (-1, 0, 1, 2, 3, -7, 10 ** 20):
                 scaled = oracles.cellwise_scale(
                     oracles.cellwise_identity(g.rank), c)
                 cellwise = oracles.cellwise_hom_matrix(g, g, scaled)

@@ -822,11 +822,34 @@ class TestHminus:
     @pytest.mark.parametrize("m", [3, 7, 25, 3 * 49, 4 * 81])
     def test_generator_of_wrong_order_is_an_internal_error(self, m,
                                                            monkeypatch):
-        # a square mod an odd prime power is never a primitive root
+        # a square mod an odd prime power is never a primitive root; the
+        # caches are emptied first, as a prime power is searched once
+        oracles.clear_caches()
         monkeypatch.setattr(classnumber, "_primitive_root",
                             lambda q, p, primes: 4)
         with pytest.raises(InternalConsistencyError, match="order"):
             classnumber._unit_group(m)
+
+    def test_shared_local_factors_equal_the_cold_ones(self):
+        # each prime power is searched once per process and its factor
+        # shared by every m it divides exactly: in increasing and in
+        # shuffled order, the unit group of every normalised m < 5000
+        # equals the one computed from emptied caches, and each prime
+        # power is searched once
+        moduli = [m for m in range(1, 5000) if m % 4 != 2]
+        cold = {}
+        for m in moduli:
+            oracles.clear_caches()
+            cold[m] = classnumber._unit_group(m)
+        prime_powers = {(p, e) for m in moduli
+                        for p, e, _, _ in cold[m]}
+        shuffled = moduli[:]
+        random.Random(4001).shuffle(shuffled)
+        for order in (moduli, shuffled):
+            oracles.clear_caches()
+            assert {m: classnumber._unit_group(m) for m in order} == cold
+            assert classnumber._local_units.cache_info().misses == \
+                len(prime_powers)
 
     def test_generators_are_the_least_primitive_roots(self):
         for p in sympy.primerange(3, 2 * 10 ** 4):

@@ -5,9 +5,11 @@ import pytest
 from sympy import factorint
 
 from cycloclass.abelian import FinAbGroup, cokernel, image
-from cycloclass.arith import UnsupportedModulusError
+from cycloclass.arith import InternalConsistencyError, \
+    UnsupportedModulusError
 from cycloclass.involutive import InvModule
 from cycloclass.residue import (
+    _cokernel,
     c_bound,
     order_mod,
     residue_units,
@@ -27,6 +29,7 @@ from oracles import (
     pgcd,
     pnormal,
     psi_plus_presentation,
+    vtilde_by_smith,
     vtilde_module,
 )
 
@@ -274,6 +277,48 @@ class TestPsiPlusPresentation:
             assert vtilde(m) == group, m
             checked += 1
         assert checked == 268
+
+
+def _vtilde_pairs(ceiling):
+    """(vtilde(m), its Smith presentation) for each m <= ceiling that the
+    unit reduction covers, primes included."""
+    pairs = []
+    for m in range(2, ceiling + 1):
+        try:
+            smith = vtilde_by_smith(m)
+        except UnsupportedModulusError:
+            with pytest.raises(UnsupportedModulusError):
+                vtilde(m)
+            continue
+        pairs.append((vtilde(m), smith))
+    return pairs
+
+
+class TestCokernelFromMinors:
+    """vtilde reads its cokernel off the determinantal divisors of the
+    relations; the Smith presentation it replaced stays as the oracle."""
+
+    def test_smith_presentation_to_3000(self):
+        pairs = _vtilde_pairs(3000)
+        assert len(pairs) == 1548
+        assert all(ours == smith for ours, smith in pairs)
+
+    @pytest.mark.slow
+    def test_smith_presentation_to_20000(self):
+        pairs = _vtilde_pairs(20000)
+        assert all(ours == smith for ours, smith in pairs)
+
+    def test_invariant_factors_of_small_relations(self):
+        # Z^2 modulo the columns (2, 4), (6, 8), (4, 0) and (0, 12): the
+        # gcd of the entries is 2 and of the 2 x 2 minors 8, so the
+        # cokernel is Z/2 x Z/4
+        assert _cokernel([[2, 6], [4, 8]], [4, 12]) == [2, 4]
+        assert _cokernel([[1, 0], [0, 0], [0, 0]], [5, 3, 9]) == [1, 3, 9]
+        assert _cokernel([[0, 0]], [7]) == [7]
+
+    def test_an_infinite_cokernel_is_an_internal_error(self):
+        with pytest.raises(InternalConsistencyError, match="infinite"):
+            _cokernel([[0, 0], [0, 0]], [0, 5])
 
 
 def _element_order(group, element):
