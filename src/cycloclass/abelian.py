@@ -17,7 +17,7 @@ from math import gcd, lcm, prod
 from operator import add, itemgetter, mul, neg
 import itertools
 
-from .record import Record, _rebuild
+from .record import Record
 
 
 class IntMatrix(Record):
@@ -46,14 +46,11 @@ class IntMatrix(Record):
 
     @classmethod
     def diagonal(cls, entries):
-        # row i is the zero row with entry i put in: slices, not cells.
-        # The rows are built of ints and sized here, so the record is set
-        # without the checks of __init__
-        entries = tuple(map(int, entries))
-        n = len(entries)
-        zeros = (0,) * n
-        return _rebuild(cls, (tuple(zeros[:i] + (e,) + zeros[i + 1:]
-                                    for i, e in enumerate(entries)), n, n))
+        # row i is the zero row with entry i put in: slices, not cells
+        entries = tuple(entries)
+        zeros = (0,) * len(entries)
+        return cls(zeros[:i] + (e,) + zeros[i + 1:]
+                   for i, e in enumerate(entries))
 
     @classmethod
     def from_columns(cls, columns, rows=None):
@@ -345,13 +342,8 @@ class AbHom(Record):
 
     @classmethod
     def scalar(cls, group, c):
-        """Multiplication by c on ``group``: c mod d_i on the diagonal.
-
-        That matrix is normalised and respects every generator order, so
-        the record is set without the checks of ``__init__``.
-        """
-        return _rebuild(cls, (group, group, IntMatrix.diagonal(
-            c % d for d in group.invariant_factors)))
+        """Multiplication by c on ``group``: c mod d_i on the diagonal."""
+        return cls(group, group, IntMatrix.diagonal([c] * group.rank))
 
     def __call__(self, element):
         return self.target.reduce(self.matrix @ tuple(element))

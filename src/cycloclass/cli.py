@@ -61,15 +61,15 @@ from .residue import c_bound, vtilde
 SCHEMA_VERSION = 2
 CACHE_ENV_VAR = "CYCLOCLASS_CACHE"
 
-#: the most invariant factors tate --invariants admits.  The involution is
-#: an r x r matrix.  With the default negation, time and memory grow as
-#: r^2: the costliest rank-1024 inputs tried (1024 factors 2, 2^64, or
-#: 3 * 2^(k mod 60)) answer in 0.09-0.18 s cold with a peak RSS of 23 MB.
-#: With an explicit --involution, snf makes the time about cubic: the pair
-#: swap on (Z/2)^r takes 0.60-0.80 s cold at r = 200, and 1.40-1.51 s at
-#: r = 250, the largest such matrix that fits in one 128 KB argument.  All
-#: on a 2-core x86-64 host (Python 3.11).  A larger rank is refused once
-#: the factors are normalised, before any matrix is built.
+#: the most invariant factors tate --invariants admits.  The default
+#: negation is the sign -1, no matrix: the costliest rank-1024 inputs tried
+#: (1024 factors 2, 2^64, or 3 * 2^(k mod 60)) answer in 0.08-0.26 s cold.
+#: An explicit --involution is an r x r matrix, and snf makes its time
+#: about cubic: the pair swap on (Z/2)^r takes 0.83-0.86 s cold at r = 200
+#: and 1.36-1.48 s at r = 250, the largest such matrix that fits in one
+#: 128 KB argument; the value stays, so no input changes its exit code.
+#: All on a 2-core x86-64 host (Python 3.11).  A larger rank is refused
+#: once the factors are normalised, before any matrix is built.
 TATE_RANK_CEILING = 1024
 
 
@@ -363,7 +363,7 @@ def _tate_module(args):
             f"the invariants normalise to {group.rank} factors; ranks above "
             f"{TATE_RANK_CEILING} are not built")
     if args.involution is None:
-        return InvModule.with_negation(group)
+        return InvModule(group, -1)
     rows = [[int(v) for v in row.split(",")]
             for row in args.involution.split(";")]
     return InvModule(group, AbHom(group, group, IntMatrix(rows)))

@@ -3,12 +3,12 @@
 An involutive module packages a finite abelian group with a homomorphic
 involution x -> xbar.  Its Tate group in the parity of s = +-1 is
 ker(xbar - s*x) / im(xbar + s*x), both read off the one map xbar - t*x at
-t = s and t = -s.  When the involution is +1 or -1 times the identity the
-Tate group is the 2-torsion of the group, read off the invariant factors;
-every other involution goes through Smith normal form on augmented
-relation matrices.  The eigen-subgroups {x : xbar = s*x} and norm-image
-subgroups {x + s*xbar} themselves, and element enumeration, are test
-oracles.
+t = s and t = -s.  An involution +1 or -1 times the identity is held as
+that sign, and its Tate group is the 2-torsion of the group, read off the
+invariant factors; every other involution is a matrix and goes through
+Smith normal form on augmented relation matrices.  The eigen-subgroups
+{x : xbar = s*x} and norm-image subgroups {x + s*xbar} themselves, and
+element enumeration, are test oracles.
 """
 
 from __future__ import annotations
@@ -37,30 +37,39 @@ def _scalar_sign(group, involution):
 class InvModule(Record):
     """A finite abelian group with a homomorphic involution.
 
-    The involution is validated eagerly: it must be a self-map squaring to
-    the identity (hence an automorphism).  A scalar involution +-id squares
-    to the identity by itself, so only other involutions are squared.
+    The involution is an ``AbHom`` or the int s = +-1, which stands for
+    s * id.  Both forms give one record: a matrix equal to +-id is stored
+    as its sign, and on a group of exponent at most 2, where -id == id,
+    the sign is 1.  A matrix is validated eagerly: it must be a self-map
+    squaring to the identity (hence an automorphism).
     """
 
     __slots__ = ("group", "involution")
 
     def __init__(self, group, involution):
-        if involution.source != group or involution.target != group:
+        if isinstance(involution, int):
+            if involution not in (1, -1):
+                raise ValueError("a scalar involution is 1 or -1")
+            involution = 1 if group.exponent <= 2 else involution
+        elif involution.source != group or involution.target != group:
             raise ValueError("involution must be an endomorphism of the group")
-        if _scalar_sign(group, involution) is None and \
-                not (involution @ involution).is_identity():
-            raise ValueError("involution squared is not the identity")
+        else:
+            # _scalar_sign answers 1 on a group of exponent at most 2 too
+            sign = _scalar_sign(group, involution)
+            if sign is None and not (involution @ involution).is_identity():
+                raise ValueError("involution squared is not the identity")
+            involution = involution if sign is None else sign
         super().__init__(group, involution)
 
-    @classmethod
-    def with_negation(cls, group):
-        return cls(group, AbHom.scalar(group, -1))
-
     def conjugate(self, element):
+        if isinstance(self.involution, int):
+            return self.group.reduce([self.involution * x for x in element])
         return self.involution(element)
 
     def __repr__(self):
-        return f"InvModule({self.group!r}, {self.involution.matrix!r})"
+        inv = self.involution
+        return (f"InvModule({self.group!r}, "
+                f"{inv if isinstance(inv, int) else inv.matrix!r})")
 
 
 def _shifted_map(module, t):
@@ -80,11 +89,11 @@ def tate(module, n):
     of (involution + s).
 
     >>> from cycloclass.abelian import FinAbGroup
-    >>> m = InvModule.with_negation(FinAbGroup([3, 12, 24]))
+    >>> m = InvModule(FinAbGroup([3, 12, 24]), -1)
     >>> tate(m, 0), tate(m, 1)
     (FinAbGroup([2, 2]), FinAbGroup([2, 2]))
     """
-    if _scalar_sign(module.group, module.involution) is not None:
+    if isinstance(module.involution, int):
         return module.group.two_torsion()
     s = 1 if n % 2 == 0 else -1
     quotient, _ = subquotient(module.group,

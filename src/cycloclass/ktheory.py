@@ -44,12 +44,11 @@ def nk1_vanishes(m):
 
 
 #: the highest level km_v_module builds.  The module has r = 2^(N-2) - 1
-#: generators and its involution is a dense r x r matrix, four times larger
-#: at each level: building the module and its Tate group takes about
-#: 0.0006 s at N = 9, 0.002 s at N = 10 and 0.007 s at N = 11 in-process,
-#: and `cycloclass tate --km 9 --degree 1` answers in 0.09-0.11 s cold,
-#: nearly all of it interpreter start-up, on a 2-core x86-64 host (Python
-#: 3.11).  The value stays 9, so no level changes its exit code.
+#: generators and the sign -1 as its involution, so no matrix is built:
+#: it and its Tate group take 0.07-0.09 ms at N = 9 in process, doubling
+#: with each level, and `cycloclass tate --km 9 --degree 1` answers in
+#: 0.08-0.12 s cold, nearly all of it start-up, on a 2-core x86-64 host
+#: (Python 3.11).  The value stays 9, so no level changes its exit code.
 KM_LEVEL_CEILING = 9
 
 
@@ -69,7 +68,7 @@ def km_v_module(n):
     factors = []
     for i in range(1, n - 1):
         factors.extend([2 ** i] * (2 ** (n - i - 2)))
-    return InvModule.with_negation(FinAbGroup.from_cyclic_factors(factors))
+    return InvModule(FinAbGroup.from_cyclic_factors(factors), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,8 @@ arguments: the unit counts and group of ``ResidueRingUnits`` and
 same effect, since the arguments determine them.  Classes with a printed
 form of their own override ``__repr__``.  ``copy``, ``deepcopy`` and
 ``pickle`` rebuild a record from its field tuple, as assignment would be
-refused; ``abelian.AbHom.scalar`` sets up a homomorphism the same way, as
-its matrix needs none of the checks of ``AbHom.__init__``, and so does
-``abelian.IntMatrix.diagonal`` its matrix, whose rows it builds of ints.
-``arith.Modulus``, built for every modulus factored, calls the slot
-setters of ``_setters`` itself, in slot order, one per field.
+refused.  ``arith.Modulus``, built for every modulus factored, calls the
+slot setters of ``_setters`` itself, in slot order, one per field.
 """
 
 from operator import attrgetter

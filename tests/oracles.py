@@ -340,13 +340,20 @@ def with_trivial(group):
 
 def signed_module(group, sign):
     """``group`` with the involution sign * id."""
-    return InvModule(group, AbHom.scalar(group, sign))
+    return InvModule(group, sign)
+
+
+def involution_map(module):
+    """The involution of ``module`` as a homomorphism: a sign s stands
+    for s * id, built here as that matrix."""
+    inv = module.involution
+    return AbHom.scalar(module.group, inv) if isinstance(inv, int) else inv
 
 
 def eigen_set(module, sign):
     """The subgroup {x : xbar = sign * x}, with its inclusion: the kernel of
     (involution - sign * id)."""
-    return kernel(module.involution - AbHom.scalar(module.group, sign))
+    return kernel(involution_map(module) - AbHom.scalar(module.group, sign))
 
 
 def norm_image_set(module, sign):
@@ -355,7 +362,7 @@ def norm_image_set(module, sign):
     As x + sign * xbar = sign * (xbar + sign * x) and sign is a unit, this
     is the image of (involution + sign * id).
     """
-    return image(module.involution + AbHom.scalar(module.group, sign))
+    return image(involution_map(module) + AbHom.scalar(module.group, sign))
 
 
 def oracle_tate(module, n):
@@ -366,7 +373,7 @@ def oracle_tate(module, n):
     g = module.group
     norm = AbHom(g, g, IntMatrix(
         [[int(i == j) + sign * x for j, x in enumerate(row)]
-         for i, row in enumerate(module.involution.matrix.data)],
+         for i, row in enumerate(involution_map(module).matrix.data)],
         g.rank, g.rank))
     eigen, incl = eigen_set(module, sign)
     into_eigen = factor_through(norm, incl)
@@ -609,7 +616,7 @@ def primary_part(group, p):
 def primary_part_module(module, p):
     """The p-primary component with the restricted involution."""
     part, incl = primary_part(module.group, p)
-    restricted = factor_through(module.involution @ incl, incl)
+    restricted = factor_through(involution_map(module) @ incl, incl)
     return InvModule(part, restricted)
 
 
@@ -637,8 +644,8 @@ def direct_sum(groups):
 def module_sum(m1, m2):
     """Direct sum of involutive modules, with block-diagonal involution."""
     total, (i1, i2), (p1, p2) = direct_sum([m1.group, m2.group])
-    t1 = i1 @ m1.involution @ p1
-    t2 = i2 @ m2.involution @ p2
+    t1 = i1 @ involution_map(m1) @ p1
+    t2 = i2 @ involution_map(m2) @ p2
     return InvModule(total, t1 + t2)
 
 
@@ -650,7 +657,8 @@ def swap_square(module):
     with the norm-image set, so all Tate groups of the square vanish.
     """
     total, (i1, i2), (p1, p2) = direct_sum([module.group, module.group])
-    t = (i1 @ module.involution @ p2) + (i2 @ module.involution @ p1)
+    inv = involution_map(module)
+    t = (i1 @ inv @ p2) + (i2 @ inv @ p1)
     return InvModule(total, t)
 
 
@@ -2200,7 +2208,7 @@ def vtilde_by_smith(m):
 def vtilde_module(m):
     """vtilde(m) as an involutive module: conjugation inverts the norm-one
     tori, so the involution is negation."""
-    return InvModule.with_negation(vtilde(m))
+    return InvModule(vtilde(m), -1)
 
 
 @lru_cache(maxsize=None)
@@ -2279,7 +2287,7 @@ def iterated_k0_module(m, compute):
     if d_fact.group.order != 1 or \
             any(part.status != "exact" for part in parts):
         return None
-    modules = [InvModule.with_negation(part.group)
+    modules = [InvModule(part.group, -1)
                for _, part in sorted(data.class_parts.items())]
     total = modules[0] if modules else with_trivial(FinAbGroup())
     for extra in modules[1:]:
@@ -2303,7 +2311,7 @@ def eager_a_m(m, compute):
             "odd class number; Tate group of the stored kernel group")
     if d_parity and all(part.status == "exact" for part in parts.values()):
         pieces = [d for _, part in sorted(parts.items())
-                  for d in oracle_tate(InvModule.with_negation(part.group),
+                  for d in oracle_tate(InvModule(part.group, -1),
                                        1).invariant_factors]
         return Knowledge.exact(
             FinAbGroup.from_cyclic_factors(pieces),

@@ -416,10 +416,10 @@ class TestRowwiseAgainstCellwise:
             assert IntMatrix.diagonal(iter(entries)) == d
 
     def test_diagonal_at_ranks_to_256(self):
-        # the diagonal is set without the checks of __init__: its record,
-        # hash, repr, pickle round trip and deepcopy are those of the
-        # checked one, with small, negative and above-2^64 entries, at
-        # every rank to 32 and at 2^k - 1 and 2^k to 256
+        # the diagonal built of slices: its record, hash, repr, pickle
+        # round trip and deepcopy are those of the cell-by-cell one, with
+        # small, negative and above-2^64 entries, at every rank to 32 and
+        # at 2^k - 1 and 2^k to 256
         rng = random.Random(2207)
         for n in [*range(33), 63, 64, 127, 128, 255, 256]:
             entries = [rng.choice((rng.randint(-9, 9),
@@ -488,8 +488,9 @@ class TestRowwiseAgainstCellwise:
                             "matrix does not respect generator orders"}
 
     def test_scalar_homs_are_the_checked_ones(self):
-        # AbHom.scalar skips the checks: its record is the one the checks
-        # give, and its matrix the one the per-cell normalisation gives
+        # AbHom.scalar normalises c mod d_i through the checked
+        # constructor: its matrix is the one the per-cell normalisation
+        # gives
         rng = random.Random(2206)
         groups = [FinAbGroup(), FinAbGroup([2] * 3), FinAbGroup([2 ** 64])]
         groups += [oracles.random_group(rng, 10 ** 6, 5) for _ in range(200)]

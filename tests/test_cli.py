@@ -255,7 +255,7 @@ class TestExitCodes:
             raise AssertionError("a matrix was built")
 
         monkeypatch.setattr(cycloclass.cli, "IntMatrix", refuse)
-        monkeypatch.setattr(cycloclass.cli.InvModule, "with_negation", refuse)
+        monkeypatch.setattr(cycloclass.cli, "InvModule", refuse)
         argv = ["tate", "--invariants", "2," * (TATE_RANK_CEILING + 1),
                 "--degree", "0"]
         if involution is not None:

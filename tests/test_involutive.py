@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cycloclass import abelian
+from cycloclass import abelian, cli
 from cycloclass.abelian import AbHom, FinAbGroup, IntMatrix
 from cycloclass.involutive import InvModule, _scalar_sign, tate
 from cycloclass.ktheory import km_v_module
@@ -51,7 +51,7 @@ class TestEigenSet:
         assert sub == FinAbGroup([2, 2, 2])
 
     def test_negation_on_z4(self):
-        m = InvModule.with_negation(FinAbGroup([4]))
+        m = InvModule(FinAbGroup([4]), -1)
         sub, _ = eigen_set(m, -1)
         assert sub == FinAbGroup([4])
 
@@ -64,12 +64,12 @@ class TestEigenSet:
 class TestNormImageSet:
     def test_two_torsion_of_class_group_shape(self):
         g = FinAbGroup.from_cyclic_factors([2, 2, 4, 4])
-        m = InvModule.with_negation(g)
+        m = InvModule(g, -1)
         sub, _ = norm_image_set(m, -1)
         assert sub == FinAbGroup([2, 2])
 
     def test_negation_on_z4(self):
-        m = InvModule.with_negation(FinAbGroup([4]))
+        m = InvModule(FinAbGroup([4]), -1)
         sub, _ = norm_image_set(m, -1)
         assert sub == FinAbGroup([2])
 
@@ -103,7 +103,7 @@ class TestTate:
 
     def test_coprime_order_vanishes(self):
         g = FinAbGroup([15])
-        for inv in (with_trivial(g), InvModule.with_negation(g)):
+        for inv in (with_trivial(g), InvModule(g, -1)):
             for n in (0, 1, 2, 3):
                 assert tate(inv, n).is_trivial()
 
@@ -203,16 +203,31 @@ def snf_calls(monkeypatch):
     return calls
 
 
+def stored_sign(group, sign):
+    """The sign an involution sign * id of ``group`` is stored as: -id is
+    id on a group of exponent at most 2."""
+    return sign if group.exponent > 2 else 1
+
+
 class TestScalarInvolution:
-    """The closed form for involutions +-id against the three-step oracle:
-    (Z/2)^k in both degrees, k the number of even invariant factors."""
+    """The closed form for involutions +-id, held as their sign, against
+    the three-step oracle on the matrix s * id: (Z/2)^k in both degrees, k
+    the number of even invariant factors."""
 
     def test_random_signed_modules(self):
         rng = random.Random(7071)
         for _ in range(1000):
             g = oracles.random_group(rng, max_order=4096)
+            sign = rng.choice([1, -1])
+            m = signed_module(g, sign)
+            assert m.involution == stored_sign(g, sign)
+            for n in (0, 1):
+                assert tate(m, n) == oracles.oracle_tate(m, n)
+        # ranks up to 64, where the oracle's matrices are 64 x 128
+        rng = random.Random(7074)
+        for _ in range(12):
+            g = oracles.random_group(rng, max_order=16 ** 64, max_rank=64)
             m = signed_module(g, rng.choice([1, -1]))
-            assert _scalar_sign(g, m.involution) is not None
             for n in (0, 1):
                 assert tate(m, n) == oracles.oracle_tate(m, n)
 
@@ -234,7 +249,7 @@ class TestScalarInvolution:
             s = module_sum(
                 signed_module(oracles.random_group(rng, 256, 3), sign),
                 signed_module(oracles.random_group(rng, 256, 3), sign))
-            assert _scalar_sign(s.group, s.involution) is not None
+            assert s.involution == stored_sign(s.group, sign)
             for n in (0, 1):
                 assert tate(s, n) == oracles.oracle_tate(s, n)
 
@@ -244,17 +259,39 @@ class TestScalarInvolution:
             assert tate(m, n) == FinAbGroup([2] * 127)
         assert snf_calls == []
 
+    def test_sign_path_builds_no_matrix(self, monkeypatch, capsys):
+        # a rank-1024 negation from the command line and the top of the
+        # ladder answer from the invariant factors, building no matrix
+        def refuse(*args):
+            raise AssertionError("a matrix was built")
+
+        for cls, name in ((IntMatrix, "__init__"), (IntMatrix, "diagonal"),
+                          (AbHom, "scalar")):
+            monkeypatch.setattr(cls, name, refuse)
+        monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+        assert cli.run(["tate", "--invariants", ",".join(["2"] * 1024),
+                        "--degree", "1"]) == 0
+        assert capsys.readouterr() == (" x ".join(["Z/2"] * 1024) + "\n", "")
+        assert tate(km_v_module(9), 1) == FinAbGroup([2] * 127)
+
     def test_z2_signs_coincide(self):
         g = FinAbGroup([2])
-        m = InvModule.with_negation(g)
+        m = InvModule(g, -1)
         assert m == with_trivial(g)
-        assert _scalar_sign(g, m.involution) == 1
+        assert m.involution == 1
         for n in (0, 1):
             assert tate(m, n) == oracles.oracle_tate(m, n) == g
+        for k in range(7):
+            g = FinAbGroup([2] * k)
+            m = InvModule(g, -1)
+            assert m == InvModule(g, 1) and hash(m) == hash(InvModule(g, 1))
+        for bad in (0, 2, -2, 3):
+            with pytest.raises(ValueError):
+                InvModule(g, bad)
 
     def test_trivial_group(self):
-        m = InvModule.with_negation(FinAbGroup())
-        assert _scalar_sign(m.group, m.involution) is not None
+        m = InvModule(FinAbGroup(), -1)
+        assert m.involution == 1
         for n in (0, 1):
             assert tate(m, n) == oracles.oracle_tate(m, n) == FinAbGroup()
 
@@ -273,7 +310,7 @@ class TestScalarInvolution:
             elif kind == "involution":
                 f = oracles.random_involution(rng, g)
             else:
-                f = signed_module(g, rng.choice([1, -1])).involution
+                f = AbHom.scalar(g, rng.choice([1, -1]))
                 if kind == "near" and g.rank:
                     rows = [list(r) for r in f.matrix.data]
                     # d_i divides d_j, so any entry respects the orders
@@ -293,17 +330,23 @@ class TestScalarInvolution:
         groups = [FinAbGroup(), FinAbGroup([2] * 4),
                   *(km_v_module(n).group for n in range(3, 10)),
                   *(oracles.random_group(rng, 10 ** 6, 5) for _ in range(200))]
+        groups += [FinAbGroup([2] * k) for k in (1, 2, 7)]
         for g in groups:
-            m = InvModule.with_negation(g)
+            m = InvModule(g, -1)
             scaled = InvModule(g, AbHom(g, g, oracles.cellwise_scale(
                 oracles.cellwise_identity(g.rank), -1)))
             assert m == scaled and hash(m) == hash(scaled)
             assert repr(m) == repr(scaled)
+            for sign in (1, -1):
+                by_matrix = InvModule(g, AbHom.scalar(g, sign))
+                by_sign = InvModule(g, sign)
+                assert by_matrix == by_sign
+                assert hash(by_matrix) == hash(by_sign)
 
     def test_non_scalar_takes_the_subquotient(self, snf_calls):
         g = FinAbGroup([4, 4])
         m = InvModule(g, AbHom(g, g, IntMatrix.diagonal([1, -1])))
-        assert _scalar_sign(g, m.involution) is None
+        assert isinstance(m.involution, AbHom)
         for n in (0, 1):
             snf_calls.clear()
             assert tate(m, n) == FinAbGroup([2, 2])
@@ -318,12 +361,12 @@ class TestDirectSum:
 
     def test_tate_additive(self):
         a = with_trivial(FinAbGroup([2]))
-        b = InvModule.with_negation(FinAbGroup([4]))
+        b = InvModule(FinAbGroup([4]), -1)
         s = module_sum(a, b)
         assert tate(s, 1) == FinAbGroup([2, 2])
 
     def test_sum_with_trivial_is_same(self):
-        m = InvModule.with_negation(FinAbGroup([8]))
+        m = InvModule(FinAbGroup([8]), -1)
         s = module_sum(m, with_trivial(FinAbGroup()))
         assert s.group == m.group
         assert tate(s, 0) == tate(m, 0)

@@ -6,7 +6,7 @@ import pytest
 from cycloclass.abelian import FinAbGroup
 from cycloclass.arith import UnsupportedModulusError, divisors
 from cycloclass.classnumber import h_is_odd
-from cycloclass.involutive import _scalar_sign, tate
+from cycloclass.involutive import tate
 from cycloclass.ktheory import (
     KM_LEVEL_CEILING,
     ScopeError,
@@ -320,8 +320,8 @@ class TestK0Description:
                     continue
                 group, sign, _ = pinned
                 assert module == oracles.signed_module(group, sign), m
-                assert _scalar_sign(module.group,
-                                    module.involution) is not None, m
+                assert module.involution == \
+                    (sign if group.exponent > 2 else 1), m
                 exact += 1
                 nontrivial += not group.is_trivial()
         assert (exact, nontrivial) == (28, 6)

@@ -14,7 +14,10 @@ Dunder methods are called by the language and are exempt, and so is
 Every name has one home: a module imports it from the module that defines
 it, never through another module that imports it in turn.
 
-Immutability has one mechanism: only ``record.Record`` refuses assignment.
+Immutability has one mechanism: only ``record.Record`` refuses assignment,
+and only ``record`` names ``_rebuild``, which sets a record past its
+class's ``__init__``; every other record goes through its checked
+constructor.
 
 Every pinned digest has one home, ``tests/pins.py``: no CI step holds one
 and no test file a copy, and the corpus runs on the standard library
@@ -114,6 +117,14 @@ def test_only_record_refuses_assignment():
               if isinstance(method, ast.FunctionDef)
               and method.name in ("__setattr__", "__delattr__")]
     assert guards == ["record.Record.__setattr__", "record.Record.__delattr__"]
+
+
+def test_only_record_names_its_rebuild():
+    # copy, deepcopy and pickle rebuild a record from fields it already
+    # checked; no constructor of the package skips its checks that way
+    naming = [path.stem for path in sorted(SRC.glob("*.py"))
+              if re.search(r"\b_rebuild\b", path.read_text())]
+    assert naming == ["record"]
 
 
 #: every lru_cache in the package, each with the reuse it serves

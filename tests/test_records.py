@@ -40,7 +40,7 @@ RECORDS = [
     FinAbGroup([2, 4]),
     AbHom(FinAbGroup([4]), FinAbGroup([2]), IntMatrix([[1]])),
     present(2, IntMatrix([[2, 0], [0, 3]])),
-    InvModule.with_negation(FinAbGroup([4, 12])),
+    InvModule(FinAbGroup([4, 12]), -1),
     residue_units(7, 3),
     unit_quotient(7, 3),
     Knowledge.bound(5, "odd part"),
@@ -135,8 +135,8 @@ def test_own_reprs_are_unchanged():
     assert repr(IntMatrix.zero(2, 0)) == "IntMatrix([[], []])"
     assert repr(AbHom(FinAbGroup([4]), FinAbGroup([2]), IntMatrix([[1]]))) \
         == "AbHom(FinAbGroup([4]) -> FinAbGroup([2]), IntMatrix([[1]]))"
-    assert repr(InvModule.with_negation(FinAbGroup([4, 12]))) == (
-        "InvModule(FinAbGroup([4, 12]), IntMatrix([[3, 0], [0, 11]]))")
+    assert repr(InvModule(FinAbGroup([4, 12]), -1)) == \
+        "InvModule(FinAbGroup([4, 12]), -1)"
     assert repr(residue_units(7, 3)) == \
         "ResidueRingUnits(p=7, n=3, f=1, factors=2)"
     assert repr(unit_quotient(7, 3)) == "UnitQuotient(p=7, n=3, group=Z/6)"

@@ -367,7 +367,7 @@ class TestVtilde:
                 continue
             assert vtilde(m) == oracle_vtilde(m), m
             assert oracle_vtilde_module(m) == \
-                InvModule.with_negation(vtilde(m)), m
+                InvModule(vtilde(m), -1), m
             checked += 1
         assert checked == 35
 
