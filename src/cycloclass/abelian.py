@@ -3,12 +3,13 @@
 Everything in this module is exact.  Matrices carry arbitrary-precision
 integer entries, groups are normalised to invariant-factor form the moment
 they are constructed, and every structural computation reduces to Smith
-normal form and its row transform: kernels, images and generated
-subgroups are instances of one subquotient <top> / <bottom>
-(``subquotient``), cokernels present the target modulo the image
-(``present``), and a kernel lattice is read off the row transform of the
-transpose (``kernel_basis``).  All values are immutable after
-construction and safe to share between threads.
+normal form and its row transform: cokernels present the target modulo
+the image (``present``), a generated subgroup is the lattice of its
+generators and the relations, presented modulo the relations
+(``subgroup_generated``), and kernels and images are generated subgroups,
+a kernel lattice read off the row transform of the transpose
+(``kernel_basis``).  All values are immutable after construction and safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -247,13 +248,14 @@ class FinAbGroup(Record):
         multiple of the top just extends the chain.  A carried gcd that
         divides chain[i] and is divisible by chain[i - 1] would only shift
         the chain below it up one place, so it is inserted at i at once.
+        The factors are merged in increasing order, where a carried gcd
+        meets few factors it does not divide.
 
         >>> FinAbGroup.from_cyclic_factors([2, 3]) == FinAbGroup([6])
         True
         """
         chain = []
-        for d in factors:
-            d = int(d)
+        for d in sorted(map(int, factors)):
             if d < 1:
                 raise ValueError("cyclic factors must be positive")
             if d == 1:
@@ -396,37 +398,6 @@ def present(n_ambient, relation_columns):
     return Presentation(group, pi, lift)
 
 
-def subquotient(group, top, bottom):
-    """The subquotient <top> / <bottom> of ``group``: (quotient, lift).
-
-    ``top`` and ``bottom`` hold generators as columns in the coordinates of
-    ``group``; column j of ``lift`` is a representative in <top> of the
-    j-th generator of the quotient.  With D the relations of ``group``, one
-    Smith normal form u @ [top | D] @ v == s gives the basis u_inv[:, i] *
-    s_i of the lattice over <top>.  In that basis the lattice over <bottom>
-    is u @ [bottom | D] with row i divided by s_i; a remainder means that
-    <bottom> is not contained in <top>, and raises ValueError.
-
-    >>> g = FinAbGroup([4, 4])
-    >>> subquotient(g, IntMatrix([[1, 0], [1, 2]]), IntMatrix([[2], [2]]))
-    (FinAbGroup([2, 2]), IntMatrix([[1, 0], [1, 2]]))
-    """
-    n = group.rank
-    rel = IntMatrix.diagonal(group.invariant_factors)
-    scales, u, u_inv = snf(top.hstack(rel))
-    coords = []
-    for d, row in zip(scales, (u @ bottom.hstack(rel)).data):
-        if any(x % d for x in row):
-            raise ValueError("the bottom subgroup is not inside the top one")
-        coords.append([x // d for x in row])
-    pres = present(n, IntMatrix(coords, n, bottom.cols + n))
-    basis = IntMatrix([[x * d for x, d in zip(r, scales)] for r in u_inv.data],
-                      n, n)
-    lift = basis @ pres.lift
-    return pres.group, IntMatrix.from_columns(
-        [group.reduce(c) for c in lift.columns()], rows=n)
-
-
 def cokernel(f):
     """Cokernel of a homomorphism: (group, projection from f.target)."""
     rel = f.matrix.hstack(IntMatrix.diagonal(f.target.invariant_factors))
@@ -434,26 +405,32 @@ def cokernel(f):
     return pres.group, AbHom(f.target, pres.group, pres.pi)
 
 
-def kernel_lattice(f):
-    """Columns spanning the lattice of source coordinates that f sends to 0."""
+def kernel(f):
+    """Kernel of a homomorphism: (group, inclusion into f.source)."""
     r = f.source.rank
     basis = kernel_basis(
         f.matrix.hstack(IntMatrix.diagonal(f.target.invariant_factors)))
-    return IntMatrix(basis.data[:r], r, basis.cols)
-
-
-def kernel(f):
-    """Kernel of a homomorphism: (group, inclusion into f.source)."""
-    return subgroup_generated(f.source, kernel_lattice(f))
+    return subgroup_generated(f.source,
+                              IntMatrix(basis.data[:r], r, basis.cols))
 
 
 def subgroup_generated(group, columns):
     """Subgroup of ``group`` generated by the given ambient columns.
 
-    Returns (subgroup, inclusion).
+    Returns (subgroup, inclusion).  With D the relations of ``group``, u @
+    [columns | D] @ v == s gives the basis u_inv[:, i] * s_i of the lattice
+    L of the columns and D, and L / D is presented by u @ D / s.
     """
-    sub, lift = subquotient(group, columns, IntMatrix.zero(group.rank, 0))
-    return sub, AbHom(sub, group, lift)
+    n = group.rank
+    factors = group.invariant_factors
+    scales, u, u_inv = snf(columns.hstack(IntMatrix.diagonal(factors)))
+    pres = present(n, IntMatrix([[x * d // s for x, d in zip(row, factors)]
+                                 for s, row in zip(scales, u.data)], n, n))
+    basis = IntMatrix([[x * s for x, s in zip(r, scales)] for r in u_inv.data],
+                      n, n)
+    lift = basis @ pres.lift
+    return pres.group, AbHom(pres.group, group, IntMatrix.from_columns(
+        [group.reduce(c) for c in lift.columns()], rows=n))
 
 
 def image(f):

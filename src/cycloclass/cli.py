@@ -64,10 +64,11 @@ CACHE_ENV_VAR = "CYCLOCLASS_CACHE"
 #: the most invariant factors tate --invariants admits.  The default
 #: negation is the sign -1, no matrix: the costliest rank-1024 inputs tried
 #: (1024 factors 2, 2^64, or 3 * 2^(k mod 60)) answer in 0.08-0.26 s cold.
-#: An explicit --involution is an r x r matrix, and snf makes its time
-#: about cubic: the pair swap on (Z/2)^r takes 0.83-0.86 s cold at r = 200
-#: and 1.36-1.48 s at r = 250, the largest such matrix that fits in one
-#: 128 KB argument; the value stays, so no input changes its exit code.
+#: An explicit --involution is an r x r matrix, and the two r x 2r Smith
+#: normal forms of tate make its time about cubic: the pair swap on
+#: (Z/2)^r takes 0.55-0.66 s cold at r = 200 and 0.95-1.33 s at r = 250,
+#: the largest such matrix that fits in one 128 KB argument; the value
+#: stays, so no input changes its exit code.
 #: All on a 2-core x86-64 host (Python 3.11).  A larger rank is refused
 #: once the factors are normalised, before any matrix is built.
 TATE_RANK_CEILING = 1024

@@ -1,19 +1,21 @@
 """Finite abelian groups with involution and their C2 Tate cohomology.
 
-An involutive module packages a finite abelian group with a homomorphic
-involution x -> xbar.  Its Tate group in the parity of s = +-1 is
-ker(xbar - s*x) / im(xbar + s*x), both read off the one map xbar - t*x at
-t = s and t = -s.  An involution +1 or -1 times the identity is held as
-that sign, and its Tate group is the 2-torsion of the group, read off the
-invariant factors; every other involution is a matrix and goes through
-Smith normal form on augmented relation matrices.  The eigen-subgroups
-{x : xbar = s*x} and norm-image subgroups {x + s*xbar} themselves, and
-element enumeration, are test oracles.
+An involutive module packages a finite abelian group G with a homomorphic
+involution x -> xbar.  Its Tate group ker(xbar - s*x) / im(xbar + s*x),
+s = +-1, is killed by 2 (x + s*xbar = 2x on the kernel) and has Herbrand
+quotient 1 (Serre, Local Fields, VIII 4), so it is (Z/2)^k whatever the
+degree, 2^k = |coker(xbar - x)| |coker(xbar + x)| / |G|.  An involution
++1 or -1 times the identity is held as that sign, and k is the number of
+even invariant factors.  The eigen-subgroups, norm images, their
+subquotient and element enumeration are test oracles.
 """
 
 from __future__ import annotations
 
-from .abelian import AbHom, kernel_lattice, subquotient
+from math import prod
+
+from .abelian import AbHom, FinAbGroup, cokernel
+from .arith import InternalConsistencyError
 from .record import Record
 
 
@@ -80,23 +82,21 @@ def _shifted_map(module, t):
 def tate(module, n):
     """Tate cohomology of C2 acting through the involution, in degree n.
 
-    With s = (-1)^n the result is ker(involution - s) / im(involution + s),
-    the eigen-subgroup of s over the norm image x + s * xbar, and depends
-    only on n mod 2.  For an involution +-id it is G/2G or the 2-torsion of
-    G, so (Z/2)^k in both degrees, k the number of even invariant factors
-    (``FinAbGroup.two_torsion``).  Any other involution takes one
-    subquotient of the kernel lattice of (involution - s) by the columns
-    of (involution + s).
+    With s = (-1)^n it is ker(involution - s) / im(involution + s), killed
+    by 2 and of Herbrand quotient 1 (Serre, Local Fields, VIII 4), so it is
+    (Z/2)^k whatever n is: 2^k = |coker(xbar - x)| |coker(xbar + x)| / |G|,
+    as |ker f| = |coker f| for an endomorphism f of G.  For an involution
+    +-id, k is the number of even invariant factors of G.
 
-    >>> from cycloclass.abelian import FinAbGroup
     >>> m = InvModule(FinAbGroup([3, 12, 24]), -1)
     >>> tate(m, 0), tate(m, 1)
     (FinAbGroup([2, 2]), FinAbGroup([2, 2]))
     """
     if isinstance(module.involution, int):
         return module.group.two_torsion()
-    s = 1 if n % 2 == 0 else -1
-    quotient, _ = subquotient(module.group,
-                              kernel_lattice(_shifted_map(module, s)),
-                              _shifted_map(module, -s).matrix)
-    return quotient
+    count, rest = divmod(prod(cokernel(_shifted_map(module, t))[0].order
+                              for t in (1, -1)), module.group.order)
+    if rest or count.bit_count() != 1:
+        raise InternalConsistencyError(
+            f"Tate group order {count} (remainder {rest}) is not a power of 2")
+    return FinAbGroup([2] * (count.bit_length() - 1))

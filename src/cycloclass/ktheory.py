@@ -198,6 +198,14 @@ def d_divisibility_bound(m):
     return total
 
 
+def kernel_channel(m):
+    """d_divisibility_bound(m), or None when a divisor is unsupported."""
+    try:
+        return d_divisibility_bound(m)
+    except UnsupportedModulusError:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # the class groups at the divisors of m
 
@@ -333,10 +341,10 @@ def _j_and_i(group, sign):
     return group.two_torsion(), FinAbGroup()
 
 
-def _difference_witness(m, compute, parts):
+def _difference_witness(parts, kernel):
     """A proven divisor of the order of the difference set of the class
-    group at square-free m, multiplying the class-number and kernel-group
-    channels; ``parts`` are the class parts at the divisors of m."""
+    group at square-free m: the class-number channel of ``parts``, the
+    class parts at the divisors of m, times the kernel-group channel."""
     notes = []
     total = 1
     for d, part in parts:
@@ -345,10 +353,10 @@ def _difference_witness(m, compute, parts):
             notes.append(f"odd part of the minus class number at {d}")
         elif part.status == "unknown":
             notes.append(f"minus class number parity at {d} not stored")
-    try:
-        total *= d_divisibility_bound(m) if compute else 1
-    except UnsupportedModulusError:
+    if kernel is None:
         notes.append("kernel-group channel skipped: unsupported divisor")
+    else:
+        total *= kernel
     return total, "; ".join(notes) if notes else "stored classifications"
 
 
@@ -373,11 +381,12 @@ def wh_structure(n, m, compute=False):
 WH_DIVISORS_CEILING = 2 ** 16
 
 
-def wh_fields(m, compute):
+def wh_fields(m, compute, kernel=kernel_channel):
     """(free_rank, nk1_zero, j_group, i_group, tate_group) at m: every
     field of the structure but the degree, since no group depends on it.
     A square-free m with more than WH_DIVISORS_CEILING divisors raises
-    UnsupportedModulusError before any divisor is listed."""
+    UnsupportedModulusError before any divisor is listed; a computed
+    witness reads kernel(m)."""
     count = 2 ** len(modulus(m).factors)
     if count > WH_DIVISORS_CEILING and nk1_vanishes(m):
         raise UnsupportedModulusError(
@@ -399,5 +408,6 @@ def wh_fields(m, compute):
         return (rank, True, Knowledge.exact(j, source),
                 Knowledge.exact(i, source), tate_knowledge)
 
-    bound = Knowledge.bound(*_difference_witness(m, compute, parts))
+    bound = Knowledge.bound(
+        *_difference_witness(parts, kernel(m) if compute else 1))
     return rank, True, bound, bound, tate_knowledge

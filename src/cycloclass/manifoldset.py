@@ -19,7 +19,7 @@ from .classnumber import hminus, known_class_group, odd_part
 from .ktheory import (
     ScopeError,
     WhStructure,
-    d_divisibility_bound,
+    kernel_channel,
     squarefree,
     wh_fields,
 )
@@ -203,14 +203,12 @@ class ConsistencyRecord(Record):
                 "checks": [dict(c) for c in self.checks]}
 
 
-def _i_witness(m):
-    """odd(h_m^-) * prod of odd unit-cokernel orders: divides |I|."""
+def _i_witness(m, channel):
+    """odd(h_m^-) * prod of odd unit-cokernel orders (channel): divides |I|."""
     witness = odd_part(hminus(m))
-    try:
-        witness *= d_divisibility_bound(m)
-    except UnsupportedModulusError:
+    if channel is None:
         return witness, "kernel-group channel unsupported for this m"
-    return witness, None
+    return witness * channel, None
 
 
 def verify(n, m):
@@ -238,11 +236,19 @@ def _described(m, deep):
     classify and verify at every even n: the five Whitehead-group fields,
     followed when deep by the checks of verify that read no degree and
     whether none of them is inconsistent.  Without deep it is the fields
-    tuple itself, so a long non-deep sweep holds no more than the fields."""
-    fields = wh_fields(m, deep)
+    tuple itself, so a long non-deep sweep holds no more than the fields.
+    The witnesses of the fields and of the checks share a kernel channel."""
     if not deep:
-        return fields
-    checks = _degree_free_checks(m, *fields[1:])
+        return wh_fields(m, False)
+    channels = {}
+
+    def kernel(m):
+        if m not in channels:
+            channels[m] = kernel_channel(m)
+        return channels[m]
+
+    fields = wh_fields(m, True, kernel)
+    checks = _degree_free_checks(m, kernel, *fields[1:])
     return *fields, checks, all(dict(c)["status"] != "inconsistent"
                                 for c in checks)
 
@@ -258,7 +264,8 @@ def _record(n, m, a2k, checks, consistent):
                              checks=(checks[0], bound, *checks[1:]))
 
 
-def _degree_free_checks(m, nk1_zero, j_group, i_group, tate_group):
+def _degree_free_checks(m, kernel, nk1_zero, j_group, i_group,
+                        tate_group):
     """Every check of verify at m but the automorphism-order bound,
     against the computed (deep) ingredients at m."""
     checks = []
@@ -273,7 +280,7 @@ def _degree_free_checks(m, nk1_zero, j_group, i_group, tate_group):
 
     if sf:
         h = hminus(m)
-        witness, note = _i_witness(m)
+        witness, note = _i_witness(m, kernel(m))
         # first set: triviality must match the vanishing of J
         if m in MHS_TRIVIAL:
             if j_group.status == "exact" and j_group.group.is_trivial() \

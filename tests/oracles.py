@@ -54,7 +54,10 @@ from kernels, images and cokernels, where ``ktheory`` reads them off the
 group and the sign of its involution.  The eigen-subgroups {x : xbar =
 s*x} and norm-image subgroups {x + s*xbar} of any module, the module with
 the trivial involution, and the order of the kernel-group ladder at 2^e
-in closed form are here too.  Smith normal form with its column transform
+in closed form are here too, and so are the general subquotient <top> /
+<bottom> and the Tate group of a matrix involution as one subquotient of
+a kernel lattice, as the package presented it before it read the order
+off two cokernels.  Smith normal form with its column transform
 too, the determinant, the Smith-normal-form solver, the zero map and the
 zero tests of matrices and maps, direct sums of groups and of modules (and
 the class-group module summed one part at a time), corestriction, primary
@@ -85,7 +88,9 @@ from cycloclass.abelian import (
     cokernel,
     image,
     kernel,
+    kernel_basis,
     present,
+    snf,
     subgroup_generated,
 )
 from cycloclass.arith import InternalConsistencyError, \
@@ -379,6 +384,59 @@ def oracle_tate(module, n):
     into_eigen = factor_through(norm, incl)
     quotient_group, _ = cokernel(into_eigen)
     return quotient_group
+
+
+def subquotient(group, top, bottom):
+    """The subquotient <top> / <bottom> of ``group``: (quotient, lift).
+
+    ``top`` and ``bottom`` hold generators as columns in the coordinates of
+    ``group``; column j of ``lift`` is a representative in <top> of the
+    j-th generator of the quotient.  With D the relations of ``group``, one
+    Smith normal form u @ [top | D] @ v == s gives the basis u_inv[:, i] *
+    s_i of the lattice over <top>.  In that basis the lattice over <bottom>
+    is u @ [bottom | D] with row i divided by s_i; a remainder means that
+    <bottom> is not contained in <top>, and raises ValueError.
+
+    >>> g = FinAbGroup([4, 4])
+    >>> subquotient(g, IntMatrix([[1, 0], [1, 2]]), IntMatrix([[2], [2]]))
+    (FinAbGroup([2, 2]), IntMatrix([[1, 0], [1, 2]]))
+    """
+    n = group.rank
+    rel = IntMatrix.diagonal(group.invariant_factors)
+    scales, u, u_inv = snf(top.hstack(rel))
+    coords = []
+    for d, row in zip(scales, (u @ bottom.hstack(rel)).data):
+        if any(x % d for x in row):
+            raise ValueError("the bottom subgroup is not inside the top one")
+        coords.append([x // d for x in row])
+    pres = present(n, IntMatrix(coords, n, bottom.cols + n))
+    basis = IntMatrix([[x * d for x, d in zip(r, scales)] for r in u_inv.data],
+                      n, n)
+    lift = basis @ pres.lift
+    return pres.group, IntMatrix.from_columns(
+        [group.reduce(c) for c in lift.columns()], rows=n)
+
+
+def kernel_lattice(f):
+    """Columns spanning the lattice of source coordinates that f sends to 0."""
+    r = f.source.rank
+    basis = kernel_basis(
+        f.matrix.hstack(IntMatrix.diagonal(f.target.invariant_factors)))
+    return IntMatrix(basis.data[:r], r, basis.cols)
+
+
+def subquotient_tate(module, n):
+    """Tate cohomology as one subquotient, as the package computed it for a
+    matrix involution before it counted: the kernel lattice of
+    (involution - s) over the columns of (involution + s).  A sign
+    involution is taken as its matrix (``involution_map``)."""
+    s = 1 if n % 2 == 0 else -1
+    g = module.group
+    involution = involution_map(module)
+    quotient, _ = subquotient(g,
+                              kernel_lattice(involution - AbHom.scalar(g, s)),
+                              (involution + AbHom.scalar(g, s)).matrix)
+    return quotient
 
 
 # ---------------------------------------------------------------------------

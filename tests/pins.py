@@ -16,11 +16,13 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import time
 from itertools import product
 from pathlib import Path
 
+from cycloclass.abelian import IntMatrix
 from cycloclass.arith import modulus
 from cycloclass.classnumber import _conductor_parts, _crt_prime, hminus
 from cycloclass.cli import run
@@ -178,9 +180,41 @@ _TWOS_64 = ",".join(["2"] * 64)
 _PAIR_SWAP_64 = ";".join(",".join(str(int(j == i ^ 1)) for j in range(64))
                          for i in range(64))
 
+
+def _involution_arg(rows):
+    """The --involution argument of a matrix on (Z/2)^r, entries mod 2."""
+    return ";".join(",".join(str(x % 2) for x in row) for row in rows)
+
+
+def _dense_conjugate(rows, seed):
+    """P rows P^-1, P a unimodular matrix of rank * rank random row
+    additions, seeded: the same module as ``rows``, with about half its
+    entries odd."""
+    rank, rng = len(rows), random.Random(seed)
+    p = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    p_inv = [row[:] for row in p]
+    for _ in range(rank * rank):
+        # row i of p += c * row j, column j of p_inv -= c * column i
+        i, j = rng.sample(range(rank), 2)
+        c = rng.choice((-1, 1))
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+        for row in p_inv:
+            row[j] -= c * row[i]
+    return (IntMatrix(p) @ IntMatrix(rows) @ IntMatrix(p_inv)).data
+
+
+#: the generators of (Z/2)^64 swapped in pairs below 32 and fixed above:
+#: a free module of rank 16 over the group ring of C2 plus a trivial
+#: module (Z/2)^32, so both Tate groups are (Z/2)^32
+_SWAP_AND_FIX_64 = [[int(j == i ^ 1) if i < 32 else int(i == j)
+                     for j in range(64)] for i in range(64)]
+_TWOS_32 = " x ".join(["Z/2"] * 32) + "\n"
+
 #: (stdout, stderr, exit code) of each command line: at 2^64 + 13 and
 #: LARGE_PRIME classify and a2k factor no m - 1; J, I and Tate groups not
-#: all 0 at 15 and 21; (Z/2)^64 with its generators swapped in pairs
+#: all 0 at 15 and 21; explicit involutions in both degrees: (Z/2)^64 with
+#: its generators swapped in pairs, the swap below 32 and the identity
+#: above, and a dense conjugate of that, and 1 + (-1) on (Z/4)^2
 QUERIES = {
     f"classify --n 4 --m {ABOVE_2_64}": (
         _RULE_DERIVED.format(m=ABOVE_2_64, a2k=147573952589676413032),
@@ -232,6 +266,13 @@ QUERIES = {
     "tate --km 9 --degree 1": (" x ".join(["Z/2"] * 127) + "\n", "", 0),
     f"tate --invariants {_TWOS_64} --involution {_PAIR_SWAP_64} --degree 1":
         ("0\n", "", 0),
+    **{f"tate --invariants 4,4 --involution 1,0;0,-1 --degree {n}":
+       ("Z/2 x Z/2\n", "", 0) for n in (0, 1)},
+    **{f"tate --invariants {_TWOS_64} --involution {arg} --degree {n}":
+       (_TWOS_32, "", 0)
+       for arg in (_involution_arg(_SWAP_AND_FIX_64),
+                   _involution_arg(_dense_conjugate(_SWAP_AND_FIX_64, 6464)))
+       for n in (0, 1)},
 }
 
 

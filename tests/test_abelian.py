@@ -14,7 +14,6 @@ from cycloclass.abelian import (
     kernel_basis,
     snf,
     subgroup_generated,
-    subquotient,
 )
 
 import oracles
@@ -182,9 +181,15 @@ class TestFinAbGroup:
             factors = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
             assert FinAbGroup.from_cyclic_factors(factors) == \
                 oracles.walked_cyclic_factors(factors), factors
-        factors = [4] + [2] * 500 + [8, 3] + [6] * 200
-        assert FinAbGroup.from_cyclic_factors(factors) == \
-            oracles.walked_cyclic_factors(factors)
+        # long chains: the rank-1024 input pinned for tate, shuffled too,
+        # and a family whose 2- and 3-parts climb out of step
+        pinned = [3 * 2 ** (k % 60) for k in range(1024)]
+        shuffled = pinned[:]
+        rng.shuffle(shuffled)
+        for factors in ([4] + [2] * 500 + [8, 3] + [6] * 200, pinned, shuffled,
+                        [2 ** (k % 60) * 3 ** (k % 7) for k in range(1024)]):
+            assert FinAbGroup.from_cyclic_factors(factors) == \
+                oracles.walked_cyclic_factors(factors)
 
     def test_normalisation_rejects_non_positive(self):
         for factors in ([0], [2, -3], [4, 1, 0]):
@@ -302,7 +307,8 @@ class TestAgainstEnumeration:
 
 
 class TestSubquotient:
-    """subquotient against element enumeration on small random groups."""
+    """``oracles.subquotient`` against element enumeration on small random
+    groups, and ``subgroup_generated`` against it over the zero subgroup."""
 
     @staticmethod
     def random_columns(rng, g, count):
@@ -331,10 +337,10 @@ class TestSubquotient:
             if not bottom_elements <= top_elements:
                 outside += 1
                 with pytest.raises(ValueError):
-                    subquotient(g, top, bottom)
+                    oracles.subquotient(g, top, bottom)
                 continue
             inside += 1
-            q, lift = subquotient(g, top, bottom)
+            q, lift = oracles.subquotient(g, top, bottom)
             assert q.order * len(bottom_elements) == len(top_elements)
             assert all(c in top_elements for c in lift.columns())
             # |{y in <top> : n*y in <bottom>}| / |<bottom>| is the count of
@@ -348,8 +354,21 @@ class TestSubquotient:
 
     def test_rank_zero(self):
         g = FinAbGroup()
-        q, lift = subquotient(g, IntMatrix.zero(0, 2), IntMatrix.zero(0, 0))
+        q, lift = oracles.subquotient(g, IntMatrix.zero(0, 2),
+                                      IntMatrix.zero(0, 0))
         assert q.is_trivial() and lift.cols == 0
+
+    def test_generated_subgroup_is_the_subquotient_over_zero(self):
+        # subgroup_generated is the subquotient with an empty bottom, its
+        # remainder check dropped: same group, same lift
+        rng = random.Random(32)
+        for _ in range(300):
+            g = oracles.random_group(rng, max_order=10 ** 5, max_rank=4)
+            top = self.random_columns(rng, g, rng.randint(0, 4))
+            sub, incl = subgroup_generated(g, top)
+            assert (sub, incl.matrix) == oracles.subquotient(
+                g, top, IntMatrix.zero(g.rank, 0))
+            assert incl.source == sub and incl.target == g
 
 
 class TestSubgroupsAndParts:

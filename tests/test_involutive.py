@@ -4,6 +4,7 @@ import pytest
 
 from cycloclass import abelian, cli
 from cycloclass.abelian import AbHom, FinAbGroup, IntMatrix
+from cycloclass.arith import InternalConsistencyError
 from cycloclass.involutive import InvModule, _scalar_sign, tate
 from cycloclass.ktheory import km_v_module
 
@@ -139,17 +140,20 @@ class TestTate:
                 assert t.order * len(nrm) == len(eig)
 
     def test_matches_oracle_tate(self):
-        # the one-step subquotient against the three-step pipeline it
-        # replaced: eigen-set, norm map corestricted into it, cokernel
+        # the count of two cokernel orders against the three-step pipeline
+        # (eigen-set, norm map corestricted into it, cokernel) and against
+        # the one subquotient of the kernel lattice it replaced
         rng = random.Random(424243)
         for _ in range(1000):
             m = random_module(rng, max_order=4096)
             for n in (0, 1):
-                assert tate(m, n) == oracles.oracle_tate(m, n)
+                assert tate(m, n) == oracles.oracle_tate(m, n) == \
+                    oracles.subquotient_tate(m, n)
         for level in range(3, 10):
             m = km_v_module(level)
             for n in (0, 1):
-                assert tate(m, n) == oracles.oracle_tate(m, n), level
+                assert tate(m, n) == oracles.oracle_tate(m, n) == \
+                    oracles.subquotient_tate(m, n), level
 
     def test_dense_conjugate_of_the_pair_swap(self):
         # P swap P^-1, P a seeded unimodular matrix, is an involution of
@@ -343,15 +347,43 @@ class TestScalarInvolution:
                 assert by_matrix == by_sign
                 assert hash(by_matrix) == hash(by_sign)
 
-    def test_non_scalar_takes_the_subquotient(self, snf_calls):
-        g = FinAbGroup([4, 4])
-        m = InvModule(g, AbHom(g, g, IntMatrix.diagonal([1, -1])))
-        assert isinstance(m.involution, AbHom)
+    def test_non_scalar_counts_two_cokernels(self, snf_calls):
+        # one Smith normal form of the r x 2r relations [xbar - t | D] at
+        # each of t = 1 and t = -1, in either degree
+        rng = random.Random(2206)
+        modules = [InvModule(FinAbGroup([4, 4]),
+                             AbHom(FinAbGroup([4, 4]), FinAbGroup([4, 4]),
+                                   IntMatrix.diagonal([1, -1])))]
+        while len(modules) < 20:
+            m = random_module(rng, max_order=10 ** 6, max_rank=5)
+            if isinstance(m.involution, AbHom):
+                modules.append(m)
+        for m in modules:
+            r = m.group.rank
+            for n in (0, 1):
+                snf_calls.clear()
+                t = tate(m, n)
+                assert snf_calls == [(r, 2 * r)] * 2
+                assert t == oracles.oracle_tate(m, n)
+        assert tate(modules[0], 0) == FinAbGroup([2, 2])
+
+    def test_an_order_not_a_power_of_two_raises(self, monkeypatch):
+        # each Smith diagonal tripled at its first entry multiplies the
+        # count by 9; every order of (Z/6)^2 is a multiple of 3, so the
+        # tripled presentation still maps the group onto its cokernel
+        g = FinAbGroup([6, 6])
+        m = InvModule(g, AbHom(g, g, IntMatrix([[0, 1], [1, 0]])))
+        assert tate(m, 0) == FinAbGroup()
+        real = abelian.snf
+
+        def tripled(matrix):
+            diagonal, u, u_inv = real(matrix)
+            return (3 * diagonal[0], *diagonal[1:]), u, u_inv
+
+        monkeypatch.setattr(abelian, "snf", tripled)
         for n in (0, 1):
-            snf_calls.clear()
-            assert tate(m, n) == FinAbGroup([2, 2])
-            assert snf_calls
-            assert oracles.oracle_tate(m, n) == FinAbGroup([2, 2])
+            with pytest.raises(InternalConsistencyError, match="power of 2"):
+                tate(m, n)
 
 
 class TestDirectSum:

@@ -187,12 +187,13 @@ def _counting(monkeypatch, name, *modules):
 class TestOncePerQuery:
     def test_deep_classify_describes_m_once(self, monkeypatch):
         oracles.clear_caches()
-        bounds = _counting(monkeypatch, "d_divisibility_bound", ktheory,
-                           manifoldset)
+        bounds = _counting(monkeypatch, "d_divisibility_bound", ktheory)
         report = classify(4, 33, deep=True)
         assert report.provenance == "ingredient-verified"
         assert manifoldset._described.cache_info().misses == 1
-        assert len(bounds) <= 2
+        # both the difference-set witness and the I witness read it
+        assert report.ingredients.j_group.status == "bound"
+        assert bounds == [(33,)]
 
     def test_degrees_share_the_ingredients(self):
         oracles.clear_caches()
@@ -239,6 +240,20 @@ class TestOncePerQuery:
             for m in range(2, 61):
                 verify(n, m)
         assert len(factorings) == len(set(factorings)) == 186
+
+    def test_paper_tables_bound_the_kernel_channel_once_per_modulus(
+            self, monkeypatch):
+        # the deep sweeps and verify from empty caches: the difference-set
+        # witness of the fields and the I witness of the checks share one
+        # kernel-group channel at each square-free m
+        oracles.clear_caches()
+        bounds = _counting(monkeypatch, "d_divisibility_bound", ktheory)
+        for n in (4, 6, 8):
+            sweep(n, range(2, 101), deep=True)
+        for n in (4, 6, 8):
+            for m in range(2, 61):
+                verify(n, m)
+        assert len(bounds) == len(set(bounds)) == 60
 
 
 ORDERS = {
