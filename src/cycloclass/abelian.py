@@ -42,10 +42,6 @@ class IntMatrix(Record):
         super().__init__(data, rows, cols)
 
     @classmethod
-    def zero(cls, rows, cols):
-        return cls(((0,) * cols,) * rows, rows, cols)
-
-    @classmethod
     def diagonal(cls, entries):
         # row i is the zero row with entry i put in: slices, not cells
         entries = tuple(entries)

@@ -66,7 +66,7 @@ CACHE_ENV_VAR = "CYCLOCLASS_CACHE"
 #: (1024 factors 2, 2^64, or 3 * 2^(k mod 60)) answer in 0.08-0.26 s cold.
 #: An explicit --involution is an r x r matrix, and the two r x 2r Smith
 #: normal forms of tate make its time about cubic: the pair swap on
-#: (Z/2)^r takes 0.55-0.66 s cold at r = 200 and 0.95-1.33 s at r = 250,
+#: (Z/2)^r takes 0.45-0.54 s cold at r = 200 and 0.77-0.82 s at r = 250,
 #: the largest such matrix that fits in one 128 KB argument; the value
 #: stays, so no input changes its exit code.
 #: All on a 2-core x86-64 host (Python 3.11).  A larger rank is refused

@@ -4,9 +4,11 @@ An involutive module packages a finite abelian group G with a homomorphic
 involution x -> xbar.  Its Tate group ker(xbar - s*x) / im(xbar + s*x),
 s = +-1, is killed by 2 (x + s*xbar = 2x on the kernel) and has Herbrand
 quotient 1 (Serre, Local Fields, VIII 4), so it is (Z/2)^k whatever the
-degree, 2^k = |coker(xbar - x)| |coker(xbar + x)| / |G|.  An involution
-+1 or -1 times the identity is held as that sign, and k is the number of
-even invariant factors.  The eigen-subgroups, norm images, their
+degree, 2^k = |coker(xbar - x)| |coker(xbar + x)| / |G|.  Each cokernel
+order is the product of a Smith diagonal, that of the relations
+[xbar - t | D] at t = +-1, D the diagonal of the invariant factors.  An
+involution +1 or -1 times the identity is held as that sign, and k is the
+number of even invariant factors.  The eigen-subgroups, norm images, their
 subquotient and element enumeration are test oracles.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .abelian import AbHom, FinAbGroup, cokernel
+from .abelian import FinAbGroup, IntMatrix, snf
 from .arith import InternalConsistencyError
 from .record import Record
 
@@ -74,19 +76,17 @@ class InvModule(Record):
                 f"{inv if isinstance(inv, int) else inv.matrix!r})")
 
 
-def _shifted_map(module, t):
-    """The endomorphism x -> xbar - t * x."""
-    return module.involution - AbHom.scalar(module.group, t)
-
-
 def tate(module, n):
     """Tate cohomology of C2 acting through the involution, in degree n.
 
     With s = (-1)^n it is ker(involution - s) / im(involution + s), killed
     by 2 and of Herbrand quotient 1 (Serre, Local Fields, VIII 4), so it is
     (Z/2)^k whatever n is: 2^k = |coker(xbar - x)| |coker(xbar + x)| / |G|,
-    as |ker f| = |coker f| for an endomorphism f of G.  For an involution
-    +-id, k is the number of even invariant factors of G.
+    as |ker f| = |coker f| for an endomorphism f of G.  The order of
+    coker(xbar - t) is the product of the Smith diagonal of the r x 2r
+    relations [xbar - t | D], D the diagonal of the invariant factors of
+    G, so an explicit involution takes two Smith normal forms.  For an
+    involution +-id, k is the number of even invariant factors of G.
 
     >>> m = InvModule(FinAbGroup([3, 12, 24]), -1)
     >>> tate(m, 0), tate(m, 1)
@@ -94,8 +94,14 @@ def tate(module, n):
     """
     if isinstance(module.involution, int):
         return module.group.two_torsion()
-    count, rest = divmod(prod(cokernel(_shifted_map(module, t))[0].order
-                              for t in (1, -1)), module.group.order)
+    group = module.group
+    relations = IntMatrix.diagonal(group.invariant_factors)
+    count = 1
+    for t in (1, -1):
+        shifted = module.involution.matrix + IntMatrix.diagonal(
+            [-t] * group.rank)
+        count *= prod(snf(shifted.hstack(relations))[0])
+    count, rest = divmod(count, group.order)
     if rest or count.bit_count() != 1:
         raise InternalConsistencyError(
             f"Tate group order {count} (remainder {rest}) is not a power of 2")

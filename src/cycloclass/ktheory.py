@@ -96,9 +96,8 @@ class Knowledge(Record):
         return cls(status="exact", group=group, source=source)
 
     @classmethod
-    def bound(cls, divisor, source, constraint=None):
-        return cls(status="bound", divisor=int(divisor), source=source,
-                   constraint=constraint)
+    def bound(cls, divisor, source):
+        return cls(status="bound", divisor=int(divisor), source=source)
 
     @classmethod
     def infinite(cls, source):
@@ -294,11 +293,6 @@ class WhStructure(Record):
 
     __slots__ = ("m", "n", "free_rank", "nk1_zero", "j_group", "i_group",
                  "tate_group")
-
-    def __init__(self, m, n, free_rank, nk1_zero, j_group, i_group,
-                 tate_group):
-        super().__init__(m, n, free_rank, nk1_zero, j_group, i_group,
-                         tate_group)
 
     def to_dict(self):
         return {

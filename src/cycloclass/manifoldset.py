@@ -85,11 +85,6 @@ class ManifoldSetReport(Record):
     __slots__ = ("n", "k", "m", "mhs", "mhcob", "mhs_hcob", "a2k_order",
                  "ingredients", "provenance")
 
-    def __init__(self, n, k, m, mhs, mhcob, mhs_hcob, a2k_order, ingredients,
-                 provenance):
-        super().__init__(n, k, m, mhs, mhcob, mhs_hcob, a2k_order, ingredients,
-                         provenance)
-
     def to_json_dict(self):
         return {
             "n": self.n,
@@ -117,12 +112,12 @@ def _check_scope(n, m):
     return n, m
 
 
-def _sandwich(order, m, note=""):
+def _sandwich(order, m):
     """Bounds (strict lower / inclusive upper) from an exact group order."""
     if order == 1:
-        return SetVerdict("trivial", lower=1, upper=1, note=note)
+        return SetVerdict("trivial", lower=1, upper=1)
     lower = max(2, order // (2 * m * m) + 1)
-    return SetVerdict("finite", lower=lower, upper=order, note=note)
+    return SetVerdict("finite", lower=lower, upper=order)
 
 
 def _finite_verdict(knowledge, m, trivial_by_rule):
@@ -180,9 +175,8 @@ def classify(n, m, deep=False):
         record = _record(n, m, a2k, *description[5:])
         provenance = "ingredient-verified" if record.consistent else "inconsistent"
 
-    return ManifoldSetReport(n=n, k=k, m=m, mhs=mhs, mhcob=mhcob,
-                             mhs_hcob=mhs_hcob, a2k_order=a2k,
-                             ingredients=ingredients, provenance=provenance)
+    return ManifoldSetReport(n, k, m, mhs, mhcob, mhs_hcob, a2k, ingredients,
+                             provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +188,6 @@ class ConsistencyRecord(Record):
     (key, value) pairs."""
 
     __slots__ = ("n", "m", "consistent", "checks")
-
-    def __init__(self, n, m, consistent, checks):
-        super().__init__(n, m, consistent, checks)
 
     def to_dict(self):
         return {"n": self.n, "m": self.m, "consistent": self.consistent,
@@ -260,8 +251,8 @@ def _record(n, m, a2k, checks, consistent):
     bound = (("name", "automorphism-order-bound"),
              ("status", "confirmed" if bounded else "inconsistent"),
              ("detail", f"|A_{n}({m})| = {a2k} < {2 * m * m}"))
-    return ConsistencyRecord(n=n, m=m, consistent=consistent and bounded,
-                             checks=(checks[0], bound, *checks[1:]))
+    return ConsistencyRecord(n, m, consistent and bounded,
+                             (checks[0], bound, *checks[1:]))
 
 
 def _degree_free_checks(m, kernel, nk1_zero, j_group, i_group,

@@ -4,12 +4,14 @@ Every value class of the package, from ``abelian`` up, is a record: the
 matrices, groups, homomorphisms and presentations of ``abelian``, the
 modules of ``involutive``, the unit groups of ``residue``, and the records
 of ``ktheory`` and ``manifoldset``.  A record lists its fields in
-``__slots__``, in constructor order, and its ``__init__`` passes their
-values, in that order, to ``Record.__init__``.  The base supplies what a
-frozen dataclass would: equality between records of one class, the hash
-of the field tuple, the ``Name(field=value, ...)`` repr, and refusal of
-assignment and deletion, without the cost of importing ``dataclasses``
-and generating code for each class.
+``__slots__``, in constructor order.  ``Record.__init__`` takes the
+fields positionally, in slot order, so a record defines ``__init__`` only
+to check, derive or default a field, and then passes the values, in that
+order, to ``Record.__init__``.  The base supplies what a frozen dataclass
+would: equality between records of one class, the hash of the field
+tuple, the ``Name(field=value, ...)`` repr, and refusal of assignment and
+deletion, without the cost of importing ``dataclasses`` and generating
+code for each class.
 
 A record may have a single field (``FinAbGroup``), and its field tuple is
 then a 1-tuple.  A subclass with empty ``__slots__`` keeps its parent's

@@ -57,15 +57,15 @@ the trivial involution, and the order of the kernel-group ladder at 2^e
 in closed form are here too, and so are the general subquotient <top> /
 <bottom> and the Tate group of a matrix involution as one subquotient of
 a kernel lattice, as the package presented it before it read the order
-off two cokernels.  Smith normal form with its column transform
-too, the determinant, the Smith-normal-form solver, the zero map and the
-zero tests of matrices and maps, direct sums of groups and of modules (and
-the class-group module summed one part at a time), corestriction, primary
-parts, the swap square, the least primitive root modulo an odd prime
-power and the order of a unit up to sign live here as well: only the
-tests use them.  So does verify as it ran before the checks that read
-no degree were shared across degrees: every check recomputed at each
-(n, m) from the deep structure at n.  ``clear_caches`` empties the
+off two cokernels.  Smith normal form with its column transform too,
+the determinant, the Smith-normal-form solver, the zero matrix and the
+zero map, the zero tests of matrices and maps, direct sums of groups and
+of modules (and the class-group module summed one part at a time),
+corestriction, primary parts, the swap square, the least primitive root
+modulo an odd prime power and the order of a unit up to sign live here
+as well: only the tests use them.  So does verify as it ran before the
+checks that read no degree were shared across degrees: every check
+recomputed at each (n, m) from the deep structure at n.  ``clear_caches`` empties the
 package's caches as the benchmark's worker does before a cold query.
 """
 
@@ -602,6 +602,11 @@ class _SnfSolver:
         return self.v @ tuple(y)
 
 
+def zero_matrix(rows, cols):
+    """The rows x cols zero matrix; either dimension may be 0."""
+    return IntMatrix(((0,) * cols,) * rows, rows, cols)
+
+
 def is_zero_matrix(m):
     return all(a == 0 for row in m.data for a in row)
 
@@ -611,7 +616,7 @@ def is_zero_hom(f):
 
 
 def zero_hom(source, target):
-    return AbHom(source, target, IntMatrix.zero(target.rank, source.rank))
+    return AbHom(source, target, zero_matrix(target.rank, source.rank))
 
 
 def iso_eq(g, h):
@@ -2049,7 +2054,7 @@ class LambdaUnits:
             self.group = FinAbGroup()
             self.embedding = AbHom(
                 self.group, self.ring.group,
-                IntMatrix.zero(self.ring.group.rank, 0))
+                zero_matrix(self.ring.group.rank, 0))
             return
         self.group = FinAbGroup([sub_fields[0].unit_order] * self.factor_count)
 
@@ -2530,5 +2535,4 @@ def oracle_verify(n, m):
         add("tate-elementary", "no-data", "Tate group not exactly known")
 
     consistent = all(dict(c)["status"] != "inconsistent" for c in checks)
-    return ConsistencyRecord(n=n, m=m, consistent=consistent,
-                             checks=tuple(checks))
+    return ConsistencyRecord(n, m, consistent, tuple(checks))

@@ -27,6 +27,7 @@ from oracles import (
     primary_part,
     solve,
     zero_hom,
+    zero_matrix,
 )
 
 
@@ -60,7 +61,7 @@ class TestSnf:
 
     def test_empty_matrices(self):
         for r, c in [(0, 0), (0, 3), (3, 0)]:
-            diagonal, u, u_inv = snf(IntMatrix.zero(r, c))
+            diagonal, u, u_inv = snf(zero_matrix(r, c))
             assert diagonal == ()
             assert u @ u_inv == oracles.cellwise_identity(r)
             assert (u.rows, u.cols) == (r, r)
@@ -354,8 +355,8 @@ class TestSubquotient:
 
     def test_rank_zero(self):
         g = FinAbGroup()
-        q, lift = oracles.subquotient(g, IntMatrix.zero(0, 2),
-                                      IntMatrix.zero(0, 0))
+        q, lift = oracles.subquotient(g, zero_matrix(0, 2),
+                                      zero_matrix(0, 0))
         assert q.is_trivial() and lift.cols == 0
 
     def test_generated_subgroup_is_the_subquotient_over_zero(self):
@@ -367,7 +368,7 @@ class TestSubquotient:
             top = self.random_columns(rng, g, rng.randint(0, 4))
             sub, incl = subgroup_generated(g, top)
             assert (sub, incl.matrix) == oracles.subquotient(
-                g, top, IntMatrix.zero(g.rank, 0))
+                g, top, zero_matrix(g.rank, 0))
             assert incl.source == sub and incl.target == g
 
 
@@ -467,8 +468,8 @@ class TestRowwiseAgainstCellwise:
             assert IntMatrix.from_columns(a.columns(), rows=r) == a
 
     def test_shape_errors(self):
-        a = IntMatrix.zero(2, 3)
-        for other in (IntMatrix.zero(2, 3), (1, 2)):
+        a = zero_matrix(2, 3)
+        for other in (zero_matrix(2, 3), (1, 2)):
             with pytest.raises(ValueError) as ours:
                 a @ other
             with pytest.raises(ValueError) as cellwise:
@@ -525,7 +526,7 @@ class TestRowwiseAgainstCellwise:
 
     def test_hom_shape_error(self):
         g = FinAbGroup([4])
-        matrix = IntMatrix.zero(2, 1)
+        matrix = zero_matrix(2, 1)
         assert _hom_or_error(lambda: AbHom(g, g, matrix)) == _hom_or_error(
             lambda: oracles.cellwise_hom_matrix(g, g, matrix)) == \
             "matrix shape does not match groups"

@@ -17,7 +17,11 @@ it, never through another module that imports it in turn.
 Immutability has one mechanism: only ``record.Record`` refuses assignment,
 and only ``record`` names ``_rebuild``, which sets a record past its
 class's ``__init__``; every other record goes through its checked
-constructor.
+constructor.  A record defines ``__init__`` only to check, derive or
+default a field: one whose body, past its docstring, only hands its own
+parameters, in order and none with a default, to ``super().__init__``
+repeats ``Record.__init__``, which takes the fields positionally in slot
+order.
 
 Every pinned digest has one home, ``tests/pins.py``: no CI step holds one
 and no test file a copy, and the corpus runs on the standard library
@@ -125,6 +129,36 @@ def test_only_record_names_its_rebuild():
     naming = [path.stem for path in sorted(SRC.glob("*.py"))
               if re.search(r"\b_rebuild\b", path.read_text())]
     assert naming == ["record"]
+
+
+def _passes_its_parameters_through(init):
+    """Whether the body of ``init``, past its docstring, is only
+    ``super().__init__`` called with the parameters of ``init`` in order,
+    none of which has a default."""
+    args = init.args
+    params = [arg.arg for arg in (args.posonlyargs + args.args)[1:]]
+    body = init.body[1:] if ast.get_docstring(init) is not None \
+        else init.body
+    return (not (args.defaults or args.vararg or args.kwonlyargs
+                 or args.kwarg)
+            and len(body) == 1
+            and ast.unparse(body[0])
+            == f"super().__init__({', '.join(params)})")
+
+
+def test_no_record_constructor_only_passes_its_fields_on():
+    # Record.__init__ already takes the fields positionally, in slot order
+    through = [f"{path.stem}.{node.name}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and any(getattr(base, "id", None) == "Record"
+                       for base in node.bases)
+               for method in node.body
+               if isinstance(method, ast.FunctionDef)
+               and method.name == "__init__"
+               and _passes_its_parameters_through(method)]
+    assert through == []
 
 
 #: every lru_cache in the package, each with the reuse it serves

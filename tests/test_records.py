@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from oracles import DirichletCharacter
+from oracles import DirichletCharacter, zero_matrix
 from cycloclass.abelian import (
     AbHom,
     FinAbGroup,
@@ -132,7 +132,7 @@ def test_own_reprs_are_unchanged():
     assert repr(FinAbGroup()) == "FinAbGroup([])"
     assert (str(FinAbGroup([2, 2])), str(FinAbGroup())) == ("Z/2 x Z/2", "0")
     assert repr(IntMatrix([[1, 2], [3, 4]])) == "IntMatrix([[1, 2], [3, 4]])"
-    assert repr(IntMatrix.zero(2, 0)) == "IntMatrix([[], []])"
+    assert repr(zero_matrix(2, 0)) == "IntMatrix([[], []])"
     assert repr(AbHom(FinAbGroup([4]), FinAbGroup([2]), IntMatrix([[1]]))) \
         == "AbHom(FinAbGroup([4]) -> FinAbGroup([2]), IntMatrix([[1]]))"
     assert repr(InvModule(FinAbGroup([4, 12]), -1)) == \
