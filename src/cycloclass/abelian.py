@@ -15,7 +15,7 @@ to share between threads.
 from __future__ import annotations
 
 from math import gcd, lcm, prod
-from operator import add, itemgetter, mul, neg
+from operator import add, itemgetter, mul
 import itertools
 
 from .record import Record
@@ -103,10 +103,6 @@ class IntMatrix(Record):
             raise ValueError("shape mismatch")
         return IntMatrix(tuple(tuple(map(add, r1, r2))
                                for r1, r2 in zip(self.data, other.data)),
-                         self.rows, self.cols)
-
-    def __neg__(self):
-        return IntMatrix(tuple(tuple(map(neg, r)) for r in self.data),
                          self.rows, self.cols)
 
     def __repr__(self):
@@ -351,17 +347,6 @@ class AbHom(Record):
         if other.target != self.source:
             raise ValueError("homomorphisms do not compose")
         return AbHom(other.source, self.target, self.matrix @ other.matrix)
-
-    def __add__(self, other):
-        if (self.source, self.target) != (other.source, other.target):
-            raise ValueError("homomorphism mismatch")
-        return AbHom(self.source, self.target, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AbHom(self.source, self.target, -self.matrix)
 
     def is_identity(self):
         return (self.source == self.target

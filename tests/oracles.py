@@ -355,10 +355,22 @@ def involution_map(module):
     return AbHom.scalar(module.group, inv) if isinstance(inv, int) else inv
 
 
+def hom_sum(f, g):
+    """f + g, for homomorphisms between the same two groups."""
+    if (f.source, f.target) != (g.source, g.target):
+        raise ValueError("homomorphism mismatch")
+    return AbHom(f.source, f.target, f.matrix + g.matrix)
+
+
+def shifted_involution(module, s):
+    """The involution of ``module`` minus s * id, as a homomorphism."""
+    return hom_sum(involution_map(module), AbHom.scalar(module.group, -s))
+
+
 def eigen_set(module, sign):
     """The subgroup {x : xbar = sign * x}, with its inclusion: the kernel of
     (involution - sign * id)."""
-    return kernel(involution_map(module) - AbHom.scalar(module.group, sign))
+    return kernel(shifted_involution(module, sign))
 
 
 def norm_image_set(module, sign):
@@ -367,7 +379,7 @@ def norm_image_set(module, sign):
     As x + sign * xbar = sign * (xbar + sign * x) and sign is a unit, this
     is the image of (involution + sign * id).
     """
-    return image(involution_map(module) + AbHom.scalar(module.group, sign))
+    return image(shifted_involution(module, -sign))
 
 
 def oracle_tate(module, n):
@@ -431,11 +443,9 @@ def subquotient_tate(module, n):
     (involution - s) over the columns of (involution + s).  A sign
     involution is taken as its matrix (``involution_map``)."""
     s = 1 if n % 2 == 0 else -1
-    g = module.group
-    involution = involution_map(module)
-    quotient, _ = subquotient(g,
-                              kernel_lattice(involution - AbHom.scalar(g, s)),
-                              (involution + AbHom.scalar(g, s)).matrix)
+    quotient, _ = subquotient(module.group,
+                              kernel_lattice(shifted_involution(module, s)),
+                              shifted_involution(module, -s).matrix)
     return quotient
 
 
@@ -709,7 +719,7 @@ def module_sum(m1, m2):
     total, (i1, i2), (p1, p2) = direct_sum([m1.group, m2.group])
     t1 = i1 @ involution_map(m1) @ p1
     t2 = i2 @ involution_map(m2) @ p2
-    return InvModule(total, t1 + t2)
+    return InvModule(total, hom_sum(t1, t2))
 
 
 def swap_square(module):
@@ -721,7 +731,7 @@ def swap_square(module):
     """
     total, (i1, i2), (p1, p2) = direct_sum([module.group, module.group])
     inv = involution_map(module)
-    t = (i1 @ inv @ p2) + (i2 @ inv @ p1)
+    t = hom_sum(i1 @ inv @ p2, i2 @ inv @ p1)
     return InvModule(total, t)
 
 
@@ -2288,7 +2298,7 @@ def oracle_vtilde_module(m):
     block = None
     for uq, inj, proj in zip(quots, injections, projections):
         piece = inj @ uq.conjugation() @ proj
-        block = piece if block is None else block + piece
+        block = piece if block is None else hom_sum(block, piece)
     pres = quotient(target, hom.matrix)
     coker = pres.group
     inv = AbHom(coker, coker, pres.pi @ block.matrix @ pres.lift)

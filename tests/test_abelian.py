@@ -463,7 +463,6 @@ class TestRowwiseAgainstCellwise:
             assert repr(a @ b) == repr(oracles.cellwise_product(a, b))
             vec = [rng.randint(-9, 9) for _ in range(k)]
             assert a @ vec == oracles.cellwise_product(a, vec)
-            assert -a == oracles.cellwise_scale(a, -1)
             assert a.transpose().transpose() == a
             assert IntMatrix.from_columns(a.columns(), rows=r) == a
 

@@ -705,6 +705,21 @@ def test_reader_that_closes_stdout_early(argv):
     assert proc.returncode == 0 and err == b""
 
 
+def test_reader_to_the_end_gets_every_byte():
+    # main ends the process with os._exit, which flushes nothing: with
+    # stdout buffered, the tail of an answer this large reaches the pipe
+    # only by main's own flush
+    line = "--format json sweep --n 4 --m-min 2 --m-max 2000"
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-m", "cycloclass.cli",
+                           *line.split()], capture_output=True, timeout=60,
+                          env=env)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        pins.SWEEP_DIGESTS[line]
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--n", "4"], ["am"], ["verify", "--n", "4"], ["vtilde"],
     ["cbound"], ["a2k", "--k", "2"]])
