@@ -41,14 +41,14 @@ each value in the next word, a value starting with "-" only as a negative
 integer, and --format and --cache before or after the subcommand.
 argparse is imported only for the rest: --help, abbreviations such as
 --form, --m=39, and every malformed line.  Both parsers read one grammar,
-_COMMANDS, so the help and the usage errors are argparse's.  main, the
-process entry point, flushes stdout and then stderr and ends the process
-with os._exit, skipping interpreter finalization, which only frees the
-loaded modules: 5-8 ms of CPU per cold query on a 2-core x86-64 host,
-most of it for the modules that site loads for the .pth files of
-site-packages, so the saving depends on the host.  A host program's
-atexit handlers do not run after main; code that embeds the CLI calls
-run.
+_COMMANDS, so the help and the usage errors are argparse's.  answer(argv)
+returns the exit code, stdout and stderr, --help included, writing none;
+run writes stderr (if it can), then stdout, and returns the code; main
+calls run, flushes stdout and ends with os._exit, skipping interpreter
+finalization, which only frees the loaded modules: 5-8 ms of CPU per
+cold query on a 2-core x86-64 host, mostly freeing what site loads for
+the .pth files of site-packages.  A host program's atexit handlers do
+not run after main; code that embeds the CLI calls answer or run.
 """
 
 from __future__ import annotations
@@ -82,6 +82,10 @@ TATE_RANK_CEILING = 1024
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _Help(Exception):
     pass
 
 
@@ -178,6 +182,9 @@ def _build_parser():
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
             raise _UsageError(message)
+
+        def print_help(self, file=None):
+            raise _Help(self.format_help())
 
     # the docstring's last paragraph is about this module's code, not
     # about the command line, so --help leaves it out (python -OO drops
@@ -379,8 +386,7 @@ def _tate_module(args):
 
 def _execute(args):
     """Compute the output text for a parsed invocation."""
-    fmt = args.format
-    cmd = args.command
+    fmt, cmd = args.format, args.command
     if fmt == "json":
         import json
 
@@ -453,18 +459,17 @@ def _execute(args):
                                "order": group.order}, sort_keys=True)
         return str(group)
 
-    raise _UsageError(f"unknown command {cmd!r}")
 
-
-def run(argv):
-    """Dispatch an argv list; returns the process exit code."""
+def answer(argv):
+    """(exit code, stdout text, stderr text) of an argv list."""
     args = _parse(argv)
     if args is None:
         try:
             args = _build_parser().parse_args(argv)
+        except _Help as page:
+            return 0, str(page), ""
         except _UsageError as err:
-            print(f"usage error: {err}", file=sys.stderr)
-            return 1
+            return 1, "", f"usage error: {err}\n"
 
     cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
     cache = _Cache(cache_path) if cache_path else None
@@ -472,54 +477,55 @@ def run(argv):
         key = _canonical_key(args)
         cached = cache.get(key)
         if cached is not None:
-            print(cached)
-            return 0
+            return 0, cached + "\n", ""
 
     # torus orders of supported moduli can have more digits than Python's
-    # default limit on int-to-str conversion (4300); interpreters older than
-    # 3.10.7 have no such limit
+    # limit on int-to-str conversion (4300, none before 3.10.7); the argv is
+    # parsed under it, so a longer --m is a usage error, not a modulus
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digit_limit:
         sys.set_int_max_str_digits(0)
     try:
         output = _execute(args)
     except (ScopeError, UnsupportedModulusError) as err:
-        print(f"out of scope: {err}", file=sys.stderr)
-        return 2
+        return 2, "", f"out of scope: {err}\n"
     except InternalConsistencyError as err:
-        print(f"internal consistency failure: {err}", file=sys.stderr)
-        return 3
+        return 3, "", f"internal consistency failure: {err}\n"
     except (_UsageError, ValueError, ZeroDivisionError) as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
+        return 1, "", f"usage error: {err}\n"
     finally:
         if digit_limit:
             sys.set_int_max_str_digits(digit_limit)
 
+    warning = ""
     if cache is not None:
         try:
             cache.put(key, output)
         except OSError as err:
             # like an unreadable cache, an unwritable one only costs reuse
-            print(f"cache not written: {err}", file=sys.stderr)
-    print(output)
-    return 0
+            warning = f"cache not written: {err}\n"
+    return 0, output + "\n", warning
+
+
+def run(argv):
+    """Write the answer to an argv list, stderr first; return its code."""
+    code, out, err = answer(argv)
+    try:
+        sys.stderr.write(err)
+    except (AttributeError, OSError):
+        pass  # stderr is None or its reader is gone: the code stands
+    sys.stdout.write(out)
+    return code
 
 
 def main():
-    """Run ``sys.argv`` as a process, which ends with ``os._exit`` once
-    stdout and stderr are flushed: embedders call ``run``."""
+    """Run ``sys.argv`` as a process, ended by ``os._exit`` once answered."""
     try:
-        try:
-            code = run(sys.argv[1:])
-        except SystemExit as exit:
-            # --help, which argparse ends with sys.exit(0)
-            code = exit.code
+        code = run(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has all it wanted
         code = 0
-    sys.stderr.flush()
     os._exit(code)
 
 

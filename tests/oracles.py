@@ -66,9 +66,11 @@ modulo an odd prime power and the order of a unit up to sign live here
 as well: only the tests use them.  So does verify as it ran before the
 checks that read no degree were shared across degrees: every check
 recomputed at each (n, m) from the deep structure at n.  ``clear_caches`` empties the
-package's caches as the benchmark's worker does before a cold query.
+package's caches as the benchmark's worker does before a cold query;
+``child_env`` is the environment of every child interpreter a test starts.
 """
 
+import os
 import random
 import sys
 from fractions import Fraction
@@ -80,6 +82,7 @@ from types import SimpleNamespace
 
 from sympy import divisors, factorint, isprime, multiplicity, totient
 
+import cycloclass
 from cycloclass.abelian import (
     AbHom,
     FinAbGroup,
@@ -155,12 +158,19 @@ def clear_caches():
                 value.cache_clear()
 
 
+def child_env(src=None):
+    """os.environ with ``src`` (the package's own by default) ahead of
+    PYTHONPATH, no default cache, and stdout buffered as a user's is."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("CYCLOCLASS_CACHE", "PYTHONUNBUFFERED")}
+    src = str(src or os.path.dirname(os.path.dirname(cycloclass.__file__)))
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    return env
+
+
 def add(g, x, y):
     return tuple((a + b) % d for a, b, d in zip(x, y, g.invariant_factors))
-
-
-def neg(g, x):
-    return tuple((-a) % d for a, d in zip(x, g.invariant_factors))
 
 
 def scale(g, n, x):

@@ -12,9 +12,7 @@ line per group and exits 1 naming each pin that differs.
 under ``-m slow``.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import random
 import sys
@@ -25,7 +23,7 @@ from pathlib import Path
 from cycloclass.abelian import IntMatrix
 from cycloclass.arith import modulus
 from cycloclass.classnumber import _conductor_parts, _crt_prime, hminus
-from cycloclass.cli import run
+from cycloclass.cli import answer
 from cycloclass.manifoldset import classify, verify
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
@@ -284,11 +282,9 @@ def _load(workload):
 
 
 def _output(line):
-    """(stdout, stderr, exit code) of the command line, run in process."""
-    with contextlib.redirect_stdout(io.StringIO()) as out, \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        code = run(line.split())
-    return out.getvalue(), err.getvalue(), code
+    """(stdout, stderr, exit code) of the command line, in process."""
+    code, out, err = answer(line.split())
+    return out, err, code
 
 
 def _output_digest(line):

@@ -1,7 +1,6 @@
 """The stdlib arithmetic of cycloclass.arith against sympy as the oracle."""
 
 import ast
-import os
 import random
 import subprocess
 import sys
@@ -16,7 +15,7 @@ from sympy.abc import x
 
 import cycloclass
 from cycloclass import arith
-from oracles import clear_caches, cyclotomic_int, primitive_root
+from oracles import child_env, clear_caches, cyclotomic_int, primitive_root
 
 #: the least strong pseudoprimes to the first 12 and 13 prime bases
 PSI_12 = 318665857834031151167461
@@ -105,10 +104,9 @@ class TestIsprime:
         script = ("import sys; sys.modules['sympy'] = None; "
                   "from cycloclass.arith import isprime; "
                   f"print([int(isprime(n)) for n in {numbers}])")
-        src = os.path.dirname(os.path.dirname(cycloclass.__file__))
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=60,
-                              env={**os.environ, "PYTHONPATH": src})
+                              env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == \
             f"{[int(sympy.isprime(n)) for n in numbers]}\n"

@@ -1,5 +1,4 @@
 import hashlib
-import os
 import random
 import subprocess
 import sys
@@ -14,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import pins
-import cycloclass
 from cycloclass import arith, classnumber
 from cycloclass.abelian import FinAbGroup
 from cycloclass.arith import InternalConsistencyError, \
@@ -30,7 +28,7 @@ from cycloclass.classnumber import (
     known_class_group,
     odd_part,
 )
-from cycloclass.cli import run
+from cycloclass.cli import answer
 from oracles import characters
 
 
@@ -991,13 +989,12 @@ class TestHminus:
         with pytest.raises(InternalConsistencyError, match="check prime"):
             hminus(m)
 
-    def test_corrupt_check_prime_exits_3(self, corrupt_check_prime, capsys,
+    def test_corrupt_check_prime_exits_3(self, corrupt_check_prime,
                                          monkeypatch):
         monkeypatch.delenv("CYCLOCLASS_CACHE", raising=False)
         corrupt_check_prime(211)
-        assert run(["hminus", "--m", "211"]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
+        code, out, err = answer(["hminus", "--m", "211"])
+        assert (code, out) == (3, "")
         assert err.startswith("internal consistency failure: analytic minus")
         assert "Traceback" not in err
 
@@ -1018,13 +1015,12 @@ class TestHminus:
             hminus(m)
 
     @pytest.mark.parametrize("m", [39, 257])
-    def test_corrupt_orbit_sum_exits_3(self, m, corrupt_orbit_sum, capsys,
+    def test_corrupt_orbit_sum_exits_3(self, m, corrupt_orbit_sum,
                                        monkeypatch):
         monkeypatch.delenv("CYCLOCLASS_CACHE", raising=False)
         corrupt_orbit_sum(m)
-        assert run(["hminus", "--m", str(m)]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
+        code, out, err = answer(["hminus", "--m", str(m)])
+        assert (code, out) == (3, "")
         assert err.startswith("internal consistency failure: analytic minus")
         assert "Traceback" not in err
 
@@ -1186,13 +1182,9 @@ class TestConductorParts:
     def test_any_order_gives_the_cold_values(self, cold, order):
         # each order stores other parts, derived at other moduli, and reads
         # them back at their multiples
-        src = os.path.dirname(os.path.dirname(cycloclass.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ,
-               "PYTHONPATH": src + (os.pathsep + path if path else "")}
         proc = subprocess.run([sys.executable, "-c", _SHARED_SWEEP, order],
                               capture_output=True, text=True, timeout=120,
-                              env=env)
+                              env=oracles.child_env())
         assert proc.returncode == 0, proc.stderr
         lines = [line.split() for line in proc.stdout.splitlines()]
         assert len(lines) == len(cold)

@@ -1,6 +1,4 @@
-import contextlib
 import hashlib
-import io
 import itertools
 import json
 import os
@@ -20,7 +18,8 @@ import pins
 from cycloclass import __version__, ktheory
 from cycloclass.classnumber import HMINUS_PHI_CEILING
 from cycloclass.cli import (SCHEMA_VERSION, TATE_RANK_CEILING, _build_parser,
-                            _canonical_key, _code_digest, _parse, run)
+                            _canonical_key, _code_digest, _parse, answer, run)
+from oracles import child_env
 
 TESTS = Path(__file__).resolve().parent
 
@@ -29,42 +28,33 @@ CODE = _code_digest()
 KEY_39 = _canonical_key(_build_parser().parse_args(["hminus", "--m", "39"]))
 
 
-@pytest.fixture
-def capture(capsys):
-    def invoke(argv):
-        code = run(argv)
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-    return invoke
-
-
 class TestBasicCommands:
-    def test_cbound(self, capture):
-        code, out, err = capture(["cbound", "--m", "58"])
+    def test_cbound(self):
+        code, out, err = answer(["cbound", "--m", "58"])
         assert code == 0 and out.strip() == "565"
 
-    def test_hminus(self, capture):
-        code, out, _ = capture(["hminus", "--m", "39"])
+    def test_hminus(self):
+        code, out, _ = answer(["hminus", "--m", "39"])
         assert code == 0 and out.strip() == "2"
 
-    def test_vtilde(self, capture):
-        code, out, _ = capture(["vtilde", "--m", "21"])
+    def test_vtilde(self):
+        code, out, _ = answer(["vtilde", "--m", "21"])
         assert code == 0 and out.strip() == "Z/4"
 
-    def test_a2k(self, capture):
-        code, out, _ = capture(["a2k", "--k", "2", "--m", "5"])
+    def test_a2k(self):
+        code, out, _ = answer(["a2k", "--k", "2", "--m", "5"])
         assert code == 0 and out.strip() == "40"
 
-    def test_a2k_large_modulus(self, capture):
-        code, out, _ = capture(["a2k", "--k", "2", "--m", "100000000"])
+    def test_a2k_large_modulus(self):
+        code, out, _ = answer(["a2k", "--k", "2", "--m", "100000000"])
         assert code == 0 and out.strip() == "1600000000"
 
-    def test_vtilde_past_int_str_digit_limit(self, capture):
+    def test_vtilde_past_int_str_digit_limit(self):
         # 2 has order 100002 mod 100003, so vtilde(2 * 100003) is cyclic of
         # order (2^50001 + 1) / 100003, which has 15048 digits: more than
         # the interpreter's default limit of 4300 on int-to-str conversion
         limit = sys.get_int_max_str_digits()
-        code, out, err = capture(["vtilde", "--m", "200006"])
+        code, out, err = answer(["vtilde", "--m", "200006"])
         assert code == 0 and err == ""
         assert sys.get_int_max_str_digits() == limit
         sys.set_int_max_str_digits(0)
@@ -73,27 +63,27 @@ class TestBasicCommands:
         finally:
             sys.set_int_max_str_digits(limit)
 
-    def test_tate_km(self, capture):
-        code, out, _ = capture(["tate", "--km", "4", "--degree", "1"])
+    def test_tate_km(self):
+        code, out, _ = answer(["tate", "--km", "4", "--degree", "1"])
         assert code == 0 and out.strip() == "Z/2 x Z/2 x Z/2"
 
-    def test_tate_explicit(self, capture):
-        code, out, _ = capture(["tate", "--invariants", "4",
-                                "--involution", "3", "--degree", "1"])
+    def test_tate_explicit(self):
+        code, out, _ = answer(["tate", "--invariants", "4",
+                               "--involution", "3", "--degree", "1"])
         assert code == 0 and out.strip() == "Z/2"
 
-    def test_tate_explicit_negation_is_the_default(self, capture):
+    def test_tate_explicit_negation_is_the_default(self):
         for degree in ("0", "1"):
-            explicit = capture(["tate", "--invariants", "4", "--involution",
-                                "3", "--degree", degree])
-            default = capture(["tate", "--invariants", "4",
-                               "--degree", degree])
+            explicit = answer(["tate", "--invariants", "4", "--involution",
+                               "3", "--degree", degree])
+            default = answer(["tate", "--invariants", "4",
+                              "--degree", degree])
             assert explicit == default and explicit[0] == 0
 
-    def test_tate_two_generators(self, capture):
+    def test_tate_two_generators(self):
         # trivial action on the Z/2 part, negation on the Z/4 part
-        code, out, _ = capture(["tate", "--invariants", "2,4",
-                                "--involution", "1,0;0,3", "--degree", "1"])
+        code, out, _ = answer(["tate", "--invariants", "2,4",
+                               "--involution", "1,0;0,3", "--degree", "1"])
         assert code == 0 and out.strip() == "Z/2 x Z/2"
 
     def test_tate_large_invariant_answers_at_once(self):
@@ -103,18 +93,18 @@ class TestBasicCommands:
                         timeout=20)
         assert proc.returncode == 0 and proc.stdout == "0\n"
 
-    def test_am(self, capture):
-        code, out, _ = capture(["am", "--m", "29"])
+    def test_am(self):
+        code, out, _ = answer(["am", "--m", "29"])
         assert code == 0 and "Z/2 x Z/2 x Z/2" in out
 
-    def test_verify(self, capture):
-        code, out, _ = capture(["verify", "--n", "4", "--m", "19"])
+    def test_verify(self):
+        code, out, _ = answer(["verify", "--n", "4", "--m", "19"])
         assert code == 0 and out.startswith("consistent")
 
 
 class TestJsonOutput:
-    def test_classify_infinite(self, capture):
-        code, out, _ = capture(
+    def test_classify_infinite(self):
+        code, out, _ = answer(
             ["classify", "--n", "4", "--m", "4", "--format", "json"])
         assert code == 0
         payload = json.loads(out)
@@ -122,46 +112,46 @@ class TestJsonOutput:
         assert set(payload) == {"n", "m", "mhs", "mhcob", "mhs_hcob",
                                 "a2k_order", "ingredients", "provenance"}
 
-    def test_round_trip(self, capture):
+    def test_round_trip(self):
         from cycloclass.manifoldset import classify
-        code, out, _ = capture(
+        code, out, _ = answer(
             ["classify", "--n", "4", "--m", "29", "--format", "json"])
         assert code == 0
         parsed = json.loads(out)
         assert parsed == classify(4, 29).to_json_dict()
         assert json.dumps(parsed, sort_keys=True) == out.strip()
 
-    def test_sweep_json(self, capture):
-        code, out, _ = capture(["sweep", "--n", "4", "--m-min", "2",
-                                "--m-max", "8", "--format", "json"])
+    def test_sweep_json(self):
+        code, out, _ = answer(["sweep", "--n", "4", "--m-min", "2",
+                               "--m-max", "8", "--format", "json"])
         assert code == 0
         payload = json.loads(out)
         assert [entry["m"] for entry in payload] == [2, 3, 4, 5, 6, 7, 8]
 
-    def test_global_flag_position(self, capture):
-        code1, out1, _ = capture(
+    def test_global_flag_position(self):
+        code1, out1, _ = answer(
             ["--format", "json", "cbound", "--m", "22"])
-        code2, out2, _ = capture(
+        code2, out2, _ = answer(
             ["cbound", "--m", "22", "--format", "json"])
         assert code1 == code2 == 0
         assert out1 == out2
 
 
 class TestExitCodes:
-    def test_usage_error(self, capture):
-        code, _, err = capture(["cbound"])
+    def test_usage_error(self):
+        code, _, err = answer(["cbound"])
         assert code == 1 and err
 
-    def test_unknown_command(self, capture):
-        code, _, err = capture(["frobnicate"])
+    def test_unknown_command(self):
+        code, _, err = answer(["frobnicate"])
         assert code == 1
 
-    def test_scope_error_odd_n(self, capture):
-        code, _, err = capture(["classify", "--n", "5", "--m", "3"])
+    def test_scope_error_odd_n(self):
+        code, _, err = answer(["classify", "--n", "5", "--m", "3"])
         assert code == 2 and "scope" in err
 
-    def test_scope_error_unsupported_modulus(self, capture):
-        code, _, err = capture(["vtilde", "--m", "105"])
+    def test_scope_error_unsupported_modulus(self):
+        code, _, err = answer(["vtilde", "--m", "105"])
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
@@ -170,14 +160,14 @@ class TestExitCodes:
         ["cbound", "--m", "0"], ["cbound", "--m", "1"],
         ["cbound", "--m", "-30"],
     ])
-    def test_scope_error_order_below_two(self, capture, argv):
-        code, out, err = capture(argv)
+    def test_scope_error_order_below_two(self, argv):
+        code, out, err = answer(argv)
         assert code == 2 and out == ""
         assert "the cyclic order must be at least 2" in err
 
     @pytest.mark.parametrize("level", ["10", "40"])
-    def test_scope_error_km_above_ceiling(self, capture, level):
-        code, out, err = capture(["tate", "--km", level, "--degree", "1"])
+    def test_scope_error_km_above_ceiling(self, level):
+        code, out, err = answer(["tate", "--km", level, "--degree", "1"])
         assert code == 2 and out == ""
         assert "levels above 9 are not built" in err
         assert "Traceback" not in err
@@ -202,8 +192,8 @@ class TestExitCodes:
         (["tate", "--km", "0", "--degree", "1"], 0),
         (["tate", "--km", "3", "--degree", "1", "--involution", "1"], 1),
     ])
-    def test_documented_exit_codes(self, capture, argv, code):
-        assert capture(argv)[0] == code
+    def test_documented_exit_codes(self, argv, code):
+        assert answer(argv)[0] == code
 
     @pytest.mark.parametrize("rank", [TATE_RANK_CEILING + 1, 60_000])
     def test_tate_rank_above_ceiling_fails_fast(self, rank):
@@ -249,7 +239,7 @@ class TestExitCodes:
         assert proc.stdout == "0\n"
 
     @pytest.mark.parametrize("involution", [None, "1"])
-    def test_tate_rank_refused_before_any_matrix(self, capture, monkeypatch,
+    def test_tate_rank_refused_before_any_matrix(self, monkeypatch,
                                                  involution):
         def refuse(*args):
             raise AssertionError("a matrix was built")
@@ -260,7 +250,7 @@ class TestExitCodes:
                 "--degree", "0"]
         if involution is not None:
             argv += ["--involution", involution]
-        code, out, err = capture(argv)
+        code, out, err = answer(argv)
         assert code == 2 and out == ""
         assert f"ranks above {TATE_RANK_CEILING} are not built" in err
 
@@ -273,64 +263,64 @@ class TestExitCodes:
               "prime factors without the factor 2"),
         (210, "m = 210: no unit-index reduction is implemented for 3 odd "
               "prime factors")])
-    def test_unit_reduction_scope_errors(self, capture, command, m, err):
-        assert capture([command, "--m", str(m)]) == \
+    def test_unit_reduction_scope_errors(self, command, m, err):
+        assert answer([command, "--m", str(m)]) == \
             (2, "", f"out of scope: {err}\n")
 
-    def test_unit_reduction_at_a_prime(self, capture):
+    def test_unit_reduction_at_a_prime(self):
         # vtilde is trivial at a prime; cbound has no bound there
-        assert capture(["vtilde", "--m", "7"]) == (0, "0\n", "")
-        assert capture(["cbound", "--m", "7"]) == (
+        assert answer(["vtilde", "--m", "7"]) == (0, "0\n", "")
+        assert answer(["cbound", "--m", "7"]) == (
             2, "", "out of scope: m = 7: no unit-index reduction is "
             "implemented for 1 odd prime factors without the factor 2\n")
 
-    def test_empty_sweep_range(self, capture):
-        code, out, err = capture(["sweep", "--n", "4", "--m-min", "5",
-                                  "--m-max", "2"])
+    def test_empty_sweep_range(self):
+        code, out, err = answer(["sweep", "--n", "4", "--m-min", "5",
+                                 "--m-max", "2"])
         assert code == 1 and out == ""
         assert "--m-min 5 exceeds --m-max 2" in err
         assert "Traceback" not in err
 
 
 class TestSweepText:
-    def test_hminus_beyond_ceiling_keeps_the_verdicts(self, capture):
+    def test_hminus_beyond_ceiling_keeps_the_verdicts(self):
         # phi(m) exceeds HMINUS_PHI_CEILING at every m but 9840 and 9842
         # (phi 2560 and 3888): those rows leave the h- columns blank and
         # keep their verdicts
-        code, out, err = capture(["sweep", "--n", "4", "--m-min", "9838",
-                                  "--m-max", "9843"])
+        code, out, err = answer(["sweep", "--n", "4", "--m-min", "9838",
+                                 "--m-max", "9843"])
         assert code == 0 and err == ""
         rows = [r.split() for r in out.strip().splitlines()[1:]]
         assert [int(r[0]) for r in rows] == list(range(9838, 9844))
         assert not any("error:" in r for r in rows)
         blank = {int(r[0]): r[4:] for r in rows if r[2:4] == ["-", "-"]}
         assert blank == {m: ["finite"] * 3 for m in (9838, 9839, 9841, 9843)}
-        _, json_out, _ = capture(["sweep", "--n", "4", "--m-min", "9838",
-                                  "--m-max", "9843", "--format", "json"])
+        _, json_out, _ = answer(["sweep", "--n", "4", "--m-min", "9838",
+                                 "--m-max", "9843", "--format", "json"])
         assert [[r[k]["verdict"] for k in ("mhs", "mhcob", "mhs_hcob")]
                 for r in json.loads(json_out)] == [r[4:] for r in rows]
 
     @pytest.mark.parametrize("n", ["3", "2", "-2"])
-    def test_degree_out_of_scope_fails_once(self, capture, n):
+    def test_degree_out_of_scope_fails_once(self, n):
         # n is checked once for the whole range, not once per m
-        code, out, err = capture(["sweep", "--n", n, "--m-min", "2",
-                                  "--m-max", "4"])
+        code, out, err = answer(["sweep", "--n", n, "--m-min", "2",
+                                 "--m-max", "4"])
         assert code == 2 and out == ""
         assert err == \
             f"out of scope: n = {n}: only even n >= 4 is classified\n"
 
-    def test_scope_error_is_still_an_error_row(self, capture):
+    def test_scope_error_is_still_an_error_row(self):
         # m = 1 has no cyclic group of order at least 2
-        code, out, _ = capture(["sweep", "--n", "4", "--m-min", "1",
-                                "--m-max", "2"])
+        code, out, _ = answer(["sweep", "--n", "4", "--m-min", "1",
+                               "--m-max", "2"])
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert rows[0].startswith("     1  error: m = 1:")
         assert rows[1].split()[2:] == ["1", "1"] + ["trivial"] * 3
 
-    def test_columns(self, capture):
-        code, out, _ = capture(["sweep", "--n", "4", "--m-min", "2",
-                                "--m-max", "20"])
+    def test_columns(self):
+        code, out, _ = answer(["sweep", "--n", "4", "--m-min", "2",
+                               "--m-max", "20"])
         assert code == 0
         lines = out.strip().splitlines()
         assert "sqfree" in lines[0] and "odd(h-)" in lines[0]
@@ -341,49 +331,49 @@ class TestSweepText:
     @pytest.mark.parametrize("line", list(pins.SWEEP_DIGESTS),
                              ids=["text-n4-1000", "json-n4-2000",
                                   "json-n6-2000"])
-    def test_stdout_digest(self, capture, line):
-        code, out, err = capture(line.split())
+    def test_stdout_digest(self, line):
+        code, out, err = answer(line.split())
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == \
             pins.SWEEP_DIGESTS[line]
 
 
 class TestCache:
-    def test_identical_bytes_with_and_without_cache(self, capture, tmp_path):
+    def test_identical_bytes_with_and_without_cache(self, tmp_path):
         cache_file = tmp_path / "cache.json"
         args = ["classify", "--n", "4", "--m", "29", "--format", "json"]
-        code1, out1, _ = capture(args)
-        code2, out2, _ = capture(args + ["--cache", str(cache_file)])
-        code3, out3, _ = capture(args + ["--cache", str(cache_file)])
+        code1, out1, _ = answer(args)
+        code2, out2, _ = answer(args + ["--cache", str(cache_file)])
+        code3, out3, _ = answer(args + ["--cache", str(cache_file)])
         assert code1 == code2 == code3 == 0
         assert out1 == out2 == out3
         data = json.loads(cache_file.read_text())
         assert data["schema"] == 2
         assert len(data["entries"]) == 1
 
-    def test_version_mismatch_invalidates(self, capture, tmp_path):
+    def test_version_mismatch_invalidates(self, tmp_path):
         cache_file = tmp_path / "cache.json"
         cache_file.write_text(json.dumps({
             "schema": 1, "tool_version": "0.0.0",
             "entries": {"whatever": "stale"}}))
-        code, out, _ = capture(["cbound", "--m", "58",
-                                "--cache", str(cache_file)])
+        code, out, _ = answer(["cbound", "--m", "58",
+                               "--cache", str(cache_file)])
         assert code == 0 and out.strip() == "565"
         data = json.loads(cache_file.read_text())
         assert "stale" not in json.dumps(data["entries"])
 
-    def test_env_var_default(self, capture, tmp_path, monkeypatch):
+    def test_env_var_default(self, tmp_path, monkeypatch):
         cache_file = tmp_path / "env-cache.json"
         monkeypatch.setenv("CYCLOCLASS_CACHE", str(cache_file))
-        code, out, _ = capture(["cbound", "--m", "26"])
+        code, out, _ = answer(["cbound", "--m", "26"])
         assert code == 0 and out.strip() == "5"
         assert cache_file.exists()
 
-    def test_text_and_json_cached_separately(self, capture, tmp_path):
+    def test_text_and_json_cached_separately(self, tmp_path):
         cache_file = tmp_path / "cache.json"
         base = ["vtilde", "--m", "21", "--cache", str(cache_file)]
-        _, text_out, _ = capture(base)
-        _, json_out, _ = capture(base + ["--format", "json"])
+        _, text_out, _ = answer(base)
+        _, json_out, _ = answer(base + ["--format", "json"])
         assert text_out.strip() == "Z/4"
         assert json.loads(json_out)["invariant_factors"] == [4]
 
@@ -416,11 +406,11 @@ class TestCache:
         # deeper than the JSON decoder follows: RecursionError
         pytest.param("[" * 100000 + "]" * 100000, id="nested-100000-deep"),
     ])
-    def test_wrong_shape_treated_as_empty(self, capture, tmp_path, content):
+    def test_wrong_shape_treated_as_empty(self, tmp_path, content):
         cache_file = tmp_path / "cache.json"
         cache_file.write_text(content)
-        code, out, err = capture(["cbound", "--m", "58",
-                                  "--cache", str(cache_file)])
+        code, out, err = answer(["cbound", "--m", "58",
+                                 "--cache", str(cache_file)])
         assert code == 0 and out.strip() == "565" and err == ""
         data = json.loads(cache_file.read_text())
         assert [entry["output"] for entry in data["entries"].values()] \
@@ -431,15 +421,15 @@ class TestCache:
         # no UTF-8 form, so no digest can match it
         pytest.param("\ud800", id="lone-surrogate"),
     ])
-    def test_tampered_entry_is_recomputed(self, capture, tmp_path, output):
+    def test_tampered_entry_is_recomputed(self, tmp_path, output):
         cache_file = tmp_path / "cache.json"
         args = ["hminus", "--m", "39", "--cache", str(cache_file)]
-        assert capture(args)[:2] == (0, "2\n")
+        assert answer(args)[:2] == (0, "2\n")
         data = json.loads(cache_file.read_text())
         (entry,) = data["entries"].values()
         entry["output"] = output
         cache_file.write_text(json.dumps(data))
-        code, out, err = capture(args)
+        code, out, err = answer(args)
         assert code == 0 and out == "2\n" and err == ""
         (entry,) = json.loads(cache_file.read_text())["entries"].values()
         assert entry["output"] == "2"
@@ -449,13 +439,17 @@ class TestCache:
 def test_unwritable_cache_costs_only_the_reuse(tmp_path, target):
     (tmp_path / "directory").mkdir()
     plain = _run_cli(["hminus", "--m", "39"], timeout=30)
-    proc = _run_cli(["--cache", str(tmp_path / target), "hminus", "--m", "39"],
-                    timeout=30)
+    argv = ["--cache", str(tmp_path / target), "hminus", "--m", "39"]
+    proc = _run_cli(argv, timeout=30)
     assert proc.returncode == 0 and proc.stdout == plain.stdout == "2\n"
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("cache not written: ")
     assert list((tmp_path / "directory").iterdir()) == []
+    # on one pipe the warning comes before the answer
+    merged = _run_cli(argv, timeout=30, stderr=subprocess.STDOUT).stdout
+    warning, answered = merged.splitlines()
+    assert warning.startswith("cache not written: ") and answered == "2"
 
 
 def test_cache_of_other_code_is_not_replayed(tmp_path):
@@ -463,8 +457,7 @@ def test_cache_of_other_code_is_not_replayed(tmp_path):
     shutil.copytree(os.path.dirname(cycloclass.__file__), package,
                     ignore=shutil.ignore_patterns("__pycache__"))
     cache_file = tmp_path / "cache.json"
-    env = {**os.environ, "PYTHONPATH": str(package.parent)}
-    env.pop("CYCLOCLASS_CACHE", None)
+    env = child_env(package.parent)
 
     def hminus_39():
         proc = subprocess.run(
@@ -493,23 +486,16 @@ def test_cache_of_other_code_is_not_replayed(tmp_path):
         != data["code_sha256"]
 
 
-def _child_env():
-    src = os.path.dirname(os.path.dirname(cycloclass.__file__))
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ,
-            "PYTHONPATH": src + (os.pathsep + path if path else "")}
-
-
-def _run_cli(argv, timeout):
+def _run_cli(argv, timeout, stderr=subprocess.PIPE):
     return subprocess.run([sys.executable, "-m", "cycloclass.cli", *argv],
-                          capture_output=True, text=True, timeout=timeout,
-                          env=_child_env())
+                          stdout=subprocess.PIPE, stderr=stderr, text=True,
+                          timeout=timeout, env=child_env())
 
 
 def test_cli_families_run_without_sympy():
     # sympy is the tests' oracle: no query imports it
     script = textwrap.dedent("""
-        import contextlib, io, sys
+        import sys
         import cycloclass, cycloclass.cli
         assert "sympy" not in sys.modules, "sympy imported at start-up"
         for argv in (["hminus", "--m", "39"], ["cbound", "--m", "58"],
@@ -519,12 +505,11 @@ def test_cli_families_run_without_sympy():
                      ["classify", "--n", "4", "--m", "30"],
                      ["verify", "--n", "4", "--m", "21"],
                      ["sweep", "--n", "4", "--m-min", "2", "--m-max", "11"]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cycloclass.cli.run(argv) == 0, argv
+            assert cycloclass.cli.answer(argv)[0] == 0, argv
             assert "sympy" not in sys.modules, argv
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=60, env=_child_env())
+                          text=True, timeout=60, env=child_env())
     assert proc.returncode == 0, proc.stderr
 
 
@@ -538,7 +523,7 @@ def test_primality_above_2_64_without_sympy(argv):
               "import cycloclass.cli; cycloclass.cli.main()")
     proc = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, timeout=60,
-                          env=_child_env())
+                          env=child_env())
     assert (proc.stdout, proc.stderr, proc.returncode) == \
         pins.QUERIES[" ".join(argv)]
 
@@ -570,52 +555,52 @@ class TestDeepAboveTheHminusCeiling:
     """A deep query refuses only when the branch it takes reads h^- above
     HMINUS_PHI_CEILING."""
 
-    def test_am_reads_no_class_number_at_a_power_of_two(self, capture):
+    def test_am_reads_no_class_number_at_a_power_of_two(self):
         out, err, code = pins.QUERIES["am --m 8192"]
-        assert capture(["am", "--m", "8192"]) == (code, out, err)
+        assert answer(["am", "--m", "8192"]) == (code, out, err)
         assert (code, err) == (0, "") and out.startswith("unknown: ")
 
     @pytest.mark.parametrize("argv", [
         ["classify", "--n", "4", "--m", "6561", "--deep"],
         ["verify", "--n", "4", "--m", "8192"]])
-    def test_branches_below_the_ceiling_answer(self, capture, argv):
-        code, out, err = capture(argv)
+    def test_branches_below_the_ceiling_answer(self, argv):
+        code, out, err = answer(argv)
         assert code == 0 and out and err == ""
 
     @pytest.mark.parametrize("m", ["4003", "24389"])
-    def test_branches_reading_hminus_above_it_refuse(self, capture, m):
+    def test_branches_reading_hminus_above_it_refuse(self, m):
         # 24389 = 29^3: h is even, so the class parts are read
-        code, out, err = capture(["classify", "--n", "4", "--m", m,
-                                  "--deep"])
+        code, out, err = answer(["classify", "--n", "4", "--m", m,
+                                 "--deep"])
         assert code == 2 and out == ""
         assert f"is above {HMINUS_PHI_CEILING}" in err
 
 
 class TestPinnedAnswers:
-    """The answers of ``pins.QUERIES`` at 130, 65, 15 and 21, through the
-    capture fixture."""
+    """The answers of ``pins.QUERIES`` at 130, 65, 15 and 21, through
+    ``answer``."""
 
     @staticmethod
     def pinned(line):
         out, err, code = pins.QUERIES[line]
         return code, out, err
 
-    def test_classify_deep_130(self, capture):
+    def test_classify_deep_130(self):
         line = "classify --n 4 --m 130 --deep"
-        assert capture(line.split()) == self.pinned(line)
+        assert answer(line.split()) == self.pinned(line)
 
-    def test_verify_65(self, capture):
+    def test_verify_65(self):
         line = "verify --n 4 --m 65"
-        assert capture(line.split()) == self.pinned(line)
+        assert answer(line.split()) == self.pinned(line)
 
     # the kernel groups at 15 (trivial action) and 21 (negation) are the
     # only stored facts whose J, I and Tate group are not all 0
     @pytest.mark.parametrize("m,expected", [
         (m, pins.QUERIES[f"classify --n 4 --m {m} --deep --format json"][0])
         for m in (15, 21)])
-    def test_classify_deep_json(self, capture, m, expected):
+    def test_classify_deep_json(self, m, expected):
         line = f"classify --n 4 --m {m} --deep --format json"
-        assert capture(line.split()) == (0, expected, "")
+        assert answer(line.split()) == (0, expected, "")
         assert self.pinned(line) == (0, expected, "")
 
 
@@ -631,10 +616,10 @@ def _no_divisors(n):
     raise AssertionError(f"the divisors of {n} were listed")
 
 
-def test_many_divisors_are_counted_not_listed(capture, monkeypatch):
+def test_many_divisors_are_counted_not_listed(monkeypatch):
     monkeypatch.setattr(ktheory, "divisors", _no_divisors)
-    code, out, err = capture(["classify", "--n", "4", "--m",
-                              str(_MANY_DIVISORS), "--format", "json"])
+    code, out, err = answer(["classify", "--n", "4", "--m",
+                             str(_MANY_DIVISORS), "--format", "json"])
     assert (code, err) == (0, "")
     assert json.loads(out)["ingredients"]["free_rank"] == \
         _MANY_DIVISORS // 2 + 1 - 3548160
@@ -644,11 +629,11 @@ def test_many_divisors_are_counted_not_listed(capture, monkeypatch):
     ["classify", "--n", "4"], ["classify", "--n", "4", "--deep"],
     ["verify", "--n", "4"]])
 def test_square_free_modulus_past_the_divisor_ceiling_fails_fast(
-        capture, monkeypatch, argv):
+        monkeypatch, argv):
     # 17 primes, 2^17 divisors: refused before any divisor is listed
     monkeypatch.setattr(ktheory, "divisors", _no_divisors)
     start = time.perf_counter()
-    code, out, err = capture([*argv, "--m", str(_PRIMORIAL_17)])
+    code, out, err = answer([*argv, "--m", str(_PRIMORIAL_17)])
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == (f"out of scope: m = {_PRIMORIAL_17} is square-free with "
@@ -656,10 +641,10 @@ def test_square_free_modulus_past_the_divisor_ceiling_fails_fast(
                    "divisors are not listed\n")
 
 
-def test_sweep_past_the_divisor_ceiling_is_an_error_row(capture):
-    code, out, _ = capture(["sweep", "--n", "4", "--m-min",
-                            str(_PRIMORIAL_17), "--m-max",
-                            str(_PRIMORIAL_17)])
+def test_sweep_past_the_divisor_ceiling_is_an_error_row():
+    code, out, _ = answer(["sweep", "--n", "4", "--m-min",
+                           str(_PRIMORIAL_17), "--m-max",
+                           str(_PRIMORIAL_17)])
     assert code == 0
     assert out.splitlines()[1] == (f"{_PRIMORIAL_17}  error: m = "
                                    f"{_PRIMORIAL_17} is square-free with "
@@ -667,9 +652,9 @@ def test_sweep_past_the_divisor_ceiling_is_an_error_row(capture):
                                    "than 65536 divisors are not listed")
 
 
-def test_square_free_modulus_at_the_divisor_ceiling_answers(capture):
-    code, out, err = capture(["classify", "--n", "4", "--m",
-                              str(_PRIMORIAL_16)])
+def test_square_free_modulus_at_the_divisor_ceiling_answers():
+    code, out, err = answer(["classify", "--n", "4", "--m",
+                             str(_PRIMORIAL_16)])
     assert (code, err) == (0, "")
     assert out.endswith("  provenance: rule-derived\n")
 
@@ -699,25 +684,62 @@ def test_reader_that_closes_stdout_early(argv):
     # ends there, with exit code 0 and nothing on stderr
     proc = subprocess.Popen([sys.executable, "-m", "cycloclass.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=_child_env())
+                            env=child_env())
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 0 and err == b""
 
 
 def test_reader_to_the_end_gets_every_byte():
-    # main ends the process with os._exit, which flushes nothing: with
-    # stdout buffered, the tail of an answer this large reaches the pipe
-    # only by main's own flush
+    # main ends the process with os._exit, which flushes nothing: an
+    # answer of 282 KB, written in one piece, still reaches the pipe whole
     line = "--format json sweep --n 4 --m-min 2 --m-max 2000"
-    env = _child_env()
-    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run([sys.executable, "-m", "cycloclass.cli",
                            *line.split()], capture_output=True, timeout=60,
-                          env=env)
+                          env=child_env())
     assert proc.returncode == 0 and proc.stderr == b""
     assert hashlib.sha256(proc.stdout).hexdigest() == \
         pins.SWEEP_DIGESTS[line]
+
+
+@pytest.mark.parametrize("closed", ["by-its-reader", "at-start"])
+@pytest.mark.parametrize("argv,code,stdout", [
+    (["hminus"], 1, b""), (["classify", "--n", "5", "--m", "3"], 2, b""),
+    (["hminus", "--m", "39"], 0, b"2\n")])
+def test_closed_stderr_keeps_the_exit_code(closed, argv, code, stdout):
+    # closed by its reader before the child writes, or as fd 2 (2>&-)
+    command = [sys.executable, "-m", "cycloclass.cli", *argv]
+    if closed == "at-start":
+        command = ["sh", "-c", 'exec "$0" "$@" 2>&-', *command]
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=child_env())
+    proc.stderr.close()
+    out, _ = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (code, stdout)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no digit limit")
+@pytest.mark.parametrize("argv", [["a2k", "--k", "2"], ["vtilde"],
+                                  ["hminus"]])
+def test_modulus_past_the_digit_limit_is_a_usage_error(argv):
+    # the argv is parsed under the limit of 4300 digits, which only the
+    # computation lifts: a2k would otherwise set out to factor m
+    m = "7" * 4400
+    proc = _run_cli([*argv, "--m", m], timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (1, "", f"usage error: argument --m: invalid int value: '{m}'\n")
+
+
+@pytest.mark.parametrize("line", [
+    "hminus --m 39", "--help", "hminus --help", "hminus --form json --m 39",
+    "hminus --m=39", "hminus", "hminus --m x", "frobnicate", "vtilde --m 105"])
+def test_answer_writes_nothing_and_run_writes_it(capsys, line):
+    argv = line.split()
+    code, out, err = answer(argv)
+    assert capsys.readouterr() == ("", "")
+    assert run(argv) == code and type(code) is int
+    assert capsys.readouterr() == (out, err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -793,12 +815,9 @@ def _argv(draw):
 @settings(max_examples=300, deadline=None)
 @given(_argv())
 def test_exit_code_contract_for_any_argv(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = run(argv)
+    code, _, err = answer(argv)
     assert code in (0, 1, 2, 3), argv
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
 
 
 PARSER = _build_parser()
@@ -878,14 +897,9 @@ ARGPARSE_PINS = [
 
 @pytest.mark.parametrize("pin", ARGPARSE_PINS,
                          ids=lambda pin: " ".join(pin["argv"]) or "-")
-def test_help_and_usage_errors_keep_their_bytes(capsys, monkeypatch, pin):
+def test_help_and_usage_errors_keep_their_bytes(monkeypatch, pin):
     monkeypatch.setenv("COLUMNS", "80")
-    try:
-        code = run(pin["argv"])
-    except SystemExit as exit:
-        code = exit.code
-    out, err = capsys.readouterr()
-    assert (out, err, code) == (pin["stdout"], pin["stderr"], pin["exit"])
+    assert answer(pin["argv"]) == (pin["exit"], pin["stdout"], pin["stderr"])
 
 
 #: any text, lone surrogates included
@@ -940,7 +954,5 @@ def test_exit_code_contract_for_any_cache_file(content):
         with open(path, "w", encoding="utf-8",
                   errors="surrogatepass") as handle:
             handle.write(content)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(["--cache", path, "hminus", "--m", "39"])
-    assert code == 0 and out.getvalue() == "2\n" and err.getvalue() == ""
+        assert answer(["--cache", path, "hminus", "--m", "39"]) == \
+            (0, "2\n", "")

@@ -8,8 +8,9 @@ definition of that name alive.  No import counts as a use: a module
 that imports a name and never uses it does not keep the name's definition
 alive.  A use inside a definition of the same name does not count either,
 so neither recursion nor a method that delegates to its namesake keeps it.
-Dunder methods are called by the language and are exempt, and so is
-``cli._build_parser._Parser.error``, which argparse calls.
+Dunder methods are called by the language and are exempt, and so are
+``error`` and ``print_help`` of ``cli._build_parser._Parser``, which
+argparse calls.
 
 Every name has one home: a module imports it from the module that defines
 it, never through another module that imports it in turn.
@@ -39,7 +40,8 @@ SRC = TESTS.parent / "src" / "cycloclass"
 WORKFLOW = TESTS.parent / ".github" / "workflows" / "tier1.yml"
 HEX_DIGEST = re.compile(r"(?<![0-9a-f])[0-9a-f]{64}(?![0-9a-f])")
 
-CALLED_BY_LIBRARIES = {"cli._build_parser._Parser.error"}
+CALLED_BY_LIBRARIES = {"cli._build_parser._Parser.error",
+                       "cli._build_parser._Parser.print_help"}
 
 
 def _definitions(node, prefix):

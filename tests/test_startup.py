@@ -19,6 +19,7 @@ import pytest
 
 import cycloclass
 from cycloclass.cli import _digest, _sha256
+from oracles import child_env
 
 SRC = Path(cycloclass.__file__).resolve().parent
 #: the interpreter's builtin SHA-256 module: _sha2 from 3.12, _sha256 before
@@ -50,10 +51,9 @@ def _added_modules(code, *flags):
         {code}
         print(" ".join(sorted(set(sys.modules) - before)))
     """).format(code=code)
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    env.pop("CYCLOCLASS_CACHE", None)
     proc = subprocess.run([sys.executable, *flags, "-c", script],
-                          capture_output=True, text=True, timeout=60, env=env)
+                          capture_output=True, text=True, timeout=60,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 
@@ -113,11 +113,9 @@ def test_cli_import_loads_no_argparse():
 
 def test_uncached_text_query_loads_no_json_hashlib_or_tempfile():
     added = _added_modules(textwrap.dedent("""
-        import contextlib, io
         import cycloclass.cli
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert cycloclass.cli.run(["hminus", "--m", "39"]) == 0
-        assert out.getvalue() == "2\\n"
+        assert cycloclass.cli.answer(["hminus", "--m", "39"]) == \\
+            (0, "2\\n", "")
     """))
     assert "cycloclass.classnumber" in added
     assert not added & {"json", "hashlib", "tempfile", "dataclasses"}
@@ -129,14 +127,9 @@ def test_uncached_text_query_loads_no_json_hashlib_or_tempfile():
     (["hminus", "--help"], "usage: cycloclass hminus [-h]")])
 def test_help_and_other_forms_answer_through_argparse(argv, stdout):
     added = _added_modules(textwrap.dedent("""
-        import contextlib, io
         import cycloclass.cli
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            try:
-                code = cycloclass.cli.run({argv!r})
-            except SystemExit as exit:
-                code = exit.code
-        assert code == 0 and out.getvalue().startswith({stdout!r})
+        code, out, _ = cycloclass.cli.answer({argv!r})
+        assert code == 0 and out.startswith({stdout!r})
     """).format(argv=argv, stdout=stdout))
     assert "argparse" in added
 
@@ -146,13 +139,11 @@ def _cache_round_trip(cache_file, prelude=""):
     a miss and then a hit, after ``prelude``."""
     return textwrap.dedent("""
         {prelude}
-        import contextlib, io
         import cycloclass.cli
         for _ in range(2):
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                assert cycloclass.cli.run(
-                    ["--cache", {cache_file!r}, "hminus", "--m", "39"]) == 0
-            assert out.getvalue() == "2\\n"
+            assert cycloclass.cli.answer(
+                ["--cache", {cache_file!r}, "hminus", "--m", "39"]) == \\
+                (0, "2\\n", "")
     """).format(prelude=prelude, cache_file=str(cache_file))
 
 
@@ -195,8 +186,9 @@ def test_without_builtin_sha256_hashlib_writes_the_same_file(tmp_path):
     assert builtin.read_bytes() == fallback.read_bytes()
 
 
-#: main ends the process with os._exit once both streams are flushed,
-#: skipping interpreter finalization, which only frees the loaded modules.
+#: main ends the process with os._exit once run has written stderr and
+#: stdout is flushed, skipping interpreter finalization, which only frees
+#: the loaded modules.
 #: CPU per cold process (os.wait4 rusage, medians of 60 interleaved runs on
 #: a 2-core x86-64 host, Python 3.11.7), with finalization against
 #: without: hminus --m 39 66.3 against 58.4 ms, verify --n 6 --m 39 65.4
@@ -215,9 +207,6 @@ _MAIN = textwrap.dedent("""
 
 def test_main_ends_without_finalization(tmp_path):
     cache = str(tmp_path / "cache.json")
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    for name in ("CYCLOCLASS_CACHE", "PYTHONUNBUFFERED"):
-        env.pop(name, None)
     for argv, code, stdout, stderr in [
             (["hminus", "--m", "39"], 0, "2\n", ""),
             (["--cache", cache, "hminus", "--m", "39"], 0, "2\n", ""),
@@ -227,7 +216,7 @@ def test_main_ends_without_finalization(tmp_path):
             (["hminus", "--help"], 0, "usage: cycloclass hminus", "")]:
         proc = subprocess.run(
             [sys.executable, "-c", _MAIN.format(argv=argv)],
-            capture_output=True, text=True, timeout=60, env=env)
+            capture_output=True, text=True, timeout=60, env=child_env())
         assert (proc.returncode, proc.stderr) == (code, stderr), argv
         assert proc.stdout.startswith(stdout), argv
     assert os.path.exists(cache)
@@ -239,7 +228,7 @@ def test_no_query_registers_an_exit_handler(tmp_path):
     # queries, a cache miss and hit and --help answer in one fresh process
     cache = str(tmp_path / "cache.json")
     _added_modules(textwrap.dedent("""
-        import atexit, contextlib, io
+        import atexit
 
         def refuse(*args, **kwargs):
             raise AssertionError(f"atexit.register{{args}}")
@@ -259,13 +248,8 @@ def test_no_query_registers_an_exit_handler(tmp_path):
                       "hminus", "--m", "39"],
                      ["--format", "json", "--cache", {cache!r},
                       "hminus", "--m", "39"]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cycloclass.cli.run(argv) == 0, argv
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            try:
-                cycloclass.cli.run(["--help"])
-            except SystemExit as exit:
-                assert exit.code == 0
-        assert out.getvalue().startswith("usage: cycloclass")
+            assert cycloclass.cli.answer(argv)[0] == 0, argv
+        code, out, _ = cycloclass.cli.answer(["--help"])
+        assert code == 0 and out.startswith("usage: cycloclass")
     """).format(cache=cache))
     assert os.path.exists(cache)
