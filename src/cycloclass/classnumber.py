@@ -67,10 +67,11 @@ one value of ceil(e/4) terms per pair {j, -j}, at picks of the row
 C_s = zeta^s + zeta^(-s), s < e, in which C_0 counts as 1.  So an orbit
 costs (phi(e)/2) ceil(e/4) multiply-adds with residues, a quarter of one
 value per unit, and one product of two integers for the R_u: the a_t and
-their reverse, packed in lanes of a few more bits than n max|a_t|^2
-(Kronecker substitution), multiply to every R_u at once, where the sums of
-products took about e^2/8 of them.  A short orbit, n <= 15, takes the
-ceil(n/2) differences R_u - R_(n - u) as sums of products instead
+their reverse, packed in byte lanes of at least two more bits than n
+max|a_t|^2 (Kronecker substitution, the one codec ``_pack``/``_unpack``
+that ``_halve`` packs with too), multiply to every R_u at once, where the
+sums of products took about e^2/8 of them.  A short orbit, n <= 17, takes
+the ceil(n/2) differences R_u - R_(n - u) as sums of products instead
 (``_real_coefficients``): below that length packing costs more than the
 sums.  The rows of all the orders e are strided slices of one row: with x
 of order L, the lcm of the orders left, and zeta = x^(L/e), the row of e is
@@ -529,20 +530,40 @@ def _cos_row(x, order, modulus):
     return row + row[(order - 1) // 2:0:-1]
 
 
-#: lanes per block in ``_packed_autocorrelation``: a lane is shifted in or
-#: out of a block of this many, not of the whole number, so packing or
-#: reading n lanes copies the whole number n/64 times, not n times
-_BLOCK_LANES = 64
+def _bias(n, width):
+    """2^(8 width - 1) in each of n lanes of ``width`` bytes."""
+    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * n, "little")
+
+
+def _pack(a, width):
+    """sum_t a_t X^t + _bias(len(a), width), X = 2^(8 width), for |a_t| <
+    2^(8 width - 1) (Kronecker substitution): each a_t plus 2^(8 width - 1)
+    is one lane of ``width`` little-endian bytes."""
+    half = 1 << 8 * width - 1
+    return int.from_bytes(b"".join([(x + half).to_bytes(width, "little")
+                                    for x in a]), "little")
+
+
+def _unpack(p, n, width):
+    """[c_0, ..., c_(n-1)] from p = sum_(t < n) c_t X^t + _bias(n, width),
+    X = 2^(8 width), every c_t below 2^(8 width - 2) in size: each c_t plus
+    2^(8 width - 1) lies in [0, X), so the digits of p base X are the
+    biased c_t, no lane borrowing from the next."""
+    half, from_bytes = 1 << 8 * width - 1, int.from_bytes
+    lanes = p.to_bytes(width * n, "little")
+    return [from_bytes(lanes[i:i + width], "little") - half
+            for i in range(0, width * n, width)]
 
 
 #: the longest r whose coefficients ``_real_coefficients`` takes as sums of
 #: products, not from one product: on random entries below 5000 in size,
-#: the sums take 2.5, 3.3, 4.4, 5.7, 6.9 and 8.4 us at n = 5, 7, 9, 11, 13
-#: and 15, and the product 4.9, 5.7, 6.4, 7.0, 8.0 and 8.5 us; at n = 17
-#: the product first wins, 9.6 against 10.1 us (Python 3.11, 2-core x86-64
-#: host).  So the closed forms at e = 10, 14, 18 and 30 and the orbits left
-#: at e = 22 and 26 take the sums
-_DIRECT_LENGTH = 15
+#: the sums take 7.3, 9.0 and 10.9 us at n = 13, 15 and 17, and the product
+#: 9.5, 10.5 and 11.5 us; at n = 19 the product first wins, 12.5 against
+#: 13.0 us, and at n = 21 by 13.0 against 14.8 us (the least of 15
+#: alternating repeats of 2000 calls; five seeds agree; Python 3.11, 2-core
+#: x86-64 host).  So the closed forms at e = 10, 14, 18 and 30 and the
+#: orbits left at e = 22, 26 and 34 take the sums
+_DIRECT_LENGTH = 17
 
 
 def _real_coefficients(r):
@@ -562,37 +583,19 @@ def _real_coefficients(r):
 def _packed_autocorrelation(a):
     """c_v = sum_t a_t a_(t + v) for v < n = len(a), from one product.
 
-    With lanes of B bits, B two more than the bit length of n max|a_t|^2,
-    a packs as sum_t a_t 2^(B t) and its reverse as sum_t a_(n-1-t)
-    2^(B t) (Kronecker substitution), by Horner's rule on each block of
-    ``_BLOCK_LANES`` lanes, then on the blocks.  Lane n - 1 + v of their
-    product holds c_(-v) = c_v, and every lane a sum of at most n
-    products, below 2^(B-2) in size.  So adding 2^(B-1) to every lane
-    leaves each one non-negative and below 2^B, with no carry between
-    lanes, and the lanes from n - 1 up read off as c_0, c_1, ..., each
-    less the bias.  The work in Python is linear in n; the product is
-    CPython's.
+    a and its reverse pack in lanes of w bytes, 8w at least two bits above
+    the bit length of n max|a_t|^2.  Lane n - 1 + v of their product holds
+    c_(-v) = c_v, and every lane is a sum of at most n products, below
+    2^(8w - 2) in size.  So the n - 1 lanes below c_0 are below 2^(s - 1),
+    s = 8w (n - 1), in size: biased by 2^(s - 1), the product shifts down
+    by s bits to c_0, c_1, ... with no borrow, and those lanes unpack
+    with their bias.
     """
     n = len(a)
-    width = (n * max(map(abs, a)) ** 2).bit_length() + 2
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    block, reverse = width * _BLOCK_LANES, a[::-1]
-    forward = backward = 0
-    for i in reversed(range(0, n, _BLOCK_LANES)):
-        low = high = 0
-        for x, y in zip(reversed(a[i:i + _BLOCK_LANES]),
-                        reversed(reverse[i:i + _BLOCK_LANES])):
-            low, high = (low << width) + x, (high << width) + y
-        forward = (forward << block) + low
-        backward = (backward << block) + high
-    bias = ((1 << width * (2 * n - 1)) - 1) // mask * half
-    product = (forward * backward + bias) >> width * (n - 1)
-    c = []
-    for i in range(0, n, _BLOCK_LANES):
-        low, product = product & ((1 << block) - 1), product >> block
-        c += [(low >> s & mask) - half
-              for s in range(0, width * min(n - i, _BLOCK_LANES), width)]
-    return c
+    width = ((n * max(map(abs, a)) ** 2).bit_length() + 9) // 8
+    bias, shift = _bias(n, width), 8 * width * (n - 1)
+    product = (_pack(a, width) - bias) * (_pack(a[::-1], width) - bias)
+    return _unpack((product + (1 << shift >> 1) >> shift) + bias, n, width)
 
 
 #: the most times a row C_s, s < d, is repeated for ``_pick``: every index
@@ -617,15 +620,6 @@ def _pick(tiled, d, start, step, count):
     return pick
 
 
-def _lanes(n, width):
-    """(bias, odd, odd bias) for n lanes of ``width`` bytes: 2^(8 width - 1)
-    in every lane, all ones in the odd lanes, and the bias of those."""
-    bias = int.from_bytes((b"\0" * (width - 1) + b"\x80") * n, "little")
-    odd = int.from_bytes((b"\0" * width + b"\xff" * width) * (n // 2),
-                         "little")
-    return bias, odd, bias & odd
-
-
 def _halve(d, a):
     """(e, r): the norm of sum_(t < d/2) a_t zeta_d^t from Q(zeta_d) down
     to Q(zeta_e), e = d / 2^(v-1) for 2^v || d, as sum_(t < e/2) r_t
@@ -635,38 +629,36 @@ def _halve(d, a):
     R(x^2) mod x^n + 1, n = d/2, is the norm down to Q(zeta_(d/2)) at y =
     x^2 (Graeffe's root squaring), reduced mod y^(n/2) + 1.  a is packed
     once, in lanes of B bits, B the least multiple of 8 above the bit
-    lengths of max|a_t| and n, each lane biased by 2^(B-1) (``_lanes``).
-    P(-X) at X = 2^B is P(X) less twice its odd lanes, read through a byte
-    mask.  The product P(X) P(-X) has no odd powers of X, so it holds R in
-    lanes of 2B bits, each a signed sum of at most n products, below
-    2^(2B-2) in size.  Its low n/2 lanes are then below 2^(s-1), s = B n,
+    lengths of max|a_t| and n (``_pack``).  P(-X) at X = 2^B is P(X) less
+    twice its odd lanes, read through a byte mask of the biased lanes.
+    The product P(X) P(-X) has no odd powers of X, so it holds R in lanes
+    of 2B bits, each a signed sum of at most n products, below 2^(2B-2)
+    in size.  Its low n/2 lanes are then below 2^(s-1), s = B n,
     in size, so biased by 2^(s-1) the product splits into those and the
     high n/2, whose difference is R mod y^(n/2) + 1, packed for the next
     step: the entries grow to at most n max|a_t|^2, and 2B is again above
-    the bit lengths of those and of n/2.  r is unpacked once, at the end.
+    the bit lengths of those and of n/2.  r is unpacked once, at the end
+    (``_unpack``).
     """
     n = d // 2
     if n % 2:
         return d, a
     width = (max(map(abs, a)).bit_length() + n.bit_length() + 8) // 8
-    half = 1 << 8 * width - 1
-    bias, odd, odd_bias = _lanes(n, width)
-    p = int.from_bytes(b"".join([(x + half).to_bytes(width, "little")
-                                 for x in a]), "little") - bias
+    bias = _bias(n, width)
+    p = _pack(a, width) - bias
     while n % 2 == 0:
         # P(-X) = P(X) - 2 P_odd(X), P_odd the odd lanes less their bias
-        p *= p - 2 * (((p + bias) & odd) - odd_bias)
+        odd = int.from_bytes((b"\0" * width + b"\xff" * width) * (n // 2),
+                             "little")
+        p *= p - 2 * (((p + bias) & odd) - (bias & odd))
+        bias &= odd  # the bias of lanes twice as wide
         width, n = 2 * width, n // 2
         # the low n lanes less the high n, biased by 2^(s-1) to split
         shift = 8 * width * n
         top = 1 << shift - 1
         p += top
         p = (p & (1 << shift) - 1) - top - (p >> shift)
-        bias, odd, odd_bias = _lanes(n, width)
-    half = 1 << 8 * width - 1
-    lanes = (p + bias).to_bytes(width * n, "little")
-    return 2 * n, [int.from_bytes(lanes[i:i + width], "little") - half
-                   for i in range(0, width * n, width)]
+    return 2 * n, _unpack(p + bias, n, width)
 
 
 #: psi_e, the minimal polynomial of c = zeta_e + zeta_e^(-1), for the

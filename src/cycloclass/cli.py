@@ -43,12 +43,15 @@ argparse is imported only for the rest: --help, abbreviations such as
 --form, --m=39, and every malformed line.  Both parsers read one grammar,
 _COMMANDS, so the help and the usage errors are argparse's.  answer(argv)
 returns the exit code, stdout and stderr, --help included, writing none;
-run writes stderr (if it can), then stdout, and returns the code; main
-calls run, flushes stdout and ends with os._exit, skipping interpreter
+run writes stderr (if it can), then stdout, flushes it and returns the
+code; main calls run and ends with os._exit, skipping interpreter
 finalization, which only frees the loaded modules: 5-8 ms of CPU per
 cold query on a 2-core x86-64 host, mostly freeing what site loads for
 the .pth files of site-packages.  A host program's atexit handlers do
-not run after main; code that embeds the CLI calls answer or run.
+not run after main; code that embeds the CLI calls answer or run.  An
+answer stdout cannot take exits 1 with one "output not written" line,
+and a cache path that is no regular file is neither read nor replaced
+(README, "Exit codes" and "Result cache").
 """
 
 from __future__ import annotations
@@ -79,6 +82,12 @@ CACHE_ENV_VAR = "CYCLOCLASS_CACHE"
 #: All on a 2-core x86-64 host (Python 3.11).  A larger rank is refused
 #: once the factors are normalised, before any matrix is built.
 TATE_RANK_CEILING = 1024
+
+#: the largest cache file read, in bytes; a larger one counts as empty and
+#: is replaced.  A JSON sweep over 2..10000, 2..30000 or 2..100000 caches
+#: 8.8, 27.3 or 94.5 MB, a text sweep to 10000 about 11.9 MB, and all
+#: 1,156 cli-cold lines of perfbench 0.4 MB
+CACHE_BYTES_CEILING = 1 << 27
 
 
 class _UsageError(Exception):
@@ -260,10 +269,19 @@ def _code_digest():
 class _Cache:
     def __init__(self, path):
         import json
+        import stat
         self.path = path
         self.code = _code_digest()
         self.entries = {}
-        if os.path.exists(path):
+        try:
+            info = os.stat(path)
+        except OSError:
+            info = None  # missing or unreachable: put tries to write it
+        # neither read (a FIFO blocks it, /dev/zero never ends it) nor
+        # replaced: a directory, a device or a FIFO
+        self.foreign = info is not None and not stat.S_ISREG(info.st_mode)
+        if info is not None and not self.foreign and \
+                info.st_size <= CACHE_BYTES_CEILING:
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     data = json.load(handle)
@@ -299,9 +317,11 @@ class _Cache:
 
     def put(self, key, value):
         """Store an entry by an atomic rewrite of the file; OSError when the
-        path cannot be written."""
+        path cannot be written or is not a cache file to replace."""
         import json
         import tempfile
+        if self.foreign:
+            raise OSError(f"{self.path} is not a regular file")
         self.entries[key] = {"output": value, "sha256": _digest(value)}
         payload = {"schema": SCHEMA_VERSION, "code_sha256": self.code,
                    "entries": self.entries}
@@ -507,25 +527,45 @@ def answer(argv):
     return 0, output + "\n", warning
 
 
-def run(argv):
-    """Write the answer to an argv list, stderr first; return its code."""
-    code, out, err = answer(argv)
+class _Undelivered(OSError):
+    """stdout cannot take the answer."""
+
+
+def _to_stderr(text):
     try:
-        sys.stderr.write(err)
+        sys.stderr.write(text)
     except (AttributeError, OSError):
         pass  # stderr is None or its reader is gone: the code stands
-    sys.stdout.write(out)
+
+
+def run(argv):
+    """Write the answer to an argv list, stderr first, and flush stdout;
+    return its code.  _Undelivered for any OSError but BrokenPipeError
+    on the stdout write or flush."""
+    code, out, err = answer(argv)
+    _to_stderr(err)
+    try:
+        if out:  # /dev/full fails even an empty write
+            sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as failure:
+        raise _Undelivered(failure) from None
     return code
 
 
 def main():
     """Run ``sys.argv`` as a process, ended by ``os._exit`` once answered."""
     try:
+        if sys.stdout is None:  # fd 1 was closed at start: no query runs
+            raise _Undelivered("stdout is closed")
         code = run(sys.argv[1:])
-        sys.stdout.flush()
     except BrokenPipeError:
-        # the reader has all it wanted
-        code = 0
+        code = 0  # the reader has all it wanted
+    except _Undelivered as failure:
+        code = 1  # as coreutils exit on a write error
+        _to_stderr(f"output not written: {failure}\n")
     os._exit(code)
 
 

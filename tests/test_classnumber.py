@@ -334,12 +334,17 @@ class TestOddOrbits:
 
 
 def _lane_boundaries():
-    """Vectors with n max|a_t|^2 = 2^k or 2^k - 1, every entry at the
-    maximum, of one sign or alternating, so that c_0 fills the widest
-    lane that its bit length allows."""
+    """Vectors with n max|a_t|^2 = 2^k or 2^k - 1, or with its bit length
+    8B - 2 at either end of that range, for lanes of exactly B = 2, 3 and
+    6 bytes, every entry at the maximum, of one sign or alternating, so
+    that c_0 fills the widest lane that its bit length allows."""
     for n, top in [(1, 1), (3, 1), (7, 1), (63, 1), (255, 1), (7, 3),
                    (2, 1), (4, 2), (1, 2 ** 40), (256, 2 ** 40),
-                   (128, 2 ** 20), (256, 1)]:
+                   (128, 2 ** 20), (256, 1),
+                   # n max|a_t|^2 = 2^13 and 15,987 (B = 2), 2^21 and
+                   # 4,186,116 (B = 3), 2^45 and 64 (2^20 - 1)^2 (B = 6)
+                   (2, 2 ** 6), (3, 73), (2, 2 ** 10), (4, 1023),
+                   (2, 2 ** 22), (64, 2 ** 20 - 1)]:
         yield pytest.param([top] * n, id=f"{n}x{top}")
         if n > 1:
             yield pytest.param([(-1) ** t * top for t in range(n)],
@@ -408,6 +413,19 @@ class TestNormCoefficients:
         # n max|a|^2 = 2^k and 2^k - 1: c_0 reaches that bound
         assert classnumber._packed_autocorrelation(a) == \
             oracles.autocorrelation(a)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 6])
+    def test_pack_and_unpack_round_trip_at_the_lane_bound(self, width):
+        # lanes at +-(2^(8 width - 2) - 1), the largest _unpack reads, alone
+        # and in pairs of each sign: the packed value is sum_t a_t X^t plus
+        # the bias
+        top = 2 ** (8 * width - 2) - 1
+        for a in ([top], [-top], [0], [top, top], [top, -top], [-top, top],
+                  [-top, -top]):
+            packed = classnumber._pack(a, width)
+            assert packed - classnumber._bias(len(a), width) == \
+                sum(x << 8 * width * t for t, x in enumerate(a))
+            assert classnumber._unpack(packed, len(a), width) == a
 
     @pytest.mark.parametrize(
         "n", range(1, 3 * classnumber._DIRECT_LENGTH + 1))

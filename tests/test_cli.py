@@ -18,7 +18,8 @@ import pins
 from cycloclass import __version__, ktheory
 from cycloclass.classnumber import HMINUS_PHI_CEILING
 from cycloclass.cli import (SCHEMA_VERSION, TATE_RANK_CEILING, _build_parser,
-                            _canonical_key, _code_digest, _parse, answer, run)
+                            _canonical_key, _code_digest, _parse,
+                            _Undelivered, answer, run)
 from oracles import child_env
 
 TESTS = Path(__file__).resolve().parent
@@ -452,6 +453,51 @@ def test_unwritable_cache_costs_only_the_reuse(tmp_path, target):
     assert warning.startswith("cache not written: ") and answered == "2"
 
 
+def _one_gigabyte_of_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("target", ["fifo", "/dev/zero"])
+def test_cache_that_is_no_regular_file_is_neither_read_nor_replaced(
+        tmp_path, target):
+    # a FIFO blocks a read until a writer comes, /dev/zero never ends one:
+    # the query answers, under 1 GB of address space and a timeout
+    path = tmp_path / "cache.json"
+    if target == "fifo":
+        os.mkfifo(path)
+    else:
+        path = Path(target)
+    before = os.stat(path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycloclass.cli", "--cache", str(path),
+         "hminus", "--m", "39"], capture_output=True, text=True, timeout=10,
+        env=child_env(), preexec_fn=_one_gigabyte_of_address_space)
+    assert proc.returncode == 0 and proc.stdout == "2\n"
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("cache not written: ")
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mode, after.st_size, after.st_rdev) == \
+        (before.st_ino, before.st_mode, before.st_size, before.st_rdev)
+
+
+def test_cache_grown_above_the_ceiling_still_takes_entries(tmp_path,
+                                                          monkeypatch):
+    # a cache written past the ceiling is not read but replaced: the next
+    # query starts it afresh and the one after adds to it
+    path = tmp_path / "cache.json"
+    for m in (39, 7, 11):
+        answer(["--cache", str(path), "hminus", "--m", str(m)])
+    monkeypatch.setattr(cycloclass.cli, "CACHE_BYTES_CEILING",
+                        path.stat().st_size - 1)
+    for m, h, outputs in ((3, "1", ["1"]), (23, "3", ["1", "3"])):
+        assert answer(["--cache", str(path), "hminus", "--m", str(m)]) == \
+            (0, h + "\n", "")
+        entries = json.loads(path.read_text())["entries"].values()
+        assert sorted(entry["output"] for entry in entries) == outputs
+
+
 def test_cache_of_other_code_is_not_replayed(tmp_path):
     package = tmp_path / "copy" / "cycloclass"
     shutil.copytree(os.path.dirname(cycloclass.__file__), package,
@@ -716,6 +762,47 @@ def test_closed_stderr_keeps_the_exit_code(closed, argv, code, stdout):
     proc.stderr.close()
     out, _ = proc.communicate(timeout=60)
     assert (proc.returncode, out) == (code, stdout)
+
+
+_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                               reason="no /dev/full")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("redirect, argv, code, prefix", [
+    pytest.param("> /dev/full", ["hminus", "--m", "39"], 1,
+                 "output not written: ", marks=_DEV_FULL),
+    pytest.param("> /dev/full", ["classify", "--n", "5", "--m", "3"], 2,
+                 "out of scope: ", marks=_DEV_FULL),
+    (">&-", ["hminus", "--m", "39"], 1, "output not written: ")])
+def test_undelivered_answer_exits_1_without_a_traceback(
+        redirect, argv, code, prefix, unbuffered):
+    # every write to /dev/full fails, even an empty one: buffered in the
+    # flush, unbuffered in the write.  A scope error has no stdout text to
+    # write and keeps its code.  With fd 1 closed at start, sys.stdout is
+    # None
+    env = child_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, "-m",
+         "cycloclass.cli", *argv],
+        stderr=subprocess.PIPE, text=True, timeout=30, env=env)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(prefix)
+
+
+def test_only_a_stdout_failure_counts_as_undelivered(tmp_path, monkeypatch):
+    # an OSError of the query itself keeps its type, and so its traceback
+    def unreadable_package():
+        raise PermissionError("the package cannot be read")
+
+    monkeypatch.setattr(cycloclass.cli, "_code_digest", unreadable_package)
+    with pytest.raises(PermissionError) as caught:
+        run(["--cache", str(tmp_path / "cache.json"), "hminus", "--m", "39"])
+    assert not isinstance(caught.value, _Undelivered)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
