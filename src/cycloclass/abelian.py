@@ -12,8 +12,6 @@ a kernel lattice read off the row transform of the transpose
 to share between threads.
 """
 
-from __future__ import annotations
-
 from math import gcd, lcm, prod
 from operator import add, itemgetter, mul
 import itertools

@@ -16,8 +16,6 @@ number it cannot split within the budget raises UnsupportedModulusError,
 so every answer is exact and none takes long.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, lcm, prod

@@ -146,8 +146,6 @@ least primitive roots, searched and checked once per prime power
 (``_local_units``).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import count, product
 from math import gcd, lcm, prod

@@ -6,14 +6,15 @@ is plain text by default or JSON with --format json; the JSON field names
 are frozen (n, m, mhs, mhcob, mhs_hcob, a2k_order, ingredients,
 provenance for reports).  Identical invocations produce identical output
 bytes, which is what makes the optional result cache sound: entries are
-keyed by subcommand and canonical arguments, stored with the SHA-256 digest
-of their output, and replayed verbatim only while the digest matches.  The
-digest is unkeyed: it catches a corrupted or hand-edited entry, not one
-whose editor also rewrote the digest.  The file also records a SHA-256 of
-the package's source files, and a file written by other code counts as
-empty.  A cache path that cannot be written costs only the reuse: the
-answer is printed as without a cache, stderr gets one line "cache not
-written: <reason>", and the exit code stays 0.
+keyed by subcommand and canonical arguments, stored with the BLAKE2b-256
+digest of their output, and replayed verbatim only while the digest
+matches.  The digest is unkeyed: it catches a corrupted or hand-edited
+entry, not one whose editor also rewrote the digest.  The file is UTF-8
+text whose first line records a digest of the package's source files; a
+file written by other code, or in any other form, counts as empty.  A
+cache path that cannot be written costs only the reuse: the answer is
+printed as without a cache, stderr gets one line "cache not written:
+<reason>", and the exit code stays 0.
 
 Exit codes: 0 success, 1 usage error, 2 scope error, 3 internal consistency
 failure.  Usage errors are malformed command lines and arguments no
@@ -33,8 +34,17 @@ verify refuse at such a modulus only when the branch they take reads its
 h-: am --m 8192 reads no class number and answers.  hminus --m 1 prints 1.
 sweep reports a per-m scope error as an error row of its table, and an h-
 above HMINUS_PHI_CEILING as "-" in the h- columns of a row that keeps its
-verdicts.  A reader that closes stdout early (cycloclass ... | head -c 10)
-ends the output there: the exit code is 0 and stderr stays empty.
+verdicts.
+
+The process around the answer: a reader that closes stdout early
+(cycloclass ... | head -c 10) ends the output there, with exit code 0 and
+an empty stderr.  An answer that stdout cannot take (a full disk, a
+closed stdout) exits 1 with one stderr line "output not written:
+<reason>".  A cache path that exists and is not a regular file (a
+directory, a FIFO, a device) is neither read nor replaced: the answer gets
+one "cache not written" line and exit code 0.  Ctrl-C (SIGINT) exits 130
+with one stderr line "interrupted", and SIGTERM exits 143: both stop the
+process, so these codes are outside the answer contract above.
 
 An argv in the plain form is read directly: every option named in full,
 each value in the next word, a value starting with "-" only as a negative
@@ -48,13 +58,9 @@ code; main calls run and ends with os._exit, skipping interpreter
 finalization, which only frees the loaded modules: 5-8 ms of CPU per
 cold query on a 2-core x86-64 host, mostly freeing what site loads for
 the .pth files of site-packages.  A host program's atexit handlers do
-not run after main; code that embeds the CLI calls answer or run.  An
-answer stdout cannot take exits 1 with one "output not written" line,
-and a cache path that is no regular file is neither read nor replaced
-(README, "Exit codes" and "Result cache").
+not run after main; code that embeds the CLI calls answer or run.  The
+README, "Command line", gives the cache format.
 """
-
-from __future__ import annotations
 
 import os
 import sys
@@ -68,7 +74,7 @@ from .ktheory import ScopeError, a_m, km_v_module, squarefree
 from .manifoldset import a2k_order, classify, sweep, verify
 from .residue import c_bound, vtilde
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 CACHE_ENV_VAR = "CYCLOCLASS_CACHE"
 
 #: the most invariant factors tate --invariants admits.  The default
@@ -84,9 +90,9 @@ CACHE_ENV_VAR = "CYCLOCLASS_CACHE"
 TATE_RANK_CEILING = 1024
 
 #: the largest cache file read, in bytes; a larger one counts as empty and
-#: is replaced.  A JSON sweep over 2..10000, 2..30000 or 2..100000 caches
-#: 8.8, 27.3 or 94.5 MB, a text sweep to 10000 about 11.9 MB, and all
-#: 1,156 cli-cold lines of perfbench 0.4 MB
+#: is replaced.  An entry takes its key and output and under 100 bytes
+#: more: a JSON sweep over 2..10000, 2..30000 or 2..100000 caches 7.9,
+#: 24.8 or 86.0 MB, and all 1,156 cli-cold lines of perfbench 0.38 MB
 CACHE_BYTES_CEILING = 1 << 27
 
 
@@ -202,7 +208,7 @@ def _build_parser():
                      description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--format", choices=_FORMATS, default="text")
     parser.add_argument("--cache", default=None,
-                        help="path to a JSON result cache "
+                        help="path to a result cache file "
                              f"(default from ${CACHE_ENV_VAR})")
     # the global flags are also accepted after the subcommand; SUPPRESS
     # keeps the subparser from clobbering a value parsed before it
@@ -221,43 +227,39 @@ def _build_parser():
     return parser
 
 
-# json, tempfile and the SHA-256 module serve only the cache and the JSON
-# format, so they are imported where used: a text answer without a cache
-# loads none of them.  hashlib, which loads OpenSSL, is imported only where
-# the interpreter has no builtin SHA-256 module (see _sha256)
+# json serves only the JSON format, and tempfile and the digest module
+# only the cache, so each is imported where used: a text answer, cached or
+# not, loads no json.  hashlib, which loads OpenSSL, is imported only where
+# the interpreter has no builtin BLAKE2 module (see _hasher)
 
 
 def _canonical_key(args):
-    import json
-    payload = {k: v for k, v in sorted(vars(args).items())
-               if k not in ("cache",)}
-    return json.dumps(payload, sort_keys=True)
+    return repr(sorted((k, v) for k, v in vars(args).items() if k != "cache"))
 
 
-def _sha256(data=b""):
-    """A SHA-256 object over ``data``.  hashlib is heavy to load: it loads
-    OpenSSL, 3-7 ms of import under Python 3.10-3.13 on a 2-core host,
-    against under 0.5 ms for the builtin module.  So the builtin module
-    comes first, as in CPython's random; the hex digests agree."""
+def _hasher(data=b""):
+    """A BLAKE2b-256 object (RFC 7693) over ``data``, from the builtin
+    module.  hashlib is heavy to load: it loads OpenSSL, 3-7 ms of import
+    under Python 3.10-3.13 on a 2-core host, so it serves, with SHA-256,
+    only a build without that module; a file either writes has another
+    code digest under the other, so it counts as written by other code."""
     try:
-        from _sha2 import sha256  # 3.12+
+        from _blake2 import blake2b
     except ImportError:
-        try:
-            from _sha256 import sha256  # 3.10, 3.11
-        except ImportError:
-            from hashlib import sha256  # a build without the builtin hashes
-    return sha256(data)
+        from hashlib import sha256
+        return sha256(data)
+    return blake2b(data, digest_size=32)
 
 
 def _digest(text):
-    return _sha256(text.encode("utf-8")).hexdigest()
+    return _hasher(text.encode("utf-8")).hexdigest()
 
 
 def _code_digest():
-    """SHA-256 over the package's *.py files, by name and content, in
+    """The digest of the package's *.py files, by name and content, in
     sorted order of name: a cache written by other code is not replayed."""
     package = os.path.dirname(os.path.abspath(__file__))
-    digest = _sha256()
+    digest = _hasher()
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), "rb") as handle:
@@ -266,12 +268,34 @@ def _code_digest():
     return digest.hexdigest()
 
 
+def _entries(text, header):
+    """{key: (digest, output)} of a cache file's text, or ValueError unless
+    the text is ``header`` and whole records.  A record is "<digest> <key
+    length> <output length>\\n<key><output>\\n", the lengths in characters
+    and ASCII decimal; each one read ends past its own first newline, so no
+    text makes the loop stand still."""
+    if not text.startswith(header):
+        raise ValueError("not a cache of this schema and code")
+    entries, at = {}, len(header)
+    while at < len(text):
+        end = text.index("\n", at)
+        digest, *lengths = text[at:end].split(" ")
+        if len(lengths) != 2 or not all(
+                n.isascii() and n.isdecimal() for n in lengths):
+            raise ValueError("not a record")
+        key_end = end + 1 + int(lengths[0])
+        at = key_end + int(lengths[1]) + 1
+        if text[at - 1:at] != "\n":
+            raise ValueError("a record runs past its end")
+        entries[text[end + 1:key_end]] = digest, text[key_end:at - 1]
+    return entries
+
+
 class _Cache:
     def __init__(self, path):
-        import json
         import stat
         self.path = path
-        self.code = _code_digest()
+        self.header = f"cycloclass-cache {SCHEMA_VERSION} {_code_digest()}\n"
         self.entries = {}
         try:
             info = os.stat(path)
@@ -282,56 +306,42 @@ class _Cache:
         self.foreign = info is not None and not stat.S_ISREG(info.st_mode)
         if info is not None and not self.foreign and \
                 info.st_size <= CACHE_BYTES_CEILING:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    data = json.load(handle)
-            except (OSError, RecursionError, ValueError):
-                # RecursionError: nesting deeper than the decoder follows
-                data = {}
+            # strict UTF-8, and newline="" keeps the characters counted;
             # a file of any other shape, or written by other code, is
             # treated as an empty cache
-            if isinstance(data, dict) and \
-                    data.get("schema") == SCHEMA_VERSION and \
-                    data.get("code_sha256") == self.code and \
-                    isinstance(data.get("entries"), dict):
-                self.entries = {
-                    k: v for k, v in data["entries"].items()
-                    if isinstance(v, dict) and isinstance(v.get("output"), str)
-                    and isinstance(v.get("sha256"), str)}
+            try:
+                with open(path, encoding="utf-8", newline="") as handle:
+                    self.entries = _entries(handle.read(), self.header)
+            except (OSError, ValueError):
+                pass
 
     def get(self, key):
         """The stored output, or None; an entry whose digest does not match
-        its output is dropped, as is one with a lone surrogate, which has no
-        UTF-8 form to digest."""
-        entry = self.entries.get(key)
-        if entry is None:
-            return None
-        try:
-            intact = _digest(entry["output"]) == entry["sha256"]
-        except UnicodeEncodeError:
-            intact = False
-        if not intact:
-            del self.entries[key]
-            return None
-        return entry["output"]
+        its output is dropped."""
+        digest, output = self.entries.get(key, (None, None))
+        if output is not None and _digest(output) == digest:
+            return output
+        self.entries.pop(key, None)
+        return None
 
     def put(self, key, value):
         """Store an entry by an atomic rewrite of the file; OSError when the
-        path cannot be written or is not a cache file to replace."""
-        import json
+        path cannot be written or is not a cache file to replace.  Any
+        exception, an interrupt too, removes the temporary file."""
         import tempfile
         if self.foreign:
             raise OSError(f"{self.path} is not a regular file")
-        self.entries[key] = {"output": value, "sha256": _digest(value)}
-        payload = {"schema": SCHEMA_VERSION, "code_sha256": self.code,
-                   "entries": self.entries}
+        self.entries[key] = _digest(value), value
         directory = os.path.dirname(os.path.abspath(self.path)) or "."
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(self.header)
+                for k, (digest, output) in sorted(self.entries.items()):
+                    handle.write(f"{digest} {len(k)} {len(output)}\n"
+                                 f"{k}{output}\n")
             os.replace(tmp, self.path)
-        except OSError:
+        except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
@@ -566,6 +576,9 @@ def main():
     except _Undelivered as failure:
         code = 1  # as coreutils exit on a write error
         _to_stderr(f"output not written: {failure}\n")
+    except KeyboardInterrupt:
+        code = 130  # as a shell reports a process stopped by SIGINT
+        _to_stderr("interrupted\n")
     os._exit(code)
 
 

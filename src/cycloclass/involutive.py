@@ -12,8 +12,6 @@ number of even invariant factors.  The eigen-subgroups, norm images, their
 subquotient and element enumeration are test oracles.
 """
 
-from __future__ import annotations
-
 from math import prod
 
 from .abelian import FinAbGroup, IntMatrix, snf

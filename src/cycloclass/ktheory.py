@@ -9,8 +9,6 @@ group are read off G and s, with no module built.  Nothing is ever silently
 coerced to a number the sources do not support.
 """
 
-from __future__ import annotations
-
 from math import prod
 
 from .abelian import FinAbGroup

@@ -9,8 +9,6 @@ cokernels and Tate groups as an independent verification channel, and any
 contradiction between the two is reported, never silently resolved.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import gcd, prod
 

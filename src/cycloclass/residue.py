@@ -40,8 +40,6 @@ from the stdlib module ``arith``, and so do the two exceptions:
 cannot factor within its budget, and ``InternalConsistencyError``.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, log2, prod

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ import pins
 from cycloclass import __version__, ktheory
 from cycloclass.classnumber import HMINUS_PHI_CEILING
 from cycloclass.cli import (SCHEMA_VERSION, TATE_RANK_CEILING, _build_parser,
-                            _canonical_key, _code_digest, _parse,
+                            _canonical_key, _code_digest, _digest, _parse,
                             _Undelivered, answer, run)
 from oracles import child_env
 
@@ -27,6 +28,8 @@ TESTS = Path(__file__).resolve().parent
 CODE = _code_digest()
 #: the cache key of ``hminus --m 39``, whose answer is 2
 KEY_39 = _canonical_key(_build_parser().parse_args(["hminus", "--m", "39"]))
+#: and of ``cbound --m 58``, whose answer is 565
+KEY_58 = _canonical_key(_build_parser().parse_args(["cbound", "--m", "58"]))
 
 
 class TestBasicCommands:
@@ -339,6 +342,33 @@ class TestSweepText:
             pins.SWEEP_DIGESTS[line]
 
 
+def _cache_text(records, schema=SCHEMA_VERSION, code=CODE):
+    """A result cache file of ``records``, each (digest, key, output)."""
+    return f"cycloclass-cache {schema} {code}\n" + "".join(
+        f"{digest} {len(key)} {len(output)}\n{key}{output}\n"
+        for digest, key, output in records)
+
+
+def _cache_records(path):
+    """The first line and the records (digest, key, output) of a result
+    cache file, failing the test unless the file is whole."""
+    text = Path(path).read_bytes().decode("utf-8")
+    header, _, text = text.partition("\n")
+    records = []
+    while text:
+        line, _, text = text.partition("\n")
+        digest, key_length, output_length = line.split(" ")
+        key, output = int(key_length), int(output_length)
+        assert text[key + output] == "\n"
+        records.append((digest, text[:key], text[key:key + output]))
+        text = text[key + output + 1:]
+    return header, records
+
+
+def _outputs(path):
+    return sorted(output for _, _, output in _cache_records(path)[1])
+
+
 class TestCache:
     def test_identical_bytes_with_and_without_cache(self, tmp_path):
         cache_file = tmp_path / "cache.json"
@@ -348,20 +378,20 @@ class TestCache:
         code3, out3, _ = answer(args + ["--cache", str(cache_file)])
         assert code1 == code2 == code3 == 0
         assert out1 == out2 == out3
-        data = json.loads(cache_file.read_text())
-        assert data["schema"] == 2
-        assert len(data["entries"]) == 1
+        header, records = _cache_records(cache_file)
+        assert header == f"cycloclass-cache 3 {CODE}"
+        assert [(digest, output + "\n") for digest, _, output in records] \
+            == [(_digest(out1[:-1]), out1)]
 
     def test_version_mismatch_invalidates(self, tmp_path):
+        # a record that the current schema would replay, under schema 2
         cache_file = tmp_path / "cache.json"
-        cache_file.write_text(json.dumps({
-            "schema": 1, "tool_version": "0.0.0",
-            "entries": {"whatever": "stale"}}))
+        cache_file.write_text(_cache_text([(_digest("stale"), KEY_58, "stale")],
+                                          schema=2))
         code, out, _ = answer(["cbound", "--m", "58",
                                "--cache", str(cache_file)])
         assert code == 0 and out.strip() == "565"
-        data = json.loads(cache_file.read_text())
-        assert "stale" not in json.dumps(data["entries"])
+        assert _outputs(cache_file) == ["565"]
 
     def test_env_var_default(self, tmp_path, monkeypatch):
         cache_file = tmp_path / "env-cache.json"
@@ -378,6 +408,8 @@ class TestCache:
         assert text_out.strip() == "Z/4"
         assert json.loads(json_out)["invariant_factors"] == [4]
 
+    # JSON documents of every shape, the result cache of schema 1 and 2
+    # among them, count as empty
     @pytest.mark.parametrize("content", [
         "[]",
         '"x"',
@@ -386,25 +418,24 @@ class TestCache:
         json.dumps({"schema": 1, "tool_version": __version__, "entries": []}),
         json.dumps({"schema": 1, "tool_version": __version__,
                     "entries": {"k": 5}}),
-        json.dumps({"schema": SCHEMA_VERSION, "tool_version": __version__,
+        json.dumps({"schema": 2, "tool_version": __version__,
                     "entries": []}),
         # the code digest changes with every edit of the package, so these
         # parameters carry fixed ids
-        pytest.param(json.dumps({"schema": SCHEMA_VERSION,
+        pytest.param(json.dumps({"schema": 2,
                                  "code_sha256": CODE, "entries": []}),
                      id="current-code-entries-list"),
-        pytest.param(json.dumps({"schema": SCHEMA_VERSION,
+        pytest.param(json.dumps({"schema": 2,
                                  "code_sha256": CODE, "entries": {"k": 5}}),
                      id="current-code-entry-int"),
-        pytest.param(json.dumps({"schema": SCHEMA_VERSION,
+        pytest.param(json.dumps({"schema": 2,
                                  "code_sha256": CODE,
                                  "entries": {"k": "565"}}),
                      id="current-code-entry-str"),
-        pytest.param(json.dumps({"schema": SCHEMA_VERSION,
+        pytest.param(json.dumps({"schema": 2,
                                  "code_sha256": CODE,
                                  "entries": {"k": {"output": "565"}}}),
                      id="current-code-entry-without-digest"),
-        # deeper than the JSON decoder follows: RecursionError
         pytest.param("[" * 100000 + "]" * 100000, id="nested-100000-deep"),
     ])
     def test_wrong_shape_treated_as_empty(self, tmp_path, content):
@@ -413,27 +444,121 @@ class TestCache:
         code, out, err = answer(["cbound", "--m", "58",
                                  "--cache", str(cache_file)])
         assert code == 0 and out.strip() == "565" and err == ""
-        data = json.loads(cache_file.read_text())
-        assert [entry["output"] for entry in data["entries"].values()] \
-            == ["565"]
+        assert _outputs(cache_file) == ["565"]
 
     @pytest.mark.parametrize("output", [
         pytest.param("999", id="other-output"),
-        # no UTF-8 form, so no digest can match it
+        # no UTF-8 form: the file does not decode and counts as empty
         pytest.param("\ud800", id="lone-surrogate"),
     ])
     def test_tampered_entry_is_recomputed(self, tmp_path, output):
         cache_file = tmp_path / "cache.json"
         args = ["hminus", "--m", "39", "--cache", str(cache_file)]
         assert answer(args)[:2] == (0, "2\n")
-        data = json.loads(cache_file.read_text())
-        (entry,) = data["entries"].values()
-        entry["output"] = output
-        cache_file.write_text(json.dumps(data))
+        _, [(digest, key, _)] = _cache_records(cache_file)
+        cache_file.write_text(_cache_text([(digest, key, output)]),
+                              errors="surrogatepass")
         code, out, err = answer(args)
         assert code == 0 and out == "2\n" and err == ""
-        (entry,) = json.loads(cache_file.read_text())["entries"].values()
-        assert entry["output"] == "2"
+        assert _outputs(cache_file) == ["2"]
+
+
+def _parent_cache_file():
+    """The JSON file the schema-2 cache wrote for ``hminus --m 39``, its
+    answer replaced by 999 under a matching SHA-256."""
+    key = json.dumps({"command": "hminus", "format": "text", "m": 39})
+    return json.dumps({"code_sha256": hashlib.sha256(b"code").hexdigest(),
+                       "entries": {key: {
+                           "output": "999",
+                           "sha256": hashlib.sha256(b"999").hexdigest()}},
+                       "schema": 2}, sort_keys=True).encode()
+
+
+#: a whole cache of ``hminus --m 39`` that replays a wrong answer, so that
+#: only a file read as empty answers 2
+_WRONG_39 = _cache_text([(_digest("999"), KEY_39, "999")]).encode()
+_RECORD_39 = _WRONG_39.split(b"\n", 1)[1]
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(_WRONG_39 + _RECORD_39[:100], id="truncated-record"),
+    pytest.param(_WRONG_39[:-1], id="no-final-newline"),
+    pytest.param(_WRONG_39 + b"x", id="trailing-text"),
+    pytest.param(_WRONG_39 + b"\n", id="trailing-newline"),
+    pytest.param(_WRONG_39.replace(b" 54 3\n", b" 54 30\n"),
+                 id="length-past-the-end"),
+    pytest.param(_WRONG_39.replace(b" 54 3\n", b" 54 -3\n"),
+                 id="negative-length"),
+    pytest.param(_WRONG_39.replace(b" 54 3\n", b" +54 3\n"), id="plus-sign"),
+    pytest.param(_WRONG_39.replace(b" 54 3\n", b" 5_4 3\n"),
+                 id="underscore"),
+    pytest.param(_WRONG_39.replace(b" 54 3\n", " ٥٤ 3\n".encode()),
+                 id="arabic-indic-digits"),
+    pytest.param(_WRONG_39.replace(b" 54 3\n", b"  54 3\n"),
+                 id="two-spaces"),
+    pytest.param(_WRONG_39.replace(b" 54 3\n", b" 54 3 0\n"),
+                 id="three-lengths"),
+    pytest.param(_WRONG_39.replace(b"\n", b"\r\n"), id="crlf"),
+    pytest.param(b"\xef\xbb\xbf" + _WRONG_39, id="byte-order-mark"),
+    pytest.param(_WRONG_39.replace(b"cache 3 ", b"cache 2 "),
+                 id="schema-2-first-line"),
+    pytest.param(_WRONG_39 + _RECORD_39.replace(b"999", b"\xff99"),
+                 id="invalid-utf-8"),
+    pytest.param(_parent_cache_file(), id="parent-schema-2-json"),
+    pytest.param(b"cycloclass-cache 3 " + b"0" * (1 << 20),
+                 id="1-mb-first-line"),
+])
+def test_malformed_cache_file_answers_as_empty(tmp_path, content):
+    # each in a process of its own and a bounded time: a parser that
+    # loops, or replays the 999 of a record it should not have read,
+    # fails it; the next entry replaces the file
+    cache_file = tmp_path / "cache.json"
+    cache_file.write_bytes(content)
+    proc = _run_cli(["--cache", str(cache_file), "hminus", "--m", "39"],
+                    timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
+    assert _cache_records(cache_file) == \
+        (f"cycloclass-cache 3 {CODE}", [(_digest("2"), KEY_39, "2")])
+
+
+def test_interrupted_rewrite_leaves_only_the_old_cache(tmp_path,
+                                                       monkeypatch):
+    cache_file = tmp_path / "cache.json"
+    answer(["--cache", str(cache_file), "hminus", "--m", "39"])
+    before = cache_file.read_bytes()
+
+    def interrupt(source, target):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        answer(["--cache", str(cache_file), "hminus", "--m", "7"])
+    assert os.listdir(tmp_path) == ["cache.json"]
+    assert cache_file.read_bytes() == before
+
+
+def _default_sigint():
+    # a child of a process that ignores SIGINT (one started with & by a
+    # shell without job control) would inherit that, and Python would keep
+    # ignoring it
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+def test_interrupt_exits_130_without_a_traceback():
+    # the text sweep to 3000 takes tens of seconds; SIGINT after 1 s ends it
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cycloclass.cli", "sweep", "--n", "4",
+         "--m-min", "2", "--m-max", "3000"], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=child_env(),
+        preexec_fn=_default_sigint)
+    try:
+        time.sleep(1)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=5)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
 
 
 @pytest.mark.parametrize("target", ["directory", "missing/cache.json"])
@@ -494,8 +619,7 @@ def test_cache_grown_above_the_ceiling_still_takes_entries(tmp_path,
     for m, h, outputs in ((3, "1", ["1"]), (23, "3", ["1", "3"])):
         assert answer(["--cache", str(path), "hminus", "--m", str(m)]) == \
             (0, h + "\n", "")
-        entries = json.loads(path.read_text())["entries"].values()
-        assert sorted(entry["output"] for entry in entries) == outputs
+        assert _outputs(path) == outputs
 
 
 def test_cache_of_other_code_is_not_replayed(tmp_path):
@@ -516,11 +640,9 @@ def test_cache_of_other_code_is_not_replayed(tmp_path):
     assert hminus_39() == "2\n"
     # a wrong answer stored with a matching digest is replayed by the same
     # code, which shows that the next call could replay it
-    data = json.loads(cache_file.read_text())
-    (entry,) = data["entries"].values()
-    entry["output"] = "999"
-    entry["sha256"] = hashlib.sha256(b"999").hexdigest()
-    cache_file.write_text(json.dumps(data))
+    header, [(_, key, _)] = _cache_records(cache_file)
+    cache_file.write_text(_cache_text([(_digest("999"), key, "999")],
+                                      code=header.rsplit(" ", 1)[1]))
     assert hminus_39() == "999\n"
 
     source = package / "arith.py"
@@ -528,8 +650,7 @@ def test_cache_of_other_code_is_not_replayed(tmp_path):
         "#: trial division stops at this bound",
         "#: trial division stops at this bound, 2^16", 1))
     assert hminus_39() == "2\n"
-    assert json.loads(cache_file.read_text())["code_sha256"] \
-        != data["code_sha256"]
+    assert _cache_records(cache_file)[0] != header
 
 
 def _run_cli(argv, timeout, stderr=subprocess.PIPE):
@@ -1002,9 +1123,9 @@ _JSON = st.recursive(
 
 @st.composite
 def _cache_file(draw):
-    """Any text, any JSON, or a JSON document that is mostly a cache of
-    the current code holding ``hminus --m 39``, with any part of it
-    replaced by something else or left out."""
+    """Any text, any JSON, or a text that is mostly a cache of the current
+    code holding ``hminus --m 39``, with any part of it replaced by
+    something else or left out, and maybe cut short."""
     kind = draw(st.sampled_from(["text", "json", "cache"]))
     if kind == "text":
         return draw(_ANY_TEXT)
@@ -1015,22 +1136,22 @@ def _cache_file(draw):
         """``valid`` three times in four, else a draw from ``other``."""
         return valid if draw(st.integers(0, 3)) else draw(other)
 
-    def entry():
-        return mostly({"output": draw(st.one_of(st.just("2"), _ANY_TEXT)),
-                       "sha256": mostly(hashlib.sha256(b"2").hexdigest(),
-                                        _ANY_TEXT)}, _JSON)
+    def record(key):
+        output = draw(st.one_of(st.just("2"), _ANY_TEXT))
+        lengths = st.one_of(st.integers(-2, 60).map(str), _ANY_TEXT)
+        line = (f"{mostly(_digest('2'), _ANY_TEXT)} "
+                f"{mostly(str(len(key)), lengths)} "
+                f"{mostly(str(len(output)), lengths)}\n")
+        return mostly(line, _ANY_TEXT) + key + output + mostly("\n", _ANY_TEXT)
 
-    entries = {draw(_ANY_TEXT): entry()
-               for _ in range(draw(st.integers(0, 2)))}
+    records = [record(draw(_ANY_TEXT))
+               for _ in range(draw(st.integers(0, 2)))]
     if draw(st.integers(0, 3)):
-        entries[KEY_39] = entry()
-    document = {"schema": mostly(SCHEMA_VERSION, _JSON),
-                "code_sha256": mostly(CODE, _ANY_TEXT),
-                "entries": mostly(entries, _JSON)}
-    for key in list(document):
-        if not draw(st.integers(0, 7)):
-            del document[key]
-    return json.dumps(document)
+        records.insert(draw(st.integers(0, len(records))), record(KEY_39))
+    text = mostly(f"cycloclass-cache {SCHEMA_VERSION} {CODE}\n",
+                  _ANY_TEXT) + "".join(records)
+    return text if draw(st.integers(0, 7)) else \
+        text[:draw(st.integers(0, len(text)))]
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,13 +18,12 @@ from pathlib import Path
 import pytest
 
 import cycloclass
-from cycloclass.cli import _digest, _sha256
+from cycloclass.cli import _code_digest, _digest
 from oracles import child_env
 
 SRC = Path(cycloclass.__file__).resolve().parent
-#: the interpreter's builtin SHA-256 module: _sha2 from 3.12, _sha256 before
-BUILTIN_SHA256 = any(importlib.util.find_spec(name)
-                     for name in ("_sha2", "_sha256"))
+#: the interpreter's builtin BLAKE2 module, which the cache digests use
+BUILTIN_BLAKE2 = importlib.util.find_spec("_blake2") is not None
 
 
 def test_no_module_imports_dataclasses():
@@ -78,8 +77,7 @@ def test_library_import_loads_only_its_layers():
 def test_cli_import_loads_every_layer_and_no_more_of_the_stdlib():
     # the stdlib modules that the package's modules import at their top
     stdlib = _added_modules(
-        "import __future__, functools, itertools, math, operator, os, sys, "
-        "types")
+        "import functools, itertools, math, operator, os, sys, types")
     added = _added_modules("import cycloclass, cycloclass.cli")
     assert _package_modules(added) == {"cycloclass"} | {
         f"cycloclass.{layer}" for layer in (
@@ -147,14 +145,14 @@ def _cache_round_trip(cache_file, prelude=""):
     """).format(prelude=prelude, cache_file=str(cache_file))
 
 
-@pytest.mark.skipif(not BUILTIN_SHA256, reason="no builtin SHA-256 module")
+@pytest.mark.skipif(not BUILTIN_BLAKE2, reason="no builtin BLAKE2 module")
 def test_cache_miss_and_hit_load_no_hashlib(tmp_path):
-    # hashlib loads OpenSSL's _hashlib, which costs a cold query more than
-    # the builtin module
+    # hashlib loads OpenSSL's _hashlib, and json and __future__ cost a cold
+    # query more than reading the text cache does
     cache_file = tmp_path / "cache.json"
     added = _added_modules(_cache_round_trip(cache_file))
-    assert "json" in added and cache_file.exists()
-    assert not added & {"hashlib", "_hashlib"}
+    assert cache_file.exists()
+    assert not added & {"json", "hashlib", "_hashlib", "__future__"}
 
 
 def test_cache_miss_and_hit_load_no_argparse(tmp_path):
@@ -164,26 +162,49 @@ def test_cache_miss_and_hit_load_no_argparse(tmp_path):
     assert not added & ARGPARSE
 
 
+@pytest.mark.skipif(not BUILTIN_BLAKE2, reason="no builtin BLAKE2 module")
 def test_builtin_digest_equals_hashlib():
-    assert _digest("2") == hashlib.sha256(b"2").hexdigest()
-    blobs = [b"", b"2"] + [path.read_bytes()
-                           for path in sorted(SRC.glob("*.py"))]
-    for blob in blobs:
-        assert _sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+    for text in ("", "2", "Z/4", "é中"):
+        assert _digest(text) == hashlib.blake2b(
+            text.encode(), digest_size=32).hexdigest()
+    code = hashlib.blake2b(digest_size=32)
+    for path in sorted(SRC.glob("*.py")):
+        data = path.read_bytes()
+        code.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    assert _code_digest() == code.hexdigest()
 
 
-def test_without_builtin_sha256_hashlib_writes_the_same_file(tmp_path):
+def test_without_blake2_the_sha256_fallback_round_trips(tmp_path):
+    # a file of the other algorithm has another first line, so it counts
+    # as written by other code: each run below starts with a miss, and
+    # its hit leaves the file as the miss wrote it
     blocked = textwrap.dedent("""
         import sys
-        sys.modules["_sha2"] = sys.modules["_sha256"] = None
+        sys.modules["_blake2"] = None
         import hashlib
-        from cycloclass.cli import _sha256
-        assert type(_sha256()) is type(hashlib.sha256())
+        from cycloclass.cli import _hasher
+        assert type(_hasher()) is type(hashlib.sha256())
     """)
-    builtin, fallback = tmp_path / "builtin.json", tmp_path / "fallback.json"
-    _added_modules(_cache_round_trip(builtin))
-    _added_modules(_cache_round_trip(fallback, blocked))
-    assert builtin.read_bytes() == fallback.read_bytes()
+    script = textwrap.dedent("""
+        {prelude}
+        import os
+        import cycloclass.cli
+        for hit in (False, True):
+            inode = os.stat({cache_file!r}).st_ino if hit else None
+            assert cycloclass.cli.answer(
+                ["--cache", {cache_file!r}, "hminus", "--m", "39"]) == \\
+                (0, "2\\n", "")
+        assert os.stat({cache_file!r}).st_ino == inode
+    """)
+    cache_file = str(tmp_path / "cache.json")
+    _added_modules(script.format(prelude="", cache_file=cache_file))
+    blake2b = (tmp_path / "cache.json").read_text()
+    _added_modules(script.format(prelude=blocked, cache_file=cache_file))
+    sha256 = (tmp_path / "cache.json").read_text()
+    assert blake2b != sha256
+    assert f"\n{hashlib.sha256(b'2').hexdigest()} " in sha256
+    _added_modules(script.format(prelude="", cache_file=cache_file))
+    assert (tmp_path / "cache.json").read_text() == blake2b
 
 
 #: main ends the process with os._exit once run has written stderr and
