@@ -606,14 +606,13 @@ def _packed_autocorrelation(a):
 _ROW_REPEAT = 64
 
 
-def _pick(tiled, d, start, step, count):
-    """[row[(start + step u) % d] for u < count], 0 <= start < d and
-    step > 0, from tiled, the row of length d repeated: a strided slice of
-    tiled, and where it runs past the end, the next from the wrapped
-    start."""
-    pick = tiled[start:start + step * count:step]
+def _pick(tiled, d, step, count):
+    """[row[step u % d] for u < count], step > 0, from tiled, the row of
+    length d repeated: a strided slice of tiled, and where it runs past the
+    end, the next from the wrapped start."""
+    pick = tiled[:step * count:step]
     while len(pick) < count:
-        begin = (start + step * len(pick)) % d
+        begin = step * len(pick) % d
         pick += tiled[begin:begin + step * (count - len(pick)):step]
     return pick
 
@@ -762,7 +761,7 @@ def _norms(d, orbits, cos, modulus):
     for j in range(1, n):
         if gcd(j, d) == 1:
             # C_(j u) for u < ceil(d/4), shared by the orbits
-            pick = _pick(tiled, d, 0, j, size)
+            pick = _pick(tiled, d, j, size)
             for b in pairs:
                 value = value * sum(map(mul, b, pick)) % modulus
     return value
@@ -819,10 +818,9 @@ def hminus(m):
     ``_conductor_parts``, and the parts learnt here are put there once h^-
     has passed its check.
     """
-    m = int(m)
-    if m % 4 == 2:
-        return hminus(m // 2)
-    m = _normalize_modulus(m)
+    m, given = _normalize_modulus(m), m
+    if m != given:
+        return hminus(m)
     if m <= 2:
         return 1
     if m > 2 * HMINUS_PHI_CEILING ** 2:
@@ -880,43 +878,44 @@ def hminus(m):
                 f"analytic minus class number for m={m} fails its check: "
                 f"the exact quotient of Q w times the norms by the "
                 f"denominator is not a positive integer")
-        _store(parts, met)
-        return h
-    # the closed norms and stored parts enter the bound as they are, the
-    # orbits left by their Parseval and AM-GM bounds, one power per order d
-    bound_sq, scale = 4 * numerator * numerator, denominator * denominator
-    for d, sums in opened.items():
-        phi_d, number = phis[d], len(sums)
-        bound_sq *= (d ** 3 // 2) ** (phi_d * number) * prod(sums) ** phi_d
-        scale *= (d * d * phi_d) ** (phi_d * number)
+    else:
+        # the closed norms and stored parts enter the bound as they are,
+        # the orbits left by their Parseval and AM-GM bounds, one power per
+        # order d
+        bound_sq, scale = 4 * numerator * numerator, denominator * denominator
+        for d, sums in opened.items():
+            phi_d, number = phis[d], len(sums)
+            bound_sq *= (d ** 3 // 2) ** (phi_d * number) * prod(sums) ** phi_d
+            scale *= (d * d * phi_d) ** (phi_d * number)
 
-    (ell, root), *checks = _crt_prime(record.exponent, primes)
-    power = ell ** _precision(ell, bound_sq, scale)
-    # the Teichmueller lift of root, joined by CRT with the check roots
-    mod, lift = power, _teichmueller_lift(root, record.exponent, ell, power)
-    for prime, prime_root in checks:
-        lift += mod * ((prime_root - lift) * pow(mod, -1, prime) % prime)
-        mod *= prime
-    check = mod // power
-    # the inverse of the denominator: that of the stored parts, then one
-    # power per conductor met
-    value = numerator % mod * pow(stored, -1, mod) % mod
-    for f, s in powers.items():
-        value = value * pow(2 * f, -s, mod) % mod
-    # one row for x of order L = lcm of the orders left; that of e is its
-    # stride
-    order = lcm(*left)
-    cos = _cos_row(pow(lift, record.exponent // order, mod), order, mod)
-    for e, orbits in left.items():
-        value = value * _norms(e, orbits, cos[::order // e], mod) % mod
-    h = value % power
-    if 2 * h > power:
-        h -= power
-    if h <= 0 or value % check != h % check:
-        raise InternalConsistencyError(
-            f"analytic minus class number for m={m} fails its check: the "
-            f"CRT value is not positive or disagrees modulo the product "
-            f"{check} of the check primes")
+        (ell, root), *checks = _crt_prime(record.exponent, primes)
+        power = ell ** _precision(ell, bound_sq, scale)
+        # the Teichmueller lift of root, joined by CRT with the check roots
+        mod = power
+        lift = _teichmueller_lift(root, record.exponent, ell, power)
+        for prime, prime_root in checks:
+            lift += mod * ((prime_root - lift) * pow(mod, -1, prime) % prime)
+            mod *= prime
+        check = mod // power
+        # the inverse of the denominator: that of the stored parts, then
+        # one power per conductor met
+        value = numerator % mod * pow(stored, -1, mod) % mod
+        for f, s in powers.items():
+            value = value * pow(2 * f, -s, mod) % mod
+        # one row for x of order L = lcm of the orders left; that of e is
+        # its stride
+        order = lcm(*left)
+        cos = _cos_row(pow(lift, record.exponent // order, mod), order, mod)
+        for e, orbits in left.items():
+            value = value * _norms(e, orbits, cos[::order // e], mod) % mod
+        h = value % power
+        if 2 * h > power:
+            h -= power
+        if h <= 0 or value % check != h % check:
+            raise InternalConsistencyError(
+                f"analytic minus class number for m={m} fails its check: the "
+                f"CRT value is not positive or disagrees modulo the product "
+                f"{check} of the check primes")
     learnt = {f: part for f, part in met.items() if f not in unclosed}
     if len(unclosed) == 1:
         # h = numerator N / denominator, N the norms of the orbits left, all

@@ -53,8 +53,9 @@ argparse is imported only for the rest: --help, abbreviations such as
 --form, --m=39, and every malformed line.  Both parsers read one grammar,
 _COMMANDS, so the help and the usage errors are argparse's.  answer(argv)
 returns the exit code, stdout and stderr, --help included, writing none;
-run writes stderr (if it can), then stdout, flushes it and returns the
-code; main calls run and ends with os._exit, skipping interpreter
+run writes stderr (if it can), then stdout, flushes it and returns every
+exit code, an undelivered answer's 1 too; main calls run, turns only an
+interrupt into 130 and ends with os._exit, skipping interpreter
 finalization, which only frees the loaded modules: 5-8 ms of CPU per
 cold query on a 2-core x86-64 host, mostly freeing what site loads for
 the .pth files of site-packages.  A host program's atexit handlers do
@@ -74,7 +75,6 @@ from .ktheory import ScopeError, a_m, km_v_module, squarefree
 from .manifoldset import a2k_order, classify, sweep, verify
 from .residue import c_bound, vtilde
 
-SCHEMA_VERSION = 3
 CACHE_ENV_VAR = "CYCLOCLASS_CACHE"
 
 #: the most invariant factors tate --invariants admits.  The default
@@ -229,8 +229,8 @@ def _build_parser():
 
 # json serves only the JSON format, and tempfile and the digest module
 # only the cache, so each is imported where used: a text answer, cached or
-# not, loads no json.  hashlib, which loads OpenSSL, is imported only where
-# the interpreter has no builtin BLAKE2 module (see _hasher)
+# not, loads no json.  OpenSSL's _hashlib is loaded only where the
+# interpreter has no builtin BLAKE2 module (see _hasher)
 
 
 def _canonical_key(args):
@@ -239,15 +239,17 @@ def _canonical_key(args):
 
 def _hasher(data=b""):
     """A BLAKE2b-256 object (RFC 7693) over ``data``, from the builtin
-    module.  hashlib is heavy to load: it loads OpenSSL, 3-7 ms of import
-    under Python 3.10-3.13 on a 2-core host, so it serves, with SHA-256,
-    only a build without that module; a file either writes has another
-    code digest under the other, so it counts as written by other code."""
+    module.  OpenSSL is heavy to load, 3-7 ms of import under Python
+    3.10-3.13 on a 2-core host, so its SHA-256 serves only a build without
+    that module; a file either writes has another code digest under the
+    other, so it counts as written by other code.  hashlib is not
+    imported: on such a build it logs a traceback for the blake2b it
+    cannot find."""
     try:
         from _blake2 import blake2b
     except ImportError:
-        from hashlib import sha256
-        return sha256(data)
+        from _hashlib import openssl_sha256
+        return openssl_sha256(data)
     return blake2b(data, digest_size=32)
 
 
@@ -275,7 +277,7 @@ def _entries(text, header):
     and ASCII decimal; each one read ends past its own first newline, so no
     text makes the loop stand still."""
     if not text.startswith(header):
-        raise ValueError("not a cache of this schema and code")
+        raise ValueError("not a cache of this code")
     entries, at = {}, len(header)
     while at < len(text):
         end = text.index("\n", at)
@@ -295,7 +297,7 @@ class _Cache:
     def __init__(self, path):
         import stat
         self.path = path
-        self.header = f"cycloclass-cache {SCHEMA_VERSION} {_code_digest()}\n"
+        self.header = f"cycloclass-cache {_code_digest()}\n"
         self.entries = {}
         try:
             info = os.stat(path)
@@ -537,10 +539,6 @@ def answer(argv):
     return 0, output + "\n", warning
 
 
-class _Undelivered(OSError):
-    """stdout cannot take the answer."""
-
-
 def _to_stderr(text):
     try:
         sys.stderr.write(text)
@@ -549,33 +547,34 @@ def _to_stderr(text):
 
 
 def run(argv):
-    """Write the answer to an argv list, stderr first, and flush stdout;
-    return its code.  _Undelivered for any OSError but BrokenPipeError
-    on the stdout write or flush."""
-    code, out, err = answer(argv)
-    _to_stderr(err)
-    try:
-        if out:  # /dev/full fails even an empty write
-            sys.stdout.write(out)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        raise
-    except OSError as failure:
-        raise _Undelivered(failure) from None
-    return code
+    """Answer an argv list, write its stderr text (if stderr can take it),
+    then its stdout text, and flush stdout.  Return the exit code: the
+    answer's own; 0 if the stdout reader has gone (BrokenPipeError); 1,
+    with one stderr line "output not written: <reason>", if the stdout
+    write or flush fails, or if sys.stdout is None, when no query runs.
+    An OSError of the query itself propagates."""
+    if sys.stdout is None:  # fd 1 was closed at start
+        failure = "stdout is closed"
+    else:
+        code, out, err = answer(argv)
+        _to_stderr(err)
+        try:
+            if out:  # /dev/full fails even an empty write
+                sys.stdout.write(out)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            return 0  # the reader has all it wanted
+        except OSError as error:
+            failure = error
+    _to_stderr(f"output not written: {failure}\n")
+    return 1  # as coreutils exit on a write error
 
 
 def main():
     """Run ``sys.argv`` as a process, ended by ``os._exit`` once answered."""
     try:
-        if sys.stdout is None:  # fd 1 was closed at start: no query runs
-            raise _Undelivered("stdout is closed")
         code = run(sys.argv[1:])
-    except BrokenPipeError:
-        code = 0  # the reader has all it wanted
-    except _Undelivered as failure:
-        code = 1  # as coreutils exit on a write error
-        _to_stderr(f"output not written: {failure}\n")
     except KeyboardInterrupt:
         code = 130  # as a shell reports a process stopped by SIGINT
         _to_stderr("interrupted\n")

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import textwrap
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,9 @@ import cycloclass
 import pins
 from cycloclass import __version__, ktheory
 from cycloclass.classnumber import HMINUS_PHI_CEILING
-from cycloclass.cli import (SCHEMA_VERSION, TATE_RANK_CEILING, _build_parser,
+from cycloclass.cli import (TATE_RANK_CEILING, _build_parser,
                             _canonical_key, _code_digest, _digest, _parse,
-                            _Undelivered, answer, run)
+                            answer, run)
 from oracles import child_env
 
 TESTS = Path(__file__).resolve().parent
@@ -342,9 +343,9 @@ class TestSweepText:
             pins.SWEEP_DIGESTS[line]
 
 
-def _cache_text(records, schema=SCHEMA_VERSION, code=CODE):
+def _cache_text(records, code=CODE):
     """A result cache file of ``records``, each (digest, key, output)."""
-    return f"cycloclass-cache {schema} {code}\n" + "".join(
+    return f"cycloclass-cache {code}\n" + "".join(
         f"{digest} {len(key)} {len(output)}\n{key}{output}\n"
         for digest, key, output in records)
 
@@ -379,15 +380,17 @@ class TestCache:
         assert code1 == code2 == code3 == 0
         assert out1 == out2 == out3
         header, records = _cache_records(cache_file)
-        assert header == f"cycloclass-cache 3 {CODE}"
+        assert header == f"cycloclass-cache {CODE}"
         assert [(digest, output + "\n") for digest, _, output in records] \
             == [(_digest(out1[:-1]), out1)]
 
     def test_version_mismatch_invalidates(self, tmp_path):
-        # a record that the current schema would replay, under schema 2
+        # a record that this code would replay, under the first line of the
+        # schema-3 cache, which numbered its format before the code digest
         cache_file = tmp_path / "cache.json"
-        cache_file.write_text(_cache_text([(_digest("stale"), KEY_58, "stale")],
-                                          schema=2))
+        cache_file.write_text(_cache_text(
+            [(_digest("stale"), KEY_58, "stale")]).replace(
+                "cycloclass-cache ", "cycloclass-cache 3 ", 1))
         code, out, _ = answer(["cbound", "--m", "58",
                                "--cache", str(cache_file)])
         assert code == 0 and out.strip() == "565"
@@ -500,12 +503,14 @@ _RECORD_39 = _WRONG_39.split(b"\n", 1)[1]
                  id="three-lengths"),
     pytest.param(_WRONG_39.replace(b"\n", b"\r\n"), id="crlf"),
     pytest.param(b"\xef\xbb\xbf" + _WRONG_39, id="byte-order-mark"),
-    pytest.param(_WRONG_39.replace(b"cache 3 ", b"cache 2 "),
+    pytest.param(_WRONG_39.replace(b"cache ", b"cache 2 ", 1),
                  id="schema-2-first-line"),
+    pytest.param(_WRONG_39.replace(b"cache ", b"cache 3 ", 1),
+                 id="schema-3-first-line"),
     pytest.param(_WRONG_39 + _RECORD_39.replace(b"999", b"\xff99"),
                  id="invalid-utf-8"),
     pytest.param(_parent_cache_file(), id="parent-schema-2-json"),
-    pytest.param(b"cycloclass-cache 3 " + b"0" * (1 << 20),
+    pytest.param(b"cycloclass-cache " + b"0" * (1 << 20),
                  id="1-mb-first-line"),
 ])
 def test_malformed_cache_file_answers_as_empty(tmp_path, content):
@@ -518,7 +523,7 @@ def test_malformed_cache_file_answers_as_empty(tmp_path, content):
                     timeout=5)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
     assert _cache_records(cache_file) == \
-        (f"cycloclass-cache 3 {CODE}", [(_digest("2"), KEY_39, "2")])
+        (f"cycloclass-cache {CODE}", [(_digest("2"), KEY_39, "2")])
 
 
 def test_interrupted_rewrite_leaves_only_the_old_cache(tmp_path,
@@ -915,15 +920,51 @@ def test_undelivered_answer_exits_1_without_a_traceback(
     assert line.startswith(prefix)
 
 
-def test_only_a_stdout_failure_counts_as_undelivered(tmp_path, monkeypatch):
-    # an OSError of the query itself keeps its type, and so its traceback
+def test_only_a_stdout_failure_counts_as_undelivered(tmp_path, capsys,
+                                                      monkeypatch):
+    # an OSError of the query itself propagates, and so gives its traceback,
+    # with no "output not written" line
     def unreadable_package():
         raise PermissionError("the package cannot be read")
 
     monkeypatch.setattr(cycloclass.cli, "_code_digest", unreadable_package)
-    with pytest.raises(PermissionError) as caught:
+    with pytest.raises(PermissionError):
         run(["--cache", str(tmp_path / "cache.json"), "hminus", "--m", "39"])
-    assert not isinstance(caught.value, _Undelivered)
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("at", ["write", "flush"])
+@pytest.mark.parametrize("failure, code, stderr", [
+    (BrokenPipeError(32, "Broken pipe"), 0, ""),
+    (OSError(28, "No space left on device"), 1,
+     "output not written: [Errno 28] No space left on device\n")])
+def test_run_returns_the_code_of_an_undelivered_answer(capsys, monkeypatch,
+                                                       at, failure, code,
+                                                       stderr):
+    # a reader that has gone gets exit code 0, any other failure of the
+    # stdout write or flush 1 and one stderr line
+    class Stdout:
+        def write(self, text):
+            if at == "write":
+                raise failure
+
+        def flush(self):
+            raise failure
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert run(["hminus", "--m", "39"]) == code
+    assert capsys.readouterr().err == stderr
+
+
+def test_run_without_stdout_runs_no_query(capsys, monkeypatch):
+    # fd 1 closed at start leaves sys.stdout None
+    def query(argv):
+        raise AssertionError(f"a query ran: {argv}")
+
+    monkeypatch.setattr(cycloclass.cli, "answer", query)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run(["hminus", "--m", "39"]) == 1
+    assert capsys.readouterr().err == "output not written: stdout is closed\n"
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -950,15 +991,32 @@ def test_answer_writes_nothing_and_run_writes_it(capsys, line):
     assert capsys.readouterr() == (out, err)
 
 
+#: two 31-digit primes: Pollard-Brent rho gives up within its budget
+_UNFACTORED = "3000000000000000000000000000262000000000000000000000000005187"
+
+
+@pytest.fixture(scope="module")
+def unfactored_runs(request):
+    """{argv: future of its completed child} for every selected case of
+    test_unfactored_modulus_fails_fast, up to os.cpu_count() children at a
+    time, each with its 10 s deadline from its own start: each waits out
+    the rho budget, which in series took 13 s of the suite."""
+    argvs = [tuple(item.callspec.params["argv"])
+             for item in request.session.items
+             if getattr(item, "function", None)
+             is test_unfactored_modulus_fails_fast]
+    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+        yield {argv: pool.submit(_run_cli, [*argv, "--m", _UNFACTORED],
+                                 timeout=10) for argv in argvs}
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--n", "4"], ["am"], ["verify", "--n", "4"], ["vtilde"],
     ["cbound"], ["a2k", "--k", "2"]])
-def test_unfactored_modulus_fails_fast(argv):
-    # two 31-digit primes: Pollard-Brent rho gives up within its budget
-    m = "3000000000000000000000000000262000000000000000000000000005187"
-    proc = _run_cli([*argv, "--m", m], timeout=10)
+def test_unfactored_modulus_fails_fast(argv, unfactored_runs):
+    proc = unfactored_runs[tuple(argv)].result()
     assert proc.returncode == 2 and proc.stdout == ""
-    assert f"cannot factor {m}" in proc.stderr
+    assert f"cannot factor {_UNFACTORED}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -1148,7 +1206,7 @@ def _cache_file(draw):
                for _ in range(draw(st.integers(0, 2)))]
     if draw(st.integers(0, 3)):
         records.insert(draw(st.integers(0, len(records))), record(KEY_39))
-    text = mostly(f"cycloclass-cache {SCHEMA_VERSION} {CODE}\n",
+    text = mostly(f"cycloclass-cache {CODE}\n",
                   _ANY_TEXT) + "".join(records)
     return text if draw(st.integers(0, 7)) else \
         text[:draw(st.integers(0, len(text)))]

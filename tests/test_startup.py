@@ -26,8 +26,9 @@ SRC = Path(cycloclass.__file__).resolve().parent
 BUILTIN_BLAKE2 = importlib.util.find_spec("_blake2") is not None
 
 
-def test_no_module_imports_dataclasses():
-    offenders = []
+def _importers(module):
+    """The file:line of every import of ``module`` under src/."""
+    found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -36,9 +37,19 @@ def test_no_module_imports_dataclasses():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "dataclasses" for name in names):
-                offenders.append(f"{path.name}:{node.lineno}")
-    assert not offenders
+            if any(name.split(".")[0] == module for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    assert not _importers("dataclasses")
+
+
+def test_no_module_imports_hashlib():
+    # on a build without the builtin _blake2, importing hashlib logs a
+    # traceback for the blake2b it cannot find
+    assert not _importers("hashlib")
 
 
 def _added_modules(code, *flags):
@@ -177,13 +188,14 @@ def test_builtin_digest_equals_hashlib():
 def test_without_blake2_the_sha256_fallback_round_trips(tmp_path):
     # a file of the other algorithm has another first line, so it counts
     # as written by other code: each run below starts with a miss, and
-    # its hit leaves the file as the miss wrote it
+    # its hit leaves the file as the miss wrote it.  Without _blake2 the
+    # child's stderr stays empty: hashlib would log a traceback there
     blocked = textwrap.dedent("""
         import sys
         sys.modules["_blake2"] = None
-        import hashlib
+        import _hashlib
         from cycloclass.cli import _hasher
-        assert type(_hasher()) is type(hashlib.sha256())
+        assert type(_hasher()) is type(_hashlib.openssl_sha256())
     """)
     script = textwrap.dedent("""
         {prelude}
@@ -197,14 +209,20 @@ def test_without_blake2_the_sha256_fallback_round_trips(tmp_path):
         assert os.stat({cache_file!r}).st_ino == inode
     """)
     cache_file = str(tmp_path / "cache.json")
-    _added_modules(script.format(prelude="", cache_file=cache_file))
-    blake2b = (tmp_path / "cache.json").read_text()
-    _added_modules(script.format(prelude=blocked, cache_file=cache_file))
-    sha256 = (tmp_path / "cache.json").read_text()
+
+    def round_trip(prelude):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             script.format(prelude=prelude, cache_file=cache_file)],
+            capture_output=True, text=True, timeout=60, env=child_env())
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return Path(cache_file).read_text()
+
+    blake2b = round_trip("")
+    sha256 = round_trip(blocked)
     assert blake2b != sha256
     assert f"\n{hashlib.sha256(b'2').hexdigest()} " in sha256
-    _added_modules(script.format(prelude="", cache_file=cache_file))
-    assert (tmp_path / "cache.json").read_text() == blake2b
+    assert round_trip("") == blake2b
 
 
 #: main ends the process with os._exit once run has written stderr and
