@@ -244,7 +244,7 @@ def _hasher(data=b""):
     that module; a file either writes has another code digest under the
     other, so it counts as written by other code.  hashlib is not
     imported: on such a build it logs a traceback for the blake2b it
-    cannot find."""
+    cannot find.  ImportError on a build with neither module."""
     try:
         from _blake2 import blake2b
     except ImportError:
@@ -297,16 +297,23 @@ class _Cache:
     def __init__(self, path):
         import stat
         self.path = path
-        self.header = f"cycloclass-cache {_code_digest()}\n"
         self.entries = {}
+        # why the file is neither read nor replaced, else None
+        self.refused = None
         try:
             info = os.stat(path)
         except OSError:
             info = None  # missing or unreachable: put tries to write it
-        # neither read (a FIFO blocks it, /dev/zero never ends it) nor
-        # replaced: a directory, a device or a FIFO
-        self.foreign = info is not None and not stat.S_ISREG(info.st_mode)
-        if info is not None and not self.foreign and \
+        if info is not None and not stat.S_ISREG(info.st_mode):
+            # a directory, a device or a FIFO: a FIFO blocks a read, and
+            # /dev/zero never ends one
+            self.refused = f"{path} is not a regular file"
+        else:
+            try:
+                self.header = f"cycloclass-cache {_code_digest()}\n"
+            except ImportError as err:
+                self.refused = f"no digest module: {err}"
+        if info is not None and self.refused is None and \
                 info.st_size <= CACHE_BYTES_CEILING:
             # strict UTF-8, and newline="" keeps the characters counted;
             # a file of any other shape, or written by other code, is
@@ -331,8 +338,8 @@ class _Cache:
         path cannot be written or is not a cache file to replace.  Any
         exception, an interrupt too, removes the temporary file."""
         import tempfile
-        if self.foreign:
-            raise OSError(f"{self.path} is not a regular file")
+        if self.refused is not None:
+            raise OSError(self.refused)
         self.entries[key] = _digest(value), value
         directory = os.path.dirname(os.path.abspath(self.path)) or "."
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -67,10 +67,10 @@ as well: only the tests use them.  So does verify as it ran before the
 checks that read no degree were shared across degrees: every check
 recomputed at each (n, m) from the deep structure at n.  ``clear_caches`` empties the
 package's caches as the benchmark's worker does before a cold query;
-``child_env`` is the environment of every child interpreter a test starts.
+``child_env``, defined with the process pins in ``pins``, is the
+environment of every child interpreter a test starts.
 """
 
-import os
 import random
 import sys
 from fractions import Fraction
@@ -82,7 +82,6 @@ from types import SimpleNamespace
 
 from sympy import divisors, factorint, isprime, multiplicity, totient
 
-import cycloclass
 from cycloclass.abelian import (
     AbHom,
     FinAbGroup,
@@ -141,6 +140,7 @@ from cycloclass.residue import (
     unit_quotient,
     vtilde,
 )
+from pins import child_env  # the one builder of a child's environment
 
 
 def clear_caches():
@@ -156,17 +156,6 @@ def clear_caches():
         for value in vars(module).values():
             if not isinstance(value, type) and hasattr(value, "cache_info"):
                 value.cache_clear()
-
-
-def child_env(src=None):
-    """os.environ with ``src`` (the package's own by default) ahead of
-    PYTHONPATH, no default cache, and stdout buffered as a user's is."""
-    env = {name: value for name, value in os.environ.items()
-           if name not in ("CYCLOCLASS_CACHE", "PYTHONUNBUFFERED")}
-    src = str(src or os.path.dirname(os.path.dirname(cycloclass.__file__)))
-    path = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
-    return env
 
 
 def add(g, x, y):

@@ -3,30 +3,43 @@
 A pin is an answer kept byte for byte: the SHA-256 of a long text, or
 the stdout, stderr and exit code of one command line.  Each group pairs
 its pins with the replay that recomputes them in process; the cli-cold
-and hminus-range answers of ``perfbench/expected`` are read there, not
-copied.  ``PYTHONPATH=src python tests/pins.py``, or ``python
-tests/pins.py`` against an installed package, takes no options, needs
-only the standard library, replays every group in about 20 s, prints one
-line per group and exits 1 naming each pin that differs.
+and hminus-range answers of ``perfbench/expected`` and the argparse pins
+of ``argparse_pins.json`` are read there, not copied.  A pin may also be
+a rule of the process around the CLI: the group ``process`` runs each of
+its command lines in a child under one condition (a full disk, a closed
+stream, a reader that stops early, SIGINT, a cache without its digest
+modules), as the console script runs it, and pins the exit code and the
+streams it can read.  ``PYTHONPATH=src python tests/pins.py``, or
+``python tests/pins.py`` against an installed package, takes no options,
+needs only the standard library, replays every group in about 20 s,
+prints one line per group and exits 1 naming each pin that differs.
 ``tests/test_pins.py`` replays the groups under pytest, those in ``SLOW``
 under ``-m slow``.
 """
 
 import hashlib
 import json
+import os
 import random
+import signal
+import subprocess
 import sys
+import tempfile
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 
+import cycloclass
 from cycloclass.abelian import IntMatrix
 from cycloclass.arith import modulus
 from cycloclass.classnumber import _conductor_parts, _crt_prime, hminus
 from cycloclass.cli import answer
 from cycloclass.manifoldset import classify, verify
 
-EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+TESTS = Path(__file__).resolve().parent
+EXPECTED = TESTS.parent / "perfbench" / "expected"
 
 
 def _sha256(text):
@@ -274,6 +287,255 @@ QUERIES = {
 }
 
 
+#: (exit code, stdout, stderr) of --help and of malformed argvs under this
+#: interpreter, with COLUMNS=80, as the parser that read every argv with
+#: argparse gave them (``argparse_pins.json``)
+ARGPARSE = {
+    tuple(pin["argv"]): (pin["exit"], pin["stdout"], pin["stderr"])
+    for pin in json.loads((TESTS / "argparse_pins.json").read_text(
+        encoding="utf-8"))["pins"]
+    if "%d.%d" % sys.version_info[:2] in pin["python"]}
+
+#: the interpreter code of a library import and of a plain cached query,
+#: a miss and then a hit, whose loaded modules pins of PROCESS hold
+LIBRARY_IMPORT = ("from cycloclass.classnumber import hminus; "
+                  "assert hminus(78) == hminus(39) == 2")
+CACHED_QUERY = ("from cycloclass.cli import answer; "
+                "argv = '--cache F hminus --m 39'.split(); "
+                "assert answer(argv) == answer(argv) == (0, '2\\n', '')")
+
+_RANK_1025 = ",".join(["2"] * 1025)
+_ODD_N = "out of scope: n = 5: only even n >= 4 is classified\n"
+
+#: (exit code, stdout, stderr) of a command line run in a child under a
+#: condition of CONDITIONS, None for a stream that the condition takes
+#: from the replay: an answer that stdout cannot take, a closed stream, a
+#: reader that stops after one byte, one that hashes every byte, SIGINT
+#: into a text sweep, the refusals, a cache path that is a directory, a
+#: cache file read back, the cache without its digest modules (its file
+#: neither read nor written), and --help, the = form and a missing
+#: option, which argparse reads.  "modules loaded by" runs interpreter
+#: code, not a command line, and prints the modules of _WATCHED that are
+#: then loaded
+PROCESS = {
+    ("> /dev/full", "hminus --m 39"):
+        (1, None, "output not written: [Errno 28] No space left on device\n"),
+    ("> /dev/full", "classify --n 5 --m 3"): (2, None, _ODD_N),
+    (">&-", "hminus --m 39"):
+        (1, None, "output not written: stdout is closed\n"),
+    **{(closed, line): (code, out, None)
+       for closed in ("2>&-", "2| closed by its reader")
+       for line, code, out in (("hminus", 1, ""),
+                               ("classify --n 5 --m 3", 2, ""),
+                               ("hminus --m 39", 0, "2\n"))},
+    ("| head -c 1", "--format json sweep --n 4 --m-min 2 --m-max 400"):
+        (0, "[", ""),
+    ("| sha256sum", "--format json sweep --n 4 --m-min 2 --m-max 2000"):
+        (0, SWEEP_DIGESTS["--format json sweep --n 4 --m-min 2 --m-max 2000"],
+         ""),
+    ("SIGINT after 1 s", "sweep --n 4 --m-min 2 --m-max 3000"):
+        (130, "", "interrupted\n"),
+    ("", "classify --n 5 --m 3"): (2, "", _ODD_N),
+    ("", "classify --n 4 --m 4003 --deep"):
+        (2, "", "out of scope: m = 4003: phi(m) = 4002 is above 4000, the "
+         "largest degree whose minus class number is evaluated\n"),
+    ("", f"tate --invariants {_RANK_1025} --degree 1"):
+        (2, "", "out of scope: the invariants normalise to 1025 factors; "
+         "ranks above 1024 are not built\n"),
+    ("", "--cache . hminus --m 39"):
+        (0, "2\n", "cache not written: . is not a regular file\n"),
+    **{(condition, "--cache F hminus --m 39"): (0, "2\n", "")
+       for condition in ("", "after a miss", "without _blake2",
+                         "after a miss without _blake2")},
+    **{(condition, "--cache F hminus --m 39"):
+       (0, "2\n", "cache not written: no digest module: import of _hashlib "
+        "halted; None in sys.modules\n")
+       for condition in ("without _blake2 and _hashlib",
+                         "after a miss, without _blake2 and _hashlib")},
+    ("modules loaded by", "import cycloclass"): (0, "cycloclass\n", ""),
+    ("modules loaded by", LIBRARY_IMPORT): (
+        0, "cycloclass cycloclass.abelian cycloclass.arith "
+        "cycloclass.classnumber cycloclass.record\n", ""),
+    ("modules loaded by", CACHED_QUERY): (
+        0, "cycloclass cycloclass.abelian cycloclass.arith "
+        "cycloclass.classnumber cycloclass.cli cycloclass.involutive "
+        "cycloclass.ktheory cycloclass.manifoldset cycloclass.record "
+        "cycloclass.residue\n", ""),
+    ("", "hminus --m=39"): (0, "2\n", ""),
+    **{("", " ".join(argv)): ARGPARSE[argv]
+       for argv in (("--help",), ("hminus",)) if argv in ARGPARSE},
+}
+
+#: each child's deadline in seconds, from its own start
+DEADLINE = 10
+
+#: the child of a command line: the console script's own call, after the
+#: ``prelude`` of its condition
+_MAIN = "import sys; {prelude}from cycloclass.cli import main; sys.exit(main())"
+
+#: the child of "modules loaded by": the code, then every module loaded
+#: under these top-level names, none of which an interpreter loads at
+#: start
+_WATCHED = ("cycloclass", "argparse", "hashlib", "_hashlib", "json", "sympy")
+_MODULES = f"""\
+import sys
+{{code}}
+print(*sorted(name for name in sys.modules
+              if name.split(".")[0] in {_WATCHED!r}))
+"""
+
+
+def child_env(src=None):
+    """os.environ with ``src`` (the package's own by default) ahead of
+    PYTHONPATH, no default cache, stdout buffered as a user's is, and
+    argparse's help 80 columns wide."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("CYCLOCLASS_CACHE", "PYTHONUNBUFFERED")}
+    src = str(src or os.path.dirname(os.path.dirname(cycloclass.__file__)))
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    env["COLUMNS"] = "80"
+    return env
+
+
+def _child(argv, cwd, prelude="", redirect="", act=None, code=None):
+    """(exit code, stdout, stderr) of a child run with ``argv`` in ``cwd``:
+    the command line after ``prelude``, or the interpreter ``code``.  The
+    shell ``redirect`` is applied to it, and ``act(proc)`` acts on it as
+    it runs, returning the stdout it read, if any.  A stream that the
+    redirect takes, or that ``act`` closes, reads None.  A child past its
+    DEADLINE is killed, and the text says so."""
+    command = [sys.executable, "-c", code or _MAIN.format(prelude=prelude),
+               *argv]
+    if redirect:
+        command = ["sh", "-c", f'exec "$0" "$@" {redirect}', *command]
+    proc = subprocess.Popen(
+        command, cwd=cwd, env=child_env(),
+        stdout=subprocess.DEVNULL if redirect[:1] == ">" else subprocess.PIPE,
+        stderr=subprocess.DEVNULL if redirect[:1] == "2" else subprocess.PIPE)
+    deadline = threading.Timer(DEADLINE, proc.kill)
+    deadline.start()
+    try:
+        read = act(proc) if act else None
+        unread = [stream is None or stream.closed
+                  for stream in (proc.stdout, proc.stderr)]
+        streams = proc.communicate()
+    finally:
+        deadline.cancel()
+        proc.kill()
+        proc.wait()
+    if proc.returncode == -signal.SIGKILL:
+        return f"killed at its {DEADLINE} s deadline"
+    out, err = (None if skip else data.decode()
+                for skip, data in zip(unread, streams))
+    return proc.returncode, out if read is None else read, err
+
+
+def _head(proc):
+    """A reader that takes one byte of stdout and closes it."""
+    byte = proc.stdout.read(1)
+    proc.stdout.close()
+    return byte.decode()
+
+
+def _sha256sum(proc):
+    """A reader to the end, which keeps the SHA-256 of what it read."""
+    return hashlib.sha256(proc.stdout.read()).hexdigest()
+
+
+def _close_stderr(proc):
+    proc.stderr.close()
+
+
+def _interrupt(proc):
+    time.sleep(1)
+    proc.send_signal(signal.SIGINT)
+
+
+#: a child of a process that ignores SIGINT (one started with & by a shell
+#: without job control) would inherit that, and Python would keep ignoring
+#: it; a user's shell in the foreground leaves Python its own handler
+_SIGINT = "import signal; signal.signal(signal.SIGINT, " \
+    "signal.default_int_handler); "
+
+
+def _blocking(*names):
+    """The prelude that makes the modules ``names`` unimportable."""
+    return "".join(f"sys.modules[{name!r}] = None; " for name in names)
+
+
+def _files(cwd):
+    """{name: (inode, mtime)} of the files in ``cwd``."""
+    return {path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+            for path in Path(cwd).iterdir()}
+
+
+def _after(miss, argv, cwd, prelude=""):
+    """The run after a miss under the prelude ``miss``: the miss leaves a
+    file, and the run changes none."""
+    _child(argv, cwd, miss)
+    files = _files(cwd)
+    outcome = _child(argv, cwd, prelude)
+    if not files or _files(cwd) != files:
+        return f"files {files} after the miss, {_files(cwd)} after the run"
+    return outcome
+
+
+def _leaving_no_file(argv, cwd, prelude):
+    outcome = _child(argv, cwd, prelude)
+    return f"files {_files(cwd)} left" if _files(cwd) else outcome
+
+
+_NO_DIGEST = _blocking("_blake2", "_hashlib")
+
+#: condition: its replay of an argv in a fresh directory
+CONDITIONS = {
+    "": _child,
+    "> /dev/full": lambda argv, cwd: _child(argv, cwd,
+                                            redirect="> /dev/full"),
+    ">&-": lambda argv, cwd: _child(argv, cwd, redirect=">&-"),
+    "2>&-": lambda argv, cwd: _child(argv, cwd, redirect="2>&-"),
+    "2| closed by its reader":
+        lambda argv, cwd: _child(argv, cwd, act=_close_stderr),
+    "| head -c 1": lambda argv, cwd: _child(argv, cwd, act=_head),
+    "| sha256sum": lambda argv, cwd: _child(argv, cwd, act=_sha256sum),
+    "SIGINT after 1 s":
+        lambda argv, cwd: _child(argv, cwd, _SIGINT, act=_interrupt),
+    "after a miss": lambda argv, cwd: _after("", argv, cwd),
+    "without _blake2":
+        lambda argv, cwd: _child(argv, cwd, _blocking("_blake2")),
+    "after a miss without _blake2": lambda argv, cwd: _after(
+        _blocking("_blake2"), argv, cwd, _blocking("_blake2")),
+    "without _blake2 and _hashlib":
+        lambda argv, cwd: _leaving_no_file(argv, cwd, _NO_DIGEST),
+    "after a miss, without _blake2 and _hashlib":
+        lambda argv, cwd: _after("", argv, cwd, _NO_DIGEST),
+    "modules loaded by": lambda code, cwd: _child(
+        [], cwd, code=_MODULES.format(code=code)),
+}
+
+
+def _process(key):
+    """The pin of PROCESS at ``key``, replayed in a fresh directory."""
+    condition, line = key
+    with tempfile.TemporaryDirectory() as cwd:
+        return CONDITIONS[condition](
+            line if condition == "modules loaded by" else line.split(), cwd)
+
+
+def _argparse(argv):
+    """answer(argv) with COLUMNS=80, as the pins of ARGPARSE were taken."""
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        return answer(list(argv))
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+
+
 def _load(workload):
     """{query: answer} of one workload of perfbench/expected."""
     queries = json.loads((EXPECTED / f"{workload}.json").read_text())
@@ -364,10 +626,16 @@ GROUPS = {
     "hminus-lines-to-2039": (HMINUS_LINES_TO_2039, _hminus_lines),
     "hminus-shared-parts": (SHARED_DIGESTS, _shared_digest),
     "command-outputs": (OUTPUT_DIGESTS, _outputs_digest),
+    "argparse": (ARGPARSE, _argparse),
+    "process": (PROCESS, _process),
 }
 
 #: the groups that take seconds each: h^- near the ceiling and to 2039
 SLOW = {"hminus-ceiling", "hminus-lines-to-2039", "hminus-shared-parts"}
+
+#: the groups whose pins each run in children: up to os.cpu_count() pins
+#: are replayed at a time
+CHILDREN = {"process"}
 
 
 def mismatches(name):
@@ -376,15 +644,21 @@ def mismatches(name):
     pins, replay = GROUPS[name]
     if not pins:
         return [(name, "no pins", "at least one")]
-    found = []
-    for key, pinned in pins.items():
+
+    def replayed(key):
         try:
-            replayed = replay(key)
+            return replay(key)
         except Exception as err:  # reported with the pin, not raised
-            replayed = f"{type(err).__name__}: {err}"
-        if replayed != pinned:
-            found.append((key, replayed, pinned))
-    return found
+            return f"{type(err).__name__}: {err}"
+
+    if name in CHILDREN:
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+            values = list(pool.map(replayed, pins))
+    else:
+        values = map(replayed, pins)
+    return [(key, value, pinned)
+            for (key, pinned), value in zip(pins.items(), values)
+            if value != pinned]
 
 
 def main():

@@ -551,11 +551,11 @@ def _default_sigint():
 
 def test_interrupt_exits_130_without_a_traceback():
     # the text sweep to 3000 takes tens of seconds; SIGINT after 1 s ends it
+    key = ("SIGINT after 1 s", "sweep --n 4 --m-min 2 --m-max 3000")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "cycloclass.cli", "sweep", "--n", "4",
-         "--m-min", "2", "--m-max", "3000"], stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, env=child_env(),
-        preexec_fn=_default_sigint)
+        [sys.executable, "-m", "cycloclass.cli", *key[1].split()],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=child_env(), preexec_fn=_default_sigint)
     try:
         time.sleep(1)
         proc.send_signal(signal.SIGINT)
@@ -563,7 +563,7 @@ def test_interrupt_exits_130_without_a_traceback():
     finally:
         proc.kill()
         proc.wait()
-    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+    assert (proc.returncode, out, err) == pins.PROCESS[key]
 
 
 @pytest.mark.parametrize("target", ["directory", "missing/cache.json"])
@@ -914,10 +914,9 @@ def test_undelivered_answer_exits_1_without_a_traceback(
         ["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, "-m",
          "cycloclass.cli", *argv],
         stderr=subprocess.PIPE, text=True, timeout=30, env=env)
-    assert proc.returncode == code
-    assert "Traceback" not in proc.stderr
-    (line,) = proc.stderr.splitlines()
-    assert line.startswith(prefix)
+    assert (proc.returncode, None, proc.stderr) == \
+        pins.PROCESS[(redirect, " ".join(argv))]
+    assert proc.returncode == code and proc.stderr.startswith(prefix)
 
 
 def test_only_a_stdout_failure_counts_as_undelivered(tmp_path, capsys,
@@ -1153,19 +1152,11 @@ def test_parse_is_argparse_or_none(argv):
     assert args is None or vars(args) == vars(PARSER.parse_args(argv)), argv
 
 
-#: stdout, stderr and exit code of --help and of malformed lines from the
-#: parser that read every argv with argparse, for this interpreter
-ARGPARSE_PINS = [
-    pin for pin in json.loads(
-        (TESTS / "argparse_pins.json").read_text(encoding="utf-8"))["pins"]
-    if "%d.%d" % sys.version_info[:2] in pin["python"]]
-
-
-@pytest.mark.parametrize("pin", ARGPARSE_PINS,
-                         ids=lambda pin: " ".join(pin["argv"]) or "-")
-def test_help_and_usage_errors_keep_their_bytes(monkeypatch, pin):
+@pytest.mark.parametrize("argv", pins.ARGPARSE,
+                         ids=lambda argv: " ".join(argv) or "-")
+def test_help_and_usage_errors_keep_their_bytes(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    assert answer(pin["argv"]) == (pin["exit"], pin["stdout"], pin["stderr"])
+    assert answer(list(argv)) == pins.ARGPARSE[argv]
 
 
 #: any text, lone surrogates included

@@ -26,7 +26,8 @@ order.
 
 Every pinned digest has one home, ``tests/pins.py``: no CI step holds one
 and no test file a copy, and the corpus runs on the standard library
-alone.
+alone.  The stdlib-only CI job replays the corpus and runs neither the
+console script nor a script of its own.
 """
 
 import ast
@@ -237,13 +238,31 @@ def test_lru_caches_are_the_pinned_ones():
 
 
 def test_the_workflow_holds_no_pinned_answer():
-    # a step that compares with a literal replays the corpus instead; the
-    # heredocs left are the Python scripts of the steps that check
-    # behaviour
+    # a step that compares with a literal replays the corpus instead, and
+    # no step runs a script of its own
     text = WORKFLOW.read_text()
     assert not HEX_DIGEST.findall(text)
-    heredocs = [line.strip() for line in text.splitlines() if "<<" in line]
-    assert all(line == "python - <<'EOF'" for line in heredocs)
+    assert "<<" not in text
+
+
+def _job(name):
+    """The lines of one job of the workflow, from its name to the next."""
+    lines = WORKFLOW.read_text().splitlines()
+    start = lines.index(f"  {name}:") + 1
+    end = next((i for i in range(start, len(lines))
+                if re.match(r"  [\w-]+:", lines[i])), len(lines))
+    return lines[start:end]
+
+
+def test_the_stdlib_job_runs_only_the_corpus():
+    # each rule of the process around the CLI is a pin of the corpus's
+    # "process" group, which the job replays against the installed
+    # package: no step runs the console script (and none a heredoc, as
+    # test_the_workflow_holds_no_pinned_answer checks)
+    lines = [line.split("#")[0] for line in _job("stdlib-only")]
+    assert not [line for line in lines
+                if re.search(r"(^|[\s;|&(`$])cycloclass(\s|$)", line)]
+    assert "        run: python tests/pins.py" in lines
 
 
 def test_the_corpus_imports_only_the_stdlib_and_the_package():
