@@ -66,9 +66,7 @@ modulo an odd prime power and the order of a unit up to sign live here
 as well: only the tests use them.  So does verify as it ran before the
 checks that read no degree were shared across degrees: every check
 recomputed at each (n, m) from the deep structure at n.  ``clear_caches`` empties the
-package's caches as the benchmark's worker does before a cold query;
-``child_env``, defined with the process pins in ``pins``, is the
-environment of every child interpreter a test starts.
+package's caches as the benchmark's worker does before a cold query.
 """
 
 import random
@@ -140,7 +138,6 @@ from cycloclass.residue import (
     unit_quotient,
     vtilde,
 )
-from pins import child_env  # the one builder of a child's environment
 
 
 def clear_caches():

@@ -6,15 +6,19 @@ its pins with the replay that recomputes them in process; the cli-cold
 and hminus-range answers of ``perfbench/expected`` and the argparse pins
 of ``argparse_pins.json`` are read there, not copied.  A pin may also be
 a rule of the process around the CLI: the group ``process`` runs each of
-its command lines in a child under one condition (a full disk, a closed
-stream, a reader that stops early, SIGINT, a cache without its digest
-modules), as the console script runs it, and pins the exit code and the
-streams it can read.  ``PYTHONPATH=src python tests/pins.py``, or
-``python tests/pins.py`` against an installed package, takes no options,
-needs only the standard library, replays every group in about 20 s,
-prints one line per group and exits 1 naming each pin that differs.
-``tests/test_pins.py`` replays the groups under pytest, those in ``SLOW``
-under ``-m slow``.
+its command lines in a child under one condition (a full disk or a
+closed stdout, buffered or not, a closed stream, a reader that stops
+early, SIGINT, a cache without its digest modules, no sympy), as the
+console script runs it, and pins the exit code and the streams it can
+read.  Its cases include the fail-fast refusals of a modulus that rho
+cannot split, a torus above its ceiling and a modulus past the digit
+limit, each held and run here only.
+``PYTHONPATH=src python tests/pins.py``, or ``python tests/pins.py``
+against an installed package, takes no options, needs only the standard
+library, replays every group in about 25 s, the children of ``process``
+while the other groups run in process, prints one line per group and
+exits 1 naming each pin that differs.  ``tests/test_pins.py`` replays
+the groups under pytest, those in ``SLOW`` under ``-m slow``.
 """
 
 import hashlib
@@ -304,30 +308,75 @@ CACHED_QUERY = ("from cycloclass.cli import answer; "
                 "argv = '--cache F hminus --m 39'.split(); "
                 "assert answer(argv) == answer(argv) == (0, '2\\n', '')")
 
+#: every family of queries in one interpreter, each exiting 0
+FAMILIES = ("from cycloclass.cli import answer; "
+            "assert all(answer(line.split())[0] == 0 for line in ("
+            "'hminus --m 39', 'cbound --m 58', 'vtilde --m 21', "
+            "'am --m 29', 'a2k --k 2 --m 12', 'tate --km 5 --degree 1', "
+            "'classify --n 4 --m 30', 'verify --n 4 --m 21', "
+            "'sweep --n 4 --m-min 2 --m-max 11'))")
+
 _RANK_1025 = ",".join(["2"] * 1025)
 _ODD_N = "out of scope: n = 5: only even n >= 4 is classified\n"
+_FULL = "output not written: [Errno 28] No space left on device\n"
+_CLOSED = "output not written: stdout is closed\n"
+
+#: two 31-digit primes, whose product Pollard-Brent rho does not split
+#: within its budget
+_UNFACTORED = 3000000000000000000000000000262000000000000000000000000005187
+_RHO = (f"out of scope: cannot factor {_UNFACTORED}: Pollard-Brent rho "
+        f"found no factor of {_UNFACTORED} within 4194304 steps\n")
+
+#: a modulus past the interpreter's limit of 4300 digits, under which the
+#: argv is parsed: only the computation lifts it
+_SEVENS = "7" * 4400
+
+
+def _torus(p, bits):
+    return (f"out of scope: the norm-one torus of F_2[zeta_{p}] has about "
+            f"{bits} bits; tori above 262144 bits are not built\n")
+
+
+def _power_of_two(m):
+    return (f"n = 4, m = {m}  (automorphism group order {8 * m})\n"
+            "  simple homotopy types in the homotopy class:   infinite\n"
+            "  simple homotopy types among h-cobordant ones:  infinite\n"
+            "  homotopy types modulo s.h.e. and h-cobordism:  finite\n"
+            "  provenance: rule-derived\n")
+
 
 #: (exit code, stdout, stderr) of a command line run in a child under a
 #: condition of CONDITIONS, None for a stream that the condition takes
-#: from the replay: an answer that stdout cannot take, a closed stream, a
-#: reader that stops after one byte, one that hashes every byte, SIGINT
-#: into a text sweep, the refusals, a cache path that is a directory, a
-#: cache file read back, the cache without its digest modules (its file
-#: neither read nor written), and --help, the = form and a missing
-#: option, which argparse reads.  "modules loaded by" runs interpreter
-#: code, not a command line, and prints the modules of _WATCHED that are
-#: then loaded
+#: from the replay: the refusals of a modulus rho cannot factor, each
+#: waiting out its budget (first, so that the longest children start
+#: first), an answer that stdout cannot take, buffered or not, a closed
+#: stream, a reader that closes stdout before the first byte, one that
+#: stops after one byte, one that hashes every byte, SIGINT into a text
+#: sweep, the other refusals, answers near the torus ceiling and at large
+#: powers of two, a cache path that is a directory, a cache file read
+#: back, the cache without its digest modules (its file neither read nor
+#: written), the prime 2^64 + 13 without sympy, and --help, the = form, a
+#: missing option and a modulus past the digit limit, which argparse
+#: reads.  "modules loaded by" runs interpreter code, not a command line,
+#: and prints the modules of _WATCHED that are then loaded
 PROCESS = {
-    ("> /dev/full", "hminus --m 39"):
-        (1, None, "output not written: [Errno 28] No space left on device\n"),
-    ("> /dev/full", "classify --n 5 --m 3"): (2, None, _ODD_N),
-    (">&-", "hminus --m 39"):
-        (1, None, "output not written: stdout is closed\n"),
+    **{("", f"{command} --m {_UNFACTORED}"): (2, "", _RHO)
+       for command in ("classify --n 4", "am", "verify --n 4", "vtilde",
+                       "cbound", "a2k --k 2")},
+    **{(buffering + redirect, line): (code, None, err)
+       for buffering in ("", "unbuffered ")
+       for redirect, line, code, err in (
+           ("> /dev/full", "hminus --m 39", 1, _FULL),
+           ("> /dev/full", "classify --n 5 --m 3", 2, _ODD_N),
+           (">&-", "hminus --m 39", 1, _CLOSED))},
     **{(closed, line): (code, out, None)
        for closed in ("2>&-", "2| closed by its reader")
        for line, code, out in (("hminus", 1, ""),
                                ("classify --n 5 --m 3", 2, ""),
                                ("hminus --m 39", 0, "2\n"))},
+    **{("| closed by its reader", line): (0, None, "")
+       for line in ("hminus --m 39",
+                    "--format json sweep --n 4 --m-min 2 --m-max 400")},
     ("| head -c 1", "--format json sweep --n 4 --m-min 2 --m-max 400"):
         (0, "[", ""),
     ("| sha256sum", "--format json sweep --n 4 --m-min 2 --m-max 2000"):
@@ -342,6 +391,19 @@ PROCESS = {
     ("", f"tate --invariants {_RANK_1025} --degree 1"):
         (2, "", "out of scope: the invariants normalise to 1025 factors; "
          "ranks above 1024 are not built\n"),
+    # the order of 2 mod 1000000007 is 500000003; 34747 * 34757 has two
+    # tori of about 2^18 bits each, whose orders no Smith normal form may
+    # take as entries
+    ("", "cbound --m 2000000014"): (2, "", _torus(1000000007, 500000003)),
+    ("", "vtilde --m 2000000014"): (2, "", _torus(1000000007, 500000003)),
+    ("", "vtilde --m 20000006"): (2, "", _torus(10000003, 4615380)),
+    ("| sha256sum", "vtilde --m 1207701479"): (
+        0, "8a18dbe6cc6a5393887a5a86363ab4109183846277503acf16c9474fc57dd21e",
+        ""),
+    # the kernel-group ladder at 2^e has order 2^(2^(e-1) - 1 - e(e-1)/2);
+    # only its exponent is built
+    **{("", f"classify --n 4 --m {2 ** e}"): (0, _power_of_two(2 ** e), "")
+       for e in (30, 40)},
     ("", "--cache . hminus --m 39"):
         (0, "2\n", "cache not written: . is not a regular file\n"),
     **{(condition, "--cache F hminus --m 39"): (0, "2\n", "")
@@ -352,18 +414,26 @@ PROCESS = {
         "halted; None in sys.modules\n")
        for condition in ("without _blake2 and _hashlib",
                          "after a miss, without _blake2 and _hashlib")},
+    # the prime 2^64 + 13 takes the thirteen-base strong test
+    **{("without sympy", line): (code, out, err)
+       for line, (out, err, code) in QUERIES.items()
+       if line.endswith(f" --m {ABOVE_2_64}")},
     ("modules loaded by", "import cycloclass"): (0, "cycloclass\n", ""),
     ("modules loaded by", LIBRARY_IMPORT): (
         0, "cycloclass cycloclass.abelian cycloclass.arith "
         "cycloclass.classnumber cycloclass.record\n", ""),
-    ("modules loaded by", CACHED_QUERY): (
+    **{("modules loaded by", code): (
         0, "cycloclass cycloclass.abelian cycloclass.arith "
         "cycloclass.classnumber cycloclass.cli cycloclass.involutive "
         "cycloclass.ktheory cycloclass.manifoldset cycloclass.record "
-        "cycloclass.residue\n", ""),
+        "cycloclass.residue\n", "") for code in (CACHED_QUERY, FAMILIES)},
     ("", "hminus --m=39"): (0, "2\n", ""),
     **{("", " ".join(argv)): ARGPARSE[argv]
        for argv in (("--help",), ("hminus",)) if argv in ARGPARSE},
+    **{("", f"{command} --m {_SEVENS}"):
+       (1, "", f"usage error: argument --m: invalid int value: '{_SEVENS}'\n")
+       for command in ("a2k --k 2", "vtilde", "hminus")
+       if hasattr(sys, "get_int_max_str_digits")},
 }
 
 #: each child's deadline in seconds, from its own start
@@ -398,19 +468,27 @@ def child_env(src=None):
     return env
 
 
-def _child(argv, cwd, prelude="", redirect="", act=None, code=None):
+#: the environment of every child of the replay, taken once, before any
+#: group runs: the argparse group sets and removes COLUMNS in process
+#: while the children of main() start
+_ENV = child_env()
+
+
+def _child(argv, cwd, prelude="", redirect="", act=None, code=None,
+           flags=()):
     """(exit code, stdout, stderr) of a child run with ``argv`` in ``cwd``:
-    the command line after ``prelude``, or the interpreter ``code``.  The
-    shell ``redirect`` is applied to it, and ``act(proc)`` acts on it as
-    it runs, returning the stdout it read, if any.  A stream that the
-    redirect takes, or that ``act`` closes, reads None.  A child past its
-    DEADLINE is killed, and the text says so."""
-    command = [sys.executable, "-c", code or _MAIN.format(prelude=prelude),
-               *argv]
+    the command line after ``prelude``, or the interpreter ``code``, the
+    interpreter given ``flags``.  The shell ``redirect`` is applied to it,
+    and ``act(proc)`` acts on it as it runs, returning the stdout it read,
+    if any.  A stream that the redirect takes, or that ``act`` closes,
+    reads None.  A child past its DEADLINE is killed, and the text says
+    so."""
+    command = [sys.executable, *flags, "-c",
+               code or _MAIN.format(prelude=prelude), *argv]
     if redirect:
         command = ["sh", "-c", f'exec "$0" "$@" {redirect}', *command]
     proc = subprocess.Popen(
-        command, cwd=cwd, env=child_env(),
+        command, cwd=cwd, env=_ENV,
         stdout=subprocess.DEVNULL if redirect[:1] == ">" else subprocess.PIPE,
         stderr=subprocess.DEVNULL if redirect[:1] == "2" else subprocess.PIPE)
     deadline = threading.Timer(DEADLINE, proc.kill)
@@ -441,6 +519,10 @@ def _head(proc):
 def _sha256sum(proc):
     """A reader to the end, which keeps the SHA-256 of what it read."""
     return hashlib.sha256(proc.stdout.read()).hexdigest()
+
+
+def _close_stdout(proc):
+    proc.stdout.close()
 
 
 def _close_stderr(proc):
@@ -494,9 +576,15 @@ CONDITIONS = {
     "> /dev/full": lambda argv, cwd: _child(argv, cwd,
                                             redirect="> /dev/full"),
     ">&-": lambda argv, cwd: _child(argv, cwd, redirect=">&-"),
+    "unbuffered > /dev/full": lambda argv, cwd: _child(
+        argv, cwd, redirect="> /dev/full", flags=["-u"]),
+    "unbuffered >&-":
+        lambda argv, cwd: _child(argv, cwd, redirect=">&-", flags=["-u"]),
     "2>&-": lambda argv, cwd: _child(argv, cwd, redirect="2>&-"),
     "2| closed by its reader":
         lambda argv, cwd: _child(argv, cwd, act=_close_stderr),
+    "| closed by its reader":
+        lambda argv, cwd: _child(argv, cwd, act=_close_stdout),
     "| head -c 1": lambda argv, cwd: _child(argv, cwd, act=_head),
     "| sha256sum": lambda argv, cwd: _child(argv, cwd, act=_sha256sum),
     "SIGINT after 1 s":
@@ -506,6 +594,7 @@ CONDITIONS = {
         lambda argv, cwd: _child(argv, cwd, _blocking("_blake2")),
     "after a miss without _blake2": lambda argv, cwd: _after(
         _blocking("_blake2"), argv, cwd, _blocking("_blake2")),
+    "without sympy": lambda argv, cwd: _child(argv, cwd, _blocking("sympy")),
     "without _blake2 and _hashlib":
         lambda argv, cwd: _leaving_no_file(argv, cwd, _NO_DIGEST),
     "after a miss, without _blake2 and _hashlib":
@@ -661,18 +750,29 @@ def mismatches(name):
             if value != pinned]
 
 
+def _timed(name):
+    """mismatches(name) and the seconds they took."""
+    start = time.perf_counter()
+    return mismatches(name), time.perf_counter() - start
+
+
 def main():
     failed = []
-    for name, (pins, _) in GROUPS.items():
-        start = time.perf_counter()
-        found = mismatches(name)
-        print(f"{'FAIL' if found else 'ok'} {name}: {len(pins)} pins, "
-              f"{time.perf_counter() - start:.1f} s", flush=True)
-        for key, replayed, pinned in found:
-            print(f"    {key!r:.100}: replayed {replayed!r:.100}, "
-                  f"pinned {pinned!r:.100}")
-        if found:
-            failed.append(name)
+    # the groups of CHILDREN wait on children, so they start first and
+    # run while the other groups replay in process
+    with ThreadPoolExecutor(len(CHILDREN)) as pool:
+        started = {name: pool.submit(_timed, name)
+                   for name in GROUPS if name in CHILDREN}
+        for name, (pins, _) in GROUPS.items():
+            found, seconds = started[name].result() if name in started \
+                else _timed(name)
+            print(f"{'FAIL' if found else 'ok'} {name}: {len(pins)} pins, "
+                  f"{seconds:.1f} s", flush=True)
+            for key, replayed, pinned in found:
+                print(f"    {key!r:.100}: replayed {replayed!r:.100}, "
+                      f"pinned {pinned!r:.100}")
+            if found:
+                failed.append(name)
     if failed:
         print(f"mismatched: {', '.join(failed)}")
     return 1 if failed else 0

@@ -15,7 +15,8 @@ from sympy.abc import x
 
 import cycloclass
 from cycloclass import arith
-from oracles import child_env, clear_caches, cyclotomic_int, primitive_root
+from oracles import clear_caches, cyclotomic_int, primitive_root
+from pins import child_env
 
 #: the least strong pseudoprimes to the first 12 and 13 prime bases
 PSI_12 = 318665857834031151167461

@@ -1201,7 +1201,7 @@ class TestConductorParts:
         # them back at their multiples
         proc = subprocess.run([sys.executable, "-c", _SHARED_SWEEP, order],
                               capture_output=True, text=True, timeout=120,
-                              env=oracles.child_env())
+                              env=pins.child_env())
         assert proc.returncode == 0, proc.stderr
         lines = [line.split() for line in proc.stdout.splitlines()]
         assert len(lines) == len(cold)

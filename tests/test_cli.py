@@ -3,13 +3,10 @@ import itertools
 import json
 import os
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
-import textwrap
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -22,7 +19,7 @@ from cycloclass.classnumber import HMINUS_PHI_CEILING
 from cycloclass.cli import (TATE_RANK_CEILING, _build_parser,
                             _canonical_key, _code_digest, _digest, _parse,
                             answer, run)
-from oracles import child_env
+from pins import child_env
 
 TESTS = Path(__file__).resolve().parent
 
@@ -542,30 +539,6 @@ def test_interrupted_rewrite_leaves_only_the_old_cache(tmp_path,
     assert cache_file.read_bytes() == before
 
 
-def _default_sigint():
-    # a child of a process that ignores SIGINT (one started with & by a
-    # shell without job control) would inherit that, and Python would keep
-    # ignoring it
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-
-
-def test_interrupt_exits_130_without_a_traceback():
-    # the text sweep to 3000 takes tens of seconds; SIGINT after 1 s ends it
-    key = ("SIGINT after 1 s", "sweep --n 4 --m-min 2 --m-max 3000")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "cycloclass.cli", *key[1].split()],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=child_env(), preexec_fn=_default_sigint)
-    try:
-        time.sleep(1)
-        proc.send_signal(signal.SIGINT)
-        out, err = proc.communicate(timeout=5)
-    finally:
-        proc.kill()
-        proc.wait()
-    assert (proc.returncode, out, err) == pins.PROCESS[key]
-
-
 @pytest.mark.parametrize("target", ["directory", "missing/cache.json"])
 def test_unwritable_cache_costs_only_the_reuse(tmp_path, target):
     (tmp_path / "directory").mkdir()
@@ -664,42 +637,6 @@ def _run_cli(argv, timeout, stderr=subprocess.PIPE):
                           timeout=timeout, env=child_env())
 
 
-def test_cli_families_run_without_sympy():
-    # sympy is the tests' oracle: no query imports it
-    script = textwrap.dedent("""
-        import sys
-        import cycloclass, cycloclass.cli
-        assert "sympy" not in sys.modules, "sympy imported at start-up"
-        for argv in (["hminus", "--m", "39"], ["cbound", "--m", "58"],
-                     ["vtilde", "--m", "21"], ["am", "--m", "29"],
-                     ["a2k", "--k", "2", "--m", "12"],
-                     ["tate", "--km", "5", "--degree", "1"],
-                     ["classify", "--n", "4", "--m", "30"],
-                     ["verify", "--n", "4", "--m", "21"],
-                     ["sweep", "--n", "4", "--m-min", "2", "--m-max", "11"]):
-            assert cycloclass.cli.answer(argv)[0] == 0, argv
-            assert "sympy" not in sys.modules, argv
-    """)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=60, env=child_env())
-    assert proc.returncode == 0, proc.stderr
-
-
-@pytest.mark.parametrize("argv", [["classify", "--n", "4"], ["cbound"],
-                                  ["am"], ["vtilde"]])
-def test_primality_above_2_64_without_sympy(argv):
-    # the prime 2^64 + 13 takes the thirteen-base strong test; with sympy
-    # blocked the answer keeps the bytes and the exit code of the corpus
-    argv = [*argv, "--m", str(pins.ABOVE_2_64)]
-    script = ("import sys; sys.modules['sympy'] = None; "
-              "import cycloclass.cli; cycloclass.cli.main()")
-    proc = subprocess.run([sys.executable, "-c", script, *argv],
-                          capture_output=True, text=True, timeout=60,
-                          env=child_env())
-    assert (proc.stdout, proc.stderr, proc.returncode) == \
-        pins.QUERIES[" ".join(argv)]
-
-
 @pytest.mark.parametrize("argv", [["classify", "--n", "4"],
                                   ["a2k", "--k", "2"], ["am"]])
 def test_queries_at_a_prime_whose_p_minus_one_rho_cannot_split(argv):
@@ -710,17 +647,6 @@ def test_queries_at_a_prime_whose_p_minus_one_rho_cannot_split(argv):
     assert time.monotonic() - start < 1
     assert (proc.stdout, proc.stderr, proc.returncode) == \
         pins.QUERIES[" ".join(argv)]
-
-
-@pytest.mark.parametrize("exponent", [30, 40])
-def test_classify_large_power_of_two(exponent):
-    # the kernel-group ladder at 2^e has order 2^(2^(e-1) - 1 - e(e-1)/2);
-    # only its exponent is built
-    proc = _run_cli(["classify", "--n", "4", "--m", str(2 ** exponent)],
-                    timeout=10)
-    assert proc.returncode == 0, proc.stderr
-    assert "homotopy types modulo s.h.e. and h-cobordism:  finite" \
-        in proc.stdout
 
 
 class TestDeepAboveTheHminusCeiling:
@@ -847,78 +773,6 @@ def test_hminus_of_a_huge_semiprime_fails_fast():
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["hminus", "--m", "39"],
-    ["--format", "json", "sweep", "--n", "4", "--m-min", "2",
-     "--m-max", "400"]])
-def test_reader_that_closes_stdout_early(argv):
-    # the read end is closed before the child writes a byte: the output
-    # ends there, with exit code 0 and nothing on stderr
-    proc = subprocess.Popen([sys.executable, "-m", "cycloclass.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=child_env())
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0 and err == b""
-
-
-def test_reader_to_the_end_gets_every_byte():
-    # main ends the process with os._exit, which flushes nothing: an
-    # answer of 282 KB, written in one piece, still reaches the pipe whole
-    line = "--format json sweep --n 4 --m-min 2 --m-max 2000"
-    proc = subprocess.run([sys.executable, "-m", "cycloclass.cli",
-                           *line.split()], capture_output=True, timeout=60,
-                          env=child_env())
-    assert proc.returncode == 0 and proc.stderr == b""
-    assert hashlib.sha256(proc.stdout).hexdigest() == \
-        pins.SWEEP_DIGESTS[line]
-
-
-@pytest.mark.parametrize("closed", ["by-its-reader", "at-start"])
-@pytest.mark.parametrize("argv,code,stdout", [
-    (["hminus"], 1, b""), (["classify", "--n", "5", "--m", "3"], 2, b""),
-    (["hminus", "--m", "39"], 0, b"2\n")])
-def test_closed_stderr_keeps_the_exit_code(closed, argv, code, stdout):
-    # closed by its reader before the child writes, or as fd 2 (2>&-)
-    command = [sys.executable, "-m", "cycloclass.cli", *argv]
-    if closed == "at-start":
-        command = ["sh", "-c", 'exec "$0" "$@" 2>&-', *command]
-    proc = subprocess.Popen(command, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=child_env())
-    proc.stderr.close()
-    out, _ = proc.communicate(timeout=60)
-    assert (proc.returncode, out) == (code, stdout)
-
-
-_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
-                               reason="no /dev/full")
-
-
-@pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("redirect, argv, code, prefix", [
-    pytest.param("> /dev/full", ["hminus", "--m", "39"], 1,
-                 "output not written: ", marks=_DEV_FULL),
-    pytest.param("> /dev/full", ["classify", "--n", "5", "--m", "3"], 2,
-                 "out of scope: ", marks=_DEV_FULL),
-    (">&-", ["hminus", "--m", "39"], 1, "output not written: ")])
-def test_undelivered_answer_exits_1_without_a_traceback(
-        redirect, argv, code, prefix, unbuffered):
-    # every write to /dev/full fails, even an empty one: buffered in the
-    # flush, unbuffered in the write.  A scope error has no stdout text to
-    # write and keeps its code.  With fd 1 closed at start, sys.stdout is
-    # None
-    env = child_env()
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.run(
-        ["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, "-m",
-         "cycloclass.cli", *argv],
-        stderr=subprocess.PIPE, text=True, timeout=30, env=env)
-    assert (proc.returncode, None, proc.stderr) == \
-        pins.PROCESS[(redirect, " ".join(argv))]
-    assert proc.returncode == code and proc.stderr.startswith(prefix)
-
-
 def test_only_a_stdout_failure_counts_as_undelivered(tmp_path, capsys,
                                                       monkeypatch):
     # an OSError of the query itself propagates, and so gives its traceback,
@@ -966,19 +820,6 @@ def test_run_without_stdout_runs_no_query(capsys, monkeypatch):
     assert capsys.readouterr().err == "output not written: stdout is closed\n"
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                    reason="no digit limit")
-@pytest.mark.parametrize("argv", [["a2k", "--k", "2"], ["vtilde"],
-                                  ["hminus"]])
-def test_modulus_past_the_digit_limit_is_a_usage_error(argv):
-    # the argv is parsed under the limit of 4300 digits, which only the
-    # computation lifts: a2k would otherwise set out to factor m
-    m = "7" * 4400
-    proc = _run_cli([*argv, "--m", m], timeout=10)
-    assert (proc.returncode, proc.stdout, proc.stderr) == \
-        (1, "", f"usage error: argument --m: invalid int value: '{m}'\n")
-
-
 @pytest.mark.parametrize("line", [
     "hminus --m 39", "--help", "hminus --help", "hminus --form json --m 39",
     "hminus --m=39", "hminus", "hminus --m x", "frobnicate", "vtilde --m 105"])
@@ -988,54 +829,6 @@ def test_answer_writes_nothing_and_run_writes_it(capsys, line):
     assert capsys.readouterr() == ("", "")
     assert run(argv) == code and type(code) is int
     assert capsys.readouterr() == (out, err)
-
-
-#: two 31-digit primes: Pollard-Brent rho gives up within its budget
-_UNFACTORED = "3000000000000000000000000000262000000000000000000000000005187"
-
-
-@pytest.fixture(scope="module")
-def unfactored_runs(request):
-    """{argv: future of its completed child} for every selected case of
-    test_unfactored_modulus_fails_fast, up to os.cpu_count() children at a
-    time, each with its 10 s deadline from its own start: each waits out
-    the rho budget, which in series took 13 s of the suite."""
-    argvs = [tuple(item.callspec.params["argv"])
-             for item in request.session.items
-             if getattr(item, "function", None)
-             is test_unfactored_modulus_fails_fast]
-    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
-        yield {argv: pool.submit(_run_cli, [*argv, "--m", _UNFACTORED],
-                                 timeout=10) for argv in argvs}
-
-
-@pytest.mark.parametrize("argv", [
-    ["classify", "--n", "4"], ["am"], ["verify", "--n", "4"], ["vtilde"],
-    ["cbound"], ["a2k", "--k", "2"]])
-def test_unfactored_modulus_fails_fast(argv, unfactored_runs):
-    proc = unfactored_runs[tuple(argv)].result()
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert f"cannot factor {_UNFACTORED}" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-@pytest.mark.parametrize("argv", [
-    ["cbound", "--m", "2000000014"], ["vtilde", "--m", "2000000014"],
-    ["vtilde", "--m", "20000006"]])
-def test_huge_torus_fails_fast(argv):
-    # the order of 2 mod 1000000007 is 500000003: the torus at 2 would
-    # have half a billion bits
-    proc = _run_cli(argv, timeout=10)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "norm-one torus" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def test_tori_near_the_ceiling_answer_fast():
-    # 34747 * 34757: two tori of about 2^18 bits each, whose orders no
-    # Smith normal form may take as entries
-    proc = _run_cli(["vtilde", "--m", "1207701479"], timeout=20)
-    assert proc.returncode == 0 and proc.stdout.startswith("Z/")
 
 
 @st.composite

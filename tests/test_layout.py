@@ -27,7 +27,10 @@ order.
 Every pinned digest has one home, ``tests/pins.py``: no CI step holds one
 and no test file a copy, and the corpus runs on the standard library
 alone.  The stdlib-only CI job replays the corpus and runs neither the
-console script nor a script of its own.
+console script nor a script of its own.  A rule of the process around
+the CLI is a case of the corpus's ``process`` group, whose replay starts
+its child once: no test module but ``test_pins.py`` reads its cases or
+its conditions.
 """
 
 import ast
@@ -282,3 +285,23 @@ def test_every_digest_under_tests_is_held_once():
                    for digest in HEX_DIGEST.findall(path.read_text()))
     assert held
     assert [digest for digest, count in held.items() if count > 1] == []
+
+
+def _reads(tree, names):
+    """Whether ``tree`` reads any of ``names`` from ``pins``."""
+    return any(
+        isinstance(node, ast.Attribute) and node.attr in names
+        and getattr(node.value, "id", None) == "pins"
+        or isinstance(node, ast.ImportFrom) and node.module == "pins"
+        and any(alias.name in names for alias in node.names)
+        for node in ast.walk(tree))
+
+
+def test_only_the_corpus_reads_its_process_cases():
+    # a test that starts a CLI child to compare its exit code and streams
+    # with a case would start that child a second time
+    reading = [path.name for path in sorted(TESTS.glob("*.py"))
+               if path.name not in ("pins.py", "test_pins.py")
+               and _reads(ast.parse(path.read_text()),
+                          {"PROCESS", "CONDITIONS"})]
+    assert reading == []

@@ -17,6 +17,10 @@ def test_group_keeps_its_pins(name):
     assert pins.mismatches(name) == []
 
 
+def test_every_condition_has_a_case():
+    assert set(pins.CONDITIONS) == {condition for condition, _ in pins.PROCESS}
+
+
 def test_a_perturbed_pin_fails_its_group(monkeypatch, capsys):
     # the runner compares every pin: one changed digest fails its group,
     # names the pin, and leaves the other group passing

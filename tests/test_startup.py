@@ -7,6 +7,7 @@ return.
 """
 
 import ast
+import functools
 import hashlib
 import importlib.util
 import os
@@ -18,9 +19,8 @@ from pathlib import Path
 import pytest
 
 import cycloclass
-import pins
 from cycloclass.cli import _code_digest, _digest
-from oracles import child_env
+from pins import child_env
 
 SRC = Path(cycloclass.__file__).resolve().parent
 #: the interpreter's builtin BLAKE2 module, which the cache digests use
@@ -53,9 +53,11 @@ def test_no_module_imports_hashlib():
     assert not _importers("hashlib")
 
 
+@functools.cache
 def _added_modules(code, *flags):
     """The modules that ``code`` adds to those a bare interpreter, run with
-    ``flags``, holds (after site and .pth start-up unless -S), sorted."""
+    ``flags``, holds (after site and .pth start-up unless -S): one child
+    for each code and flags, whichever tests read it."""
     script = textwrap.dedent("""
         import sys
         before = set(sys.modules)
@@ -66,28 +68,11 @@ def _added_modules(code, *flags):
                           capture_output=True, text=True, timeout=60,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return frozenset(proc.stdout.split())
 
 
 def _package_modules(added):
     return {name for name in added if name.split(".")[0] == "cycloclass"}
-
-
-def _pinned_modules(code):
-    """The package's modules that the corpus pins for ``code``."""
-    _, out, _ = pins.PROCESS[("modules loaded by", code)]
-    return set(out.split())
-
-
-def test_package_import_loads_no_layer():
-    # the package holds only __version__; its modules are the API
-    assert _package_modules(_added_modules("import cycloclass")) == \
-        _pinned_modules("import cycloclass")
-
-
-def test_library_import_loads_only_its_layers():
-    added = _added_modules(pins.LIBRARY_IMPORT)
-    assert _package_modules(added) == _pinned_modules(pins.LIBRARY_IMPORT)
 
 
 def test_cli_import_loads_every_layer_and_no_more_of_the_stdlib():
@@ -161,18 +146,22 @@ def _cache_round_trip(cache_file, prelude=""):
     """).format(prelude=prelude, cache_file=str(cache_file))
 
 
+@pytest.fixture(scope="module")
+def cache_file(tmp_path_factory):
+    """The cache file of the miss and hit that the tests below share."""
+    return tmp_path_factory.mktemp("round-trip") / "cache.json"
+
+
 @pytest.mark.skipif(not BUILTIN_BLAKE2, reason="no builtin BLAKE2 module")
-def test_cache_miss_and_hit_load_no_hashlib(tmp_path):
+def test_cache_miss_and_hit_load_no_hashlib(cache_file):
     # hashlib loads OpenSSL's _hashlib, and json and __future__ cost a cold
     # query more than reading the text cache does
-    cache_file = tmp_path / "cache.json"
     added = _added_modules(_cache_round_trip(cache_file))
     assert cache_file.exists()
     assert not added & {"json", "hashlib", "_hashlib", "__future__"}
 
 
-def test_cache_miss_and_hit_load_no_argparse(tmp_path):
-    cache_file = tmp_path / "cache.json"
+def test_cache_miss_and_hit_load_no_argparse(cache_file):
     added = _added_modules(_cache_round_trip(cache_file))
     assert cache_file.exists()
     assert not added & ARGPARSE
