@@ -18,7 +18,9 @@ against an installed package, takes no options, needs only the standard
 library, replays every group in about 25 s, the children of ``process``
 while the other groups run in process, prints one line per group and
 exits 1 naming each pin that differs.  ``tests/test_pins.py`` replays
-the groups under pytest, those in ``SLOW`` under ``-m slow``.
+the groups under pytest, those in ``SLOW`` under ``-m slow``; a test of
+one process rule reads its case through ``process_case``, so that each
+child runs once in a session.
 """
 
 import hashlib
@@ -323,13 +325,13 @@ _CLOSED = "output not written: stdout is closed\n"
 
 #: two 31-digit primes, whose product Pollard-Brent rho does not split
 #: within its budget
-_UNFACTORED = 3000000000000000000000000000262000000000000000000000000005187
-_RHO = (f"out of scope: cannot factor {_UNFACTORED}: Pollard-Brent rho "
-        f"found no factor of {_UNFACTORED} within 4194304 steps\n")
+UNFACTORED = 3000000000000000000000000000262000000000000000000000000005187
+_RHO = (f"out of scope: cannot factor {UNFACTORED}: Pollard-Brent rho "
+        f"found no factor of {UNFACTORED} within 4194304 steps\n")
 
 #: a modulus past the interpreter's limit of 4300 digits, under which the
 #: argv is parsed: only the computation lifts it
-_SEVENS = "7" * 4400
+SEVENS = "7" * 4400
 
 
 def _torus(p, bits):
@@ -360,7 +362,7 @@ def _power_of_two(m):
 #: reads.  "modules loaded by" runs interpreter code, not a command line,
 #: and prints the modules of _WATCHED that are then loaded
 PROCESS = {
-    **{("", f"{command} --m {_UNFACTORED}"): (2, "", _RHO)
+    **{("", f"{command} --m {UNFACTORED}"): (2, "", _RHO)
        for command in ("classify --n 4", "am", "verify --n 4", "vtilde",
                        "cbound", "a2k --k 2")},
     **{(buffering + redirect, line): (code, None, err)
@@ -430,8 +432,8 @@ PROCESS = {
     ("", "hminus --m=39"): (0, "2\n", ""),
     **{("", " ".join(argv)): ARGPARSE[argv]
        for argv in (("--help",), ("hminus",)) if argv in ARGPARSE},
-    **{("", f"{command} --m {_SEVENS}"):
-       (1, "", f"usage error: argument --m: invalid int value: '{_SEVENS}'\n")
+    **{("", f"{command} --m {SEVENS}"):
+       (1, "", f"usage error: argument --m: invalid int value: '{SEVENS}'\n")
        for command in ("a2k --k 2", "vtilde", "hminus")
        if hasattr(sys, "get_int_max_str_digits")},
 }
@@ -723,8 +725,12 @@ GROUPS = {
 SLOW = {"hminus-ceiling", "hminus-lines-to-2039", "hminus-shared-parts"}
 
 #: the groups whose pins each run in children: up to os.cpu_count() pins
-#: are replayed at a time
+#: are replayed at a time, each once in an interpreter
 CHILDREN = {"process"}
+
+#: (group, key): the value that its replay gave, for the groups of
+#: CHILDREN
+_REPLAYED = {}
 
 
 def mismatches(name):
@@ -741,13 +747,24 @@ def mismatches(name):
             return f"{type(err).__name__}: {err}"
 
     if name in CHILDREN:
+        unplayed = [key for key in pins if (name, key) not in _REPLAYED]
         with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
-            values = list(pool.map(replayed, pins))
+            _REPLAYED.update(((name, key), value) for key, value
+                             in zip(unplayed, pool.map(replayed, unplayed)))
+        values = [_REPLAYED[name, key] for key in pins]
     else:
         values = map(replayed, pins)
     return [(key, value, pinned)
             for (key, pinned), value in zip(pins.items(), values)
             if value != pinned]
+
+
+def process_case(key):
+    """(replayed, pinned) of the pin of PROCESS at ``key``.  The first call
+    replays the whole group, as ``mismatches("process")`` does, so that a
+    test of one case starts no child of its own."""
+    mismatches("process")
+    return _REPLAYED["process", key], PROCESS[key]
 
 
 def _timed(name):

@@ -773,6 +773,142 @@ def test_hminus_of_a_huge_semiprime_fails_fast():
     assert "Traceback" not in proc.stderr
 
 
+# The rules below of the process around the CLI are cases of the corpus's
+# process group, which runs their children, each once in the session and
+# under its deadline, whichever test reads them first: each test here
+# reads one or more cases and starts no child of its own.
+
+def _process(condition, line):
+    """(exit code, stdout, stderr) of the process case (condition, line),
+    which its replay must give byte for byte."""
+    replayed, pinned = pins.process_case((condition, line))
+    assert replayed == pinned
+    return replayed
+
+
+def test_interrupt_exits_130_without_a_traceback():
+    # the text sweep to 3000 takes tens of seconds; SIGINT after 1 s ends it
+    code, out, err = _process("SIGINT after 1 s",
+                              "sweep --n 4 --m-min 2 --m-max 3000")
+    assert code == 130 and "Traceback" not in err
+
+
+def test_cli_families_run_without_sympy():
+    # sympy is the tests' oracle: no query imports it.  The code asserts
+    # that every family exits 0
+    code, modules, _ = _process("modules loaded by", pins.FAMILIES)
+    assert code == 0 and "sympy" not in modules.split()
+
+
+@pytest.mark.parametrize("argv", [["classify", "--n", "4"], ["cbound"],
+                                  ["am"], ["vtilde"]])
+def test_primality_above_2_64_without_sympy(argv):
+    # the prime 2^64 + 13 takes the thirteen-base strong test; with sympy
+    # blocked the answer keeps the bytes and the exit code of the corpus
+    line = " ".join([*argv, "--m", str(pins.ABOVE_2_64)])
+    out, err, code = pins.QUERIES[line]
+    assert _process("without sympy", line) == (code, out, err)
+
+
+@pytest.mark.parametrize("exponent", [30, 40])
+def test_classify_large_power_of_two(exponent):
+    # the kernel-group ladder at 2^e has order 2^(2^(e-1) - 1 - e(e-1)/2);
+    # only its exponent is built
+    code, out, _ = _process("", f"classify --n 4 --m {2 ** exponent}")
+    assert code == 0
+    assert "homotopy types modulo s.h.e. and h-cobordism:  finite" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["hminus", "--m", "39"],
+    ["--format", "json", "sweep", "--n", "4", "--m-min", "2",
+     "--m-max", "400"]])
+def test_reader_that_closes_stdout_early(argv):
+    # the read end is closed before the child writes a byte: the output
+    # ends there, with exit code 0 and nothing on stderr
+    code, _, err = _process("| closed by its reader", " ".join(argv))
+    assert code == 0 and err == ""
+
+
+def test_reader_to_the_end_gets_every_byte():
+    # main ends the process with os._exit, which flushes nothing: an
+    # answer of 282 KB, written in one piece, still reaches the pipe whole
+    line = "--format json sweep --n 4 --m-min 2 --m-max 2000"
+    assert _process("| sha256sum", line) == (0, pins.SWEEP_DIGESTS[line], "")
+
+
+@pytest.mark.parametrize("closed", ["by-its-reader", "at-start"])
+@pytest.mark.parametrize("argv,code,stdout", [
+    (["hminus"], 1, b""), (["classify", "--n", "5", "--m", "3"], 2, b""),
+    (["hminus", "--m", "39"], 0, b"2\n")])
+def test_closed_stderr_keeps_the_exit_code(closed, argv, code, stdout):
+    # closed by its reader before the child writes, or as fd 2 (2>&-)
+    condition = {"by-its-reader": "2| closed by its reader",
+                 "at-start": "2>&-"}[closed]
+    assert _process(condition, " ".join(argv)) == \
+        (code, stdout.decode(), None)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("redirect, argv, code, prefix", [
+    ("> /dev/full", ["hminus", "--m", "39"], 1, "output not written: "),
+    ("> /dev/full", ["classify", "--n", "5", "--m", "3"], 2,
+     "out of scope: "),
+    (">&-", ["hminus", "--m", "39"], 1, "output not written: ")])
+def test_undelivered_answer_exits_1_without_a_traceback(
+        redirect, argv, code, prefix, unbuffered):
+    # every write to /dev/full fails, even an empty one: buffered in the
+    # flush, unbuffered (python -u) in the write.  A scope error has no
+    # stdout text to write and keeps its code.  With fd 1 closed at start,
+    # sys.stdout is None
+    condition = ("unbuffered " if unbuffered else "") + redirect
+    replayed_code, _, err = _process(condition, " ".join(argv))
+    assert replayed_code == code and err.startswith(prefix)
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no digit limit")
+@pytest.mark.parametrize("argv", [["a2k", "--k", "2"], ["vtilde"],
+                                  ["hminus"]])
+def test_modulus_past_the_digit_limit_is_a_usage_error(argv):
+    # the argv is parsed under the limit of 4300 digits, which only the
+    # computation lifts: a2k would otherwise set out to factor m
+    m = pins.SEVENS
+    assert _process("", " ".join([*argv, "--m", m])) == \
+        (1, "", f"usage error: argument --m: invalid int value: '{m}'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "4"], ["am"], ["verify", "--n", "4"], ["vtilde"],
+    ["cbound"], ["a2k", "--k", "2"]])
+def test_unfactored_modulus_fails_fast(argv):
+    # each child waits out the rho budget within its 10 s deadline
+    m = pins.UNFACTORED
+    code, out, err = _process("", " ".join([*argv, "--m", str(m)]))
+    assert code == 2 and out == ""
+    assert f"cannot factor {m}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cbound", "--m", "2000000014"], ["vtilde", "--m", "2000000014"],
+    ["vtilde", "--m", "20000006"]])
+def test_huge_torus_fails_fast(argv):
+    # the order of 2 mod 1000000007 is 500000003: the torus at 2 would
+    # have half a billion bits
+    code, out, err = _process("", " ".join(argv))
+    assert code == 2 and out == ""
+    assert "norm-one torus" in err and "Traceback" not in err
+
+
+def test_tori_near_the_ceiling_answer_fast():
+    # 34747 * 34757: two tori of about 2^18 bits each, whose orders no
+    # Smith normal form may take as entries; the case pins the SHA-256 of
+    # the whole stdout, within the 10 s deadline
+    code, _, err = _process("| sha256sum", "vtilde --m 1207701479")
+    assert code == 0 and err == ""
+
+
 def test_only_a_stdout_failure_counts_as_undelivered(tmp_path, capsys,
                                                       monkeypatch):
     # an OSError of the query itself propagates, and so gives its traceback,

@@ -30,7 +30,8 @@ alone.  The stdlib-only CI job replays the corpus and runs neither the
 console script nor a script of its own.  A rule of the process around
 the CLI is a case of the corpus's ``process`` group, whose replay starts
 its child once: no test module but ``test_pins.py`` reads its cases or
-its conditions.
+its conditions, and the other tests of such a rule read its case through
+``pins.process_case``.
 """
 
 import ast

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import cycloclass
+import pins
 from cycloclass.cli import _code_digest, _digest
 from pins import child_env
 
@@ -73,6 +74,29 @@ def _added_modules(code, *flags):
 
 def _package_modules(added):
     return {name for name in added if name.split(".")[0] == "cycloclass"}
+
+
+def _loaded_by(code):
+    """The watched modules that ``code`` loads, as the corpus's process
+    case ("modules loaded by", code) pins them: that case's child runs
+    once in the session, whichever test reads it first."""
+    replayed, pinned = pins.process_case(("modules loaded by", code))
+    assert replayed == pinned
+    exit_code, out, _ = replayed
+    assert exit_code == 0
+    return set(out.split())
+
+
+def test_package_import_loads_no_layer():
+    # the package holds only __version__; its modules are the API
+    assert _package_modules(_loaded_by("import cycloclass")) == \
+        {"cycloclass"}
+
+
+def test_library_import_loads_only_its_layers():
+    assert _package_modules(_loaded_by(pins.LIBRARY_IMPORT)) == {
+        "cycloclass", "cycloclass.abelian", "cycloclass.arith",
+        "cycloclass.classnumber", "cycloclass.record"}
 
 
 def test_cli_import_loads_every_layer_and_no_more_of_the_stdlib():
