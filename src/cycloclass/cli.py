@@ -60,7 +60,10 @@ finalization, which only frees the loaded modules: 5-8 ms of CPU per
 cold query on a 2-core x86-64 host, mostly freeing what site loads for
 the .pth files of site-packages.  A host program's atexit handlers do
 not run after main; code that embeds the CLI calls answer or run.  The
-README, "Command line", gives the cache format.
+README, "Command line", gives the cache format.  _sweep_rows builds a
+sweep's rows, one per m, for both formats: the report's JSON dict or {m,
+error}; the text adds sqfree, hminus and odd_hminus, so it evaluates h-
+at every m (2..2000 on a 2-core x86-64 host: 14 s, 0.2 s as JSON).
 """
 
 import os
@@ -382,26 +385,35 @@ def _report_text(report):
     return "\n".join(lines)
 
 
-def _sweep_text(reports):
-    rows = ["     m  sqfree      h-  odd(h-)  mhs        mhcob      mhs_hcob"]
-    for entry in reports:
+def _sweep_rows(entries, columns):
+    """The rows of sweep's entries, the text columns too if ``columns``."""
+    rows = []
+    for entry in entries:
         if isinstance(entry, tuple):
-            m, err = entry
-            rows.append(f"{m:6d}  error: {err}")
+            rows.append({"m": entry[0], "error": str(entry[1])})
             continue
-        m = entry.m
-        try:
-            h = hminus(m)
-        except UnsupportedModulusError:
-            # the verdicts need no class number; only its columns are blank
-            h = odd = "-"
-        else:
-            odd = odd_part(h)
-        rows.append(
-            f"{m:6d}  {str(squarefree(m)).lower():6s}  {h:>6}  {odd:>7}"
-            f"  {entry.mhs.verdict:9s}  {entry.mhcob.verdict:9s}"
-            f"  {entry.mhs_hcob.verdict}")
-    return "\n".join(rows)
+        rows.append(row := entry.to_json_dict())
+        if columns:
+            try:
+                h = hminus(entry.m)
+            except UnsupportedModulusError:
+                h = odd = "-"  # the verdicts need no class number
+            else:
+                odd = odd_part(h)
+            row.update(sqfree=squarefree(entry.m), hminus=h, odd_hminus=odd)
+    return rows
+
+
+def _sweep_text(rows):
+    lines = ["     m  sqfree      h-  odd(h-)  mhs        mhcob      mhs_hcob"]
+    for row in rows:
+        lines.append(f"{row['m']:6d}  error: {row['error']}" if "error" in row
+                     else f"{row['m']:6d}  {str(row['sqfree']).lower():6s}"
+                     f"  {row['hminus']:>6}  {row['odd_hminus']:>7}"
+                     f"  {row['mhs']['verdict']:9s}"
+                     f"  {row['mhcob']['verdict']:9s}"
+                     f"  {row['mhs_hcob']['verdict']}")
+    return "\n".join(lines)
 
 
 def _tate_module(args):
@@ -439,12 +451,10 @@ def _execute(args):
         if args.m_min > args.m_max:
             raise _UsageError(f"--m-min {args.m_min} exceeds "
                               f"--m-max {args.m_max}")
-        reports = sweep(args.n, range(args.m_min, args.m_max + 1))
-        if fmt == "json":
-            payload = [r.to_json_dict() if not isinstance(r, tuple)
-                       else {"m": r[0], "error": str(r[1])} for r in reports]
-            return json.dumps(payload, sort_keys=True)
-        return _sweep_text(reports)
+        rows = _sweep_rows(sweep(args.n, range(args.m_min, args.m_max + 1)),
+                           columns=fmt == "text")
+        return json.dumps(rows, sort_keys=True) if fmt == "json" \
+            else _sweep_text(rows)
 
     if cmd == "verify":
         record = verify(args.n, args.m)
@@ -456,20 +466,17 @@ def _execute(args):
             lines.append(f"  [{c['status']:12s}] {c['name']}: {c['detail']}")
         return "\n".join(lines)
 
-    if cmd == "hminus":
-        value = hminus(args.m)
-        return json.dumps({"m": args.m, "hminus": value}) \
+    if cmd in ("hminus", "cbound"):
+        value = (hminus if cmd == "hminus" else c_bound)(args.m)
+        return json.dumps({"m": args.m, cmd: value}) \
             if fmt == "json" else str(value)
 
-    if cmd == "cbound":
-        value = c_bound(args.m)
-        return json.dumps({"m": args.m, "cbound": value}) \
-            if fmt == "json" else str(value)
-
-    if cmd == "vtilde":
-        group = vtilde(args.m)
+    if cmd in ("vtilde", "tate"):
+        key = "m" if cmd == "vtilde" else "degree"
+        group = vtilde(args.m) if cmd == "vtilde" else \
+            tate(_tate_module(args), args.degree)
         if fmt == "json":
-            return json.dumps({"m": args.m,
+            return json.dumps({key: getattr(args, key),
                                "invariant_factors": list(group.invariant_factors),
                                "order": group.order}, sort_keys=True)
         return str(group)
@@ -488,15 +495,6 @@ def _execute(args):
         value = a2k_order(args.k, args.m)
         return json.dumps({"k": args.k, "m": args.m, "a2k_order": value}) \
             if fmt == "json" else str(value)
-
-    if cmd == "tate":
-        module = _tate_module(args)
-        group = tate(module, args.degree)
-        if fmt == "json":
-            return json.dumps({"degree": args.degree,
-                               "invariant_factors": list(group.invariant_factors),
-                               "order": group.order}, sort_keys=True)
-        return str(group)
 
 
 def answer(argv):

@@ -2,17 +2,17 @@
 
 A pin is an answer kept byte for byte: the SHA-256 of a long text, or
 the stdout, stderr and exit code of one command line.  Each group pairs
-its pins with the replay that recomputes them in process; the cli-cold
-and hminus-range answers of ``perfbench/expected`` and the argparse pins
-of ``argparse_pins.json`` are read there, not copied.  A pin may also be
-a rule of the process around the CLI: the group ``process`` runs each of
-its command lines in a child under one condition (a full disk or a
-closed stdout, buffered or not, a closed stream, a reader that stops
-early, SIGINT, a cache without its digest modules, no sympy), as the
-console script runs it, and pins the exit code and the streams it can
-read.  Its cases include the fail-fast refusals of a modulus that rho
-cannot split, a torus above its ceiling and a modulus past the digit
-limit, each held and run here only.
+its pins with the replay that recomputes them in process; the cli-cold,
+hminus-range and paper-tables answers of ``perfbench/expected`` and the
+argparse pins of ``argparse_pins.json`` are read there, not copied.  A
+pin may also be a rule of the process around the CLI: the group
+``process`` runs each of its command lines in a child under one
+condition (a full disk or a closed stdout, buffered or not, a closed
+stream, a reader that stops early, SIGINT, a cache without its digest
+modules, no sympy), as the console script runs it, and pins the exit
+code and the streams it can read.  Its cases include the fail-fast
+refusals of a modulus that rho cannot split, a torus above its ceiling
+and a modulus past the digit limit, each held and run here only.
 ``PYTHONPATH=src python tests/pins.py``, or ``python tests/pins.py``
 against an installed package, takes no options, needs only the standard
 library, replays every group in about 25 s, the children of ``process``
@@ -42,7 +42,10 @@ from cycloclass.abelian import IntMatrix
 from cycloclass.arith import modulus
 from cycloclass.classnumber import _conductor_parts, _crt_prime, hminus
 from cycloclass.cli import answer
-from cycloclass.manifoldset import classify, verify
+from cycloclass.involutive import tate
+from cycloclass.ktheory import km_v_module
+from cycloclass.manifoldset import classify, sweep, verify
+from cycloclass.residue import c_bound, vtilde
 
 TESTS = Path(__file__).resolve().parent
 EXPECTED = TESTS.parent / "perfbench" / "expected"
@@ -703,6 +706,26 @@ def _hminus_range(query):
     return str(hminus(m))
 
 
+_PER_MODULUS = {"hminus": hminus, "c_bound": c_bound, "vtilde": vtilde}
+
+
+def _paper_tables(query):
+    """The answer to a query of the paper's tables, as perfbench stores it:
+    str of the one value or of the list, "sha256:" and its digest when
+    that is longer than 400 characters."""
+    kind, *args = json.loads(query)
+    if kind == "sweep_deep":
+        values = [sweep(args[0], range(2, 101), deep=True)]
+    elif kind == "tate_km":
+        values = [tate(km_v_module(args[0]), 1)]
+    elif kind == "verify":
+        values = [verify(args[0], m) for m in args[1:]]
+    else:
+        values = [_PER_MODULUS[kind](m) for m in args]
+    text = str(values[0] if len(values) == 1 else values)
+    return text if len(text) <= 400 else f"sha256:{_sha256(text)}"
+
+
 #: name: (pins, replay), the replay giving the pinned value of each key
 GROUPS = {
     "hminus-lines": (HMINUS_LINES, _hminus_lines),
@@ -713,6 +736,7 @@ GROUPS = {
     "deep-records": (DEEP_DIGESTS, _deep_digest),
     "cli-cold": (_load("cli-cold"), _cli_cold),
     "hminus-range": (_load("hminus-range"), _hminus_range),
+    "paper-tables": (_load("paper-tables"), _paper_tables),
     "hminus-ceiling": (CEILING_DIGESTS, _hminus_digest),
     "hminus-lines-to-2039": (HMINUS_LINES_TO_2039, _hminus_lines),
     "hminus-shared-parts": (SHARED_DIGESTS, _shared_digest),

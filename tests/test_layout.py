@@ -24,6 +24,11 @@ parameters, in order and none with a default, to ``super().__init__``
 repeats ``Record.__init__``, which takes the fields positionally in slot
 order.
 
+A renderer of the CLI computes nothing: no def of ``cli`` named
+``*_text`` or ``*_json`` calls, itself or through the defs of ``cli`` it
+calls, a function or method of ``classnumber``, ``residue``, ``ktheory``
+or ``manifoldset``.
+
 Every pinned digest has one home, ``tests/pins.py``: no CI step holds one
 and no test file a copy, and the corpus runs on the standard library
 alone.  The stdlib-only CI job replays the corpus and runs neither the
@@ -225,6 +230,39 @@ def test_factorint_is_called_only_by_the_modulus_record():
              for site in _call_sites(ast.parse(path.read_text()), path.stem,
                                      "factorint")]
     assert sites == ["arith.Modulus.__init__"]
+
+
+#: the layers that compute; the CLI's renderers read what a query of them
+#: returned and call none of them
+COMPUTING = ("classnumber", "residue", "ktheory", "manifoldset")
+
+
+def test_no_renderer_of_the_cli_computes():
+    # a renderer is a def of cli named *_text or *_json: the text sweep's
+    # h- columns are built with its rows, where they cost the query
+    computing = {name for stem in COMPUTING
+                 for _, name in _definitions(
+                     ast.parse((SRC / f"{stem}.py").read_text()), stem)
+                 if not name.startswith("__")}
+    defs = {node.name: node
+            for node in ast.parse((SRC / "cli.py").read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+    renderers = [name for name in defs if name.endswith(("_text", "_json"))]
+    assert "_sweep_text" in renderers
+    computed = []
+    for renderer in renderers:
+        seen, pending = set(), [renderer]
+        while pending:  # the renderer and the defs of cli it calls
+            seen.add(name := pending.pop())
+            called = {getattr(call.func, "id", None)
+                      or getattr(call.func, "attr", None)
+                      for call in ast.walk(defs[name])
+                      if isinstance(call, ast.Call)}
+            computed += [f"{renderer} calls {callee}"
+                         for callee in sorted(called & computing)]
+            pending += [callee for callee in called
+                        if callee in defs and callee not in seen]
+    assert computed == []
 
 
 def _is_lru_cache(decorator):
