@@ -113,8 +113,9 @@ The orbits are never walked character by character.  The orbit of chi is
 the set of generators of the cyclic group <chi>, so the orbits are the
 products of one cyclic subgroup of each Sylow l-part of the character
 group, and the parity of chi is that of its 2-part.  The cyclic subgroups
-of each l-part are listed by a normal form of their generators, those of
-the 2-part kept when odd.  The F_t of an orbit come from a table of 2a - f
+of each l-part are listed by a normal form of their generators, once per
+shape of the l-part (``_cyclic_subgroups``), those of the 2-part kept
+when odd.  The F_t of an orbit come from a table of 2a - f
 over half the units a mod f, in the order of their logarithms on the
 generators, built once per conductor f in each hminus call: -1 is half of
 the first axis of every local factor, so the first half of one such axis
@@ -242,16 +243,19 @@ def _local_conductor(p, e, ks):
 # the minus class number
 
 
+@lru_cache(maxsize=None)
 def _cyclic_subgroups(ell, sizes):
     """(l^b, xs) per cyclic subgroup of the l-group of the Z/l^(a_i), sizes
-    the l^(a_i): l^b is its order, and xs the one generator whose first
-    coordinate i of largest order l^b is l^(a_i - b).
+    the tuple of the l^(a_i): l^b is its order, and xs the one generator
+    whose first coordinate i of largest order l^b is l^(a_i - b).  The
+    tuple is listed once per shape (l, sizes) and read by every m whose
+    Sylow l-part of (Z/m)^x has that shape.
 
     A unit u mod l^b fixing that coordinate is 1 mod l^(a_i - v(x_i)) =
     l^b, so the generator is unique: coordinates before i have orders
     below l^b, those after it at most l^b.
     """
-    yield 1, (0,) * len(sizes)
+    subgroups = [(1, (0,) * len(sizes))]
     for b in range(1, _valuation(max(sizes), ell) + 1):
         order = ell ** b
         for i, size in enumerate(sizes):
@@ -264,8 +268,8 @@ def _cyclic_subgroups(ell, sizes):
             choices.append((size // order,))
             choices += [range(0, s, max(1, s // order))
                         for s in sizes[i + 1:]]
-            for xs in product(*choices):
-                yield order, xs
+            subgroups += [(order, xs) for xs in product(*choices)]
+    return tuple(subgroups)
 
 
 def _unit_table(units, f):
@@ -356,7 +360,7 @@ def _odd_orbits(units, primes, stored):
 
     parts = []
     for ell in primes:
-        sizes = [ell ** _valuation(o, ell) for o in orders]
+        sizes = tuple(ell ** _valuation(o, ell) for o in orders)
         part = []
         for order, xs in _cyclic_subgroups(ell, sizes):
             exps = [x * o // s for x, o, s in zip(xs, orders, sizes)]

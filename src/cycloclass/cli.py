@@ -370,7 +370,7 @@ def _verdict_text(v):
     return " ".join(parts)
 
 
-def _report_text(report):
+def _classify_text(report):
     lines = [
         f"n = {report.n}, m = {report.m}  "
         f"(automorphism group order {report.a2k_order})",
@@ -383,6 +383,16 @@ def _report_text(report):
         f"  provenance: {report.provenance}",
     ]
     return "\n".join(lines)
+
+
+def _json(value, sort_keys=True):
+    import json  # loaded by JSON answers only
+
+    return json.dumps(value, sort_keys=sort_keys)
+
+
+def _classify_json(report):
+    return _json(report.to_json_dict())
 
 
 def _sweep_rows(entries, columns):
@@ -416,6 +426,41 @@ def _sweep_text(rows):
     return "\n".join(lines)
 
 
+def _verify_text(record):
+    lines = [f"{'consistent' if record.consistent else 'INCONSISTENT'}"]
+    for check in record.checks:
+        c = dict(check)
+        lines.append(f"  [{c['status']:12s}] {c['name']}: {c['detail']}")
+    return "\n".join(lines)
+
+
+def _verify_json(record):
+    return _json(record.to_dict())
+
+
+def _number_json(name, value, **keys):
+    """hminus, cbound and a2k: the arguments, then the value, unsorted."""
+    return _json({**keys, name: value}, sort_keys=False)
+
+
+def _group_json(key, argument, group):
+    """vtilde and tate."""
+    return _json({key: argument,
+                  "invariant_factors": list(group.invariant_factors),
+                  "order": group.order})
+
+
+def _am_text(knowledge):
+    if knowledge.status == "exact":
+        return f"exact: {knowledge.group}"
+    detail = knowledge.constraint or knowledge.source
+    return f"{knowledge.status}" + (f": {detail}" if detail else "")
+
+
+def _am_json(m, knowledge):
+    return _json({"m": m, **knowledge.to_dict()})
+
+
 def _tate_module(args):
     if args.km is not None:
         if args.involution is not None:
@@ -436,65 +481,45 @@ def _tate_module(args):
 
 
 def _execute(args):
-    """Compute the output text for a parsed invocation."""
-    fmt, cmd = args.format, args.command
-    if fmt == "json":
-        import json
+    """Compute the answer of a parsed invocation, and render it as text
+    by its command's renderer, which reads the answer only."""
+    as_json, cmd = args.format == "json", args.command
 
     if cmd == "classify":
         report = classify(args.n, args.m, deep=args.deep)
-        if fmt == "json":
-            return json.dumps(report.to_json_dict(), sort_keys=True)
-        return _report_text(report)
+        return _classify_json(report) if as_json else _classify_text(report)
 
     if cmd == "sweep":
         if args.m_min > args.m_max:
             raise _UsageError(f"--m-min {args.m_min} exceeds "
                               f"--m-max {args.m_max}")
         rows = _sweep_rows(sweep(args.n, range(args.m_min, args.m_max + 1)),
-                           columns=fmt == "text")
-        return json.dumps(rows, sort_keys=True) if fmt == "json" \
-            else _sweep_text(rows)
+                           columns=not as_json)
+        return _json(rows) if as_json else _sweep_text(rows)
 
     if cmd == "verify":
         record = verify(args.n, args.m)
-        if fmt == "json":
-            return json.dumps(record.to_dict(), sort_keys=True)
-        lines = [f"{'consistent' if record.consistent else 'INCONSISTENT'}"]
-        for check in record.checks:
-            c = dict(check)
-            lines.append(f"  [{c['status']:12s}] {c['name']}: {c['detail']}")
-        return "\n".join(lines)
+        return _verify_json(record) if as_json else _verify_text(record)
 
     if cmd in ("hminus", "cbound"):
         value = (hminus if cmd == "hminus" else c_bound)(args.m)
-        return json.dumps({"m": args.m, cmd: value}) \
-            if fmt == "json" else str(value)
+        return _number_json(cmd, value, m=args.m) if as_json else str(value)
 
     if cmd in ("vtilde", "tate"):
         key = "m" if cmd == "vtilde" else "degree"
         group = vtilde(args.m) if cmd == "vtilde" else \
             tate(_tate_module(args), args.degree)
-        if fmt == "json":
-            return json.dumps({key: getattr(args, key),
-                               "invariant_factors": list(group.invariant_factors),
-                               "order": group.order}, sort_keys=True)
-        return str(group)
+        return _group_json(key, getattr(args, key), group) if as_json \
+            else str(group)
 
     if cmd == "am":
         knowledge = a_m(args.m, compute=True)
-        if fmt == "json":
-            return json.dumps({"m": args.m, **knowledge.to_dict()},
-                              sort_keys=True)
-        if knowledge.status == "exact":
-            return f"exact: {knowledge.group}"
-        detail = knowledge.constraint or knowledge.source
-        return f"{knowledge.status}" + (f": {detail}" if detail else "")
+        return _am_json(args.m, knowledge) if as_json else _am_text(knowledge)
 
     if cmd == "a2k":
         value = a2k_order(args.k, args.m)
-        return json.dumps({"k": args.k, "m": args.m, "a2k_order": value}) \
-            if fmt == "json" else str(value)
+        return _number_json("a2k_order", value, k=args.k, m=args.m) \
+            if as_json else str(value)
 
 
 def answer(argv):

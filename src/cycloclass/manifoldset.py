@@ -10,7 +10,7 @@ contradiction between the two is reported, never silently resolved.
 """
 
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 
 from .arith import UnsupportedModulusError, modulus
 from .classnumber import hminus, known_class_group, odd_part
@@ -43,11 +43,12 @@ def a2k_order(k, m):
     k, m = int(k), int(m)
     if k < 1 or m < 2:
         raise ValueError("need k >= 1 and m >= 2")
-    orders = modulus(m).orders
-    count = prod(gcd(k, o) for o in orders)
-    if m > 2 and all(o // 2 % gcd(k, o) == 0 for o in orders):
-        count *= 2
-    return 2 * m * count
+    count, minus = 1, m > 2
+    for o in modulus(m).orders:
+        g = gcd(k, o)
+        count *= g
+        minus = minus and o // 2 % g == 0
+    return 4 * m * count if minus else 2 * m * count
 
 
 class SetVerdict(Record):
@@ -134,47 +135,50 @@ def _finite_verdict(knowledge, m, trivial_by_rule):
                       note="size bounded by divisibility only")
 
 
+def _verdicts(m, nk1_zero, j_group, i_group, tate_group):
+    """(mhs, mhcob, mhs_hcob) at m from the Whitehead-group fields, which
+    read no degree."""
+    if not nk1_zero:
+        mhs = mhcob = SetVerdict("infinite")
+    else:
+        mhs = _finite_verdict(j_group, m, m in MHS_TRIVIAL)
+        mhcob = _finite_verdict(i_group, m, m in MHCOB_TRIVIAL)
+    if tate_group.status == "exact":
+        mhs_hcob = _sandwich(tate_group.group.order, m)
+    else:
+        mhs_hcob = SetVerdict("finite",
+                              note="finite for every m; size not pinned down"
+                              + (f"; {tate_group.constraint}"
+                                 if tate_group.constraint else ""))
+    return mhs, mhcob, mhs_hcob
+
+
 def classify(n, m, deep=False):
     """Rule-derived verdicts for the three manifold sets at (n, m).
 
     With deep=True the ingredient layer recomputes the analytic inputs,
     and the provenance records whether they agree: "ingredient-verified"
     means no check of verify() is inconsistent; some may be "no-data".
-    The ingredients and the checks that read no degree come from the one
-    description of m (``_described``), built once and shared by every
-    even n; a call builds only the structure at n, a2k_order and the
-    automorphism-order check, and the verdicts.
+    The ingredients, the verdicts and the checks that read no degree come
+    from the one description of m (``_described``), built once and shared
+    by every even n; a deep call builds only the structure at n and
+    a2k_order, whose bound decides the provenance with the stored
+    consistency of the other checks.  A non-deep call builds the verdicts
+    from the fields with the same helper, ``_verdicts``, at each call.
     """
     n, m = _check_scope(n, m)
     k = n // 2
-    deep = bool(deep)
-    description = _described(m, deep)
-    ingredients = WhStructure(m, n, *description[:5])
-
-    if not ingredients.nk1_zero:
-        mhs = SetVerdict("infinite")
-        mhcob = SetVerdict("infinite")
-    else:
-        mhs = _finite_verdict(ingredients.j_group, m, m in MHS_TRIVIAL)
-        mhcob = _finite_verdict(ingredients.i_group, m, m in MHCOB_TRIVIAL)
-
-    tate_knowledge = ingredients.tate_group
-    if tate_knowledge.status == "exact":
-        mhs_hcob = _sandwich(tate_knowledge.group.order, m)
-    else:
-        mhs_hcob = SetVerdict("finite",
-                              note="finite for every m; size not pinned down"
-                              + (f"; {tate_knowledge.constraint}"
-                                 if tate_knowledge.constraint else ""))
-
     a2k = a2k_order(k, m)
-    provenance = "rule-derived"
     if deep:
-        record = _record(n, m, a2k, *description[5:])
-        provenance = "ingredient-verified" if record.consistent else "inconsistent"
-
-    return ManifoldSetReport(n, k, m, mhs, mhcob, mhs_hcob, a2k, ingredients,
-                             provenance)
+        fields, verdicts, _, consistent = _described(m, True)
+        provenance = "ingredient-verified" \
+            if consistent and a2k < 2 * m * m else "inconsistent"
+    else:
+        fields = _described(m, False)
+        verdicts = _verdicts(m, *fields[1:])
+        provenance = "rule-derived"
+    return ManifoldSetReport(n, k, m, *verdicts, a2k,
+                             WhStructure(m, n, *fields), provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +220,21 @@ def verify(n, m):
     even n.
     """
     n, m = _check_scope(n, m)
-    return _record(n, m, a2k_order(n // 2, m), *_described(m, True)[5:])
+    _, _, checks, consistent = _described(m, True)
+    return _record(n, m, a2k_order(n // 2, m), checks, consistent)
 
 
 @lru_cache(maxsize=None)
 def _described(m, deep):
     """The description of m, the one cache of this layer, shared by
-    classify and verify at every even n: the five Whitehead-group fields,
-    followed when deep by the checks of verify that read no degree and
-    whether none of them is inconsistent.  Without deep it is the fields
-    tuple itself, so a long non-deep sweep holds no more than the fields.
-    The witnesses of the fields and of the checks share a kernel channel."""
+    classify and verify at every even n.  When deep it is (fields,
+    verdicts, checks, consistent): the five Whitehead-group fields, the
+    three verdicts that ``_verdicts`` builds from them, the checks of
+    verify that read no degree, and whether none of them is inconsistent.
+    Without deep it is the fields tuple itself, so a long non-deep sweep
+    holds no more than the fields, and classify builds the verdicts at
+    each call.  The witnesses of the fields and of the checks share a
+    kernel channel."""
     if not deep:
         return wh_fields(m, False)
     channels = {}
@@ -238,8 +246,8 @@ def _described(m, deep):
 
     fields = wh_fields(m, True, kernel)
     checks = _degree_free_checks(m, kernel, *fields[1:])
-    return *fields, checks, all(dict(c)["status"] != "inconsistent"
-                                for c in checks)
+    return (fields, _verdicts(m, *fields[1:]), checks,
+            all(dict(c)["status"] != "inconsistent" for c in checks))
 
 
 def _record(n, m, a2k, checks, consistent):

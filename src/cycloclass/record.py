@@ -52,9 +52,15 @@ class Record:
             staticmethod(lambda self: (get(self),))
 
     def __init__(self, *values):
-        """Set the fields, one value per field in slot order."""
-        for set_field, value in zip(self._setters, values, strict=True):
-            set_field(self, value)
+        """Set the fields, one value per field in slot order; any other
+        count of values raises ValueError."""
+        setters = self._setters
+        if len(values) != len(setters):
+            raise ValueError(f"{type(self).__name__} takes {len(setters)} "
+                             f"fields, got {len(values)}")
+        # indexing the setters costs less than pairing them by zip
+        for i, value in enumerate(values):
+            setters[i](self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

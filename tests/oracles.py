@@ -65,8 +65,11 @@ corestriction, primary parts, the swap square, the least primitive root
 modulo an odd prime power and the order of a unit up to sign live here
 as well: only the tests use them.  So does verify as it ran before the
 checks that read no degree were shared across degrees: every check
-recomputed at each (n, m) from the deep structure at n.  ``clear_caches`` empties the
-package's caches as the benchmark's worker does before a cold query.
+recomputed at each (n, m) from the deep structure at n; and classify as
+it ran before the verdicts were shared too: the three verdicts built at
+each call, and the provenance read off the whole verify record at
+(n, m).  ``clear_caches`` empties the package's caches as the
+benchmark's worker does before a cold query.
 """
 
 import random
@@ -114,6 +117,7 @@ from cycloclass.classnumber import (
 from cycloclass.involutive import InvModule
 from cycloclass.ktheory import (
     Knowledge,
+    WhStructure,
     _a2_constraint,
     _class_part,
     d_divisibility_bound,
@@ -127,6 +131,13 @@ from cycloclass.manifoldset import (
     MHCOB_TRIVIAL,
     MHS_TRIVIAL,
     ConsistencyRecord,
+    ManifoldSetReport,
+    SetVerdict,
+    _check_scope,
+    _described,
+    _finite_verdict,
+    _record,
+    _sandwich,
     a2k_order,
 )
 from cycloclass.record import Record
@@ -1038,7 +1049,7 @@ def full_orbits(m):
 
     parts = []
     for ell in factorint(lcm(*orders)):
-        sizes = [ell ** multiplicity(ell, o) for o in orders]
+        sizes = tuple(ell ** multiplicity(ell, o) for o in orders)
         part = []
         for order, xs in _cyclic_subgroups(ell, sizes):
             exps = [x * o // s for x, o, s in zip(xs, orders, sizes)]
@@ -2542,3 +2553,40 @@ def oracle_verify(n, m):
 
     consistent = all(dict(c)["status"] != "inconsistent" for c in checks)
     return ConsistencyRecord(n, m, consistent, tuple(checks))
+
+
+def oracle_classify(n, m, deep=False):
+    """``manifoldset.classify(n, m, deep)`` with its verdicts built at each
+    call from the structure at n, and with deep, its provenance read off
+    the consistency record of verify(n, m)."""
+    n, m = _check_scope(n, m)
+    k = n // 2
+    description = _described(m, deep)
+    fields = description[0] if deep else description
+    ingredients = WhStructure(m, n, *fields)
+
+    if not ingredients.nk1_zero:
+        mhs = SetVerdict("infinite")
+        mhcob = SetVerdict("infinite")
+    else:
+        mhs = _finite_verdict(ingredients.j_group, m, m in MHS_TRIVIAL)
+        mhcob = _finite_verdict(ingredients.i_group, m, m in MHCOB_TRIVIAL)
+
+    tate_knowledge = ingredients.tate_group
+    if tate_knowledge.status == "exact":
+        mhs_hcob = _sandwich(tate_knowledge.group.order, m)
+    else:
+        mhs_hcob = SetVerdict("finite",
+                              note="finite for every m; size not pinned down"
+                              + (f"; {tate_knowledge.constraint}"
+                                 if tate_knowledge.constraint else ""))
+
+    a2k = a2k_order(k, m)
+    provenance = "rule-derived"
+    if deep:
+        record = _record(n, m, a2k, *description[2:])
+        provenance = "ingredient-verified" if record.consistent \
+            else "inconsistent"
+
+    return ManifoldSetReport(n, k, m, mhs, mhcob, mhs_hcob, a2k, ingredients,
+                             provenance)

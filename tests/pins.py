@@ -152,10 +152,14 @@ OUTPUT_DIGESTS = {
 
 #: the SHA-256 of the JSON lines of classify(n, m, deep=True) and
 #: verify(n, m), in turn, for each n and m of the key: classify runs the
-#: checks of verify on its own ingredients
+#: checks of verify on its own ingredients.  The keys cover the degrees
+#: 4, 6 and 8 that the paper tabulates, and 10; every degree reads the
+#: one description of m that the degrees before it built
 DEEP_DIGESTS = {
     ((4, 6), range(2, 301)):
         "91e0690a156f2e003d2fbc5f3a23ad142a3f275fc802d284c2ab88a75648c68d",
+    ((8, 10), range(2, 301)):
+        "fd80f6caf0e71e664c7a6161e8e9614ea1478b4fcc36af0308f565bd1b7047f4",
 }
 
 #: the prime 2^64 + 13, and a 131-bit prime whose P - 1 = 2 q r has two

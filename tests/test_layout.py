@@ -179,11 +179,17 @@ CACHED = {
     # factoring: one miss per distinct m, p - 1 or phi(n) that a layer
     # reads (hminus over the 121 moduli of hminus-range, caches emptied
     # before each: 121 hits, 303 misses, m and each p - 1 for the unit
-    # group; one paper-tables pass from empty caches: 1991 hits, 186
+    # group; one paper-tables pass from empty caches: 1752 hits, 186
     # misses); bounded by arith._MODULUS_CACHE_SIZE
     "arith.modulus",
     # the CRT primes for one exponent, shared by every m of that exponent
     "classnumber._crt_prime",
+    # the cyclic subgroups of one Sylow shape (l, sizes) of the character
+    # group, listed once and read by hminus at every m of that shape (one
+    # paper-tables pass from empty caches: 240 hits, 64 misses; hminus
+    # over the 121 moduli of hminus-range, caches emptied before each: 0
+    # hits, 273 misses)
+    "classnumber._cyclic_subgroups",
     # the generators of (Z/p^e)^x, searched and checked once per prime
     # power and read by the unit group of every m that p^e divides
     # exactly (one paper-tables pass from empty caches: 191 hits, 59
@@ -204,9 +210,10 @@ CACHED = {
     # multiple of d and by verify at d
     "residue.vtilde",
     # the description of m at (m, deep): the Whitehead-group fields and,
-    # when deep, the checks of verify that read no degree, so those run
-    # once per m and are shared by classify and verify at every even n
-    # (one paper-tables pass from empty caches: 474 reads, 99 misses)
+    # when deep, the verdicts and the checks of verify that read no
+    # degree, so those are built once per m and shared by classify and
+    # verify at every even n (one paper-tables pass from empty caches: 474
+    # reads, 99 misses)
     "manifoldset._described",
 }
 
@@ -236,33 +243,56 @@ def test_factorint_is_called_only_by_the_modulus_record():
 #: returned and call none of them
 COMPUTING = ("classnumber", "residue", "ktheory", "manifoldset")
 
+#: the methods by which a record of those layers gives its fields as JSON:
+#: a renderer may call them, and the rule reads their bodies as it reads
+#: the defs of cli
+SERIALISERS = ("to_dict", "to_json_dict")
+
 
 def test_no_renderer_of_the_cli_computes():
     # a renderer is a def of cli named *_text or *_json: the text sweep's
-    # h- columns are built with its rows, where they cost the query
-    computing = {name for stem in COMPUTING
-                 for _, name in _definitions(
-                     ast.parse((SRC / f"{stem}.py").read_text()), stem)
-                 if not name.startswith("__")}
-    defs = {node.name: node
-            for node in ast.parse((SRC / "cli.py").read_text()).body
-            if isinstance(node, ast.FunctionDef)}
-    renderers = [name for name in defs if name.endswith(("_text", "_json"))]
-    assert "_sweep_text" in renderers
+    # h- columns are built with its rows, where they cost the query, and
+    # every answer of _execute is rendered by one
+    trees = [ast.parse((SRC / f"{stem}.py").read_text()) for stem in COMPUTING]
+    computing = {name for stem, tree in zip(COMPUTING, trees)
+                 for _, name in _definitions(tree, stem)
+                 if not name.startswith("__")} - set(SERIALISERS)
+    bodies = {node.name: [node]
+              for node in ast.parse((SRC / "cli.py").read_text()).body
+              if isinstance(node, ast.FunctionDef)}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.FunctionDef) and node.name in SERIALISERS:
+            bodies.setdefault(node.name, []).append(node)
+    renderers = [name for name in bodies
+                 if name.endswith(("_text", "_json"))]
+    assert {"_sweep_text", "_verify_text", "_am_text", "_classify_json",
+            "_verify_json", "_am_json"} <= set(renderers)
     computed = []
     for renderer in renderers:
         seen, pending = set(), [renderer]
-        while pending:  # the renderer and the defs of cli it calls
+        while pending:  # the renderer, the defs of cli and the serialisers
             seen.add(name := pending.pop())
             called = {getattr(call.func, "id", None)
                       or getattr(call.func, "attr", None)
-                      for call in ast.walk(defs[name])
+                      for body in bodies[name] for call in ast.walk(body)
                       if isinstance(call, ast.Call)}
             computed += [f"{renderer} calls {callee}"
                          for callee in sorted(called & computing)]
             pending += [callee for callee in called
-                        if callee in defs and callee not in seen]
+                        if callee in bodies and callee not in seen]
     assert computed == []
+
+
+def test_execute_renders_no_answer_itself():
+    # _execute computes each answer and hands it to a renderer: it neither
+    # serialises a record nor writes JSON or lines of its own
+    execute = next(node for node in ast.parse((SRC / "cli.py").read_text())
+                   .body if isinstance(node, ast.FunctionDef)
+                   and node.name == "_execute")
+    called = {getattr(call.func, "id", None)
+              or getattr(call.func, "attr", None)
+              for call in ast.walk(execute) if isinstance(call, ast.Call)}
+    assert called & {"dumps", "join", *SERIALISERS} == set()
 
 
 def _is_lru_cache(decorator):

@@ -283,3 +283,21 @@ def test_shared_checks_match_the_per_degree_oracle(order):
                 assert provenance == ("ingredient-verified"
                                       if expected[n].consistent
                                       else "inconsistent"), (n, m)
+
+
+@pytest.mark.parametrize("first", ["classify", "oracle"])
+def test_shared_verdicts_match_the_per_degree_oracle(first):
+    # from empty caches, each m's verdicts are built once and read at
+    # every degree; the oracle builds them at each call, and with deep
+    # reads the provenance off the whole verify record at (n, m)
+    oracles.clear_caches()
+    for m in range(2, 301):
+        for n in (4, 6, 8, 10):
+            for deep in (False, True):
+                if first == "classify":
+                    report = classify(n, m, deep=deep)
+                    expected = oracles.oracle_classify(n, m, deep=deep)
+                else:
+                    expected = oracles.oracle_classify(n, m, deep=deep)
+                    report = classify(n, m, deep=deep)
+                assert repr(report) == repr(expected), (n, m, deep)

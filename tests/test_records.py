@@ -176,6 +176,13 @@ def test_positional_fields_must_all_be_given():
         Presentation(FinAbGroup([2]), IntMatrix([[1]]))
 
 
+def test_positional_fields_must_not_be_exceeded():
+    with pytest.raises(ValueError, match="^Presentation takes 3 fields, "
+                                         "got 4$"):
+        Presentation(FinAbGroup([2]), IntMatrix([[1]]), IntMatrix([[1]]),
+                     IntMatrix([[1]]))
+
+
 def test_cached_values_cannot_be_changed():
     # a cached group or unit quotient is shared by every later query, so a
     # change to one would corrupt vtilde and c_bound for the whole process
