@@ -13,7 +13,10 @@ and a strong Lucas test, which no known composite passes.  A composite
 cofactor with no prime factor below 2^16 is split by Pollard's rho in
 Brent's variant (Brent, BIT 20 (1980)) under a fixed budget of steps; a
 number it cannot split within the budget raises UnsupportedModulusError,
-so every answer is exact and none takes long.
+so every factorisation is complete, or it is refused within the rho
+budget, and none takes long.  An answer whose modulus has a prime factor
+at or above psi_13 rests on a BPSW probable prime until such primes are
+proven (ROADMAP item 26).
 """
 
 from functools import lru_cache

@@ -115,13 +115,18 @@ products of one cyclic subgroup of each Sylow l-part of the character
 group, and the parity of chi is that of its 2-part.  The cyclic subgroups
 of each l-part are listed by a normal form of their generators, once per
 shape of the l-part (``_cyclic_subgroups``), those of the 2-part kept
-when odd.  The F_t of an orbit come from a table of 2a - f
-over half the units a mod f, in the order of their logarithms on the
-generators, built once per conductor f in each hminus call: -1 is half of
-the first axis of every local factor, so the first half of one such axis
-takes one unit of each pair {a, f - a}, and along the longest axis the
-value exponent grows by a fixed step, so the F_t are sums of strided
-slices of the rows.  The orbits must cover the phi(m)/2 odd characters.
+when odd.  Each cyclic subgroup of order l^b carries its conductor and its
+weights: the exponents of zeta_(l^b) at the generators.  One fold over the
+parts combines them: a character of order d, conductor f and weights w_i
+times one of coprime order e, conductor g and weights v_i has order de,
+conductor lcm(f, g) and weights w_i e + v_i d.  The F_t of an orbit come
+from a table of 2a - f over half the units a mod f, in the order of their
+logarithms on the generators, built once per conductor f in each hminus
+call: -1 is half of the first axis of every local factor, so the first
+half of one such axis takes one unit of each pair {a, f - a}, and along
+the longest axis the value exponent grows by a fixed step, so the F_t are
+sums of strided slices of the rows.  The orbits must cover the phi(m)/2
+odd characters.
 
 The part of h^- at a conductor f, the product of -B_1(chi)/2 over the odd
 primitive characters chi of conductor f, depends on f alone: a character
@@ -282,7 +287,9 @@ def _unit_table(units, f):
     table is a run of rows along that axis: the fewest rows, each summed
     in strided slices.  -1 is half of the first axis of every local
     factor, so a -> f - a moves the first coordinate of the table by half
-    its range, and the table keeps the first half of that axis.
+    its range, and the table keeps the first half of that axis.  Each
+    local factor's residues are lifted to f by CRT, by 1 when f is a prime
+    power.
     """
     factors, i = [], 0
     for p, e, gens, _ in units:
@@ -307,8 +314,6 @@ def _unit_table(units, f):
             residues = [r * s % fp for r in residues for s in powers] \
                 if residues else powers
         rest = f // fp
-        if rest == 1:  # f = fp: no lift by CRT, and no reduction mod f
-            return [2 * r - f for r in residues], block_axes
         lift = rest * pow(rest, -1, fp)  # 1 mod fp, 0 mod the rest of f
         table = [a + r * lift for a in table for r in residues]
         axes += block_axes
@@ -336,9 +341,15 @@ def _odd_orbits(units, primes, stored):
     character group, and the parity is that of the 2-part alone: the
     exponents on the generators carrying -1 have an odd sum.  An l-part is
     taken in exponents x_i mod l^(a_i) on the generators, the exponent of
-    a generator of order o being x_i * o / l^(a_i).  The conductor of a
-    product of characters of coprime orders is the lcm of theirs, so each
-    cyclic subgroup's conductor is found once, not once per orbit.
+    a generator of order o being x_i * o / l^(a_i): they give a cyclic
+    subgroup's parity and conductor, and it carries its weights, the
+    exponents x_i l^b / l^(a_i) of zeta_(l^b) at the generators, l^b its
+    order.  The product of characters of coprime orders d and e,
+    conductors f and g and weights w_i and v_i has order de, conductor
+    lcm(f, g) and weights w_i e + v_i d, so one fold over the parts gives
+    every orbit, the last part varying fastest as in ``product``, and each
+    cyclic subgroup's conductor is found once, not once per orbit.  The
+    weights are not reduced: the sums read them mod d.
 
     A character's sums F_t add the entries 2a - f of ``_unit_table``,
     f its conductor, one row at a time: on a row, the value exponent grows
@@ -348,9 +359,8 @@ def _odd_orbits(units, primes, stored):
     entries is walked entry by entry.  The table holds one unit of each
     pair {a, f - a}, at which the character takes values d/2 apart, so
     c_t - c_(t + d/2) = F_t - F_(t + d/2).  The orbits must cover the
-    phi(m)/2 odd characters, the skipped ones among them.  An orbit is
-    skipped as soon as its conductor is known, before its exponents, unit
-    table and sums.
+    phi(m)/2 odd characters, the skipped ones among them.  An orbit whose
+    conductor is stored is skipped before its unit table and sums.
     """
     orders, spans = [], []
     for p, e, gens, _ in units:
@@ -371,25 +381,25 @@ def _odd_orbits(units, primes, stored):
                 ks = exps[lo:hi]
                 if any(ks):
                     f *= _local_conductor(p, e, ks)
-            part.append((order, order - order // ell, f, exps))
+            part.append((order, order - order // ell, f,
+                         [x * order // s for x, s in zip(xs, sizes)]))
         parts.append(part)
     if 2 * prod(sum(phi for _, phi, _, _ in part) for part in parts) != \
             prod(orders):
         raise InternalConsistencyError(
             "the orbits do not cover half of the characters")
 
+    combined = [(d, f, weights) for d, _, f, weights in parts[0]]
+    for part in parts[1:]:
+        combined = [(d * e, lcm(f, g), [w * e + v * d
+                                         for w, v in zip(weights, vs)])
+                    for d, f, weights in combined for e, _, g, vs in part]
+
     tables, orbits, skipped = {}, [], set()
-    for combination in product(*parts):
-        if len(combination) == 1:
-            (d, _, f, exps), = combination
-        else:
-            part_orders, _, conductors, part_exps = zip(*combination)
-            d, f, exps = prod(part_orders), lcm(*conductors), None
+    for d, f, weights in combined:
         if f in stored:
             skipped.add(f)
             continue
-        if exps is None:
-            exps = [sum(ks) % o for *ks, o in zip(*part_exps, orders)]
         if f not in tables:
             tables[f] = _unit_table(units, f)
         table, axes = tables[f]
@@ -398,9 +408,8 @@ def _odd_orbits(units, primes, stored):
         *rows, (last, size) = axes
         starts = [0]
         for i, o in rows:
-            weight = exps[i] * d // orders[i]
-            starts = [t + weight * k for t in starts for k in range(o)]
-        w = exps[last] * d // orders[last]
+            starts = [t + weights[i] * k for t in starts for k in range(o)]
+        w = weights[last] % d
         step, sums = d // gcd(w, d), [0] * d
         if size > _SLICE_RUN * step:
             for row, t in zip(range(0, len(table), size), starts):

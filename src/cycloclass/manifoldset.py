@@ -163,8 +163,10 @@ def classify(n, m, deep=False):
     from the one description of m (``_described``), built once and shared
     by every even n; a deep call builds only the structure at n and
     a2k_order, whose bound decides the provenance with the stored
-    consistency of the other checks.  A non-deep call builds the verdicts
-    from the fields with the same helper, ``_verdicts``, at each call.
+    consistency of the other checks.  That bound, a2k < 2m^2, holds by
+    definition (see verify), so the provenance reads only the stored
+    consistency in effect.  A non-deep call builds the verdicts from the
+    fields with the same helper, ``_verdicts``, at each call.
     """
     n, m = _check_scope(n, m)
     k = n // 2
@@ -211,7 +213,10 @@ def verify(n, m):
     silently.  A missing stored fact or witness makes a check "no-data".
     The check "squarefree-vs-infinite" is definitional, not independent:
     the Nil summand vanishes exactly at the square-free m, and
-    ``nk1_vanishes`` is ``squarefree``, so it is always confirmed.
+    ``nk1_vanishes`` is ``squarefree``, so it is always confirmed.  The
+    check "automorphism-order-bound" is definitional too: a2k_order(k, m)
+    = 2m #{c : c^k = +-1} <= 2m phi(m) < 2m^2 for every k >= 1 and
+    m >= 2, so it is always confirmed.
     An h^- above HMINUS_PHI_CEILING, at m or at a divisor, raises
     UnsupportedModulusError instead where it is read: always at a
     square-free m, elsewhere only when the branch of a_m reads it.

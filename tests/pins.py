@@ -73,10 +73,12 @@ HMINUS_LINES_TO_2039 = {
 }
 
 #: the SHA-256 of str(h^-(m)), 358 digits at 1009 and 877 at 2039, as the
-#: orbit and per-unit oracles give them; 3457 and 4096 are in the tower
+#: orbit and per-unit oracles give them; 3457 and 4096 are in the tower;
+#: 2311, 1025 digits, folds the five Sylow parts of lambda = 2 3 5 7 11
 HMINUS_DIGESTS = {
     1009: "aa5cc30f460e7b5fb288d1d96ca5638303d4153d9f7e72f7b129957f7c3c85ef",
     2039: "29ef480c7b33b95f923641e587e6222556985278f3a262e0e54f66220f1481eb",
+    2311: "b95a1df25296c23bacac62565a98f294ae677b60f0195ecafac3a104d032a955",
     3457: "98e30a4712b9442cf85f2b53504bc8d8f5de72fccc5d7b8f95ccab5297a300fe",
     4096: "9b31df5d93f709e8e6bf066fbc11372462690d651dbf202c67a9fa0d549b8abf",
 }

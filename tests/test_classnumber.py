@@ -257,7 +257,9 @@ def _recorded_orbits(monkeypatch):
 
 class TestOddOrbits:
     def test_against_characters(self):
-        for m in range(3, 301):
+        # lambda(2311) = 2310 = 2 * 3 * 5 * 7 * 11: the one admitted m
+        # whose orbits fold five Sylow parts
+        for m in [*range(3, 301), 2311]:
             _assert_orbits_match_the_oracles(m)
 
     @pytest.mark.slow
@@ -975,7 +977,8 @@ class TestHminus:
                 assert hminus(m) == oracles.hminus_per_unit(m), m
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("m", [*pins.CEILING_DIGESTS, 2039, 3457, 4096])
+    @pytest.mark.parametrize("m", [*pins.CEILING_DIGESTS, 2039, 2311, 3457,
+                                   4096])
     def test_against_per_unit_oracle_at_the_ceiling(self, m):
         # one value per unit, not per pair: beyond 2039 no other oracle
         # evaluates h^- in the suite, so the pinned digests of these values

@@ -27,9 +27,11 @@ class TestA2kOrder:
         assert a2k_order(3, 7) == 84
 
     def test_strictly_below_2m_squared(self):
-        for k in (2, 3, 4):
-            for m in range(2, 101):
-                assert a2k_order(k, m) < 2 * m * m
+        # 2m #{c : c^k = +-1} <= 2m phi(m) < 2m^2: the bound check of
+        # verify is definitional
+        for k in range(1, 17):
+            for m in range(2, 1001):
+                assert a2k_order(k, m) < 2 * m * m, (k, m)
 
     def test_matches_loop_oracle(self):
         for k in range(1, 13):

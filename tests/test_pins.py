@@ -31,7 +31,7 @@ def test_a_perturbed_pin_fails_its_group(monkeypatch, capsys):
         "queries": pins.GROUPS["queries"]})
     assert pins.main() == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("FAIL hminus-digests: 4 pins")
+    assert lines[0].startswith("FAIL hminus-digests: 5 pins")
     assert lines[1].startswith("    1009: replayed ")
     assert lines[2].startswith("ok queries: 22 pins")
     assert lines[3:] == ["mismatched: hminus-digests"]
